@@ -2,16 +2,16 @@
 arrangements, via a closed-form generating function with a brute-force
 oracle and a convex-polytope reconstruction as independent checks."""
 
-from .errors import (DegenerateExponent, ExcludedPoint, LatticeSumError,
-                     NonDivisible, NotSimple, RankDrop)
+from .errors import (DegenerateExponent, EigenRouteMismatch, ExcludedPoint,
+                     LatticeSumError, NonDivisible, NotSimple, RankDrop)
 from .genfun import (EvaluationContext, EvaluationReport, WeightVector,
                      coefficient, cyclotomic_order, generating_function,
                      lattice_sum_value, zeta_from_S)
 from .lattice import (Arrangement, Basis, Functional, GenericDirection,
                       arrangement_from_json, arrangement_to_json,
                       choose_phi, coset_character_sum, enumerate_bases,
-                      frac_part, indispensable_set, load_arrangement,
-                      make_functional, on_excluded_hyperplanes)
+                      frac_part, load_arrangement, make_functional,
+                      on_excluded_hyperplanes)
 from .oracle import TruncationWindow, constrained_points, convergence_scan, \
     truncated_sum
 from .polytope import genfun_via_polytopes, polytope_report
@@ -26,9 +26,9 @@ __all__ = [
     "EvaluationContext", "EvaluationReport", "WeightVector",
     "TruncationWindow", "ExactRing", "ExactScalar", "NumericRing",
     "LatticeSumError", "ExcludedPoint", "NonDivisible", "NotSimple",
-    "RankDrop", "DegenerateExponent",
+    "RankDrop", "DegenerateExponent", "EigenRouteMismatch",
     "arrangement_from_json", "arrangement_to_json", "load_arrangement",
-    "make_functional", "enumerate_bases", "indispensable_set", "choose_phi",
+    "make_functional", "enumerate_bases", "choose_phi",
     "frac_part", "on_excluded_hyperplanes", "coset_character_sum",
     "cyclotomic_order", "generating_function", "coefficient",
     "lattice_sum_value", "zeta_from_S", "constrained_points",

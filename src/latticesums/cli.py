@@ -8,8 +8,9 @@ Commands:
 * ``verify polytope``     polytope reconstruction vs the direct series
 * ``verify hierarchy``    operator-removal identity check
 
-Exit codes: 0 ok, 1 I/O or usage, 2 excluded point, 3 internal holomorphy
-failure, 4 verification failure.
+Exit codes: 0 ok, 1 I/O or usage, 2 excluded point, 3 internal consistency
+failure (a non-divisible sum, a non-simple polytope, or hierarchy routes
+that disagree), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import ExcludedPoint, NonDivisible, NotSimple
+from .errors import (EigenRouteMismatch, ExcludedPoint, NonDivisible,
+                     NotSimple)
 from .genfun import (EvaluationContext, coefficient, lattice_sum_value,
                      zeta_from_S)
 from .hierarchy import check_hierarchy
@@ -225,10 +227,15 @@ def cmd_verify_hierarchy(args) -> int:
     job = _job_from_args(args, need_k=False)
     arr = _load_arr(job.arrangement)
     y = job.y
-    removed = []
-    for tok in args.remove.split(","):
-        tok = tok.strip()
-        removed.append(int(tok[1:]) if tok.startswith("f") else int(tok))
+    tokens = [tok.strip() for tok in args.remove.split(",")]
+    removed = [int(tok[1:]) if tok.startswith("f") else int(tok)
+               for tok in tokens if tok]
+    unknown = [i for i in removed if i not in range(arr.size)]
+    if unknown:
+        raise ValueError(f"no functionals {unknown} in an arrangement of "
+                         f"{arr.size}")
+    if len(set(removed)) != len(removed):
+        raise ValueError(f"functionals removed twice: {sorted(removed)}")
     keep = [i for i in range(arr.size) if i not in removed]
     report = check_hierarchy(arr, keep, y, args.order, mode=args.mode,
                              precision=args.precision)
@@ -310,7 +317,7 @@ def main(argv=None) -> int:
     except ExcludedPoint as exc:
         print(f"excluded point: {exc}", file=sys.stderr)
         return 2
-    except (NonDivisible, NotSimple) as exc:
+    except (NonDivisible, NotSimple, EigenRouteMismatch) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, json.JSONDecodeError, ValueError) as exc:

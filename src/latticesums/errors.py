@@ -41,3 +41,8 @@ class RankDrop(LatticeSumError):
 
 class DegenerateExponent(LatticeSumError):
     """An exponent vector annihilates an edge direction of a polytope."""
+
+
+class EigenRouteMismatch(LatticeSumError):
+    """The two routes of a hierarchy operator application disagree in exact
+    mode."""

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
-from .errors import RankDrop
-from .genfun import EvaluationContext, generating_function
+from .errors import EigenRouteMismatch, RankDrop
+from .genfun import EvaluationContext, generating_function, summand_factors
 from .lattice import Arrangement
 from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
                      sum_rational_forms)
@@ -64,22 +64,13 @@ class SummandState:
 
 
 def _build_states(ctx: EvaluationContext, order: int) -> List[SummandState]:
+    # read from genfun at call time, so that wrappers installed there see it
     from .genfun import build_summands
-    ring = ctx.ring
     trunc = Truncation(order)
     states = []
     for s in build_summands(ctx):
-        base = TruncatedSeries.constant(ring, ctx.vars, trunc,
-                                        ctx.to_scalar(s.weight))
-        for g, form in s.unit_factors:
-            tg = TruncatedSeries.variable(ring, ctx.vars, trunc, ctx.vars[g])
-            base = base * tg * form.as_series(ring, ctx.vars,
-                                              trunc).invert_unit()
-        denoms = []
-        for g, cf in s.degenerate_factors:
-            tg = TruncatedSeries.variable(ring, ctx.vars, trunc, ctx.vars[g])
-            base = base * tg
-            denoms.append(cf)
+        base, denoms = summand_factors(ctx, s, TruncatedSeries.constant(
+            ctx.ring, ctx.vars, trunc, ctx.to_scalar(s.weight)))
         kernels = {m: ctx.kernel(s.bidx, s.w, m, order).extend(ctx.vars, trunc)
                    for m in ctx.arr.bases[s.bidx].members}
         states.append(SummandState(s.bidx, s.w, base, kernels, denoms))
@@ -88,10 +79,8 @@ def _build_states(ctx: EvaluationContext, order: int) -> List[SummandState]:
 
 def _tf_form_series(ctx, f: int, order: int) -> TruncatedSeries:
     """(t_f - 2 pi i c_f) as a series."""
-    ring = ctx.ring
-    const = -(ring.two_pi_i() * ctx.to_scalar(ctx.constant(f)))
-    return LinearForm({ctx.vars[f]: ring.one()}, const) \
-        .as_series(ring, ctx.vars, Truncation(order))
+    return ctx.combination({f: Fraction(1)}).form.as_series(
+        ctx.ring, ctx.vars, Truncation(order))
 
 
 def apply_Dg_summand(ctx: EvaluationContext, state: SummandState, g: int,
@@ -133,12 +122,13 @@ def apply_Dg_summand(ctx: EvaluationContext, state: SummandState, g: int,
     if ring.exact:
         disc = ring.zero() if diff.is_zero() else diff.max_magnitude()
         if not diff.is_zero():
-            raise AssertionError(
+            raise EigenRouteMismatch(
                 "eigenvalue route and definition route disagree")
     else:
         disc = diff.max_magnitude()
 
-    tg_form = LinearForm({ctx.vars[g]: ring.one()}, ring.zero())
+    tg_form = LinearForm.from_rational(ring, {ctx.vars[g]: Fraction(1)},
+                                       ring.zero())
     new_state = SummandState(state.bidx, state.w,
                              state.base * den_series,
                              dict(state.kernels),
@@ -154,10 +144,19 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
 
     Returns a report with the maximum coefficientwise discrepancy (exactly
     zero expected in exact mode) and the per-application eigen-identity
-    discrepancies.
+    discrepancies.  Raises ValueError unless `keep` names distinct
+    functionals and leaves at least one to remove.
     """
+    unknown = [i for i in keep if i not in range(arr.size)]
+    if unknown:
+        raise ValueError(f"no functionals {unknown} in an arrangement of "
+                         f"{arr.size}")
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"functionals kept twice: {sorted(keep)}")
     keep = sorted(keep)
     removed = [i for i in range(arr.size) if i not in keep]
+    if not removed:
+        raise ValueError("nothing to remove: every functional is kept")
     sub_dirs = [arr.functionals[i].direction for i in keep]
     if intlinalg.rank(sub_dirs) != arr.rank:
         raise RankDrop("the kept functionals no longer span the space")

@@ -233,11 +233,6 @@ def lattice_contains(basis: Basis, v: Sequence) -> bool:
     return intlinalg.integer_row_lattice_contains(basis.direction_matrix, v)
 
 
-def indispensable_set(arr: Arrangement) -> Tuple[int, ...]:
-    """Functionals whose removal drops the direction span below full rank."""
-    return arr.indispensable
-
-
 # ---------------------------------------------------------------------------
 # generic direction phi
 # ---------------------------------------------------------------------------
@@ -295,11 +290,6 @@ def frac_part(y: Sequence, w: Sequence[int], basis: Basis, member: int,
     if sgn > 0:
         return _frac(val)
     return 1 - _frac(-val)
-
-
-def inner_dual(y: Sequence, basis: Basis, member: int):
-    dual = basis.dual(member)
-    return sum(yi * d for yi, d in zip(y, dual))
 
 
 def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,

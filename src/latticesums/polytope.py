@@ -6,12 +6,16 @@ lattice of polytopes P(m; y) inside the unit cube [0,1]^(#L0): one per
 integer translate m, cut out by the cube facets and one slab per basis
 functional.  Integrating exp(t* . x) over each polytope with the vertex
 formula for simple polytopes and summing over m reassembles the full
-generating function -- a reconstruction that shares no code path with the
-basis-sum evaluator and is used as an independent cross-check.
+generating function, an independent cross-check of the basis sum.
 
 All geometry (vertices, incidence, edges) is exact rational arithmetic in
-the coordinates of L0; the functional constants only enter through the
-exponential prefactors and the edge linear forms.
+the coordinates of L0, computed once per translate m.  The functional
+constants only enter through the exponential prefactors and the edge
+denominators t* . (p - p'), which are rational combinations of the
+functionals: the evaluator's denominator builder
+(``EvaluationContext.combination``) turns each into a linear form and
+decides from exact constants whether it is singular, to be divided out
+after summing, or a unit, to be inverted.
 """
 
 from __future__ import annotations
@@ -108,11 +112,17 @@ def build_polytope(dec: Decomposition, m: Sequence[int],
 
 def enumerate_m(dec: Decomposition, y: Sequence[Fraction]
                 ) -> List[Tuple[int, ...]]:
-    """All integer translates m with P(m; y) nonempty.
+    """All integer translates m with P(m; y) nonempty."""
+    return [m for m, _ in _translates(dec, y)]
+
+
+def _translates(dec: Decomposition, y: Sequence[Fraction]
+                ) -> List[Tuple[Tuple[int, ...], List[VertexWitness]]]:
+    """(m, vertices of P(m; y)) for every nonempty P(m; y), sorted by m.
 
     Interval arithmetic over the unit cube gives a window per basis
     functional; candidates in the window are kept when they carry at least
-    one vertex (or, in dimension zero, satisfy the point condition).
+    one vertex (in dimension zero, the point itself).
     """
     arr, b0, l0 = dec.arr, dec.b0, dec.l0
     y = [Fraction(v) for v in y]
@@ -147,15 +157,10 @@ def enumerate_m(dec: Decomposition, y: Sequence[Fraction]
                 break
         if not ok:
             continue
-        if not l0:
-            inside = all(
-                0 <= sum((yv + mv) * d for yv, mv, d in zip(y, m, b0.dual(f)))
-                <= 1 for f in b0.members)
-            if inside:
-                out.append(tuple(m))
-        elif vertices(dec, m, y):
-            out.append(tuple(m))
-    return sorted(out)
+        verts = vertices(dec, m, y)
+        if verts:
+            out.append((tuple(m), verts))
+    return sorted(out, key=lambda item: item[0])
 
 
 def vertices(dec: Decomposition, m: Sequence[int], y: Sequence[Fraction],
@@ -309,71 +314,53 @@ def _tstar_data(ctx: EvaluationContext, dec: Decomposition):
     out = {}
     for g in dec.l0:
         lin: Dict[int, Fraction] = {g: Fraction(1)}
-        aq = ctx.constant(g)
         for f in dec.b0.members:
             c = dec.dual_pair(g, f)
             if c:
                 lin[f] = lin.get(f, Fraction(0)) - c
-            aq = aq - ctx.constant(f) * c
-        out[g] = (lin, aq)  # t*_g = sum lin[x] t_x - 2 pi i aq
+        # t*_g = sum lin[x] t_x - 2 pi i aq
+        out[g] = (lin, ctx.combination(lin).constant)
+    return out
+
+
+def _tstar_combination(tstar, dec: Decomposition, v) -> Dict[int, Fraction]:
+    """t* . v as a combination of the functionals."""
+    out: Dict[int, Fraction] = {}
+    for g, vg in zip(dec.l0, v):
+        if vg == 0:
+            continue
+        for x, c in tstar[g][0].items():
+            out[x] = out.get(x, Fraction(0)) + vg * c
     return out
 
 
 def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
-                          m, y, w: VertexWitness, verts, adj, i, tstar,
+                          m, y, w: VertexWitness, edges, dens, tstar,
                           order: int) -> RationalForm:
     ring = ctx.ring
     trunc = Truncation(order)
     n = len(dec.l0)
     # exponent: sum_{f in B0} (t_f - 2 pi i c_f) <y+m, f^B0> + t* . p
-    coeff: Dict[int, Fraction] = {}
-    for f in dec.b0.members:
-        coeff[f] = sum((Fraction(yv) + mv) * d
-                       for yv, mv, d in zip(y, m, dec.b0.dual(f)))
-    for g, pv in zip(dec.l0, w.point):
-        if pv == 0:
-            continue
-        lin, aq = tstar[g]
-        for x, c in lin.items():
-            coeff[x] = coeff.get(x, Fraction(0)) + pv * c
-    const_q = sum(ctx.constant(x) * c for x, c in coeff.items())
-    if ctx.mode == "exact" or isinstance(const_q, (int, Fraction)):
-        pref = ring.root_of_unity(-Fraction(const_q))
-    else:
-        pref = ring.exp_2pii_times(-complex(const_q))
-    lf = LinearForm({ctx.vars[x]: ctx.to_scalar(c)
-                     for x, c in coeff.items() if c != 0}, ring.zero())
+    coeff = {f: sum((Fraction(yv) + mv) * d
+                    for yv, mv, d in zip(y, m, dec.b0.dual(f)))
+             for f in dec.b0.members}
+    for x, c in _tstar_combination(tstar, dec, w.point).items():
+        coeff[x] = coeff.get(x, Fraction(0)) + c
+    expo = ctx.combination(coeff)
+    pref = ring.root_of_unity(-expo.constant) \
+        if isinstance(expo.constant, Fraction) \
+        else ring.exp_2pii_times(-ctx.to_scalar(expo.constant))
+    lf = LinearForm(expo.form.coeffs, ring.zero())
     num = lf.as_series(ring, ctx.vars, trunc).exp().scalar_mul(pref)
-    # edge determinant
-    edges = [tuple(pk - pj for pk, pj in zip(w.point, verts[j].point))
-             for j in adj[i]]
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
     num = num.scalar_mul(ctx.to_scalar(detv))
     # edge denominators t* . (p - p')
     denoms = []
-    for e in edges:
-        lin_tot: Dict[int, Fraction] = {}
-        aq_tot = 0
-        for g, ev in zip(dec.l0, e):
-            if ev == 0:
-                continue
-            lin, aq = tstar[g]
-            for x, c in lin.items():
-                lin_tot[x] = lin_tot.get(x, Fraction(0)) + ev * c
-            aq_tot = aq_tot + ev * aq
-        coeffs = {ctx.vars[x]: ctx.to_scalar(c)
-                  for x, c in lin_tot.items() if c != 0}
-        const = -(ring.two_pi_i() * ctx.to_scalar(aq_tot))
-        if ctx.mode == "exact":
-            degenerate = aq_tot == 0
+    for den in dens:
+        if den.singular:
+            denoms.append(den.form)
         else:
-            normc = max([abs(complex(c)) for c in lin_tot.values()] + [1.0])
-            degenerate = abs(complex(aq_tot)) < 1e-20 * normc
-        form = LinearForm(coeffs, const)
-        if degenerate:
-            denoms.append(LinearForm(coeffs, ring.zero()))
-        else:
-            num = num * form.as_series(ring, ctx.vars, trunc).invert_unit()
+            num = num * den.form.as_series(ring, ctx.vars, trunc).invert_unit()
     return RationalForm(num, denoms)
 
 
@@ -386,6 +373,9 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
 
     Requires y off the singular locus (exactly tested for rational y);
     raises NotSimple if a polytope fails the simplicity expected there.
+    The edge denominators come from the evaluator's denominator builder
+    (``EvaluationContext.combination``); the distinct singular ones set the
+    extra truncation order the exact divisions consume.
     """
     y = [Fraction(v) for v in y]
     if in_singular_locus(y, arr):
@@ -395,43 +385,31 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     ring = ctx.ring
     dec = Decomposition(arr, b0_index)
     tstar = _tstar_data(ctx, dec)
-    ms = enumerate_m(dec, y)
-    guard = _count_degenerate_edges(ctx, dec, y, ms, tstar)
-    work = order + guard + 1 if guard else order
-    trunc_work = Truncation(work)
     n = len(dec.l0)
-    total = TruncatedSeries(ring, ctx.vars, trunc_work)
-    for m in ms:
-        if n == 0:
-            one = TruncatedSeries.one(ring, ctx.vars, trunc_work)
-            coeff = {f: sum((yv + mv) * d for yv, mv, d in
-                            zip(y, m, dec.b0.dual(f)))
-                     for f in dec.b0.members}
-            const_q = sum(ctx.constant(x) * c for x, c in coeff.items())
-            pref = ring.root_of_unity(-Fraction(const_q)) \
-                if ctx.mode == "exact" or isinstance(const_q, (int, Fraction)) \
-                else ring.exp_2pii_times(-complex(const_q))
-            lf = LinearForm({ctx.vars[x]: ctx.to_scalar(c)
-                             for x, c in coeff.items() if c != 0},
-                            ring.zero())
-            total = total + lf.as_series(ring, ctx.vars, trunc_work) \
-                .exp().scalar_mul(pref)
-            continue
-        verts = vertices(dec, m, y, check_unique=True)
-        if not verts:
-            continue
-        poly = build_polytope(dec, m, y)
-        if not is_simple(poly, verts):
+    cells = []   # (m, [(vertex, edge vectors, edge denominators)])
+    singular = set()
+    for m, verts in _translates(dec, y):
+        if not is_simple(build_polytope(dec, m, y), verts):
             raise NotSimple(f"polytope at m={m} is not simple")
         adj = adjacency(verts)
         if any(len(nb) != n for nb in adj):
             raise NotSimple(f"polytope at m={m} has a vertex of wrong degree")
-        forms = [
-            _vertex_rational_form(ctx, dec, m, y, w, verts, adj, i, tstar,
-                                  work)
-            for i, w in enumerate(verts)
-        ]
-        total = total + sum_rational_forms(forms)
+        cell = []
+        for w, nbrs in zip(verts, adj):
+            edges = [tuple(pk - pj for pk, pj in zip(w.point, verts[j].point))
+                     for j in nbrs]
+            dens = [ctx.combination(_tstar_combination(tstar, dec, e))
+                    for e in edges]
+            singular.update(d.form.key(ring) for d in dens if d.singular)
+            cell.append((w, edges, dens))
+        cells.append((m, cell))
+    work = order + len(singular) + 1 if singular else order
+    trunc_work = Truncation(work)
+    total = TruncatedSeries(ring, ctx.vars, trunc_work)
+    for m, cell in cells:
+        total = total + sum_rational_forms([
+            _vertex_rational_form(ctx, dec, m, y, w, edges, dens, tstar, work)
+            for w, edges, dens in cell])
     prefactor = TruncatedSeries.one(ring, ctx.vars, trunc_work)
     for f in range(arr.size):
         params = KernelParams.make(ctx.constant(f), Fraction(0))
@@ -440,41 +418,6 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     total = total * prefactor
     total = total.scalar_mul(ctx.to_scalar(Fraction(1, dec.b0.index)))
     return total.with_truncation(Truncation(order))
-
-
-def _count_degenerate_edges(ctx, dec, y, ms, tstar) -> int:
-    keys = {}
-    for m in ms:
-        verts = vertices(dec, m, y)
-        if not verts or not dec.l0:
-            continue
-        adj = adjacency(verts)
-        for i, w in enumerate(verts):
-            for j in adj[i]:
-                e = tuple(pk - pj for pk, pj in
-                          zip(w.point, verts[j].point))
-                lin_tot: Dict[int, Fraction] = {}
-                aq_tot = 0
-                for g, ev in zip(dec.l0, e):
-                    if ev == 0:
-                        continue
-                    lin, aq = tstar[g]
-                    for x, c in lin.items():
-                        lin_tot[x] = lin_tot.get(x, Fraction(0)) + ev * c
-                    aq_tot = aq_tot + ev * aq
-                if ctx.mode == "exact":
-                    degenerate = aq_tot == 0
-                else:
-                    normc = max([abs(complex(c))
-                                 for c in lin_tot.values()] + [1.0])
-                    degenerate = abs(complex(aq_tot)) < 1e-20 * normc
-                if degenerate:
-                    form = LinearForm(
-                        {ctx.vars[x]: ctx.to_scalar(c)
-                         for x, c in lin_tot.items() if c != 0},
-                        ctx.ring.zero())
-                    keys[form.normalized(ctx.ring)[0].key(ctx.ring)] = True
-    return len(keys)
 
 
 def witness_matrix(dec: Decomposition, w: VertexWitness):
@@ -506,15 +449,13 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
     y = [Fraction(v) for v in y]
     ctx = EvaluationContext(arr, y, mode, precision)
     dec = Decomposition(arr, 0)
-    ms = enumerate_m(dec, y)
     per_m = []
-    for m in ms:
-        verts = vertices(dec, m, y)
+    for m, verts in _translates(dec, y):
         poly = build_polytope(dec, m, y)
         per_m.append({
             "m": list(m),
             "vertices": len(verts),
-            "simple": bool(is_simple(poly, verts)) if verts else True,
+            "simple": bool(is_simple(poly, verts)),
         })
     f_direct = generating_function(arr, y, order, mode=mode,
                                    precision=precision, ctx=ctx,
@@ -537,7 +478,7 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
             worst = max(worst, d)
         disc = worst
     return {
-        "m_count": len(ms),
+        "m_count": len(per_m),
         "per_m": per_m,
         "order": order,
         "max_discrepancy": disc,

@@ -354,16 +354,6 @@ def embed(x: ExactScalar, precision: int = 128):
     return x.embed(ctx)
 
 
-def cyclotomic_order(arr, y, k=None, phi=None) -> int:
-    """Smallest safe cyclotomic order for evaluating at (arr, y).
-
-    Thin delegate; the computation lives with the evaluator since it walks
-    the arrangement's bases.
-    """
-    from .genfun import cyclotomic_order as _impl
-    return _impl(arr, y, k, phi)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -241,13 +241,25 @@ class TruncatedSeries:
 
 @dataclass
 class LinearForm:
-    """constant + sum coeffs[v] * t_v over a scalar ring."""
+    """constant + sum coeffs[v] * t_v over a scalar ring.
+
+    `rational`, set by ``from_rational``, is the linear part as exact
+    rationals scaled so that its first coefficient is 1: the key under
+    which equal forms are merged, in either ring.
+    """
 
     coeffs: Dict[str, object]
     constant: object
+    rational: Optional[Tuple[Tuple[str, Fraction], ...]] = None
 
-    def support(self) -> Tuple[str, ...]:
-        return tuple(self.coeffs)
+    @classmethod
+    def from_rational(cls, ring, coeffs: Dict[str, Fraction],
+                      constant) -> "LinearForm":
+        coeffs = {v: q for v, q in coeffs.items() if q}
+        lead = coeffs[min(coeffs)] if coeffs else 1
+        return cls({v: ring.from_fraction(q) for v, q in coeffs.items()},
+                   constant, tuple(sorted((v, q / lead)
+                                          for v, q in coeffs.items())))
 
     def is_constant_free(self, ring) -> bool:
         return ring.is_zero(self.constant, scale=self._scale(ring))
@@ -284,15 +296,17 @@ class LinearForm:
         inv = ring.inv(lead)
         coeffs = {v: c * inv for v, c in self.coeffs.items()
                   if not ring.is_zero(c)}
-        return LinearForm(coeffs, self.constant * inv), lead
+        return LinearForm(coeffs, self.constant * inv, self.rational), lead
 
     def key(self, ring):
-        if ring.exact:
-            return tuple(sorted((v, c) for v, c in self.coeffs.items()
-                                if not ring.is_zero(c)))
-        return tuple(sorted((v, complex(c).__repr__()[:18])
-                            for v, c in self.coeffs.items()
-                            if not ring.is_zero(c)))
+        """Equal for forms that agree up to a nonzero scale."""
+        if self.rational is not None:
+            return self.rational
+        if not ring.exact:
+            raise ValueError("a numeric form is keyed by its rational "
+                             "coefficients; build it with from_rational")
+        return tuple(sorted((v, c) for v, c in self.normalized(ring)[0]
+                            .coeffs.items()))
 
 
 def _pivot_var(form: LinearForm, ring) -> str:

@@ -121,6 +121,32 @@ def test_verify_hierarchy(capsys):
     assert "max discrepancy: 0 (exact)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("remove", ["f9", "f0,f0", ""])
+def test_verify_hierarchy_rejects_bad_removal(remove, capsys):
+    # an unknown id, a repeated id, and no id at all: each used to pass
+    # without removing anything, or is not a removal set
+    rc = main(["verify", "hierarchy", "--arrangement", "a1_alpha1.json",
+               "--y", "1/3", "--order", "3", "--remove", remove])
+    assert rc == 1
+    assert "max discrepancy" not in capsys.readouterr().out
+
+
+def test_verify_hierarchy_route_disagreement_exits_3(monkeypatch, capsys):
+    import latticesums.hierarchy as hierarchy
+    from latticesums.series import TruncatedSeries
+    real = hierarchy._tf_form_series
+
+    def skewed(ctx, f, order):
+        s = real(ctx, f, order)
+        return s + TruncatedSeries.one(s.ring, s.vars, s.trunc)
+
+    monkeypatch.setattr(hierarchy, "_tf_form_series", skewed)
+    rc = main(["verify", "hierarchy", "--arrangement", "a1_alpha1.json",
+               "--y", "1/3", "--order", "3", "--remove", "f0"])
+    assert rc == 3
+    assert "disagree" in capsys.readouterr().err
+
+
 def test_deterministic_output_bytes():
     args = ["eval", "--arrangement", "triangle_rational.json",
             "--k", "1,2,2", "--y", "1/7,1/11"]

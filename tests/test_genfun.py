@@ -408,6 +408,25 @@ def test_numeric_mode_complex_constants():
     assert abs(complex(rep.value) - complex(z)) < 1e-4
 
 
+def test_numeric_mode_singular_case_is_exact_structure():
+    # (2,1) = (1,1) + (1,0) and -1/3 = -1/3 + 0: a singular hyperplane,
+    # which constants rounded to 53 bits turn into a tiny unit factor
+    arr = Arrangement(2, [make_functional((2, 1), Fraction(-1, 3)),
+                          make_functional((1, 1), Fraction(-1, 3)),
+                          make_functional((1, 0), 0),
+                          make_functional((-1, 2), Fraction(-1, 2))])
+    y = (Fraction(-10, 7), Fraction(-8, 7))
+    k = (2, 2, 2, 2)
+    exact = lattice_sum_value(arr, y, k).value
+    numeric = lattice_sum_value(arr, y, k, mode="numeric",
+                                precision=128).value
+    ref = MPContext()
+    ref.prec = 192
+    want = exact.embed(ref)
+    err = abs(ref.mpc(numeric) - want) / max(ref.mpf(1), abs(want))
+    assert err < ref.mpf(2) ** -80
+
+
 # ---------------------------------------------------------------------------
 # documented symmetric families
 # ---------------------------------------------------------------------------

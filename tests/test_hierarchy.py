@@ -24,10 +24,17 @@ def test_remove_third_functional_triangle(triangle_rational, generic_y2):
     assert rep["max_discrepancy"] == 0
 
 
-def test_empty_removal_is_identity(a1_alpha1):
-    rep = check_hierarchy(a1_alpha1, [0, 1, 2], (Fraction(0),), 4)
-    assert rep["max_discrepancy"] == 0
-    assert rep["removed"] == []
+def test_empty_removal_is_rejected(a1_alpha1):
+    # removing nothing would check nothing
+    with pytest.raises(ValueError, match="nothing to remove"):
+        check_hierarchy(a1_alpha1, [0, 1, 2], (Fraction(0),), 4)
+
+
+def test_unknown_or_repeated_kept_functional_rejected(a1_alpha1):
+    with pytest.raises(ValueError, match="no functionals"):
+        check_hierarchy(a1_alpha1, [0, 9], (Fraction(0),), 4)
+    with pytest.raises(ValueError, match="twice"):
+        check_hierarchy(a1_alpha1, [0, 0], (Fraction(0),), 4)
 
 
 def test_double_removal(generic_y2):

@@ -162,6 +162,32 @@ def test_numeric_divide_reports_residual():
     assert abs(complex(q.coefficient((1, 0)))) - 1 < 1e-20
 
 
+def test_numeric_forms_keyed_by_exact_coefficients():
+    # the two t2 coefficients agree to 17 significant digits and round to
+    # the same double, so a key read from the numeric values merges them
+    NR = NumericRing(128)
+    q1 = Fraction(123456789012345678, 10**17)
+    q2 = Fraction(123456789012345679, 10**17)
+    l1 = LinearForm.from_rational(NR, {"t1": Fraction(1), "t2": q1},
+                                  NR.zero())
+    l2 = LinearForm.from_rational(NR, {"t1": Fraction(1), "t2": q2},
+                                  NR.zero())
+    assert complex(l1.coeffs["t2"]) == complex(l2.coeffs["t2"])
+    assert l1.key(NR) != l2.key(NR)
+    scaled = LinearForm.from_rational(NR, {"t1": Fraction(3), "t2": 3 * q1},
+                                      NR.zero())
+    assert scaled.key(NR) == l1.key(NR)
+    # s1 s2 / l1 + s1 s2 / l2 = s2 + s1 only when the forms stay distinct
+    trunc = Truncation(4)  # two divisions leave degrees <= 2 valid
+    s1, s2 = (l.as_series(NR, ("t1", "t2"), trunc) for l in (l1, l2))
+    total = sum_rational_forms([RationalForm(s1 * s2, [l1]),
+                                RationalForm(s1 * s2, [l2])])
+    want = s1 + s2
+    for e in set(total.terms) | set(want.terms):
+        if sum(e) <= 2:
+            assert abs(total.coefficient(e) - want.coefficient(e)) < 1e-30
+
+
 def test_dump_format():
     s = var("t1") + one()
     lines = s.dump().splitlines()

@@ -8,9 +8,11 @@ Commands:
 * ``verify polytope``     polytope reconstruction vs the direct series
 * ``verify hierarchy``    operator-removal identity check
 
-Exit codes: 0 ok, 1 I/O or usage, 2 excluded point, 3 internal consistency
-failure (a non-divisible sum, a non-simple polytope, or hierarchy routes
-that disagree), 4 verification failure.
+Exit codes: 0 ok, 1 I/O or usage (including kept functionals that no
+longer span the space), 2 excluded point, 3 internal consistency failure (a
+non-divisible sum, a non-simple polytope, a degenerate polytope exponent,
+hierarchy routes that disagree, or an exact scalar that cannot be
+inverted), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import (EigenRouteMismatch, ExcludedPoint, NonDivisible,
-                     NotSimple)
+from .errors import (DegenerateExponent, EigenRouteMismatch, ExcludedPoint,
+                     NonDivisible, NotInvertible, NotSimple, RankDrop)
 from .genfun import (EvaluationContext, coefficient, lattice_sum_value,
                      zeta_from_S)
 from .hierarchy import check_hierarchy
@@ -317,10 +319,11 @@ def main(argv=None) -> int:
     except ExcludedPoint as exc:
         print(f"excluded point: {exc}", file=sys.stderr)
         return 2
-    except (NonDivisible, NotSimple, EigenRouteMismatch) as exc:
+    except (NonDivisible, NotSimple, DegenerateExponent, EigenRouteMismatch,
+            NotInvertible) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, RankDrop) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,12 +50,15 @@ class CyclotomicField:
             q = p**a
             self.factors.append((p, q, (p - 1) * p ** (a - 1), p ** (a - 1)))
         self.nfactors = len(self.factors)
+        self.zero_exps: Exps = (0,) * self.nfactors
         # zeta_{q_i} = zeta_N^{N/q_i}; conversely zeta_N = prod zeta_{q_i}^{u_i}
         # with u_i = (N/q_i)^{-1} mod q_i (CRT partition of 1/N mod 1)
         self._crt_weights = [N // q for (_, q, _, _) in self.factors]
         self._crt_inverses = [pow(N // q, -1, q) if q > 1 else 0
                               for (_, q, _, _) in self.factors]
         self._inv_cache: Dict[tuple, "CycElt"] = {}
+        # (exps_a, exps_b) -> ((exps, integer coefficient), ...)
+        self.basis_products: Dict[Tuple[Exps, Exps], tuple] = {}
         self._root_cache: Dict[int, list] = {}
 
     def __repr__(self):
@@ -129,6 +132,18 @@ class CyclotomicField:
                 _acc(out, e, ca * cb)
         return self._reduce(out)
 
+    def basis_product(self, ea: Exps, eb: Exps) -> tuple:
+        """The product of two basis monomials as ((exps, int), ...),
+        computed once and kept in ``basis_products``."""
+        key = (ea, eb)
+        got = self.basis_products.get(key)
+        if got is None:
+            raw = self._mul_raw({ea: Fraction(1)}, {eb: Fraction(1)})
+            # the reduction only adds and negates, so coefficients are integers
+            got = tuple((e, int(c)) for e, c in raw.items())
+            self.basis_products[key] = got
+        return got
+
     # -- numerics -------------------------------------------------------
 
     def _roots(self, ctx):
@@ -181,9 +196,6 @@ class CycElt:
         if not self.is_rational():
             raise ValueError(f"not a rational element: {self}")
         return next(iter(self.coeffs.values()))
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
 
     def key(self):
         return tuple(sorted(self.coeffs.items()))
@@ -324,9 +336,6 @@ class CycElt:
         return c1, j % self.field.N
 
     # -- conversion -----------------------------------------------------------
-
-    def conjugate(self) -> "CycElt":
-        return self.galois(self.field.N - 1) if self.field.N > 2 else self
 
     def embed(self, ctx):
         """Numeric value under zeta_{q} -> e^{2 pi i/q} in the mpmath context ctx."""

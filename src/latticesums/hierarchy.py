@@ -143,8 +143,10 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     on the sub-arrangement's generating function.
 
     Returns a report with the maximum coefficientwise discrepancy (exactly
-    zero expected in exact mode) and the per-application eigen-identity
-    discrepancies.  Raises ValueError unless `keep` names distinct
+    zero expected in exact mode), the per-application eigen-identity
+    discrepancies, and ``eigen_checks``, the number of applications that
+    compared both routes (annihilated summands compare nothing).  In exact
+    mode a disagreement raises ``EigenRouteMismatch`` instead.  Raises ValueError unless `keep` names distinct
     functionals and leaves at least one to remove.
     """
     unknown = [i for i in keep if i not in range(arr.size)]
@@ -167,12 +169,14 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     steps = [HierarchyStep(g, ctx.constant(g), arr.functionals[g].direction)
              for g in removed]
     eigen = []
+    checks = 0
     for g in removed:
         next_states = []
         for st in states:
             new_state, disc = apply_Dg_summand(ctx, st, g, work)
             eigen.append(float(disc) if not ctx.ring.exact else 0.0)
             if new_state is not None:
+                checks += 1
                 next_states.append(new_state)
         states = next_states
     total = sum_rational_forms([st.to_rational_form() for st in states])
@@ -230,6 +234,7 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
         "max_discrepancy_str": "0 (exact)" if discrepancy == 0 and
                                mode == "exact" else str(discrepancy),
         "eigen_discrepancies": eigen,
+        "eigen_checks": checks,
     }
 
 

@@ -2,11 +2,13 @@
 
 Two interchangeable rings live here behind one small protocol:
 
-* ``ExactRing`` -- rational functions in the transcendental symbol ``pi``
-  with coefficients in Q(zeta_N).  Values are fractions of Laurent
-  polynomials in ``pi``; every value produced by the evaluators keeps a
-  monomial denominator, so arithmetic stays sparse, and the general
-  fraction form is retained so that nonzero elements remain invertible.
+* ``ExactRing`` -- Laurent polynomials in the transcendental symbol ``pi``
+  with coefficients in Q(zeta_N).  A value is one flat map
+  ``{(pi power, cyclotomic basis exponents): Fraction}``; products of basis
+  monomials come from a table that the field fills as they are first met.
+  Only pi-monomials with a nonzero Q(zeta_N) coefficient are invertible,
+  which is every inverse the evaluators take; any other inverse raises
+  ``NotInvertible``.
 * ``NumericRing`` -- arbitrary-precision complex floats (mpmath), with the
   tolerance conventions needed by the numeric evaluation paths.
 
@@ -23,95 +25,41 @@ from typing import Dict
 
 from mpmath.ctx_mp import MPContext
 
-from .cyclotomic import CycElt, CyclotomicField
+from .cyclotomic import CycElt, CyclotomicField, _acc
+from .errors import NotInvertible
 
 _pivot_ctx = MPContext()
 _pivot_ctx.prec = 64
 
 
-def _strip(poly: Dict[int, CycElt]) -> Dict[int, CycElt]:
-    return {k: c for k, c in poly.items() if not c.is_zero()}
-
-
-def _poly_mul(field, a: Dict[int, CycElt], b: Dict[int, CycElt]):
-    out: Dict[int, CycElt] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            cur = out.get(k)
-            out[k] = ca * cb if cur is None else cur + ca * cb
-    return _strip(out)
-
-
-def _poly_add(a: Dict[int, CycElt], b: Dict[int, CycElt]):
-    out = dict(a)
-    for k, c in b.items():
-        cur = out.get(k)
-        out[k] = c if cur is None else cur + c
-    return _strip(out)
-
-
 class ExactScalar:
-    """Element of Q(zeta_N)(pi) as a fraction of Laurent polynomials in pi.
+    """Element of Q(zeta_N)[pi, 1/pi] as ``{(k, exps): Fraction}``.
 
-    The denominator is reduced away whenever it is a single Laurent term
-    (the only shape the evaluators ever create), so in practice ``den`` is
-    the constant 1 and all arithmetic is plain sparse Laurent arithmetic.
+    The key ``(k, exps)`` stands for pi^k times the basis monomial ``exps``
+    of the field; no coefficient is zero, so equality is dict equality.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "terms")
 
-    def __init__(self, field: CyclotomicField, num: Dict[int, CycElt],
-                 den: Dict[int, CycElt] | None = None, *, normalize: bool = True):
+    def __init__(self, field: CyclotomicField, terms: Dict[tuple, Fraction]):
         self.field = field
-        self.num = num
-        self.den = den if den is not None else {0: field.one()}
-        if normalize:
-            self._normalize()
+        self.terms = terms
 
-    def _normalize(self):
-        self.num = _strip(self.num)
-        self.den = _strip(self.den)
-        if not self.den:
-            raise ZeroDivisionError("scalar with zero denominator")
-        if not self.num:
-            self.den = {0: self.field.one()}
-            return
-        if len(self.den) == 1:
-            (k, c), = self.den.items()
-            if k == 0 and c == self.field.one():
-                return
-            cinv = c.inv()
-            self.num = {d - k: cd * cinv for d, cd in self.num.items()}
-            self.den = {0: self.field.one()}
-
-    # -- predicates ----------------------------------------------------
+    @classmethod
+    def from_pi_poly(cls, field: CyclotomicField, poly: Dict[int, CycElt]
+                     ) -> "ExactScalar":
+        return cls(field, {(k, e): q for k, c in poly.items()
+                           for e, q in c.coeffs.items()})
 
     def is_zero(self) -> bool:
-        return not self.num
-
-    def is_trivial_den(self) -> bool:
-        return len(self.den) == 1 and 0 in self.den and self.den[0] == self.field.one()
-
-    def is_rational(self) -> bool:
-        if not self.is_trivial_den():
-            return False
-        if not self.num:
-            return True
-        return set(self.num) == {0} and self.num[0].is_rational()
-
-    def rational_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return self.num[0].rational_value()
+        return not self.terms
 
     def pi_poly(self) -> Dict[int, CycElt]:
-        """The Laurent coefficients, requiring a trivial denominator."""
-        if not self.is_trivial_den():
-            raise ValueError("scalar has a nontrivial denominator")
-        return self.num
+        """The Laurent coefficients ``{k: CycElt}``, by ascending k."""
+        grouped: Dict[int, dict] = {}
+        for (k, e), q in self.terms.items():
+            grouped.setdefault(k, {})[e] = q
+        return {k: CycElt(self.field, grouped[k]) for k in sorted(grouped)}
 
     # -- arithmetic ------------------------------------------------------
 
@@ -123,30 +71,26 @@ class ExactScalar:
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
             if f == 0:
-                return ExactScalar(self.field, {}, normalize=False)
-            return ExactScalar(self.field, {0: self.field.from_fraction(f)},
-                               normalize=False)
+                return ExactScalar(self.field, {})
+            return ExactScalar(self.field, {(0, self.field.zero_exps): f})
         if isinstance(other, CycElt):
-            return ExactScalar(self.field, {0: other})
+            return ExactScalar.from_pi_poly(self.field, {0: other})
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return ExactScalar(self.field, _poly_add(self.num, other.num),
-                               dict(self.den))
-        num = _poly_add(_poly_mul(self.field, self.num, other.den),
-                        _poly_mul(self.field, other.num, self.den))
-        den = _poly_mul(self.field, self.den, other.den)
-        return ExactScalar(self.field, num, den)
+        out = dict(self.terms)
+        for key, q in other.terms.items():
+            _acc(out, key, q)
+        return ExactScalar(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(self.field, {k: -c for k, c in self.num.items()},
-                           dict(self.den), normalize=False)
+        return ExactScalar(self.field,
+                           {key: -q for key, q in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -164,11 +108,20 @@ class ExactScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num = _poly_mul(self.field, self.num, other.num)
-        if self.is_trivial_den() and other.is_trivial_den():
-            return ExactScalar(self.field, num, normalize=False)
-        den = _poly_mul(self.field, self.den, other.den)
-        return ExactScalar(self.field, num, den)
+        field = self.field
+        table = field.basis_products
+        out: Dict[tuple, Fraction] = {}
+        get = out.get
+        for (ka, ea), qa in self.terms.items():
+            for (kb, eb), qb in other.terms.items():
+                q = qa * qb
+                k = ka + kb
+                for e, m in (table.get((ea, eb))
+                             or field.basis_product(ea, eb)):
+                    v = q if m == 1 else -q if m == -1 else q * m
+                    cur = get((k, e))
+                    out[k, e] = v if cur is None else cur + v
+        return ExactScalar(field, {key: v for key, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -185,14 +138,19 @@ class ExactScalar:
         return other * self.inv()
 
     def inv(self):
+        """Inverse of c * pi^k for nonzero c in Q(zeta_N)."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero scalar")
-        return ExactScalar(self.field, dict(self.den), dict(self.num))
+        poly = self.pi_poly()
+        if len(poly) != 1:
+            raise NotInvertible(f"not a pi-monomial: {self}")
+        (k, c), = poly.items()
+        return ExactScalar.from_pi_poly(self.field, {-k: c.inv()})
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = ExactScalar(self.field, {0: self.field.one()}, normalize=False)
+        out = ExactScalar(self.field, {(0, self.field.zero_exps): Fraction(1)})
         base = self
         while n:
             if n & 1:
@@ -205,37 +163,25 @@ class ExactScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        left = _poly_mul(self.field, self.num, other.den)
-        right = _poly_mul(self.field, other.num, self.den)
-        return left == right
+        return self.terms == other.terms
 
     def __hash__(self):
-        if not self.is_trivial_den():
-            raise TypeError("only normalized scalars are hashable")
-        return hash((self.field.N, tuple(sorted((k, c.key())
-                                                for k, c in self.num.items()))))
+        return hash((self.field.N, frozenset(self.terms.items())))
 
     # -- numerics ---------------------------------------------------------
 
     def embed(self, ctx):
         pi = ctx.pi
-        num = ctx.mpc(0)
-        for k, c in self.num.items():
-            num += c.embed(ctx) * pi**k
-        if self.is_trivial_den():
-            return num
-        den = ctx.mpc(0)
-        for k, c in self.den.items():
-            den += c.embed(ctx) * pi**k
-        return num / den
+        out = ctx.mpc(0)
+        for k, c in self.pi_poly().items():
+            out += c.embed(ctx) * pi**k
+        return out
 
     def lift(self, ring: "ExactRing") -> "ExactScalar":
         """Re-express in a larger cyclotomic field (order a multiple)."""
-        num = {k: c.lift(ring.field) for k, c in self.num.items()}
-        den = {k: c.lift(ring.field) for k, c in self.den.items()}
-        return ExactScalar(ring.field, num, den)
+        return ExactScalar.from_pi_poly(
+            ring.field, {k: c.lift(ring.field)
+                         for k, c in self.pi_poly().items()})
 
     def __repr__(self):
         return format_scalar(self)
@@ -247,7 +193,7 @@ class ExactScalar:
 
 
 class ExactRing:
-    """The exact coefficient ring Q(zeta_N)(pi)."""
+    """The exact coefficient ring Q(zeta_N)[pi, 1/pi]."""
 
     exact = True
 
@@ -256,9 +202,10 @@ class ExactRing:
             raise ValueError("cyclotomic order must be divisible by 4")
         self.N = N
         self.field = CyclotomicField(N)
-        self._zero = ExactScalar(self.field, {}, normalize=False)
-        self._one = ExactScalar(self.field, {0: self.field.one()}, normalize=False)
-        self._i = self.field.zeta_pow(N // 4)
+        self._zero = ExactScalar(self.field, {})
+        self._one = self.from_fraction(1)
+        self._two_pi_i = ExactScalar.from_pi_poly(
+            self.field, {1: self.field.zeta_pow(N // 4) * 2})
 
     def zero(self):
         return self._zero
@@ -270,21 +217,20 @@ class ExactRing:
         q = Fraction(q)
         if q == 0:
             return self._zero
-        return ExactScalar(self.field, {0: self.field.from_fraction(q)},
-                           normalize=False)
+        return ExactScalar(self.field, {(0, self.field.zero_exps): q})
 
     def from_cyc(self, c: CycElt):
-        return ExactScalar(self.field, {0: c})
+        return ExactScalar.from_pi_poly(self.field, {0: c})
 
     def root_of_unity(self, q):
         """e^{2 pi i q} for rational q."""
         return self.from_cyc(self.field.root_of_unity(q))
 
     def two_pi_i(self):
-        return ExactScalar(self.field, {1: self._i * 2}, normalize=False)
+        return self._two_pi_i
 
     def pi_pow(self, k: int):
-        return ExactScalar(self.field, {k: self.field.one()}, normalize=False)
+        return ExactScalar(self.field, {(k, self.field.zero_exps): Fraction(1)})
 
     def is_zero(self, x, scale=None) -> bool:
         return x.is_zero()
@@ -372,7 +318,9 @@ def _format_cyc(c: CycElt) -> str:
     return "(" + " + ".join(parts) + ")"
 
 
-def _format_pi_poly(poly: Dict[int, CycElt]) -> str:
+def format_scalar(x: ExactScalar) -> str:
+    """Canonical string, descending pi powers, rationals in lowest terms."""
+    poly = x.pi_poly()
     if not poly:
         return "0"
     parts = []
@@ -403,13 +351,6 @@ def _format_pi_poly(poly: Dict[int, CycElt]) -> str:
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
-
-
-def format_scalar(x: ExactScalar) -> str:
-    """Canonical string, descending pi powers, rationals in lowest terms."""
-    if x.is_trivial_den():
-        return _format_pi_poly(x.num)
-    return f"({_format_pi_poly(x.num)}) / ({_format_pi_poly(x.den)})"
 
 
 def _split_terms(text: str):
@@ -481,12 +422,6 @@ def _find_top_level(text: str, token: str):
 def parse_scalar(ring: ExactRing, text: str) -> ExactScalar:
     """Parse the output of format_scalar back into an ExactScalar."""
     text = text.strip()
-    if text.startswith("("):
-        split = _find_top_level(text[1:], ") / (")
-        if split is not None and text.endswith(")"):
-            num_s = text[1:split + 1]
-            den_s = text[split + 6:-1]
-            return parse_scalar(ring, num_s) / parse_scalar(ring, den_s)
     field = ring.field
     poly: Dict[int, CycElt] = {}
 
@@ -520,4 +455,4 @@ def parse_scalar(ring: ExactRing, text: str) -> ExactScalar:
         else:
             coeff = _parse_cyc(field, head)
         add(k, coeff * (Fraction(sign) / denom))
-    return ExactScalar(ring.field, poly)
+    return ExactScalar.from_pi_poly(field, poly)

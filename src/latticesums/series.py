@@ -71,9 +71,6 @@ class TruncatedSeries:
     def clone_empty(self) -> "TruncatedSeries":
         return TruncatedSeries(self.ring, self.vars, self.trunc)
 
-    def copy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, self.vars, self.trunc, dict(self.terms))
-
     # -- bookkeeping -------------------------------------------------------
 
     def _zero_exps(self) -> Exps:

@@ -131,6 +131,17 @@ def test_verify_hierarchy_rejects_bad_removal(remove, capsys):
     assert "max discrepancy" not in capsys.readouterr().out
 
 
+def test_verify_hierarchy_rank_drop_exits_1():
+    # removing f0 and f1 from the triangle leaves one functional in rank 2
+    proc = run_cli(["verify", "hierarchy", "--arrangement",
+                    "triangle_rational.json", "--y", "1/7,2/11",
+                    "--order", "3", "--remove", "f0,f1"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_verify_hierarchy_route_disagreement_exits_3(monkeypatch, capsys):
     import latticesums.hierarchy as hierarchy
     from latticesums.series import TruncatedSeries

@@ -37,6 +37,23 @@ def test_unknown_or_repeated_kept_functional_rejected(a1_alpha1):
         check_hierarchy(a1_alpha1, [0, 0], (Fraction(0),), 4)
 
 
+def test_report_counts_eigen_checks(a1_alpha1, monkeypatch):
+    import latticesums.hierarchy as hierarchy
+    real = hierarchy.apply_Dg_summand
+    compared = []
+
+    def counting(ctx, state, g, order):
+        new_state, disc = real(ctx, state, g, order)
+        if new_state is not None:
+            compared.append(g)
+        return new_state, disc
+
+    monkeypatch.setattr(hierarchy, "apply_Dg_summand", counting)
+    rep = check_hierarchy(a1_alpha1, [0, 2], (Fraction(0),), 4)
+    assert rep["eigen_checks"] > 0
+    assert rep["eigen_checks"] == len(compared)
+
+
 def test_double_removal(generic_y2):
     arr = Arrangement(2, [make_functional((1, 0), 0),
                           make_functional((0, 1), 0),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
+from latticesums.errors import NotInvertible
 from latticesums.scalar import (ExactRing, NumericRing, format_scalar,
                                 parse_scalar)
 
@@ -11,36 +12,60 @@ CTX = MPContext()
 CTX.prec = 140
 
 R = ExactRing(12)
+RINGS = {N: ExactRing(N) for N in (4, 12, 1260)}
 
 
 @st.composite
-def scalars(draw):
-    out = R.zero()
+def scalars(draw, ring):
+    out = ring.zero()
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(-3, 3))
-        j = draw(st.integers(0, 11))
+        j = draw(st.integers(0, ring.N - 1))
         num = draw(st.integers(-5, 5))
         den = draw(st.integers(1, 4))
-        out = out + R.pi_pow(k) * R.from_cyc(R.field.zeta_pow(j)) \
-            * R.from_fraction(Fraction(num, den))
+        out = out + ring.pi_pow(k) * ring.from_cyc(ring.field.zeta_pow(j)) \
+            * ring.from_fraction(Fraction(num, den))
     return out
 
 
+@st.composite
+def pi_monomials(draw, ring):
+    """c * pi^k with c a nonzero rational times zeta^j or i^j - 1, shapes
+    of the constants the evaluators invert (i^j keeps the inverse cheap in
+    large fields)."""
+    k = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        c = ring.field.zeta_pow(draw(st.integers(0, ring.N - 1)))
+    else:
+        c = ring.field.zeta_pow(draw(st.integers(1, 3)) * (ring.N // 4)) - 1
+    q = Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])),
+                 draw(st.integers(1, 4)))
+    return ring.pi_pow(k) * ring.from_cyc(c) * ring.from_fraction(q)
+
+
+@pytest.mark.parametrize("N", sorted(RINGS))
 @settings(max_examples=60, deadline=None)
-@given(scalars(), scalars(), scalars())
-def test_field_axioms(a, b, c):
+@given(data=st.data())
+def test_field_axioms(N, data):
+    ring = RINGS[N]
+    a, b, c = (data.draw(scalars(ring)) for _ in range(3))
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
+    assert hash((a * b) * c) == hash(a * (b * c))
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero()
-    if not a.is_zero():
-        assert a.inv() * a == R.one()
-        assert (R.one() / a) * a == R.one()
+    m = data.draw(pi_monomials(ring))
+    assert m.inv() * m == ring.one()
+    assert (ring.one() / m) * m == ring.one()
+    assert (a / m) * m == a
 
 
+@pytest.mark.parametrize("N", sorted(RINGS))
 @settings(max_examples=40, deadline=None)
-@given(scalars(), scalars())
-def test_embed_ring_homomorphism(a, b):
+@given(data=st.data())
+def test_embed_ring_homomorphism(N, data):
+    ring = RINGS[N]
+    a, b = data.draw(scalars(ring)), data.draw(scalars(ring))
     ea, eb = a.embed(CTX), b.embed(CTX)
     scale = max(1.0, abs(complex(ea))) * max(1.0, abs(complex(eb)))
     assert abs(complex((a * b).embed(CTX)) - complex(ea * eb)) \
@@ -53,12 +78,13 @@ def test_two_pi_i():
     assert abs(complex(x.embed(CTX)) - 2j * 3.14159265358979) < 1e-10
 
 
-def test_nontrivial_denominator_arithmetic():
-    a = R.one() + R.pi_pow(1)  # 1 + pi
-    inv = a.inv()
-    assert inv * a == R.one()
-    assert not inv.is_trivial_den()
-    assert (inv + inv) * a == R.from_fraction(2)
+def test_only_pi_monomials_invert():
+    with pytest.raises(NotInvertible):
+        (R.one() + R.pi_pow(1)).inv()  # 1 + pi
+    with pytest.raises(NotInvertible):
+        R.one() / (R.pi_pow(2) - R.from_fraction(3))
+    with pytest.raises(ZeroDivisionError):
+        R.zero().inv()
 
 
 @pytest.mark.parametrize("text", [

@@ -86,11 +86,33 @@ class CyclotomicField:
 
     def zeta_pow(self, j: int) -> "CycElt":
         """zeta_N^j as a canonical element."""
-        j %= self.N
-        exps = []
-        for (_, q, _, _), u in zip(self.factors, self._crt_inverses):
-            exps.append((j * u) % q)
-        return CycElt(self, self._reduce({tuple(exps): Fraction(1)}))
+        return CycElt(self, self._reduce({self._unreduced(j): Fraction(1)}))
+
+    def _unreduced(self, j: int) -> Exps:
+        """Exponents (j*u_i mod q_i) of zeta_N^j, before reduction."""
+        return tuple((j * u) % q for (_, q, _, _), u
+                     in zip(self.factors, self._crt_inverses))
+
+    def _unity_exponent(self, coeffs: Dict[Exps, Fraction]):
+        """j if ``coeffs`` is the canonical form of zeta_N^j, else None.
+
+        Factor i of a canonical root of unity is either one basis exponent
+        e or, reduced, the p-1 exponents e - phi + m*p^(a-1); the smallest
+        exponent met in position i gives e back.  For p = 2 both forms are
+        one exponent, so j is fixed only up to zeta_N^(N/2) = -1, and both
+        candidates are checked.
+        """
+        if not coeffs:
+            return None
+        j = 0
+        for i, ((_, _, phi, _), w) in enumerate(zip(self.factors,
+                                                    self._crt_weights)):
+            seen = {e[i] for e in coeffs}
+            j += (min(seen) + (phi if len(seen) > 1 else 0)) * w
+        for cand in (j, j + self.N // 2):
+            if self.zeta_pow(cand).coeffs == coeffs:
+                return cand % self.N
+        return None
 
     def root_of_unity(self, q) -> "CycElt":
         """e^{2 pi i q} for rational q with q*N integral."""
@@ -300,15 +322,13 @@ class CycElt:
         two = self._as_unity_minus_one()
         if two is not None:
             coeff, j = two  # self = coeff * (zeta_N^j - 1)
-            omega = fld.zeta_pow(j)
             order = fld.N // math.gcd(fld.N, j)
-            # 1/(w - 1) = -(1/M) * sum_{m=0}^{M-2} (M-1-m) w^m for w of order M
-            acc = fld.zero()
-            wpow = fld.one()
-            for m in range(order - 1):
-                acc = acc + wpow * Fraction(order - 1 - m, order)
-                wpow = wpow * omega
-            return -acc * (1 / coeff)
+            # 1/(w - 1) = (1/M) * sum_{m=1}^{M-1} m w^m for w of order M;
+            # the powers w^m are distinct, so one reduction merges them all
+            raw = {fld._unreduced(j * m): m for m in range(1, order)}
+            scale = 1 / (coeff * order)
+            return CycElt(fld, {e: v * scale
+                                for e, v in fld._reduce(raw).items()})
         # generic: product of the nontrivial Galois conjugates over the norm
         prod = fld.one()
         for j in range(2, fld.N + 1):
@@ -320,20 +340,23 @@ class CycElt:
         return prod * (1 / norm.rational_value())
 
     def _as_unity_minus_one(self):
-        """Return (c, j) if self = c*(zeta_N^j - 1), else None."""
-        if len(self.coeffs) != 2:
+        """Return (c, j) if self = c*(zeta_N^j - 1), else None.
+
+        Every coefficient of a canonical root of unity is +-1, so any
+        coefficient of self off the constant monomial is +-c; for each sign
+        self/c + 1 is tested as a root of unity, whatever its basis form.
+        """
+        z = self.field.zero_exps
+        a = next((v for e, v in self.coeffs.items() if e != z), None)
+        if a is None:
             return None
-        z = (0,) * self.field.nfactors
-        if z not in self.coeffs:
-            return None
-        c0 = self.coeffs[z]
-        (exps, c1), = [it for it in self.coeffs.items() if it[0] != z]
-        if c1 != -c0:
-            return None
-        j = 0
-        for e, w in zip(exps, self.field._crt_weights):
-            j += e * w
-        return c1, j % self.field.N
+        for c in (a, -a):
+            w = {e: v / c for e, v in self.coeffs.items()}
+            _acc(w, z, 1)
+            j = self.field._unity_exponent(w)
+            if j is not None:
+                return c, j
+        return None
 
     # -- conversion -----------------------------------------------------------
 

@@ -4,8 +4,10 @@ Two interchangeable rings live here behind one small protocol:
 
 * ``ExactRing`` -- Laurent polynomials in the transcendental symbol ``pi``
   with coefficients in Q(zeta_N).  A value is one flat map
-  ``{(pi power, cyclotomic basis exponents): Fraction}``; products of basis
-  monomials come from a table that the field fills as they are first met.
+  ``{(pi power, cyclotomic basis exponents): int}`` of numerators over one
+  shared positive denominator, kept in lowest terms after every operation;
+  products of basis monomials come from a table that the field fills as
+  they are first met.
   Only pi-monomials with a nonzero Q(zeta_N) coefficient are invertible,
   which is every inverse the evaluators take; any other inverse raises
   ``NotInvertible``.
@@ -25,7 +27,7 @@ from typing import Dict
 
 from mpmath.ctx_mp import MPContext
 
-from .cyclotomic import CycElt, CyclotomicField, _acc
+from .cyclotomic import CycElt, CyclotomicField
 from .errors import NotInvertible
 
 _pivot_ctx = MPContext()
@@ -33,23 +35,34 @@ _pivot_ctx.prec = 64
 
 
 class ExactScalar:
-    """Element of Q(zeta_N)[pi, 1/pi] as ``{(k, exps): Fraction}``.
+    """Element of Q(zeta_N)[pi, 1/pi] as ``{(k, exps): int}`` over ``den``.
 
     The key ``(k, exps)`` stands for pi^k times the basis monomial ``exps``
-    of the field; no coefficient is zero, so equality is dict equality.
+    of the field, and its value is the integer numerator of that
+    coefficient; every coefficient shares the one positive denominator
+    ``den``.  The form is canonical: no numerator is zero and
+    ``gcd(den, *numerators) == 1`` (zero is ``{}`` over 1), so equality
+    and hashing compare the dict and ``den`` directly.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "den")
 
-    def __init__(self, field: CyclotomicField, terms: Dict[tuple, Fraction]):
+    def __init__(self, field: CyclotomicField, terms: Dict[tuple, int],
+                 den: int = 1):
         self.field = field
         self.terms = terms
+        self.den = den
 
     @classmethod
     def from_pi_poly(cls, field: CyclotomicField, poly: Dict[int, CycElt]
                      ) -> "ExactScalar":
-        return cls(field, {(k, e): q for k, c in poly.items()
-                           for e, q in c.coeffs.items()})
+        # over the least common denominator of coefficients in lowest
+        # terms, the numerators have no factor in common with it
+        coeffs = {(k, e): q for k, c in poly.items()
+                  for e, q in c.coeffs.items()}
+        den = math.lcm(*(q.denominator for q in coeffs.values()))
+        return cls(field, {key: q.numerator * (den // q.denominator)
+                           for key, q in coeffs.items()}, den)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -57,8 +70,9 @@ class ExactScalar:
     def pi_poly(self) -> Dict[int, CycElt]:
         """The Laurent coefficients ``{k: CycElt}``, by ascending k."""
         grouped: Dict[int, dict] = {}
-        for (k, e), q in self.terms.items():
-            grouped.setdefault(k, {})[e] = q
+        den = self.den
+        for (k, e), v in self.terms.items():
+            grouped.setdefault(k, {})[e] = Fraction(v, den)
         return {k: CycElt(self.field, grouped[k]) for k in sorted(grouped)}
 
     # -- arithmetic ------------------------------------------------------
@@ -72,25 +86,57 @@ class ExactScalar:
             f = Fraction(other)
             if f == 0:
                 return ExactScalar(self.field, {})
-            return ExactScalar(self.field, {(0, self.field.zero_exps): f})
+            return ExactScalar(self.field, {(0, self.field.zero_exps):
+                                            f.numerator}, f.denominator)
         if isinstance(other, CycElt):
             return ExactScalar.from_pi_poly(self.field, {0: other})
         return NotImplemented
+
+    def _cancel(self, terms: Dict[tuple, int], den: int) -> "ExactScalar":
+        """The canonical value of ``terms / den``, numerators nonzero."""
+        if not terms:
+            return ExactScalar(self.field, terms)
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {key: v // g for key, v in terms.items()}
+        return ExactScalar(self.field, terms, den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for key, q in other.terms.items():
-            _acc(out, key, q)
-        return ExactScalar(self.field, out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            out, sb = dict(self.terms), 1
+        else:
+            g = math.gcd(da, db)
+            sa, sb = db // g, da // g
+            out = {key: v * sa for key, v in self.terms.items()}
+            da *= sa
+        get = out.get
+        for key, v in other.terms.items():
+            v *= sb
+            cur = get(key)
+            if cur is None:
+                out[key] = v
+            elif cur + v:
+                out[key] = cur + v
+            else:
+                del out[key]
+        return self._cancel(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
         return ExactScalar(self.field,
-                           {key: -q for key, q in self.terms.items()})
+                           {key: -v for key, v in self.terms.items()},
+                           self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -110,18 +156,18 @@ class ExactScalar:
             return NotImplemented
         field = self.field
         table = field.basis_products
-        out: Dict[tuple, Fraction] = {}
+        out: Dict[tuple, int] = {}
         get = out.get
-        for (ka, ea), qa in self.terms.items():
-            for (kb, eb), qb in other.terms.items():
-                q = qa * qb
+        for (ka, ea), va in self.terms.items():
+            for (kb, eb), vb in other.terms.items():
+                v = va * vb
                 k = ka + kb
                 for e, m in (table.get((ea, eb))
                              or field.basis_product(ea, eb)):
-                    v = q if m == 1 else -q if m == -1 else q * m
                     cur = get((k, e))
-                    out[k, e] = v if cur is None else cur + v
-        return ExactScalar(field, {key: v for key, v in out.items() if v})
+                    out[k, e] = v * m if cur is None else cur + v * m
+        return self._cancel({key: v for key, v in out.items() if v},
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -150,7 +196,7 @@ class ExactScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = ExactScalar(self.field, {(0, self.field.zero_exps): Fraction(1)})
+        out = ExactScalar(self.field, {(0, self.field.zero_exps): 1})
         base = self
         while n:
             if n & 1:
@@ -163,10 +209,10 @@ class ExactScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.field.N, frozenset(self.terms.items())))
+        return hash((self.field.N, self.den, frozenset(self.terms.items())))
 
     # -- numerics ---------------------------------------------------------
 
@@ -217,7 +263,8 @@ class ExactRing:
         q = Fraction(q)
         if q == 0:
             return self._zero
-        return ExactScalar(self.field, {(0, self.field.zero_exps): q})
+        return ExactScalar(self.field, {(0, self.field.zero_exps):
+                                        q.numerator}, q.denominator)
 
     def from_cyc(self, c: CycElt):
         return ExactScalar.from_pi_poly(self.field, {0: c})
@@ -230,7 +277,7 @@ class ExactRing:
         return self._two_pi_i
 
     def pi_pow(self, k: int):
-        return ExactScalar(self.field, {(k, self.field.zero_exps): Fraction(1)})
+        return ExactScalar(self.field, {(k, self.field.zero_exps): 1})
 
     def is_zero(self, x, scale=None) -> bool:
         return x.is_zero()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
-from latticesums.cyclotomic import CyclotomicField
+from latticesums.cyclotomic import CycElt, CyclotomicField
 
 CTX = MPContext()
 CTX.prec = 80
@@ -44,11 +44,19 @@ def test_zeta_poly_roundtrip():
 
 
 @pytest.mark.parametrize("N,j", [(12, 2), (12, 3), (60, 7), (4620, 7),
-                                 (4620, 2310)])
-def test_unity_minus_one_inverse(N, j):
+                                 (4620, 2310), (420, 315), (924, 616),
+                                 (4620, 3696), (1260, 1)])
+def test_unity_minus_one_inverse(N, j, monkeypatch):
+    # c*(zeta^j - 1) inverts in closed form whatever the basis form of
+    # zeta^j (at N = 420, zeta^315 - 1 is -1 - zeta^105): never by the norm
+    def no_norm(self, j):
+        raise AssertionError("inverted through the Galois norm")
+
+    monkeypatch.setattr(CycElt, "galois", no_norm)
     F = CyclotomicField(N)
-    e = F.zeta_pow(j) - F.from_fraction(1)
-    assert (e.inv() * e) == F.one()
+    for c in (1, Fraction(-3, 2)):
+        e = (F.zeta_pow(j) - F.from_fraction(1)) * c
+        assert (e.inv() * e) == F.one()
 
 
 def test_generic_inverse_by_norm():

@@ -107,3 +107,20 @@ def test_random_coset_heavy_basis_oracle():
     want = complex(rep.value.embed(CTX))
     got = complex(truncated_sum(arr, (2, 2, 2), y, TruncationWindow(300)))
     assert abs(got - want) < 1e-3
+
+
+def test_random_arrangements_exact_matches_numeric():
+    # the exact integer arithmetic against mpmath, which it shares nothing
+    # with: numeric mode at 128 bits, the exact value embedded at 192 bits
+    ctx = MPContext()
+    ctx.prec = 192
+    rng = random.Random(9090)
+    for _ in range(4):
+        arr = random_arrangement(rng, 3)
+        y = random_shift(rng)
+        k = tuple(rng.choice([2, 2, 3]) for _ in range(3))
+        want = lattice_sum_value(arr, y, k).value.embed(ctx)
+        got = lattice_sum_value(arr, y, k, mode="numeric",
+                                precision=128).value
+        assert abs(ctx.mpc(got) - want) < 2.0 ** -64 * abs(want), \
+            (arr, y, k, got, want)

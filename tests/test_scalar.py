@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from latticesums.errors import NotInvertible
-from latticesums.scalar import (ExactRing, NumericRing, format_scalar,
-                                parse_scalar)
+from latticesums.scalar import (ExactRing, ExactScalar, NumericRing,
+                                format_scalar, parse_scalar)
 
 CTX = MPContext()
 CTX.prec = 140
@@ -30,17 +31,28 @@ def scalars(draw, ring):
 
 @st.composite
 def pi_monomials(draw, ring):
-    """c * pi^k with c a nonzero rational times zeta^j or i^j - 1, shapes
-    of the constants the evaluators invert (i^j keeps the inverse cheap in
-    large fields)."""
+    """c * pi^k with c a nonzero rational times zeta^j or zeta^j - 1, the
+    shapes of the constants the evaluators invert."""
     k = draw(st.integers(-3, 3))
-    if draw(st.booleans()):
-        c = ring.field.zeta_pow(draw(st.integers(0, ring.N - 1)))
-    else:
-        c = ring.field.zeta_pow(draw(st.integers(1, 3)) * (ring.N // 4)) - 1
+    j = draw(st.integers(0, ring.N - 1))
+    c = ring.field.zeta_pow(j)
+    if j and draw(st.booleans()):
+        c = c - 1
     q = Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])),
                  draw(st.integers(1, 4)))
     return ring.pi_pow(k) * ring.from_cyc(c) * ring.from_fraction(q)
+
+
+def canonical(x):
+    """x, after checking that it is in canonical form (integer numerators
+    over a positive denominator, none zero, no common factor) and that it
+    survives the round trip through ``pi_poly``."""
+    assert x.den >= 1
+    assert all(isinstance(v, int) and v for v in x.terms.values())
+    assert math.gcd(x.den, *x.terms.values()) == 1
+    back = ExactScalar.from_pi_poly(x.field, x.pi_poly())
+    assert back == x and hash(back) == hash(x)
+    return x
 
 
 @pytest.mark.parametrize("N", sorted(RINGS))
@@ -48,16 +60,17 @@ def pi_monomials(draw, ring):
 @given(data=st.data())
 def test_field_axioms(N, data):
     ring = RINGS[N]
-    a, b, c = (data.draw(scalars(ring)) for _ in range(3))
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert hash((a * b) * c) == hash(a * (b * c))
-    assert a * (b + c) == a * b + a * c
-    assert (a - a).is_zero()
-    m = data.draw(pi_monomials(ring))
-    assert m.inv() * m == ring.one()
-    assert (ring.one() / m) * m == ring.one()
-    assert (a / m) * m == a
+    ck = canonical
+    a, b, c = (ck(data.draw(scalars(ring))) for _ in range(3))
+    assert ck(ck(a + b) + c) == ck(a + ck(b + c))
+    left, right = ck(ck(a * b) * c), ck(a * ck(b * c))
+    assert left == right and hash(left) == hash(right)
+    assert ck(a * ck(b + c)) == ck(ck(a * b) + ck(a * c))
+    assert ck(a - a).is_zero()
+    m = ck(data.draw(pi_monomials(ring)))
+    assert ck(ck(m.inv()) * m) == ring.one()
+    assert ck(ck(ring.one() / m) * m) == ring.one()
+    assert ck(ck(a / m) * m) == a
 
 
 @pytest.mark.parametrize("N", sorted(RINGS))

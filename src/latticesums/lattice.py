@@ -69,14 +69,6 @@ class Functional:
             return self.constant.as_complex()
         return complex(self.constant)
 
-    def constant_is_integer(self) -> Optional[bool]:
-        """Exactly decidable only for exact constants; None for floats."""
-        if isinstance(self.constant, Fraction):
-            return self.constant.denominator == 1
-        if isinstance(self.constant, GaussianRational):
-            return self.constant.im == 0 and self.constant.re.denominator == 1
-        return None
-
     def evaluate_int(self, v: Sequence[int]):
         base = sum(d * x for d, x in zip(self.direction, v))
         if isinstance(self.constant, Fraction):

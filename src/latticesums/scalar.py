@@ -16,13 +16,17 @@ Two interchangeable rings live here behind one small protocol:
 
 The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction``, ``root_of_unity`` (e^{2 pi i q}), ``two_pi_i``,
-``is_zero``, ``inv``, ``magnitude``, and the flag ``exact``.
+``is_zero``, ``inv``, ``magnitude``, ``mul_terms`` (the truncated product
+of two series term maps), and the flag ``exact``.  The exact ring's
+``mul_terms`` convolves integer numerators over one denominator per factor
+and builds one ``ExactScalar`` per output coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Dict
 
 from mpmath.ctx_mp import MPContext
@@ -285,6 +289,61 @@ class ExactRing:
     def inv(self, x):
         return x.inv()
 
+    def _over_lcm(self, terms: dict):
+        """``(den, [(exps, degree, [(k, basis exps, numerator)])])``: the
+        series terms with every coefficient brought over ``den``, the least
+        common denominator of the coefficients."""
+        N = self.N
+        den = math.lcm(*(c.den for c in terms.values()))
+        out = []
+        for e, c in terms.items():
+            if c.field.N != N:
+                raise ValueError("mixed cyclotomic orders")
+            s = den // c.den
+            out.append((e, sum(e), [(k, x, v * s)
+                                    for (k, x), v in c.terms.items()]))
+        return den, out
+
+    def mul_terms(self, a: dict, b: dict, total: int) -> dict:
+        """The product of two series term maps ``{exps: scalar}``, truncated
+        at total degree ``total``, with no zero coefficient.
+
+        Both factors are brought over one denominator each, so the
+        convolution runs on integer numerators; every output coefficient is
+        cancelled once, over the product of the two denominators.
+        """
+        field = self.field
+        table = field.basis_products
+        product = field.basis_product
+        da, a_items = self._over_lcm(a)
+        db, b_items = self._over_lcm(b)
+        acc: Dict[tuple, Dict[tuple, int]] = {}
+        for ea, sa, ta in a_items:
+            for eb, sb, tb in b_items:
+                if sa + sb > total:
+                    continue
+                e = tuple(map(add, ea, eb))
+                out = acc.get(e)
+                if out is None:
+                    out = acc[e] = {}
+                get = out.get
+                for ka, xa, va in ta:
+                    for kb, xb, vb in tb:
+                        v = va * vb
+                        k = ka + kb
+                        for x, m in (table.get((xa, xb))
+                                     or product(xa, xb)):
+                            cur = get((k, x))
+                            out[k, x] = v * m if cur is None else cur + v * m
+        den = da * db
+        cancel = self._zero._cancel  # reads only the field of its scalar
+        result = {}
+        for e, out in acc.items():
+            out = {key: v for key, v in out.items() if v}
+            if out:
+                result[e] = cancel(out, den)
+        return result
+
     def magnitude(self, x) -> float:
         """Float size estimate, used only to pick division pivots."""
         try:
@@ -335,6 +394,23 @@ class NumericRing:
 
     def inv(self, x):
         return 1 / x
+
+    def mul_terms(self, a: dict, b: dict, total: int) -> dict:
+        """The product of two series term maps ``{exps: scalar}``, truncated
+        at total degree ``total``, without the coefficients that read as
+        zero."""
+        out: dict = {}
+        big_items = [(e, sum(e), c) for e, c in b.items()]
+        for ea, ca in a.items():
+            da = sum(ea)
+            for eb, db, cb in big_items:
+                if da + db > total:
+                    continue
+                e = tuple(x + y for x, y in zip(ea, eb))
+                cur = out.get(e)
+                p = ca * cb
+                out[e] = p if cur is None else cur + p
+        return {e: c for e, c in out.items() if not self.is_zero(c)}
 
     def magnitude(self, x) -> float:
         return float(abs(x))

@@ -1,7 +1,9 @@
 """Truncated multivariate power series over either coefficient ring.
 
 A series is a sparse map from exponent tuples to scalars, truncated by
-total degree.  On top of the plain ring operations this module provides
+total degree.  The product of two series is a term convolution that the
+coefficient ring performs (``mul_terms``), each ring on its own
+representation.  On top of the plain ring operations this module provides
 the two operations that make the closed-form evaluators work:
 
 * ``divide_exact`` -- division by a linear form with zero constant term,
@@ -154,23 +156,11 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compat(other)
-        ring = self.ring
-        trunc = self.trunc
-        out: Dict[Exps, object] = {}
         small, big = (self.terms, other.terms) \
             if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        big_items = [(e, sum(e), c) for e, c in big.items()]
-        for ea, ca in small.items():
-            da = sum(ea)
-            for eb, db, cb in big_items:
-                if da + db > trunc.total:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                cur = out.get(e)
-                p = ca * cb
-                out[e] = p if cur is None else cur + p
-        out = {e: c for e, c in out.items() if not ring.is_zero(c)}
-        return TruncatedSeries(ring, self.vars, trunc, out)
+        return TruncatedSeries(self.ring, self.vars, self.trunc,
+                               self.ring.mul_terms(small, big,
+                                                   self.trunc.total))
 
     def pow_cached(self, n: int, cache: Dict[int, "TruncatedSeries"]
                    ) -> "TruncatedSeries":

@@ -1,8 +1,10 @@
 """The benchmark runs end to end, and its tracer still sees the scalars.
 
 One tiny traced pass of the ``manifest`` workload (about 2 s).  A change
-to the scalar classes that unhooks the tracer's wrappers reads as zero
-scalar multiplications and fails here.
+to the scalar or series classes that unhooks the tracer's wrappers reads
+as zero scalar or series multiplications and fails here.  Series products
+convolve inside the ring without ``ExactScalar.__mul__``, so the series
+counts are checked on their own.
 """
 
 import json
@@ -23,4 +25,7 @@ def test_traced_manifest_smoke_pass():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
-    assert report["metrics"]["scalar.mul.calls"]["value"] > 0
+    metrics = report["metrics"]
+    assert metrics["scalar.mul.calls"]["value"] > 0
+    assert metrics["series.mul.calls"]["value"] > 0
+    assert metrics["series.mul.term_pairs"]["value"] > 0

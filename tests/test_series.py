@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,70 @@ def test_add_mul_truncation():
     q = (o + t) * (o + t)
     q1 = q.with_truncation(Truncation(1))
     assert q1.terms == {(0,): R.one(), (1,): R.from_fraction(2)}
+
+
+EXACT_RINGS = {N: ExactRing(N) for N in (4, 12, 1260)}
+
+
+@st.composite
+def exact_series(draw, ring, trunc=Truncation(3), vars=("t1", "t2")):
+    """Coefficients sum one to three terms q * pi^k * zeta^j, with mixed
+    denominators q, k in -1..2 and any basis monomial zeta^j."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(0, trunc.total)) for _ in vars)
+        c = ring.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            q = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
+            c = c + ring.pi_pow(draw(st.integers(-1, 2))) \
+                * ring.from_cyc(ring.field.zeta_pow(
+                    draw(st.integers(0, ring.N - 1)))) \
+                * ring.from_fraction(q)
+        if trunc.keeps(e) and not c.is_zero():
+            terms[e] = c
+    return TruncatedSeries(ring, vars, trunc, terms)
+
+
+def termwise_product(a, b):
+    """Reference product: one ``ExactScalar`` product and sum per term
+    pair, truncated by total degree."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if a.trunc.keeps(e):
+                out[e] = out.get(e, a.ring.zero()) + ca * cb
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def assert_canonical(c):
+    assert c.den >= 1
+    assert all(isinstance(v, int) and v for v in c.terms.values())
+    assert math.gcd(c.den, *c.terms.values()) == 1
+
+
+@pytest.mark.parametrize("N", sorted(EXACT_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_product_matches_termwise(N, data):
+    ring = EXACT_RINGS[N]
+    a = data.draw(exact_series(ring))
+    b = data.draw(exact_series(ring))
+    want = termwise_product(a, b)
+    for got in (a * b, b * a):
+        assert got.terms == want
+        for c in got.terms.values():
+            assert_canonical(c)
+    # (1 + c t)(1 - c t) = 1 - c^2 t^2 has no t^1 term
+    trunc = Truncation(3)
+    c = ring.from_fraction(Fraction(1, 3)) \
+        + ring.from_cyc(ring.field.zeta_pow(1))
+    t = TruncatedSeries.variable(ring, ("t",), trunc, "t").scalar_mul(c)
+    o = TruncatedSeries.one(ring, ("t",), trunc)
+    p = (o + t) * (o - t)
+    assert p.terms == {(0,): ring.one(), (2,): -(c * c)}
+    for v in p.terms.values():
+        assert_canonical(v)
 
 
 def test_exp_multiplicativity():

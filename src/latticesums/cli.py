@@ -127,8 +127,7 @@ def _write_out(path, rows, fmt, headers=None):
 def cmd_eval(args) -> int:
     job = _job_from_args(args)
     arr = _load_arr(job.arrangement)
-    ctx = EvaluationContext(arr, job.y, job.mode, job.precision,
-                            workers=args.workers)
+    ctx = EvaluationContext(arr, job.y, job.mode, job.precision)
     if job.order is not None:
         from .genfun import generating_function
         generating_function(arr, job.y, job.order, ctx=ctx,
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_eval_flags(p)
     p.add_argument("--order", type=int, default=None,
                    help="series order override (defaults to sum of weights)")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("reproduce-examples",

@@ -9,11 +9,13 @@ is every edge denominator of the polytope reconstruction.  One builder,
 ``EvaluationContext.combination``, turns such a combination into a linear
 form: it computes the constant exactly from the functional constants,
 keys the form by its normalised rational coefficients, and marks it
-singular exactly when the constant is zero.  Unit factors are inverted as
-series; singular ones are carried as rational forms whose singularities
-cancel across bases.  Numeric mode takes the same decisions from the same
-exact data.  Taylor coefficients of the holomorphic total give the
-special values S via the weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
+singular exactly when the constant is zero.  Unit factors are expanded
+from the closed form of an inverse power of a linear form
+(``LinearForm.inverse_power``); singular ones are carried as rational
+forms whose singularities cancel across bases.  Numeric mode takes the
+same decisions from the same exact data.  Taylor coefficients of the
+holomorphic total give the special values S via the weight prefactor
+prod_f -(2 pi i)^{k_f} / k_f!.
 
 Two evaluation strategies share the same summand builder:
 
@@ -25,7 +27,7 @@ Two evaluation strategies share the same summand builder:
   denominators alive; summands are then grouped by the connected
   components of their shared singular hyperplanes and resolved per
   component.  The nine-functional rank-two rows of the reference table
-  take 0.16-0.46 s each this way on a 2-CPU x86-64 box with Python 3.11.
+  take 0.09-0.28 s each this way on a 2-CPU x86-64 box with Python 3.11.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -140,8 +141,8 @@ class Combination:
 
     `constant` = sum_x lin[x] c_x, computed exactly.  Zero marks a singular
     hyperplane, which cancels across summands; anything else a unit factor,
-    which is inverted as a series.  `form` is the combination in the ring,
-    keyed by its normalised rational coefficients.
+    whose inverse powers have a closed form.  `form` is the combination in
+    the ring, keyed by its normalised rational coefficients.
     """
 
     constant: object  # Fraction, or GaussianRational off the real line
@@ -167,15 +168,13 @@ class EvaluationContext:
     """Per-(arrangement, y, mode) state shared by all evaluation calls."""
 
     def __init__(self, arr: Arrangement, y: Sequence, mode: str = "exact",
-                 precision: int = 128, phi: Optional[GenericDirection] = None,
-                 workers: int = 1):
+                 precision: int = 128, phi: Optional[GenericDirection] = None):
         if mode not in ("exact", "numeric"):
             raise ValueError("mode must be 'exact' or 'numeric'")
         if len(y) != arr.rank:
             raise ValueError("y must have one entry per dimension")
         self.arr = arr
         self.mode = mode
-        self.workers = max(1, workers)
         self.phi = phi or choose_phi(arr)
         self.vars = tuple(f"t{i}" for i in range(arr.size))
         if mode == "exact":
@@ -231,11 +230,14 @@ class EvaluationContext:
 
     def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
                order: int, derivative: bool = False) -> TruncatedSeries:
-        key = (bidx, w, member, order, derivative)
+        """The kernel of `member` at its fractional part for (bidx, w),
+        cached by its parameters: distinct cosets and bases often share
+        them."""
+        params = KernelParams.make(self.constant(member),
+                                   self.yhat(bidx, w, member))
+        key = (params, order, member, derivative)
         got = self._kernels.get(key)
         if got is None:
-            params = KernelParams.make(self.constant(member),
-                                       self.yhat(bidx, w, member))
             fn = kernel_series_dy if derivative else kernel_series
             got = fn(self.ring, params, order, var=self.vars[member])
             self._kernels[key] = got
@@ -317,7 +319,7 @@ def summand_factors(ctx: EvaluationContext, s: Summand,
     ring, vars, trunc = ctx.ring, num.vars, num.trunc
     for g, form in s.unit_factors:
         tg = TruncatedSeries.variable(ring, vars, trunc, ctx.vars[g])
-        num = num * tg * form.as_series(ring, vars, trunc).invert_unit()
+        num = num * tg * form.inverse_power(ring, vars, trunc, 1)
     for g, _ in s.degenerate_factors:
         num = num * TruncatedSeries.variable(ring, vars, trunc, ctx.vars[g])
     return num, [cf for _, cf in s.degenerate_factors]
@@ -337,11 +339,11 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand,
 def generating_function(arr: Arrangement, y: Sequence, order: int,
                         mode: str = "exact", precision: int = 128,
                         phi: Optional[GenericDirection] = None,
-                        workers: int = 1, check_excluded: bool = True,
+                        check_excluded: bool = True,
                         ctx: Optional[EvaluationContext] = None
                         ) -> TruncatedSeries:
     """Taylor expansion of the generating function through total degree K."""
-    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi, workers)
+    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi)
     if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
         if ctx.mode == "numeric":
             warnings.warn("y lies on (or within 1e-9 of) an excluded "
@@ -355,17 +357,8 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
         return cached
     guard = ctx.degenerate_multiplicity()
     work = order + guard + 1 if guard else order
-    summands = build_summands(ctx)
-
-    def job(s):
-        return summand_rational_form(ctx, s, work)
-
-    if ctx.workers > 1:
-        with ThreadPoolExecutor(max_workers=ctx.workers) as pool:
-            forms = list(pool.map(job, summands))
-    else:
-        forms = [job(s) for s in summands]
-    total = sum_rational_forms(forms)
+    total = sum_rational_forms([summand_rational_form(ctx, s, work)
+                                for s in build_summands(ctx)])
     result = total.with_truncation(Truncation(order))
     ctx._series[order] = result
     return result
@@ -418,21 +411,16 @@ def _summand_coefficient_series(ctx: EvaluationContext, s: Summand,
     for g, form in s.unit_factors:
         if ctx.vars[g] in live_vars:
             tg = TruncatedSeries.variable(ring, live_vars, trunc, ctx.vars[g])
-            inv = form.as_series(ring, live_vars, trunc).invert_unit()
-            num = num * tg * inv
+            num = num * tg * form.inverse_power(ring, live_vars, trunc, 1)
             continue
         kg = k.weights[g]
         if kg == 0:
             return None  # [t_g^0] (t_g * unit) = 0
         # [t_g^{k_g}] t_g/(t_g - c) = -c^{-k_g} with c = a_g + U_g(t_B)
-        coeffs = {v: -c for v, c in form.coeffs.items() if v != ctx.vars[g]}
-        c_series = LinearForm(coeffs, -form.constant) \
-            .as_series(ring, live_vars, trunc)
-        inv = c_series.invert_unit()
-        pw = inv
-        for _ in range(kg - 1):
-            pw = pw * inv
-        num = num * (-pw)
+        c = LinearForm.from_rational(
+            ring, {v: -q for v, q in form.fractions.items()
+                   if v != ctx.vars[g]}, -form.constant)
+        num = num * -c.inverse_power(ring, live_vars, trunc, kg)
     for g, cf in s.degenerate_factors:
         tg = TruncatedSeries.variable(ring, live_vars, trunc, ctx.vars[g])
         num = num * tg
@@ -441,14 +429,14 @@ def _summand_coefficient_series(ctx: EvaluationContext, s: Summand,
 
 def coefficient(arr: Arrangement, y: Sequence, k,
                 mode: str = "exact", precision: int = 128,
-                phi: Optional[GenericDirection] = None, workers: int = 1,
+                phi: Optional[GenericDirection] = None,
                 ctx: Optional[EvaluationContext] = None,
                 check_excluded: bool = False):
     """C(k, y; arrangement): k! times the Taylor coefficient at exponent k."""
     k = k if isinstance(k, WeightVector) else WeightVector.make(k)
     if len(k.weights) != arr.size:
         raise ValueError("one weight per functional required")
-    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi, workers)
+    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi)
     if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
         raise ExcludedPoint("y lies on an excluded translated hyperplane")
     cached = ctx._coeffs.get(k.weights)
@@ -473,19 +461,9 @@ def _k_exps(ctx, k: WeightVector) -> Tuple[int, ...]:
 
 def _coefficient_components(ctx: EvaluationContext, k: WeightVector):
     summands = build_summands(ctx)
-    components = _component_partition(ctx, summands)
-
-    def job(idxs):
-        return _component_value(ctx, [summands[i] for i in idxs], k)
-
-    if ctx.workers > 1:
-        with ThreadPoolExecutor(max_workers=ctx.workers) as pool:
-            vals = list(pool.map(job, components))
-    else:
-        vals = [job(idxs) for idxs in components]
     total = ctx.ring.zero()
-    for v in vals:
-        total = total + v
+    for idxs in _component_partition(ctx, summands):
+        total = total + _component_value(ctx, [summands[i] for i in idxs], k)
     return total
 
 
@@ -536,13 +514,12 @@ def weight_prefactor(ring, k: WeightVector):
 def lattice_sum_value(arr: Arrangement, y: Sequence, k,
                       mode: str = "exact", precision: int = 128,
                       phi: Optional[GenericDirection] = None,
-                      workers: int = 1,
                       ctx: Optional[EvaluationContext] = None
                       ) -> EvaluationReport:
     """The special value S(k, y; arrangement), with evaluation metadata."""
     t0 = time.perf_counter()
     k = k if isinstance(k, WeightVector) else WeightVector.make(k)
-    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi, workers)
+    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi)
     ones = set(k.one_set())
     bad = [i for i in arr.indispensable if i in ones]
     if bad and on_excluded_hyperplanes(ctx.y, arr, subset=bad):

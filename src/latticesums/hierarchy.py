@@ -137,8 +137,8 @@ def apply_Dg_summand(ctx: EvaluationContext, state: SummandState, g: int,
 
 
 def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
-                    order: int, mode: str = "exact", precision: int = 128,
-                    workers: int = 1) -> dict:
+                    order: int, mode: str = "exact", precision: int = 128
+                    ) -> dict:
     """Verify that removing the complement of `keep` via the operators lands
     on the sub-arrangement's generating function.
 

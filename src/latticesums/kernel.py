@@ -1,16 +1,20 @@
 """The one-dimensional generating kernel and its Taylor coefficients.
 
-The kernel t * e^{(t - 2 pi i b) y} / (e^{t - 2 pi i b} - 1) splits into two
-branches.  For integral b it reduces to the Bernoulli generating function
-scaled by a root of unity; otherwise the denominator is a unit series and is
-inverted directly.  Both the series and the closed-form coefficients live
-here, together with the moment integrals against e^{-2 pi i m x} that drive
-the brute-force/closed-form agreement.
+With lam = e^{-2 pi i b}, the kernel t * e^{(t - 2 pi i b) y} /
+(e^{t - 2 pi i b} - 1) is e^{-2 pi i b y} t e^{ty} / (lam e^t - 1).  For
+integral b (lam = 1) that is the Bernoulli generating function scaled by a
+root of unity; otherwise it is the Apostol-Bernoulli generating function
+(T. M. Apostol, On the Lerch zeta function, Pacific J. Math. 1, 1951),
+whose coefficients follow from a recurrence that inverts only lam - 1.
+Both the series and the closed-form coefficients live here, together with
+the moment integrals against e^{-2 pi i m x} that drive the
+brute-force/closed-form agreement.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -86,153 +90,84 @@ def _exp_b(ring, b, scale=1):
     return ring.exp_2pii_times(complex(b) * complex(scale))
 
 
-def _exp_ty(ring, var, vars, trunc, y) -> TruncatedSeries:
-    """exp(t*y) as a univariate series with y a fixed constant."""
-    s = TruncatedSeries(ring, vars, trunc)
-    p = s.vars.index(var)
-    if ring.exact:
-        yv = Fraction(y)
-        fact = Fraction(1)
-        yp = Fraction(1)
-        for j in range(trunc.total + 1):
-            if j:
-                fact *= j
-                yp *= yv
-            e = [0] * len(s.vars)
-            e[p] = j
-            coeff = yp / fact
-            if coeff:
-                s.terms[tuple(e)] = ring.from_fraction(coeff)
+def _apostol_numbers(ring, lam, order: int) -> list:
+    """B_0(lam)..B_order(lam) for lam != 1, defined by
+    t / (lam e^t - 1) = sum_n B_n(lam) t^n / n!, from the recurrence
+    (lam - 1) B_n = [n = 1] - lam sum_{k<n} C(n, k) B_k (B_0 = 0)."""
+    inv = ring.inv(lam - ring.one())
+    out = [ring.zero()]
+    for n in range(1, order + 1):
+        acc = ring.zero()
+        for k in range(1, n):
+            acc = acc + ring.scale(out[k], math.comb(n, k))
+        rhs = (ring.one() if n == 1 else ring.zero()) - lam * acc
+        out.append(rhs * inv)
+    return out
+
+
+def _kernel_coeffs(ring, params: KernelParams, order: int) -> list:
+    """c_0..c_order, the Taylor coefficients of the kernel in t.
+
+    With lam = e^{-2 pi i b} the kernel is e^{-2 pi i b y} t e^{ty} /
+    (lam e^t - 1), so c_n = e^{-2 pi i b y} B_n(y; lam) / n! with
+    B_n(y; lam) = sum_k C(n, k) B_k(lam) y^{n-k}: Bernoulli numbers for
+    integral b (lam = 1), Apostol-Bernoulli numbers otherwise.  The only
+    inverse taken is 1/(lam - 1).
+    """
+    if params.integral:
+        base = [ring.from_fraction(bk) for bk in bernoulli_numbers(order)]
     else:
-        yv = _num(ring, y)
-        term = ring.one()
-        for j in range(trunc.total + 1):
-            if j:
-                term = term * yv / j
-            e = [0] * len(s.vars)
-            e[p] = j
-            s.terms[tuple(e)] = term
-    return s.prune()
-
-
-def _denominator_series(ring, var, vars, trunc, b) -> TruncatedSeries:
-    """e^{t - 2 pi i b} - 1 as a series in var."""
-    eb = _exp_b(ring, b, -1)  # e^{-2 pi i b}
-    s = TruncatedSeries(ring, vars, trunc)
-    p = s.vars.index(var)
-    fact = Fraction(1)
-    for j in range(trunc.total + 1):
-        if j:
-            fact *= j
-        e = [0] * len(s.vars)
-        e[p] = j
-        c = eb * ring.from_fraction(Fraction(1) / fact)
-        if j == 0:
-            c = c - ring.one()
-        if not ring.is_zero(c):
-            s.terms[tuple(e)] = c
-    return s
-
-
-def _bernoulli_value(ring, k: int, y):
-    """B_k(y) as a ring scalar, exactly for Fraction y."""
+        base = _apostol_numbers(ring, _exp_b(ring, params.b, -1), order)
+    y = params.y
+    pref = _exp_b(ring, params.b, -y)
     if ring.exact:
-        return ring.from_fraction(bernoulli_poly(k, Fraction(y)))
-    acc = ring.zero()
-    yp = ring.one()
-    yv = _num(ring, y)
-    for c in bernoulli_poly_coeffs(k):
-        acc = acc + ring.from_fraction(c) * yp
-        yp = yp * yv
-    return acc
+        base = [ring.scale(bk, Fraction(1, math.factorial(k)))
+                for k, bk in enumerate(base)]
+        ypow = [y ** j / math.factorial(j) for j in range(order + 1)]
+        weigh = ring.scale
+    else:
+        base = [bk / math.factorial(k) for k, bk in enumerate(base)]
+        yv = _num(ring, y)
+        ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
+        weigh = operator.mul
+    out = []
+    for n in range(order + 1):
+        acc = ring.zero()
+        for k in range(n + 1):
+            if ypow[n - k]:
+                acc = acc + weigh(base[k], ypow[n - k])
+        out.append(acc * pref)
+    return out
+
+
+def _univariate(ring, coeffs, order: int, var: str,
+                vars: Optional[tuple]) -> TruncatedSeries:
+    vars = (var,) if vars is None else tuple(vars)
+    s = TruncatedSeries(ring, vars, Truncation(order))
+    p = vars.index(var)
+    for n, c in enumerate(coeffs):
+        if not ring.is_zero(c):
+            s.terms[(0,) * p + (n,) + (0,) * (len(vars) - p - 1)] = c
+    return s
 
 
 def kernel_series(ring, params: KernelParams, order: int, var: str = "t",
                   vars: Optional[tuple] = None) -> TruncatedSeries:
     """Taylor expansion of the kernel through total degree `order`."""
-    vars = (var,) if vars is None else tuple(vars)
-    trunc = Truncation(order)
-    yscale = -Fraction(params.y) if isinstance(params.y, (int, Fraction)) \
-        else -complex(params.y)
-    pref = _exp_b(ring, params.b, yscale)
-    if params.integral:
-        s = TruncatedSeries(ring, vars, trunc)
-        p = s.vars.index(var)
-        fact = Fraction(1)
-        for k in range(order + 1):
-            if k:
-                fact *= k
-            e = [0] * len(vars)
-            e[p] = k
-            coeff = _bernoulli_value(ring, k, params.y) \
-                * ring.from_fraction(1 / fact) * pref
-            if not ring.is_zero(coeff):
-                s.terms[tuple(e)] = coeff
-        return s
-    t = TruncatedSeries.variable(ring, vars, trunc, var)
-    num = t * _exp_ty(ring, var, vars, trunc, params.y)
-    den_inv = _denominator_series(ring, var, vars, trunc, params.b).invert_unit()
-    return (num * den_inv).scalar_mul(pref)
+    return _univariate(ring, _kernel_coeffs(ring, params, order), order,
+                       var, vars)
 
 
 def kernel_series_dy(ring, params: KernelParams, order: int, var: str = "t",
                      vars: Optional[tuple] = None) -> TruncatedSeries:
-    """d/dy of the kernel series, by termwise differentiation in y."""
-    vars = (var,) if vars is None else tuple(vars)
-    trunc = Truncation(order)
+    """d/dy of the kernel series: the kernel times (t - 2 pi i b), since
+    the kernel depends on y only through e^{(t - 2 pi i b) y}."""
     two_pi_i_b = ring.two_pi_i() * (ring.from_fraction(params.b)
                                     if ring.exact else _num(ring, params.b))
-    yscale = -Fraction(params.y) if isinstance(params.y, (int, Fraction)) \
-        else -complex(params.y)
-    pref = _exp_b(ring, params.b, yscale)
-    if params.integral:
-        s = TruncatedSeries(ring, vars, trunc)
-        p = s.vars.index(var)
-        fact = Fraction(1)
-        for k in range(order + 1):
-            if k:
-                fact *= k
-            e = [0] * len(vars)
-            e[p] = k
-            # d/dy [e^{-2 pi i b y} B_k(y)] = e^{-2 pi i b y}(k B_{k-1} - 2 pi i b B_k)
-            val = _bernoulli_value(ring, k - 1, params.y) \
-                * ring.from_fraction(Fraction(k) / fact) if k else ring.zero()
-            val = val - two_pi_i_b * _bernoulli_value(ring, k, params.y) \
-                * ring.from_fraction(1 / fact)
-            coeff = val * pref
-            if not ring.is_zero(coeff):
-                s.terms[tuple(e)] = coeff
-        return s
-    t = TruncatedSeries.variable(ring, vars, trunc, var)
-    den_inv = _denominator_series(ring, var, vars, trunc, params.b).invert_unit()
-    exp_ty = _exp_ty(ring, var, vars, trunc, params.y)
-    # termwise y-derivative of exp(t y): sum_j y^{j-1}/(j-1)! t^j
-    dexp = TruncatedSeries(ring, vars, trunc)
-    p = dexp.vars.index(var)
-    fact = Fraction(1)
-    if ring.exact:
-        y = Fraction(params.y)
-        yp = Fraction(1)
-        for j in range(1, trunc.total + 1):
-            if j > 1:
-                fact *= (j - 1)
-                yp *= y
-            e = [0] * len(vars)
-            e[p] = j
-            c = ring.from_fraction(yp / fact)
-            if not ring.is_zero(c):
-                dexp.terms[tuple(e)] = c
-    else:
-        yv = _num(ring, params.y)
-        term = ring.one()
-        for j in range(1, trunc.total + 1):
-            if j > 1:
-                term = term * yv / (j - 1)
-            e = [0] * len(vars)
-            e[p] = j
-            dexp.terms[tuple(e)] = term
-    inner = dexp - exp_ty.scalar_mul(two_pi_i_b)
-    return (t * inner * den_inv).scalar_mul(pref)
+    c = _kernel_coeffs(ring, params, order)
+    dy = [(c[n - 1] if n else ring.zero()) - two_pi_i_b * c[n]
+          for n in range(order + 1)]
+    return _univariate(ring, dy, order, var, vars)
 
 
 def kernel_coeff(ring, k: int, params: KernelParams):
@@ -271,17 +206,10 @@ def kernel_coeff_poly(ring, k: int, params_b: Fraction):
     b = Fraction(params_b)
     if b.denominator == 1:
         return [ring.from_fraction(c) for c in bernoulli_poly_coeffs(k)]
-    trunc = Truncation(max(k, 1))
-    inv = _denominator_series(ring, "t", ("t",), trunc, b).invert_unit()
-    kfact = Fraction(math.factorial(k))
-    out = []
-    jfact = Fraction(1)
-    for j in range(k):
-        if j:
-            jfact *= j
-        coeff = inv.coefficient((k - 1 - j,))
-        out.append(coeff * ring.from_fraction(kfact / jfact))
-    return out if out else [ring.zero()]
+    # C(k, x; b) = B_k(x; lam) = sum_j C(k, j) B_{k-j}(lam) x^j, B_0(lam) = 0
+    bn = _apostol_numbers(ring, _exp_b(ring, b, -1), k)
+    return [ring.scale(bn[k - j], math.comb(k, j)) for j in range(k)] \
+        or [ring.zero()]
 
 
 def moment_integral_exact(ring, k: int, m: int, b: Fraction):

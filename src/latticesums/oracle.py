@@ -188,20 +188,31 @@ def truncated_sum(arr: Arrangement, k, y: Sequence,
     return sign * _sum_pointwise(arr, k, y, window, precision)
 
 
+def _at_precision(ctx, c):
+    """A Fraction, GaussianRational or float constant at the working
+    precision of ctx, each rational part rounded once."""
+    if isinstance(c, Fraction):
+        return ctx.mpf(c.numerator) / c.denominator
+    if isinstance(c, GaussianRational):
+        return ctx.mpc(_at_precision(ctx, c.re), _at_precision(ctx, c.im))
+    return ctx.mpc(c)
+
+
 def _sum_pointwise(arr, k, y, window, precision):
     ctx = MPContext()
     ctx.prec = max(precision, 53) + 24
     total = ctx.mpc(0)
     comp = ctx.mpc(0)  # Neumaier compensation
-    yf = [ctx.mpf(v.numerator) / ctx.mpf(v.denominator)
-          if isinstance(v, Fraction) else ctx.mpf(v) for v in y]
-    positive = [(arr.functionals[i], k.weights[i]) for i in k.positive_set()]
+    yf = [_at_precision(ctx, v) if isinstance(v, Fraction) else ctx.mpf(v)
+          for v in y]
+    positive = [(arr.functionals[i].direction,
+                 _at_precision(ctx, arr.functionals[i].constant),
+                 k.weights[i]) for i in k.positive_set()]
     for v in constrained_points(arr, k, window):
         phase = ctx.expjpi(2 * sum(a * b for a, b in zip(yf, v)))
         den = ctx.mpc(1)
-        for f, kf in positive:
-            val = sum(d * x for d, x in zip(f.direction, v)) \
-                + ctx.mpc(f.constant_complex())
+        for direction, c, kf in positive:
+            val = sum(d * x for d, x in zip(direction, v)) + c
             den *= val**kf
         term = phase / den
         # Neumaier step

@@ -360,7 +360,7 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
         if den.singular:
             denoms.append(den.form)
         else:
-            num = num * den.form.as_series(ring, ctx.vars, trunc).invert_unit()
+            num = num * den.form.inverse_power(ring, ctx.vars, trunc, 1)
     return RationalForm(num, denoms)
 
 

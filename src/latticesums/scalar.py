@@ -16,8 +16,9 @@ Two interchangeable rings live here behind one small protocol:
 
 The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction``, ``root_of_unity`` (e^{2 pi i q}), ``two_pi_i``,
-``is_zero``, ``inv``, ``magnitude``, ``mul_terms`` (the truncated product
-of two series term maps), and the flag ``exact``.  The exact ring's
+``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
+of scalars), ``magnitude``, ``mul_terms`` (the truncated product of two
+series term maps), and the flag ``exact``.  The exact ring's
 ``mul_terms`` convolves integer numerators over one denominator per factor
 and builds one ``ExactScalar`` per output coefficient.
 """
@@ -289,6 +290,21 @@ class ExactRing:
     def inv(self, x):
         return x.inv()
 
+    def scale(self, x, q):
+        """x times the int or Fraction q, on the integer numerators.
+
+        With q = a/b in lowest terms and x canonical, the only common
+        factors left are gcd(den, a) and gcd(b, numerators)."""
+        a, b = q.numerator, q.denominator
+        if not a or not x.terms:
+            return self._zero
+        ga = math.gcd(x.den, a)
+        gb = math.gcd(b, *x.terms.values()) if b != 1 else 1
+        a //= ga
+        return ExactScalar(self.field,
+                           {key: v // gb * a for key, v in x.terms.items()},
+                           x.den // ga * (b // gb))
+
     def _over_lcm(self, terms: dict):
         """``(den, [(exps, degree, [(k, basis exps, numerator)])])``: the
         series terms with every coefficient brought over ``den``, the least
@@ -394,6 +410,10 @@ class NumericRing:
 
     def inv(self, x):
         return 1 / x
+
+    def scale(self, x, q):
+        """x times the int or Fraction q."""
+        return x * q.numerator / q.denominator
 
     def mul_terms(self, a: dict, b: dict, total: int) -> dict:
         """The product of two series term maps ``{exps: scalar}``, truncated

@@ -4,21 +4,25 @@ A series is a sparse map from exponent tuples to scalars, truncated by
 total degree.  The product of two series is a term convolution that the
 coefficient ring performs (``mul_terms``), each ring on its own
 representation.  On top of the plain ring operations this module provides
-the two operations that make the closed-form evaluators work:
+the operations that make the closed-form evaluators work:
 
+* ``LinearForm.inverse_power`` -- a negative power of a linear form with
+  nonzero constant, coefficient by coefficient from its multinomial closed
+  form (no series product);
 * ``divide_exact`` -- division by a linear form with zero constant term,
   valid exactly because the assembled sums are holomorphic even though the
-  individual summands are not;
+  individual summands are not.  A slice recurrence solves for the quotient
+  with scalar operations only;
 * ``sum_rational_forms`` -- combination of summands carrying such singular
   denominators over a common product, followed by the exact divisions.
 
-Two independent division algorithms are implemented (a pivot change of
-variables, and a slice recurrence); they are cross-checked in the test
-suite.
+``TruncatedSeries.invert_unit`` remains as the generic inverse of any unit
+series; the tests use it as an independent reference for the closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -230,14 +234,16 @@ class TruncatedSeries:
 class LinearForm:
     """constant + sum coeffs[v] * t_v over a scalar ring.
 
-    `rational`, set by ``from_rational``, is the linear part as exact
-    rationals scaled so that its first coefficient is 1: the key under
-    which equal forms are merged, in either ring.
+    ``from_rational`` also sets `fractions`, the nonzero linear
+    coefficients as exact rationals, and `rational`, the same scaled so
+    that its first coefficient is 1: the key under which equal forms are
+    merged, in either ring.
     """
 
     coeffs: Dict[str, object]
     constant: object
     rational: Optional[Tuple[Tuple[str, Fraction], ...]] = None
+    fractions: Optional[Dict[str, Fraction]] = None
 
     @classmethod
     def from_rational(cls, ring, coeffs: Dict[str, Fraction],
@@ -246,13 +252,14 @@ class LinearForm:
         lead = coeffs[min(coeffs)] if coeffs else 1
         return cls({v: ring.from_fraction(q) for v, q in coeffs.items()},
                    constant, tuple(sorted((v, q / lead)
-                                          for v, q in coeffs.items())))
+                                          for v, q in coeffs.items())),
+                   coeffs)
 
     def is_constant_free(self, ring) -> bool:
-        return ring.is_zero(self.constant, scale=self._scale(ring))
-
-    def _scale(self, ring) -> float:
-        return max((ring.magnitude(c) for c in self.coeffs.values()), default=0.0)
+        if ring.exact:
+            return ring.is_zero(self.constant)
+        return ring.is_zero(self.constant, scale=max(
+            (ring.magnitude(c) for c in self.coeffs.values()), default=0.0))
 
     def as_series(self, ring, vars, trunc) -> TruncatedSeries:
         s = TruncatedSeries.constant(ring, vars, trunc, self.constant)
@@ -267,6 +274,48 @@ class LinearForm:
                 cur = s.terms.get(e)
                 s.terms[e] = c if cur is None else cur + c
         return s.prune()
+
+    def inverse_power(self, ring, vars, trunc: Truncation, k: int
+                      ) -> TruncatedSeries:
+        """(a + sum_v c_v t_v)^(-k) for a nonzero constant a and k >= 1.
+
+        The coefficient of t^e is (k)_n (-1/a)^n a^(-k) prod_v c_v^(e_v)/e_v!
+        with n = |e|.  Over the common denominator D of the rational
+        c_v = p_v / D, the factor (k)_n prod_v p_v^(e_v)/e_v! is an integer,
+        so each term is one integer multiple of the precomputed power
+        a^(-k) (-1/(a D))^n.
+        """
+        if self.fractions is None:
+            raise ValueError("inverse_power needs the rational coefficients; "
+                             "build the form with from_rational")
+        if self.is_constant_free(ring):
+            raise NonDivisible("cannot invert a linear form with zero "
+                               "constant term")
+        vars = tuple(vars)
+        top = trunc.total
+        den = math.lcm(*(q.denominator for q in self.fractions.values()))
+        a_inv = ring.inv(self.constant)
+        step = -ring.scale(a_inv, Fraction(1, den))
+        powers, rising = [a_inv ** k], [1]  # a^(-k) (-1/(a D))^n, (k)_n
+        for n in range(top):
+            powers.append(powers[-1] * step)
+            rising.append(rising[-1] * (k + n))
+        # (exponents, prod p_v^(e_v), prod e_v!, |e|), one variable at a time
+        partial = [((0,) * len(vars), 1, 1, 0)]
+        for v, q in self.fractions.items():
+            pos = vars.index(v)
+            p = q.numerator * (den // q.denominator)
+            grown = []
+            for e, pe, fe, n in partial:
+                head, tail = e[:pos], e[pos + 1:]
+                for j in range(top - n + 1):
+                    grown.append((head + (j,) + tail, pe, fe, n + j))
+                    pe *= p
+                    fe *= j + 1
+            partial = grown
+        terms = {e: ring.scale(powers[n], rising[n] // fe * pe)
+                 for e, pe, fe, n in partial}
+        return TruncatedSeries(ring, vars, trunc, terms)
 
     def normalized(self, ring) -> Tuple["LinearForm", object]:
         """Scale so the first (by variable order) nonzero coefficient is 1.
@@ -296,43 +345,9 @@ class LinearForm:
                             .coeffs.items()))
 
 
-def _pivot_var(form: LinearForm, ring) -> str:
-    best = None
-    best_mag = -1.0
-    for v in sorted(form.coeffs):
-        c = form.coeffs[v]
-        if ring.is_zero(c):
-            continue
-        m = ring.magnitude(c)
-        if m > best_mag:
-            best, best_mag = v, m
-    if best is None:
-        raise ValueError("empty linear form")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # exact division by a constant-free linear form
 # ---------------------------------------------------------------------------
-
-
-def divide_exact(s: TruncatedSeries, form: LinearForm,
-                 residuals: Optional[List[float]] = None,
-                 algorithm: str = "substitution") -> TruncatedSeries:
-    """Divide s by a linear form with zero constant term.
-
-    Exact mode demands a literally zero remainder and raises NonDivisible
-    (carrying the residual terms) otherwise.  Numeric mode tolerates
-    residual norms below 2^(-precision/2) * |s| and records them.
-    """
-    ring = s.ring
-    if not form.is_constant_free(ring):
-        raise ValueError("divide_exact needs a constant-free linear form")
-    if s.is_zero():
-        return s.clone_empty()
-    if algorithm == "slices":
-        return _divide_slices(s, form, residuals)
-    return _divide_substitution(s, form, residuals)
 
 
 def _residual_ok(s, residual_terms, residuals) -> bool:
@@ -348,60 +363,24 @@ def _residual_ok(s, residual_terms, residuals) -> bool:
     return norm <= tol
 
 
-def _divide_substitution(s: TruncatedSeries, form: LinearForm,
-                         residuals=None) -> TruncatedSeries:
-    """Pivot change of variables: send the form to a single coordinate u,
-    shift exponents down by one, transform back."""
-    ring = s.ring
-    pivot = _pivot_var(form, ring)
-    p = s.vars.index(pivot)
-    cp_inv = ring.inv(form.coeffs[pivot])
-    # t_p = (u - sum_{v != p} c_v t_v) / c_p ; slot p now carries u
-    sub_coeffs = {pivot: cp_inv}
-    for v, c in form.coeffs.items():
-        if v != pivot and not ring.is_zero(c):
-            sub_coeffs[v] = -(c * cp_inv)
-    sub = LinearForm(sub_coeffs, ring.zero()).as_series(ring, s.vars, s.trunc)
-    sub_pows: Dict[int, TruncatedSeries] = {}
-    transformed = s.clone_empty()
-    for e, c in s.terms.items():
-        base = list(e)
-        base[p] = 0
-        mono = TruncatedSeries(ring, s.vars, s.trunc, {tuple(base): c})
-        transformed = transformed + mono * sub.pow_cached(e[p], sub_pows)
-    # all u^0 terms must vanish
-    residual = {e: c for e, c in transformed.terms.items() if e[p] == 0}
-    if not _residual_ok(s, residual, residuals):
-        raise NonDivisible("series is not divisible by the linear form",
-                           residual=residual)
-    shifted = s.clone_empty()
-    for e, c in transformed.terms.items():
-        if e[p] == 0:
-            continue
-        ne = list(e)
-        ne[p] -= 1
-        shifted.terms[tuple(ne)] = c
-    # substitute u = form back
-    back = form.as_series(ring, s.vars, s.trunc)
-    back_pows: Dict[int, TruncatedSeries] = {}
-    out = s.clone_empty()
-    for e, c in shifted.terms.items():
-        base = list(e)
-        base[p] = 0
-        mono = TruncatedSeries(ring, s.vars, s.trunc, {tuple(base): c})
-        out = out + mono * back.pow_cached(e[p], back_pows)
-    return out.prune()
+def divide_exact(s: TruncatedSeries, form: LinearForm,
+                 residuals: Optional[List[float]] = None) -> TruncatedSeries:
+    """Divide s by a linear form with zero constant term.
 
-
-def _divide_slices(s: TruncatedSeries, form: LinearForm,
-                   residuals=None) -> TruncatedSeries:
-    """Slice recurrence: peel one form variable at a time.
-
-    With l = c_p t_p + l', matching coefficients of t_p^j in q*l = s gives
+    Slice recurrence: peel one form variable at a time.  With
+    l = c_p t_p + l', matching coefficients of t_p^j in q*l = s gives
     s_j = c_p q_{j-1} + l' q_j, solved bottom-up with a recursive division
-    of each right-hand side by l'.
+    of each right-hand side by l'; only scalar operations are used.
+
+    Exact mode demands a literally zero remainder and raises NonDivisible
+    (carrying the residual terms) otherwise.  Numeric mode tolerates
+    residual norms below 2^(-precision/2) * |s| and records them.
     """
     ring = s.ring
+    if not form.is_constant_free(ring):
+        raise ValueError("divide_exact needs a constant-free linear form")
+    if s.is_zero():
+        return s.clone_empty()
     order = sorted((v for v in form.coeffs if not ring.is_zero(form.coeffs[v])),
                    key=lambda v: (-ring.magnitude(form.coeffs[v]), v))
     residual_box: Dict[Exps, object] = {}

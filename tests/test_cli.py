@@ -167,8 +167,4 @@ def test_deterministic_output_bytes():
         record = json.loads(proc.stdout)
         record.pop("timing_ms")
         outs.add(json.dumps(record, sort_keys=True))
-    proc = run_cli(args + ["--workers", "3"])
-    record = json.loads(proc.stdout)
-    record.pop("timing_ms")
-    outs.add(json.dumps(record, sort_keys=True))
     assert len(outs) == 1

@@ -333,13 +333,6 @@ def test_permutation_invariance(triangle_rational, generic_y2):
         assert format_scalar(got) == format_scalar(base)
 
 
-def test_worker_count_invariance(generic_y2):
-    arr = a2_directions()
-    s1 = lattice_sum_value(arr, generic_y2, (2, 2, 2), workers=1).value
-    s3 = lattice_sum_value(arr, generic_y2, (2, 2, 2), workers=3).value
-    assert format_scalar(s1) == format_scalar(s3)
-
-
 def test_generating_function_full_series_serves_coefficients(a1_alpha1):
     y = (Fraction(0),)
     ctx = EvaluationContext(a1_alpha1, y, "exact")

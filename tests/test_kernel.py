@@ -5,10 +5,12 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from latticesums.kernel import (KernelParams, bernoulli_numbers,
-                                bernoulli_poly, kernel_coeff, kernel_moment,
+                                bernoulli_poly, kernel_coeff,
+                                kernel_coeff_poly, kernel_moment,
                                 kernel_series, kernel_series_dy,
                                 moment_integral_exact)
 from latticesums.scalar import ExactRing
+from latticesums.series import TruncatedSeries, Truncation
 
 CTX = MPContext()
 CTX.prec = 100
@@ -120,6 +122,50 @@ def test_derivative_series_eigenproperty():
                 want = (s.coefficient((k - 1,)) if k else ring.zero()) \
                     - tpib * s.coefficient((k,))
                 assert ds.coefficient((k,)) == want
+
+
+def _series_inversion_kernel(ring, b, y, order):
+    """The kernel and its y-derivative as products of series, with the
+    denominator e^{t - 2 pi i b} - 1 inverted as a unit series."""
+    vars, trunc = ("t",), Truncation(order)
+    lam = ring.root_of_unity(-b)
+    den = TruncatedSeries(ring, vars, trunc, {
+        (j,): lam * ring.from_fraction(Fraction(1, math.factorial(j)))
+        - (ring.one() if j == 0 else ring.zero())
+        for j in range(order + 1)})
+    den_inv = den.invert_unit()
+    exp_ty = TruncatedSeries(ring, vars, trunc, {
+        (j,): ring.from_fraction(y ** j / math.factorial(j))
+        for j in range(order + 1) if y ** j})
+    t = TruncatedSeries.variable(ring, vars, trunc, "t")
+    pref = ring.root_of_unity(-b * y)
+    tpib = TruncatedSeries.constant(ring, vars, trunc,
+                                    ring.two_pi_i() * ring.from_fraction(b))
+    series = (t * exp_ty * den_inv).scalar_mul(pref)
+    dy = (t * (t * exp_ty - tpib * exp_ty) * den_inv).scalar_mul(pref)
+    return series, dy, den_inv
+
+
+@pytest.mark.parametrize("N, b, y", [
+    (60, Fraction(1, 3), Fraction(2, 5)),
+    (60, Fraction(7, 10), Fraction(1, 6)),
+    (420, Fraction(3, 7), Fraction(1, 4)),
+    (4, Fraction(1, 2), Fraction(0)),
+])
+def test_closed_form_kernel_matches_series_inversion(N, b, y):
+    ring = ExactRing(N)
+    order = 7
+    series, dy, den_inv = _series_inversion_kernel(ring, b, y, order)
+    p = KernelParams.make(b, y)
+    assert kernel_series(ring, p, order).terms == series.terms
+    assert kernel_series_dy(ring, p, order).terms == dy.terms
+    # C(k, x; b) = sum_j p_j x^j e^{-2 pi i b x}, p_j = k!/j! [t^{k-1-j}] 1/den
+    for k in range(order + 1):
+        want = [den_inv.coefficient((k - 1 - j,))
+                * ring.from_fraction(Fraction(math.factorial(k),
+                                              math.factorial(j)))
+                for j in range(k)] or [ring.zero()]
+        assert kernel_coeff_poly(ring, k, b) == want
 
 
 def test_kernel_argument_validation():

@@ -145,3 +145,23 @@ def test_vectorized_and_pointwise_paths_agree(generic_y2):
     zp = truncated_sum(arr, (2, 2, 2), generic_y2, TruncationWindow(25),
                        precision=80)
     assert abs(complex(zf) - complex(zp)) < 1e-12
+
+
+def test_pointwise_sum_keeps_rational_constants_exact(triangle_rational):
+    # reference: each term at 400 bits from exact rational data
+    ref_ctx = MPContext()
+    ref_ctx.prec = 400
+    y = (Fraction(1, 7), Fraction(2, 11))
+    k = WeightVector.make((2, 2, 2))
+    window = TruncationWindow(10)
+    ref = ref_ctx.mpc(0)
+    for v in constrained_points(triangle_rational, k, window):
+        phase = sum(a * b for a, b in zip(y, v))
+        den = Fraction(1)
+        for f in triangle_rational.functionals:
+            den *= f.evaluate_int(v) ** 2
+        ref += ref_ctx.expjpi(2 * ref_ctx.mpf(phase.numerator)
+                              / phase.denominator) \
+            / (ref_ctx.mpf(den.numerator) / den.denominator)
+    got = truncated_sum(triangle_rational, k, y, window, precision=113)
+    assert abs(ref_ctx.mpc(got) - ref) < 1e-25

@@ -167,19 +167,70 @@ def random_series_and_form(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(random_series_and_form())
-def test_divide_round_trip_and_algorithms_agree(data):
+def test_divide_round_trip(data):
     q, l = data
     s = q * l.as_series(R, VARS, q.trunc)
-    got_sub = divide_exact(s, l, algorithm="substitution")
-    got_slc = divide_exact(s, l, algorithm="slices")
-    # quotients agree with q on every retained exponent of total degree < K
-    for e, c in q.terms.items():
+    got = divide_exact(s, l)
+    # the quotient agrees with q on every exponent of total degree < K
+    for e in set(q.terms) | set(got.terms):
         if sum(e) < q.trunc.total:
-            assert got_sub.coefficient(e) == c
-            assert got_slc.coefficient(e) == c
-    for e in set(got_sub.terms) | set(got_slc.terms):
-        if sum(e) < q.trunc.total:
-            assert got_sub.coefficient(e) == got_slc.coefficient(e)
+            assert got.coefficient(e) == q.coefficient(e)
+    # and multiplying it back by the form reproduces s on every exponent
+    back = got * l.as_series(R, VARS, q.trunc)
+    assert back.terms == s.terms
+
+
+@st.composite
+def unit_forms(draw, ring):
+    """A form -2 pi i c + sum_v q_v t_v with c a nonzero Fraction or
+    Gaussian rational and one to three nonzero rational q_v."""
+    re = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
+    im = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
+    if re == 0 and im == 0:
+        re = Fraction(1, 3)
+    c = ring.from_fraction(re) \
+        + ring.root_of_unity(Fraction(1, 4)) * ring.from_fraction(im)
+    coeffs = {v: Fraction(draw(st.integers(-6, 6).filter(bool)),
+                          draw(st.integers(1, 9)))
+              for v in draw(st.lists(st.sampled_from(VARS), min_size=1,
+                                     max_size=3, unique=True))}
+    return LinearForm.from_rational(ring, coeffs, -(ring.two_pi_i() * c))
+
+
+def _power(s, k):
+    out = TruncatedSeries.one(s.ring, s.vars, s.trunc)
+    for _ in range(k):
+        out = out * s
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_forms(EXACT_RINGS[12]), st.integers(1, 4), st.integers(0, 5))
+def test_inverse_power_matches_series_inverse_exact(form, k, total):
+    ring = EXACT_RINGS[12]
+    trunc = Truncation(total)
+    ref = _power(form.as_series(ring, VARS, trunc).invert_unit(), k)
+    assert form.inverse_power(ring, VARS, trunc, k).terms == ref.terms
+
+
+NR128 = NumericRing(128)
+
+
+@settings(max_examples=25, deadline=None)
+@given(unit_forms(NR128), st.integers(1, 4), st.integers(0, 5))
+def test_inverse_power_matches_series_inverse_numeric(form, k, total):
+    trunc = Truncation(total)
+    ref = _power(form.as_series(NR128, VARS, trunc).invert_unit(), k)
+    got = form.inverse_power(NR128, VARS, trunc, k)
+    assert set(got.terms) == set(ref.terms)
+    for e, c in ref.terms.items():
+        assert abs(got.terms[e] - c) <= 2.0 ** -100 * max(1, abs(c))
+
+
+def test_inverse_power_rejects_zero_constant():
+    l = LinearForm.from_rational(R, {"t1": Fraction(1)}, R.zero())
+    with pytest.raises(NonDivisible):
+        l.inverse_power(R, VARS, Truncation(3), 1)
 
 
 def test_partial_fraction_identity():

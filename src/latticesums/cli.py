@@ -50,6 +50,7 @@ class JobConfig:
     precision: int = 128
     order: Optional[int] = None
     oracle_windows: Optional[List[int]] = None
+    oracle_target: bool = True
     out: Optional[str] = None
     format: str = "json"
 
@@ -63,6 +64,16 @@ class JobConfig:
         if self.order is not None and self.order < 0:
             raise ValueError("series order must be nonnegative")
         if self.oracle_windows is not None:
+            # errors against a target fall monotonically only between two
+            # windows; without one, the differences need three
+            need = 2 if self.oracle_target else 3
+            if len(self.oracle_windows) < need:
+                raise ValueError(
+                    f"the scan needs at least {need} windows "
+                    f"{'with' if self.oracle_target else 'without'} an "
+                    f"exact target")
+            if any(n < 1 for n in self.oracle_windows):
+                raise ValueError("window sizes must be at least 1")
             if any(b <= a for a, b in zip(self.oracle_windows,
                                           self.oracle_windows[1:])):
                 raise ValueError("window sizes must be increasing")
@@ -71,7 +82,7 @@ class JobConfig:
         return self
 
 
-def _job_from_args(args, need_k=True) -> JobConfig:
+def _job_from_args(args, need_k=True, oracle_target=True) -> JobConfig:
     return JobConfig(
         arrangement=args.arrangement,
         k=_parse_k(args.k) if need_k else None,
@@ -81,6 +92,7 @@ def _job_from_args(args, need_k=True) -> JobConfig:
         order=getattr(args, "order", None),
         oracle_windows=[int(x) for x in args.N.split(",")]
         if hasattr(args, "N") else None,
+        oracle_target=oracle_target,
         out=getattr(args, "out", None),
         format=getattr(args, "format", "json"),
     ).validate()
@@ -176,11 +188,12 @@ def cmd_reproduce_examples(args) -> int:
 
 
 def cmd_verify_oracle(args) -> int:
-    job = _job_from_args(args)
-    arr = _load_arr(job.arrangement)
+    arr = _load_arr(args.arrangement)
+    # the shift is read as rationals, so exact constants give a target
+    job = _job_from_args(args, oracle_target=arr.is_exact)
     y, k, Ns = job.y, job.k, job.oracle_windows
     target = None
-    if arr.is_exact and all(isinstance(v, Fraction) for v in y):
+    if job.oracle_target:
         rep = lattice_sum_value(arr, y, k)
         target = rep.value
         print(f"target S = {format_scalar(rep.value)}")

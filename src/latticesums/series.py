@@ -275,7 +275,8 @@ class LinearForm:
                 s.terms[e] = c if cur is None else cur + c
         return s.prune()
 
-    def inverse_power(self, ring, vars, trunc: Truncation, k: int
+    def inverse_power(self, ring, vars, trunc: Truncation, k: int,
+                      box: Optional[Sequence[int]] = None
                       ) -> TruncatedSeries:
         """(a + sum_v c_v t_v)^(-k) for a nonzero constant a and k >= 1.
 
@@ -283,7 +284,8 @@ class LinearForm:
         with n = |e|.  Over the common denominator D of the rational
         c_v = p_v / D, the factor (k)_n prod_v p_v^(e_v)/e_v! is an integer,
         so each term is one integer multiple of the precomputed power
-        a^(-k) (-1/(a D))^n.
+        a^(-k) (-1/(a D))^n.  `box`, one bound per entry of `vars`, keeps
+        only the terms with e_v <= box_v.
         """
         if self.fractions is None:
             raise ValueError("inverse_power needs the rational coefficients; "
@@ -305,10 +307,11 @@ class LinearForm:
         for v, q in self.fractions.items():
             pos = vars.index(v)
             p = q.numerator * (den // q.denominator)
+            cap = top if box is None else box[pos]
             grown = []
             for e, pe, fe, n in partial:
                 head, tail = e[:pos], e[pos + 1:]
-                for j in range(top - n + 1):
+                for j in range(min(top - n, cap) + 1):
                     grown.append((head + (j,) + tail, pe, fe, n + j))
                     pe *= p
                     fe *= j + 1

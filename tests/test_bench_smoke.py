@@ -1,10 +1,13 @@
-"""The benchmark runs end to end, and its tracer still sees the scalars.
+"""The benchmark runs end to end, and its tracer still sees the scalars
+and the series.
 
-One tiny traced pass of the ``manifest`` workload (about 2 s).  A change
-to the scalar or series classes that unhooks the tracer's wrappers reads
-as zero scalar or series multiplications and fails here.  Series products
-convolve inside the ring without ``ExactScalar.__mul__``, so the series
-counts are checked on their own.
+Two tiny traced passes (about 2 s each).  A change to the scalar or series
+classes that unhooks the tracer's wrappers reads as zero scalar or series
+multiplications and fails here.  Series products convolve inside the ring
+without ``ExactScalar.__mul__``, so the series counts are checked on their
+own, on the ``verify`` pass: its full series, divisions and vertex walk
+multiply series, while the ``manifest`` rows read single coefficients and
+need next to none.
 """
 
 import json
@@ -15,9 +18,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_manifest_smoke_pass():
+def _traced_smoke_pass(workload):
     proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", "manifest",
+        [sys.executable, "benchmark/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1", "--smoke"],
         cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         timeout=300)
@@ -25,7 +28,15 @@ def test_traced_manifest_smoke_pass():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["correct"] is True
     assert report["failed"] == 0
-    metrics = report["metrics"]
+    return report["metrics"]
+
+
+def test_traced_manifest_smoke_pass():
+    metrics = _traced_smoke_pass("manifest")
     assert metrics["scalar.mul.calls"]["value"] > 0
+
+
+def test_traced_verify_smoke_pass():
+    metrics = _traced_smoke_pass("verify")
     assert metrics["series.mul.calls"]["value"] > 0
     assert metrics["series.mul.term_pairs"]["value"] > 0

@@ -61,6 +61,16 @@ def test_job_config_validation():
         JobConfig("x.json", k=[-1]).validate()
     with pytest.raises(ValueError):
         JobConfig("x.json", oracle_windows=[100, 100]).validate()
+    with pytest.raises(ValueError):
+        JobConfig("x.json", oracle_windows=[100]).validate()
+    with pytest.raises(ValueError):
+        JobConfig("x.json", oracle_windows=[0, 100]).validate()
+    with pytest.raises(ValueError):
+        JobConfig("x.json", oracle_windows=[100, 200],
+                  oracle_target=False).validate()
+    assert JobConfig("x.json", oracle_windows=[100, 200]).validate()
+    assert JobConfig("x.json", oracle_windows=[100, 200, 400],
+                     oracle_target=False).validate()
     assert JobConfig("x.json", k=[2], y=[Fraction(0)]).validate()
 
 
@@ -105,6 +115,36 @@ def test_verify_oracle(tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "N,re,im,diff_prev,err"
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("windows", ["250", "-5,10", "0,10", "10,10"])
+def test_verify_oracle_rejects_vacuous_windows(windows, monkeypatch,
+                                               capsys):
+    # one window compares no errors; a window below 1 sums nothing.  Both
+    # are refused before the exact target is computed.
+    import latticesums.cli as cli
+
+    def no_target(*args, **kwargs):
+        raise AssertionError("evaluated before the windows were checked")
+
+    monkeypatch.setattr(cli, "lattice_sum_value", no_target)
+    assert main(["verify", "oracle", "--arrangement", "a1_alpha1.json",
+                 "--k", "2,2,2", "--y", "0", f"--N={windows}"]) == 1
+    assert "window" in capsys.readouterr().err
+
+
+def test_verify_oracle_without_target_needs_three_windows(tmp_path, capsys):
+    # float constants give no exact target; two windows give one
+    # difference, which falls by nothing
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"rank": 1, "functionals": [
+        {"direction": [1], "constant": 0.25}]}))
+    assert main(["verify", "oracle", "--arrangement", str(path),
+                 "--k", "2", "--y", "1/3", "--N", "50,100"]) == 1
+    assert "at least 3 windows" in capsys.readouterr().err
+    assert main(["verify", "oracle", "--arrangement", str(path),
+                 "--k", "2", "--y", "1/3", "--N", "50,100,200",
+                 "--precision", "64"]) == 0
 
 
 def test_verify_polytope(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ from mpmath.ctx_mp import MPContext
 
 from latticesums.errors import ExcludedPoint
 from latticesums.families import a2_directions, hurwitz_a1, triangle
-from latticesums.genfun import (EvaluationContext, WeightVector, coefficient,
+from latticesums.genfun import (EvaluationContext, WeightVector,
+                                build_summands, coefficient,
                                 cyclotomic_order, documented_family,
                                 generating_function, lattice_sum_value,
                                 zeta_from_S)
@@ -343,9 +345,73 @@ def test_generating_function_full_series_serves_coefficients(a1_alpha1):
     assert c_series == c_direct
 
 
+# rank-two cases shaped like the benchmark's random ones: directions from a
+# small pool, constants with denominators 1-4, shifts with prime
+# denominators, and no singular hyperplane (N = 924 and 4368).  Two
+# integral constants span a basis of index 1, whose kernels have nonzero
+# constant terms and no coset sum to cancel them, so the corner e = k_B of
+# its box counts.
+NONSINGULAR_RANK2 = [
+    (((1, 0), (1, 1), (2, 1)),
+     (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)),
+     (Fraction(3, 7), Fraction(-2, 11))),
+    (((1, -1), (1, 2), (0, 1), (-1, 2)),
+     (Fraction(1), Fraction(-3, 4), Fraction(0), Fraction(-1, 3)),
+     (Fraction(5, 13), Fraction(1, 7))),
+]
+
+
+def _nonsingular_cases(triangle_rational, generic_y2):
+    yield triangle_rational, generic_y2
+    for dirs, consts, y in NONSINGULAR_RANK2:
+        yield Arrangement(2, [make_functional(d, c)
+                              for d, c in zip(dirs, consts)]), y
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_coefficient_without_singular_denominator_matches_series(
+        mode, triangle_rational, generic_y2):
+    # every summand is its own component and is read at k from closed-form
+    # coefficients on the box e <= k_B; the full series builds it whole
+    for arr, y in _nonsingular_cases(triangle_rational, generic_y2):
+        ctx = EvaluationContext(arr, y, mode)
+        assert ctx.mode == "numeric" or ctx.N >= 28
+        assert not any(s.degenerate_factors for s in build_summands(ctx))
+        for total in range(5):
+            series = generating_function(arr, y, total, ctx=ctx)
+            for k in itertools.product(range(total + 1), repeat=arr.size):
+                if sum(k) != total:
+                    continue
+                fact = math.prod(math.factorial(x) for x in k)
+                want = series.coefficient(k) * ctx.to_scalar(Fraction(fact))
+                got = coefficient(arr, y, k, ctx=EvaluationContext(
+                    arr, y, mode))
+                if mode == "exact":
+                    assert got == want, k
+                else:
+                    err = abs(got - want) / max(1, abs(want))
+                    assert err < CTX.mpf(2) ** -100, k
+
+
 # ---------------------------------------------------------------------------
 # excluded points and error surfaces
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [(2.9, 2, 2), (2.0, 2, 2), (True, 2, 2),
+                               ("2", 2, 2), (Fraction(2), 2, 2)])
+def test_weights_must_be_integers(k, a1_alpha1):
+    # int() would read 2.9 as 2 and give the value at k = (2, 2, 2)
+    with pytest.raises(ValueError, match="integers"):
+        WeightVector.make(k)
+    with pytest.raises(ValueError, match="integers"):
+        lattice_sum_value(a1_alpha1, [0], k)
+
+
+def test_weights_accept_integers(a1_alpha1):
+    assert WeightVector.make([2, 0, 3]).weights == (2, 0, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        WeightVector.make([2, -1, 3])
 
 
 def test_excluded_point_names_functional():

@@ -227,6 +227,18 @@ def test_inverse_power_matches_series_inverse_numeric(form, k, total):
         assert abs(got.terms[e] - c) <= 2.0 ** -100 * max(1, abs(c))
 
 
+@settings(max_examples=30, deadline=None)
+@given(unit_forms(EXACT_RINGS[12]), st.integers(1, 3),
+       st.lists(st.integers(0, 3), min_size=len(VARS), max_size=len(VARS)))
+def test_inverse_power_box_keeps_the_terms_in_the_box(form, k, box):
+    ring = EXACT_RINGS[12]
+    trunc = Truncation(sum(box))
+    full = form.inverse_power(ring, VARS, trunc, k)
+    want = {e: c for e, c in full.terms.items()
+            if all(x <= b for x, b in zip(e, box))}
+    assert form.inverse_power(ring, VARS, trunc, k, box).terms == want
+
+
 def test_inverse_power_rejects_zero_constant():
     l = LinearForm.from_rational(R, {"t1": Fraction(1)}, R.zero())
     with pytest.raises(NonDivisible):

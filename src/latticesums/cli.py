@@ -118,7 +118,10 @@ def _parse_k(text: str):
 
 
 def _parse_y(text: str):
-    return [Fraction(x) for x in text.split(",")]
+    try:
+        return [Fraction(x) for x in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"--y {text}: a shift with denominator 0") from None
 
 
 def _write_out(path, rows, fmt, headers=None):

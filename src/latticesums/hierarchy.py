@@ -101,11 +101,13 @@ def apply_Dg_summand(ctx: EvaluationContext, state: SummandState, g: int,
     den_form = ctx.denominator_form(state.bidx, g)
     trunc = Truncation(order)
     den_series = den_form.as_series(ring, ctx.vars, trunc)
-    num_a = state.numerator() * den_series
+    num = state.numerator()
+    num_a = num * den_series
 
     # route (b): (t_g - 2 pi i c_g) N - sum_f <g, f^B> N'_f, where N'_f has
     # the f-kernel replaced by its termwise y-derivative
-    num_b = state.numerator() * _tf_form_series(ctx, g, order)
+    num_b = num * _tf_form_series(ctx, g, order)
+    del num  # unused below; freeing it keeps the peak memory down
     for f in b.members:
         coef = sum(Fraction(d) * e for d, e in
                    zip(ctx.arr.functionals[g].direction, b.dual(f)))

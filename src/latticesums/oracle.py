@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,22 +109,30 @@ def constrained_points(arr: Arrangement, k: WeightVector,
         return
     rows, rhs = constraints
     bound = _window_bounding_box(arr, window)
-    positive = [arr.functionals[i] for i in k.positive_set()]
+    # f(v) = <d, v> + c with a rational c vanishes exactly when c is an
+    # integer and <d, v> == -c; a Gaussian c with im != 0 never does
+    integral, floating = [], []
+    for i in k.positive_set():
+        f = arr.functionals[i]
+        c = f.constant
+        if isinstance(c, GaussianRational):
+            if c.im != 0:
+                continue
+            c = c.re
+        if not isinstance(c, Fraction):
+            floating.append(f)
+        elif c.denominator == 1:
+            integral.append((f.direction, -c.numerator))
 
     def admissible(v) -> bool:
         if not _in_window(arr, v, window):
             return False
-        for f in positive:
-            val = f.evaluate_int(v)
-            if isinstance(val, Fraction):
-                if val == 0:
-                    return False
-            elif isinstance(val, GaussianRational):
-                if val.re == 0 and val.im == 0:
-                    return False
-            else:
-                if abs(val) < 1e-12:
-                    return False
+        for direction, target in integral:
+            if sum(map(mul, direction, v)) == target:
+                return False
+        for f in floating:
+            if abs(f.evaluate_int(v)) < 1e-12:
+                return False
         return True
 
     if not rows:
@@ -164,28 +173,88 @@ def constrained_points(arr: Arrangement, k: WeightVector,
     yield from sorted(pts)
 
 
+def _weight_vector(arr: Arrangement, k, y: Sequence) -> WeightVector:
+    """k as a WeightVector, after checking k and y against arr."""
+    k = k if isinstance(k, WeightVector) else WeightVector.make(k)
+    if len(k.weights) != arr.size:
+        raise ValueError("one weight per functional required")
+    if len(y) != arr.rank:
+        raise ValueError("y must have one entry per dimension")
+    return k
+
+
 def truncated_sum(arr: Arrangement, k, y: Sequence,
                   window: TruncationWindow, precision: int = 53):
     """The raw box-truncated sum Z(N), with the (-1)^(#zero-weight) sign.
 
-    Terms are accumulated in deterministic lexicographic order with
-    compensated summation.  Rank-2 sums without zero weights at
-    precision <= 53 use the vectorized float path; everything else runs
-    pointwise through mpmath at max(precision, 53) + 24 bits.
+    Raises ValueError unless k has one weight per functional and y one
+    entry per dimension.  One of three paths runs, chosen from the data:
 
-    Rank 1 stays pointwise: its windows hold only 2N + 1 points (0.5 s at
-    N = 2000 on a 2-CPU x86-64 box), and float64 terms put a floor under
-    the error that a convergence scan must resolve.  On ``a1_alpha1``,
-    k = (2,2,2), y = 1/3, a float64 sum erred by 2.3e-17 at both N = 1000
-    and N = 2000, against 2.0e-21 and 1.6e-20 pointwise at 77 bits; at
-    y = 0 the two agreed (4.0e-16 and 1.5e-17 float64, 4.0e-16 and
-    1.25e-17 pointwise).
+    - rank 2 without zero weights at precision <= 53: numpy float64, one
+      row of the box at a time, the row sums added with ``math.fsum``;
+    - otherwise, when every positive-weight constant is a real rational
+      and y is rational: exact integers.  With D the common denominator
+      of the constants, g_f = D f is an integer on the lattice, and each
+      point adds round(2^P D^K / prod g_f(v)^{k_f}), K = sum k_f, to the
+      bucket of its phase e^{2 pi i <y, v>}, a root of unity of order
+      den(y).  The buckets meet their roots once, at the end.  With
+      w = max(precision, 53) + 24 and P = w + 1 +
+      bit_length((2 * bound + 1)^rank), the n points summed are off by at
+      most n 2^-(P+1) <= 2^-(w+2) in any order, and the combination adds
+      under 2^-(P+4);
+    - otherwise mpmath, point by point at w bits with Neumaier
+      compensation, every rational part of a constant rounded once.
+
+    Measured on a 2-CPU x86-64 box with Python 3.11: ``a1_alpha1``,
+    k = (2,2,2), y = 0, N = 2000 takes 0.013 s on the integer path and
+    0.35 s point by point; the windows N = 25, 50, 100 and 200 of
+    ``triangle_rational`` at y = (1/7, 2/11) take 0.75 s on the integer
+    path at precision 128 and 0.04 s in float64, 4.6e-13 off at N = 200.
     """
-    k = k if isinstance(k, WeightVector) else WeightVector.make(k)
+    k = _weight_vector(arr, k, y)
     sign = (-1) ** len(k.zero_set())
     if not k.zero_set() and precision <= 53 and arr.rank == 2:
         return sign * _sum_vectorized(arr, k, y, window)
+    try:
+        constants = [arr.functionals[i].rational_constant()
+                     for i in k.positive_set()]
+    except ValueError:
+        constants = None
+    if constants is not None and all(isinstance(v, (int, Fraction))
+                                     for v in y):
+        return sign * _sum_integer(arr, k, [Fraction(v) for v in y], window,
+                                   precision, constants)
     return sign * _sum_pointwise(arr, k, y, window, precision)
+
+
+def _sum_integer(arr, k, y, window, precision, constants):
+    """The integer path of truncated_sum, without its sign; `constants`
+    are the positive-weight constants as Fractions."""
+    D = math.lcm(*(c.denominator for c in constants))
+    scaled = [(tuple(D * d for d in arr.functionals[i].direction),
+               int(D * c), k.weights[i])
+              for i, c in zip(k.positive_set(), constants)]
+    q = math.lcm(*(v.denominator for v in y))
+    ynum = [int(q * v) for v in y]
+    work = max(precision, 53) + 24
+    points = (2 * _window_bounding_box(arr, window) + 1) ** arr.rank
+    P = work + points.bit_length() + 1
+    twice = D ** sum(k.weights) << (P + 1)
+    buckets = [0] * q
+    for v in constrained_points(arr, k, window):
+        den = 1
+        for direction, c, kf in scaled:
+            den *= (sum(map(mul, direction, v)) + c) ** kf
+        # floor(2^P D^K / den + 1/2), the nearest integer for either sign
+        buckets[sum(map(mul, ynum, v)) % q] += (twice + den) // (2 * den)
+    ctx = MPContext()
+    # every bucket converts exactly, and the roots of unity and the sum
+    # stay within 2^-(P+4) of the exact combination
+    ctx.prec = max(abs(b) for b in buckets).bit_length() \
+        + 2 * q.bit_length() + 8
+    total = ctx.fsum(ctx.mpf(b) * ctx.expjpi(ctx.mpf(2 * j) / q)
+                     for j, b in enumerate(buckets) if b)
+    return ctx.mpc(ctx.ldexp(total.real, -P), ctx.ldexp(total.imag, -P))
 
 
 def _at_precision(ctx, c):
@@ -270,6 +339,7 @@ def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
     complex number; differences are taken at working precision so that
     sub-double errors stay resolvable.
     """
+    k = _weight_vector(arr, k, y)
     Ns = list(Ns)
     if any(b >= a for a, b in zip(Ns[1:], Ns)):
         raise ValueError("window sizes must be increasing")

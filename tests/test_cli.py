@@ -53,6 +53,16 @@ def test_eval_numeric_mode(capsys):
     assert abs(got - want) < ctx.mpf(10) ** -30
 
 
+def test_eval_rejects_a_zero_denominator_in_y():
+    # Fraction("1/0") raises ZeroDivisionError, which escaped as a
+    # traceback
+    proc = run_cli(["eval", "--arrangement", "a1_alpha1.json",
+                    "--k", "2,2,2", "--y", "1/0"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_job_config_validation():
     from latticesums.cli import JobConfig
     with pytest.raises(ValueError):

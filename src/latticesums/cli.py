@@ -143,10 +143,6 @@ def cmd_eval(args) -> int:
     job = _job_from_args(args)
     arr = _load_arr(job.arrangement)
     ctx = EvaluationContext(arr, job.y, job.mode, job.precision)
-    if job.order is not None:
-        from .genfun import generating_function
-        generating_function(arr, job.y, job.order, ctx=ctx,
-                            check_excluded=False)
     rep = lattice_sum_value(arr, job.y, job.k, ctx=ctx)
     c_val = coefficient(arr, job.y, job.k, ctx=ctx)
     record = rep.to_json(include_C=c_val)
@@ -293,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate S(k, y) for an arrangement")
     _common_eval_flags(p)
-    p.add_argument("--order", type=int, default=None,
-                   help="series order override (defaults to sum of weights)")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("reproduce-examples",

@@ -6,16 +6,18 @@ representatives, times one factor t_g / den_g for every functional g
 outside the basis.  Each den_g is a rational combination of the
 functionals, t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>, and so
 is every edge denominator of the polytope reconstruction.  One builder,
-``EvaluationContext.combination``, turns such a combination into a linear
-form: it computes the constant exactly from the functional constants,
-keys the form by its normalised rational coefficients, and marks it
-singular exactly when the constant is zero.  Unit factors are expanded
-from the closed form of an inverse power of a linear form
+``EvaluationContext.combination``, returns such a combination as a
+``LinearForm``: rational coefficients and the constant sum_f q_f c_f,
+computed exactly from the functional constants.  The form is singular
+exactly when that constant is zero, and forms are merged by their
+normalised rational coefficients.  Unit factors are expanded from the
+closed form of an inverse power of a linear form
 (``LinearForm.inverse_power``); singular ones are carried as rational
 forms whose singularities cancel across bases.  Numeric mode takes the
-same decisions from the same exact data.  Taylor coefficients of the
-holomorphic total give the special values S via the weight prefactor
-prod_f -(2 pi i)^{k_f} / k_f!.
+same decisions from the same exact data, and keeps y exact too (a float
+y at its binary value), so that only values are rounded.  Taylor
+coefficients of the holomorphic total give the special values S via the
+weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
 
 Two evaluation strategies share the same summand builder:
 
@@ -146,26 +148,6 @@ def cyclotomic_order(arr: Arrangement, y: Sequence,
     return N
 
 
-@dataclass(frozen=True)
-class Combination:
-    """sum_x lin[x] * (t_x - 2 pi i c_x): a rational combination of the
-    functionals, as every denominator of the basis sum and of the polytope
-    edges is.
-
-    `constant` = sum_x lin[x] c_x, computed exactly.  Zero marks a singular
-    hyperplane, which cancels across summands; anything else a unit factor,
-    whose inverse powers have a closed form.  `form` is the combination in
-    the ring, keyed by its normalised rational coefficients.
-    """
-
-    constant: object  # Fraction, or GaussianRational off the real line
-    form: LinearForm
-
-    @property
-    def singular(self) -> bool:
-        return self.constant == 0
-
-
 def _exact_constant(f) -> object:
     """The constant of f as a Fraction when it is real, else as a
     GaussianRational; floats are taken at their exact binary value."""
@@ -190,19 +172,17 @@ class EvaluationContext:
         self.mode = mode
         self.phi = phi or choose_phi(arr)
         self.vars = tuple(f"t{i}" for i in range(arr.size))
+        # floats are taken at their exact binary value in both modes
+        self.y = tuple(Fraction(v) for v in y)
         if mode == "exact":
-            self.y = tuple(Fraction(v) for v in y)
             self.N = cyclotomic_order(arr, self.y, phi=self.phi)
             self.ring = ExactRing(self.N)
         else:
-            self.y = tuple(v if isinstance(v, Fraction) else float(v)
-                           for v in y)
             self.N = None
             self.ring = NumericRing(precision)
         self._constants = [_exact_constant(f) for f in arr.functionals]
         self._kernels: Dict[tuple, TruncatedSeries] = {}
         self._geometry: Dict[int, list] = {}
-        self._series: Dict[int, TruncatedSeries] = {}
         self._coeffs: Dict[Tuple[int, ...], object] = {}
 
     # -- scalar helpers -----------------------------------------------------
@@ -212,17 +192,12 @@ class EvaluationContext:
         c = self._constants[i]
         return c if isinstance(c, Fraction) else c.as_complex()
 
-    def to_scalar(self, q):
-        if isinstance(q, GaussianRational):
-            return self.ring.from_fraction(q.re) + \
-                self.ring.from_complex(1j) * self.ring.from_fraction(q.im)
-        if self.mode == "exact" or isinstance(q, (int, Fraction)):
-            return self.ring.from_fraction(Fraction(q))
-        return self.ring.from_complex(complex(q))
-
-    def combination(self, lin: Dict[int, Fraction]) -> Combination:
-        """The one place that decides whether a denominator is singular:
-        from the exact constants, never from a rounded value."""
+    def combination(self, lin: Dict[int, Fraction]) -> LinearForm:
+        """sum_x lin[x] (t_x - 2 pi i c_x), a rational combination of the
+        functionals, as every denominator of the basis sum and of the
+        polytope edges is.  The one place that decides whether a
+        denominator is singular: its constant sum_x lin[x] c_x is
+        computed from the exact constants, never from a rounded value."""
         re = im = Fraction(0)
         for x, q in lin.items():
             c = self._constants[x]
@@ -231,12 +206,8 @@ class EvaluationContext:
                 im += q * c.im
             else:
                 re += q * c
-        constant = re if im == 0 else GaussianRational(re, im)
-        const = self.ring.zero() if constant == 0 else \
-            -(self.ring.two_pi_i() * self.to_scalar(constant))
-        form = LinearForm.from_rational(
-            self.ring, {self.vars[x]: q for x, q in lin.items()}, const)
-        return Combination(constant, form)
+        return LinearForm(self.ring, {self.vars[x]: q for x, q in lin.items()},
+                          re if im == 0 else GaussianRational(re, im))
 
     def yhat(self, bidx: int, w: Tuple[int, ...], member: int):
         return frac_part(self.y, w, self.arr.bases[bidx], member, self.phi)
@@ -258,7 +229,7 @@ class EvaluationContext:
 
     # -- basis geometry ------------------------------------------------------
 
-    def geometry(self, bidx: int) -> List[Tuple[int, Combination]]:
+    def geometry(self, bidx: int) -> List[Tuple[int, LinearForm]]:
         """For each g outside basis bidx: (g, den_g) with
         den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>."""
         got = self._geometry.get(bidx)
@@ -284,13 +255,13 @@ class EvaluationContext:
         """den_g in the ring."""
         for gg, den in self.geometry(bidx):
             if gg == g:
-                return den.form
+                return den
         raise KeyError(g)
 
     def degenerate_multiplicity(self) -> int:
         """Number of distinct singular hyperplanes; no summand carries one
         twice."""
-        return len({den.form.key(self.ring)
+        return len({den.key
                     for bidx in range(len(self.arr.bases))
                     for _, den in self.geometry(bidx) if den.singular})
 
@@ -319,7 +290,7 @@ def build_summands(ctx: EvaluationContext) -> List[Summand]:
             for g, den in ctx.geometry(bidx):
                 factors = s.degenerate_factors if den.singular \
                     else s.unit_factors
-                factors.append((g, den.form))
+                factors.append((g, den))
             out.append(s)
     return out
 
@@ -343,7 +314,7 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand,
     """Assemble the summand as numerator / (constant-free forms)."""
     trunc = Truncation(order)
     num = TruncatedSeries.constant(ctx.ring, ctx.vars, trunc,
-                                   ctx.to_scalar(s.weight))
+                                   ctx.ring.from_fraction(s.weight))
     for m in ctx.arr.bases[s.bidx].members:
         num = num * ctx.kernel(s.bidx, s.w, m, order).extend(ctx.vars, trunc)
     return RationalForm(*summand_factors(ctx, s, num))
@@ -365,16 +336,11 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
             raise ExcludedPoint(
                 "y lies on an excluded translated hyperplane for an "
                 "indispensable functional")
-    cached = ctx._series.get(order)
-    if cached is not None:
-        return cached
     guard = ctx.degenerate_multiplicity()
     work = order + guard + 1 if guard else order
     total = sum_rational_forms([summand_rational_form(ctx, s, work)
                                 for s in build_summands(ctx)])
-    result = total.with_truncation(Truncation(order))
-    ctx._series[order] = result
-    return result
+    return total.with_truncation(Truncation(order))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +350,7 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
 
 def _component_partition(ctx: EvaluationContext, summands: List[Summand]):
     """Group summands by connected components of shared singular forms."""
-    keys = [{cf.key(ctx.ring) for _, cf in s.degenerate_factors}
+    keys = [{cf.key for _, cf in s.degenerate_factors}
             for s in summands]
     parent = list(range(len(summands)))
 
@@ -413,9 +379,8 @@ def _dead_unit(ctx: EvaluationContext, g: int, form: LinearForm
                ) -> LinearForm:
     """c = a_g + U_g(t_B) for den_g = t_g - c, so that the target Taylor
     coefficient [t_g^{k_g}] t_g / den_g is -c^{-k_g}."""
-    return LinearForm.from_rational(
-        ctx.ring, {v: -q for v, q in form.fractions.items()
-                   if v != ctx.vars[g]}, -form.constant)
+    return LinearForm(ctx.ring, {v: -q for v, q in form.coeffs.items()
+                                 if v != ctx.vars[g]}, -form.c)
 
 
 def _unit_summand_value(ctx: EvaluationContext, s: Summand,
@@ -473,7 +438,7 @@ def _summand_coefficient_series(ctx: EvaluationContext, s: Summand,
     trunc = Truncation(order)
     b = ctx.arr.bases[s.bidx]
     num = TruncatedSeries.constant(ring, live_vars, trunc,
-                                   ctx.to_scalar(s.weight))
+                                   ctx.ring.from_fraction(s.weight))
     for m in b.members:
         num = num * ctx.kernel(s.bidx, s.w, m, order).extend(live_vars, trunc)
     for g, form in s.unit_factors:
@@ -507,21 +472,13 @@ def coefficient(arr: Arrangement, y: Sequence, k,
     cached = ctx._coeffs.get(k.weights)
     if cached is not None:
         return cached
-    full = ctx._series.get(max(ctx._series)) if ctx._series else None
-    if full is not None and full.trunc.total >= k.total:
-        value = full.coefficient(_k_exps(ctx, k))
-    else:
-        value = _coefficient_components(ctx, k)
+    value = _coefficient_components(ctx, k)
     fact = Fraction(1)
     for kf in k.weights:
         fact *= math.factorial(kf)
-    value = value * ctx.to_scalar(fact)
+    value = value * ctx.ring.from_fraction(fact)
     ctx._coeffs[k.weights] = value
     return value
-
-
-def _k_exps(ctx, k: WeightVector) -> Tuple[int, ...]:
-    return tuple(k.weights[i] for i in range(ctx.arr.size))
 
 
 def _coefficient_components(ctx: EvaluationContext, k: WeightVector):
@@ -549,7 +506,7 @@ def _component_value(ctx: EvaluationContext, summands: List[Summand],
             live.add(ctx.vars[g])
             for v in cf.coeffs:
                 live.add(v)
-            divisions[cf.key(ring)] = 1
+            divisions[cf.key] = 1
     live_vars = tuple(sorted(live, key=lambda v: ctx.vars.index(v)))
     target = {v: k.weights[ctx.vars.index(v)] for v in live_vars}
     order = sum(target.values()) + sum(divisions.values())
@@ -676,8 +633,6 @@ def zeta_from_S(arr: Arrangement, k, symmetry_factor: int,
     if len(kw) != 1 or next(iter(kw)) % 2 != 0 or next(iter(kw)) == 0:
         raise ValueError("documented families require equal even weights")
     y0 = tuple(Fraction(0) for _ in range(arr.rank))
-    rep = lattice_sum_value(arr, y0, k, mode=mode, precision=precision,
-                            ctx=ctx)
-    value = rep.value * (Fraction(1, symmetry_factor) if mode == "exact"
-                         else 1.0 / symmetry_factor)
-    return value
+    ctx = ctx or EvaluationContext(arr, y0, mode, precision)
+    rep = lattice_sum_value(arr, y0, k, ctx=ctx)
+    return ctx.ring.scale(rep.value, Fraction(1, symmetry_factor))

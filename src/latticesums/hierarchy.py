@@ -70,7 +70,7 @@ def _build_states(ctx: EvaluationContext, order: int) -> List[SummandState]:
     states = []
     for s in build_summands(ctx):
         base, denoms = summand_factors(ctx, s, TruncatedSeries.constant(
-            ctx.ring, ctx.vars, trunc, ctx.to_scalar(s.weight)))
+            ctx.ring, ctx.vars, trunc, ctx.ring.from_fraction(s.weight)))
         kernels = {m: ctx.kernel(s.bidx, s.w, m, order).extend(ctx.vars, trunc)
                    for m in ctx.arr.bases[s.bidx].members}
         states.append(SummandState(s.bidx, s.w, base, kernels, denoms))
@@ -79,8 +79,8 @@ def _build_states(ctx: EvaluationContext, order: int) -> List[SummandState]:
 
 def _tf_form_series(ctx, f: int, order: int) -> TruncatedSeries:
     """(t_f - 2 pi i c_f) as a series."""
-    return ctx.combination({f: Fraction(1)}).form.as_series(
-        ctx.ring, ctx.vars, Truncation(order))
+    return ctx.combination({f: Fraction(1)}).power(
+        ctx.ring, ctx.vars, Truncation(order), 1)
 
 
 def apply_Dg_summand(ctx: EvaluationContext, state: SummandState, g: int,
@@ -100,7 +100,7 @@ def apply_Dg_summand(ctx: EvaluationContext, state: SummandState, g: int,
     # route (a): multiply by den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>
     den_form = ctx.denominator_form(state.bidx, g)
     trunc = Truncation(order)
-    den_series = den_form.as_series(ring, ctx.vars, trunc)
+    den_series = den_form.power(ring, ctx.vars, trunc, 1)
     num = state.numerator()
     num_a = num * den_series
 
@@ -118,19 +118,18 @@ def apply_Dg_summand(ctx: EvaluationContext, state: SummandState, g: int,
         piece = state.base
         for m, ks in state.kernels.items():
             piece = piece * (dkernel if m == f else ks)
-        num_b = num_b - piece.scalar_mul(ctx.to_scalar(coef))
+        num_b = num_b - piece.scalar_mul(ctx.ring.from_fraction(coef))
 
     diff = num_a - num_b
     if ring.exact:
-        disc = ring.zero() if diff.is_zero() else diff.max_magnitude()
         if not diff.is_zero():
             raise EigenRouteMismatch(
                 "eigenvalue route and definition route disagree")
+        disc = ring.zero()
     else:
         disc = diff.max_magnitude()
 
-    tg_form = LinearForm.from_rational(ring, {ctx.vars[g]: Fraction(1)},
-                                       ring.zero())
+    tg_form = LinearForm(ring, {ctx.vars[g]: Fraction(1)})
     new_state = SummandState(state.bidx, state.w,
                              state.base * den_series,
                              dict(state.kernels),
@@ -249,6 +248,5 @@ def _with_field(sub: Arrangement, y, mode, precision,
         sub_ctx.ring = parent_ctx.ring
         sub_ctx._kernels.clear()
         sub_ctx._geometry.clear()
-        sub_ctx._series.clear()
         sub_ctx._coeffs.clear()
     return sub_ctx

@@ -36,6 +36,9 @@ class GaussianRational:
     def as_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
+    def __neg__(self) -> "GaussianRational":
+        return GaussianRational(-self.re, -self.im)
+
 
 Constant = Union[Fraction, GaussianRational, complex]
 

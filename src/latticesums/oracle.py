@@ -124,8 +124,8 @@ def constrained_points(arr: Arrangement, k: WeightVector,
         elif c.denominator == 1:
             integral.append((f.direction, -c.numerator))
 
-    def admissible(v) -> bool:
-        if not _in_window(arr, v, window):
+    def admissible(v, inside=False) -> bool:
+        if not (inside or _in_window(arr, v, window)):
             return False
         for direction, target in integral:
             if sum(map(mul, direction, v)) == target:
@@ -136,9 +136,11 @@ def constrained_points(arr: Arrangement, k: WeightVector,
         return True
 
     if not rows:
+        # for a box window the range below is the window itself
+        boxed = window.shape == "box"
         for v in itertools.product(range(-bound, bound + 1),
                                    repeat=arr.rank):
-            if admissible(v):
+            if admissible(v, boxed):
                 yield v
         return
     solved = intlinalg.solve_integer(rows, rhs)

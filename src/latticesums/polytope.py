@@ -12,10 +12,12 @@ All geometry (vertices, incidence, edges) is exact rational arithmetic in
 the coordinates of L0, computed once per translate m.  The functional
 constants only enter through the exponential prefactors and the edge
 denominators t* . (p - p'), which are rational combinations of the
-functionals: the evaluator's denominator builder
-(``EvaluationContext.combination``) turns each into a linear form and
-decides from exact constants whether it is singular, to be divided out
-after summing, or a unit, to be inverted.
+functionals.  The evaluator's builder (``EvaluationContext.combination``)
+returns each, and each vertex exponent, as an exact ``LinearForm``.  From
+its exact constant an edge denominator is singular, to be divided out
+after summing, or a unit, whose inverse is expanded in closed form; the
+vertex exponential e^{t* . p} is expanded in closed form too
+(``LinearForm.exp``), with no series product.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import DegenerateExponent, NotSimple
 from .genfun import EvaluationContext
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, in_singular_locus
-from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
+from .series import (RationalForm, TruncatedSeries, Truncation,
                      sum_rational_forms)
 
 Label = Tuple[int, int]  # (functional index, side a)
@@ -308,9 +310,9 @@ def exp_integral_simple(verts: List[VertexWitness], a_vec: Sequence,
 # ---------------------------------------------------------------------------
 
 
-def _tstar_data(ctx: EvaluationContext, dec: Decomposition):
-    """Per g in L0: (linear coefficients over all t-variables, constant as a
-    multiple of 2 pi i) of t*_g."""
+def _tstar_data(dec: Decomposition) -> Dict[int, Dict[int, Fraction]]:
+    """Per g in L0: t*_g = t_g - sum_{f in B0} <g, f^B0> t_f as a
+    combination of the functionals."""
     out = {}
     for g in dec.l0:
         lin: Dict[int, Fraction] = {g: Fraction(1)}
@@ -318,8 +320,7 @@ def _tstar_data(ctx: EvaluationContext, dec: Decomposition):
             c = dec.dual_pair(g, f)
             if c:
                 lin[f] = lin.get(f, Fraction(0)) - c
-        # t*_g = sum lin[x] t_x - 2 pi i aq
-        out[g] = (lin, ctx.combination(lin).constant)
+        out[g] = lin
     return out
 
 
@@ -329,7 +330,7 @@ def _tstar_combination(tstar, dec: Decomposition, v) -> Dict[int, Fraction]:
     for g, vg in zip(dec.l0, v):
         if vg == 0:
             continue
-        for x, c in tstar[g][0].items():
+        for x, c in tstar[g].items():
             out[x] = out.get(x, Fraction(0)) + vg * c
     return out
 
@@ -346,21 +347,16 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
              for f in dec.b0.members}
     for x, c in _tstar_combination(tstar, dec, w.point).items():
         coeff[x] = coeff.get(x, Fraction(0)) + c
-    expo = ctx.combination(coeff)
-    pref = ring.root_of_unity(-expo.constant) \
-        if isinstance(expo.constant, Fraction) \
-        else ring.exp_2pii_times(-ctx.to_scalar(expo.constant))
-    lf = LinearForm(expo.form.coeffs, ring.zero())
-    num = lf.as_series(ring, ctx.vars, trunc).exp().scalar_mul(pref)
+    num = ctx.combination(coeff).exp(ring, ctx.vars, trunc)
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
-    num = num.scalar_mul(ctx.to_scalar(detv))
+    num = num.scalar_mul(ring.from_fraction(detv))
     # edge denominators t* . (p - p')
     denoms = []
     for den in dens:
         if den.singular:
-            denoms.append(den.form)
+            denoms.append(den)
         else:
-            num = num * den.form.inverse_power(ring, ctx.vars, trunc, 1)
+            num = num * den.inverse_power(ring, ctx.vars, trunc, 1)
     return RationalForm(num, denoms)
 
 
@@ -384,7 +380,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     ctx = ctx or EvaluationContext(arr, y, mode, precision)
     ring = ctx.ring
     dec = Decomposition(arr, b0_index)
-    tstar = _tstar_data(ctx, dec)
+    tstar = _tstar_data(dec)
     n = len(dec.l0)
     cells = []   # (m, [(vertex, edge vectors, edge denominators)])
     singular = set()
@@ -400,7 +396,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
                      for j in nbrs]
             dens = [ctx.combination(_tstar_combination(tstar, dec, e))
                     for e in edges]
-            singular.update(d.form.key(ring) for d in dens if d.singular)
+            singular.update(d.key for d in dens if d.singular)
             cell.append((w, edges, dens))
         cells.append((m, cell))
     work = order + len(singular) + 1 if singular else order
@@ -416,7 +412,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
         prefactor = prefactor * kernel_series(
             ring, params, work, var=ctx.vars[f]).extend(ctx.vars, trunc_work)
     total = total * prefactor
-    total = total.scalar_mul(ctx.to_scalar(Fraction(1, dec.b0.index)))
+    total = total.scalar_mul(ring.from_fraction(Fraction(1, dec.b0.index)))
     return total.with_truncation(Truncation(order))
 
 

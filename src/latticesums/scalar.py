@@ -17,10 +17,14 @@ Two interchangeable rings live here behind one small protocol:
 The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction``, ``root_of_unity`` (e^{2 pi i q}), ``two_pi_i``,
 ``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
-of scalars), ``magnitude``, ``mul_terms`` (the truncated product of two
-series term maps), and the flag ``exact``.  The exact ring's
-``mul_terms`` convolves integer numerators over one denominator per factor
-and builds one ``ExactScalar`` per output coefficient.
+of scalars), ``mul_terms`` (the truncated product of two series term
+maps), and the flag ``exact``.  The exact ring's ``mul_terms`` convolves
+integer numerators over one denominator per factor and builds one
+``ExactScalar`` per output coefficient.  Every structural decision (which
+forms are singular, which are equal, which coefficient pivots a division)
+is taken from exact rational data outside the ring, so the exact ring has
+no float size estimate; only ``NumericRing`` has ``magnitude``, which
+sizes division residuals and tolerances.
 """
 
 from __future__ import annotations
@@ -34,10 +38,6 @@ from mpmath.ctx_mp import MPContext
 
 from .cyclotomic import CycElt, CyclotomicField
 from .errors import NotInvertible
-
-_pivot_ctx = MPContext()
-_pivot_ctx.prec = 64
-
 
 class ExactScalar:
     """Element of Q(zeta_N)[pi, 1/pi] as ``{(k, exps): int}`` over ``den``.
@@ -359,13 +359,6 @@ class ExactRing:
             if out:
                 result[e] = cancel(out, den)
         return result
-
-    def magnitude(self, x) -> float:
-        """Float size estimate, used only to pick division pivots."""
-        try:
-            return abs(complex(x.embed(_pivot_ctx)))
-        except (OverflowError, ValueError):
-            return math.inf
 
 
 class NumericRing:

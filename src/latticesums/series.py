@@ -6,13 +6,17 @@ coefficient ring performs (``mul_terms``), each ring on its own
 representation.  On top of the plain ring operations this module provides
 the operations that make the closed-form evaluators work:
 
-* ``LinearForm.inverse_power`` -- a negative power of a linear form with
-  nonzero constant, coefficient by coefficient from its multinomial closed
-  form (no series product);
-* ``divide_exact`` -- division by a linear form with zero constant term,
-  valid exactly because the assembled sums are holomorphic even though the
-  individual summands are not.  A slice recurrence solves for the quotient
-  with scalar operations only;
+* ``LinearForm`` -- sum_v q_v t_v - 2 pi i c with exact rational q_v and
+  an exact constant c, the one type of every denominator and exponent.
+  Its singularity (c == 0) and its merge key (the normalised q_v) are read
+  from that exact data in both rings.  One multinomial enumerator expands
+  every function of it that the evaluators need, coefficient by
+  coefficient with no series product: ``power``, ``exp`` and
+  ``inverse_power`` (for c != 0);
+* ``divide_exact`` -- division by a singular linear form, valid exactly
+  because the assembled sums are holomorphic even though the individual
+  summands are not.  A slice recurrence, pivoting on the largest |q_v|,
+  solves for the quotient with rational scalings only;
 * ``sum_rational_forms`` -- combination of summands carrying such singular
   denominators over a common product, followed by the exact divisions.
 
@@ -85,16 +89,8 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def prune(self) -> "TruncatedSeries":
-        self.terms = {e: c for e, c in self.terms.items()
-                      if not self.ring.is_zero(c)}
-        return self
-
     def coefficient(self, exps: Exps):
         return self.terms.get(tuple(exps), self.ring.zero())
-
-    def constant_term(self):
-        return self.terms.get(self._zero_exps(), self.ring.zero())
 
     def max_magnitude(self) -> float:
         if not self.terms:
@@ -166,25 +162,13 @@ class TruncatedSeries:
                                self.ring.mul_terms(small, big,
                                                    self.trunc.total))
 
-    def pow_cached(self, n: int, cache: Dict[int, "TruncatedSeries"]
-                   ) -> "TruncatedSeries":
-        got = cache.get(n)
-        if got is not None:
-            return got
-        if n == 0:
-            out = TruncatedSeries.one(self.ring, self.vars, self.trunc)
-        else:
-            out = self.pow_cached(n - 1, cache) * self
-        cache[n] = out
-        return out
-
     # -- analytic helpers ----------------------------------------------------
 
     def invert_unit(self) -> "TruncatedSeries":
         """Inverse of a series with invertible constant term."""
         ring = self.ring
-        c0 = self.constant_term()
-        if ring.is_zero(c0, scale=self.max_magnitude() if not ring.exact else None):
+        c0 = self.terms.get(self._zero_exps())
+        if c0 is None:
             raise NonDivisible("cannot invert a series with zero constant term")
         c0_inv = ring.inv(c0)
         u = self.scalar_mul(c0_inv)
@@ -197,21 +181,6 @@ class TruncatedSeries:
                 break
             acc = acc + pw
         return acc.scalar_mul(c0_inv)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term."""
-        if not self.ring.is_zero(self.constant_term()):
-            raise ValueError("exp requires a zero constant term")
-        acc = TruncatedSeries.one(self.ring, self.vars, self.trunc)
-        pw = acc
-        fact = Fraction(1)
-        for j in range(1, self.trunc.total + 1):
-            pw = pw * self
-            if pw.is_zero():
-                break
-            fact *= j
-            acc = acc + pw.scalar_mul(self.ring.from_fraction(1 / fact))
-        return acc
 
     def dump(self) -> str:
         """Golden-file format: one 'exponents : scalar' line, sorted."""
@@ -230,83 +199,68 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LinearForm:
-    """constant + sum coeffs[v] * t_v over a scalar ring.
+def _ring_value(ring, c):
+    """The Fraction or Gaussian rational c in the ring."""
+    if isinstance(c, Fraction):
+        return ring.from_fraction(c)
+    # e^{2 pi i/4} = i
+    return ring.from_fraction(c.re) + ring.root_of_unity(Fraction(1, 4)) \
+        * ring.from_fraction(c.im)
 
-    ``from_rational`` also sets `fractions`, the nonzero linear
-    coefficients as exact rationals, and `rational`, the same scaled so
-    that its first coefficient is 1: the key under which equal forms are
-    merged, in either ring.
+
+class LinearForm:
+    """sum_v q_v t_v - 2 pi i c with rational q_v, the one form type.
+
+    `coeffs` holds the nonzero q_v as Fractions, `den` their common
+    denominator, and `c` the exact constant, a Fraction or a Gaussian
+    rational; `c == 0` marks a singular form.  `constant` is -2 pi i c in
+    the ring.  `key`, the coefficients scaled so that the first (by
+    variable order) is 1, is equal for forms that agree up to a rational
+    scale.
+
+    Every function of the form that the evaluators expand is a power
+    series sum_n f_n L^n in its linear part L = sum_v q_v t_v, and
+    ``_expand`` writes all of them out from one closed form.
     """
 
-    coeffs: Dict[str, object]
-    constant: object
-    rational: Optional[Tuple[Tuple[str, Fraction], ...]] = None
-    fractions: Optional[Dict[str, Fraction]] = None
+    __slots__ = ("coeffs", "den", "c", "constant", "key")
 
-    @classmethod
-    def from_rational(cls, ring, coeffs: Dict[str, Fraction],
-                      constant) -> "LinearForm":
-        coeffs = {v: q for v, q in coeffs.items() if q}
-        lead = coeffs[min(coeffs)] if coeffs else 1
-        return cls({v: ring.from_fraction(q) for v, q in coeffs.items()},
-                   constant, tuple(sorted((v, q / lead)
-                                          for v, q in coeffs.items())),
-                   coeffs)
+    def __init__(self, ring, coeffs: Dict[str, Fraction], c=Fraction(0)):
+        self.coeffs = {v: Fraction(q) for v, q in coeffs.items() if q}
+        self.den = math.lcm(*(q.denominator for q in self.coeffs.values()))
+        self.c = c
+        self.constant = ring.zero() if c == 0 else \
+            -(ring.two_pi_i() * _ring_value(ring, c))
+        lead = self.coeffs[min(self.coeffs)] if self.coeffs else 1
+        self.key = tuple(sorted((v, q / lead)
+                                for v, q in self.coeffs.items()))
 
-    def is_constant_free(self, ring) -> bool:
-        if ring.exact:
-            return ring.is_zero(self.constant)
-        return ring.is_zero(self.constant, scale=max(
-            (ring.magnitude(c) for c in self.coeffs.values()), default=0.0))
+    @property
+    def singular(self) -> bool:
+        return self.c == 0
 
-    def as_series(self, ring, vars, trunc) -> TruncatedSeries:
-        s = TruncatedSeries.constant(ring, vars, trunc, self.constant)
-        n = len(s.vars)
-        for v, c in self.coeffs.items():
-            if ring.is_zero(c):
-                continue
-            e = [0] * n
-            e[s.vars.index(v)] = 1
-            e = tuple(e)
-            if trunc.keeps(e):
-                cur = s.terms.get(e)
-                s.terms[e] = c if cur is None else cur + c
-        return s.prune()
+    def _expand(self, ring, vars, trunc: Truncation, phi,
+                box: Optional[Sequence[int]] = None) -> TruncatedSeries:
+        """sum_n phi[n] (D L)^n, D = `den`: with q_v = p_v / D, the
+        coefficient of t^e is
 
-    def inverse_power(self, ring, vars, trunc: Truncation, k: int,
-                      box: Optional[Sequence[int]] = None
-                      ) -> TruncatedSeries:
-        """(a + sum_v c_v t_v)^(-k) for a nonzero constant a and k >= 1.
+            phi[|e|] * |e|!/prod_v e_v! * prod_v p_v^(e_v),
 
-        The coefficient of t^e is (k)_n (-1/a)^n a^(-k) prod_v c_v^(e_v)/e_v!
-        with n = |e|.  Over the common denominator D of the rational
-        c_v = p_v / D, the factor (k)_n prod_v p_v^(e_v)/e_v! is an integer,
-        so each term is one integer multiple of the precomputed power
-        a^(-k) (-1/(a D))^n.  `box`, one bound per entry of `vars`, keeps
-        only the terms with e_v <= box_v.
+        one integer multiple of phi[|e|] per term.  Each phi[n] is a
+        nonzero ring scalar, or None to leave the degree out; so are the
+        degrees past the end of phi.  `box`, one bound per entry of
+        `vars`, keeps only the terms with e_v <= box_v.
         """
-        if self.fractions is None:
-            raise ValueError("inverse_power needs the rational coefficients; "
-                             "build the form with from_rational")
-        if self.is_constant_free(ring):
-            raise NonDivisible("cannot invert a linear form with zero "
-                               "constant term")
         vars = tuple(vars)
-        top = trunc.total
-        den = math.lcm(*(q.denominator for q in self.fractions.values()))
-        a_inv = ring.inv(self.constant)
-        step = -ring.scale(a_inv, Fraction(1, den))
-        powers, rising = [a_inv ** k], [1]  # a^(-k) (-1/(a D))^n, (k)_n
+        top = min(trunc.total, len(phi) - 1)
+        fact = [1]
         for n in range(top):
-            powers.append(powers[-1] * step)
-            rising.append(rising[-1] * (k + n))
+            fact.append(fact[-1] * (n + 1))
         # (exponents, prod p_v^(e_v), prod e_v!, |e|), one variable at a time
         partial = [((0,) * len(vars), 1, 1, 0)]
-        for v, q in self.fractions.items():
+        for v, q in self.coeffs.items():
             pos = vars.index(v)
-            p = q.numerator * (den // q.denominator)
+            p = q.numerator * (self.den // q.denominator)
             cap = top if box is None else box[pos]
             grown = []
             for e, pe, fe, n in partial:
@@ -316,36 +270,51 @@ class LinearForm:
                     pe *= p
                     fe *= j + 1
             partial = grown
-        terms = {e: ring.scale(powers[n], rising[n] // fe * pe)
-                 for e, pe, fe, n in partial}
+        terms = {e: ring.scale(phi[n], fact[n] // fe * pe)
+                 for e, pe, fe, n in partial if phi[n] is not None}
         return TruncatedSeries(ring, vars, trunc, terms)
 
-    def normalized(self, ring) -> Tuple["LinearForm", object]:
-        """Scale so the first (by variable order) nonzero coefficient is 1.
+    def power(self, ring, vars, trunc: Truncation, m: int
+              ) -> TruncatedSeries:
+        """(a + L)^m for m >= 0, a = `constant`: f_n = C(m, n) a^(m-n),
+        only f_m = 1 when the form is singular."""
+        den = self.den
+        if self.singular:
+            return self._expand(ring, vars, trunc, [None] * m + [
+                ring.from_fraction(Fraction(1, den ** m))])
+        phi = [ring.scale(self.constant ** (m - n),
+                          Fraction(math.comb(m, n), den ** n))
+               for n in range(min(m, trunc.total) + 1)]
+        return self._expand(ring, vars, trunc, phi)
 
-        Returns (normal form, scale) with self = scale * normal form.
-        """
-        lead = None
-        for v in sorted(self.coeffs):
-            if not ring.is_zero(self.coeffs[v]):
-                lead = self.coeffs[v]
-                break
-        if lead is None:
-            raise ValueError("linear form with no linear part")
-        inv = ring.inv(lead)
-        coeffs = {v: c * inv for v, c in self.coeffs.items()
-                  if not ring.is_zero(c)}
-        return LinearForm(coeffs, self.constant * inv, self.rational), lead
+    def inverse_power(self, ring, vars, trunc: Truncation, k: int,
+                      box: Optional[Sequence[int]] = None
+                      ) -> TruncatedSeries:
+        """(a + L)^(-k) for k >= 1 and a = `constant` nonzero:
+        f_n = C(k + n - 1, n) a^(-k) (-1/a)^n.  `box` as in ``_expand``."""
+        if self.singular:
+            raise NonDivisible("cannot invert a linear form with zero "
+                               "constant term")
+        a_inv = ring.inv(self.constant)
+        step = -ring.scale(a_inv, Fraction(1, self.den))
+        power = a_inv ** k  # a^(-k) (-1/(a D))^n
+        phi = []
+        for n in range(trunc.total + 1):
+            phi.append(ring.scale(power, math.comb(k + n - 1, n)))
+            if n < trunc.total:
+                power = power * step
+        return self._expand(ring, vars, trunc, phi, box)
 
-    def key(self, ring):
-        """Equal for forms that agree up to a nonzero scale."""
-        if self.rational is not None:
-            return self.rational
-        if not ring.exact:
-            raise ValueError("a numeric form is keyed by its rational "
-                             "coefficients; build it with from_rational")
-        return tuple(sorted((v, c) for v, c in self.normalized(ring)[0]
-                            .coeffs.items()))
+    def exp(self, ring, vars, trunc: Truncation) -> TruncatedSeries:
+        """e^(a + L) = e^(-2 pi i c) e^L: f_n = e^(-2 pi i c) / n!.  In the
+        exact ring, c must be rational."""
+        pref = ring.root_of_unity(-self.c) if isinstance(self.c, Fraction) \
+            else ring.exp_2pii_times(-_ring_value(ring, self.c))
+        phi, scale = [], Fraction(1)
+        for n in range(trunc.total + 1):
+            phi.append(ring.scale(pref, scale))
+            scale /= (n + 1) * self.den
+        return self._expand(ring, vars, trunc, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +339,22 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
                  residuals: Optional[List[float]] = None) -> TruncatedSeries:
     """Divide s by a linear form with zero constant term.
 
-    Slice recurrence: peel one form variable at a time.  With
-    l = c_p t_p + l', matching coefficients of t_p^j in q*l = s gives
-    s_j = c_p q_{j-1} + l' q_j, solved bottom-up with a recursive division
-    of each right-hand side by l'; only scalar operations are used.
+    Slice recurrence: peel one form variable at a time, the largest |q_v|
+    first.  With l = q_p t_p + l', matching coefficients of t_p^j in
+    q*l = s gives s_j = q_p q_{j-1} + l' q_j, solved bottom-up with a
+    recursive division of each right-hand side by l'; every step scales a
+    scalar by a rational coefficient of the form (``ring.scale``).
 
     Exact mode demands a literally zero remainder and raises NonDivisible
     (carrying the residual terms) otherwise.  Numeric mode tolerates
     residual norms below 2^(-precision/2) * |s| and records them.
     """
     ring = s.ring
-    if not form.is_constant_free(ring):
+    if not form.singular:
         raise ValueError("divide_exact needs a constant-free linear form")
     if s.is_zero():
         return s.clone_empty()
-    order = sorted((v for v in form.coeffs if not ring.is_zero(form.coeffs[v])),
-                   key=lambda v: (-ring.magnitude(form.coeffs[v]), v))
+    order = sorted(form.coeffs, key=lambda v: (-abs(form.coeffs[v]), v))
     residual_box: Dict[Exps, object] = {}
 
     def acc_res(e, c):
@@ -402,14 +371,14 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
         cv = form.coeffs[v]
         if len(vars_left) == 1:
             out: Dict[Exps, object] = {}
-            cv_inv = ring.inv(cv)
+            cv_inv = 1 / cv
             for e, c in terms.items():
                 if e[p] == 0:
                     acc_res(e, c)
                     continue
                 ne = list(e)
                 ne[p] -= 1
-                out[tuple(ne)] = c * cv_inv
+                out[tuple(ne)] = ring.scale(c, cv_inv)
             return out
         slices: Dict[int, Dict[Exps, object]] = {}
         for e, c in terms.items():
@@ -425,7 +394,7 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
             rhs = dict(slices.get(j, {}))
             for e, c in q_prev.items():
                 cur = rhs.get(e)
-                val = -(c * cv)
+                val = ring.scale(c, -cv)
                 rhs[e] = val if cur is None else cur + val
             rhs = {e: c for e, c in rhs.items() if not ring.is_zero(c)}
             qj = rec(rhs, rest)
@@ -454,19 +423,31 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
 
 @dataclass
 class RationalForm:
-    """numerator / product of constant-free linear forms."""
+    """numerator / product of singular linear forms."""
 
     numerator: TruncatedSeries
     denominators: List[LinearForm] = field(default_factory=list)
 
     def normalized(self) -> "RationalForm":
-        ring = self.numerator.ring
+        """Every denominator scaled by 1/lead so that its first (by
+        variable order) coefficient is 1, the numerator by the product of
+        the leads' inverses."""
         num = self.numerator
+        ring = num.ring
+        scale = Fraction(1)
         denoms = []
         for f in self.denominators:
-            nf, scale = f.normalized(ring)
-            num = num.scalar_mul(ring.inv(scale))
-            denoms.append(nf)
+            if not f.singular or not f.coeffs:
+                raise ValueError("a denominator must be a singular form "
+                                 "with a linear part")
+            lead = f.coeffs[min(f.coeffs)]
+            scale /= lead
+            denoms.append(LinearForm(ring, {v: q / lead
+                                            for v, q in f.coeffs.items()}))
+        if scale != 1:
+            num = TruncatedSeries(ring, num.vars, num.trunc,
+                                  {e: ring.scale(c, scale)
+                                   for e, c in num.terms.items()})
         return RationalForm(num, denoms)
 
 
@@ -491,24 +472,19 @@ def sum_rational_forms(forms: Sequence[RationalForm],
     for f in forms:
         counts: Dict[tuple, int] = {}
         for d in f.denominators:
-            k = d.key(ring)
-            counts[k] = counts.get(k, 0) + 1
-            if k not in universe:
-                universe[k] = (d, 0)
+            counts[d.key] = counts.get(d.key, 0) + 1
+            universe.setdefault(d.key, (d, 0))
         for k, m in counts.items():
             d, cur = universe[k]
             universe[k] = (d, max(cur, m))
         keyed.append((f.numerator, counts))
 
     total = TruncatedSeries(ring, vars, trunc)
-    form_pows: Dict[tuple, Dict[int, TruncatedSeries]] = {
-        k: {} for k in universe}
     for num, counts in keyed:
         for k, (d, mult) in universe.items():
             deficit = mult - counts.get(k, 0)
             if deficit > 0:
-                dser = d.as_series(ring, vars, trunc)
-                num = num * dser.pow_cached(deficit, form_pows[k])
+                num = num * d.power(ring, vars, trunc, deficit)
         total = total + num
 
     for k, (d, mult) in universe.items():

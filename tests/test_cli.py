@@ -63,6 +63,15 @@ def test_eval_rejects_a_zero_denominator_in_y():
     assert proc.stderr.startswith("error: ")
 
 
+def test_eval_has_no_order_flag(capsys):
+    # S and C are read at k; a full series to another order changes nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--arrangement", "a1_alpha1.json", "--k", "2,2,2",
+              "--y", "0", "--order", "6"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
+
+
 def test_job_config_validation():
     from latticesums.cli import JobConfig
     with pytest.raises(ValueError):

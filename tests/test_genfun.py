@@ -6,7 +6,8 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from latticesums.errors import ExcludedPoint
-from latticesums.families import a2_directions, hurwitz_a1, triangle
+from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
+                                  triangle)
 from latticesums.genfun import (EvaluationContext, WeightVector,
                                 build_summands, coefficient,
                                 cyclotomic_order, documented_family,
@@ -69,11 +70,10 @@ def _display_summand(ctx, den_coeffs, den_const_q, kernels, order):
     ring = ctx.ring
     trunc = Truncation(order)
     gvar = [v for v, c in den_coeffs.items() if c == 1][0]
-    form = LinearForm({v: ctx.to_scalar(c) for v, c in den_coeffs.items()},
-                      -(ring.two_pi_i() * ctx.to_scalar(den_const_q)))
+    form = LinearForm(ring, den_coeffs, den_const_q)
     from latticesums.series import TruncatedSeries
     num = TruncatedSeries.variable(ring, ctx.vars, trunc, gvar)
-    num = num * form.as_series(ring, ctx.vars, trunc).invert_unit()
+    num = num * form.power(ring, ctx.vars, trunc, 1).invert_unit()
     for var, b, yhat in kernels:
         num = num * kernel_series(ring, KernelParams.make(b, yhat), order,
                                   var=var).extend(ctx.vars, trunc)
@@ -119,11 +119,10 @@ def test_rank1_family_closed_form_display():
 
     def unit(coeffs, const_q):
         # t_g / (sum coeffs[v] t_v - 2 pi i const_q), g the +1 coefficient
-        form = LinearForm({v: ctx.to_scalar(c) for v, c in coeffs.items()},
-                          -(ring.two_pi_i() * ctx.to_scalar(const_q)))
+        form = LinearForm(ring, coeffs, const_q)
         gvar = [v for v, c in coeffs.items() if c == 1][0]
         t = TruncatedSeries.variable(ring, ctx.vars, trunc, gvar)
-        return t * form.as_series(ring, ctx.vars, trunc).invert_unit()
+        return t * form.power(ring, ctx.vars, trunc, 1).invert_unit()
 
     def ker(var, b, yhat):
         return kernel_series(ring, KernelParams.make(b, yhat), order,
@@ -339,7 +338,7 @@ def test_generating_function_full_series_serves_coefficients(a1_alpha1):
     y = (Fraction(0),)
     ctx = EvaluationContext(a1_alpha1, y, "exact")
     F = generating_function(a1_alpha1, y, 6, ctx=ctx)
-    c_series = F.coefficient((2, 2, 2)) * ctx.to_scalar(
+    c_series = F.coefficient((2, 2, 2)) * ctx.ring.from_fraction(
         Fraction(math.factorial(2) ** 3))
     c_direct = coefficient(a1_alpha1, y, (2, 2, 2))
     assert c_series == c_direct
@@ -383,7 +382,7 @@ def test_coefficient_without_singular_denominator_matches_series(
                 if sum(k) != total:
                     continue
                 fact = math.prod(math.factorial(x) for x in k)
-                want = series.coefficient(k) * ctx.to_scalar(Fraction(fact))
+                want = series.coefficient(k) * ctx.ring.from_fraction(fact)
                 got = coefficient(arr, y, k, ctx=EvaluationContext(
                     arr, y, mode))
                 if mode == "exact":
@@ -486,6 +485,37 @@ def test_numeric_mode_singular_case_is_exact_structure():
     assert err < ref.mpf(2) ** -80
 
 
+def test_numeric_mode_takes_a_tiny_unit_constant_as_a_unit():
+    # 1/3 + 1/5 = 8/15: at 8/15 + 2^-120 the combination t_2 - t_0 - t_1
+    # has the constant 2^-120, nonzero but below any tolerance that rounds
+    # it at 128 bits; it is a unit, and numeric mode evaluates it as one
+    y = (Fraction(1, 7), Fraction(2, 11))
+    on = triangle(Fraction(1, 3), Fraction(1, 5), Fraction(8, 15))
+    near = triangle(Fraction(1, 3), Fraction(1, 5),
+                    Fraction(8, 15) + Fraction(1, 2 ** 120))
+    assert EvaluationContext(on, y, "numeric").degenerate_multiplicity() == 1
+    ctx = EvaluationContext(near, y, "numeric", precision=128)
+    assert ctx.degenerate_multiplicity() == 0
+    rep = lattice_sum_value(near, y, (2, 2, 2), ctx=ctx)
+    assert rep.degenerate_divisions == 0
+    assert CTX.isfinite(rep.value)
+
+
+@pytest.mark.parametrize("y", [(0, 0), (0.0, 0.0), (Fraction(0), 0.0)])
+def test_numeric_mode_keeps_int_and_float_shifts_exact(y):
+    # a float y used to round the kernel constants b = <y, f^B> to 53 bits
+    arr = hurwitz_a2(Fraction(1, 3))
+    k = (2,) * 9
+    ref = MPContext()
+    ref.prec = 256
+    want = lattice_sum_value(arr, (Fraction(0), Fraction(0)), k).value \
+        .embed(ref)
+    for precision, bits in ((128, 80), (200, 150)):
+        got = lattice_sum_value(arr, y, k, mode="numeric",
+                                precision=precision).value
+        assert abs(ref.mpc(got) - want) <= ref.mpf(2) ** -bits * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # documented symmetric families
 # ---------------------------------------------------------------------------
@@ -506,6 +536,16 @@ def test_zeta_rejects_undocumented():
         zeta_from_S(hurwitz_a1(1), (2, 2, 4), 2)
     with pytest.raises(ValueError):
         zeta_from_S(hurwitz_a1(1), (3, 3, 3), 2)
+
+
+def test_numeric_zeta_divides_by_the_exact_symmetry_factor():
+    arr = hurwitz_a2(Fraction(1, 3))
+    k = (2,) * 9
+    ref = MPContext()
+    ref.prec = 256
+    want = zeta_from_S(arr, k, 6).embed(ref)
+    got = zeta_from_S(arr, k, 6, mode="numeric", precision=200)
+    assert abs(ref.mpc(got) - want) <= ref.mpf(2) ** -150 * abs(want)
 
 
 GOLDEN_DUMP = """\

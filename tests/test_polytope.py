@@ -166,7 +166,7 @@ def test_cramer_linear_form_identity():
     y = GENERIC_Y
     ctx = EvaluationContext(arr, y, "exact")
     dec = Decomposition(arr, 0)
-    tstar = _tstar_data(ctx, dec)
+    tstar = _tstar_data(dec)
     by_members = {b.members: b for b in arr.bases}
     checked = 0
     for m in enumerate_m(dec, y):
@@ -185,7 +185,8 @@ def test_cramer_linear_form_identity():
                         (intlinalg.det(minor) if minor else Fraction(1))
                     if cof == 0:
                         continue
-                    lin, aq = tstar[g]
+                    lin = tstar[g]
+                    aq = ctx.combination(lin).c
                     for x, cc in lin.items():
                         lin_total[x] = lin_total.get(x, Fraction(0)) + cof * cc
                     aq_total += cof * aq
@@ -215,9 +216,8 @@ def test_vertex_exponent_identity():
     #   + sum_{f in B} (t_f - 2 pi i c_f) <y + m - sum a_g g, f^B>
     arr = slab_instance()
     y = GENERIC_Y
-    ctx = EvaluationContext(arr, y, "exact")
     dec = Decomposition(arr, 0)
-    tstar = _tstar_data(ctx, dec)
+    tstar = _tstar_data(dec)
     for m in enumerate_m(dec, y):
         for w in vertices(dec, m, y):
             coeff = {}
@@ -227,7 +227,7 @@ def test_vertex_exponent_identity():
             for g, pv in zip(dec.l0, w.point):
                 if pv == 0:
                     continue
-                lin, _ = tstar[g]
+                lin = tstar[g]
                 for x, c in lin.items():
                     coeff[x] = coeff.get(x, Fraction(0)) + pv * c
             rhs = {}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticesums.errors import NonDivisible
+from latticesums.lattice import GaussianRational
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, divide_exact, sum_rational_forms)
@@ -103,12 +104,11 @@ def test_exact_product_matches_termwise(N, data):
 def test_exp_multiplicativity():
     for K in (2, 4, 6):
         tr = Truncation(K)
-        l1 = LinearForm({"t1": R.one()}, R.zero()).as_series(R, VARS, tr)
-        l2 = LinearForm({"t2": R.one()}, R.zero()).as_series(R, VARS, tr)
-        l12 = LinearForm({"t1": R.one(), "t2": R.one()}, R.zero()) \
-            .as_series(R, VARS, tr)
-        lhs = l12.exp()
-        rhs = l1.exp() * l2.exp()
+        l1 = LinearForm(R, {"t1": 1})
+        l2 = LinearForm(R, {"t2": 1})
+        l12 = LinearForm(R, {"t1": 1, "t2": 1})
+        lhs = l12.exp(R, VARS, tr)
+        rhs = l1.exp(R, VARS, tr) * l2.exp(R, VARS, tr)
         assert lhs.terms == rhs.terms
 
 
@@ -120,9 +120,8 @@ def test_invert_unit_geometric():
     c = TruncatedSeries.constant(R, ("t",), tr, R.from_fraction(Fraction(3)))
     assert c.invert_unit().terms == {(0,): R.from_fraction(Fraction(1, 3))}
     # exp(t) inverse is exp(-t)
-    e = LinearForm({"t": R.one()}, R.zero()).as_series(R, ("t",), tr).exp()
-    em = LinearForm({"t": R.from_fraction(-1)}, R.zero()) \
-        .as_series(R, ("t",), tr).exp()
+    e = LinearForm(R, {"t": 1}).exp(R, ("t",), tr)
+    em = LinearForm(R, {"t": -1}).exp(R, ("t",), tr)
     assert e.invert_unit().terms == em.terms
 
 
@@ -133,10 +132,10 @@ def test_invert_unit_rejects_zero_constant():
 
 def test_divide_exact_examples():
     t1, t2 = var("t1"), var("t2")
-    l = LinearForm({"t1": R.one(), "t2": R.from_fraction(-1)}, R.zero())
+    l = LinearForm(R, {"t1": 1, "t2": -1})
     q = divide_exact(t1 * t1 - t2 * t2, l)
     assert q.terms == (t1 + t2).terms
-    l2 = LinearForm({"t1": R.one(), "t2": R.from_fraction(2)}, R.zero())
+    l2 = LinearForm(R, {"t1": 1, "t2": 2})
     q2 = divide_exact(t1 * (t1 + t2.scalar_mul(R.from_fraction(2))), l2)
     assert q2.terms == t1.terms
     with pytest.raises(NonDivisible):
@@ -159,42 +158,54 @@ def random_series_and_form(draw):
     for v in VARS:
         c = Fraction(draw(st.integers(-3, 3)))
         if c:
-            coeffs[v] = R.from_fraction(c)
+            coeffs[v] = c
     if not coeffs:
-        coeffs["t1"] = R.one()
-    return s, LinearForm(coeffs, R.zero())
+        coeffs["t1"] = Fraction(1)
+    return s, LinearForm(R, coeffs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_series_and_form())
 def test_divide_round_trip(data):
     q, l = data
-    s = q * l.as_series(R, VARS, q.trunc)
+    s = q * linear_series(l, R, VARS, q.trunc)
     got = divide_exact(s, l)
     # the quotient agrees with q on every exponent of total degree < K
     for e in set(q.terms) | set(got.terms):
         if sum(e) < q.trunc.total:
             assert got.coefficient(e) == q.coefficient(e)
     # and multiplying it back by the form reproduces s on every exponent
-    back = got * l.as_series(R, VARS, q.trunc)
+    back = got * linear_series(l, R, VARS, q.trunc)
     assert back.terms == s.terms
+
+
+def linear_series(form, ring, vars, trunc):
+    """The form as a series, built term by term: an independent reference
+    for its closed-form expansions."""
+    s = TruncatedSeries.constant(ring, vars, trunc, form.constant)
+    for v, q in form.coeffs.items():
+        s = s + TruncatedSeries.variable(ring, vars, trunc, v).scalar_mul(
+            ring.from_fraction(q))
+    return s
+
+
+def rational_coeffs(draw):
+    return {v: Fraction(draw(st.integers(-6, 6).filter(bool)),
+                        draw(st.integers(1, 9)))
+            for v in draw(st.lists(st.sampled_from(VARS), min_size=1,
+                                   max_size=3, unique=True))}
 
 
 @st.composite
 def unit_forms(draw, ring):
-    """A form -2 pi i c + sum_v q_v t_v with c a nonzero Fraction or
+    """A form sum_v q_v t_v - 2 pi i c with c a nonzero Fraction or
     Gaussian rational and one to three nonzero rational q_v."""
     re = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
     im = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
     if re == 0 and im == 0:
         re = Fraction(1, 3)
-    c = ring.from_fraction(re) \
-        + ring.root_of_unity(Fraction(1, 4)) * ring.from_fraction(im)
-    coeffs = {v: Fraction(draw(st.integers(-6, 6).filter(bool)),
-                          draw(st.integers(1, 9)))
-              for v in draw(st.lists(st.sampled_from(VARS), min_size=1,
-                                     max_size=3, unique=True))}
-    return LinearForm.from_rational(ring, coeffs, -(ring.two_pi_i() * c))
+    c = re if im == 0 else GaussianRational(re, im)
+    return LinearForm(ring, rational_coeffs(draw), c)
 
 
 def _power(s, k):
@@ -209,7 +220,7 @@ def _power(s, k):
 def test_inverse_power_matches_series_inverse_exact(form, k, total):
     ring = EXACT_RINGS[12]
     trunc = Truncation(total)
-    ref = _power(form.as_series(ring, VARS, trunc).invert_unit(), k)
+    ref = _power(linear_series(form, ring, VARS, trunc).invert_unit(), k)
     assert form.inverse_power(ring, VARS, trunc, k).terms == ref.terms
 
 
@@ -220,7 +231,7 @@ NR128 = NumericRing(128)
 @given(unit_forms(NR128), st.integers(1, 4), st.integers(0, 5))
 def test_inverse_power_matches_series_inverse_numeric(form, k, total):
     trunc = Truncation(total)
-    ref = _power(form.as_series(NR128, VARS, trunc).invert_unit(), k)
+    ref = _power(linear_series(form, NR128, VARS, trunc).invert_unit(), k)
     got = form.inverse_power(NR128, VARS, trunc, k)
     assert set(got.terms) == set(ref.terms)
     for e, c in ref.terms.items():
@@ -239,18 +250,83 @@ def test_inverse_power_box_keeps_the_terms_in_the_box(form, k, box):
     assert form.inverse_power(ring, VARS, trunc, k, box).terms == want
 
 
+@st.composite
+def rational_forms(draw, ring):
+    """A form sum_v q_v t_v - 2 pi i c, singular one time in four.  In the
+    exact ring c is a multiple of 1/12, so that e^(-2 pi i c) lies in
+    Q(zeta_12); in the numeric ring it may be a Gaussian rational."""
+    if draw(st.integers(0, 3)) == 0:
+        c = Fraction(0)
+    elif ring.exact:
+        c = Fraction(draw(st.integers(-12, 12).filter(bool)), 12)
+    else:
+        c = draw(unit_forms(ring)).c
+    return LinearForm(ring, rational_coeffs(draw), c)
+
+
+def _exp_reference(form, ring, vars, trunc):
+    """e^(-2 pi i c) sum_n L^n / n! from repeated series products."""
+    pref = ring.root_of_unity(-form.c) if ring.exact \
+        else ring.ctx.exp(form.constant)
+    lin = LinearForm(ring, form.coeffs)
+    out = TruncatedSeries.one(ring, vars, trunc)
+    for n in range(1, trunc.total + 1):
+        out = out + _power(linear_series(lin, ring, vars, trunc), n) \
+            .scalar_mul(ring.from_fraction(Fraction(1, math.factorial(n))))
+    return out.scalar_mul(pref)
+
+
+def _expansion_and_reference(data, ring):
+    """One of power(m), exp and inverse_power(k, box) of a random form,
+    with its value from repeated series products or ``invert_unit``."""
+    form = data.draw(rational_forms(ring))
+    trunc = Truncation(data.draw(st.integers(0, 5)))
+    which = data.draw(st.sampled_from(
+        ["power", "exp"] + ([] if form.singular else ["inverse_power"])))
+    if which == "power":
+        m = data.draw(st.integers(0, 4))
+        return (form.power(ring, VARS, trunc, m),
+                _power(linear_series(form, ring, VARS, trunc), m).terms)
+    if which == "exp":
+        return (form.exp(ring, VARS, trunc),
+                _exp_reference(form, ring, VARS, trunc).terms)
+    k = data.draw(st.integers(1, 3))
+    ref = _power(linear_series(form, ring, VARS, trunc).invert_unit(), k)
+    box = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=3,
+                                         max_size=3))
+    if box is None:
+        return form.inverse_power(ring, VARS, trunc, k), ref.terms
+    return (form.inverse_power(ring, VARS, trunc, k, box),
+            {e: c for e, c in ref.terms.items()
+             if all(x <= b for x, b in zip(e, box))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_expansions_match_series_products_exact(data):
+    got, want = _expansion_and_reference(data, EXACT_RINGS[12])
+    assert got.terms == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_expansions_match_series_products_numeric(data):
+    got, want = _expansion_and_reference(data, NR128)
+    assert set(got.terms) == set(want)
+    for e, c in want.items():
+        assert abs(got.terms[e] - c) <= 2.0 ** -100 * max(1, abs(c))
+
+
 def test_inverse_power_rejects_zero_constant():
-    l = LinearForm.from_rational(R, {"t1": Fraction(1)}, R.zero())
+    l = LinearForm(R, {"t1": 1})
     with pytest.raises(NonDivisible):
         l.inverse_power(R, VARS, Truncation(3), 1)
 
 
 def test_partial_fraction_identity():
     t1, t2 = var("t1"), var("t2")
-    f1 = RationalForm(t1, [LinearForm({"t1": R.one(),
-                                       "t2": R.from_fraction(-1)}, R.zero())])
-    f2 = RationalForm(t2, [LinearForm({"t2": R.one(),
-                                       "t1": R.from_fraction(-1)}, R.zero())])
+    f1 = RationalForm(t1, [LinearForm(R, {"t1": 1, "t2": -1})])
+    f2 = RationalForm(t2, [LinearForm(R, {"t2": 1, "t1": -1})])
     tot = sum_rational_forms([f1, f2])
     assert tot.terms == one().terms
 
@@ -262,8 +338,8 @@ def test_single_form_without_denominators():
 
 def test_sum_rational_forms_permutation_invariant():
     t1, t2, t3 = var("t1"), var("t2"), var("t3")
-    l12 = LinearForm({"t1": R.one(), "t2": R.from_fraction(-1)}, R.zero())
-    l13 = LinearForm({"t1": R.one(), "t3": R.from_fraction(-1)}, R.zero())
+    l12 = LinearForm(R, {"t1": 1, "t2": -1})
+    l13 = LinearForm(R, {"t1": 1, "t3": -1})
     forms = [
         RationalForm(t1 * t1 - t2 * t2, [l12]),
         RationalForm(t1 * t3 - t2 * t3, [l12]),
@@ -283,7 +359,7 @@ def test_numeric_divide_reports_residual():
     trunc = Truncation(3)
     t1 = TruncatedSeries.variable(NR, ("t1", "t2"), trunc, "t1")
     t2 = TruncatedSeries.variable(NR, ("t1", "t2"), trunc, "t2")
-    l = LinearForm({"t1": NR.one(), "t2": -NR.one()}, NR.zero())
+    l = LinearForm(NR, {"t1": 1, "t2": -1})
     residuals = []
     q = divide_exact(t1 * t1 - t2 * t2, l, residuals=residuals)
     assert residuals and residuals[0] < 1e-20
@@ -296,18 +372,15 @@ def test_numeric_forms_keyed_by_exact_coefficients():
     NR = NumericRing(128)
     q1 = Fraction(123456789012345678, 10**17)
     q2 = Fraction(123456789012345679, 10**17)
-    l1 = LinearForm.from_rational(NR, {"t1": Fraction(1), "t2": q1},
-                                  NR.zero())
-    l2 = LinearForm.from_rational(NR, {"t1": Fraction(1), "t2": q2},
-                                  NR.zero())
-    assert complex(l1.coeffs["t2"]) == complex(l2.coeffs["t2"])
-    assert l1.key(NR) != l2.key(NR)
-    scaled = LinearForm.from_rational(NR, {"t1": Fraction(3), "t2": 3 * q1},
-                                      NR.zero())
-    assert scaled.key(NR) == l1.key(NR)
+    l1 = LinearForm(NR, {"t1": 1, "t2": q1})
+    l2 = LinearForm(NR, {"t1": 1, "t2": q2})
+    assert complex(NR.from_fraction(q1)) == complex(NR.from_fraction(q2))
+    assert l1.key != l2.key
+    scaled = LinearForm(NR, {"t1": 3, "t2": 3 * q1})
+    assert scaled.key == l1.key
     # s1 s2 / l1 + s1 s2 / l2 = s2 + s1 only when the forms stay distinct
     trunc = Truncation(4)  # two divisions leave degrees <= 2 valid
-    s1, s2 = (l.as_series(NR, ("t1", "t2"), trunc) for l in (l1, l2))
+    s1, s2 = (linear_series(l, NR, ("t1", "t2"), trunc) for l in (l1, l2))
     total = sum_rational_forms([RationalForm(s1 * s2, [l1]),
                                 RationalForm(s1 * s2, [l2])])
     want = s1 + s2

@@ -34,9 +34,21 @@ Two evaluation strategies share the same summand builder:
   closed-form coefficients on the box e <= k_B of its basis weights, the
   kernels to degree k_m and the unit factors' product on the box.  Only
   components with a singular denominator build series, to the order that
-  their divisions need.  The nine-functional rank-two rows of the
-  reference table, mostly singular, take 0.07-0.21 s each this way on a
-  2-CPU x86-64 box with Python 3.11.
+  their divisions need.  There a summand's kernels and its collapsed unit
+  factors depend on its basis variables alone, so their product is built
+  on those rank-many variables first, below `order` by one degree for
+  each factor t_g that is still to come, and is extended to the
+  component's live variables once.
+
+``coefficient`` keeps its values in one process-wide table of
+``COEFFICIENT_TABLE_SIZE`` entries, least recently used dropped first.
+The key holds everything the value depends on: rank, directions, exact
+constants, exact y, mode, cyclotomic order or precision, phi and k.  The
+values are stored as plain data (``ring.detach``), so no entry keeps a
+field or a context alive.  The nine-functional rank-two rows of the
+reference table, mostly singular, take 0.04-0.06 s each this way on a
+2-CPU x86-64 box with Python 3.11, and the zeta row that repeats one of
+them reads it back from the table.
 """
 
 from __future__ import annotations
@@ -183,7 +195,6 @@ class EvaluationContext:
         self._constants = [_exact_constant(f) for f in arr.functionals]
         self._kernels: Dict[tuple, TruncatedSeries] = {}
         self._geometry: Dict[int, list] = {}
-        self._coeffs: Dict[Tuple[int, ...], object] = {}
 
     # -- scalar helpers -----------------------------------------------------
 
@@ -266,6 +277,23 @@ class EvaluationContext:
                     for _, den in self.geometry(bidx) if den.singular})
 
 
+def _context(arr: Arrangement, y: Sequence, mode: str, precision: int,
+             phi: Optional[GenericDirection],
+             ctx: Optional[EvaluationContext]) -> EvaluationContext:
+    """A new context, or `ctx` after checking that it was built for the
+    rank, the functionals and the exact y of (arr, y)."""
+    if ctx is None:
+        return EvaluationContext(arr, y, mode, precision, phi)
+    if (arr.rank != ctx.arr.rank
+            or [f.direction for f in arr.functionals]
+            != [f.direction for f in ctx.arr.functionals]
+            or [_exact_constant(f) for f in arr.functionals] != ctx._constants
+            or tuple(Fraction(v) for v in y) != ctx.y):
+        raise ValueError("the evaluation context was built for another "
+                         "arrangement or another y")
+    return ctx
+
+
 # ---------------------------------------------------------------------------
 # full series assembly
 # ---------------------------------------------------------------------------
@@ -327,7 +355,7 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
                         ctx: Optional[EvaluationContext] = None
                         ) -> TruncatedSeries:
     """Taylor expansion of the generating function through total degree K."""
-    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi)
+    ctx = _context(arr, y, mode, precision, phi, ctx)
     if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
         if ctx.mode == "numeric":
             warnings.warn("y lies on (or within 1e-9 of) an excluded "
@@ -431,30 +459,67 @@ def _summand_coefficient_series(ctx: EvaluationContext, s: Summand,
                                 order: int) -> Optional[TruncatedSeries]:
     """The summand of a component with a singular denominator, reduced to
     `live_vars` and built as a series up to `order`, which the division
-    needs: unit factors in dead variables are collapsed to their target
-    Taylor coefficient -(a_g + U_g)^{-k_g}.  Components without one take
+    needs.  Unit factors in dead variables are collapsed to their target
+    Taylor coefficient -(a_g + U_g)^{-k_g}, a function of the basis
+    variables alone, so
+
+        weight * prod_m K_m * prod_dead -(a_g + U_g)^{-k_g}
+
+    is built on the basis variables first.  Each live unit factor and each
+    singular factor is a multiple of its t_g, so that product is needed
+    only up to `order` less their number.  It is extended to `live_vars`
+    once, and the live t_g / den_g and the singular t_g are multiplied in
+    there.  Components without a singular denominator take
     ``_unit_summand_value`` instead."""
     ring = ctx.ring
-    trunc = Truncation(order)
-    b = ctx.arr.bases[s.bidx]
-    num = TruncatedSeries.constant(ring, live_vars, trunc,
-                                   ctx.ring.from_fraction(s.weight))
-    for m in b.members:
-        num = num * ctx.kernel(s.bidx, s.w, m, order).extend(live_vars, trunc)
+    members = ctx.arr.bases[s.bidx].members
+    basis_vars = tuple(ctx.vars[m] for m in members)
+    live_units, dead_units = [], []
     for g, form in s.unit_factors:
-        if ctx.vars[g] in live_vars:
-            tg = TruncatedSeries.variable(ring, live_vars, trunc, ctx.vars[g])
-            num = num * tg * form.inverse_power(ring, live_vars, trunc, 1)
-            continue
-        kg = k.weights[g]
-        if kg == 0:
-            return None  # [t_g^0] (t_g * unit) = 0
-        num = num * -_dead_unit(ctx, g, form).inverse_power(
-            ring, live_vars, trunc, kg)
-    for g, cf in s.degenerate_factors:
+        (live_units if ctx.vars[g] in live_vars else dead_units).append(
+            (g, form))
+    top = order - len(live_units) - len(s.degenerate_factors)
+    if top < 0 or any(k.weights[g] == 0 for g, _ in dead_units):
+        return None  # [t_g^0] (t_g * unit) = 0, or nothing below `order`
+    num = None
+    for g, form in dead_units:
+        f = _dead_unit(ctx, g, form).inverse_power(
+            ring, basis_vars, Truncation(top), k.weights[g])
+        num = f if num is None else num * f
+    for m in members:
+        f = ctx.kernel(s.bidx, s.w, m, top).extend(basis_vars)
+        num = f if num is None else num * f
+    weight = -s.weight if len(dead_units) % 2 else s.weight
+    trunc = Truncation(order)
+    num = TruncatedSeries(ring, live_vars, trunc,
+                          {e: ring.scale(c, weight) for e, c in
+                           num.extend(live_vars, trunc).terms.items()})
+    for g, form in live_units:
         tg = TruncatedSeries.variable(ring, live_vars, trunc, ctx.vars[g])
-        num = num * tg
+        num = num * tg * form.inverse_power(ring, live_vars, trunc, 1)
+    for g, _ in s.degenerate_factors:
+        num = num * TruncatedSeries.variable(ring, live_vars, trunc,
+                                             ctx.vars[g])
     return num
+
+
+# the coefficients computed in this process, most recently used last (see
+# the module docstring)
+COEFFICIENT_TABLE_SIZE = 256
+_coefficient_table: Dict[tuple, object] = {}
+
+
+def clear_coefficient_table() -> None:
+    """Forget every coefficient computed so far in this process."""
+    _coefficient_table.clear()
+
+
+def _table_key(ctx: EvaluationContext, k: WeightVector) -> tuple:
+    """Everything the coefficient at k in `ctx` depends on."""
+    scalars = ctx.N if ctx.ring.exact else ctx.ring.precision
+    return (ctx.arr.rank, tuple(f.direction for f in ctx.arr.functionals),
+            tuple(ctx._constants), ctx.y, ctx.mode, scalars, ctx.phi,
+            k.weights)
 
 
 def coefficient(arr: Arrangement, y: Sequence, k,
@@ -466,19 +531,21 @@ def coefficient(arr: Arrangement, y: Sequence, k,
     k = k if isinstance(k, WeightVector) else WeightVector.make(k)
     if len(k.weights) != arr.size:
         raise ValueError("one weight per functional required")
-    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi)
+    ctx = _context(arr, y, mode, precision, phi, ctx)
     if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
         raise ExcludedPoint("y lies on an excluded translated hyperplane")
-    cached = ctx._coeffs.get(k.weights)
-    if cached is not None:
-        return cached
-    value = _coefficient_components(ctx, k)
-    fact = Fraction(1)
-    for kf in k.weights:
-        fact *= math.factorial(kf)
-    value = value * ctx.ring.from_fraction(fact)
-    ctx._coeffs[k.weights] = value
-    return value
+    key = _table_key(ctx, k)
+    stored = _coefficient_table.pop(key, None)
+    if stored is None:
+        value = _coefficient_components(ctx, k)
+        fact = Fraction(1)
+        for kf in k.weights:
+            fact *= math.factorial(kf)
+        stored = ctx.ring.detach(value * ctx.ring.from_fraction(fact))
+        if len(_coefficient_table) >= COEFFICIENT_TABLE_SIZE:
+            del _coefficient_table[next(iter(_coefficient_table))]
+    _coefficient_table[key] = stored
+    return ctx.ring.attach(stored)
 
 
 def _coefficient_components(ctx: EvaluationContext, k: WeightVector):
@@ -546,7 +613,7 @@ def lattice_sum_value(arr: Arrangement, y: Sequence, k,
     """The special value S(k, y; arrangement), with evaluation metadata."""
     t0 = time.perf_counter()
     k = k if isinstance(k, WeightVector) else WeightVector.make(k)
-    ctx = ctx or EvaluationContext(arr, y, mode, precision, phi)
+    ctx = _context(arr, y, mode, precision, phi, ctx)
     ones = set(k.one_set())
     bad = [i for i in arr.indispensable if i in ones]
     if bad and on_excluded_hyperplanes(ctx.y, arr, subset=bad):

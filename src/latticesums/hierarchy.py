@@ -248,5 +248,4 @@ def _with_field(sub: Arrangement, y, mode, precision,
         sub_ctx.ring = parent_ctx.ring
         sub_ctx._kernels.clear()
         sub_ctx._geometry.clear()
-        sub_ctx._coeffs.clear()
     return sub_ctx

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import DegenerateExponent, NotSimple
-from .genfun import EvaluationContext
+from .genfun import EvaluationContext, _context
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, in_singular_locus
 from .series import (RationalForm, TruncatedSeries, Truncation,
@@ -377,7 +377,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     if in_singular_locus(y, arr):
         raise NotSimple("y lies on the singular locus; the polytopes are "
                         "not all simple there")
-    ctx = ctx or EvaluationContext(arr, y, mode, precision)
+    ctx = _context(arr, y, mode, precision, None, ctx)
     ring = ctx.ring
     dec = Decomposition(arr, b0_index)
     tstar = _tstar_data(dec)

@@ -18,13 +18,15 @@ The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction``, ``root_of_unity`` (e^{2 pi i q}), ``two_pi_i``,
 ``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
 of scalars), ``mul_terms`` (the truncated product of two series term
-maps), and the flag ``exact``.  The exact ring's ``mul_terms`` convolves
-integer numerators over one denominator per factor and builds one
-``ExactScalar`` per output coefficient.  Every structural decision (which
-forms are singular, which are equal, which coefficient pivots a division)
-is taken from exact rational data outside the ring, so the exact ring has
-no float size estimate; only ``NumericRing`` has ``magnitude``, which
-sizes division residuals and tolerances.
+maps), ``detach``/``attach`` (a scalar as plain data that holds no field
+or context, and back), and the flag ``exact``.  The exact ring's
+``mul_terms`` convolves integer numerators over one denominator per
+factor and builds one ``ExactScalar`` per output coefficient.  Every
+structural decision (which forms are singular, which are equal, which
+coefficient pivots a division) is taken from exact rational data outside
+the ring, so the exact ring has no float size estimate; only
+``NumericRing`` has ``magnitude``, which sizes division residuals and
+tolerances.
 """
 
 from __future__ import annotations
@@ -284,6 +286,15 @@ class ExactRing:
     def pi_pow(self, k: int):
         return ExactScalar(self.field, {(k, self.field.zero_exps): 1})
 
+    def detach(self, x) -> tuple:
+        """x as plain data that holds no field: ``(terms, den)``."""
+        return tuple(x.terms.items()), x.den
+
+    def attach(self, data) -> ExactScalar:
+        """The scalar that ``detach`` made `data` from, in this ring."""
+        terms, den = data
+        return ExactScalar(self.field, dict(terms), den)
+
     def is_zero(self, x, scale=None) -> bool:
         return x.is_zero()
 
@@ -396,6 +407,14 @@ class NumericRing:
 
     def two_pi_i(self):
         return self.ctx.mpc(0, 2) * self.ctx.pi
+
+    def detach(self, x) -> tuple:
+        """x as plain data that holds no context: mpmath's raw pair."""
+        return x._mpc_
+
+    def attach(self, data):
+        """The scalar that ``detach`` made `data` from, in this ring."""
+        return self.ctx.make_mpc(data)
 
     def is_zero(self, x, scale=None) -> bool:
         s = 1.0 if scale is None else max(1.0, float(abs(scale)))

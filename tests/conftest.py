@@ -3,6 +3,13 @@ from fractions import Fraction
 import pytest
 
 from latticesums.families import a2_directions, hurwitz_a1, hurwitz_a2, triangle
+from latticesums.genfun import clear_coefficient_table
+
+
+@pytest.fixture(autouse=True)
+def _empty_coefficient_table():
+    # no test may read a coefficient that an earlier test computed
+    clear_coefficient_table()
 
 
 @pytest.fixture(scope="session")

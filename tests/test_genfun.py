@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath.ctx_mp import MPContext
 
+from latticesums import genfun
 from latticesums.errors import ExcludedPoint
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   triangle)
@@ -16,6 +18,7 @@ from latticesums.genfun import (EvaluationContext, WeightVector,
 from latticesums.kernel import KernelParams, kernel_series
 from latticesums.lattice import Arrangement, choose_phi, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
+from latticesums.polytope import genfun_via_polytopes
 from latticesums.scalar import format_scalar
 from latticesums.series import LinearForm, Truncation
 
@@ -200,12 +203,10 @@ def test_S012_against_direct_one_dimensional_sum():
     arr = triangle(0, beta, gamma)
     y = (Fraction(1, 11), y2)
     rep = lattice_sum_value(arr, y, (0, 1, 2))
-    acc = CTX.mpc(0)
-    N = 20000
-    for n in range(-N, N + 1):
-        acc += CTX.expjpi(2 * CTX.mpf(y2.numerator) / y2.denominator * n) \
-            / ((n + CTX.mpf(1) / 3) * (n + CTX.mpf(1) / 5) ** 2)
-    assert abs(emb(rep.value) - complex(-acc)) < 1e-8
+    # the zero weight restricts the sum to v = (0, n), |n| <= 20000:
+    # -sum_n e^{2 pi i y2 n} / ((n + 1/3) (n + 1/5)^2)
+    z = truncated_sum(arr, (0, 1, 2), y, TruncationWindow(20000))
+    assert abs(emb(rep.value) - complex(z)) < 1e-8
 
 
 def test_C222_nonintegral_branch_closed_form():
@@ -390,6 +391,160 @@ def test_coefficient_without_singular_denominator_matches_series(
                 else:
                     err = abs(got - want) / max(1, abs(want))
                     assert err < CTX.mpf(2) ** -100, k
+
+
+# (directions, constants, y, largest |k|).  The benchmark's fixed singular
+# case: (2,1) = (1,1) + (1,0) and -1/3 = -1/3 + 0 give a singular
+# hyperplane.  In rank three, bases of one component meet in different
+# points, so some summands have unit factors in live variables, and at
+# k = 0 they leave nothing below `order`.
+SINGULAR = [
+    (((2, 1), (1, 1), (1, 0), (-1, 2)),
+     (Fraction(-1, 3), Fraction(-1, 3), Fraction(0), Fraction(-1, 2)),
+     (Fraction(-10, 7), Fraction(-8, 7)), 4),
+    (((0, 1, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1)),
+     (Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(-1)),
+     (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 3),
+]
+
+
+def _singular_cases(generic_y2):
+    yield a2_directions(), generic_y2, 4
+    for dirs, consts, y, top in SINGULAR:
+        yield Arrangement(len(y), [make_functional(d, c)
+                                   for d, c in zip(dirs, consts)]), y, top
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_coefficient_with_singular_denominator_matches_series(
+        mode, generic_y2):
+    # a component with a singular denominator builds each summand on its
+    # basis variables, truncated below `order` by its live and singular
+    # factors, before the division; the full series builds it whole
+    for arr, y, top in _singular_cases(generic_y2):
+        ctx = EvaluationContext(arr, y, mode)
+        assert any(s.degenerate_factors for s in build_summands(ctx))
+        for total in range(top + 1):
+            series = generating_function(arr, y, total, ctx=ctx)
+            for k in itertools.product(range(total + 1), repeat=arr.size):
+                if sum(k) != total:
+                    continue
+                fact = math.prod(math.factorial(x) for x in k)
+                want = series.coefficient(k) * ctx.ring.from_fraction(fact)
+                got = coefficient(arr, y, k, ctx=EvaluationContext(
+                    arr, y, mode))
+                if mode == "exact":
+                    assert got == want, k
+                else:
+                    err = abs(got - want) / max(1, abs(want))
+                    assert err < CTX.mpf(2) ** -100, k
+
+
+# ---------------------------------------------------------------------------
+# evaluation contexts and the coefficient table
+# ---------------------------------------------------------------------------
+
+
+def test_context_for_another_arrangement_or_y_is_rejected(a1_alpha1):
+    ctx = EvaluationContext(a1_alpha1, (Fraction(0),), "exact")
+    a1_alpha2 = hurwitz_a1(2)
+    calls = [
+        lambda: lattice_sum_value(a1_alpha2, [Fraction(1, 3)], (2, 2, 2),
+                                  ctx=ctx),
+        lambda: lattice_sum_value(a1_alpha1, [Fraction(1, 3)], (2, 2, 2),
+                                  ctx=ctx),
+        lambda: coefficient(a1_alpha2, [0], (2, 2, 2), ctx=ctx),
+        lambda: generating_function(a1_alpha1, [Fraction(1, 2)], 3, ctx=ctx),
+        lambda: lattice_sum_value(a2_directions(), [0, 0], (2, 2, 2),
+                                  ctx=ctx),
+        lambda: zeta_from_S(a1_alpha2, (2, 2, 2), 2, ctx=ctx),
+        lambda: genfun_via_polytopes(a1_alpha2, [Fraction(1, 3)], 3,
+                                     ctx=ctx),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="context was built for"):
+            call()
+    # an equal arrangement and an equal y, given as other objects, agree
+    rep = lattice_sum_value(hurwitz_a1(1), [0.0], (2, 2, 2), ctx=ctx)
+    assert format_scalar(rep.value) == "pi^2/2 - 39/8"
+
+
+class _Miss(Exception):
+    pass
+
+
+def _raise_miss(ctx, k):
+    raise _Miss
+
+
+def _table_leaves(x):
+    """Every value reachable from x through containers and dataclasses."""
+    if isinstance(x, (tuple, list)):
+        for v in x:
+            yield from _table_leaves(v)
+    elif isinstance(x, dict):
+        for e in x.items():
+            yield from _table_leaves(e)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _table_leaves(getattr(x, f.name))
+    else:
+        yield x
+
+
+def test_coefficient_table_serves_equal_data(monkeypatch, generic_y2):
+    real = genfun._coefficient_components
+    consts = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    exact = dict(mode="exact", precision=128, y=generic_y2, k=(2, 1, 2),
+                 phi=None, consts=consts)
+    numeric = dict(exact, mode="numeric")
+
+    def evaluate(mode, precision, y, k, phi, consts):
+        # a new Arrangement object on every call
+        arr = triangle(*consts)
+        return coefficient(arr, y, k, mode=mode, precision=precision,
+                           phi=phi and choose_phi(arr, skip=phi))
+
+    for base, changes in [
+            (exact, [dict(mode="numeric"),
+                     dict(y=(generic_y2[0], Fraction(2, 11))),
+                     dict(k=(1, 2, 2)),
+                     dict(phi=1),
+                     dict(consts=(Fraction(1, 2), Fraction(1, 3),
+                                  Fraction(2, 5)))]),
+            (numeric, [dict(precision=100)])]:
+        monkeypatch.setattr(genfun, "_coefficient_components", real)
+        want = evaluate(**base)
+        monkeypatch.setattr(genfun, "_coefficient_components", _raise_miss)
+        assert evaluate(**base) == want
+        for change in changes:
+            with pytest.raises(_Miss):
+                evaluate(**dict(base, **change))
+    assert len(genfun._coefficient_table) == 2
+    for key, stored in genfun._coefficient_table.items():
+        for leaf in _table_leaves((key, stored)):
+            assert isinstance(leaf, (int, str, Fraction, type(None))), leaf
+
+
+def test_coefficient_table_stores_nothing_on_failure(monkeypatch, a1_alpha1):
+    monkeypatch.setattr(genfun, "_coefficient_components", _raise_miss)
+    with pytest.raises(_Miss):
+        lattice_sum_value(a1_alpha1, [0], (2, 2, 2))
+    assert not genfun._coefficient_table
+
+
+def test_coefficient_table_drops_the_least_recently_used(monkeypatch,
+                                                        a1_alpha1):
+    monkeypatch.setattr(genfun, "COEFFICIENT_TABLE_SIZE", 2)
+    first = coefficient(a1_alpha1, [0], (2, 2, 2))
+    coefficient(a1_alpha1, [0], (2, 2, 4))
+    assert coefficient(a1_alpha1, [0], (2, 2, 2)) == first
+    coefficient(a1_alpha1, [0], (4, 2, 2))
+    assert len(genfun._coefficient_table) == 2
+    monkeypatch.setattr(genfun, "_coefficient_components", _raise_miss)
+    assert coefficient(a1_alpha1, [0], (2, 2, 2)) == first
+    with pytest.raises(_Miss):
+        coefficient(a1_alpha1, [0], (2, 2, 4))
 
 
 # ---------------------------------------------------------------------------

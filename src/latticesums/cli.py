@@ -11,8 +11,7 @@ Commands:
 Exit codes: 0 ok, 1 I/O or usage (including kept functionals that no
 longer span the space), 2 excluded point, 3 internal consistency failure (a
 non-divisible sum, a non-simple polytope, a degenerate polytope exponent,
-hierarchy routes that disagree, or an exact scalar that cannot be
-inverted), 4 verification failure.
+or an exact scalar that cannot be inverted), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import (DegenerateExponent, EigenRouteMismatch, ExcludedPoint,
-                     NonDivisible, NotInvertible, NotSimple, RankDrop)
+from .errors import (DegenerateExponent, ExcludedPoint, NonDivisible,
+                     NotInvertible, NotSimple, RankDrop)
 from .genfun import (EvaluationContext, coefficient, lattice_sum_value,
                      zeta_from_S)
 from .hierarchy import check_hierarchy
@@ -252,15 +251,13 @@ def cmd_verify_hierarchy(args) -> int:
     keep = [i for i in range(arr.size) if i not in removed]
     report = check_hierarchy(arr, keep, y, args.order, mode=args.mode,
                              precision=args.precision)
-    record = {k: v for k, v in report.items()
-              if k not in ("eigen_discrepancies", "steps")}
+    record = {k: v for k, v in report.items() if k != "steps"}
     record["steps"] = [{"removed": st.removed, "constant": str(st.constant),
                         "direction": list(st.direction)}
                        for st in report["steps"]]
     print(json.dumps(record, indent=1))
     print(f"max discrepancy: {report['max_discrepancy_str']}")
     if args.out:
-        record["eigen_discrepancies"] = report["eigen_discrepancies"]
         with open(args.out, "w") as fh:
             json.dump(record, fh, indent=1)
             fh.write("\n")
@@ -327,7 +324,7 @@ def main(argv=None) -> int:
     except ExcludedPoint as exc:
         print(f"excluded point: {exc}", file=sys.stderr)
         return 2
-    except (NonDivisible, NotSimple, DegenerateExponent, EigenRouteMismatch,
+    except (NonDivisible, NotSimple, DegenerateExponent,
             NotInvertible) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

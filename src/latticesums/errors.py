@@ -43,11 +43,6 @@ class DegenerateExponent(LatticeSumError):
     """An exponent vector annihilates an edge direction of a polytope."""
 
 
-class EigenRouteMismatch(LatticeSumError):
-    """The two routes of a hierarchy operator application disagree in exact
-    mode."""
-
-
 class NotInvertible(LatticeSumError):
     """An exact scalar that is not a pi-monomial was inverted; only
     c * pi^k with nonzero c in Q(zeta_N) has an inverse in the exact

@@ -62,7 +62,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ExcludedPoint
-from .kernel import KernelParams, kernel_series, kernel_series_dy
+from .kernel import KernelParams, kernel_series
+# unused here, but the benchmark's tracer patches genfun.kernel_series_dy
+from .kernel import kernel_series_dy  # noqa: F401
 from .lattice import (Arrangement, GaussianRational, GenericDirection,
                       choose_phi, frac_part, on_excluded_hyperplanes)
 from .scalar import ExactRing, NumericRing
@@ -224,17 +226,17 @@ class EvaluationContext:
         return frac_part(self.y, w, self.arr.bases[bidx], member, self.phi)
 
     def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
-               order: int, derivative: bool = False) -> TruncatedSeries:
+               order: int) -> TruncatedSeries:
         """The kernel of `member` at its fractional part for (bidx, w),
         cached by its parameters: distinct cosets and bases often share
         them."""
         params = KernelParams.make(self.constant(member),
                                    self.yhat(bidx, w, member))
-        key = (params, order, member, derivative)
+        key = (params, order, member)
         got = self._kernels.get(key)
         if got is None:
-            fn = kernel_series_dy if derivative else kernel_series
-            got = fn(self.ring, params, order, var=self.vars[member])
+            got = kernel_series(self.ring, params, order,
+                                var=self.vars[member])
             self._kernels[key] = got
         return got
 
@@ -323,29 +325,22 @@ def build_summands(ctx: EvaluationContext) -> List[Summand]:
     return out
 
 
-def summand_factors(ctx: EvaluationContext, s: Summand,
-                    num: TruncatedSeries
-                    ) -> Tuple[TruncatedSeries, List[LinearForm]]:
-    """num * prod_g t_g / den_g over the unit factors * prod_g t_g over the
-    singular ones, and the singular denominators."""
-    ring, vars, trunc = ctx.ring, num.vars, num.trunc
-    for g, form in s.unit_factors:
-        tg = TruncatedSeries.variable(ring, vars, trunc, ctx.vars[g])
-        num = num * tg * form.inverse_power(ring, vars, trunc, 1)
-    for g, _ in s.degenerate_factors:
-        num = num * TruncatedSeries.variable(ring, vars, trunc, ctx.vars[g])
-    return num, [cf for _, cf in s.degenerate_factors]
-
-
 def summand_rational_form(ctx: EvaluationContext, s: Summand,
                           order: int) -> RationalForm:
-    """Assemble the summand as numerator / (constant-free forms)."""
-    trunc = Truncation(order)
-    num = TruncatedSeries.constant(ctx.ring, ctx.vars, trunc,
-                                   ctx.ring.from_fraction(s.weight))
+    """The summand as weight * prod_m K_m * prod_g t_g / den_g over the
+    unit factors * prod_g t_g over the singular ones, divided by the
+    singular denominators."""
+    ring, vars, trunc = ctx.ring, ctx.vars, Truncation(order)
+    num = TruncatedSeries.constant(ring, vars, trunc,
+                                   ring.from_fraction(s.weight))
     for m in ctx.arr.bases[s.bidx].members:
-        num = num * ctx.kernel(s.bidx, s.w, m, order).extend(ctx.vars, trunc)
-    return RationalForm(*summand_factors(ctx, s, num))
+        num = num * ctx.kernel(s.bidx, s.w, m, order).extend(vars, trunc)
+    for g, form in s.unit_factors:
+        tg = TruncatedSeries.variable(ring, vars, trunc, vars[g])
+        num = num * tg * form.inverse_power(ring, vars, trunc, 1)
+    for g, _ in s.degenerate_factors:
+        num = num * TruncatedSeries.variable(ring, vars, trunc, vars[g])
+    return RationalForm(num, [cf for _, cf in s.degenerate_factors])
 
 
 def generating_function(arr: Arrangement, y: Sequence, order: int,

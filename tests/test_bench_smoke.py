@@ -7,13 +7,17 @@ multiplications and fails here.  Series products convolve inside the ring
 without ``ExactScalar.__mul__``, so the series counts are checked on their
 own, on the ``verify`` pass: its full series, divisions and vertex walk
 multiply series, while the ``manifest`` rows read single coefficients and
-need next to none.
+need next to none.  Those passes run no hierarchy check, so a third test
+traces one in process.
 """
 
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+from latticesums import hierarchy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,3 +44,21 @@ def test_traced_verify_smoke_pass():
     metrics = _traced_smoke_pass("verify")
     assert metrics["series.mul.calls"]["value"] > 0
     assert metrics["series.mul.term_pairs"]["value"] > 0
+
+
+def test_tracer_sees_the_hierarchy_operators(a1_alpha1, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmark"))
+    import tracing
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    tracer.active = True
+    try:
+        rep = hierarchy.check_hierarchy(a1_alpha1, [1, 2],
+                                        (Fraction(0),), 4)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert rep["max_discrepancy"] == 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["hierarchy.apply_Dg_summand.calls"] > 0
+    assert metrics["hierarchy.check_hierarchy.time_s"] > 0

@@ -201,20 +201,49 @@ def test_verify_hierarchy_rank_drop_exits_1():
     assert proc.stderr.count("\n") == 1
 
 
-def test_verify_hierarchy_route_disagreement_exits_3(monkeypatch, capsys):
+def test_verify_hierarchy_mutated_operator_exits_4(monkeypatch, capsys):
     import latticesums.hierarchy as hierarchy
-    from latticesums.series import TruncatedSeries
-    real = hierarchy._tf_form_series
+    from latticesums.series import RationalForm
+    real = hierarchy.apply_Dg_summand
 
-    def skewed(ctx, f, order):
-        s = real(ctx, f, order)
-        return s + TruncatedSeries.one(s.ring, s.vars, s.trunc)
+    def negated(ctx, state, g, order):
+        new = real(ctx, state, g, order)
+        if new is None:
+            return None
+        bidx, form = new
+        return bidx, RationalForm(-form.numerator, form.denominators)
 
-    monkeypatch.setattr(hierarchy, "_tf_form_series", skewed)
+    monkeypatch.setattr(hierarchy, "apply_Dg_summand", negated)
     rc = main(["verify", "hierarchy", "--arrangement", "a1_alpha1.json",
                "--y", "1/3", "--order", "3", "--remove", "f0"])
-    assert rc == 3
-    assert "disagree" in capsys.readouterr().err
+    assert rc == 4
+    assert "max discrepancy: 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_verify_hierarchy_stray_removed_variable_exits_4(mode, monkeypatch,
+                                                         capsys):
+    # every coefficient the sub-arrangement has is right, but terms in the
+    # removed t0 are left over: numeric mode used to pass them
+    import latticesums.hierarchy as hierarchy
+    from latticesums.series import TruncatedSeries
+    real = hierarchy.sum_rational_forms
+
+    def with_stray_terms(forms):
+        total = real(forms)
+        one = TruncatedSeries.one(total.ring, total.vars, total.trunc)
+        t0 = TruncatedSeries.variable(total.ring, total.vars, total.trunc,
+                                      "t0")
+        return total * (one + t0)
+
+    monkeypatch.setattr(hierarchy, "sum_rational_forms", with_stray_terms)
+    rc = main(["verify", "hierarchy", "--arrangement", "a1_alpha1.json",
+               "--y", "1/3", "--order", "3", "--remove", "f0",
+               "--mode", mode])
+    assert rc == 4
+    record = json.loads(capsys.readouterr().out.rsplit("\nmax discrepancy",
+                                                       1)[0])
+    assert record["stray_variable_terms"] > 0
 
 
 def test_deterministic_output_bytes():

@@ -2,13 +2,27 @@ from fractions import Fraction
 
 import pytest
 
+import latticesums.hierarchy as hierarchy
 from latticesums.errors import RankDrop
-from latticesums.families import a2_directions, hurwitz_a1, triangle
-from latticesums.genfun import EvaluationContext
-from latticesums.hierarchy import (_build_states, apply_Dg_summand,
-                                   check_hierarchy)
+from latticesums.families import a2_directions, triangle
+from latticesums.genfun import (EvaluationContext, build_summands,
+                                summand_rational_form)
+from latticesums.hierarchy import apply_Dg_summand, check_hierarchy
 from latticesums.lattice import Arrangement, make_functional
-from latticesums.series import sum_rational_forms
+from latticesums.series import (LinearForm, RationalForm, divide_exact,
+                                sum_rational_forms)
+
+
+def _states(ctx, order):
+    """Every summand as the (basis index, rational form) pair that the
+    removal operators act on."""
+    return [(s.bidx, summand_rational_form(ctx, s, order))
+            for s in build_summands(ctx)]
+
+
+def _remove(ctx, states, g, order):
+    states = [apply_Dg_summand(ctx, st, g, order) for st in states]
+    return [st for st in states if st is not None]
 
 
 def test_remove_each_functional_rank1(a1_alpha1):
@@ -37,23 +51,6 @@ def test_unknown_or_repeated_kept_functional_rejected(a1_alpha1):
         check_hierarchy(a1_alpha1, [0, 0], (Fraction(0),), 4)
 
 
-def test_report_counts_eigen_checks(a1_alpha1, monkeypatch):
-    import latticesums.hierarchy as hierarchy
-    real = hierarchy.apply_Dg_summand
-    compared = []
-
-    def counting(ctx, state, g, order):
-        new_state, disc = real(ctx, state, g, order)
-        if new_state is not None:
-            compared.append(g)
-        return new_state, disc
-
-    monkeypatch.setattr(hierarchy, "apply_Dg_summand", counting)
-    rep = check_hierarchy(a1_alpha1, [0, 2], (Fraction(0),), 4)
-    assert rep["eigen_checks"] > 0
-    assert rep["eigen_checks"] == len(compared)
-
-
 def test_double_removal(generic_y2):
     arr = Arrangement(2, [make_functional((1, 0), 0),
                           make_functional((0, 1), 0),
@@ -76,15 +73,20 @@ def test_rank_drop_rejected(triangle_rational, generic_y2):
 def test_operator_annihilates_own_basis_summands(generic_y2):
     arr = a2_directions()
     ctx = EvaluationContext(arr, generic_y2, "exact")
-    states = _build_states(ctx, 4)
     g = 2
-    for st in states:
-        new_state, _ = apply_Dg_summand(ctx, st, g, 4)
-        if g in ctx.arr.bases[st.bidx].members:
-            assert new_state is None
-        else:
-            assert new_state is not None
-            # the eigenvalue route ran the internal equality assertion
+    tg = LinearForm(ctx.ring, {"t2": Fraction(1)})
+    for st in _states(ctx, 4):
+        new = apply_Dg_summand(ctx, st, g, 4)
+        if g in ctx.arr.bases[st[0]].members:
+            assert new is None
+            continue
+        bidx, form = new
+        assert bidx == st[0]
+        assert [d.key for d in form.denominators] == \
+            [d.key for d in st[1].denominators] + [tg.key]
+        # the operator strips the summand's factor t_g: the new numerator
+        # divides exactly by t_g
+        divide_exact(form.numerator, tg)
 
 
 def test_operator_commutativity(generic_y2):
@@ -96,15 +98,10 @@ def test_operator_commutativity(generic_y2):
     order = 6
 
     def apply_sequence(seq):
-        states = _build_states(ctx, order)
+        states = _states(ctx, order)
         for g in seq:
-            nxt = []
-            for st in states:
-                ns, _ = apply_Dg_summand(ctx, st, g, order)
-                if ns is not None:
-                    nxt.append(ns)
-            states = nxt
-        return sum_rational_forms([st.to_rational_form() for st in states])
+            states = _remove(ctx, states, g, order)
+        return sum_rational_forms([form for _, form in states])
 
     f23 = apply_sequence([2, 3])
     f32 = apply_sequence([3, 2])
@@ -116,13 +113,8 @@ def test_variable_disappears(generic_y2):
     arr = a2_directions()
     ctx = EvaluationContext(arr, generic_y2, "exact")
     order = 5
-    states = _build_states(ctx, order)
-    nxt = []
-    for st in states:
-        ns, _ = apply_Dg_summand(ctx, st, 2, order)
-        if ns is not None:
-            nxt.append(ns)
-    total = sum_rational_forms([st.to_rational_form() for st in nxt])
+    states = _remove(ctx, _states(ctx, order), 2, order)
+    total = sum_rational_forms([form for _, form in states])
     assert all(e[2] == 0 for e in total.terms)
 
 
@@ -130,7 +122,48 @@ def test_numeric_mode(generic_y2):
     rep = check_hierarchy(a2_directions(), [0, 1], generic_y2, 3,
                           mode="numeric", precision=96)
     assert rep["max_discrepancy"] < 2.0 ** (-48)
-    assert max(rep["eigen_discrepancies"]) < 2.0 ** (-48)
+
+
+def _negated(real):
+    def apply(ctx, state, g, order):
+        new = real(ctx, state, g, order)
+        if new is None:
+            return None
+        bidx, form = new
+        return bidx, RationalForm(-form.numerator, form.denominators)
+    return apply
+
+
+def _t_g_dropped(real):
+    def apply(ctx, state, g, order):
+        new = real(ctx, state, g, order)
+        if new is None:
+            return None
+        bidx, form = new
+        return bidx, RationalForm(form.numerator, form.denominators[:-1])
+    return apply
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("arr", [a2_directions(),
+                                 triangle(Fraction(1, 3), Fraction(1, 5),
+                                          Fraction(7, 15))],
+                         ids=["a2_directions", "triangle"])
+@pytest.mark.parametrize("mutation", [_negated, _t_g_dropped])
+def test_mutated_operator_fails_check(mutation, arr, mode, generic_y2,
+                                      monkeypatch):
+    # a wrong sign of den_g, or a t_g left out of the denominators, must
+    # not land on the sub-arrangement's generating function
+    monkeypatch.setattr(hierarchy, "apply_Dg_summand",
+                        mutation(hierarchy.apply_Dg_summand))
+    rep = check_hierarchy(arr, [0, 1], generic_y2, 3, mode=mode,
+                          precision=96)
+    if mode == "exact":
+        assert rep["max_discrepancy"] == 1
+    else:
+        assert rep["max_discrepancy"] > 2.0 ** (-48)
+    if mutation is _t_g_dropped:
+        assert rep["stray_variable_terms"] > 0
 
 
 def test_singular_point_uses_one_sided_branch(a1_alpha1):

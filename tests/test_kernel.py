@@ -11,8 +11,8 @@ from latticesums.kernel import (KernelParams, bernoulli_numbers,
                                 moment_integral_exact)
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
-from latticesums.scalar import ExactRing
-from latticesums.series import TruncatedSeries, Truncation
+from latticesums.scalar import ExactRing, NumericRing
+from latticesums.series import LinearForm, TruncatedSeries, Truncation
 
 CTX = MPContext()
 CTX.prec = 100
@@ -122,6 +122,28 @@ def test_derivative_series_eigenproperty():
                 want = (s.coefficient((k - 1,)) if k else ring.zero()) \
                     - tpib * s.coefficient((k,))
                 assert ds.coefficient((k,)) == want
+
+
+@pytest.mark.parametrize("ring", [ExactRing(420), NumericRing(128)],
+                         ids=["exact", "numeric"])
+@pytest.mark.parametrize("b", [Fraction(0), Fraction(1), Fraction(1, 3),
+                               Fraction(3, 4)])
+@pytest.mark.parametrize("y, delta", [(Fraction(1, 7), Fraction(1, 5)),
+                                      (Fraction(0), Fraction(1)),
+                                      (Fraction(2, 7), Fraction(3, 5))])
+def test_kernel_shift_in_y(ring, b, y, delta):
+    # the kernel depends on y only through e^{(t - 2 pi i b) y}, so a shift
+    # by delta multiplies it by e^{delta t - 2 pi i b delta}: the
+    # Apostol-Bernoulli shift, checked on the closed-form coefficients
+    order = 7
+    shifted = kernel_series(ring, KernelParams.make(b, y + delta), order)
+    factor = LinearForm(ring, {"t": delta}, b * delta).exp(
+        ring, ("t",), Truncation(order))
+    product = kernel_series(ring, KernelParams.make(b, y), order) * factor
+    if ring.exact:
+        assert shifted.terms == product.terms
+    else:
+        assert (shifted - product).max_magnitude() < 2.0 ** (-100)
 
 
 def _series_inversion_kernel(ring, b, y, order):

@@ -2,8 +2,8 @@
 arrangements, via a closed-form generating function with a brute-force
 oracle and a convex-polytope reconstruction as independent checks."""
 
-from .errors import (DegenerateExponent, ExcludedPoint, LatticeSumError,
-                     NonDivisible, NotInvertible, NotSimple, RankDrop)
+from .errors import (ExcludedPoint, LatticeSumError, NonDivisible,
+                     NotInvertible, NotSimple, RankDrop)
 from .genfun import (EvaluationContext, EvaluationReport, WeightVector,
                      coefficient, cyclotomic_order, generating_function,
                      lattice_sum_value, zeta_from_S)
@@ -26,7 +26,7 @@ __all__ = [
     "EvaluationContext", "EvaluationReport", "WeightVector",
     "TruncationWindow", "ExactRing", "ExactScalar", "NumericRing",
     "LatticeSumError", "ExcludedPoint", "NonDivisible", "NotSimple",
-    "RankDrop", "DegenerateExponent", "NotInvertible",
+    "RankDrop", "NotInvertible",
     "arrangement_from_json", "arrangement_to_json", "load_arrangement",
     "make_functional", "enumerate_bases", "choose_phi",
     "frac_part", "on_excluded_hyperplanes", "coset_character_sum",

@@ -10,8 +10,8 @@ Commands:
 
 Exit codes: 0 ok, 1 I/O or usage (including kept functionals that no
 longer span the space), 2 excluded point, 3 internal consistency failure (a
-non-divisible sum, a non-simple polytope, a degenerate polytope exponent,
-or an exact scalar that cannot be inverted), 4 verification failure.
+non-divisible sum, a non-simple polytope, or an exact scalar that cannot be
+inverted), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from fractions import Fraction
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .errors import (DegenerateExponent, ExcludedPoint, NonDivisible,
-                     NotInvertible, NotSimple, RankDrop)
+from .errors import (ExcludedPoint, NonDivisible, NotInvertible, NotSimple,
+                     RankDrop)
 from .genfun import (EvaluationContext, coefficient, lattice_sum_value,
                      zeta_from_S)
 from .hierarchy import check_hierarchy
@@ -324,8 +324,7 @@ def main(argv=None) -> int:
     except ExcludedPoint as exc:
         print(f"excluded point: {exc}", file=sys.stderr)
         return 2
-    except (NonDivisible, NotSimple, DegenerateExponent,
-            NotInvertible) as exc:
+    except (NonDivisible, NotSimple, NotInvertible) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, json.JSONDecodeError, ValueError, RankDrop) as exc:

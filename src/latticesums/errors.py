@@ -39,10 +39,6 @@ class RankDrop(LatticeSumError):
     """A sub-arrangement no longer spans the ambient space."""
 
 
-class DegenerateExponent(LatticeSumError):
-    """An exponent vector annihilates an edge direction of a polytope."""
-
-
 class NotInvertible(LatticeSumError):
     """An exact scalar that is not a pi-monomial was inverted; only
     c * pi^k with nonzero c in Q(zeta_N) has an inverse in the exact

@@ -6,9 +6,10 @@ integral b (lam = 1) that is the Bernoulli generating function scaled by a
 root of unity; otherwise it is the Apostol-Bernoulli generating function
 (T. M. Apostol, On the Lerch zeta function, Pacific J. Math. 1, 1951),
 whose coefficients follow from a recurrence that inverts only lam - 1.
-Both the series and the closed-form coefficients live here, together with
-the moment integrals against e^{-2 pi i m x} that drive the
-brute-force/closed-form agreement.
+The evaluators read the kernel only as this series in t.  The closed-form
+coefficients C(k, y; b) (Bernoulli polynomials for integral b) and their
+moment integrals against e^{-2 pi i m x} are independent references for
+it, kept with the tests in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -33,22 +34,6 @@ def bernoulli_numbers(n: int) -> tuple:
             acc += math.comb(m + 1, j) * out[j]
         out.append(-acc / (m + 1))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def bernoulli_poly_coeffs(k: int) -> tuple:
-    """Coefficients (in increasing powers of y) of the k-th Bernoulli polynomial."""
-    bn = bernoulli_numbers(k)
-    return tuple(math.comb(k, j) * bn[k - j] for j in range(k + 1))
-
-
-def bernoulli_poly(k: int, y) -> Fraction:
-    acc = Fraction(0)
-    yp = Fraction(1)
-    for c in bernoulli_poly_coeffs(k):
-        acc += c * yp
-        yp *= y
-    return acc
 
 
 @dataclass(frozen=True)
@@ -168,80 +153,3 @@ def kernel_series_dy(ring, params: KernelParams, order: int, var: str = "t",
     dy = [(c[n - 1] if n else ring.zero()) - two_pi_i_b * c[n]
           for n in range(order + 1)]
     return _univariate(ring, dy, order, var, vars)
-
-
-def kernel_coeff(ring, k: int, params: KernelParams):
-    """C(k, y; b): k! times the k-th Taylor coefficient."""
-    if params.integral and ring.exact:
-        pref = _exp_b(ring, params.b, -Fraction(params.y))
-        return pref * ring.from_fraction(bernoulli_poly(k, Fraction(params.y)))
-    s = kernel_series(ring, params, k)
-    fact = ring.from_fraction(Fraction(math.factorial(k)))
-    return s.coefficient((k,)) * fact
-
-
-def kernel_moment(k: int, m: int, b) -> Union[Fraction, complex]:
-    """The four-case value of -(2 pi i)^k/k! * integral_0^1 C(k,x;b) e^{-2 pi i m x} dx."""
-    if isinstance(b, Fraction) or isinstance(b, int):
-        shifted = Fraction(m) + Fraction(b)
-        zero = shifted == 0
-    else:
-        shifted = m + complex(b)
-        zero = shifted == 0
-    if k == 0:
-        return Fraction(-1) if zero else Fraction(0)
-    if zero:
-        return Fraction(0)
-    if isinstance(shifted, Fraction):
-        return 1 / shifted**k
-    return 1 / shifted**k
-
-
-def kernel_coeff_poly(ring, k: int, params_b: Fraction):
-    """C(k, x; b) as a polynomial in x times e^{-2 pi i b x}.
-
-    Returns the coefficient list [p_0, ..., p_d] (ring scalars) such that
-    C(k, x; b) = (sum_j p_j x^j) e^{-2 pi i b x}.
-    """
-    b = Fraction(params_b)
-    if b.denominator == 1:
-        return [ring.from_fraction(c) for c in bernoulli_poly_coeffs(k)]
-    # C(k, x; b) = B_k(x; lam) = sum_j C(k, j) B_{k-j}(lam) x^j, B_0(lam) = 0
-    bn = _apostol_numbers(ring, _exp_b(ring, b, -1), k)
-    return [ring.scale(bn[k - j], math.comb(k, j)) for j in range(k)] \
-        or [ring.zero()]
-
-
-def moment_integral_exact(ring, k: int, m: int, b: Fraction):
-    """-(2 pi i)^k/k! * integral_0^1 C(k,x;b) e^{-2 pi i m x} dx, symbolically.
-
-    The integrand is a polynomial times an exponential, so integration by
-    parts gives a closed form inside Q(zeta_N)(pi).
-    """
-    b = Fraction(b)
-    poly = kernel_coeff_poly(ring, k, b)
-    shift = b + m
-    if shift == 0:
-        integral = ring.zero()
-        for j, p in enumerate(poly):
-            integral = integral + p * ring.from_fraction(Fraction(1, j + 1))
-    else:
-        c = -(ring.two_pi_i() * ring.from_fraction(shift))
-        c_inv = ring.inv(c)
-        e_c = ring.root_of_unity(-b)  # e^{-2 pi i (b + m)} = e^{-2 pi i b}
-        integral = ring.zero()
-        for j, p in enumerate(poly):
-            if ring.is_zero(p):
-                continue
-            jfact = math.factorial(j)
-            # int_0^1 x^j e^{cx} dx
-            at_one = ring.zero()
-            for i in range(j + 1):
-                term = ring.from_fraction(Fraction((-1) ** (j - i) * jfact,
-                                                   math.factorial(i)))
-                at_one = at_one + term * c_inv ** (j - i + 1)
-            at_zero = ring.from_fraction(Fraction((-1) ** j * jfact)) \
-                * c_inv ** (j + 1)
-            integral = integral + p * (e_c * at_one - at_zero)
-    sign = ring.from_fraction(Fraction(-1, math.factorial(k)))
-    return sign * ring.two_pi_i() ** k * integral

@@ -5,19 +5,34 @@ rest L0, the averaged coset/integral form of the evaluator turns into a
 lattice of polytopes P(m; y) inside the unit cube [0,1]^(#L0): one per
 integer translate m, cut out by the cube facets and one slab per basis
 functional.  Integrating exp(t* . x) over each polytope with the vertex
-formula for simple polytopes and summing over m reassembles the full
-generating function, an independent cross-check of the basis sum.
+formula for simple polytopes (Brion-Lawrence: J. Lawrence, Polytope volume
+computation, Math. Comp. 57, 1991; A. Barvinok, Integer Points in
+Polyhedra, EMS 2008) and summing over m reassembles the full generating
+function, an independent cross-check of the basis sum.
+
+The translates are enumerated, not searched for.  P(m; y) can be nonempty
+only when each <y + m, f^B0> lies in a window fixed by the cube, and every
+integer m is w + sum_{f in B0} z_f f for exactly one coset representative
+w of B0 and one integer vector z, with <m, f^B0> = <w, f^B0> + z_f.  So
+for each w the z_f run over the integers of f's window shifted by
+<w, f^B0>.
 
 All geometry (vertices, incidence, edges) is exact rational arithmetic in
-the coordinates of L0, computed once per translate m.  The functional
-constants only enter through the exponential prefactors and the edge
-denominators t* . (p - p'), which are rational combinations of the
-functionals.  The evaluator's builder (``EvaluationContext.combination``)
-returns each, and each vertex exponent, as an exact ``LinearForm``.  From
-its exact constant an edge denominator is singular, to be divided out
-after summing, or a unit, whose inverse is expanded in closed form; the
-vertex exponential e^{t* . p} is expanded in closed form too
-(``LinearForm.exp``), with no series product.
+the coordinates of L0, computed once per translate m.  Each vertex comes
+from a witness (B, A): it lies on the hyperplanes (g, a_g) for g outside
+B by construction, and on another one exactly when one of its basis
+values <y + m - sum a_g g, f^B>, f in B, is 0 or 1.  A polytope is
+therefore simple exactly when no witness has a basis value 0 or 1.
+
+The functional constants only enter through the exponential prefactors
+and the edge denominators t* . (p - p'), which are rational combinations
+of the functionals.  The evaluator's builder
+(``EvaluationContext.combination``) returns each, and each vertex
+exponent, as an exact ``LinearForm``.  From its exact constant an edge
+denominator is singular, to be divided out after summing, or a unit,
+whose inverse is expanded in closed form; the vertex exponential
+e^{t* . p} is expanded in closed form too (``LinearForm.exp``), with no
+series product.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
-from .errors import DegenerateExponent, NotSimple
+from .errors import NotSimple
 from .genfun import EvaluationContext, _context
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, in_singular_locus
@@ -37,26 +52,6 @@ from .series import (RationalForm, TruncatedSeries, Truncation,
                      sum_rational_forms)
 
 Label = Tuple[int, int]  # (functional index, side a)
-
-
-@dataclass
-class HalfSpace:
-    label: Label
-    u: Tuple[Fraction, ...]
-    v: Fraction
-
-
-@dataclass
-class HPolytope:
-    """H-representation of P(m; y) in the coordinates of L0."""
-
-    m: Tuple[int, ...]
-    coords: Tuple[int, ...]  # functional indices of L0, in order
-    halfspaces: List[HalfSpace]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
 
 @dataclass
@@ -73,7 +68,6 @@ class Decomposition:
 
     def __init__(self, arr: Arrangement, b0_index: int = 0):
         self.arr = arr
-        self.b0_index = b0_index
         self.b0: Basis = arr.bases[b0_index]
         self.l0: Tuple[int, ...] = tuple(i for i in range(arr.size)
                                          if i not in self.b0.members)
@@ -83,33 +77,6 @@ class Decomposition:
         return sum(Fraction(d) * e for d, e in
                    zip(self.arr.functionals[g].direction,
                        self.b0.dual(member)))
-
-
-def build_polytope(dec: Decomposition, m: Sequence[int],
-                   y: Sequence[Fraction]) -> HPolytope:
-    arr, b0, l0 = dec.arr, dec.b0, dec.l0
-    y = [Fraction(v) for v in y]
-    halfspaces = []
-    n = len(l0)
-    for f in range(arr.size):
-        for a in (0, 1):
-            if f in b0.members:
-                dual = b0.dual(f)
-                base = [dec.dual_pair(g, f) for g in l0]
-                ym = sum((yv + mv) * d for yv, mv, d in zip(y, m, dual))
-                if a == 1:
-                    u = tuple(base)
-                    v = ym - 1  # <y+m-f, f^B0> since <f, f^B0> = 1
-                else:
-                    u = tuple(-c for c in base)
-                    v = -ym
-            else:
-                pos = l0.index(f)
-                u = tuple(Fraction(1 if i == pos else 0) * (-1) ** a
-                          for i in range(n))
-                v = Fraction(-a)
-            halfspaces.append(HalfSpace((f, a), u, v))
-    return HPolytope(tuple(int(x) for x in m), l0, halfspaces)
 
 
 def enumerate_m(dec: Decomposition, y: Sequence[Fraction]
@@ -122,60 +89,48 @@ def _translates(dec: Decomposition, y: Sequence[Fraction]
                 ) -> List[Tuple[Tuple[int, ...], List[VertexWitness]]]:
     """(m, vertices of P(m; y)) for every nonempty P(m; y), sorted by m.
 
-    Interval arithmetic over the unit cube gives a window per basis
-    functional; candidates in the window are kept when they carry at least
-    one vertex (in dimension zero, the point itself).
+    Over the unit cube, <y + m, f^B0> ranges over [lo_f, hi_f + 1] with
+    lo_f (hi_f) the sum of the negative (positive) <g, f^B0>, g in L0.
+    Each candidate m = w + sum z_f f in those windows is kept when it
+    carries at least one vertex (in dimension zero, the point itself).
     """
     arr, b0, l0 = dec.arr, dec.b0, dec.l0
     y = [Fraction(v) for v in y]
-    windows = {}
+    windows = []
     for f in b0.members:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for g in l0:
-            c = dec.dual_pair(g, f)
-            if c > 0:
-                hi += c
-            else:
-                lo += c
+        pairs = [dec.dual_pair(g, f) for g in l0]
         ydot = sum(yv * d for yv, d in zip(y, b0.dual(f)))
-        # need lo <= <y+m, f^B0> and <y+m, f^B0> - 1 <= hi
-        windows[f] = (lo - ydot, hi + 1 - ydot)
-    r = arr.rank
-    bound = 0
-    for f in b0.members:
-        amax = max(abs(windows[f][0]), abs(windows[f][1]))
-        fdir = arr.functionals[f].direction
-        bound = max(bound, int(math.ceil(float(
-            amax * max(abs(x) for x in fdir) * r))) + 1)
+        windows.append((sum(c for c in pairs if c < 0) - ydot,
+                        sum(c for c in pairs if c > 0) + 1 - ydot))
+    dirs = [arr.functionals[f].direction for f in b0.members]
     out = []
-    for m in itertools.product(range(-bound, bound + 1), repeat=r):
-        ok = True
-        for f in b0.members:
-            s = sum(Fraction(mv) * d for mv, d in zip(m, b0.dual(f)))
-            lo, hi = windows[f]
-            if not (lo <= s <= hi):
-                ok = False
-                break
-        if not ok:
-            continue
-        verts = vertices(dec, m, y)
-        if verts:
-            out.append((tuple(m), verts))
+    for w in b0.coset_reps:
+        ranges = []
+        for f, (lo, hi) in zip(b0.members, windows):
+            wdot = sum(wv * d for wv, d in zip(w, b0.dual(f)))
+            ranges.append(range(math.ceil(lo - wdot),
+                                math.floor(hi - wdot) + 1))
+        for z in itertools.product(*ranges):
+            m = tuple(wv + sum(zf * d[i] for zf, d in zip(z, dirs))
+                      for i, wv in enumerate(w))
+            verts = vertices(dec, m, y)
+            if verts:
+                out.append((m, verts))
     return sorted(out, key=lambda item: item[0])
 
 
-def vertices(dec: Decomposition, m: Sequence[int], y: Sequence[Fraction],
-             check_unique: bool = False) -> List[VertexWitness]:
+def vertices(dec: Decomposition, m: Sequence[int], y: Sequence[Fraction]
+             ) -> List[VertexWitness]:
     """Vertices of P(m; y) from their witnesses (basis, side vector).
 
     Every vertex arises from a witness W = (B, A): it is the intersection
     of the hyperplanes labelled (g, a_g) for g outside B, and it belongs to
-    the polytope iff all basis inner products lie in [0, 1]."""
+    the polytope iff all basis inner products lie in [0, 1].  A vertex with
+    several witnesses is kept once, with the first."""
     arr, l0 = dec.arr, dec.l0
     y = [Fraction(v) for v in y]
     out = []
-    seen_points = {}
+    seen_points = set()
     for b in arr.bases:
         outside = tuple(i for i in range(arr.size) if i not in b.members)
         for sides in itertools.product((0, 1), repeat=len(outside)):
@@ -204,54 +159,20 @@ def vertices(dec: Decomposition, m: Sequence[int], y: Sequence[Fraction],
                     point.append(sum(s * d for s, d in
                                      zip(shift, b.dual(g))))
             point = tuple(point)
-            incident = tuple(sorted((g, a[g]) for g in outside))
-            w = VertexWitness(b.members, a, point, qvals, incident)
             if point in seen_points:
-                if check_unique:
-                    raise NotSimple(
-                        f"two witnesses give the same vertex {point}: "
-                        f"the point lies on the singular locus")
                 continue
-            seen_points[point] = w
-            out.append(w)
+            seen_points.add(point)
+            incident = tuple(sorted((g, a[g]) for g in outside))
+            out.append(VertexWitness(b.members, a, point, qvals, incident))
     out.sort(key=lambda w: (w.point, w.basis_members))
     return out
 
 
-def incident_hyperplane_count(poly: HPolytope, point: Sequence[Fraction]
-                              ) -> int:
-    count = 0
-    for hs in poly.halfspaces:
-        val = sum(u * p for u, p in zip(hs.u, point))
-        if val == hs.v:
-            count += 1
-    return count
-
-
-def is_simple(poly: HPolytope, verts: List[VertexWitness]) -> bool:
-    """Every vertex on exactly dim incident hyperplanes."""
-    n = poly.dim
-    return all(incident_hyperplane_count(poly, w.point) == n for w in verts)
-
-
-def brute_force_vertices(poly: HPolytope) -> List[Tuple[Fraction, ...]]:
-    """Direct H-to-V conversion: solve every n-subset of boundary
-    hyperplanes and keep feasible intersection points.  Cross-check only."""
-    n = poly.dim
-    pts = {}
-    for combo in itertools.combinations(poly.halfspaces, n):
-        rows = [list(hs.u) for hs in combo]
-        if intlinalg.det(rows) == 0:
-            continue
-        inv = intlinalg.mat_inverse(rows)
-        rhs = [hs.v for hs in combo]
-        p = tuple(sum(inv[i][j] * rhs[j] for j in range(n)) for i in range(n))
-        feasible = all(
-            sum(u * x for u, x in zip(hs.u, p)) >= hs.v
-            for hs in poly.halfspaces)
-        if feasible:
-            pts[p] = True
-    return sorted(pts)
+def witnesses_simple(verts: List[VertexWitness]) -> bool:
+    """Every vertex on exactly the hyperplanes of its witness: no basis
+    value is 0 or 1."""
+    return all(q != 0 and q != 1
+               for w in verts for q in w.basis_values.values())
 
 
 def adjacency(verts: List[VertexWitness]) -> List[List[int]]:
@@ -267,42 +188,6 @@ def adjacency(verts: List[VertexWitness]) -> List[List[int]]:
                 nbrs.append(j)
         out.append(nbrs)
     return out
-
-
-def exp_integral_simple(verts: List[VertexWitness], a_vec: Sequence,
-                        ctx) -> object:
-    """Numeric vertex formula for int_P exp(a . x) dx over a simple polytope.
-
-    a_vec is a vector of numeric scalars; raises DegenerateExponent when an
-    edge direction annihilates it."""
-    if not verts:
-        return ctx.mpc(0)
-    n = len(verts[0].point)
-    if n == 0:
-        return ctx.mpc(1)
-    adj = adjacency(verts)
-    if any(len(nb) != n for nb in adj):
-        raise NotSimple("vertex adjacency degree differs from the dimension")
-    total = ctx.mpc(0)
-    for i, w in enumerate(verts):
-        edges = [tuple(pk - pj for pk, pj in zip(w.point, verts[j].point))
-                 for j in adj[i]]
-        detv = intlinalg.det([[e[t] for e in edges] for t in range(n)])
-        expo = ctx.mpc(0)
-        for av, pv in zip(a_vec, w.point):
-            expo += ctx.mpc(av) * ctx.mpf(pv.numerator) / ctx.mpf(pv.denominator)
-        denom = ctx.mpc(1)
-        for e in edges:
-            d = ctx.mpc(0)
-            for av, ev in zip(a_vec, e):
-                d += ctx.mpc(av) * ctx.mpf(ev.numerator) / ctx.mpf(ev.denominator)
-            if d == 0:
-                raise DegenerateExponent("edge direction annihilates the "
-                                         "exponent vector")
-            denom *= d
-        total += abs(ctx.mpf(detv.numerator) / ctx.mpf(detv.denominator)) \
-            * ctx.exp(expo) / denom
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +247,10 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
 
 def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
                          mode: str = "exact", precision: int = 128,
-                         b0_index: int = 0,
                          ctx: Optional[EvaluationContext] = None
                          ) -> TruncatedSeries:
-    """Reassemble the generating function from polytope integrals.
+    """Reassemble the generating function from polytope integrals, over
+    the decomposition at the first basis.
 
     Requires y off the singular locus (exactly tested for rational y);
     raises NotSimple if a polytope fails the simplicity expected there.
@@ -379,13 +264,13 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
                         "not all simple there")
     ctx = _context(arr, y, mode, precision, None, ctx)
     ring = ctx.ring
-    dec = Decomposition(arr, b0_index)
+    dec = Decomposition(arr)
     tstar = _tstar_data(dec)
     n = len(dec.l0)
     cells = []   # (m, [(vertex, edge vectors, edge denominators)])
     singular = set()
     for m, verts in _translates(dec, y):
-        if not is_simple(build_polytope(dec, m, y), verts):
+        if not witnesses_simple(verts):
             raise NotSimple(f"polytope at m={m} is not simple")
         adj = adjacency(verts)
         if any(len(nb) != n for nb in adj):
@@ -406,34 +291,22 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
         total = total + sum_rational_forms([
             _vertex_rational_form(ctx, dec, m, y, w, edges, dens, tstar, work)
             for w, edges, dens in cell])
-    prefactor = TruncatedSeries.one(ring, ctx.vars, trunc_work)
-    for f in range(arr.size):
-        params = KernelParams.make(ctx.constant(f), Fraction(0))
-        prefactor = prefactor * kernel_series(
-            ring, params, work, var=ctx.vars[f]).extend(ctx.vars, trunc_work)
-    total = total * prefactor
+    total = total * _kernel_prefactor(ctx, work)
     total = total.scalar_mul(ring.from_fraction(Fraction(1, dec.b0.index)))
     return total.with_truncation(Truncation(order))
 
 
-def witness_matrix(dec: Decomposition, w: VertexWitness):
-    """The matrix U whose columns are the hyperplane normals u(g, a_g) for
-    g outside the witness basis, in L0 coordinates."""
-    arr, b0, l0 = dec.arr, dec.b0, dec.l0
-    outside = [g for g in range(arr.size) if g not in w.basis_members]
-    cols = []
-    for g in outside:
-        a = w.sides[g]
-        if g in b0.members:
-            col = [Fraction((-1) ** (1 - a)) * dec.dual_pair(h, g)
-                   for h in l0]
-        else:
-            pos = l0.index(g)
-            col = [Fraction((-1) ** a if i == pos else 0)
-                   for i in range(len(l0))]
-        cols.append(col)
-    return outside, [[cols[j][i] for j in range(len(cols))]
-                     for i in range(len(l0))]
+def _kernel_prefactor(ctx: EvaluationContext, work: int) -> TruncatedSeries:
+    """prod_f kernel(c_f, 0)(t_f) through total degree `work`: one outer
+    product of the univariate coefficient lists."""
+    ring = ctx.ring
+    terms = {(): ring.one()}
+    for f, var in enumerate(ctx.vars):
+        params = KernelParams.make(ctx.constant(f), Fraction(0))
+        coeffs = kernel_series(ring, params, work, var=var).terms
+        terms = {e + (j,): c * cj for e, c in terms.items()
+                 for (j,), cj in coeffs.items() if sum(e) + j <= work}
+    return TruncatedSeries(ring, ctx.vars, Truncation(work), terms)
 
 
 def polytope_report(arr: Arrangement, y: Sequence, order: int,
@@ -444,15 +317,9 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
     from .genfun import generating_function
     y = [Fraction(v) for v in y]
     ctx = EvaluationContext(arr, y, mode, precision)
-    dec = Decomposition(arr, 0)
-    per_m = []
-    for m, verts in _translates(dec, y):
-        poly = build_polytope(dec, m, y)
-        per_m.append({
-            "m": list(m),
-            "vertices": len(verts),
-            "simple": bool(is_simple(poly, verts)),
-        })
+    per_m = [{"m": list(m), "vertices": len(verts),
+              "simple": witnesses_simple(verts)}
+             for m, verts in _translates(Decomposition(arr), y)]
     f_direct = generating_function(arr, y, order, mode=mode,
                                    precision=precision, ctx=ctx,
                                    check_excluded=False)
@@ -460,11 +327,8 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
                                   precision=precision, ctx=ctx)
     exps = set(f_direct.terms) | set(f_poly.terms)
     if mode == "exact":
-        max_disc = 0
-        mismatches = 0
-        for e in exps:
-            if not (f_direct.coefficient(e) == f_poly.coefficient(e)):
-                mismatches += 1
+        mismatches = sum(1 for e in exps
+                         if not f_direct.coefficient(e) == f_poly.coefficient(e))
         disc = "0 (exact)" if mismatches == 0 else f"{mismatches} coefficients"
     else:
         worst = 0.0

@@ -212,11 +212,11 @@ class LinearForm:
     """sum_v q_v t_v - 2 pi i c with rational q_v, the one form type.
 
     `coeffs` holds the nonzero q_v as Fractions, `den` their common
-    denominator, and `c` the exact constant, a Fraction or a Gaussian
-    rational; `c == 0` marks a singular form.  `constant` is -2 pi i c in
-    the ring.  `key`, the coefficients scaled so that the first (by
-    variable order) is 1, is equal for forms that agree up to a rational
-    scale.
+    denominator, and `c` the exact constant, a Fraction (an int is made
+    one) or a Gaussian rational; `c == 0` marks a singular form.
+    `constant` is -2 pi i c in the ring.  `key`, the coefficients scaled
+    so that the first (by variable order) is 1, is equal for forms that
+    agree up to a rational scale.
 
     Every function of the form that the evaluators expand is a power
     series sum_n f_n L^n in its linear part L = sum_v q_v t_v, and
@@ -228,6 +228,8 @@ class LinearForm:
     def __init__(self, ring, coeffs: Dict[str, Fraction], c=Fraction(0)):
         self.coeffs = {v: Fraction(q) for v, q in coeffs.items() if q}
         self.den = math.lcm(*(q.denominator for q in self.coeffs.values()))
+        if isinstance(c, int):
+            c = Fraction(c)
         self.c = c
         self.constant = ring.zero() if c == 0 else \
             -(ring.two_pi_i() * _ring_value(ring, c))

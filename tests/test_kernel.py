@@ -5,14 +5,13 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from latticesums.kernel import (KernelParams, bernoulli_numbers,
-                                bernoulli_poly, kernel_coeff,
-                                kernel_coeff_poly, kernel_moment,
-                                kernel_series, kernel_series_dy,
-                                moment_integral_exact)
+                                kernel_series, kernel_series_dy)
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import LinearForm, TruncatedSeries, Truncation
+from reference import (bernoulli_poly, kernel_coeff, kernel_coeff_poly,
+                       kernel_moment, moment_integral_exact)
 
 CTX = MPContext()
 CTX.prec = 100

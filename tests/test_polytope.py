@@ -2,21 +2,23 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from latticesums import intlinalg
-from latticesums.errors import DegenerateExponent, NotSimple
+from latticesums.errors import NotSimple
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.genfun import EvaluationContext, generating_function
-from latticesums.lattice import Arrangement, make_functional
-from latticesums.polytope import (Decomposition, HalfSpace, HPolytope,
-                                  VertexWitness, adjacency,
-                                  brute_force_vertices, build_polytope,
-                                  enumerate_m, exp_integral_simple,
-                                  genfun_via_polytopes,
-                                  incident_hyperplane_count, is_simple,
-                                  polytope_report, vertices, witness_matrix,
-                                  _tstar_data)
+from latticesums.lattice import (Arrangement, in_singular_locus,
+                                 make_functional)
+from latticesums.polytope import (Decomposition, VertexWitness,
+                                  enumerate_m, genfun_via_polytopes,
+                                  polytope_report, vertices,
+                                  witnesses_simple, _translates, _tstar_data)
+from reference import (HalfSpace, HPolytope, box_translates,
+                       brute_force_vertices, build_polytope,
+                       exp_integral_simple, incident_hyperplane_count,
+                       is_simple, witness_matrix)
 
 CTX = MPContext()
 CTX.prec = 140
@@ -56,6 +58,61 @@ def test_enumerate_m_translation_equivariance():
     assert ms_shift == sorted(tuple(a - b for a, b in zip(m, w)) for m in ms)
 
 
+DIRECTIONS_1 = [(1,), (-1,), (2,), (3,), (-2,)]
+DIRECTIONS_2 = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (-1, 2)]
+
+
+def _rational(dens):
+    return st.sampled_from(dens).flatmap(
+        lambda d: st.integers(-d, 2 * d).map(lambda n: Fraction(n, d)))
+
+
+@st.composite
+def _arrangements(draw, rank, dens):
+    """(arrangement, y): rank + 1 or rank + 2 functionals with rational
+    constants, and y with coordinates over `dens`."""
+    pool = DIRECTIONS_1 if rank == 1 else DIRECTIONS_2
+    dirs = draw(st.lists(st.sampled_from(pool), min_size=rank + 1,
+                         max_size=rank + 2))
+    assume(intlinalg.rank(dirs) == rank)
+    consts = draw(st.lists(_rational((1, 2, 3, 5)), min_size=len(dirs),
+                           max_size=len(dirs)))
+    arr = Arrangement(rank, [make_functional(d, c)
+                             for d, c in zip(dirs, consts)])
+    y = tuple(draw(st.lists(_rational(dens), min_size=rank,
+                            max_size=rank)))
+    return arr, y
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_translates_match_box_scan(rank, data):
+    # the translates enumerated through the coset representatives are
+    # exactly the nonempty cells of a scan of a box holding every window
+    arr, y = data.draw(_arrangements(rank, (7, 11, 13)))
+    assume(not in_singular_locus(y, arr))
+    for b in range(len(arr.bases)):
+        dec = Decomposition(arr, b)
+        got = _translates(dec, y)
+        assert got
+        assert got == box_translates(dec, y)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_witness_simplicity_matches_incidence_count(rank, data):
+    # shifts over small denominators often lie on the singular locus,
+    # where polytopes stop being simple
+    arr, y = data.draw(_arrangements(rank, (1, 2, 3, 7)))
+    for b in range(len(arr.bases)):
+        dec = Decomposition(arr, b)
+        for m, verts in _translates(dec, y):
+            assert witnesses_simple(verts) == \
+                is_simple(build_polytope(dec, m, y), verts)
+
+
 def test_zero_dimensional_case():
     arr = Arrangement(2, [make_functional((1, 0), Fraction(1, 3)),
                           make_functional((0, 1), Fraction(1, 5))])
@@ -85,8 +142,9 @@ def test_simplicity_off_singular_locus():
     arr = slab_instance()
     dec = Decomposition(arr, 0)
     for m in enumerate_m(dec, GENERIC_Y):
-        verts = vertices(dec, m, GENERIC_Y, check_unique=True)
+        verts = vertices(dec, m, GENERIC_Y)
         poly = build_polytope(dec, m, GENERIC_Y)
+        assert witnesses_simple(verts)
         assert is_simple(poly, verts)
         for w in verts:
             assert incident_hyperplane_count(poly, w.point) == 2
@@ -298,7 +356,7 @@ def test_exp_integral_vertex_order_invariance():
 
 
 def test_exp_integral_degenerate_exponent():
-    with pytest.raises(DegenerateExponent):
+    with pytest.raises(ZeroDivisionError):
         exp_integral_simple(_interval_vertices(), [CTX.mpf(0)], CTX)
 
 
@@ -316,6 +374,27 @@ def test_reconstruction_equals_direct_small_cases(generic_y2):
         F2 = genfun_via_polytopes(arr, y, order, ctx=ctx)
         exps = set(F1.terms) | set(F2.terms)
         assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
+
+
+@pytest.mark.parametrize("arr", [
+    a2_directions(),
+    triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+    triangle(Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)),
+], ids=["a2_directions", "triangle_1_2", "triangle_1_3"])
+def test_reconstruction_every_decomposition(arr, generic_y2):
+    # the reconstruction decomposes at the first basis; permuting the
+    # functionals moves that basis over every basis of the arrangement
+    firsts = set()
+    for perm in itertools.permutations(range(arr.size)):
+        arr_p = arr.permuted(perm)
+        firsts.add(tuple(sorted(perm[i] for i in arr_p.bases[0].members)))
+        ctx = EvaluationContext(arr_p, generic_y2, "exact")
+        F1 = generating_function(arr_p, generic_y2, 3, ctx=ctx,
+                                 check_excluded=False)
+        F2 = genfun_via_polytopes(arr_p, generic_y2, 3, ctx=ctx)
+        exps = set(F1.terms) | set(F2.terms)
+        assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
+    assert firsts == {b.members for b in arr.bases}
 
 
 def test_reconstruction_rejects_singular_y():

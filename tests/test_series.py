@@ -323,6 +323,24 @@ def test_inverse_power_rejects_zero_constant():
         l.inverse_power(R, VARS, Truncation(3), 1)
 
 
+@pytest.mark.parametrize("ring", [EXACT_RINGS[12], NR128],
+                         ids=["exact", "numeric"])
+@pytest.mark.parametrize("c", [0, 1, -2])
+def test_int_constant_is_a_fraction(ring, c):
+    coeffs = {"t1": Fraction(1), "t2": Fraction(-1, 2)}
+    tr = Truncation(3)
+    got = LinearForm(ring, coeffs, c)
+    want = LinearForm(ring, coeffs, Fraction(c))
+    assert got.singular == want.singular == (c == 0)
+    assert got.exp(ring, VARS, tr).terms == want.exp(ring, VARS, tr).terms
+    if c == 0:
+        with pytest.raises(NonDivisible):
+            got.inverse_power(ring, VARS, tr, 2)
+    else:
+        assert got.inverse_power(ring, VARS, tr, 2).terms == \
+            want.inverse_power(ring, VARS, tr, 2).terms
+
+
 def test_partial_fraction_identity():
     t1, t2 = var("t1"), var("t2")
     f1 = RationalForm(t1, [LinearForm(R, {"t1": 1, "t2": -1})])

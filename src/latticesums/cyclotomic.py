@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Dict, Tuple
 
 Exps = Tuple[int, ...]
@@ -59,6 +60,8 @@ class CyclotomicField:
         self._inv_cache: Dict[tuple, "CycElt"] = {}
         # (exps_a, exps_b) -> ((exps, integer coefficient), ...)
         self.basis_products: Dict[Tuple[Exps, Exps], tuple] = {}
+        # per factor: s -> zeta_q^s on the basis, filled as products need it
+        self._rows = [{} for _ in self.factors]
         self._root_cache: Dict[int, list] = {}
 
     def __repr__(self):
@@ -155,16 +158,32 @@ class CyclotomicField:
         return self._reduce(out)
 
     def basis_product(self, ea: Exps, eb: Exps) -> tuple:
-        """The product of two basis monomials as ((exps, int), ...),
-        computed once and kept in ``basis_products``."""
+        """The product of two basis monomials as ((exps, +-1), ...),
+        computed once and kept in ``basis_products``: the tensor product
+        over the prime-power factors of their rows at ea_i + eb_i, with
+        no reduction to run."""
         key = (ea, eb)
         got = self.basis_products.get(key)
         if got is None:
-            raw = self._mul_raw({ea: Fraction(1)}, {eb: Fraction(1)})
-            # the reduction only adds and negates, so coefficients are integers
-            got = tuple((e, int(c)) for e, c in raw.items())
+            got = ((), 1),
+            for i, s in enumerate(map(add, ea, eb)):
+                row = self._rows[i].get(s) or self._row(i, s)
+                got = tuple((e + (f,), c * d) for e, c in got
+                            for f, d in row)
             self.basis_products[key] = got
         return got
+
+    def _row(self, i: int, s: int) -> tuple:
+        """zeta_q^s for 0 <= s < 2q - 1 on the basis of factor i, as
+        ((exponent, +-1), ...), kept in ``_rows[i]``: one exponent when
+        s mod q < phi, else zeta^(phi + r) = -sum_{m=0}^{p-2}
+        zeta^(r + m*p^(a-1))."""
+        p, q, phi, pk = self.factors[i]
+        r = s % q
+        row = ((r, 1),) if r < phi else \
+            tuple((r - phi + m * pk, -1) for m in range(p - 1))
+        self._rows[i][s] = row
+        return row
 
     # -- numerics -------------------------------------------------------
 

@@ -19,10 +19,16 @@ y at its binary value), so that only values are rounded.  Taylor
 coefficients of the holomorphic total give the special values S via the
 weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
 
-Two evaluation strategies share the same summand builder:
+One summand builder, ``summand_rational_form``, writes a summand out as
+a rational form for every evaluator.  Every factor t_g / den_g and every
+singular t_g carries the monomial t_g, so the rest of the summand (its
+kernels and unit inverses) is built below the requested order by one
+degree for each t_g, and prod t_g is applied once, as an exponent shift,
+with no series product.  Two evaluation strategies use it:
 
-* ``generating_function`` assembles the full truncated series (fine for
-  small arrangements and used by all cross-checks);
+* ``generating_function`` assembles the full truncated series, every
+  variable live (fine for small arrangements and used by all
+  cross-checks; the hierarchy check starts from the same forms);
 * ``coefficient`` targets a single exponent vector.  Unit factors are
   collapsed to the closed form -(a_g + U_g)^{-k_g} immediately, so each
   summand only keeps its basis variables and the variables of singular
@@ -34,11 +40,9 @@ Two evaluation strategies share the same summand builder:
   closed-form coefficients on the box e <= k_B of its basis weights, the
   kernels to degree k_m and the unit factors' product on the box.  Only
   components with a singular denominator build series, to the order that
-  their divisions need.  There a summand's kernels and its collapsed unit
-  factors depend on its basis variables alone, so their product is built
-  on those rank-many variables first, below `order` by one degree for
-  each factor t_g that is still to come, and is extended to the
-  component's live variables once.
+  their divisions need, through the builder with the component's live
+  variables: the kernels and the collapsed unit factors are multiplied
+  on the rank-many basis variables and extended to the live ones once.
 
 ``coefficient`` keeps its values in one process-wide table of
 ``COEFFICIENT_TABLE_SIZE`` entries, least recently used dropped first.
@@ -46,9 +50,9 @@ The key holds everything the value depends on: rank, directions, exact
 constants, exact y, mode, cyclotomic order or precision, phi and k.  The
 values are stored as plain data (``ring.detach``), so no entry keeps a
 field or a context alive.  The nine-functional rank-two rows of the
-reference table, mostly singular, take 0.04-0.06 s each this way on a
-2-CPU x86-64 box with Python 3.11, and the zeta row that repeats one of
-them reads it back from the table.
+reference table, mostly singular, take 0.05-0.07 s each this way (best
+of 5 in one process, on a 2-CPU x86-64 box with Python 3.11), and the
+zeta row that repeats one of them reads it back from the table.
 """
 
 from __future__ import annotations
@@ -325,22 +329,57 @@ def build_summands(ctx: EvaluationContext) -> List[Summand]:
     return out
 
 
-def summand_rational_form(ctx: EvaluationContext, s: Summand,
-                          order: int) -> RationalForm:
-    """The summand as weight * prod_m K_m * prod_g t_g / den_g over the
-    unit factors * prod_g t_g over the singular ones, divided by the
-    singular denominators."""
-    ring, vars, trunc = ctx.ring, ctx.vars, Truncation(order)
-    num = TruncatedSeries.constant(ring, vars, trunc,
-                                   ring.from_fraction(s.weight))
-    for m in ctx.arr.bases[s.bidx].members:
-        num = num * ctx.kernel(s.bidx, s.w, m, order).extend(vars, trunc)
+def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
+                          live_vars: Optional[Tuple[str, ...]] = None,
+                          k: Optional[WeightVector] = None) -> RationalForm:
+    """The summand as a rational form in `live_vars` (every variable when
+    None), its numerator truncated at `order`:
+
+        weight * prod_m K_m * prod_dead -(a_g + U_g)^(-k_g)
+               * prod_live t_g / den_g * prod_singular t_g
+
+    over the singular denominators.  A unit factor whose t_g is not live
+    is collapsed to its Taylor coefficient at k_g,
+    [t_g^{k_g}] t_g / den_g = -(a_g + U_g)^(-k_g) (``_dead_unit``), a
+    function of the basis variables alone; `k` is read only for those.
+
+    Every t_g is a monomial, so everything else is built below `order` by
+    one degree for each of them: the kernels and the dead factors on the
+    basis variables, then, extended once to `live_vars`, the live unit
+    inverses.  The weight and the monomial prod t_g are applied last, as
+    one exponent shift into `order`.  The numerator is zero when the t_g
+    leave nothing below `order`, or when a dead factor is read at
+    k_g = 0."""
+    ring = ctx.ring
+    live_vars = ctx.vars if live_vars is None else live_vars
+    members = ctx.arr.bases[s.bidx].members
+    basis_vars = tuple(ctx.vars[m] for m in members)
+    live_units, dead_units = [], []
     for g, form in s.unit_factors:
-        tg = TruncatedSeries.variable(ring, vars, trunc, vars[g])
-        num = num * tg * form.inverse_power(ring, vars, trunc, 1)
-    for g, _ in s.degenerate_factors:
-        num = num * TruncatedSeries.variable(ring, vars, trunc, vars[g])
-    return RationalForm(num, [cf for _, cf in s.degenerate_factors])
+        (live_units if ctx.vars[g] in live_vars else dead_units).append(
+            (g, form))
+    monomial = [ctx.vars[g] for g, _ in live_units + s.degenerate_factors]
+    top = order - len(monomial)
+    denoms = [cf for _, cf in s.degenerate_factors]
+    if top < 0 or any(k.weights[g] == 0 for g, _ in dead_units):
+        # [t_g^0] (t_g * unit) = 0, or nothing below `order`
+        return RationalForm(TruncatedSeries(ring, live_vars,
+                                            Truncation(order)), denoms)
+    low = Truncation(top)
+    num = None
+    for g, form in dead_units:
+        f = _dead_unit(ctx, g, form).inverse_power(ring, basis_vars, low,
+                                                   k.weights[g])
+        num = f if num is None else num * f
+    for m in members:
+        f = ctx.kernel(s.bidx, s.w, m, top).extend(basis_vars)
+        num = f if num is None else num * f
+    num = num.extend(live_vars)
+    for g, form in live_units:
+        num = num * form.inverse_power(ring, live_vars, low, 1)
+    weight = -s.weight if len(dead_units) % 2 else s.weight
+    return RationalForm(num.shifted(monomial, Truncation(order), weight),
+                        denoms)
 
 
 def generating_function(arr: Arrangement, y: Sequence, order: int,
@@ -449,55 +488,6 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     return ring.scale(total, sign * s.weight)
 
 
-def _summand_coefficient_series(ctx: EvaluationContext, s: Summand,
-                                k: WeightVector, live_vars: Tuple[str, ...],
-                                order: int) -> Optional[TruncatedSeries]:
-    """The summand of a component with a singular denominator, reduced to
-    `live_vars` and built as a series up to `order`, which the division
-    needs.  Unit factors in dead variables are collapsed to their target
-    Taylor coefficient -(a_g + U_g)^{-k_g}, a function of the basis
-    variables alone, so
-
-        weight * prod_m K_m * prod_dead -(a_g + U_g)^{-k_g}
-
-    is built on the basis variables first.  Each live unit factor and each
-    singular factor is a multiple of its t_g, so that product is needed
-    only up to `order` less their number.  It is extended to `live_vars`
-    once, and the live t_g / den_g and the singular t_g are multiplied in
-    there.  Components without a singular denominator take
-    ``_unit_summand_value`` instead."""
-    ring = ctx.ring
-    members = ctx.arr.bases[s.bidx].members
-    basis_vars = tuple(ctx.vars[m] for m in members)
-    live_units, dead_units = [], []
-    for g, form in s.unit_factors:
-        (live_units if ctx.vars[g] in live_vars else dead_units).append(
-            (g, form))
-    top = order - len(live_units) - len(s.degenerate_factors)
-    if top < 0 or any(k.weights[g] == 0 for g, _ in dead_units):
-        return None  # [t_g^0] (t_g * unit) = 0, or nothing below `order`
-    num = None
-    for g, form in dead_units:
-        f = _dead_unit(ctx, g, form).inverse_power(
-            ring, basis_vars, Truncation(top), k.weights[g])
-        num = f if num is None else num * f
-    for m in members:
-        f = ctx.kernel(s.bidx, s.w, m, top).extend(basis_vars)
-        num = f if num is None else num * f
-    weight = -s.weight if len(dead_units) % 2 else s.weight
-    trunc = Truncation(order)
-    num = TruncatedSeries(ring, live_vars, trunc,
-                          {e: ring.scale(c, weight) for e, c in
-                           num.extend(live_vars, trunc).terms.items()})
-    for g, form in live_units:
-        tg = TruncatedSeries.variable(ring, live_vars, trunc, ctx.vars[g])
-        num = num * tg * form.inverse_power(ring, live_vars, trunc, 1)
-    for g, _ in s.degenerate_factors:
-        num = num * TruncatedSeries.variable(ring, live_vars, trunc,
-                                             ctx.vars[g])
-    return num
-
-
 # the coefficients computed in this process, most recently used last (see
 # the module docstring)
 COEFFICIENT_TABLE_SIZE = 256
@@ -572,13 +562,9 @@ def _component_value(ctx: EvaluationContext, summands: List[Summand],
     live_vars = tuple(sorted(live, key=lambda v: ctx.vars.index(v)))
     target = {v: k.weights[ctx.vars.index(v)] for v in live_vars}
     order = sum(target.values()) + sum(divisions.values())
-    forms = []
-    for s in summands:
-        num = _summand_coefficient_series(ctx, s, k, live_vars, order)
-        if num is None:
-            continue
-        denoms = [cf for _, cf in s.degenerate_factors]
-        forms.append(RationalForm(num, denoms))
+    forms = [summand_rational_form(ctx, s, order, live_vars, k)
+             for s in summands]
+    forms = [form for form in forms if not form.numerator.is_zero()]
     if not forms:
         return ring.zero()
     total = sum_rational_forms(forms)

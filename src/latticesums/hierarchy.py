@@ -15,7 +15,13 @@ hold g the operator multiplies the numerator by
 
     (t_g - 2 pi i c_g) - sum_f <g, f^B> (t_f - 2 pi i c_f) = den_g
 
-and divides by t_g: one series product per summand and removal.
+and divides by t_g: one series product per summand and removal.  The
+summands come from the evaluator's one summand builder
+(``genfun.summand_rational_form``), every variable live, built below the
+working order by one degree per t_g and shifted once; a removal then
+multiplies the numerator by den_g and appends t_g to the denominators,
+which the final ``sum_rational_forms`` divides out with the singular
+ones.
 
 The y-derivative uses the per-summand affine gradient of the fractional
 parts, which is constant off the singular locus; on the locus the

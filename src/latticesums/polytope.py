@@ -33,6 +33,14 @@ denominator is singular, to be divided out after summing, or a unit,
 whose inverse is expanded in closed form; the vertex exponential
 e^{t* . p} is expanded in closed form too (``LinearForm.exp``), with no
 series product.
+
+The vertex sums are multiplied by the kernel prefactor prod_f K_f(0) at
+y = 0.  K_f(0) is t_f / (e^{t_f - 2 pi i c_f} - 1): a unit when c_f is an
+integer, t_f times a unit otherwise.  So with `a` non-integral constants
+the prefactor is prod t_f over them times a unit, and the vertex forms,
+their divisions and the product with the unit run `a` degrees below the
+working order; prod t_f is then applied once, as an exponent shift, as
+the summand builder of the basis sum does.
 """
 
 from __future__ import annotations
@@ -285,28 +293,38 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
             cell.append((w, edges, dens))
         cells.append((m, cell))
     work = order + len(singular) + 1 if singular else order
-    trunc_work = Truncation(work)
-    total = TruncatedSeries(ring, ctx.vars, trunc_work)
+    # prod_f K_f(0) is prod t_f over the non-integral constants times a
+    # unit, so the vertex sums are needed that many degrees lower
+    params = [KernelParams.make(ctx.constant(f), Fraction(0))
+              for f in range(arr.size)]
+    monomial = [v for v, p in zip(ctx.vars, params) if not p.integral]
+    low = work - len(monomial)
+    if low < 0:
+        return TruncatedSeries(ring, ctx.vars, Truncation(order))
+    total = TruncatedSeries(ring, ctx.vars, Truncation(low))
     for m, cell in cells:
         total = total + sum_rational_forms([
-            _vertex_rational_form(ctx, dec, m, y, w, edges, dens, tstar, work)
+            _vertex_rational_form(ctx, dec, m, y, w, edges, dens, tstar, low)
             for w, edges, dens in cell])
-    total = total * _kernel_prefactor(ctx, work)
-    total = total.scalar_mul(ring.from_fraction(Fraction(1, dec.b0.index)))
-    return total.with_truncation(Truncation(order))
+    total = total * _kernel_prefactor(ctx, params, low)
+    return total.shifted(monomial, Truncation(order),
+                         Fraction(1, dec.b0.index))
 
 
-def _kernel_prefactor(ctx: EvaluationContext, work: int) -> TruncatedSeries:
-    """prod_f kernel(c_f, 0)(t_f) through total degree `work`: one outer
+def _kernel_prefactor(ctx: EvaluationContext, params: List[KernelParams],
+                      order: int) -> TruncatedSeries:
+    """prod_f kernel(c_f, 0)(t_f), with the factor t_f of every
+    non-integral c_f taken out, through total degree `order`: one outer
     product of the univariate coefficient lists."""
     ring = ctx.ring
     terms = {(): ring.one()}
-    for f, var in enumerate(ctx.vars):
-        params = KernelParams.make(ctx.constant(f), Fraction(0))
-        coeffs = kernel_series(ring, params, work, var=var).terms
-        terms = {e + (j,): c * cj for e, c in terms.items()
-                 for (j,), cj in coeffs.items() if sum(e) + j <= work}
-    return TruncatedSeries(ring, ctx.vars, Truncation(work), terms)
+    for p, var in zip(params, ctx.vars):
+        lift = 0 if p.integral else 1
+        coeffs = kernel_series(ring, p, order + lift, var=var).terms
+        terms = {e + (j - lift,): c * cj for e, c in terms.items()
+                 for (j,), cj in coeffs.items()
+                 if j >= lift and sum(e) + j - lift <= order}
+    return TruncatedSeries(ring, ctx.vars, Truncation(order), terms)
 
 
 def polytope_report(arr: Arrangement, y: Sequence, order: int,

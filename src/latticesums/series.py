@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonDivisible
@@ -119,6 +120,22 @@ class TruncatedSeries:
             if out.trunc.keeps(ne):
                 out.terms[ne] = c
         return out
+
+    def shifted(self, names: Sequence[str], trunc: Truncation,
+                scale=1) -> "TruncatedSeries":
+        """The series times the monomial prod_{v in names} t_v and the
+        int or Fraction `scale`, truncated at `trunc`: one exponent shift,
+        no series product."""
+        step = [0] * len(self.vars)
+        for v in names:
+            step[self.vars.index(v)] += 1
+        ring = self.ring
+        terms = {}
+        for e, c in self.terms.items():
+            e = tuple(map(add, e, step))
+            if trunc.keeps(e):
+                terms[e] = c if scale == 1 else ring.scale(c, scale)
+        return TruncatedSeries(ring, self.vars, trunc, terms)
 
     # -- ring operations ---------------------------------------------------
 

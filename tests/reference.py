@@ -9,7 +9,9 @@ evaluators take from shortcuts:
   a loose box, and the vertex formula for int_P exp(a . x) dx
   (Brion-Lawrence) in floating point;
 * the kernel's closed-form coefficients C(k, y; b) (Bernoulli polynomials
-  for integral b) and their moment integrals against e^{-2 pi i m x}.
+  for integral b) and their moment integrals against e^{-2 pi i m x};
+* a summand of the basis sum built at full order, one series product per
+  kernel, per t_g and per unit inverse.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from typing import List, Sequence, Tuple, Union
 
 from latticesums import intlinalg
 from latticesums.errors import NotSimple
+from latticesums.genfun import EvaluationContext, Summand
 from latticesums.kernel import (KernelParams, _apostol_numbers, _exp_b,
                                 bernoulli_numbers, kernel_series)
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
+from latticesums.series import RationalForm, TruncatedSeries, Truncation
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -310,3 +314,26 @@ def moment_integral_exact(ring, k: int, m: int, b: Fraction):
             integral = integral + p * (e_c * at_one - at_zero)
     sign = ring.from_fraction(Fraction(-1, math.factorial(k)))
     return sign * ring.two_pi_i() ** k * integral
+
+
+# ---------------------------------------------------------------------------
+# summands
+# ---------------------------------------------------------------------------
+
+
+def full_order_summand(ctx: EvaluationContext, s: Summand,
+                       order: int) -> RationalForm:
+    """The summand as weight * prod_m K_m * prod_g t_g / den_g over the
+    unit factors * prod_g t_g over the singular ones, divided by the
+    singular denominators: every factor a series product at `order`."""
+    ring, vars, trunc = ctx.ring, ctx.vars, Truncation(order)
+    num = TruncatedSeries.constant(ring, vars, trunc,
+                                   ring.from_fraction(s.weight))
+    for m in ctx.arr.bases[s.bidx].members:
+        num = num * ctx.kernel(s.bidx, s.w, m, order).extend(vars, trunc)
+    for g, form in s.unit_factors:
+        tg = TruncatedSeries.variable(ring, vars, trunc, vars[g])
+        num = num * tg * form.inverse_power(ring, vars, trunc, 1)
+    for g, _ in s.degenerate_factors:
+        num = num * TruncatedSeries.variable(ring, vars, trunc, vars[g])
+    return RationalForm(num, [cf for _, cf in s.degenerate_factors])

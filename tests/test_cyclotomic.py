@@ -106,3 +106,17 @@ def test_embed_is_homomorphic(a, b):
     ea, eb = a.embed(CTX), b.embed(CTX)
     assert abs(complex((a * b).embed(CTX) - ea * eb)) < 1e-17
     assert abs(complex((a + b).embed(CTX) - (ea + eb))) < 1e-17
+
+
+@pytest.mark.parametrize("N", [4, 12, 60, 420, 1260, 21840])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_basis_product_matches_reduction(N, data):
+    # the tensor product of the per-factor rows gives the terms, and their
+    # order, of the product reduced factor by factor
+    F = CyclotomicField(N)
+    phis = [phi for (_, _, phi, _) in F.factors]
+    ea, eb = (tuple(data.draw(st.integers(0, phi - 1)) for phi in phis)
+              for _ in range(2))
+    want = F._mul_raw({ea: Fraction(1)}, {eb: Fraction(1)})
+    assert list(F.basis_product(ea, eb)) == list(want.items())

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
-from latticesums import genfun
+from latticesums import genfun, intlinalg
 from latticesums.errors import ExcludedPoint
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   triangle)
@@ -14,13 +15,14 @@ from latticesums.genfun import (EvaluationContext, WeightVector,
                                 build_summands, coefficient,
                                 cyclotomic_order, documented_family,
                                 generating_function, lattice_sum_value,
-                                zeta_from_S)
+                                summand_rational_form, zeta_from_S)
 from latticesums.kernel import KernelParams, kernel_series
 from latticesums.lattice import Arrangement, choose_phi, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
 from latticesums.scalar import format_scalar
-from latticesums.series import LinearForm, Truncation
+from latticesums.series import LinearForm, TruncatedSeries, Truncation
+from reference import full_order_summand
 
 CTX = MPContext()
 CTX.prec = 128
@@ -438,6 +440,99 @@ def test_coefficient_with_singular_denominator_matches_series(
                 else:
                     err = abs(got - want) / max(1, abs(want))
                     assert err < CTX.mpf(2) ** -100, k
+
+
+# ---------------------------------------------------------------------------
+# the summand builder
+# ---------------------------------------------------------------------------
+
+
+def _rational(dens):
+    return st.sampled_from(dens).flatmap(
+        lambda d: st.integers(-d, 2 * d).map(lambda n: Fraction(n, d)))
+
+
+@st.composite
+def _summand_arrangements(draw, rank, singular):
+    """rank + 1 or rank + 2 functionals with rational constants; with
+    `singular`, the last constant is set so that the last functional's
+    denominator over a basis of the others has constant 0."""
+    pool = [(1,), (-1,), (2,), (-3,)] if rank == 1 else \
+        [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2)]
+    dirs = draw(st.lists(st.sampled_from(pool), min_size=rank + 1,
+                         max_size=rank + 2))
+    assume(intlinalg.rank(dirs[:-1]) == rank)
+    consts = draw(st.lists(_rational((1, 2, 3, 4)), min_size=len(dirs),
+                           max_size=len(dirs)))
+    if singular:
+        arr = Arrangement(rank, [make_functional(d, c)
+                                 for d, c in zip(dirs, consts)])
+        b = next(b for b in arr.bases if len(dirs) - 1 not in b.members)
+        consts[-1] = sum(consts[m] * sum(Fraction(d) * e for d, e in
+                                         zip(dirs[-1], b.dual(m)))
+                         for m in b.members)
+    return Arrangement(rank, [make_functional(d, c)
+                              for d, c in zip(dirs, consts)])
+
+
+@pytest.mark.parametrize("singular", [False, True],
+                         ids=["units", "singular"])
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_summand_builder_matches_full_order_reference(rank, singular, data):
+    # every summand, built below `order` by one degree per t_g and shifted
+    # once, equals the reference that multiplies every factor in at
+    # `order`: exactly in exact mode, within 2^-100 in numeric mode
+    arr = data.draw(_summand_arrangements(rank, singular))
+    y = tuple(data.draw(st.lists(_rational((7, 11)), min_size=rank,
+                                 max_size=rank)))
+    ctx = EvaluationContext(arr, y, "exact")
+    nctx = EvaluationContext(arr, y, "numeric", precision=128)
+    summands = build_summands(ctx)
+    if singular:
+        assert any(s.degenerate_factors for s in summands)
+    else:
+        assume(not any(s.degenerate_factors for s in summands))
+    tg_count = arr.size - rank
+    ref_ctx = MPContext()
+    ref_ctx.prec = 192
+    for order in range(tg_count + 3):
+        for s, ns in zip(summands, build_summands(nctx)):
+            got = summand_rational_form(ctx, s, order)
+            if order < tg_count:
+                assert got.numerator.is_zero()
+            want = full_order_summand(ctx, s, order)
+            assert got.numerator.trunc == want.numerator.trunc
+            assert got.numerator.terms == want.numerator.terms
+            assert [d.key for d in got.denominators] == \
+                [d.key for d in want.denominators]
+            num = summand_rational_form(nctx, ns, order).numerator
+            for e in set(num.terms) | set(want.numerator.terms):
+                w = want.numerator.coefficient(e).embed(ref_ctx)
+                err = abs(ref_ctx.mpc(num.coefficient(e)) - w)
+                assert err <= 2.0 ** -100 * max(1, abs(w)), (order, e)
+
+
+@pytest.mark.parametrize("arr", [a2_directions(),
+                                 triangle(Fraction(1, 2), Fraction(1, 3),
+                                          Fraction(1, 5))],
+                         ids=["a2_directions", "triangle_rational"])
+def test_summand_builder_multiplies_no_monomial(arr, generic_y2,
+                                                monkeypatch):
+    # each t_g is applied as an exponent shift, never as a series product
+    # with a one-term factor
+    real = TruncatedSeries.__mul__
+
+    def no_monomial(a, b):
+        assert len(a.terms) != 1 and len(b.terms) != 1, (a, b)
+        return real(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", no_monomial)
+    ctx = EvaluationContext(arr, generic_y2, "exact")
+    for s in build_summands(ctx):
+        assert not summand_rational_form(ctx, s, 5).numerator.is_zero()
+    assert not ctx.ring.is_zero(coefficient(arr, generic_y2, (2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

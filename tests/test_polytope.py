@@ -376,12 +376,18 @@ def test_reconstruction_equals_direct_small_cases(generic_y2):
         assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
 
 
-@pytest.mark.parametrize("arr", [
-    a2_directions(),
-    triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
-    triangle(Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)),
-], ids=["a2_directions", "triangle_1_2", "triangle_1_3"])
-def test_reconstruction_every_decomposition(arr, generic_y2):
+@pytest.mark.parametrize("arr,order", [
+    (a2_directions(), 3),
+    (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 3),
+    (triangle(Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)), 3),
+    # every constant non-integral, with a singular triple: the vertex sums
+    # run three degrees below the prefactor prod t_f
+    (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)), 5),
+    # `order` below the three t_f of the prefactor: both series are zero
+    (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 2),
+], ids=["a2_directions", "triangle_1_2", "triangle_1_3",
+        "triangle_nonintegral", "order_below_prefactor"])
+def test_reconstruction_every_decomposition(arr, order, generic_y2):
     # the reconstruction decomposes at the first basis; permuting the
     # functionals moves that basis over every basis of the arrangement
     firsts = set()
@@ -389,9 +395,10 @@ def test_reconstruction_every_decomposition(arr, generic_y2):
         arr_p = arr.permuted(perm)
         firsts.add(tuple(sorted(perm[i] for i in arr_p.bases[0].members)))
         ctx = EvaluationContext(arr_p, generic_y2, "exact")
-        F1 = generating_function(arr_p, generic_y2, 3, ctx=ctx,
+        F1 = generating_function(arr_p, generic_y2, order, ctx=ctx,
                                  check_excluded=False)
-        F2 = genfun_via_polytopes(arr_p, generic_y2, 3, ctx=ctx)
+        F2 = genfun_via_polytopes(arr_p, generic_y2, order, ctx=ctx)
+        assert F2.trunc.total == order
         exps = set(F1.terms) | set(F2.terms)
         assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
     assert firsts == {b.members for b in arr.bases}

@@ -3,9 +3,11 @@
 The closed form is a sum over bases B of the arrangement: a product of
 one-dimensional kernels in the basis variables, averaged over coset
 representatives, times one factor t_g / den_g for every functional g
-outside the basis.  Each den_g is a rational combination of the
-functionals, t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>, and so
-is every edge denominator of the polytope reconstruction.  One builder,
+outside the basis; the den_g depend on B alone, so a basis is one summand
+and its factors meet the coset sum of its kernel products once.  Each
+den_g is a rational combination of the functionals, t_g - 2 pi i c_g -
+sum_f (t_f - 2 pi i c_f) <g, f^B>, and so is every edge denominator of
+the polytope reconstruction.  One builder,
 ``EvaluationContext.combination``, returns such a combination as a
 ``LinearForm``: rational coefficients and the constant sum_f q_f c_f,
 computed exactly from the functional constants.  The form is singular
@@ -22,9 +24,10 @@ weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
 One summand builder, ``summand_rational_form``, writes a summand out as
 a rational form for every evaluator.  Every factor t_g / den_g and every
 singular t_g carries the monomial t_g, so the rest of the summand (its
-kernels and unit inverses) is built below the requested order by one
-degree for each t_g, and prod t_g is applied once, as an exponent shift,
-with no series product.  Two evaluation strategies use it:
+coset sum of kernel products and its unit inverses) is built below the
+requested order by one degree for each t_g, and prod t_g is applied
+once, as an exponent shift, with no series product.  Two evaluation
+strategies use it:
 
 * ``generating_function`` assembles the full truncated series, every
   variable live (fine for small arrangements and used by all
@@ -37,8 +40,8 @@ with no series product.  Two evaluation strategies use it:
   component.  A summand with no singular denominator shares no
   hyperplane and is a component of its own.  Nothing is divided there,
   so no truncated series is built: its coefficient is read at k from the
-  closed-form coefficients on the box e <= k_B of its basis weights, the
-  kernels to degree k_m and the unit factors' product on the box.  Only
+  closed-form coefficients on the box e <= k_B of its basis weights: the
+  coset sum of kernel products and the unit factors' product.  Only
   components with a singular denominator build series, to the order that
   their divisions need, through the builder with the component's live
   variables: the kernels and the collapsed unit factors are multiplied
@@ -49,10 +52,9 @@ with no series product.  Two evaluation strategies use it:
 The key holds everything the value depends on: rank, directions, exact
 constants, exact y, mode, cyclotomic order or precision, phi and k.  The
 values are stored as plain data (``ring.detach``), so no entry keeps a
-field or a context alive.  The nine-functional rank-two rows of the
-reference table, mostly singular, take 0.05-0.07 s each this way (best
-of 5 in one process, on a 2-CPU x86-64 box with Python 3.11), and the
-zeta row that repeats one of them reads it back from the table.
+field or a context alive.  The zeta row of the reference table that
+repeats one of its nine-functional rank-two rows reads the value back
+from the table.
 """
 
 from __future__ import annotations
@@ -307,10 +309,10 @@ def _context(arr: Arrangement, y: Sequence, mode: str, precision: int,
 
 @dataclass
 class Summand:
-    """One (basis, coset) term of the generating function."""
+    """One basis's term: the sum of its kernel products over its coset
+    representatives times its weight 1/|Z^r/L_B| and its factors."""
 
     bidx: int
-    w: Tuple[int, ...]
     weight: Fraction
     unit_factors: List[Tuple[int, LinearForm]] = field(default_factory=list)
     degenerate_factors: List[Tuple[int, LinearForm]] = field(default_factory=list)
@@ -319,13 +321,11 @@ class Summand:
 def build_summands(ctx: EvaluationContext) -> List[Summand]:
     out = []
     for bidx, b in enumerate(ctx.arr.bases):
-        for w in b.coset_reps:
-            s = Summand(bidx, w, Fraction(1, b.index))
-            for g, den in ctx.geometry(bidx):
-                factors = s.degenerate_factors if den.singular \
-                    else s.unit_factors
-                factors.append((g, den))
-            out.append(s)
+        s = Summand(bidx, Fraction(1, b.index))
+        for g, den in ctx.geometry(bidx):
+            factors = s.degenerate_factors if den.singular else s.unit_factors
+            factors.append((g, den))
+        out.append(s)
     return out
 
 
@@ -335,7 +335,7 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
     """The summand as a rational form in `live_vars` (every variable when
     None), its numerator truncated at `order`:
 
-        weight * prod_m K_m * prod_dead -(a_g + U_g)^(-k_g)
+        weight * sum_w prod_m K_m(w) * prod_dead -(a_g + U_g)^(-k_g)
                * prod_live t_g / den_g * prod_singular t_g
 
     over the singular denominators.  A unit factor whose t_g is not live
@@ -344,15 +344,16 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
     function of the basis variables alone; `k` is read only for those.
 
     Every t_g is a monomial, so everything else is built below `order` by
-    one degree for each of them: the kernels and the dead factors on the
-    basis variables, then, extended once to `live_vars`, the live unit
-    inverses.  The weight and the monomial prod t_g are applied last, as
-    one exponent shift into `order`.  The numerator is zero when the t_g
-    leave nothing below `order`, or when a dead factor is read at
-    k_g = 0."""
+    one degree for each of them: the coset sum of kernel products and the
+    dead factors on the basis variables, then, extended once to
+    `live_vars`, the live unit inverses.  The weight and the monomial
+    prod t_g are applied last, as one exponent shift into `order`.  The
+    numerator is zero when the t_g leave nothing below `order`, or when a
+    dead factor is read at k_g = 0."""
     ring = ctx.ring
     live_vars = ctx.vars if live_vars is None else live_vars
-    members = ctx.arr.bases[s.bidx].members
+    basis = ctx.arr.bases[s.bidx]
+    members, cosets = basis.members, basis.coset_reps
     basis_vars = tuple(ctx.vars[m] for m in members)
     live_units, dead_units = [], []
     for g, form in s.unit_factors:
@@ -366,14 +367,22 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
         return RationalForm(TruncatedSeries(ring, live_vars,
                                             Truncation(order)), denoms)
     low = Truncation(top)
-    num = None
+    dead = None
     for g, form in dead_units:
         f = _dead_unit(ctx, g, form).inverse_power(ring, basis_vars, low,
                                                    k.weights[g])
-        num = f if num is None else num * f
-    for m in members:
-        f = ctx.kernel(s.bidx, s.w, m, top).extend(basis_vars)
-        num = f if num is None else num * f
+        dead = f if dead is None else dead * f
+    # one coset: its kernels go into the dead factors one variable at a
+    # time, cheaper than a full product; several are summed first
+    num = None
+    for w in cosets:
+        prod = dead if len(cosets) == 1 else None
+        for m in members:
+            f = ctx.kernel(s.bidx, w, m, top).extend(basis_vars)
+            prod = f if prod is None else prod * f
+        num = prod if num is None else num + prod
+    if dead is not None and len(cosets) > 1:
+        num = num * dead
     num = num.extend(live_vars)
     for g, form in live_units:
         num = num * form.inverse_power(ring, live_vars, low, 1)
@@ -450,11 +459,11 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     """[t^k] of a summand with no singular denominator, with no series
     beyond the box e <= k_B of its basis weights:
 
-        weight * sum_e F[e] * prod_m K_m[k_m - e_m],
+        weight * sum_e F[e] * G[e],  G[e] = sum_w prod_m K_m(w)[k_m - e_m],
 
     F = prod_g -(a_g + U_g)^{-k_g} over the unit factors, each kernel K_m
-    only to degree k_m.  The kernels are multiplied together on the box
-    first, then each term of F takes one scalar product."""
+    only to degree k_m.  G is built on the box first, then each term of F
+    takes one scalar product."""
     ring = ctx.ring
     members = ctx.arr.bases[s.bidx].members
     vars = tuple(ctx.vars[m] for m in members)
@@ -467,21 +476,25 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
         f = _dead_unit(ctx, g, form).inverse_power(ring, vars, trunc,
                                                    k.weights[g], box)
         F = f if F is None else F * f
-    # prod_m K_m[k_m - e_m] for every e in the box, zero products left out
-    kernels = {(): None}
-    for m, km in zip(members, box):
-        coeffs = ctx.kernel(s.bidx, s.w, m, km).terms
-        grown = {}
+    # G[e] for every e in the box, zero products left out
+    G = {}
+    for w in ctx.arr.bases[s.bidx].coset_reps:
+        kernels = {(): None}
+        for m, km in zip(members, box):
+            coeffs = ctx.kernel(s.bidx, w, m, km).terms
+            grown = {}
+            for e, p in kernels.items():
+                for j in range(km + 1):
+                    c = coeffs.get((km - j,))
+                    if c is not None:
+                        grown[e + (j,)] = c if p is None else p * c
+            kernels = grown
         for e, p in kernels.items():
-            for j in range(km + 1):
-                c = coeffs.get((km - j,))
-                if c is not None:
-                    grown[e + (j,)] = c if p is None else p * c
-        kernels = grown
+            G[e] = G[e] + p if e in G else p
     terms = F.terms if F is not None else {(0,) * len(box): ring.one()}
     total = ring.zero()
     for e, f in terms.items():
-        p = kernels.get(e)
+        p = G.get(e)
         if p is not None:
             total = total + f * p
     sign = -1 if len(s.unit_factors) % 2 else 1

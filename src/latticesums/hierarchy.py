@@ -17,11 +17,12 @@ hold g the operator multiplies the numerator by
 
 and divides by t_g: one series product per summand and removal.  The
 summands come from the evaluator's one summand builder
-(``genfun.summand_rational_form``), every variable live, built below the
-working order by one degree per t_g and shifted once; a removal then
-multiplies the numerator by den_g and appends t_g to the denominators,
-which the final ``sum_rational_forms`` divides out with the singular
-ones.
+(``genfun.summand_rational_form``), one per basis (the coset sum of its
+kernel products times its factors, applied once), every variable live,
+built below the working order by one degree per t_g and shifted once; a
+removal then multiplies the numerator by den_g and appends t_g to the
+denominators, which the final ``sum_rational_forms`` divides out with
+the singular ones.
 
 The y-derivative uses the per-summand affine gradient of the fractional
 parts, which is constant off the singular locus; on the locus the

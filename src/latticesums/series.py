@@ -60,23 +60,9 @@ class TruncatedSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, ring, vars, trunc, value):
-        s = cls(ring, vars, trunc)
-        if not ring.is_zero(value):
-            s.terms[(0,) * len(s.vars)] = value
-        return s
-
-    @classmethod
     def one(cls, ring, vars, trunc):
-        return cls.constant(ring, vars, trunc, ring.one())
-
-    @classmethod
-    def variable(cls, ring, vars, trunc, name):
         s = cls(ring, vars, trunc)
-        e = [0] * len(s.vars)
-        e[s.vars.index(name)] = 1
-        if trunc.keeps(tuple(e)):
-            s.terms[tuple(e)] = ring.one()
+        s.terms[(0,) * len(s.vars)] = ring.one()
         return s
 
     def clone_empty(self) -> "TruncatedSeries":

@@ -10,8 +10,9 @@ evaluators take from shortcuts:
   (Brion-Lawrence) in floating point;
 * the kernel's closed-form coefficients C(k, y; b) (Bernoulli polynomials
   for integral b) and their moment integrals against e^{-2 pi i m x};
-* a summand of the basis sum built at full order, one series product per
-  kernel, per t_g and per unit inverse.
+* one coset's term of a basis's summand built at full order, one series
+  product per kernel, per t_g and per unit inverse;
+* the constant and single-variable series those products start from.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Sequence, Tuple, Union
 
 from latticesums import intlinalg
 from latticesums.errors import NotSimple
-from latticesums.genfun import EvaluationContext, Summand
+from latticesums.genfun import EvaluationContext
 from latticesums.kernel import (KernelParams, _apostol_numbers, _exp_b,
                                 bernoulli_numbers, kernel_series)
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
@@ -317,23 +318,46 @@ def moment_integral_exact(ring, k: int, m: int, b: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# summands
+# series and summands
 # ---------------------------------------------------------------------------
 
 
-def full_order_summand(ctx: EvaluationContext, s: Summand,
-                       order: int) -> RationalForm:
-    """The summand as weight * prod_m K_m * prod_g t_g / den_g over the
-    unit factors * prod_g t_g over the singular ones, divided by the
-    singular denominators: every factor a series product at `order`."""
+def series_constant(ring, vars, trunc, value) -> TruncatedSeries:
+    """The constant `value` as a series (no term when it is zero)."""
+    s = TruncatedSeries(ring, vars, trunc)
+    if not ring.is_zero(value):
+        s.terms[(0,) * len(s.vars)] = value
+    return s
+
+
+def series_variable(ring, vars, trunc, name) -> TruncatedSeries:
+    """The variable `name` as a series (no term when trunc cuts degree 1)."""
+    s = TruncatedSeries(ring, vars, trunc)
+    e = [0] * len(s.vars)
+    e[s.vars.index(name)] = 1
+    if trunc.keeps(tuple(e)):
+        s.terms[tuple(e)] = ring.one()
+    return s
+
+
+def full_order_summand(ctx: EvaluationContext, bidx: int,
+                       w: Tuple[int, ...], order: int) -> RationalForm:
+    """The term of coset representative w in the summand of basis bidx,
+    (1/index) * prod_m K_m(w) * prod_g t_g / den_g over the unit factors
+    * prod_g t_g over the singular ones, divided by the singular
+    denominators: every factor a series product at `order`.  The basis's
+    summand is the sum of these over its coset representatives."""
     ring, vars, trunc = ctx.ring, ctx.vars, Truncation(order)
-    num = TruncatedSeries.constant(ring, vars, trunc,
-                                   ring.from_fraction(s.weight))
-    for m in ctx.arr.bases[s.bidx].members:
-        num = num * ctx.kernel(s.bidx, s.w, m, order).extend(vars, trunc)
-    for g, form in s.unit_factors:
-        tg = TruncatedSeries.variable(ring, vars, trunc, vars[g])
-        num = num * tg * form.inverse_power(ring, vars, trunc, 1)
-    for g, _ in s.degenerate_factors:
-        num = num * TruncatedSeries.variable(ring, vars, trunc, vars[g])
-    return RationalForm(num, [cf for _, cf in s.degenerate_factors])
+    basis = ctx.arr.bases[bidx]
+    num = series_constant(ring, vars, trunc,
+                          ring.from_fraction(Fraction(1, basis.index)))
+    for m in basis.members:
+        num = num * ctx.kernel(bidx, w, m, order).extend(vars, trunc)
+    denoms = []
+    for g, form in ctx.geometry(bidx):
+        num = num * series_variable(ring, vars, trunc, vars[g])
+        if form.singular:
+            denoms.append(form)
+        else:
+            num = num * form.inverse_power(ring, vars, trunc, 1)
+    return RationalForm(num, denoms)

@@ -227,13 +227,13 @@ def test_verify_hierarchy_stray_removed_variable_exits_4(mode, monkeypatch,
     # removed t0 are left over: numeric mode used to pass them
     import latticesums.hierarchy as hierarchy
     from latticesums.series import TruncatedSeries
+    from reference import series_variable
     real = hierarchy.sum_rational_forms
 
     def with_stray_terms(forms):
         total = real(forms)
         one = TruncatedSeries.one(total.ring, total.vars, total.trunc)
-        t0 = TruncatedSeries.variable(total.ring, total.vars, total.trunc,
-                                      "t0")
+        t0 = series_variable(total.ring, total.vars, total.trunc, "t0")
         return total * (one + t0)
 
     monkeypatch.setattr(hierarchy, "sum_rational_forms", with_stray_terms)

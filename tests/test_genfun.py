@@ -21,8 +21,9 @@ from latticesums.lattice import Arrangement, choose_phi, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
 from latticesums.scalar import format_scalar
-from latticesums.series import LinearForm, TruncatedSeries, Truncation
-from reference import full_order_summand
+from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
+                                Truncation)
+from reference import full_order_summand, series_variable
 
 CTX = MPContext()
 CTX.prec = 128
@@ -76,8 +77,7 @@ def _display_summand(ctx, den_coeffs, den_const_q, kernels, order):
     trunc = Truncation(order)
     gvar = [v for v, c in den_coeffs.items() if c == 1][0]
     form = LinearForm(ring, den_coeffs, den_const_q)
-    from latticesums.series import TruncatedSeries
-    num = TruncatedSeries.variable(ring, ctx.vars, trunc, gvar)
+    num = series_variable(ring, ctx.vars, trunc, gvar)
     num = num * form.power(ring, ctx.vars, trunc, 1).invert_unit()
     for var, b, yhat in kernels:
         num = num * kernel_series(ring, KernelParams.make(b, yhat), order,
@@ -118,7 +118,6 @@ def test_rank1_family_closed_form_display():
     arr = hurwitz_a1(alpha)
     ctx = EvaluationContext(arr, (y,), "exact")
     order = 5
-    from latticesums.series import TruncatedSeries
     ring = ctx.ring
     trunc = Truncation(order)
 
@@ -126,7 +125,7 @@ def test_rank1_family_closed_form_display():
         # t_g / (sum coeffs[v] t_v - 2 pi i const_q), g the +1 coefficient
         form = LinearForm(ring, coeffs, const_q)
         gvar = [v for v, c in coeffs.items() if c == 1][0]
-        t = TruncatedSeries.variable(ring, ctx.vars, trunc, gvar)
+        t = series_variable(ring, ctx.vars, trunc, gvar)
         return t * form.power(ring, ctx.vars, trunc, 1).invert_unit()
 
     def ker(var, b, yhat):
@@ -475,6 +474,19 @@ def _summand_arrangements(draw, rank, singular):
                               for d, c in zip(dirs, consts)])
 
 
+def _coset_sum_reference(ctx, bidx, order):
+    """The reference summand of basis bidx: the per-coset full-order
+    references summed over its coset representatives."""
+    forms = [full_order_summand(ctx, bidx, w, order)
+             for w in ctx.arr.bases[bidx].coset_reps]
+    num = forms[0].numerator
+    for form in forms[1:]:
+        assert [d.key for d in form.denominators] == \
+            [d.key for d in forms[0].denominators]
+        num = num + form.numerator
+    return RationalForm(num, forms[0].denominators)
+
+
 @pytest.mark.parametrize("singular", [False, True],
                          ids=["units", "singular"])
 @pytest.mark.parametrize("rank", [1, 2])
@@ -483,7 +495,8 @@ def _summand_arrangements(draw, rank, singular):
 def test_summand_builder_matches_full_order_reference(rank, singular, data):
     # every summand, built below `order` by one degree per t_g and shifted
     # once, equals the reference that multiplies every factor in at
-    # `order`: exactly in exact mode, within 2^-100 in numeric mode
+    # `order` for each coset and sums the cosets: exactly in exact mode,
+    # within 2^-100 in numeric mode
     arr = data.draw(_summand_arrangements(rank, singular))
     y = tuple(data.draw(st.lists(_rational((7, 11)), min_size=rank,
                                  max_size=rank)))
@@ -502,7 +515,7 @@ def test_summand_builder_matches_full_order_reference(rank, singular, data):
             got = summand_rational_form(ctx, s, order)
             if order < tg_count:
                 assert got.numerator.is_zero()
-            want = full_order_summand(ctx, s, order)
+            want = _coset_sum_reference(ctx, s.bidx, order)
             assert got.numerator.trunc == want.numerator.trunc
             assert got.numerator.terms == want.numerator.terms
             assert [d.key for d in got.denominators] == \
@@ -512,6 +525,125 @@ def test_summand_builder_matches_full_order_reference(rank, singular, data):
                 w = want.numerator.coefficient(e).embed(ref_ctx)
                 err = abs(ref_ctx.mpc(num.coefficient(e)) - w)
                 assert err <= 2.0 ** -100 * max(1, abs(w)), (order, e)
+
+
+# every basis of these directions has index 3: (1,2), (2,1) and (1,-1)
+# pairwise span a sublattice of index 3 in Z^2
+COSET_HEAVY_DIRECTIONS = ((1, 2), (2, 1), (1, -1))
+
+
+@st.composite
+def _coset_heavy_arrangements(draw, singular):
+    """COSET_HEAVY_DIRECTIONS with rational constants; with `singular`, the
+    last constant makes the last functional's denominator over the basis
+    of the first two singular."""
+    dirs = COSET_HEAVY_DIRECTIONS
+    consts = draw(st.lists(_rational((1, 2, 3, 5)), min_size=3, max_size=3))
+    if singular:
+        arr = Arrangement(2, [make_functional(d, c)
+                              for d, c in zip(dirs, consts)])
+        b = next(b for b in arr.bases if b.members == (0, 1))
+        consts[2] = sum(consts[m] * sum(Fraction(d) * e for d, e in
+                                        zip(dirs[2], b.dual(m)))
+                        for m in b.members)
+    arr = Arrangement(2, [make_functional(d, c)
+                          for d, c in zip(dirs, consts)])
+    assert all(b.index == 3 for b in arr.bases)
+    return arr
+
+
+def _close(mode, got, want):
+    if mode == "exact":
+        return got == want
+    return abs(got - want) <= CTX.mpf(2) ** -100 * max(1, abs(want))
+
+
+@pytest.mark.parametrize("singular", [False, True],
+                         ids=["units", "singular"])
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_basis_summand_is_its_coset_sum(mode, singular, data):
+    # one summand per basis, equal to the sum over its three cosets of the
+    # per-coset full-order reference; on a basis with no singular
+    # denominator, its coefficient at k is the per-coset values summed
+    arr = data.draw(_coset_heavy_arrangements(singular))
+    y = tuple(data.draw(st.lists(_rational((7, 11)), min_size=2,
+                                 max_size=2)))
+    ctx = EvaluationContext(arr, y, mode)
+    summands = build_summands(ctx)
+    assert [s.bidx for s in summands] == list(range(len(arr.bases)))
+    if singular:
+        assert any(s.degenerate_factors for s in summands)
+    else:
+        assume(not any(s.degenerate_factors for s in summands))
+    for s in summands:
+        for order in range(4):
+            got = summand_rational_form(ctx, s, order)
+            want = _coset_sum_reference(ctx, s.bidx, order)
+            assert [d.key for d in got.denominators] == \
+                [d.key for d in want.denominators]
+            for e in set(got.numerator.terms) | set(want.numerator.terms):
+                assert _close(mode, got.numerator.coefficient(e),
+                              want.numerator.coefficient(e)), (order, e)
+        if s.degenerate_factors:
+            continue
+        want = _coset_sum_reference(ctx, s.bidx, 4).numerator
+        for k in itertools.product(range(3), repeat=arr.size):
+            if sum(k) <= 4:
+                got = genfun._unit_summand_value(ctx, s, WeightVector.make(k))
+                assert _close(mode, got, want.coefficient(k)), k
+    if not singular:
+        k = (2, 1, 1)
+        want = ctx.ring.zero()
+        for s in summands:
+            want = want + _coset_sum_reference(
+                ctx, s.bidx, sum(k)).numerator.coefficient(k)
+        got = coefficient(arr, y, k, ctx=ctx)
+        assert _close(mode, got, want * ctx.ring.from_fraction(
+            Fraction(math.prod(math.factorial(x) for x in k))))
+
+
+def test_basis_summand_factors_built_once_per_basis(monkeypatch):
+    # a basis's unit factors are expanded once (one inverse_power each),
+    # not once per coset; the kernels are read once per (coset, member)
+    arr = Arrangement(2, [make_functional(d, c) for d, c in zip(
+        COSET_HEAVY_DIRECTIONS + ((1, 0),),
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)))])
+    assert any(b.index == 3 for b in arr.bases)
+    y = (Fraction(1, 7), Fraction(1, 11))
+    inverses, kernels = [], []
+    real_inverse, real_kernel = LinearForm.inverse_power, \
+        EvaluationContext.kernel
+
+    def counted_inverse(self, *args, **kwargs):
+        inverses.append(self)
+        return real_inverse(self, *args, **kwargs)
+
+    def counted_kernel(self, bidx, w, member, order):
+        kernels.append((bidx, w, member))
+        return real_kernel(self, bidx, w, member, order)
+
+    monkeypatch.setattr(LinearForm, "inverse_power", counted_inverse)
+    monkeypatch.setattr(EvaluationContext, "kernel", counted_kernel)
+    ctx = EvaluationContext(arr, y, "exact")
+    k = WeightVector.make((2, 1, 1, 2))
+    for s in build_summands(ctx):
+        b = arr.bases[s.bidx]
+        assert not s.degenerate_factors
+        pairs = sorted((s.bidx, w, m) for w in b.coset_reps
+                       for m in b.members)
+        # the basis variables and one unit factor's t_g live, one dead
+        live = tuple(ctx.vars[i] for i in sorted(
+            b.members + (s.unit_factors[0][0],)))
+        for build in (lambda: summand_rational_form(ctx, s, 4),
+                      lambda: summand_rational_form(ctx, s, 4, live, k),
+                      lambda: genfun._unit_summand_value(ctx, s, k)):
+            inverses.clear()
+            kernels.clear()
+            build()
+            assert len(inverses) == len(s.unit_factors)
+            assert sorted(kernels) == pairs
 
 
 @pytest.mark.parametrize("arr", [a2_directions(),

@@ -11,7 +11,8 @@ from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import LinearForm, TruncatedSeries, Truncation
 from reference import (bernoulli_poly, kernel_coeff, kernel_coeff_poly,
-                       kernel_moment, moment_integral_exact)
+                       kernel_moment, moment_integral_exact, series_constant,
+                       series_variable)
 
 CTX = MPContext()
 CTX.prec = 100
@@ -158,10 +159,10 @@ def _series_inversion_kernel(ring, b, y, order):
     exp_ty = TruncatedSeries(ring, vars, trunc, {
         (j,): ring.from_fraction(y ** j / math.factorial(j))
         for j in range(order + 1) if y ** j})
-    t = TruncatedSeries.variable(ring, vars, trunc, "t")
+    t = series_variable(ring, vars, trunc, "t")
     pref = ring.root_of_unity(-b * y)
-    tpib = TruncatedSeries.constant(ring, vars, trunc,
-                                    ring.two_pi_i() * ring.from_fraction(b))
+    tpib = series_constant(ring, vars, trunc,
+                           ring.two_pi_i() * ring.from_fraction(b))
     series = (t * exp_ty * den_inv).scalar_mul(pref)
     dy = (t * (t * exp_ty - tpib * exp_ty) * den_inv).scalar_mul(pref)
     return series, dy, den_inv

@@ -10,6 +10,7 @@ from latticesums.lattice import GaussianRational
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, divide_exact, sum_rational_forms)
+from reference import series_constant, series_variable
 
 R = ExactRing(4)
 VARS = ("t1", "t2", "t3")
@@ -20,7 +21,7 @@ def series(trunc_total=4, vars=VARS):
 
 
 def var(name, trunc_total=4, vars=VARS):
-    return TruncatedSeries.variable(R, vars, Truncation(trunc_total), name)
+    return series_variable(R, vars, Truncation(trunc_total), name)
 
 
 def one(trunc_total=4, vars=VARS):
@@ -93,7 +94,7 @@ def test_exact_product_matches_termwise(N, data):
     trunc = Truncation(3)
     c = ring.from_fraction(Fraction(1, 3)) \
         + ring.from_cyc(ring.field.zeta_pow(1))
-    t = TruncatedSeries.variable(ring, ("t",), trunc, "t").scalar_mul(c)
+    t = series_variable(ring, ("t",), trunc, "t").scalar_mul(c)
     o = TruncatedSeries.one(ring, ("t",), trunc)
     p = (o + t) * (o - t)
     assert p.terms == {(0,): ring.one(), (2,): -(c * c)}
@@ -117,7 +118,7 @@ def test_invert_unit_geometric():
     s = one(5, ("t",)) - var("t", 5, ("t",))
     inv = s.invert_unit()
     assert inv.terms == {(j,): R.one() for j in range(6)}
-    c = TruncatedSeries.constant(R, ("t",), tr, R.from_fraction(Fraction(3)))
+    c = series_constant(R, ("t",), tr, R.from_fraction(Fraction(3)))
     assert c.invert_unit().terms == {(0,): R.from_fraction(Fraction(1, 3))}
     # exp(t) inverse is exp(-t)
     e = LinearForm(R, {"t": 1}).exp(R, ("t",), tr)
@@ -182,9 +183,9 @@ def test_divide_round_trip(data):
 def linear_series(form, ring, vars, trunc):
     """The form as a series, built term by term: an independent reference
     for its closed-form expansions."""
-    s = TruncatedSeries.constant(ring, vars, trunc, form.constant)
+    s = series_constant(ring, vars, trunc, form.constant)
     for v, q in form.coeffs.items():
-        s = s + TruncatedSeries.variable(ring, vars, trunc, v).scalar_mul(
+        s = s + series_variable(ring, vars, trunc, v).scalar_mul(
             ring.from_fraction(q))
     return s
 
@@ -375,8 +376,8 @@ def test_sum_rational_forms_permutation_invariant():
 def test_numeric_divide_reports_residual():
     NR = NumericRing(96)
     trunc = Truncation(3)
-    t1 = TruncatedSeries.variable(NR, ("t1", "t2"), trunc, "t1")
-    t2 = TruncatedSeries.variable(NR, ("t1", "t2"), trunc, "t2")
+    t1 = series_variable(NR, ("t1", "t2"), trunc, "t1")
+    t2 = series_variable(NR, ("t1", "t2"), trunc, "t2")
     l = LinearForm(NR, {"t1": 1, "t2": -1})
     residuals = []
     q = divide_exact(t1 * t1 - t2 * t2, l, residuals=residuals)

@@ -372,16 +372,14 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
         f = _dead_unit(ctx, g, form).inverse_power(ring, basis_vars, low,
                                                    k.weights[g])
         dead = f if dead is None else dead * f
-    # one coset: its kernels go into the dead factors one variable at a
-    # time, cheaper than a full product; several are summed first
     num = None
     for w in cosets:
-        prod = dead if len(cosets) == 1 else None
+        prod = None
         for m in members:
             f = ctx.kernel(s.bidx, w, m, top).extend(basis_vars)
             prod = f if prod is None else prod * f
         num = prod if num is None else num + prod
-    if dead is not None and len(cosets) > 1:
+    if dead is not None:
         num = num * dead
     num = num.extend(live_vars)
     for g, form in live_units:
@@ -477,7 +475,7 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
                                                    k.weights[g], box)
         F = f if F is None else F * f
     # G[e] for every e in the box, zero products left out
-    G = {}
+    G = None
     for w in ctx.arr.bases[s.bidx].coset_reps:
         kernels = {(): None}
         for m, km in zip(members, box):
@@ -489,8 +487,10 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
                     if c is not None:
                         grown[e + (j,)] = c if p is None else p * c
             kernels = grown
-        for e, p in kernels.items():
-            G[e] = G[e] + p if e in G else p
+        if G is not None:
+            for e, p in G.items():
+                kernels[e] = kernels[e] + p if e in kernels else p
+        G = kernels
     terms = F.terms if F is not None else {(0,) * len(box): ring.one()}
     total = ring.zero()
     for e, f in terms.items():

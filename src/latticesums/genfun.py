@@ -39,9 +39,11 @@ strategies use it:
   components of their shared singular hyperplanes and resolved per
   component.  A summand with no singular denominator shares no
   hyperplane and is a component of its own.  Nothing is divided there,
-  so no truncated series is built: its coefficient is read at k from the
-  closed-form coefficients on the box e <= k_B of its basis weights: the
-  coset sum of kernel products and the unit factors' product.  Only
+  so no truncated series is built: its coefficient is read at k on the
+  box e <= k_B of its basis weights, from the unit factors' product and
+  each coset's kernel product without its roots of unity; the roots
+  e^{-2 pi i b_m yhat_m} are summed as one exponent and applied last, one
+  per coset.  Only
   components with a singular denominator build series, to the order that
   their divisions need, through the builder with the component's live
   variables: the kernels and the collapsed unit factors are multiplied
@@ -68,9 +70,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ExcludedPoint
-from .kernel import KernelParams, kernel_series
-# unused here, but the benchmark's tracer patches genfun.kernel_series_dy
-from .kernel import kernel_series_dy  # noqa: F401
+from .kernel import KernelParams, exp_2pii, kernel_base, kernel_parts
+# unused here, but the benchmark's tracer patches genfun.kernel_series and
+# genfun.kernel_series_dy
+from .kernel import kernel_series, kernel_series_dy  # noqa: F401
 from .lattice import (Arrangement, GaussianRational, GenericDirection,
                       choose_phi, frac_part, on_excluded_hyperplanes)
 from .scalar import ExactRing, NumericRing
@@ -201,7 +204,8 @@ class EvaluationContext:
             self.N = None
             self.ring = NumericRing(precision)
         self._constants = [_exact_constant(f) for f in arr.functionals]
-        self._kernels: Dict[tuple, TruncatedSeries] = {}
+        self._bases: Dict[tuple, list] = {}
+        self._parts: Dict[tuple, dict] = {}
         self._geometry: Dict[int, list] = {}
 
     # -- scalar helpers -----------------------------------------------------
@@ -231,20 +235,37 @@ class EvaluationContext:
     def yhat(self, bidx: int, w: Tuple[int, ...], member: int):
         return frac_part(self.y, w, self.arr.bases[bidx], member, self.phi)
 
-    def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
-               order: int) -> TruncatedSeries:
-        """The kernel of `member` at its fractional part for (bidx, w),
-        cached by its parameters: distinct cosets and bases often share
-        them."""
+    def kernel_parts(self, bidx: int, w: Tuple[int, ...], member: int,
+                     order: int) -> Tuple[Dict[int, object], object]:
+        """`(a, q)`: the kernel of `member` at its fractional part for
+        (bidx, w), through degree `order`, is e^{2 pi i q} sum_n a[n] t^n
+        with `a` root-free and nonzero (``kernel.kernel_parts``).  `a` is
+        cached by the kernel's parameters, since distinct cosets and bases
+        often share them, and its B_k(lam) / k! by b and the order."""
         params = KernelParams.make(self.constant(member),
                                    self.yhat(bidx, w, member))
-        key = (params, order, member)
-        got = self._kernels.get(key)
-        if got is None:
-            got = kernel_series(self.ring, params, order,
-                                var=self.vars[member])
-            self._kernels[key] = got
-        return got
+        parts = self._parts.get((params, order))
+        if parts is None:
+            key = (None if params.integral else params.b, order)
+            base = self._bases.get(key)
+            if base is None:
+                base = self._bases[key] = kernel_base(self.ring, params,
+                                                      order)
+            parts = self._parts[params, order] = {
+                n: a for n, a in enumerate(kernel_parts(self.ring, params,
+                                                        order, base))
+                if not self.ring.is_zero(a)}
+        return parts, -params.b * params.y
+
+    def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
+               order: int) -> TruncatedSeries:
+        """The kernel of `member` at its fractional part for (bidx, w) as
+        a series in its variable, built from ``kernel_parts``."""
+        parts, q = self.kernel_parts(bidx, w, member, order)
+        root = exp_2pii(self.ring, q)
+        return TruncatedSeries(self.ring, (self.vars[member],),
+                               Truncation(order),
+                               {(n,): a * root for n, a in parts.items()})
 
     # -- basis geometry ------------------------------------------------------
 
@@ -457,46 +478,41 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     """[t^k] of a summand with no singular denominator, with no series
     beyond the box e <= k_B of its basis weights:
 
-        weight * sum_e F[e] * G[e],  G[e] = sum_w prod_m K_m(w)[k_m - e_m],
+        weight * sum_w e^{2 pi i q_w} sum_e F[e] * A_w[e],
 
-    F = prod_g -(a_g + U_g)^{-k_g} over the unit factors, each kernel K_m
-    only to degree k_m.  G is built on the box first, then each term of F
-    takes one scalar product."""
+    F = prod_g -(a_g + U_g)^{-k_g} over the unit factors, multiplied on
+    the box; each kernel K_m(w) = e^{2 pi i q_m(w)} sum_n a_m(w)[n] t_m^n
+    only to degree k_m, A_w[e] = prod_m a_m(w)[k_m - e_m] its root-free
+    grid and q_w = sum_m q_m(w).  Each coset takes one scalar product per
+    term of F on the sparse grid, and its one root of unity last."""
     ring = ctx.ring
     members = ctx.arr.bases[s.bidx].members
     vars = tuple(ctx.vars[m] for m in members)
     box = tuple(k.weights[m] for m in members)
-    trunc = Truncation(sum(box))
+    trunc = Truncation(sum(box), box)
     F = None
     for g, form in s.unit_factors:
         if k.weights[g] == 0:
             return ring.zero()  # [t_g^0] (t_g * unit) = 0
         f = _dead_unit(ctx, g, form).inverse_power(ring, vars, trunc,
-                                                   k.weights[g], box)
+                                                   k.weights[g])
         F = f if F is None else F * f
-    # G[e] for every e in the box, zero products left out
-    G = None
-    for w in ctx.arr.bases[s.bidx].coset_reps:
-        kernels = {(): None}
-        for m, km in zip(members, box):
-            coeffs = ctx.kernel(s.bidx, w, m, km).terms
-            grown = {}
-            for e, p in kernels.items():
-                for j in range(km + 1):
-                    c = coeffs.get((km - j,))
-                    if c is not None:
-                        grown[e + (j,)] = c if p is None else p * c
-            kernels = grown
-        if G is not None:
-            for e, p in G.items():
-                kernels[e] = kernels[e] + p if e in kernels else p
-        G = kernels
-    terms = F.terms if F is not None else {(0,) * len(box): ring.one()}
+    F = F.terms if F is not None else {(0,) * len(box): ring.one()}
     total = ring.zero()
-    for e, f in terms.items():
-        p = G.get(e)
-        if p is not None:
-            total = total + f * p
+    for w in ctx.arr.bases[s.bidx].coset_reps:
+        # A_w[e] for every e in the box with nonzero parts
+        grid, q = {(): None}, 0
+        for m, km in zip(members, box):
+            parts, qm = ctx.kernel_parts(s.bidx, w, m, km)
+            q += qm
+            grid = {e + (km - n,): c if p is None else p * c
+                    for e, p in grid.items() for n, c in parts.items()}
+        acc = ring.zero()
+        for e, f in F.items():
+            p = grid.get(e)
+            if p is not None:
+                acc = acc + f * p
+        total = total + acc * exp_2pii(ring, q)
     sign = -1 if len(s.unit_factors) % 2 else 1
     return ring.scale(total, sign * s.weight)
 

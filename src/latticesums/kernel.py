@@ -1,15 +1,14 @@
 """The one-dimensional generating kernel and its Taylor coefficients.
 
 With lam = e^{-2 pi i b}, the kernel t * e^{(t - 2 pi i b) y} /
-(e^{t - 2 pi i b} - 1) is e^{-2 pi i b y} t e^{ty} / (lam e^t - 1).  For
-integral b (lam = 1) that is the Bernoulli generating function scaled by a
-root of unity; otherwise it is the Apostol-Bernoulli generating function
-(T. M. Apostol, On the Lerch zeta function, Pacific J. Math. 1, 1951),
-whose coefficients follow from a recurrence that inverts only lam - 1.
-The evaluators read the kernel only as this series in t.  The closed-form
-coefficients C(k, y; b) (Bernoulli polynomials for integral b) and their
-moment integrals against e^{-2 pi i m x} are independent references for
-it, kept with the tests in ``tests/reference.py``.
+(e^{t - 2 pi i b} - 1) is e^{-2 pi i b y} t e^{ty} / (lam e^t - 1): a root
+of unity times a part without it, the Bernoulli generating function for
+integral b (lam = 1) and else the Apostol-Bernoulli one (T. M. Apostol, On
+the Lerch zeta function, Pacific J. Math. 1, 1951).  Its numbers B_k(lam)
+follow from a recurrence that inverts only lam - 1 and depend on b, not on
+y, so one list serves every y (``kernel_base``, ``kernel_parts``).  The
+closed-form coefficients C(k, y; b) and their moment integrals against
+e^{-2 pi i m x} are independent references, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -66,8 +65,9 @@ def _num(ring, v):
     return ring.from_complex(complex(v))
 
 
-def _exp_b(ring, b, scale=1):
-    """e^{2 pi i b scale} in either ring."""
+def exp_2pii(ring, b, scale=1):
+    """e^{2 pi i b scale} in either ring: a root of unity, kept exact for
+    rational b and scale in both rings."""
     if ring.exact:
         return ring.root_of_unity(Fraction(b) * scale)
     if isinstance(b, (int, Fraction)) and isinstance(scale, (int, Fraction)):
@@ -90,28 +90,33 @@ def _apostol_numbers(ring, lam, order: int) -> list:
     return out
 
 
-def _kernel_coeffs(ring, params: KernelParams, order: int) -> list:
-    """c_0..c_order, the Taylor coefficients of the kernel in t.
-
-    With lam = e^{-2 pi i b} the kernel is e^{-2 pi i b y} t e^{ty} /
-    (lam e^t - 1), so c_n = e^{-2 pi i b y} B_n(y; lam) / n! with
-    B_n(y; lam) = sum_k C(n, k) B_k(lam) y^{n-k}: Bernoulli numbers for
-    integral b (lam = 1), Apostol-Bernoulli numbers otherwise.  The only
-    inverse taken is 1/(lam - 1).
-    """
+def kernel_base(ring, params: KernelParams, order: int) -> list:
+    """B_k(lam) / k! for k <= order, lam = e^{-2 pi i b}: Bernoulli
+    numbers for integral b (lam = 1), Apostol-Bernoulli numbers otherwise.
+    They depend on b and the order, not on y.  The only inverse taken is
+    1/(lam - 1)."""
     if params.integral:
         base = [ring.from_fraction(bk) for bk in bernoulli_numbers(order)]
     else:
-        base = _apostol_numbers(ring, _exp_b(ring, params.b, -1), order)
-    y = params.y
-    pref = _exp_b(ring, params.b, -y)
+        base = _apostol_numbers(ring, exp_2pii(ring, params.b, -1), order)
     if ring.exact:
-        base = [ring.scale(bk, Fraction(1, math.factorial(k)))
+        return [ring.scale(bk, Fraction(1, math.factorial(k)))
                 for k, bk in enumerate(base)]
+    return [bk / math.factorial(k) for k, bk in enumerate(base)]
+
+
+def kernel_parts(ring, params: KernelParams, order: int, base) -> list:
+    """a_0..a_order, the kernel's Taylor coefficients in t without its
+    root of unity: c_n = e^{-2 pi i b y} a_n with
+
+        a_n = B_n(y; lam) / n! = sum_k B_k(lam)/k! * y^{n-k}/(n-k)!,
+
+    `base` = ``kernel_base(ring, params, order)``."""
+    y = params.y
+    if ring.exact:
         ypow = [y ** j / math.factorial(j) for j in range(order + 1)]
         weigh = ring.scale
     else:
-        base = [bk / math.factorial(k) for k, bk in enumerate(base)]
         yv = _num(ring, y)
         ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
         weigh = operator.mul
@@ -121,8 +126,16 @@ def _kernel_coeffs(ring, params: KernelParams, order: int) -> list:
         for k in range(n + 1):
             if ypow[n - k]:
                 acc = acc + weigh(base[k], ypow[n - k])
-        out.append(acc * pref)
+        out.append(acc)
     return out
+
+
+def _kernel_coeffs(ring, params: KernelParams, order: int) -> list:
+    """c_0..c_order, the kernel's Taylor coefficients in t: its root of
+    unity times each root-free coefficient."""
+    root = exp_2pii(ring, params.b, -params.y)
+    base = kernel_base(ring, params, order)
+    return [a * root for a in kernel_parts(ring, params, order, base)]
 
 
 def _univariate(ring, coeffs, order: int, var: str,

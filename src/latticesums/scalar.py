@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, le
 from typing import Dict
 
 from mpmath.ctx_mp import MPContext
@@ -278,6 +278,8 @@ class ExactRing:
 
     def root_of_unity(self, q):
         """e^{2 pi i q} for rational q."""
+        if Fraction(q).denominator == 1:
+            return self._one
         return self.from_cyc(self.field.root_of_unity(q))
 
     def two_pi_i(self):
@@ -331,9 +333,9 @@ class ExactRing:
                                     for (k, x), v in c.terms.items()]))
         return den, out
 
-    def mul_terms(self, a: dict, b: dict, total: int) -> dict:
+    def mul_terms(self, a: dict, b: dict, trunc) -> dict:
         """The product of two series term maps ``{exps: scalar}``, truncated
-        at total degree ``total``, with no zero coefficient.
+        at ``trunc`` (a ``series.Truncation``), with no zero coefficient.
 
         Both factors are brought over one denominator each, so the
         convolution runs on integer numerators; every output coefficient is
@@ -342,6 +344,7 @@ class ExactRing:
         field = self.field
         table = field.basis_products
         product = field.basis_product
+        total, box = trunc.total, trunc.box
         da, a_items = self._over_lcm(a)
         db, b_items = self._over_lcm(b)
         acc: Dict[tuple, Dict[tuple, int]] = {}
@@ -350,6 +353,8 @@ class ExactRing:
                 if sa + sb > total:
                     continue
                 e = tuple(map(add, ea, eb))
+                if box is not None and not all(map(le, e, box)):
+                    continue
                 out = acc.get(e)
                 if out is None:
                     out = acc[e] = {}
@@ -427,10 +432,11 @@ class NumericRing:
         """x times the int or Fraction q."""
         return x * q.numerator / q.denominator
 
-    def mul_terms(self, a: dict, b: dict, total: int) -> dict:
+    def mul_terms(self, a: dict, b: dict, trunc) -> dict:
         """The product of two series term maps ``{exps: scalar}``, truncated
-        at total degree ``total``, without the coefficients that read as
-        zero."""
+        at ``trunc`` (a ``series.Truncation``), without the coefficients
+        that read as zero."""
+        total, box = trunc.total, trunc.box
         out: dict = {}
         big_items = [(e, sum(e), c) for e, c in b.items()]
         for ea, ca in a.items():
@@ -439,6 +445,8 @@ class NumericRing:
                 if da + db > total:
                     continue
                 e = tuple(x + y for x, y in zip(ea, eb))
+                if box is not None and not all(map(le, e, box)):
+                    continue
                 cur = out.get(e)
                 p = ca * cb
                 out[e] = p if cur is None else cur + p

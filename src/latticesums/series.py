@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import add, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NonDivisible
@@ -39,12 +39,14 @@ Exps = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class Truncation:
-    """Total-degree cutoff."""
+    """Total-degree cutoff, and with `box` one cutoff per variable too."""
 
     total: int
+    box: Optional[Exps] = None
 
     def keeps(self, exps: Exps) -> bool:
-        return sum(exps) <= self.total
+        return sum(exps) <= self.total and (
+            self.box is None or all(map(le, exps, self.box)))
 
 
 class TruncatedSeries:
@@ -162,8 +164,7 @@ class TruncatedSeries:
         small, big = (self.terms, other.terms) \
             if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
         return TruncatedSeries(self.ring, self.vars, self.trunc,
-                               self.ring.mul_terms(small, big,
-                                                   self.trunc.total))
+                               self.ring.mul_terms(small, big, self.trunc))
 
     # -- analytic helpers ----------------------------------------------------
 
@@ -244,8 +245,8 @@ class LinearForm:
     def singular(self) -> bool:
         return self.c == 0
 
-    def _expand(self, ring, vars, trunc: Truncation, phi,
-                box: Optional[Sequence[int]] = None) -> TruncatedSeries:
+    def _expand(self, ring, vars, trunc: Truncation, phi
+                ) -> TruncatedSeries:
         """sum_n phi[n] (D L)^n, D = `den`: with q_v = p_v / D, the
         coefficient of t^e is
 
@@ -253,8 +254,8 @@ class LinearForm:
 
         one integer multiple of phi[|e|] per term.  Each phi[n] is a
         nonzero ring scalar, or None to leave the degree out; so are the
-        degrees past the end of phi.  `box`, one bound per entry of
-        `vars`, keeps only the terms with e_v <= box_v.
+        degrees past the end of phi.  A `trunc.box` keeps only the terms
+        with e_v <= box_v.
         """
         vars = tuple(vars)
         top = min(trunc.total, len(phi) - 1)
@@ -266,7 +267,7 @@ class LinearForm:
         for v, q in self.coeffs.items():
             pos = vars.index(v)
             p = q.numerator * (self.den // q.denominator)
-            cap = top if box is None else box[pos]
+            cap = top if trunc.box is None else trunc.box[pos]
             grown = []
             for e, pe, fe, n in partial:
                 head, tail = e[:pos], e[pos + 1:]
@@ -292,11 +293,10 @@ class LinearForm:
                for n in range(min(m, trunc.total) + 1)]
         return self._expand(ring, vars, trunc, phi)
 
-    def inverse_power(self, ring, vars, trunc: Truncation, k: int,
-                      box: Optional[Sequence[int]] = None
+    def inverse_power(self, ring, vars, trunc: Truncation, k: int
                       ) -> TruncatedSeries:
         """(a + L)^(-k) for k >= 1 and a = `constant` nonzero:
-        f_n = C(k + n - 1, n) a^(-k) (-1/a)^n.  `box` as in ``_expand``."""
+        f_n = C(k + n - 1, n) a^(-k) (-1/a)^n."""
         if self.singular:
             raise NonDivisible("cannot invert a linear form with zero "
                                "constant term")
@@ -308,7 +308,7 @@ class LinearForm:
             phi.append(ring.scale(power, math.comb(k + n - 1, n)))
             if n < trunc.total:
                 power = power * step
-        return self._expand(ring, vars, trunc, phi, box)
+        return self._expand(ring, vars, trunc, phi)
 
     def exp(self, ring, vars, trunc: Truncation) -> TruncatedSeries:
         """e^(a + L) = e^(-2 pi i c) e^L: f_n = e^(-2 pi i c) / n!.  In the

@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple, Union
 from latticesums import intlinalg
 from latticesums.errors import NotSimple
 from latticesums.genfun import EvaluationContext
-from latticesums.kernel import (KernelParams, _apostol_numbers, _exp_b,
+from latticesums.kernel import (KernelParams, _apostol_numbers, exp_2pii,
                                 bernoulli_numbers, kernel_series)
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
@@ -246,7 +246,7 @@ def bernoulli_poly(k: int, y) -> Fraction:
 def kernel_coeff(ring, k: int, params: KernelParams):
     """C(k, y; b): k! times the k-th Taylor coefficient."""
     if params.integral and ring.exact:
-        pref = _exp_b(ring, params.b, -Fraction(params.y))
+        pref = exp_2pii(ring, params.b, -Fraction(params.y))
         return pref * ring.from_fraction(bernoulli_poly(k, Fraction(params.y)))
     s = kernel_series(ring, params, k)
     fact = ring.from_fraction(Fraction(math.factorial(k)))
@@ -277,7 +277,7 @@ def kernel_coeff_poly(ring, k: int, params_b: Fraction):
     if b.denominator == 1:
         return [ring.from_fraction(c) for c in bernoulli_poly_coeffs(k)]
     # C(k, x; b) = B_k(x; lam) = sum_j C(k, j) B_{k-j}(lam) x^j, B_0(lam) = 0
-    bn = _apostol_numbers(ring, _exp_b(ring, b, -1), k)
+    bn = _apostol_numbers(ring, exp_2pii(ring, b, -1), k)
     return [ring.scale(bn[k - j], math.comb(k, j)) for j in range(k)] \
         or [ring.zero()]
 

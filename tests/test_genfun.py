@@ -16,7 +16,8 @@ from latticesums.genfun import (EvaluationContext, WeightVector,
                                 cyclotomic_order, documented_family,
                                 generating_function, lattice_sum_value,
                                 summand_rational_form, zeta_from_S)
-from latticesums.kernel import KernelParams, kernel_series
+from latticesums.kernel import (KernelParams, kernel_base, kernel_parts,
+                                kernel_series)
 from latticesums.lattice import Arrangement, choose_phi, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
@@ -606,26 +607,44 @@ def test_basis_summand_is_its_coset_sum(mode, singular, data):
 
 def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     # a basis's unit factors are expanded once (one inverse_power each),
-    # not once per coset; the kernels are read once per (coset, member)
+    # not once per coset, and multiplied on the box in the unit path; the
+    # kernels are read once per (coset, member) through the one accessor,
+    # their root-free parts built once per parameters and order and their
+    # B_k(lam) / k! once per (b, order) in the context
     arr = Arrangement(2, [make_functional(d, c) for d, c in zip(
         COSET_HEAVY_DIRECTIONS + ((1, 0),),
         (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)))])
     assert any(b.index == 3 for b in arr.bases)
     y = (Fraction(1, 7), Fraction(1, 11))
-    inverses, kernels = [], []
-    real_inverse, real_kernel = LinearForm.inverse_power, \
-        EvaluationContext.kernel
+    inverses, reads, bases, parts, boxes = [], [], [], [], []
+    real_inverse, real_parts = LinearForm.inverse_power, \
+        EvaluationContext.kernel_parts
+    real_mul = TruncatedSeries.__mul__
 
     def counted_inverse(self, *args, **kwargs):
         inverses.append(self)
         return real_inverse(self, *args, **kwargs)
 
-    def counted_kernel(self, bidx, w, member, order):
-        kernels.append((bidx, w, member))
-        return real_kernel(self, bidx, w, member, order)
+    def counted_read(self, bidx, w, member, order):
+        reads.append((bidx, w, member))
+        return real_parts(self, bidx, w, member, order)
+
+    def counted_base(ring, p, order):
+        bases.append((None if p.integral else p.b, order))
+        return kernel_base(ring, p, order)
+
+    def counted_parts(ring, p, order, base):
+        parts.append((p, order))
+        return kernel_parts(ring, p, order, base)
+
+    def boxed_mul(a, b):
+        boxes.append((a.trunc.box, b.trunc.box))
+        return real_mul(a, b)
 
     monkeypatch.setattr(LinearForm, "inverse_power", counted_inverse)
-    monkeypatch.setattr(EvaluationContext, "kernel", counted_kernel)
+    monkeypatch.setattr(EvaluationContext, "kernel_parts", counted_read)
+    monkeypatch.setattr(genfun, "kernel_base", counted_base)
+    monkeypatch.setattr(genfun, "kernel_parts", counted_parts)
     ctx = EvaluationContext(arr, y, "exact")
     k = WeightVector.make((2, 1, 1, 2))
     for s in build_summands(ctx):
@@ -640,10 +659,18 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
                       lambda: summand_rational_form(ctx, s, 4, live, k),
                       lambda: genfun._unit_summand_value(ctx, s, k)):
             inverses.clear()
-            kernels.clear()
+            reads.clear()
             build()
             assert len(inverses) == len(s.unit_factors)
-            assert sorted(kernels) == pairs
+            assert sorted(reads) == pairs
+        box = tuple(k.weights[m] for m in b.members)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", boxed_mul)
+        boxes.clear()
+        genfun._unit_summand_value(ctx, s, k)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", real_mul)
+        assert boxes == [(box, box)] * (len(s.unit_factors) - 1)
+    assert parts and len(parts) == len(set(parts))
+    assert bases and len(bases) == len(set(bases))
 
 
 @pytest.mark.parametrize("arr", [a2_directions(),

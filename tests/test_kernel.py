@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
-from latticesums.kernel import (KernelParams, bernoulli_numbers,
-                                kernel_series, kernel_series_dy)
+from latticesums.kernel import (KernelParams, bernoulli_numbers, exp_2pii,
+                                kernel_base, kernel_parts, kernel_series,
+                                kernel_series_dy)
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.scalar import ExactRing, NumericRing
@@ -188,6 +190,68 @@ def test_closed_form_kernel_matches_series_inversion(N, b, y):
                                               math.factorial(j)))
                 for j in range(k)] or [ring.zero()]
         assert kernel_coeff_poly(ring, k, b) == want
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+EXACT_BY_N = {N: ExactRing(N) for N in (4, 60, 420, 21840)}
+NUMERIC = NumericRing(128)
+REF192 = MPContext()
+REF192.prec = 192
+
+
+@st.composite
+def kernel_cases(draw):
+    """(N, b, y, order) with e^{-2 pi i b} and e^{-2 pi i b y} in
+    Q(zeta_N): b over a divisor d <= 12 of N, y over any divisor of N / d,
+    so that the root e^{-2 pi i b y} may be dense while B_k(lam) stays in
+    a small field, as in the evaluators; b is integral one time in two."""
+    N = draw(st.sampled_from(sorted(EXACT_BY_N)))
+    d = 1 if draw(st.booleans()) else draw(st.sampled_from(
+        [x for x in _divisors(N)[1:] if x <= 12]))
+    b = Fraction(draw(st.integers(-2 * d, 2 * d)), d)
+    e = draw(st.sampled_from(_divisors(N // d)))
+    y = Fraction(draw(st.integers(0, e)), e)
+    return N, b, y, draw(st.integers(0, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.integers(0, 6))
+def test_root_times_parts_is_the_kernel(case, other):
+    # the kernel is its root of unity e^{-2 pi i b y} times its
+    # root-free parts, coefficient by coefficient, with B_k(lam) / k! shared
+    # by every y: exact in the exact ring, and equal to the Bernoulli
+    # polynomials (integral b) or to the series inversion of the generating
+    # function (any other b); within 2^-100 of the exact value
+    # (embedded at 192 bits) in the numeric ring
+    N, b, y, order = case
+    ring = EXACT_BY_N[N]
+    p = KernelParams.make(b, y)
+    shared = kernel_base(ring, KernelParams.make(b, Fraction(other, 7)),
+                         order)
+    parts = kernel_parts(ring, p, order, kernel_base(ring, p, order))
+    assert kernel_parts(ring, p, order, shared) == parts
+    root = exp_2pii(ring, b, -y)
+    want = kernel_series(ring, p, order)
+    if p.integral:  # e^{-2 pi i b y} B_n(y) / n!
+        reference = [root * ring.from_fraction(
+            bernoulli_poly(n, y) / math.factorial(n))
+            for n in range(order + 1)]
+    else:
+        inverted = _series_inversion_kernel(ring, b, y, order)[0]
+        reference = [inverted.coefficient((n,)) for n in range(order + 1)]
+    for n, a in enumerate(parts):
+        assert root * a == want.coefficient((n,)) == reference[n]
+    numeric = kernel_series(NUMERIC, p, order)
+    root = exp_2pii(NUMERIC, b, -y)
+    for n, a in enumerate(kernel_parts(NUMERIC, p, order,
+                                       kernel_base(NUMERIC, p, order))):
+        ref = want.coefficient((n,)).embed(REF192)
+        tol = 2.0 ** -100 * max(1, abs(ref))
+        assert abs(root * a - ref) <= tol
+        assert abs(numeric.coefficient((n,)) - ref) <= tol
 
 
 def test_kernel_argument_validation():

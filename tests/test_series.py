@@ -102,6 +102,32 @@ def test_exact_product_matches_termwise(N, data):
         assert_canonical(v)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_boxed_product_keeps_the_box(data):
+    # with a box in the truncation, both rings multiply on the box only:
+    # the product is the unboxed product's terms with e <= box
+    ring, numeric = EXACT_RINGS[1260], NumericRing(128)
+    box = tuple(data.draw(st.integers(0, 3)) for _ in range(2))
+    trunc = Truncation(3, box)
+    a = data.draw(exact_series(ring, trunc))
+    b = data.draw(exact_series(ring, trunc))
+    full = TruncatedSeries(ring, a.vars, Truncation(3), a.terms) \
+        * TruncatedSeries(ring, b.vars, Truncation(3), b.terms)
+    want = {e: c for e, c in full.terms.items()
+            if all(x <= m for x, m in zip(e, box))}
+    assert (a * b).terms == want == termwise_product(a, b)
+
+    def embedded(s):
+        return TruncatedSeries(numeric, s.vars, trunc, {
+            e: c.embed(numeric.ctx) for e, c in s.terms.items()})
+    got = (embedded(a) * embedded(b)).terms
+    assert set(got) <= set(want)
+    for e, c in want.items():
+        ref = c.embed(numeric.ctx)
+        assert abs(got.get(e, 0) - ref) <= 2.0 ** -100 * max(1, abs(ref))
+
+
 def test_exp_multiplicativity():
     for K in (2, 4, 6):
         tr = Truncation(K)
@@ -248,7 +274,8 @@ def test_inverse_power_box_keeps_the_terms_in_the_box(form, k, box):
     full = form.inverse_power(ring, VARS, trunc, k)
     want = {e: c for e, c in full.terms.items()
             if all(x <= b for x, b in zip(e, box))}
-    assert form.inverse_power(ring, VARS, trunc, k, box).terms == want
+    boxed = Truncation(trunc.total, tuple(box))
+    assert form.inverse_power(ring, VARS, boxed, k).terms == want
 
 
 @st.composite
@@ -278,8 +305,9 @@ def _exp_reference(form, ring, vars, trunc):
 
 
 def _expansion_and_reference(data, ring):
-    """One of power(m), exp and inverse_power(k, box) of a random form,
-    with its value from repeated series products or ``invert_unit``."""
+    """One of power(m), exp and inverse_power(k) (on a box or not) of a
+    random form, with its value from repeated series products or
+    ``invert_unit``."""
     form = data.draw(rational_forms(ring))
     trunc = Truncation(data.draw(st.integers(0, 5)))
     which = data.draw(st.sampled_from(
@@ -297,7 +325,8 @@ def _expansion_and_reference(data, ring):
                                          max_size=3))
     if box is None:
         return form.inverse_power(ring, VARS, trunc, k), ref.terms
-    return (form.inverse_power(ring, VARS, trunc, k, box),
+    return (form.inverse_power(ring, VARS,
+                               Truncation(trunc.total, tuple(box)), k),
             {e: c for e, c in ref.terms.items()
              if all(x <= b for x, b in zip(e, box))})
 

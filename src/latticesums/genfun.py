@@ -41,9 +41,8 @@ strategies use it:
   hyperplane and is a component of its own.  Nothing is divided there,
   so no truncated series is built: its coefficient is read at k on the
   box e <= k_B of its basis weights, from the unit factors' product and
-  each coset's kernel product without its roots of unity; the roots
-  e^{-2 pi i b_m yhat_m} are summed as one exponent and applied last, one
-  per coset.  Only
+  each coset's kernel product without its roots of unity, whose
+  e^{-2 pi i b_m yhat_m} are summed as one exponent, applied last.  Only
   components with a singular denominator build series, to the order that
   their divisions need, through the builder with the component's live
   variables: the kernels and the collapsed unit factors are multiplied
@@ -70,7 +69,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ExcludedPoint
-from .kernel import KernelParams, exp_2pii, kernel_base, kernel_parts
+from .kernel import (KernelParams, exp_2pii, kernel_base, kernel_parts,
+                     nonzero_parts, rooted_series)
 # unused here, but the benchmark's tracer patches genfun.kernel_series and
 # genfun.kernel_series_dy
 from .kernel import kernel_series, kernel_series_dy  # noqa: F401
@@ -238,12 +238,13 @@ class EvaluationContext:
     def kernel_parts(self, bidx: int, w: Tuple[int, ...], member: int,
                      order: int) -> Tuple[Dict[int, object], object]:
         """`(a, q)`: the kernel of `member` at its fractional part for
-        (bidx, w), through degree `order`, is e^{2 pi i q} sum_n a[n] t^n
-        with `a` root-free and nonzero (``kernel.kernel_parts``).  `a` is
-        cached by the kernel's parameters, since distinct cosets and bases
-        often share them, and its B_k(lam) / k! by b and the order."""
+        (bidx, w), through degree `order`, is e^{2 pi i q} sum_n a[n] t^n,
+        `a` its nonzero root-free parts (``kernel.nonzero_parts``), cached
+        by the kernel's parameters (distinct cosets and bases often share
+        them) and their B_k(lam) / k! by b and the order."""
         params = KernelParams.make(self.constant(member),
                                    self.yhat(bidx, w, member))
+        q = -params.b * params.y
         parts = self._parts.get((params, order))
         if parts is None:
             key = (None if params.integral else params.b, order)
@@ -251,21 +252,16 @@ class EvaluationContext:
             if base is None:
                 base = self._bases[key] = kernel_base(self.ring, params,
                                                       order)
-            parts = self._parts[params, order] = {
-                n: a for n, a in enumerate(kernel_parts(self.ring, params,
-                                                        order, base))
-                if not self.ring.is_zero(a)}
-        return parts, -params.b * params.y
+            parts = self._parts[params, order] = nonzero_parts(
+                self.ring, kernel_parts(self.ring, params, order, base), q)
+        return parts, q
 
     def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
                order: int) -> TruncatedSeries:
         """The kernel of `member` at its fractional part for (bidx, w) as
         a series in its variable, built from ``kernel_parts``."""
         parts, q = self.kernel_parts(bidx, w, member, order)
-        root = exp_2pii(self.ring, q)
-        return TruncatedSeries(self.ring, (self.vars[member],),
-                               Truncation(order),
-                               {(n,): a * root for n, a in parts.items()})
+        return rooted_series(self.ring, parts, q, order, self.vars[member])
 
     # -- basis geometry ------------------------------------------------------
 

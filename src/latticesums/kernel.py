@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .series import TruncatedSeries, Truncation
 
@@ -130,30 +130,36 @@ def kernel_parts(ring, params: KernelParams, order: int, base) -> list:
     return out
 
 
-def _kernel_coeffs(ring, params: KernelParams, order: int) -> list:
-    """c_0..c_order, the kernel's Taylor coefficients in t: its root of
-    unity times each root-free coefficient."""
-    root = exp_2pii(ring, params.b, -params.y)
-    base = kernel_base(ring, params, order)
-    return [a * root for a in kernel_parts(ring, params, order, base)]
+def nonzero_parts(ring, parts, q) -> Dict[int, object]:
+    """``{n: a_n}`` for the root-free parts whose coefficient e^{2 pi i q}
+    a_n is not zero.  For exact or real q the root has modulus 1, so a_n
+    is tested; for complex q (complex b) the numeric ring's absolute test
+    is made on the coefficient, as the root's modulus is e^{-2 pi Im q}."""
+    if ring.exact or not isinstance(q, complex):
+        return {n: a for n, a in enumerate(parts) if not ring.is_zero(a)}
+    root = exp_2pii(ring, q)
+    return {n: a for n, a in enumerate(parts) if not ring.is_zero(a * root)}
 
 
-def _univariate(ring, coeffs, order: int, var: str,
-                vars: Optional[tuple]) -> TruncatedSeries:
+def rooted_series(ring, parts: Dict[int, object], q, order: int, var: str,
+                  vars: Optional[tuple] = None) -> TruncatedSeries:
+    """sum_n e^{2 pi i q} parts[n] var^n through degree `order`, in
+    `vars`: the kernel from its root of unity and its nonzero root-free
+    parts (``nonzero_parts``)."""
     vars = (var,) if vars is None else tuple(vars)
-    s = TruncatedSeries(ring, vars, Truncation(order))
     p = vars.index(var)
-    for n, c in enumerate(coeffs):
-        if not ring.is_zero(c):
-            s.terms[(0,) * p + (n,) + (0,) * (len(vars) - p - 1)] = c
-    return s
+    root = exp_2pii(ring, q)
+    return TruncatedSeries(ring, vars, Truncation(order), {
+        (0,) * p + (n,) + (0,) * (len(vars) - p - 1): a * root
+        for n, a in parts.items()})
 
 
 def kernel_series(ring, params: KernelParams, order: int, var: str = "t",
                   vars: Optional[tuple] = None) -> TruncatedSeries:
     """Taylor expansion of the kernel through total degree `order`."""
-    return _univariate(ring, _kernel_coeffs(ring, params, order), order,
-                       var, vars)
+    q = -params.b * params.y
+    a = kernel_parts(ring, params, order, kernel_base(ring, params, order))
+    return rooted_series(ring, nonzero_parts(ring, a, q), q, order, var, vars)
 
 
 def kernel_series_dy(ring, params: KernelParams, order: int, var: str = "t",
@@ -162,7 +168,8 @@ def kernel_series_dy(ring, params: KernelParams, order: int, var: str = "t",
     the kernel depends on y only through e^{(t - 2 pi i b) y}."""
     two_pi_i_b = ring.two_pi_i() * (ring.from_fraction(params.b)
                                     if ring.exact else _num(ring, params.b))
-    c = _kernel_coeffs(ring, params, order)
-    dy = [(c[n - 1] if n else ring.zero()) - two_pi_i_b * c[n]
+    a = kernel_parts(ring, params, order, kernel_base(ring, params, order))
+    dy = [(a[n - 1] if n else ring.zero()) - two_pi_i_b * a[n]
           for n in range(order + 1)]
-    return _univariate(ring, dy, order, var, vars)
+    q = -params.b * params.y
+    return rooted_series(ring, nonzero_parts(ring, dy, q), q, order, var, vars)

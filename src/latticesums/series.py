@@ -245,8 +245,7 @@ class LinearForm:
     def singular(self) -> bool:
         return self.c == 0
 
-    def _expand(self, ring, vars, trunc: Truncation, phi
-                ) -> TruncatedSeries:
+    def _expand(self, ring, vars, trunc: Truncation, phi) -> TruncatedSeries:
         """sum_n phi[n] (D L)^n, D = `den`: with q_v = p_v / D, the
         coefficient of t^e is
 

@@ -18,7 +18,8 @@ from latticesums.genfun import (EvaluationContext, WeightVector,
                                 summand_rational_form, zeta_from_S)
 from latticesums.kernel import (KernelParams, kernel_base, kernel_parts,
                                 kernel_series)
-from latticesums.lattice import Arrangement, choose_phi, make_functional
+from latticesums.lattice import (Arrangement, GaussianRational, choose_phi,
+                                make_functional)
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
 from latticesums.scalar import format_scalar
@@ -873,6 +874,43 @@ def test_numeric_mode_complex_constants():
     z = truncated_sum(arr, (2,), (Fraction(1, 3),), TruncationWindow(4000),
                       precision=80)
     assert abs(complex(rep.value) - complex(z)) < 1e-4
+
+
+@pytest.mark.parametrize("im, precision", [(13, 128), (6, 64)])
+def test_numeric_kernel_with_large_imaginary_constant(im, precision):
+    # for b = beta + i gamma the root e^{-2 pi i b y} has modulus
+    # e^{2 pi gamma y}: the root-free parts are about e^{-2 pi gamma}, below
+    # the absolute zero tolerance, while the coefficients are not, so the
+    # kernel and the unit path keep every coefficient that kernel_series
+    # keeps
+    arr = Arrangement(2, [
+        make_functional((1, 0), GaussianRational(Fraction(1, 3), im)),
+        make_functional((1, 2), Fraction(1, 5))])
+    ctx = EvaluationContext(arr, (Fraction(9, 10), Fraction(1, 7)),
+                            "numeric", precision)
+    (s,) = build_summands(ctx)
+    assert not s.unit_factors and len(arr.bases[0].coset_reps) == 2
+    ring, order = ctx.ring, 4
+    want = {}
+    for w in arr.bases[0].coset_reps:
+        kernels = []
+        for m in (0, 1):
+            p = KernelParams.make(ctx.constant(m), ctx.yhat(0, w, m))
+            kernels.append(kernel_series(ring, p, order))
+            assert ctx.kernel(0, w, m, order).terms == kernels[-1].terms
+        for (i,), a in kernels[0].terms.items():
+            for (j,), c in kernels[1].terms.items():
+                want[i, j] = want.get((i, j), ring.zero()) + a * c
+    assert len(want) > 2 * order
+    assert max(abs(v) for v in want.values()) > 2.0 ** (40 - precision)
+    for e in itertools.product(range(order + 1), repeat=2):
+        got = genfun._unit_summand_value(ctx, s, WeightVector.make(e))
+        ref = ring.scale(want.get(e, ring.zero()), s.weight)
+        # the phases of a complex b are complex doubles, one per kernel in
+        # kernel_series and one sum per coset here, so the two agree to
+        # about 2 pi |Im q| 2^-53 relative
+        assert abs(got - ref) <= (2.0 ** -40 * abs(ref)
+                                  + 2.0 ** (16 - precision))
 
 
 def test_numeric_mode_singular_case_is_exact_structure():

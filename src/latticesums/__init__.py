@@ -9,8 +9,8 @@ from .genfun import (EvaluationContext, EvaluationReport, WeightVector,
                      lattice_sum_value, zeta_from_S)
 from .lattice import (Arrangement, Basis, Functional, GenericDirection,
                       arrangement_from_json, arrangement_to_json,
-                      choose_phi, coset_character_sum, enumerate_bases,
-                      frac_part, load_arrangement, make_functional,
+                      choose_phi, enumerate_bases, frac_part,
+                      load_arrangement, make_functional,
                       on_excluded_hyperplanes)
 from .oracle import TruncationWindow, constrained_points, convergence_scan, \
     truncated_sum
@@ -29,7 +29,7 @@ __all__ = [
     "RankDrop", "NotInvertible",
     "arrangement_from_json", "arrangement_to_json", "load_arrangement",
     "make_functional", "enumerate_bases", "choose_phi",
-    "frac_part", "on_excluded_hyperplanes", "coset_character_sum",
+    "frac_part", "on_excluded_hyperplanes",
     "cyclotomic_order", "generating_function", "coefficient",
     "lattice_sum_value", "zeta_from_S", "constrained_points",
     "truncated_sum", "convergence_scan", "genfun_via_polytopes",

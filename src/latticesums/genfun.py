@@ -78,7 +78,7 @@ from .lattice import (Arrangement, GaussianRational, GenericDirection,
                       choose_phi, frac_part, on_excluded_hyperplanes)
 from .scalar import ExactRing, NumericRing
 from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
-                     sum_rational_forms)
+                     division_count, sum_rational_forms)
 
 
 @dataclass(frozen=True)
@@ -334,6 +334,11 @@ class Summand:
     unit_factors: List[Tuple[int, LinearForm]] = field(default_factory=list)
     degenerate_factors: List[Tuple[int, LinearForm]] = field(default_factory=list)
 
+    @property
+    def denominators(self) -> List[LinearForm]:
+        """The singular den_g, the denominators of its rational form."""
+        return [cf for _, cf in self.degenerate_factors]
+
 
 def build_summands(ctx: EvaluationContext) -> List[Summand]:
     out = []
@@ -378,7 +383,7 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
             (g, form))
     monomial = [ctx.vars[g] for g, _ in live_units + s.degenerate_factors]
     top = order - len(monomial)
-    denoms = [cf for _, cf in s.degenerate_factors]
+    denoms = s.denominators
     if top < 0 or any(k.weights[g] == 0 for g, _ in dead_units):
         # [t_g^0] (t_g * unit) = 0, or nothing below `order`
         return RationalForm(TruncatedSeries(ring, live_vars,
@@ -412,7 +417,10 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
                         check_excluded: bool = True,
                         ctx: Optional[EvaluationContext] = None
                         ) -> TruncatedSeries:
-    """Taylor expansion of the generating function through total degree K."""
+    """Taylor expansion of the generating function through total degree
+    `order`.  The summands are built at the working order
+    order + divisions: ``sum_rational_forms`` divides each distinct
+    singular den_g out once, and each exact division loses one degree."""
     ctx = _context(arr, y, mode, precision, phi, ctx)
     if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
         if ctx.mode == "numeric":
@@ -422,10 +430,10 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
             raise ExcludedPoint(
                 "y lies on an excluded translated hyperplane for an "
                 "indispensable functional")
-    guard = ctx.degenerate_multiplicity()
-    work = order + guard + 1 if guard else order
+    summands = build_summands(ctx)
+    work = order + division_count(s.denominators for s in summands)
     total = sum_rational_forms([summand_rational_form(ctx, s, work)
-                                for s in build_summands(ctx)])
+                                for s in summands])
     return total.with_truncation(Truncation(order))
 
 
@@ -436,8 +444,7 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
 
 def _component_partition(ctx: EvaluationContext, summands: List[Summand]):
     """Group summands by connected components of shared singular forms."""
-    keys = [{cf.key for _, cf in s.degenerate_factors}
-            for s in summands]
+    keys = [{cf.key for cf in s.denominators} for s in summands]
     parent = list(range(len(summands)))
 
     def find(i):
@@ -575,7 +582,6 @@ def _component_value(ctx: EvaluationContext, summands: List[Summand],
         return _unit_summand_value(ctx, s, k)
     ring = ctx.ring
     live = set()
-    divisions = {}
     for s in summands:
         for m in ctx.arr.bases[s.bidx].members:
             live.add(ctx.vars[m])
@@ -583,10 +589,10 @@ def _component_value(ctx: EvaluationContext, summands: List[Summand],
             live.add(ctx.vars[g])
             for v in cf.coeffs:
                 live.add(v)
-            divisions[cf.key] = 1
     live_vars = tuple(sorted(live, key=lambda v: ctx.vars.index(v)))
     target = {v: k.weights[ctx.vars.index(v)] for v in live_vars}
-    order = sum(target.values()) + sum(divisions.values())
+    order = sum(target.values()) + division_count(
+        s.denominators for s in summands)
     forms = [summand_rational_form(ctx, s, order, live_vars, k)
              for s in summands]
     forms = [form for form in forms if not form.numerator.is_zero()]

@@ -22,7 +22,9 @@ kernel products times its factors, applied once), every variable live,
 built below the working order by one degree per t_g and shifted once; a
 removal then multiplies the numerator by den_g and appends t_g to the
 denominators, which the final ``sum_rational_forms`` divides out with
-the singular ones.
+the singular ones.  Each exact division loses one degree, so the working
+order is the compared order plus the divisions: the singular den_g and
+the removed t_g that the surviving summands carry (``division_count``).
 
 The y-derivative uses the per-summand affine gradient of the fractional
 parts, which is constant off the singular locus; on the locus the
@@ -41,7 +43,8 @@ from .errors import RankDrop
 from .genfun import (EvaluationContext, generating_function,
                      summand_rational_form)
 from .lattice import Arrangement
-from .series import LinearForm, RationalForm, Truncation, sum_rational_forms
+from .series import (LinearForm, RationalForm, Truncation, division_count,
+                     sum_rational_forms)
 
 
 @dataclass
@@ -96,11 +99,16 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     if intlinalg.rank(sub_dirs) != arr.rank:
         raise RankDrop("the kept functionals no longer span the space")
     ctx = EvaluationContext(arr, y, mode, precision)
-    work = order + ctx.degenerate_multiplicity() + len(removed) + 1
     # read from genfun at call time, so that wrappers installed there see it
     from .genfun import build_summands
+    summands = build_summands(ctx)
+    # the denominators of the summands that no removal annihilates
+    tgs = [LinearForm(ctx.ring, {ctx.vars[g]: Fraction(1)}) for g in removed]
+    work = order + division_count(
+        s.denominators + tgs for s in summands
+        if set(removed).isdisjoint(ctx.arr.bases[s.bidx].members))
     states = [(s.bidx, summand_rational_form(ctx, s, work))
-              for s in build_summands(ctx)]
+              for s in summands]
     steps = [HierarchyStep(g, ctx.constant(g), arr.functionals[g].direction)
              for g in removed]
     for g in removed:

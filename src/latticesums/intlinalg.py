@@ -18,12 +18,6 @@ def identity(n: int, one=1) -> list:
     return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 def mat_vec(A, v):
     return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
 
@@ -213,15 +207,6 @@ def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]
     for j in kernel_idx:
         kernel.append([V[i][j] for i in range(n)])
     return x0, kernel
-
-
-def integer_row_lattice_contains(Mrows: Sequence[Sequence[int]],
-                                 v: Sequence) -> bool:
-    """True iff v lies in the lattice generated by the rows of square M."""
-    inv = mat_inverse(Mrows)
-    coeffs = [sum(Fraction(v[j]) * inv[j][i] for j in range(len(v)))
-              for i in range(len(Mrows))]
-    return all(c.denominator == 1 for c in coeffs)
 
 
 def integer_normal(rows: Sequence[Sequence[int]]) -> List[int]:

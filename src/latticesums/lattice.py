@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import intlinalg
-from .cyclotomic import CyclotomicField
 from .errors import LatticeSumError
 
 NUMERIC_EPS = 1e-9
@@ -172,9 +171,6 @@ class Arrangement:
             normals[canon] = True
         return list(normals)
 
-    def permuted(self, perm: Sequence[int]) -> "Arrangement":
-        return Arrangement(self.rank, [self.functionals[i] for i in perm])
-
     def restricted(self, keep: Sequence[int]) -> "Arrangement":
         return Arrangement(self.rank, [self.functionals[i] for i in keep])
 
@@ -222,10 +218,6 @@ def _coset_reps(rows: List[List[int]]) -> List[Tuple[int, ...]]:
         w = tuple(sum(c[i] * v_inv[i][j] for i in range(r)) for j in range(r))
         reps.append(w)
     return reps
-
-
-def lattice_contains(basis: Basis, v: Sequence) -> bool:
-    return intlinalg.integer_row_lattice_contains(basis.direction_matrix, v)
 
 
 # ---------------------------------------------------------------------------
@@ -343,35 +335,6 @@ def in_singular_locus(y: Sequence, arr: Arrangement) -> bool:
             if abs(val - round(val)) < NUMERIC_EPS:
                 return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# coset character sums
-# ---------------------------------------------------------------------------
-
-
-def coset_character_sum(basis: Basis, lam: Sequence[Fraction]):
-    """(1/index) * sum over coset reps w of e^{2 pi i <w, lam>}.
-
-    Requires lam in the lattice spanned by the dual basis; returns the exact
-    cyclotomic value (1 if lam is integral, else 0, by character
-    orthogonality).
-    """
-    lam = [Fraction(x) for x in lam]
-    for row in basis.direction_matrix:
-        pairing = sum(l * d for l, d in zip(lam, row))
-        if pairing.denominator != 1:
-            raise ValueError("lam must pair integrally with the basis directions")
-    N = 4
-    for w in basis.coset_reps:
-        val = sum(l * wi for l, wi in zip(lam, w))
-        N = N * val.denominator // math.gcd(N, val.denominator)
-    field = CyclotomicField(N)
-    acc = field.zero()
-    for w in basis.coset_reps:
-        val = sum(l * wi for l, wi in zip(lam, w))
-        acc = acc + field.root_of_unity(val)
-    return acc * Fraction(1, basis.index)
 
 
 # ---------------------------------------------------------------------------

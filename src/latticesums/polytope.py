@@ -57,7 +57,7 @@ from .genfun import EvaluationContext, _context
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, in_singular_locus
 from .series import (RationalForm, TruncatedSeries, Truncation,
-                     sum_rational_forms)
+                     division_count, sum_rational_forms)
 
 Label = Tuple[int, int]  # (functional index, side a)
 
@@ -263,8 +263,11 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     Requires y off the singular locus (exactly tested for rational y);
     raises NotSimple if a polytope fails the simplicity expected there.
     The edge denominators come from the evaluator's denominator builder
-    (``EvaluationContext.combination``); the distinct singular ones set the
-    extra truncation order the exact divisions consume.
+    (``EvaluationContext.combination``).  Each translate's vertex forms
+    are summed on their own, and each exact division of that sum loses one
+    degree, so the singular ones set the extra truncation order: the
+    working order is order + divisions, with the divisions
+    (``division_count``) of the translate that needs the most.
     """
     y = [Fraction(v) for v in y]
     if in_singular_locus(y, arr):
@@ -276,7 +279,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     tstar = _tstar_data(dec)
     n = len(dec.l0)
     cells = []   # (m, [(vertex, edge vectors, edge denominators)])
-    singular = set()
+    divisions = 0
     for m, verts in _translates(dec, y):
         if not witnesses_simple(verts):
             raise NotSimple(f"polytope at m={m} is not simple")
@@ -289,10 +292,11 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
                      for j in nbrs]
             dens = [ctx.combination(_tstar_combination(tstar, dec, e))
                     for e in edges]
-            singular.update(d.key for d in dens if d.singular)
             cell.append((w, edges, dens))
         cells.append((m, cell))
-    work = order + len(singular) + 1 if singular else order
+        divisions = max(divisions, division_count(
+            [d for d in ds if d.singular] for _, _, ds in cell))
+    work = order + divisions
     # prod_f K_f(0) is prod t_f over the non-integral constants times a
     # unit, so the vertex sums are needed that many degrees lower
     params = [KernelParams.make(ctx.constant(f), Fraction(0))

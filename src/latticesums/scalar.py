@@ -285,9 +285,6 @@ class ExactRing:
     def two_pi_i(self):
         return self._two_pi_i
 
-    def pi_pow(self, k: int):
-        return ExactScalar(self.field, {(k, self.field.zero_exps): 1})
-
     def detach(self, x) -> tuple:
         """x as plain data that holds no field: ``(terms, den)``."""
         return tuple(x.terms.items()), x.den

@@ -18,7 +18,8 @@ the operations that make the closed-form evaluators work:
   summands are not.  A slice recurrence, pivoting on the largest |q_v|,
   solves for the quotient with rational scalings only;
 * ``sum_rational_forms`` -- combination of summands carrying such singular
-  denominators over a common product, followed by the exact divisions.
+  denominators over a common product, followed by the exact divisions,
+  ``division_count`` of them, each losing one degree.
 
 ``TruncatedSeries.invert_unit`` remains as the generic inverse of any unit
 series; the tests use it as an independent reference for the closed forms.
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import NonDivisible
 
@@ -455,11 +456,41 @@ class RationalForm:
         return RationalForm(num, denoms)
 
 
+def _divisors(denominator_lists: Iterable[Sequence[LinearForm]]
+              ) -> Dict[tuple, Tuple[LinearForm, int]]:
+    """Per distinct ``LinearForm.key``: its first form and its largest
+    multiplicity in any one list, the powers of the common denominator."""
+    out: Dict[tuple, Tuple[LinearForm, int]] = {}
+    for denoms in denominator_lists:
+        keys = [d.key for d in denoms]
+        for d, k in zip(denoms, keys):
+            m = keys.count(k)
+            got = out.get(k)
+            if got is None or got[1] < m:
+                out[k] = (d if got is None else got[0], m)
+    return out
+
+
+def division_count(denominator_lists: Iterable[Sequence[LinearForm]]
+                   ) -> int:
+    """The number of ``divide_exact`` calls that ``sum_rational_forms``
+    makes for forms with these denominator lists.  Each division loses one
+    degree, so numerators truncated at order + this count give the sum
+    exactly through `order`."""
+    return sum(m for _, m in _divisors(denominator_lists).values())
+
+
 def sum_rational_forms(forms: Sequence[RationalForm],
                        residuals: Optional[List[float]] = None
                        ) -> TruncatedSeries:
     """Combine summands over the product of their distinct denominators and
-    perform the exact divisions; the result is the holomorphic total."""
+    perform the exact divisions; the result is the holomorphic total.
+
+    Each division loses one degree: for numerators truncated at W, the
+    sum is exact through W - ``division_count`` of the denominators, so
+    the working order of a sum through `order` is order + divisions.  The
+    remainder test of each division covers every degree up to W, so it
+    sees every term that feeds a returned coefficient."""
     if not forms:
         raise ValueError("no forms to sum")
     forms = [f.normalized() for f in forms]
@@ -470,28 +501,18 @@ def sum_rational_forms(forms: Sequence[RationalForm],
         if f.numerator.vars != vars or f.numerator.trunc != trunc:
             raise ValueError("forms must share variables and truncation")
 
-    # distinct denominators with their max multiplicity
-    universe: Dict[tuple, Tuple[LinearForm, int]] = {}
-    keyed: List[Tuple[TruncatedSeries, Dict[tuple, int]]] = []
-    for f in forms:
-        counts: Dict[tuple, int] = {}
-        for d in f.denominators:
-            counts[d.key] = counts.get(d.key, 0) + 1
-            universe.setdefault(d.key, (d, 0))
-        for k, m in counts.items():
-            d, cur = universe[k]
-            universe[k] = (d, max(cur, m))
-        keyed.append((f.numerator, counts))
-
+    universe = _divisors(f.denominators for f in forms)
     total = TruncatedSeries(ring, vars, trunc)
-    for num, counts in keyed:
+    for f in forms:
+        num = f.numerator
+        keys = [d.key for d in f.denominators]
         for k, (d, mult) in universe.items():
-            deficit = mult - counts.get(k, 0)
+            deficit = mult - keys.count(k)
             if deficit > 0:
                 num = num * d.power(ring, vars, trunc, deficit)
         total = total + num
 
-    for k, (d, mult) in universe.items():
+    for d, mult in universe.values():
         for _ in range(mult):
             total = divide_exact(total, d, residuals)
     return total

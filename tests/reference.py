@@ -12,7 +12,10 @@ evaluators take from shortcuts:
   for integral b) and their moment integrals against e^{-2 pi i m x};
 * one coset's term of a basis's summand built at full order, one series
   product per kernel, per t_g and per unit inverse;
-* the constant and single-variable series those products start from.
+* the constant and single-variable series those products start from;
+* small exact helpers that only the tests use: a matrix product, lattice
+  membership, the powers of pi, an arrangement with its functionals
+  reordered and the character sums over a basis's coset representatives.
 """
 
 from __future__ import annotations
@@ -25,12 +28,15 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
 from latticesums import intlinalg
+from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
 from latticesums.genfun import EvaluationContext
 from latticesums.kernel import (KernelParams, _apostol_numbers, exp_2pii,
                                 bernoulli_numbers, kernel_series)
+from latticesums.lattice import Arrangement, Basis
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
+from latticesums.scalar import ExactScalar
 from latticesums.series import RationalForm, TruncatedSeries, Truncation
 
 # ---------------------------------------------------------------------------
@@ -361,3 +367,58 @@ def full_order_summand(ctx: EvaluationContext, bidx: int,
         else:
             num = num * form.inverse_power(ring, vars, trunc, 1)
     return RationalForm(num, denoms)
+
+
+# ---------------------------------------------------------------------------
+# small exact helpers
+# ---------------------------------------------------------------------------
+
+
+def mat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
+
+
+def lattice_contains(rows: Sequence[Sequence[int]], v: Sequence) -> bool:
+    """True iff v lies in the lattice generated by the rows of the square
+    integer matrix `rows`."""
+    inv = intlinalg.mat_inverse(rows)
+    coeffs = [sum(Fraction(v[j]) * inv[j][i] for j in range(len(v)))
+              for i in range(len(rows))]
+    return all(c.denominator == 1 for c in coeffs)
+
+
+def pi_pow(ring, k: int) -> ExactScalar:
+    """pi^k in the exact ring."""
+    return ExactScalar(ring.field, {(k, ring.field.zero_exps): 1})
+
+
+def permuted(arr: Arrangement, perm: Sequence[int]) -> Arrangement:
+    """The arrangement with its functionals in the order `perm`."""
+    return Arrangement(arr.rank, [arr.functionals[i] for i in perm])
+
+
+def coset_character_sum(basis: Basis, lam: Sequence[Fraction]):
+    """(1/index) * sum over coset reps w of e^{2 pi i <w, lam>}.
+
+    Requires lam in the lattice spanned by the dual basis; returns the exact
+    cyclotomic value (1 if lam is integral, else 0, by character
+    orthogonality).
+    """
+    lam = [Fraction(x) for x in lam]
+    for row in basis.direction_matrix:
+        pairing = sum(l * d for l, d in zip(lam, row))
+        if pairing.denominator != 1:
+            raise ValueError("lam must pair integrally with the basis "
+                             "directions")
+    N = 4
+    for w in basis.coset_reps:
+        val = sum(l * wi for l, wi in zip(lam, w))
+        N = N * val.denominator // math.gcd(N, val.denominator)
+    field = CyclotomicField(N)
+    acc = field.zero()
+    for w in basis.coset_reps:
+        val = sum(l * wi for l, wi in zip(lam, w))
+        acc = acc + field.root_of_unity(val)
+    return acc * Fraction(1, basis.index)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from latticesums import genfun, intlinalg
-from latticesums.errors import ExcludedPoint
+from latticesums.errors import ExcludedPoint, NonDivisible
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   triangle)
 from latticesums.genfun import (EvaluationContext, WeightVector,
@@ -24,8 +24,9 @@ from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
 from latticesums.scalar import format_scalar
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
-                                Truncation)
-from reference import full_order_summand, series_variable
+                                Truncation, division_count,
+                                sum_rational_forms)
+from reference import full_order_summand, permuted, pi_pow, series_variable
 
 CTX = MPContext()
 CTX.prec = 128
@@ -171,7 +172,7 @@ def test_degenerate_assembly_matches_oracle(generic_y2):
 def _transcribed_C012(ctx, beta, gamma, y2):
     R = ctx.ring
     i = R.from_cyc(R.field.zeta_pow(R.N // 4))
-    pi = R.pi_pow(1)
+    pi = pi_pow(R, 1)
 
     def e(q):
         return R.root_of_unity(q)
@@ -218,7 +219,7 @@ def test_C222_nonintegral_branch_closed_form():
     ctx = EvaluationContext(arr, (yv,), "exact")
     R = ctx.ring
     i = R.from_cyc(R.field.zeta_pow(R.N // 4))
-    pi = R.pi_pow(1)
+    pi = pi_pow(R, 1)
     aF = R.from_fraction
     e = R.root_of_unity
     E = e(a) - R.one()
@@ -246,7 +247,7 @@ def test_C222_integral_branch_closed_form():
     ctx = EvaluationContext(arr, (yv,), "exact")
     R = ctx.ring
     i = R.from_cyc(R.field.zeta_pow(R.N // 4))
-    pi = R.pi_pow(1)
+    pi = pi_pow(R, 1)
     aF = R.from_fraction
     e = R.root_of_unity
     y_ = aF(yv)
@@ -332,7 +333,7 @@ def test_permutation_invariance(triangle_rational, generic_y2):
     k = (1, 2, 3)
     base = lattice_sum_value(arr, generic_y2, k).value
     for perm in [(1, 0, 2), (2, 1, 0), (1, 2, 0)]:
-        arr_p = arr.permuted(perm)
+        arr_p = permuted(arr, perm)
         k_p = tuple(k[i] for i in perm)
         got = lattice_sum_value(arr_p, generic_y2, k_p).value
         assert format_scalar(got) == format_scalar(base)
@@ -441,6 +442,52 @@ def test_coefficient_with_singular_denominator_matches_series(
                 else:
                     err = abs(got - want) / max(1, abs(want))
                     assert err < CTX.mpf(2) ** -100, k
+
+
+def _summed_at(ctx, summands, work):
+    return sum_rational_forms([summand_rational_form(ctx, s, work)
+                               for s in summands])
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_working_order_is_order_plus_divisions(order):
+    # each exact division loses one degree: built at order + divisions the
+    # sum is exact through `order`, and one degree less loses degree
+    # `order` (the series has no term of odd degree here, so an odd order
+    # would show nothing)
+    arr = a2_directions()
+    ctx = EvaluationContext(arr, (0, 0), "exact")
+    summands = build_summands(ctx)
+    divisions = division_count(s.denominators for s in summands)
+    assert divisions > 0
+    exact = _summed_at(ctx, summands, order + divisions)
+    spare = _summed_at(ctx, summands, order + divisions + 2)
+    short = _summed_at(ctx, summands, order + divisions - 1)
+    degrees = [e for e in itertools.product(range(order + 1), repeat=3)
+               if sum(e) <= order]
+    assert all(exact.coefficient(e) == spare.coefficient(e)
+               for e in degrees)
+    assert any(short.coefficient(e) != exact.coefficient(e)
+               for e in degrees if sum(e) == order)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_sum_without_one_summand_is_not_divisible(order, dropped,
+                                                  monkeypatch):
+    # the exact divisions are the self-check of the assembled sum: without
+    # one basis's summand it is not holomorphic, and at the working order
+    # order + divisions the remainder test still sees that
+    real = genfun.build_summands
+
+    def without_one(ctx):
+        summands = real(ctx)
+        assert len(summands) == 3
+        return summands[:dropped] + summands[dropped + 1:]
+
+    monkeypatch.setattr(genfun, "build_summands", without_one)
+    with pytest.raises(NonDivisible):
+        generating_function(a2_directions(), (0, 0), order)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from latticesums.polytope import (Decomposition, VertexWitness,
 from reference import (HalfSpace, HPolytope, box_translates,
                        brute_force_vertices, build_polytope,
                        exp_integral_simple, incident_hyperplane_count,
-                       is_simple, witness_matrix)
+                       is_simple, permuted, witness_matrix)
 
 CTX = MPContext()
 CTX.prec = 140
@@ -392,7 +392,7 @@ def test_reconstruction_every_decomposition(arr, order, generic_y2):
     # functionals moves that basis over every basis of the arrangement
     firsts = set()
     for perm in itertools.permutations(range(arr.size)):
-        arr_p = arr.permuted(perm)
+        arr_p = permuted(arr, perm)
         firsts.add(tuple(sorted(perm[i] for i in arr_p.bases[0].members)))
         ctx = EvaluationContext(arr_p, generic_y2, "exact")
         F1 = generating_function(arr_p, generic_y2, order, ctx=ctx,

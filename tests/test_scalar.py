@@ -8,6 +8,7 @@ from mpmath.ctx_mp import MPContext
 from latticesums.errors import NotInvertible
 from latticesums.scalar import (ExactRing, ExactScalar, NumericRing,
                                 format_scalar, parse_scalar)
+from reference import pi_pow
 
 CTX = MPContext()
 CTX.prec = 140
@@ -24,7 +25,8 @@ def scalars(draw, ring):
         j = draw(st.integers(0, ring.N - 1))
         num = draw(st.integers(-5, 5))
         den = draw(st.integers(1, 4))
-        out = out + ring.pi_pow(k) * ring.from_cyc(ring.field.zeta_pow(j)) \
+        out = out + pi_pow(ring, k) \
+            * ring.from_cyc(ring.field.zeta_pow(j)) \
             * ring.from_fraction(Fraction(num, den))
     return out
 
@@ -40,7 +42,7 @@ def pi_monomials(draw, ring):
         c = c - 1
     q = Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])),
                  draw(st.integers(1, 4)))
-    return ring.pi_pow(k) * ring.from_cyc(c) * ring.from_fraction(q)
+    return pi_pow(ring, k) * ring.from_cyc(c) * ring.from_fraction(q)
 
 
 def canonical(x):
@@ -93,9 +95,9 @@ def test_two_pi_i():
 
 def test_only_pi_monomials_invert():
     with pytest.raises(NotInvertible):
-        (R.one() + R.pi_pow(1)).inv()  # 1 + pi
+        (R.one() + pi_pow(R, 1)).inv()  # 1 + pi
     with pytest.raises(NotInvertible):
-        R.one() / (R.pi_pow(2) - R.from_fraction(3))
+        R.one() / (pi_pow(R, 2) - R.from_fraction(3))
     with pytest.raises(ZeroDivisionError):
         R.zero().inv()
 
@@ -115,14 +117,15 @@ def test_format_parse_roundtrip(text):
 
 
 def test_format_cyclotomic_coefficients():
-    x = R.from_cyc(R.field.zeta_pow(1)) * R.pi_pow(2) + R.from_fraction(1)
+    x = R.from_cyc(R.field.zeta_pow(1)) * pi_pow(R, 2) \
+        + R.from_fraction(1)
     s = format_scalar(x)
     assert "z" in s
     assert parse_scalar(R, s) == x
 
 
 def test_embed_example_value():
-    v = R.pi_pow(2) * R.from_fraction(Fraction(1, 2)) \
+    v = pi_pow(R, 2) * R.from_fraction(Fraction(1, 2)) \
         - R.from_fraction(Fraction(39, 8))
     got = complex(v.embed(CTX))
     want = 3.141592653589793**2 / 2 - 39 / 8
@@ -136,7 +139,7 @@ def test_zeta4_is_i():
 
 
 def test_zero_is_canonical():
-    a = R.pi_pow(3) * R.from_cyc(R.field.zeta_pow(5))
+    a = pi_pow(R, 3) * R.from_cyc(R.field.zeta_pow(5))
     assert (a - a).is_zero()
     assert format_scalar(a - a) == "0"
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latticesums import series as series_module
 from latticesums.errors import NonDivisible
 from latticesums.lattice import GaussianRational
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
-                                Truncation, divide_exact, sum_rational_forms)
-from reference import series_constant, series_variable
+                                Truncation, divide_exact, division_count,
+                                sum_rational_forms)
+from reference import pi_pow, series_constant, series_variable
 
 R = ExactRing(4)
 VARS = ("t1", "t2", "t3")
@@ -51,7 +53,7 @@ def exact_series(draw, ring, trunc=Truncation(3), vars=("t1", "t2")):
         c = ring.zero()
         for _ in range(draw(st.integers(1, 3))):
             q = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
-            c = c + ring.pi_pow(draw(st.integers(-1, 2))) \
+            c = c + pi_pow(ring, draw(st.integers(-1, 2))) \
                 * ring.from_cyc(ring.field.zeta_pow(
                     draw(st.integers(0, ring.N - 1)))) \
                 * ring.from_fraction(q)
@@ -400,6 +402,47 @@ def test_sum_rational_forms_permutation_invariant():
             reference = got.terms
         else:
             assert got.terms == reference
+
+
+def test_division_count_takes_each_key_at_its_largest_multiplicity():
+    l12 = LinearForm(R, {"t1": 1, "t2": -1})
+    scaled = LinearForm(R, {"t1": Fraction(-3, 2), "t2": Fraction(3, 2)})
+    l13 = LinearForm(R, {"t1": 1, "t3": -1})
+    # equal up to a rational scale: one key
+    assert scaled.key == l12.key
+    assert division_count([]) == 0
+    assert division_count([[], []]) == 0
+    assert division_count([[l12], [scaled]]) == 1
+    # one list holding a key twice counts it twice
+    assert division_count([[l12, scaled]]) == 2
+    assert division_count([[l12, scaled], [l12], [l13]]) == 3
+    assert division_count([[l12, l13], [scaled, l13, l13]]) == 3
+
+
+def test_sum_rational_forms_divides_division_count_times(monkeypatch):
+    trunc = Truncation(4)
+    l12 = LinearForm(R, {"t1": 1, "t2": -1})
+    scaled = LinearForm(R, {"t1": Fraction(-3, 2), "t2": Fraction(3, 2)})
+    l13 = LinearForm(R, {"t1": 1, "t3": -1})
+    # l12^2 t3 / (l12 * scaled) + l13 t1 / l13 = -2/3 t3 + t1
+    forms = [RationalForm(l12.power(R, VARS, trunc, 2) * var("t3"),
+                          [l12, scaled]),
+             RationalForm(l13.power(R, VARS, trunc, 1) * var("t1"), [l13])]
+    divided = []
+    real = series_module.divide_exact
+
+    def counting(s, form, residuals=None):
+        divided.append(form.key)
+        return real(s, form, residuals)
+
+    monkeypatch.setattr(series_module, "divide_exact", counting)
+    total = sum_rational_forms(forms)
+    assert len(divided) == division_count(f.denominators
+                                          for f in forms) == 3
+    assert sorted(divided) == sorted([l12.key, l12.key, l13.key])
+    # three divisions leave the total exact through degree 4 - 3
+    assert total.terms == {(1, 0, 0): R.one(),
+                           (0, 0, 1): R.from_fraction(Fraction(-2, 3))}
 
 
 def test_numeric_divide_reports_residual():

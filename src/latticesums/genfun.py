@@ -12,10 +12,15 @@ the polytope reconstruction.  One builder,
 ``LinearForm``: rational coefficients and the constant sum_f q_f c_f,
 computed exactly from the functional constants.  The form is singular
 exactly when that constant is zero, and forms are merged by their
-normalised rational coefficients.  Unit factors are expanded from the
-closed form of an inverse power of a linear form
-(``LinearForm.inverse_power``); singular ones are carried as rational
-forms whose singularities cancel across bases.  Numeric mode takes the
+normalised rational coefficients.  A unit factor whose t_g stays live
+is expanded from the closed form of an inverse power of a linear form
+(``LinearForm.inverse_power``).  The unit factors collapsed to a Taylor
+coefficient are one product, ``unit_product``: their constants are
+2 pi i times exact rationals, so the product is a series over Q (over
+Q(i) for Gaussian constants) in t / (2 pi i), multiplied in integers and
+lifted into the ring once per term, where numeric mode rounds for the
+first time.  Singular factors are carried as rational forms whose
+singularities cancel across bases.  Numeric mode takes the
 same decisions from the same exact data, and keeps y exact too (a float
 y at its binary value), so that only values are rounded.  Taylor
 coefficients of the holomorphic total give the special values S via the
@@ -66,9 +71,10 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ExcludedPoint
+from .errors import ExcludedPoint, NonDivisible
 from .kernel import (KernelParams, exp_2pii, kernel_base, kernel_parts,
                      nonzero_parts, rooted_series)
 # unused here, but the benchmark's tracer patches genfun.kernel_series and
@@ -211,9 +217,8 @@ class EvaluationContext:
     # -- scalar helpers -----------------------------------------------------
 
     def constant(self, i: int):
-        """c_i as a Fraction when real, else as a complex value."""
-        c = self._constants[i]
-        return c if isinstance(c, Fraction) else c.as_complex()
+        """c_i exactly: a Fraction when real, else a GaussianRational."""
+        return self._constants[i]
 
     def combination(self, lin: Dict[int, Fraction]) -> LinearForm:
         """sum_x lin[x] (t_x - 2 pi i c_x), a rational combination of the
@@ -366,12 +371,13 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
     function of the basis variables alone; `k` is read only for those.
 
     Every t_g is a monomial, so everything else is built below `order` by
-    one degree for each of them: the coset sum of kernel products and the
-    dead factors on the basis variables, then, extended once to
-    `live_vars`, the live unit inverses.  The weight and the monomial
-    prod t_g are applied last, as one exponent shift into `order`.  The
-    numerator is zero when the t_g leave nothing below `order`, or when a
-    dead factor is read at k_g = 0."""
+    one degree for each of them: the coset sum of kernel products times
+    the dead factors, one exact ``unit_product`` lifted into the ring
+    once, on the basis variables, then, extended once to `live_vars`,
+    the live unit inverses (``LinearForm.inverse_power``).  The weight
+    and the monomial prod t_g are applied last, as one exponent shift
+    into `order`.  The numerator is zero when the t_g leave nothing below
+    `order`, or when a dead factor is read at k_g = 0."""
     ring = ctx.ring
     live_vars = ctx.vars if live_vars is None else live_vars
     basis = ctx.arr.bases[s.bidx]
@@ -389,11 +395,6 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
         return RationalForm(TruncatedSeries(ring, live_vars,
                                             Truncation(order)), denoms)
     low = Truncation(top)
-    dead = None
-    for g, form in dead_units:
-        f = _dead_unit(ctx, g, form).inverse_power(ring, basis_vars, low,
-                                                   k.weights[g])
-        dead = f if dead is None else dead * f
     num = None
     for w in cosets:
         prod = None
@@ -401,8 +402,10 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
             f = ctx.kernel(s.bidx, w, m, top).extend(basis_vars)
             prod = f if prod is None else prod * f
         num = prod if num is None else num + prod
-    if dead is not None:
-        num = num * dead
+    if dead_units:
+        num = num * unit_product(ring, [
+            (_dead_unit(ctx, g, form), k.weights[g])
+            for g, form in dead_units], basis_vars, low)
     num = num.extend(live_vars)
     for g, form in live_units:
         num = num * form.inverse_power(ring, live_vars, low, 1)
@@ -476,6 +479,93 @@ def _dead_unit(ctx: EvaluationContext, g: int, form: LinearForm
                                  if v != ctx.vars[g]}, -form.c)
 
 
+def _reciprocal(c) -> Tuple[object, int]:
+    """1/c for a nonzero Fraction or GaussianRational c, as an int
+    numerator, or a GaussianRational one with int parts, over a positive
+    int."""
+    if isinstance(c, Fraction):
+        num, den = c.denominator, c.numerator
+        return (num, den) if den > 0 else (-num, -den)
+    d = math.lcm(c.re.denominator, c.im.denominator)
+    a, b = int(c.re * d), int(c.im * d)
+    # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+    den = a * a + b * b
+    g = math.gcd(d * a, d * b, den)
+    return GaussianRational(d * a // g, -d * b // g), den // g
+
+
+def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
+                 trunc: Truncation) -> TruncatedSeries:
+    """prod (a + L)^(-k) over the (form, k) pairs, a = -2 pi i c the
+    form's constant (nonzero) and L its linear part, on `vars` and
+    truncated at `trunc`: the collapsed unit factors of a summand.
+
+    Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
+    the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the
+    k, where G = prod (-c + L)^(-k) is a series over Q (over Q(i) when a
+    constant is a Gaussian rational).  Each factor of G is expanded from
+    (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n on ``LinearForm.monomials``,
+    as int numerators (pairs of them, GaussianRationals with int parts,
+    for Gaussian constants) over one denominator; the factors are
+    convolved in ints, truncated as ``mul_terms`` truncates, and each
+    term that survives is lifted into the ring once, as one ``ring.scale``
+    of (2 pi i)^(-m) (one per part for a Gaussian numerator).  Numeric
+    mode rounds only there."""
+    vars = tuple(vars)
+    total, box = trunc.total, trunc.box
+    terms: Dict[tuple, object] = {(0,) * len(vars): 1}
+    den, K = 1, 0
+    for form, k in factors:
+        if form.singular:
+            raise NonDivisible("cannot invert a linear form with zero "
+                               "constant term")
+        wnum, wden = _reciprocal(form.c)
+        monos = form.monomials(vars, trunc, total)
+        top = max(n for _, _, n in monos)
+        # the degree-n coefficient (-w)^k C(k + n - 1, n) w^n / D^n,
+        # w = 1/c, over the factor's denominator wden^k (wden D)^top
+        base = wden * form.den
+        power = (-1) ** k
+        for _ in range(k):
+            power = power * wnum
+        coef = []
+        for n in range(top + 1):
+            coef.append(power * (math.comb(k + n - 1, n)
+                                 * base ** (top - n)))
+            power = power * wnum
+        den *= wden ** k * base ** top
+        K += k
+        fac = [(e, coef[n] * m, n) for e, m, n in monos]
+        out: Dict[tuple, object] = {}
+        get = out.get
+        for ea, va in terms.items():
+            na = sum(ea)
+            for eb, vb, nb in fac:
+                if na + nb > total:
+                    continue
+                e = tuple(map(add, ea, eb))
+                if box is not None and not all(map(le, e, box)):
+                    continue
+                cur = get(e)
+                out[e] = va * vb if cur is None else cur + va * vb
+        terms = {e: v for e, v in out.items() if v}
+    step = ring.inv(ring.two_pi_i())
+    lifts = [step ** K]  # lifts[n] = (2 pi i)^(-(K + n))
+    for _ in range(max(map(sum, terms), default=0)):
+        lifts.append(lifts[-1] * step)
+    scale = ring.scale
+    if all(isinstance(v, int) for v in terms.values()):
+        return TruncatedSeries(ring, vars, trunc, {
+            e: scale(lifts[sum(e)], Fraction(v, den))
+            for e, v in terms.items()})
+    i = ring.root_of_unity(Fraction(1, 4))
+    i_lifts = [x * i for x in lifts]
+    return TruncatedSeries(ring, vars, trunc, {
+        e: scale(lifts[sum(e)], Fraction(v.re, den))
+        + scale(i_lifts[sum(e)], Fraction(v.im, den))
+        for e, v in terms.items()})
+
+
 def _unit_summand_value(ctx: EvaluationContext, s: Summand,
                         k: WeightVector):
     """[t^k] of a summand with no singular denominator, with no series
@@ -483,8 +573,9 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
 
         weight * sum_w e^{2 pi i q_w} sum_e F[e] * A_w[e],
 
-    F = prod_g -(a_g + U_g)^{-k_g} over the unit factors, multiplied on
-    the box; each kernel K_m(w) = e^{2 pi i q_m(w)} sum_n a_m(w)[n] t_m^n
+    F = prod_g -(a_g + U_g)^{-k_g} over the unit factors, one exact
+    ``unit_product`` on the box, lifted into the ring once per term;
+    each kernel K_m(w) = e^{2 pi i q_m(w)} sum_n a_m(w)[n] t_m^n
     only to degree k_m, A_w[e] = prod_m a_m(w)[k_m - e_m] its root-free
     grid and q_w = sum_m q_m(w).  Each coset takes one scalar product per
     term of F on the sparse grid, and its one root of unity last."""
@@ -493,14 +584,11 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     vars = tuple(ctx.vars[m] for m in members)
     box = tuple(k.weights[m] for m in members)
     trunc = Truncation(sum(box), box)
-    F = None
-    for g, form in s.unit_factors:
-        if k.weights[g] == 0:
-            return ring.zero()  # [t_g^0] (t_g * unit) = 0
-        f = _dead_unit(ctx, g, form).inverse_power(ring, vars, trunc,
-                                                   k.weights[g])
-        F = f if F is None else F * f
-    F = F.terms if F is not None else {(0,) * len(box): ring.one()}
+    if any(k.weights[g] == 0 for g, _ in s.unit_factors):
+        return ring.zero()  # [t_g^0] (t_g * unit) = 0
+    F = unit_product(ring, [(_dead_unit(ctx, g, form), k.weights[g])
+                            for g, form in s.unit_factors],
+                     vars, trunc).terms
     total = ring.zero()
     for w in ctx.arr.bases[s.bidx].coset_reps:
         # A_w[e] for every e in the box with nonzero parts

@@ -19,12 +19,14 @@ and divides by t_g: one series product per summand and removal.  The
 summands come from the evaluator's one summand builder
 (``genfun.summand_rational_form``), one per basis (the coset sum of its
 kernel products times its factors, applied once), every variable live,
-built below the working order by one degree per t_g and shifted once; a
-removal then multiplies the numerator by den_g and appends t_g to the
-denominators, which the final ``sum_rational_forms`` divides out with
-the singular ones.  Each exact division loses one degree, so the working
-order is the compared order plus the divisions: the singular den_g and
-the removed t_g that the surviving summands carry (``division_count``).
+built below the working order by one degree per t_g and shifted once;
+only the bases that hold no removed functional are built, since a
+removal annihilates the others.  A removal then multiplies the numerator
+by den_g and appends t_g to the denominators, which the final
+``sum_rational_forms`` divides out with the singular ones.  Each exact
+division loses one degree, so the working order is the compared order
+plus the divisions: the singular den_g and the removed t_g that the
+surviving summands carry (``division_count``).
 
 The y-derivative uses the per-summand affine gradient of the fractional
 parts, which is constant off the singular locus; on the locus the
@@ -101,19 +103,18 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     ctx = EvaluationContext(arr, y, mode, precision)
     # read from genfun at call time, so that wrappers installed there see it
     from .genfun import build_summands
-    summands = build_summands(ctx)
-    # the denominators of the summands that no removal annihilates
+    # a removal annihilates every summand whose basis holds its
+    # functional, so only the others are built
+    summands = [s for s in build_summands(ctx)
+                if set(removed).isdisjoint(ctx.arr.bases[s.bidx].members)]
     tgs = [LinearForm(ctx.ring, {ctx.vars[g]: Fraction(1)}) for g in removed]
-    work = order + division_count(
-        s.denominators + tgs for s in summands
-        if set(removed).isdisjoint(ctx.arr.bases[s.bidx].members))
+    work = order + division_count(s.denominators + tgs for s in summands)
     states = [(s.bidx, summand_rational_form(ctx, s, work))
               for s in summands]
     steps = [HierarchyStep(g, ctx.constant(g), arr.functionals[g].direction)
              for g in removed]
     for g in removed:
-        states = [new for new in (apply_Dg_summand(ctx, st, g, work)
-                                  for st in states) if new is not None]
+        states = [apply_Dg_summand(ctx, st, g, work) for st in states]
     total = sum_rational_forms([form for _, form in states])
 
     sub = arr.restricted(keep)

@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Union
 
-from .series import TruncatedSeries, Truncation
+from .lattice import GaussianRational
+from .series import TruncatedSeries, Truncation, ring_value
 
 
 @lru_cache(maxsize=None)
@@ -37,17 +38,24 @@ def bernoulli_numbers(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel data: constant b, fractional-part argument y in [0, 1]."""
+    """Kernel data: constant b, fractional-part argument y in [0, 1].  A
+    non-real b is kept as the exact GaussianRational when it is one, so
+    that numeric mode rounds its exponents -b y only once, in the
+    exponential."""
 
-    b: Union[Fraction, complex]
+    b: Union[Fraction, GaussianRational, complex]
     y: Union[Fraction, float]
     integral: bool
 
     @classmethod
     def make(cls, b, y) -> "KernelParams":
+        if isinstance(b, GaussianRational) and b.im == 0:
+            b = b.re
         if isinstance(b, Fraction) or isinstance(b, int):
             b = Fraction(b)
             integral = b.denominator == 1
+        elif isinstance(b, GaussianRational):
+            integral = False
         else:
             b = complex(b)
             integral = b.imag == 0 and abs(b.real - round(b.real)) < 1e-12
@@ -59,19 +67,26 @@ class KernelParams:
 
 
 def _num(ring, v):
-    """Numeric-ring scalar preserving exact rational inputs at full precision."""
+    """Numeric-ring scalar preserving exact rational and Gaussian-rational
+    inputs at full precision."""
     if isinstance(v, (int, Fraction)):
         return ring.from_fraction(Fraction(v))
+    if isinstance(v, GaussianRational):
+        return ring_value(ring, v)
     return ring.from_complex(complex(v))
 
 
 def exp_2pii(ring, b, scale=1):
     """e^{2 pi i b scale} in either ring: a root of unity, kept exact for
-    rational b and scale in both rings."""
+    rational b and scale in both rings; a Gaussian-rational b times a
+    rational scale is exact up to the one exponential."""
     if ring.exact:
         return ring.root_of_unity(Fraction(b) * scale)
-    if isinstance(b, (int, Fraction)) and isinstance(scale, (int, Fraction)):
+    exact = (int, Fraction)
+    if isinstance(b, exact) and isinstance(scale, exact):
         return ring.root_of_unity(Fraction(b) * Fraction(scale))
+    if isinstance(b, GaussianRational) and isinstance(scale, exact):
+        return ring.exp_2pii_times(_num(ring, b * Fraction(scale)))
     return ring.exp_2pii_times(complex(b) * complex(scale))
 
 
@@ -132,10 +147,10 @@ def kernel_parts(ring, params: KernelParams, order: int, base) -> list:
 
 def nonzero_parts(ring, parts, q) -> Dict[int, object]:
     """``{n: a_n}`` for the root-free parts whose coefficient e^{2 pi i q}
-    a_n is not zero.  For exact or real q the root has modulus 1, so a_n
-    is tested; for complex q (complex b) the numeric ring's absolute test
+    a_n is not zero.  For rational q the root has modulus 1, so a_n is
+    tested; for any other q (a complex b) the numeric ring's absolute test
     is made on the coefficient, as the root's modulus is e^{-2 pi Im q}."""
-    if ring.exact or not isinstance(q, complex):
+    if ring.exact or isinstance(q, (int, Fraction)):
         return {n: a for n, a in enumerate(parts) if not ring.is_zero(a)}
     root = exp_2pii(ring, q)
     return {n: a for n, a in enumerate(parts) if not ring.is_zero(a * root)}

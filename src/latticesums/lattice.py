@@ -38,6 +38,27 @@ class GaussianRational:
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
+    def __add__(self, other) -> "GaussianRational":
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "GaussianRational":
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.re * other.re - self.im * other.im,
+                                    self.re * other.im + self.im * other.re)
+        return GaussianRational(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __str__(self) -> str:
+        return str(self.as_complex())
+
 
 Constant = Union[Fraction, GaussianRational, complex]
 

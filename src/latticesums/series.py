@@ -12,7 +12,10 @@ the operations that make the closed-form evaluators work:
   from that exact data in both rings.  One multinomial enumerator expands
   every function of it that the evaluators need, coefficient by
   coefficient with no series product: ``power``, ``exp`` and
-  ``inverse_power`` (for c != 0);
+  ``inverse_power`` (for c != 0).  ``inverse_power`` serves the unit
+  factors that stay live (``genfun.summand_rational_form`` and the
+  polytope vertex forms); the collapsed ones are multiplied over Q by
+  ``genfun.unit_product`` on the same enumerator (``monomials``);
 * ``divide_exact`` -- division by a singular linear form, valid exactly
   because the assembled sums are holomorphic even though the individual
   summands are not.  A slice recurrence, pivoting on the largest |q_v|,
@@ -204,7 +207,7 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _ring_value(ring, c):
+def ring_value(ring, c):
     """The Fraction or Gaussian rational c in the ring."""
     if isinstance(c, Fraction):
         return ring.from_fraction(c)
@@ -221,14 +224,15 @@ class LinearForm:
     one) or a Gaussian rational; `c == 0` marks a singular form.
     `constant` is -2 pi i c in the ring.  `key`, the coefficients scaled
     so that the first (by variable order) is 1, is equal for forms that
-    agree up to a rational scale.
+    agree up to a rational scale.  Both are built on first use: a
+    collapsed unit factor reads neither.
 
     Every function of the form that the evaluators expand is a power
     series sum_n f_n L^n in its linear part L = sum_v q_v t_v, and
     ``_expand`` writes all of them out from one closed form.
     """
 
-    __slots__ = ("coeffs", "den", "c", "constant", "key")
+    __slots__ = ("coeffs", "den", "c", "_ring", "_constant", "_key")
 
     def __init__(self, ring, coeffs: Dict[str, Fraction], c=Fraction(0)):
         self.coeffs = {v: Fraction(q) for v, q in coeffs.items() if q}
@@ -236,29 +240,39 @@ class LinearForm:
         if isinstance(c, int):
             c = Fraction(c)
         self.c = c
-        self.constant = ring.zero() if c == 0 else \
-            -(ring.two_pi_i() * _ring_value(ring, c))
-        lead = self.coeffs[min(self.coeffs)] if self.coeffs else 1
-        self.key = tuple(sorted((v, q / lead)
-                                for v, q in self.coeffs.items()))
+        self._ring = ring
+        self._constant = self._key = None
+
+    @property
+    def constant(self):
+        if self._constant is None:
+            ring, c = self._ring, self.c
+            self._constant = ring.zero() if c == 0 else \
+                -(ring.two_pi_i() * ring_value(ring, c))
+        return self._constant
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            lead = self.coeffs[min(self.coeffs)] if self.coeffs else 1
+            self._key = tuple(sorted((v, q / lead)
+                                     for v, q in self.coeffs.items()))
+        return self._key
 
     @property
     def singular(self) -> bool:
         return self.c == 0
 
-    def _expand(self, ring, vars, trunc: Truncation, phi) -> TruncatedSeries:
-        """sum_n phi[n] (D L)^n, D = `den`: with q_v = p_v / D, the
-        coefficient of t^e is
+    def monomials(self, vars, trunc: Truncation, top: int
+                  ) -> List[Tuple[Exps, int, int]]:
+        """``(e, m, |e|)`` for every t^e with |e| <= `top` in `trunc`'s box,
+        m its integer coefficient in (D L)^|e|, D = `den`: with
+        q_v = p_v / D,
 
-            phi[|e|] * |e|!/prod_v e_v! * prod_v p_v^(e_v),
+            m = |e|!/prod_v e_v! * prod_v p_v^(e_v).
 
-        one integer multiple of phi[|e|] per term.  Each phi[n] is a
-        nonzero ring scalar, or None to leave the degree out; so are the
-        degrees past the end of phi.  A `trunc.box` keeps only the terms
-        with e_v <= box_v.
-        """
+        The one multinomial walk behind every expansion of the form."""
         vars = tuple(vars)
-        top = min(trunc.total, len(phi) - 1)
         fact = [1]
         for n in range(top):
             fact.append(fact[-1] * (n + 1))
@@ -276,9 +290,20 @@ class LinearForm:
                     pe *= p
                     fe *= j + 1
             partial = grown
-        terms = {e: ring.scale(phi[n], fact[n] // fe * pe)
-                 for e, pe, fe, n in partial if phi[n] is not None}
-        return TruncatedSeries(ring, vars, trunc, terms)
+        return [(e, fact[n] // fe * pe, n) for e, pe, fe, n in partial]
+
+    def _expand(self, ring, vars, trunc: Truncation, phi) -> TruncatedSeries:
+        """sum_n phi[n] (D L)^n: the coefficient of t^e is phi[|e|] times
+        the integer m of ``monomials``.  Each phi[n] is a nonzero ring
+        scalar, or None to leave the degree out; so are the degrees past
+        the end of phi.  A `trunc.box` keeps only the terms with
+        e_v <= box_v.
+        """
+        top = min(trunc.total, len(phi) - 1)
+        terms = {e: ring.scale(phi[n], m)
+                 for e, m, n in self.monomials(vars, trunc, top)
+                 if phi[n] is not None}
+        return TruncatedSeries(ring, tuple(vars), trunc, terms)
 
     def power(self, ring, vars, trunc: Truncation, m: int
               ) -> TruncatedSeries:
@@ -314,7 +339,7 @@ class LinearForm:
         """e^(a + L) = e^(-2 pi i c) e^L: f_n = e^(-2 pi i c) / n!.  In the
         exact ring, c must be rational."""
         pref = ring.root_of_unity(-self.c) if isinstance(self.c, Fraction) \
-            else ring.exp_2pii_times(-_ring_value(ring, self.c))
+            else ring.exp_2pii_times(-ring_value(ring, self.c))
         phi, scale = [], Fraction(1)
         for n in range(trunc.total + 1):
             phi.append(ring.scale(pref, scale))

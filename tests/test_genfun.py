@@ -12,7 +12,8 @@ from latticesums.errors import ExcludedPoint, NonDivisible
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   triangle)
 from latticesums.genfun import (EvaluationContext, WeightVector,
-                                build_summands, coefficient,
+                                build_summands, clear_coefficient_table,
+                                coefficient,
                                 cyclotomic_order, documented_family,
                                 generating_function, lattice_sum_value,
                                 summand_rational_form, zeta_from_S)
@@ -22,7 +23,7 @@ from latticesums.lattice import (Arrangement, GaussianRational, choose_phi,
                                 make_functional)
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
-from latticesums.scalar import format_scalar
+from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, division_count,
                                 sum_rational_forms)
@@ -443,6 +444,47 @@ def test_coefficient_with_singular_denominator_matches_series(
                     err = abs(got - want) / max(1, abs(want))
                     assert err < CTX.mpf(2) ** -100, k
 
+# Rank two with a Gaussian-rational constant on (1,-1): the other three
+# functionals meet in a singular hyperplane (8/15 = 1/3 + 1/5), so the
+# bases among them form a singular component whose summands carry the
+# (1,-1) factor as a collapsed unit with a Gaussian constant, and the
+# bases holding (1,-1) are unit summands whose factors have Gaussian
+# constants too.  Exact mode refuses a non-real constant (its kernel is
+# not in a cyclotomic field), so the comparisons run in numeric mode.
+GAUSSIAN_UNITS = (((1, 0), (0, 1), (1, 1), (1, -1)),
+                  (Fraction(1, 3), Fraction(1, 5), Fraction(8, 15),
+                   GaussianRational(Fraction(1, 4), Fraction(1, 3))))
+
+
+@pytest.mark.parametrize("k", [(2, 1, 1, 1), (1, 1, 2, 2), (1, 2, 1, 3)])
+def test_coefficient_with_gaussian_unit_constants(k, generic_y2):
+    arr = Arrangement(2, [make_functional(d, c)
+                          for d, c in zip(*GAUSSIAN_UNITS)])
+    ctx = EvaluationContext(arr, generic_y2, "numeric")
+    with pytest.raises(ValueError):
+        EvaluationContext(arr, generic_y2, "exact")
+
+    def gaussian_units(s):
+        return any(isinstance(den.c, GaussianRational)
+                   for _, den in s.unit_factors)
+
+    summands = build_summands(ctx)
+    assert any(gaussian_units(s) and not s.degenerate_factors
+               for s in summands)
+    assert any(gaussian_units(s) and s.degenerate_factors
+               for s in summands)
+    # the full series multiplies the factors as live inverse powers, the
+    # coefficient path collapses them into unit products
+    series = generating_function(arr, generic_y2, sum(k), ctx=ctx)
+    fact = math.prod(math.factorial(x) for x in k)
+    want = series.coefficient(k) * fact
+    got = coefficient(arr, generic_y2, k, mode="numeric")
+    assert abs(got - want) / max(1, abs(want)) < CTX.mpf(2) ** -100
+    # and the 128-bit value is the 256-bit one to within 2^-100
+    clear_coefficient_table()
+    fine = coefficient(arr, generic_y2, k, mode="numeric", precision=256)
+    assert abs(got - fine) / max(1, abs(fine)) < CTX.mpf(2) ** -100
+
 
 def _summed_at(ctx, summands, work):
     return sum_rational_forms([summand_rational_form(ctx, s, work)
@@ -493,6 +535,129 @@ def test_sum_without_one_summand_is_not_divisible(order, dropped,
 # ---------------------------------------------------------------------------
 # the summand builder
 # ---------------------------------------------------------------------------
+
+
+UNIT_VARS = ("t0", "t1", "t2")
+UNIT_RINGS = {4: ExactRing(4), 60: ExactRing(60)}
+CTX256 = MPContext()
+CTX256.prec = 256
+
+
+def _unit_constant(draw):
+    re = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
+    im = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7))) \
+        if draw(st.booleans()) else Fraction(0)
+    if re == 0 and im == 0:
+        re = Fraction(1, 3)
+    return re if im == 0 else GaussianRational(re, im)
+
+
+@st.composite
+def _unit_factors(draw):
+    """(coefficients, constant, k) triples: rational coefficients on one
+    to three of UNIT_VARS, a nonzero Fraction or Gaussian-rational
+    constant and k from 1 to 4; one time in two the last linear part is a
+    rational multiple of the first, with its own constant."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        names = draw(st.lists(st.sampled_from(UNIT_VARS), min_size=1,
+                              max_size=3, unique=True))
+        coeffs = {v: Fraction(draw(st.integers(-6, 6).filter(bool)),
+                              draw(st.integers(1, 9))) for v in names}
+        out.append((coeffs, _unit_constant(draw), draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        scale = Fraction(draw(st.integers(-4, 4).filter(bool)),
+                         draw(st.integers(1, 5)))
+        out.append(({v: q * scale for v, q in out[0][0].items()},
+                    _unit_constant(draw), draw(st.integers(1, 4))))
+    return out
+
+
+_unit_truncations = st.builds(
+    lambda total, box: Truncation(total, box and tuple(box)),
+    st.integers(0, 5),
+    st.none() | st.lists(st.integers(0, 3), min_size=3, max_size=3))
+
+
+def _inverse_power_product(ring, factors, trunc):
+    """The reference: prod (a + L)^(-k) as series products of
+    ``LinearForm.inverse_power``."""
+    out = TruncatedSeries.one(ring, UNIT_VARS, trunc)
+    for coeffs, c, k in factors:
+        out = out * LinearForm(ring, coeffs, c).inverse_power(
+            ring, UNIT_VARS, trunc, k)
+    return out
+
+
+def _unit_product(ring, factors, trunc):
+    return genfun.unit_product(
+        ring, [(LinearForm(ring, coeffs, c), k) for coeffs, c, k in factors],
+        UNIT_VARS, trunc)
+
+
+# two factors whose linear parts agree up to scale, one with a Gaussian
+# constant, and a third on other variables
+SCALED_FACTORS = [
+    ({"t0": Fraction(1), "t1": Fraction(-2, 3)}, Fraction(2, 5)),
+    ({"t0": Fraction(-3, 2), "t1": Fraction(1)},
+     GaussianRational(Fraction(1, 2), Fraction(-1, 3))),
+    ({"t1": Fraction(1, 4), "t2": Fraction(5)}, Fraction(-3, 7)),
+]
+
+
+@pytest.mark.parametrize("box", [None, (2, 1, 3)], ids=["total", "box"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring", ["4", "60", "numeric"])
+def test_unit_product_is_the_product_of_inverse_powers(ring, k, box):
+    # term by term: exact rings equal the series products of the inverse
+    # powers, the 128-bit ring their exact value within 2^-120 relative
+    factors = [(coeffs, c, k + i % 2) for i, (coeffs, c)
+               in enumerate(SCALED_FACTORS)]
+    trunc = Truncation(5, box)
+    exact = UNIT_RINGS[4 if ring == "numeric" else int(ring)]
+    want = _inverse_power_product(exact, factors, trunc)
+    assert want.terms
+    if ring != "numeric":
+        assert _unit_product(exact, factors, trunc).terms == want.terms
+        return
+    got = _unit_product(NumericRing(128), factors, trunc)
+    assert set(got.terms) == set(want.terms)
+    for e, c in want.terms.items():
+        c = c.embed(CTX256)
+        assert abs(got.terms[e] - c) <= CTX256.mpf(2) ** -120 * abs(c), e
+
+
+@pytest.mark.parametrize("N", [4, 60])
+@settings(max_examples=25, deadline=None)
+@given(factors=_unit_factors(), trunc=_unit_truncations)
+def test_unit_product_matches_inverse_powers_exact(N, factors, trunc):
+    ring = UNIT_RINGS[N]
+    assert _unit_product(ring, factors, trunc).terms == \
+        _inverse_power_product(ring, factors, trunc).terms
+
+
+@settings(max_examples=25, deadline=None)
+@given(factors=_unit_factors(), trunc=_unit_truncations)
+def test_unit_product_matches_inverse_powers_numeric(factors, trunc):
+    want = _inverse_power_product(UNIT_RINGS[4], factors, trunc)
+    got = _unit_product(NumericRing(128), factors, trunc)
+    assert set(got.terms) == set(want.terms)
+    for e, c in want.terms.items():
+        c = c.embed(CTX256)
+        assert abs(got.terms[e] - c) <= CTX256.mpf(2) ** -120 * abs(c), e
+
+
+def test_unit_product_rejects_a_zero_constant():
+    ring = UNIT_RINGS[4]
+    with pytest.raises(NonDivisible):
+        genfun.unit_product(ring, [(LinearForm(ring, {"t0": 1}), 1)],
+                            UNIT_VARS, Truncation(2))
+
+
+def test_unit_product_of_no_factor_is_one():
+    ring = UNIT_RINGS[60]
+    got = genfun.unit_product(ring, [], UNIT_VARS, Truncation(3, (1, 1, 1)))
+    assert got.terms == {(0, 0, 0): ring.one()}
 
 
 def _rational(dens):
@@ -654,24 +819,30 @@ def test_basis_summand_is_its_coset_sum(mode, singular, data):
 
 
 def test_basis_summand_factors_built_once_per_basis(monkeypatch):
-    # a basis's unit factors are expanded once (one inverse_power each),
-    # not once per coset, and multiplied on the box in the unit path; the
-    # kernels are read once per (coset, member) through the one accessor,
-    # their root-free parts built once per parameters and order and their
-    # B_k(lam) / k! once per (b, order) in the context
+    # a basis's live unit factors are expanded once (one inverse_power
+    # each) and its collapsed ones in one unit product, not once per
+    # coset; the unit path reads its product on the box with no series
+    # product; the kernels are read once per (coset, member) through the
+    # one accessor, their root-free parts built once per parameters and
+    # order and their B_k(lam) / k! once per (b, order) in the context
     arr = Arrangement(2, [make_functional(d, c) for d, c in zip(
         COSET_HEAVY_DIRECTIONS + ((1, 0),),
         (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)))])
     assert any(b.index == 3 for b in arr.bases)
     y = (Fraction(1, 7), Fraction(1, 11))
-    inverses, reads, bases, parts, boxes = [], [], [], [], []
+    inverses, products, reads, bases, parts, muls = [], [], [], [], [], []
     real_inverse, real_parts = LinearForm.inverse_power, \
         EvaluationContext.kernel_parts
+    real_product = genfun.unit_product
     real_mul = TruncatedSeries.__mul__
 
     def counted_inverse(self, *args, **kwargs):
         inverses.append(self)
         return real_inverse(self, *args, **kwargs)
+
+    def counted_product(ring, factors, vars, trunc):
+        products.append((len(factors), trunc))
+        return real_product(ring, factors, vars, trunc)
 
     def counted_read(self, bidx, w, member, order):
         reads.append((bidx, w, member))
@@ -685,11 +856,12 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         parts.append((p, order))
         return kernel_parts(ring, p, order, base)
 
-    def boxed_mul(a, b):
-        boxes.append((a.trunc.box, b.trunc.box))
+    def counted_mul(a, b):
+        muls.append((a, b))
         return real_mul(a, b)
 
     monkeypatch.setattr(LinearForm, "inverse_power", counted_inverse)
+    monkeypatch.setattr(genfun, "unit_product", counted_product)
     monkeypatch.setattr(EvaluationContext, "kernel_parts", counted_read)
     monkeypatch.setattr(genfun, "kernel_base", counted_base)
     monkeypatch.setattr(genfun, "kernel_parts", counted_parts)
@@ -698,25 +870,32 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     for s in build_summands(ctx):
         b = arr.bases[s.bidx]
         assert not s.degenerate_factors
+        units = len(s.unit_factors)
+        assert units == 2
         pairs = sorted((s.bidx, w, m) for w in b.coset_reps
                        for m in b.members)
         # the basis variables and one unit factor's t_g live, one dead
         live = tuple(ctx.vars[i] for i in sorted(
             b.members + (s.unit_factors[0][0],)))
-        for build in (lambda: summand_rational_form(ctx, s, 4),
-                      lambda: summand_rational_form(ctx, s, 4, live, k),
-                      lambda: genfun._unit_summand_value(ctx, s, k)):
+        box = tuple(k.weights[m] for m in b.members)
+        # (inverse_power calls, unit products) of each build
+        for build, want in (
+                (lambda: summand_rational_form(ctx, s, 4), (units, [])),
+                (lambda: summand_rational_form(ctx, s, 4, live, k),
+                 (1, [(1, Truncation(3))])),
+                (lambda: genfun._unit_summand_value(ctx, s, k),
+                 (0, [(units, Truncation(sum(box), box))]))):
             inverses.clear()
+            products.clear()
             reads.clear()
             build()
-            assert len(inverses) == len(s.unit_factors)
+            assert (len(inverses), products) == want
             assert sorted(reads) == pairs
-        box = tuple(k.weights[m] for m in b.members)
-        monkeypatch.setattr(TruncatedSeries, "__mul__", boxed_mul)
-        boxes.clear()
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+        muls.clear()
         genfun._unit_summand_value(ctx, s, k)
         monkeypatch.setattr(TruncatedSeries, "__mul__", real_mul)
-        assert boxes == [(box, box)] * (len(s.unit_factors) - 1)
+        assert muls == []
     assert parts and len(parts) == len(set(parts))
     assert bases and len(bases) == len(set(bases))
 

@@ -12,17 +12,17 @@ the polytope reconstruction.  One builder,
 ``LinearForm``: rational coefficients and the constant sum_f q_f c_f,
 computed exactly from the functional constants.  The form is singular
 exactly when that constant is zero, and forms are merged by their
-normalised rational coefficients.  A unit factor whose t_g stays live
-is expanded from the closed form of an inverse power of a linear form
-(``LinearForm.inverse_power``).  The unit factors collapsed to a Taylor
-coefficient are one product, ``unit_product``: their constants are
-2 pi i times exact rationals, so the product is a series over Q (over
-Q(i) for Gaussian constants) in t / (2 pi i), multiplied in integers and
-lifted into the ring once per term, where numeric mode rounds for the
-first time.  Singular factors are carried as rational forms whose
-singularities cancel across bases.  Numeric mode takes the
-same decisions from the same exact data, and keeps y exact too (a float
-y at its binary value), so that only values are rounded.  Taylor
+normalised rational coefficients.  Every unit inverse, a live factor
+1/den_g, a factor collapsed to its Taylor coefficient or a non-singular
+edge denominator of the polytope route, comes from one function,
+``unit_product``: the constants are 2 pi i times exact rationals, so
+the product of all the inverses of a summand (or of a vertex) is a
+series over Q (over Q(i) for Gaussian constants) in t / (2 pi i),
+multiplied in integers and lifted into the ring once per term, where
+numeric mode rounds for the first time.  Singular factors are carried
+as rational forms whose singularities cancel across bases.  Numeric mode
+takes the same decisions from the same exact data, and keeps y exact too
+(a float y at its binary value), so that only values are rounded.  Taylor
 coefficients of the holomorphic total give the special values S via the
 weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
 
@@ -50,8 +50,9 @@ strategies use it:
   e^{-2 pi i b_m yhat_m} are summed as one exponent, applied last.  Only
   components with a singular denominator build series, to the order that
   their divisions need, through the builder with the component's live
-  variables: the kernels and the collapsed unit factors are multiplied
-  on the rank-many basis variables and extended to the live ones once.
+  variables: the kernels are multiplied on the rank-many basis variables
+  and extended to the live ones once, then multiplied by the one unit
+  product of the summand's live and collapsed unit factors.
 
 ``coefficient`` keeps its values in one process-wide table of
 ``COEFFICIENT_TABLE_SIZE`` entries, least recently used dropped first.
@@ -371,27 +372,31 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
     function of the basis variables alone; `k` is read only for those.
 
     Every t_g is a monomial, so everything else is built below `order` by
-    one degree for each of them: the coset sum of kernel products times
-    the dead factors, one exact ``unit_product`` lifted into the ring
-    once, on the basis variables, then, extended once to `live_vars`,
-    the live unit inverses (``LinearForm.inverse_power``).  The weight
-    and the monomial prod t_g are applied last, as one exponent shift
-    into `order`.  The numerator is zero when the t_g leave nothing below
-    `order`, or when a dead factor is read at k_g = 0."""
+    one degree for each of them: the coset sum of kernel products,
+    extended once to `live_vars`, times one exact ``unit_product`` of
+    every unit factor, dead ones as (a_g + U_g, k_g) and live ones as
+    (den_g, 1), lifted into the ring once.  The weight and the monomial
+    prod t_g are applied last, as one exponent shift into `order`.  The
+    numerator is zero when the t_g leave nothing below `order`, or when a
+    dead factor is read at k_g = 0."""
     ring = ctx.ring
     live_vars = ctx.vars if live_vars is None else live_vars
     basis = ctx.arr.bases[s.bidx]
     members, cosets = basis.members, basis.coset_reps
     basis_vars = tuple(ctx.vars[m] for m in members)
-    live_units, dead_units = [], []
+    units, monomial = [], [ctx.vars[g] for g, _ in s.degenerate_factors]
+    weight = s.weight
     for g, form in s.unit_factors:
-        (live_units if ctx.vars[g] in live_vars else dead_units).append(
-            (g, form))
-    monomial = [ctx.vars[g] for g, _ in live_units + s.degenerate_factors]
+        if ctx.vars[g] in live_vars:
+            units.append((form, 1))
+            monomial.append(ctx.vars[g])
+        else:
+            units.append((_dead_unit(ctx, g, form), k.weights[g]))
+            weight = -weight
     top = order - len(monomial)
     denoms = s.denominators
-    if top < 0 or any(k.weights[g] == 0 for g, _ in dead_units):
-        # [t_g^0] (t_g * unit) = 0, or nothing below `order`
+    if top < 0 or any(kg == 0 for _, kg in units):
+        # nothing below `order`, or [t_g^0] (t_g * unit) = 0
         return RationalForm(TruncatedSeries(ring, live_vars,
                                             Truncation(order)), denoms)
     low = Truncation(top)
@@ -402,14 +407,9 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
             f = ctx.kernel(s.bidx, w, m, top).extend(basis_vars)
             prod = f if prod is None else prod * f
         num = prod if num is None else num + prod
-    if dead_units:
-        num = num * unit_product(ring, [
-            (_dead_unit(ctx, g, form), k.weights[g])
-            for g, form in dead_units], basis_vars, low)
     num = num.extend(live_vars)
-    for g, form in live_units:
-        num = num * form.inverse_power(ring, live_vars, low, 1)
-    weight = -s.weight if len(dead_units) % 2 else s.weight
+    if units:
+        num = num * unit_product(ring, units, live_vars, low)
     return RationalForm(num.shifted(monomial, Truncation(order), weight),
                         denoms)
 
@@ -498,7 +498,9 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
                  trunc: Truncation) -> TruncatedSeries:
     """prod (a + L)^(-k) over the (form, k) pairs, a = -2 pi i c the
     form's constant (nonzero) and L its linear part, on `vars` and
-    truncated at `trunc`: the collapsed unit factors of a summand.
+    truncated at `trunc`: every unit inverse that the evaluators expand,
+    the live and collapsed unit factors of a summand and the non-singular
+    edge denominators of a polytope vertex.
 
     Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
     the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the
@@ -630,15 +632,12 @@ def _table_key(ctx: EvaluationContext, k: WeightVector) -> tuple:
 def coefficient(arr: Arrangement, y: Sequence, k,
                 mode: str = "exact", precision: int = 128,
                 phi: Optional[GenericDirection] = None,
-                ctx: Optional[EvaluationContext] = None,
-                check_excluded: bool = False):
+                ctx: Optional[EvaluationContext] = None):
     """C(k, y; arrangement): k! times the Taylor coefficient at exponent k."""
     k = k if isinstance(k, WeightVector) else WeightVector.make(k)
     if len(k.weights) != arr.size:
         raise ValueError("one weight per functional required")
     ctx = _context(arr, y, mode, precision, phi, ctx)
-    if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
-        raise ExcludedPoint("y lies on an excluded translated hyperplane")
     key = _table_key(ctx, k)
     stored = _coefficient_table.pop(key, None)
     if stored is None:

@@ -143,7 +143,8 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
         if mode == "exact":
             mismatches += not (c == c2)
         else:
-            worst = max(worst, abs(complex(c) - complex(c2)))
+            # in the ring, so that it is seen below double precision
+            worst = max(worst, ctx.ring.magnitude(c - c2))
     if mode == "exact":
         discrepancy = 0 if mismatches == 0 and stray == 0 else 1
     else:

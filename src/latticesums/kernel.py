@@ -38,56 +38,40 @@ def bernoulli_numbers(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel data: constant b, fractional-part argument y in [0, 1].  A
-    non-real b is kept as the exact GaussianRational when it is one, so
+    """Kernel data: exact constant b, fractional-part argument y in
+    [0, 1] as a Fraction.  A non-real b is the exact GaussianRational, so
     that numeric mode rounds its exponents -b y only once, in the
     exponential."""
 
-    b: Union[Fraction, GaussianRational, complex]
-    y: Union[Fraction, float]
+    b: Union[Fraction, GaussianRational]
+    y: Fraction
     integral: bool
 
     @classmethod
     def make(cls, b, y) -> "KernelParams":
         if isinstance(b, GaussianRational) and b.im == 0:
             b = b.re
-        if isinstance(b, Fraction) or isinstance(b, int):
+        if isinstance(b, (int, Fraction)):
             b = Fraction(b)
             integral = b.denominator == 1
         elif isinstance(b, GaussianRational):
             integral = False
         else:
-            b = complex(b)
-            integral = b.imag == 0 and abs(b.real - round(b.real)) < 1e-12
-        if isinstance(y, Fraction) or isinstance(y, int):
-            y = Fraction(y)
+            raise TypeError(f"a kernel constant must be an int, a Fraction "
+                            f"or a GaussianRational, got {b!r}")
+        y = Fraction(y)
         if not 0 <= y <= 1:
             raise ValueError(f"kernel argument must lie in [0, 1], got {y}")
         return cls(b, y, integral)
 
 
-def _num(ring, v):
-    """Numeric-ring scalar preserving exact rational and Gaussian-rational
-    inputs at full precision."""
-    if isinstance(v, (int, Fraction)):
-        return ring.from_fraction(Fraction(v))
-    if isinstance(v, GaussianRational):
-        return ring_value(ring, v)
-    return ring.from_complex(complex(v))
-
-
 def exp_2pii(ring, b, scale=1):
-    """e^{2 pi i b scale} in either ring: a root of unity, kept exact for
-    rational b and scale in both rings; a Gaussian-rational b times a
-    rational scale is exact up to the one exponential."""
-    if ring.exact:
-        return ring.root_of_unity(Fraction(b) * scale)
-    exact = (int, Fraction)
-    if isinstance(b, exact) and isinstance(scale, exact):
-        return ring.root_of_unity(Fraction(b) * Fraction(scale))
-    if isinstance(b, GaussianRational) and isinstance(scale, exact):
-        return ring.exp_2pii_times(_num(ring, b * Fraction(scale)))
-    return ring.exp_2pii_times(complex(b) * complex(scale))
+    """e^{2 pi i b scale} in either ring for an exact b and a rational
+    scale: a root of unity for rational b, kept exact in both rings; a
+    Gaussian-rational b is exact up to the one exponential."""
+    if isinstance(b, GaussianRational):
+        return ring.exp_2pii_times(ring_value(ring, b * Fraction(scale)))
+    return ring.root_of_unity(Fraction(b) * Fraction(scale))
 
 
 def _apostol_numbers(ring, lam, order: int) -> list:
@@ -132,7 +116,7 @@ def kernel_parts(ring, params: KernelParams, order: int, base) -> list:
         ypow = [y ** j / math.factorial(j) for j in range(order + 1)]
         weigh = ring.scale
     else:
-        yv = _num(ring, y)
+        yv = ring.from_fraction(y)
         ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
         weigh = operator.mul
     out = []
@@ -181,8 +165,7 @@ def kernel_series_dy(ring, params: KernelParams, order: int, var: str = "t",
                      vars: Optional[tuple] = None) -> TruncatedSeries:
     """d/dy of the kernel series: the kernel times (t - 2 pi i b), since
     the kernel depends on y only through e^{(t - 2 pi i b) y}."""
-    two_pi_i_b = ring.two_pi_i() * (ring.from_fraction(params.b)
-                                    if ring.exact else _num(ring, params.b))
+    two_pi_i_b = ring.two_pi_i() * ring_value(ring, params.b)
     a = kernel_parts(ring, params, order, kernel_base(ring, params, order))
     dy = [(a[n - 1] if n else ring.zero()) - two_pi_i_b * a[n]
           for n in range(order + 1)]

@@ -29,10 +29,11 @@ and the edge denominators t* . (p - p'), which are rational combinations
 of the functionals.  The evaluator's builder
 (``EvaluationContext.combination``) returns each, and each vertex
 exponent, as an exact ``LinearForm``.  From its exact constant an edge
-denominator is singular, to be divided out after summing, or a unit,
-whose inverse is expanded in closed form; the vertex exponential
-e^{t* . p} is expanded in closed form too (``LinearForm.exp``), with no
-series product.
+denominator is singular, to be divided out after summing, or a unit.
+The unit inverses of a vertex are one exact product
+(``genfun.unit_product``), the one expansion of every unit inverse,
+lifted into the ring once; the vertex exponential e^{t* . p} is expanded
+in closed form (``LinearForm.exp``), with no series product.
 
 The vertex sums are multiplied by the kernel prefactor prod_f K_f(0) at
 y = 0.  K_f(0) is t_f / (e^{t_f - 2 pi i c_f} - 1): a unit when c_f is an
@@ -53,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import NotSimple
-from .genfun import EvaluationContext, _context
+from .genfun import EvaluationContext, _context, unit_product
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, in_singular_locus
 from .series import (RationalForm, TruncatedSeries, Truncation,
@@ -243,14 +244,11 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
     num = ctx.combination(coeff).exp(ring, ctx.vars, trunc)
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
     num = num.scalar_mul(ring.from_fraction(detv))
-    # edge denominators t* . (p - p')
-    denoms = []
-    for den in dens:
-        if den.singular:
-            denoms.append(den)
-        else:
-            num = num * den.inverse_power(ring, ctx.vars, trunc, 1)
-    return RationalForm(num, denoms)
+    # edge denominators t* . (p - p'): the units in one exact product
+    units = [(den, 1) for den in dens if not den.singular]
+    if units:
+        num = num * unit_product(ring, units, ctx.vars, trunc)
+    return RationalForm(num, [den for den in dens if den.singular])
 
 
 def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
@@ -353,12 +351,11 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
                          if not f_direct.coefficient(e) == f_poly.coefficient(e))
         disc = "0 (exact)" if mismatches == 0 else f"{mismatches} coefficients"
     else:
-        worst = 0.0
-        for e in exps:
-            d = abs(complex(f_direct.coefficient(e))
-                    - complex(f_poly.coefficient(e)))
-            worst = max(worst, d)
-        disc = worst
+        # the difference is taken in the ring, so that it is seen below
+        # double precision
+        disc = max((ctx.ring.magnitude(f_direct.coefficient(e)
+                                       - f_poly.coefficient(e))
+                    for e in exps), default=0.0)
     return {
         "m_count": len(per_m),
         "per_m": per_m,

@@ -396,9 +396,6 @@ class NumericRing:
         q = Fraction(q)
         return self.ctx.mpc(self.ctx.mpf(q.numerator) / self.ctx.mpf(q.denominator))
 
-    def from_complex(self, z):
-        return self.ctx.mpc(z)
-
     def root_of_unity(self, q):
         q = Fraction(q)
         return self.ctx.expjpi(2 * self.from_fraction(q))

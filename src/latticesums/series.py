@@ -9,13 +9,12 @@ the operations that make the closed-form evaluators work:
 * ``LinearForm`` -- sum_v q_v t_v - 2 pi i c with exact rational q_v and
   an exact constant c, the one type of every denominator and exponent.
   Its singularity (c == 0) and its merge key (the normalised q_v) are read
-  from that exact data in both rings.  One multinomial enumerator expands
-  every function of it that the evaluators need, coefficient by
-  coefficient with no series product: ``power``, ``exp`` and
-  ``inverse_power`` (for c != 0).  ``inverse_power`` serves the unit
-  factors that stay live (``genfun.summand_rational_form`` and the
-  polytope vertex forms); the collapsed ones are multiplied over Q by
-  ``genfun.unit_product`` on the same enumerator (``monomials``);
+  from that exact data in both rings.  One multinomial enumerator
+  (``monomials``) expands every function of it that the evaluators need,
+  coefficient by coefficient with no series product: ``power`` and
+  ``exp`` here, and every unit inverse (c != 0) in
+  ``genfun.unit_product``, one exact product over Q of all the inverses
+  of a summand or a polytope vertex, lifted into the ring once;
 * ``divide_exact`` -- division by a singular linear form, valid exactly
   because the assembled sums are holomorphic even though the individual
   summands are not.  A slice recurrence, pivoting on the largest |q_v|,
@@ -224,12 +223,12 @@ class LinearForm:
     one) or a Gaussian rational; `c == 0` marks a singular form.
     `constant` is -2 pi i c in the ring.  `key`, the coefficients scaled
     so that the first (by variable order) is 1, is equal for forms that
-    agree up to a rational scale.  Both are built on first use: a
-    collapsed unit factor reads neither.
+    agree up to a rational scale.  Both are built on first use: a unit
+    inverse (``genfun.unit_product``) reads neither.
 
-    Every function of the form that the evaluators expand is a power
-    series sum_n f_n L^n in its linear part L = sum_v q_v t_v, and
-    ``_expand`` writes all of them out from one closed form.
+    ``power`` and ``exp`` are power series sum_n f_n L^n in the linear
+    part L = sum_v q_v t_v, and ``_expand`` writes both out from their
+    closed forms on ``monomials``.
     """
 
     __slots__ = ("coeffs", "den", "c", "_ring", "_constant", "_key")
@@ -316,23 +315,6 @@ class LinearForm:
         phi = [ring.scale(self.constant ** (m - n),
                           Fraction(math.comb(m, n), den ** n))
                for n in range(min(m, trunc.total) + 1)]
-        return self._expand(ring, vars, trunc, phi)
-
-    def inverse_power(self, ring, vars, trunc: Truncation, k: int
-                      ) -> TruncatedSeries:
-        """(a + L)^(-k) for k >= 1 and a = `constant` nonzero:
-        f_n = C(k + n - 1, n) a^(-k) (-1/a)^n."""
-        if self.singular:
-            raise NonDivisible("cannot invert a linear form with zero "
-                               "constant term")
-        a_inv = ring.inv(self.constant)
-        step = -ring.scale(a_inv, Fraction(1, self.den))
-        power = a_inv ** k  # a^(-k) (-1/(a D))^n
-        phi = []
-        for n in range(trunc.total + 1):
-            phi.append(ring.scale(power, math.comb(k + n - 1, n)))
-            if n < trunc.total:
-                power = power * step
         return self._expand(ring, vars, trunc, phi)
 
     def exp(self, ring, vars, trunc: Truncation) -> TruncatedSeries:

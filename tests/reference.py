@@ -10,12 +10,14 @@ evaluators take from shortcuts:
   (Brion-Lawrence) in floating point;
 * the kernel's closed-form coefficients C(k, y; b) (Bernoulli polynomials
   for integral b) and their moment integrals against e^{-2 pi i m x};
-* one coset's term of a basis's summand built at full order, one series
+* the inverse of a unit linear form by the generic series inverse, and
+  one coset's term of a basis's summand built at full order, one series
   product per kernel, per t_g and per unit inverse;
 * the constant and single-variable series those products start from;
 * small exact helpers that only the tests use: a matrix product, lattice
   membership, the powers of pi, an arrangement with its functionals
-  reordered and the character sums over a basis's coset representatives.
+  reordered, the character sums over a basis's coset representatives and
+  a series builder with one coefficient perturbed.
 """
 
 from __future__ import annotations
@@ -346,6 +348,25 @@ def series_variable(ring, vars, trunc, name) -> TruncatedSeries:
     return s
 
 
+def largest_coefficient_scaled(series_fn, eps: Fraction, shifts: list):
+    """`series_fn` with the largest coefficient of the series it returns
+    multiplied by 1 + eps; each call appends that coefficient's magnitude
+    times eps, the change made, to `shifts`."""
+    def scaled(*args, **kwargs):
+        f = series_fn(*args, **kwargs)
+        e = max(f.terms, key=lambda e: f.ring.magnitude(f.terms[e]))
+        shifts.append(f.ring.magnitude(f.terms[e]) * float(eps))
+        f.terms[e] = f.terms[e] * f.ring.from_fraction(1 + eps)
+        return f
+    return scaled
+
+
+def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
+    """1/form for a form with a nonzero constant: the generic series
+    inverse of the form, independent of ``genfun.unit_product``."""
+    return form.power(ring, vars, trunc, 1).invert_unit()
+
+
 def full_order_summand(ctx: EvaluationContext, bidx: int,
                        w: Tuple[int, ...], order: int) -> RationalForm:
     """The term of coset representative w in the summand of basis bidx,
@@ -365,7 +386,7 @@ def full_order_summand(ctx: EvaluationContext, bidx: int,
         if form.singular:
             denoms.append(form)
         else:
-            num = num * form.inverse_power(ring, vars, trunc, 1)
+            num = num * unit_inverse(ring, vars, trunc, form)
     return RationalForm(num, denoms)
 
 

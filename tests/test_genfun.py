@@ -27,7 +27,8 @@ from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, division_count,
                                 sum_rational_forms)
-from reference import full_order_summand, permuted, pi_pow, series_variable
+from reference import (full_order_summand, permuted, pi_pow, series_variable,
+                       unit_inverse)
 
 CTX = MPContext()
 CTX.prec = 128
@@ -580,12 +581,14 @@ _unit_truncations = st.builds(
 
 
 def _inverse_power_product(ring, factors, trunc):
-    """The reference: prod (a + L)^(-k) as series products of
-    ``LinearForm.inverse_power``."""
+    """The reference: prod (a + L)^(-k) as k series products of each
+    form's generic inverse (``reference.unit_inverse``)."""
     out = TruncatedSeries.one(ring, UNIT_VARS, trunc)
     for coeffs, c, k in factors:
-        out = out * LinearForm(ring, coeffs, c).inverse_power(
-            ring, UNIT_VARS, trunc, k)
+        inverse = unit_inverse(ring, UNIT_VARS, trunc,
+                               LinearForm(ring, coeffs, c))
+        for _ in range(k):
+            out = out * inverse
     return out
 
 
@@ -819,26 +822,21 @@ def test_basis_summand_is_its_coset_sum(mode, singular, data):
 
 
 def test_basis_summand_factors_built_once_per_basis(monkeypatch):
-    # a basis's live unit factors are expanded once (one inverse_power
-    # each) and its collapsed ones in one unit product, not once per
-    # coset; the unit path reads its product on the box with no series
-    # product; the kernels are read once per (coset, member) through the
-    # one accessor, their root-free parts built once per parameters and
-    # order and their B_k(lam) / k! once per (b, order) in the context
+    # each build expands all of a basis's unit factors, live and
+    # collapsed, in one unit product, not once per coset or per factor;
+    # the unit path reads its product on the box with no series product;
+    # the kernels are read once per (coset, member) through the one
+    # accessor, their root-free parts built once per parameters and order
+    # and their B_k(lam) / k! once per (b, order) in the context
     arr = Arrangement(2, [make_functional(d, c) for d, c in zip(
         COSET_HEAVY_DIRECTIONS + ((1, 0),),
         (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)))])
     assert any(b.index == 3 for b in arr.bases)
     y = (Fraction(1, 7), Fraction(1, 11))
-    inverses, products, reads, bases, parts, muls = [], [], [], [], [], []
-    real_inverse, real_parts = LinearForm.inverse_power, \
-        EvaluationContext.kernel_parts
+    products, reads, bases, parts, muls = [], [], [], [], []
+    real_parts = EvaluationContext.kernel_parts
     real_product = genfun.unit_product
     real_mul = TruncatedSeries.__mul__
-
-    def counted_inverse(self, *args, **kwargs):
-        inverses.append(self)
-        return real_inverse(self, *args, **kwargs)
 
     def counted_product(ring, factors, vars, trunc):
         products.append((len(factors), trunc))
@@ -860,7 +858,6 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         muls.append((a, b))
         return real_mul(a, b)
 
-    monkeypatch.setattr(LinearForm, "inverse_power", counted_inverse)
     monkeypatch.setattr(genfun, "unit_product", counted_product)
     monkeypatch.setattr(EvaluationContext, "kernel_parts", counted_read)
     monkeypatch.setattr(genfun, "kernel_base", counted_base)
@@ -878,18 +875,19 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         live = tuple(ctx.vars[i] for i in sorted(
             b.members + (s.unit_factors[0][0],)))
         box = tuple(k.weights[m] for m in b.members)
-        # (inverse_power calls, unit products) of each build
+        # the (factor count, truncation) of each build's unit products:
+        # below the order by one degree per live t_g
         for build, want in (
-                (lambda: summand_rational_form(ctx, s, 4), (units, [])),
+                (lambda: summand_rational_form(ctx, s, 4),
+                 [(units, Truncation(4 - units))]),
                 (lambda: summand_rational_form(ctx, s, 4, live, k),
-                 (1, [(1, Truncation(3))])),
+                 [(units, Truncation(3))]),
                 (lambda: genfun._unit_summand_value(ctx, s, k),
-                 (0, [(units, Truncation(sum(box), box))]))):
-            inverses.clear()
+                 [(units, Truncation(sum(box), box))])):
             products.clear()
             reads.clear()
             build()
-            assert (len(inverses), products) == want
+            assert products == want
             assert sorted(reads) == pairs
         monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
         muls.clear()

@@ -11,6 +11,7 @@ from latticesums.hierarchy import apply_Dg_summand, check_hierarchy
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.series import (LinearForm, RationalForm, divide_exact,
                                 sum_rational_forms)
+from reference import largest_coefficient_scaled
 
 
 def _states(ctx, order):
@@ -122,6 +123,23 @@ def test_numeric_mode(generic_y2):
     rep = check_hierarchy(a2_directions(), [0, 1], generic_y2, 3,
                           mode="numeric", precision=96)
     assert rep["max_discrepancy"] < 2.0 ** (-48)
+
+
+def test_numeric_discrepancy_is_taken_below_double_precision(monkeypatch):
+    # a relative error of 1e-18 in the largest coefficient of the
+    # sub-arrangement's series is above the 128-bit gate 2^-64 and must
+    # show in full: the difference is taken in the ring, not in doubles
+    arr = triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    y = (Fraction(1, 7), Fraction(2, 11))
+    rep = check_hierarchy(arr, [0, 1], y, 4, mode="numeric")
+    assert rep["max_discrepancy"] < 2.0 ** -100
+    shifts = []
+    scaled = largest_coefficient_scaled(hierarchy.generating_function,
+                                        Fraction(1, 10 ** 18), shifts)
+    monkeypatch.setattr(hierarchy, "generating_function", scaled)
+    rep = check_hierarchy(arr, [0, 1], y, 4, mode="numeric")
+    assert rep["max_discrepancy"] > 2.0 ** -64
+    assert rep["max_discrepancy"] == pytest.approx(shifts[0], rel=1e-6)
 
 
 def _negated(real):

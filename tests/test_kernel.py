@@ -45,6 +45,15 @@ def test_integral_branch_is_bernoulli():
         R.from_fraction(Fraction(1, 6))
 
 
+@pytest.mark.parametrize("b", [0.5, complex(0.5, 1)],
+                         ids=["float", "complex"])
+def test_kernel_params_take_exact_constants_only(b):
+    # the evaluators hand the kernels exact constants (``_exact_constant``);
+    # a float constant is refused, not rounded
+    with pytest.raises(TypeError):
+        KernelParams.make(b, Fraction(1, 3))
+
+
 def test_constant_coefficient_branches():
     nonint = KernelParams.make(Fraction(1, 2), Fraction(1, 3))
     assert kernel_coeff(R, 0, nonint).is_zero()

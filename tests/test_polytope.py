@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
-from latticesums import intlinalg
+from latticesums import intlinalg, polytope
 from latticesums.errors import NotSimple
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.genfun import EvaluationContext, generating_function
@@ -18,7 +18,8 @@ from latticesums.polytope import (Decomposition, VertexWitness,
 from reference import (HalfSpace, HPolytope, box_translates,
                        brute_force_vertices, build_polytope,
                        exp_integral_simple, incident_hyperplane_count,
-                       is_simple, permuted, witness_matrix)
+                       is_simple, largest_coefficient_scaled, permuted,
+                       witness_matrix)
 
 CTX = MPContext()
 CTX.prec = 140
@@ -376,6 +377,39 @@ def test_reconstruction_equals_direct_small_cases(generic_y2):
         assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
 
 
+def test_vertex_unit_edges_are_one_unit_product(generic_y2, monkeypatch):
+    # a vertex expands all of its non-singular edge denominators in one
+    # unit product, each at power one, and a vertex with none makes no
+    # product; the cases meet vertices with zero, one and two unit edges
+    products, units_seen = [], set()
+    real_product = polytope.unit_product
+    real_vertex = polytope._vertex_rational_form
+
+    def counted_product(ring, factors, vars, trunc):
+        products.append([k for _, k in factors])
+        return real_product(ring, factors, vars, trunc)
+
+    def counted_vertex(ctx, dec, m, y, w, edges, dens, tstar, order):
+        products.clear()
+        form = real_vertex(ctx, dec, m, y, w, edges, dens, tstar, order)
+        units = sum(not d.singular for d in dens)
+        assert products == ([[1] * units] if units else [])
+        assert len(form.denominators) == len(dens) - units
+        units_seen.add(units)
+        return form
+
+    monkeypatch.setattr(polytope, "unit_product", counted_product)
+    monkeypatch.setattr(polytope, "_vertex_rational_form", counted_vertex)
+    mixed = Arrangement(2, [make_functional((1, 0), Fraction(0)),
+                            make_functional((0, 1), Fraction(1, 3)),
+                            make_functional((1, 1), Fraction(0)),
+                            make_functional((1, 2), Fraction(1, 3))])
+    for arr in (mixed, triangle(Fraction(1, 2), Fraction(1, 3),
+                                Fraction(5, 6))):
+        genfun_via_polytopes(arr, generic_y2, 3)
+    assert units_seen == {0, 1, 2}
+
+
 @pytest.mark.parametrize("arr,order", [
     (a2_directions(), 3),
     (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 3),
@@ -426,3 +460,20 @@ def test_polytope_report(generic_y2):
     assert rep["max_discrepancy"] == "0 (exact)"
     assert rep["m_count"] == len(rep["per_m"])
     assert all(row["simple"] for row in rep["per_m"])
+
+
+def test_numeric_discrepancy_is_taken_below_double_precision(monkeypatch):
+    # a relative error of 1e-18 in the largest coefficient of the
+    # reconstruction is above the 128-bit gate 2^-64 and must show in
+    # full: the difference is taken in the ring, not in doubles
+    arr = triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    y = (Fraction(1, 7), Fraction(2, 11))
+    rep = polytope_report(arr, y, 4, mode="numeric")
+    assert rep["max_discrepancy"] < 2.0 ** -100
+    shifts = []
+    scaled = largest_coefficient_scaled(polytope.genfun_via_polytopes,
+                                        Fraction(1, 10 ** 18), shifts)
+    monkeypatch.setattr(polytope, "genfun_via_polytopes", scaled)
+    rep = polytope_report(arr, y, 4, mode="numeric")
+    assert rep["max_discrepancy"] > 2.0 ** -64
+    assert rep["max_discrepancy"] == pytest.approx(shifts[0], rel=1e-6)

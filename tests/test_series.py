@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from latticesums import series as series_module
 from latticesums.errors import NonDivisible
+from latticesums.genfun import unit_product
 from latticesums.lattice import GaussianRational
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
@@ -244,40 +245,7 @@ def _power(s, k):
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(unit_forms(EXACT_RINGS[12]), st.integers(1, 4), st.integers(0, 5))
-def test_inverse_power_matches_series_inverse_exact(form, k, total):
-    ring = EXACT_RINGS[12]
-    trunc = Truncation(total)
-    ref = _power(linear_series(form, ring, VARS, trunc).invert_unit(), k)
-    assert form.inverse_power(ring, VARS, trunc, k).terms == ref.terms
-
-
 NR128 = NumericRing(128)
-
-
-@settings(max_examples=25, deadline=None)
-@given(unit_forms(NR128), st.integers(1, 4), st.integers(0, 5))
-def test_inverse_power_matches_series_inverse_numeric(form, k, total):
-    trunc = Truncation(total)
-    ref = _power(linear_series(form, NR128, VARS, trunc).invert_unit(), k)
-    got = form.inverse_power(NR128, VARS, trunc, k)
-    assert set(got.terms) == set(ref.terms)
-    for e, c in ref.terms.items():
-        assert abs(got.terms[e] - c) <= 2.0 ** -100 * max(1, abs(c))
-
-
-@settings(max_examples=30, deadline=None)
-@given(unit_forms(EXACT_RINGS[12]), st.integers(1, 3),
-       st.lists(st.integers(0, 3), min_size=len(VARS), max_size=len(VARS)))
-def test_inverse_power_box_keeps_the_terms_in_the_box(form, k, box):
-    ring = EXACT_RINGS[12]
-    trunc = Truncation(sum(box))
-    full = form.inverse_power(ring, VARS, trunc, k)
-    want = {e: c for e, c in full.terms.items()
-            if all(x <= b for x, b in zip(e, box))}
-    boxed = Truncation(trunc.total, tuple(box))
-    assert form.inverse_power(ring, VARS, boxed, k).terms == want
 
 
 @st.composite
@@ -307,30 +275,17 @@ def _exp_reference(form, ring, vars, trunc):
 
 
 def _expansion_and_reference(data, ring):
-    """One of power(m), exp and inverse_power(k) (on a box or not) of a
-    random form, with its value from repeated series products or
-    ``invert_unit``."""
+    """power(m) or exp of a random form, with its value from repeated
+    series products.  The unit inverses are checked against
+    ``invert_unit`` in ``tests/test_genfun.py`` (``unit_product``)."""
     form = data.draw(rational_forms(ring))
     trunc = Truncation(data.draw(st.integers(0, 5)))
-    which = data.draw(st.sampled_from(
-        ["power", "exp"] + ([] if form.singular else ["inverse_power"])))
-    if which == "power":
+    if data.draw(st.booleans()):
         m = data.draw(st.integers(0, 4))
         return (form.power(ring, VARS, trunc, m),
                 _power(linear_series(form, ring, VARS, trunc), m).terms)
-    if which == "exp":
-        return (form.exp(ring, VARS, trunc),
-                _exp_reference(form, ring, VARS, trunc).terms)
-    k = data.draw(st.integers(1, 3))
-    ref = _power(linear_series(form, ring, VARS, trunc).invert_unit(), k)
-    box = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=3,
-                                         max_size=3))
-    if box is None:
-        return form.inverse_power(ring, VARS, trunc, k), ref.terms
-    return (form.inverse_power(ring, VARS,
-                               Truncation(trunc.total, tuple(box)), k),
-            {e: c for e, c in ref.terms.items()
-             if all(x <= b for x, b in zip(e, box))})
+    return (form.exp(ring, VARS, trunc),
+            _exp_reference(form, ring, VARS, trunc).terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -349,12 +304,6 @@ def test_expansions_match_series_products_numeric(data):
         assert abs(got.terms[e] - c) <= 2.0 ** -100 * max(1, abs(c))
 
 
-def test_inverse_power_rejects_zero_constant():
-    l = LinearForm(R, {"t1": 1})
-    with pytest.raises(NonDivisible):
-        l.inverse_power(R, VARS, Truncation(3), 1)
-
-
 @pytest.mark.parametrize("ring", [EXACT_RINGS[12], NR128],
                          ids=["exact", "numeric"])
 @pytest.mark.parametrize("c", [0, 1, -2])
@@ -367,10 +316,10 @@ def test_int_constant_is_a_fraction(ring, c):
     assert got.exp(ring, VARS, tr).terms == want.exp(ring, VARS, tr).terms
     if c == 0:
         with pytest.raises(NonDivisible):
-            got.inverse_power(ring, VARS, tr, 2)
+            unit_product(ring, [(got, 2)], VARS, tr)
     else:
-        assert got.inverse_power(ring, VARS, tr, 2).terms == \
-            want.inverse_power(ring, VARS, tr, 2).terms
+        assert unit_product(ring, [(got, 2)], VARS, tr).terms == \
+            unit_product(ring, [(want, 2)], VARS, tr).terms
 
 
 def test_partial_fraction_identity():

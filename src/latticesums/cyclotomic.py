@@ -401,16 +401,6 @@ class CycElt:
             _acc(out, j % self.field.N, coeff)
         return out
 
-    def lift(self, target: "CyclotomicField") -> "CycElt":
-        """Image under Q(zeta_N) -> Q(zeta_M) for N | M."""
-        if target.N % self.field.N != 0:
-            raise ValueError("target order must be a multiple of the source")
-        scale = target.N // self.field.N
-        out = target.zero()
-        for j, c in self.as_zeta_poly().items():
-            out = out + target.zeta_pow(j * scale) * c
-        return out
-
     def __repr__(self):
         if self.is_zero():
             return "0"

@@ -125,7 +125,6 @@ class EvaluationReport:
     value: object
     series_order: int
     basis_count: int
-    degenerate_divisions: int
     mode: str
     n_cyclotomic: Optional[int] = None
     timing_ms: float = 0.0
@@ -300,13 +299,6 @@ class EvaluationContext:
                 return den
         raise KeyError(g)
 
-    def degenerate_multiplicity(self) -> int:
-        """Number of distinct singular hyperplanes; no summand carries one
-        twice."""
-        return len({den.key
-                    for bidx in range(len(self.arr.bases))
-                    for _, den in self.geometry(bidx) if den.singular})
-
 
 def _context(arr: Arrangement, y: Sequence, mode: str, precision: int,
              phi: Optional[GenericDirection],
@@ -427,8 +419,8 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
     ctx = _context(arr, y, mode, precision, phi, ctx)
     if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
         if ctx.mode == "numeric":
-            warnings.warn("y lies on (or within 1e-9 of) an excluded "
-                          "translated hyperplane; values may be meaningless")
+            warnings.warn("y lies on an excluded translated hyperplane; "
+                          "values may be meaningless")
         else:
             raise ExcludedPoint(
                 "y lies on an excluded translated hyperplane for an "
@@ -735,7 +727,6 @@ def lattice_sum_value(arr: Arrangement, y: Sequence, k,
         value=value,
         series_order=k.total,
         basis_count=len(arr.bases),
-        degenerate_divisions=ctx.degenerate_multiplicity(),
         mode=ctx.mode,
         n_cyclotomic=ctx.N,
         timing_ms=dt,

@@ -230,12 +230,6 @@ class ExactScalar:
             out += c.embed(ctx) * pi**k
         return out
 
-    def lift(self, ring: "ExactRing") -> "ExactScalar":
-        """Re-express in a larger cyclotomic field (order a multiple)."""
-        return ExactScalar.from_pi_poly(
-            ring.field, {k: c.lift(ring.field)
-                         for k, c in self.pi_poly().items()})
-
     def __repr__(self):
         return format_scalar(self)
 

@@ -17,11 +17,13 @@ the operations that make the closed-form evaluators work:
   of a summand or a polytope vertex, lifted into the ring once;
 * ``divide_exact`` -- division by a singular linear form, valid exactly
   because the assembled sums are holomorphic even though the individual
-  summands are not.  A slice recurrence, pivoting on the largest |q_v|,
-  solves for the quotient with rational scalings only;
+  summands are not.  Polynomial division in the variable of the largest
+  |q_v| yields the quotient with rational scalings only, and a remainder
+  free of that variable, zero exactly when the form divides;
 * ``sum_rational_forms`` -- combination of summands carrying such singular
-  denominators over a common product, followed by the exact divisions,
-  ``division_count`` of them, each losing one degree.
+  denominators over a common product of one representative per merge key,
+  each numerator rescaled once to those representatives, followed by the
+  exact divisions, ``division_count`` of them, each losing one degree.
 
 ``TruncatedSeries.invert_unit`` remains as the generic inverse of any unit
 series; the tests use it as an independent reference for the closed forms.
@@ -351,80 +353,56 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
                  residuals: Optional[List[float]] = None) -> TruncatedSeries:
     """Divide s by a linear form with zero constant term.
 
-    Slice recurrence: peel one form variable at a time, the largest |q_v|
-    first.  With l = q_p t_p + l', matching coefficients of t_p^j in
-    q*l = s gives s_j = q_p q_{j-1} + l' q_j, solved bottom-up with a
-    recursive division of each right-hand side by l'; every step scales a
-    scalar by a rational coefficient of the form (``ring.scale``).
+    Polynomial division in one pivot variable t_p, the one with the
+    largest |q_v| (ties broken by name).  With l = q_p t_p + l' and s and
+    the quotient Q split into t_p-slices s_j and Q_j, matching coefficients
+    of t_p^j in s = l Q + r gives, from the top slice down,
+
+        Q_{j-1} = (s_j - l' Q_j) / q_p,
+
+    and the remainder r = s_0 - l' Q_0, free of t_p.  That remainder is
+    unique, and zero exactly when l divides s.  Every step scales a scalar
+    by a ratio of the form's rationals (``ring.scale``): 1/q_p for a
+    quotient term and -q_v/q_p, of modulus at most 1, for an update of the
+    slice below.  l is homogeneous, so the quotient through degree W - 1
+    reads s through degree W only, and the remainder test covers every
+    degree of s.
 
     Exact mode demands a literally zero remainder and raises NonDivisible
-    (carrying the residual terms) otherwise.  Numeric mode tolerates
-    residual norms below 2^(-precision/2) * |s| and records them.
+    (carrying the remainder terms) otherwise.  Numeric mode tolerates
+    remainder norms below 2^(-precision/2) * |s| and records them.
     """
     ring = s.ring
     if not form.singular:
         raise ValueError("divide_exact needs a constant-free linear form")
     if s.is_zero():
         return s.clone_empty()
-    order = sorted(form.coeffs, key=lambda v: (-abs(form.coeffs[v]), v))
-    residual_box: Dict[Exps, object] = {}
-
-    def acc_res(e, c):
-        cur = residual_box.get(e)
-        tot = c if cur is None else cur + c
-        if ring.is_zero(tot):
-            residual_box.pop(e, None)
-        else:
-            residual_box[e] = tot
-
-    def rec(terms: Dict[Exps, object], vars_left) -> Dict[Exps, object]:
-        v = vars_left[0]
-        p = s.vars.index(v)
-        cv = form.coeffs[v]
-        if len(vars_left) == 1:
-            out: Dict[Exps, object] = {}
-            cv_inv = 1 / cv
-            for e, c in terms.items():
-                if e[p] == 0:
-                    acc_res(e, c)
-                    continue
-                ne = list(e)
-                ne[p] -= 1
-                out[tuple(ne)] = ring.scale(c, cv_inv)
-            return out
-        slices: Dict[int, Dict[Exps, object]] = {}
-        for e, c in terms.items():
-            j = e[p]
-            e0 = list(e)
-            e0[p] = 0
-            slices.setdefault(j, {})[tuple(e0)] = c
-        top = max(slices) if slices else -1
-        out: Dict[Exps, object] = {}
-        q_prev: Dict[Exps, object] = {}
-        rest = vars_left[1:]
-        for j in range(top + 1):
-            rhs = dict(slices.get(j, {}))
-            for e, c in q_prev.items():
-                cur = rhs.get(e)
-                val = ring.scale(c, -cv)
-                rhs[e] = val if cur is None else cur + val
-            rhs = {e: c for e, c in rhs.items() if not ring.is_zero(c)}
-            qj = rec(rhs, rest)
-            for e, c in qj.items():
-                ne = list(e)
-                ne[p] = j
-                out[tuple(ne)] = c
-            q_prev = qj
-        return out
-
-    q_terms = rec(dict(s.terms), order)
-    if not _residual_ok(s, residual_box, residuals):
-        raise NonDivisible("series is not divisible by the linear form",
-                           residual=residual_box)
+    pivot = min((-abs(q), v) for v, q in form.coeffs.items())[1]
+    q_p, p = form.coeffs[pivot], s.vars.index(pivot)
+    inv, down = 1 / q_p, tuple(-int(v == pivot) for v in s.vars)
+    updates = [(tuple(int(w == v) for w in s.vars), -q / q_p)
+               for v, q in form.coeffs.items() if v != pivot]
+    slices: Dict[int, Dict[Exps, object]] = {}
+    for e, c in s.terms.items():
+        slices.setdefault(e[p], {})[e] = c
     out = s.clone_empty()
-    for e, c in q_terms.items():
-        if out.trunc.keeps(e) and not ring.is_zero(c):
-            out.terms[e] = c
+    for j in range(max(slices), 0, -1):
+        below = slices.setdefault(j - 1, {})
+        for e, c in slices.pop(j, {}).items():
+            if ring.is_zero(c):
+                continue
+            e = tuple(map(add, e, down))
+            out.terms[e] = ring.scale(c, inv)
+            for step, ratio in updates:
+                ne = tuple(map(add, e, step))
+                val = ring.scale(c, ratio)
+                cur = below.get(ne)
+                below[ne] = val if cur is None else cur + val
+    remainder = {e: c for e, c in slices.get(0, {}).items()
+                 if not ring.is_zero(c)}
+    if not _residual_ok(s, remainder, residuals):
+        raise NonDivisible("series is not divisible by the linear form",
+                           residual=remainder)
     return out
 
 
@@ -439,28 +417,6 @@ class RationalForm:
 
     numerator: TruncatedSeries
     denominators: List[LinearForm] = field(default_factory=list)
-
-    def normalized(self) -> "RationalForm":
-        """Every denominator scaled by 1/lead so that its first (by
-        variable order) coefficient is 1, the numerator by the product of
-        the leads' inverses."""
-        num = self.numerator
-        ring = num.ring
-        scale = Fraction(1)
-        denoms = []
-        for f in self.denominators:
-            if not f.singular or not f.coeffs:
-                raise ValueError("a denominator must be a singular form "
-                                 "with a linear part")
-            lead = f.coeffs[min(f.coeffs)]
-            scale /= lead
-            denoms.append(LinearForm(ring, {v: q / lead
-                                            for v, q in f.coeffs.items()}))
-        if scale != 1:
-            num = TruncatedSeries(ring, num.vars, num.trunc,
-                                  {e: ring.scale(c, scale)
-                                   for e, c in num.terms.items()})
-        return RationalForm(num, denoms)
 
 
 def _divisors(denominator_lists: Iterable[Sequence[LinearForm]]
@@ -493,6 +449,14 @@ def sum_rational_forms(forms: Sequence[RationalForm],
     """Combine summands over the product of their distinct denominators and
     perform the exact divisions; the result is the holomorphic total.
 
+    Forms equal up to a rational scale share one ``LinearForm.key``, and
+    ``_divisors`` picks one representative r of each.  A denominator d of
+    that key is lead(d)/lead(r) times r (lead: the first coefficient by
+    variable order), so each numerator is scaled once by the product of
+    lead(r)/lead(d) over its own denominators, multiplied by the powers of
+    the representatives it lacks, and the sum is divided by the
+    representatives.
+
     Each division loses one degree: for numerators truncated at W, the
     sum is exact through W - ``division_count`` of the denominators, so
     the working order of a sum through `order` is order + divisions.  The
@@ -500,7 +464,6 @@ def sum_rational_forms(forms: Sequence[RationalForm],
     sees every term that feeds a returned coefficient."""
     if not forms:
         raise ValueError("no forms to sum")
-    forms = [f.normalized() for f in forms]
     ring = forms[0].numerator.ring
     vars = forms[0].numerator.vars
     trunc = forms[0].numerator.trunc
@@ -513,6 +476,15 @@ def sum_rational_forms(forms: Sequence[RationalForm],
     for f in forms:
         num = f.numerator
         keys = [d.key for d in f.denominators]
+        scale = Fraction(1)
+        for d, k in zip(f.denominators, keys):
+            if not d.singular or not d.coeffs:
+                raise ValueError("a denominator must be a singular form "
+                                 "with a linear part")
+            lead = min(d.coeffs)
+            scale *= universe[k][0].coeffs[lead] / d.coeffs[lead]
+        if scale != 1:
+            num = num.shifted((), trunc, scale)
         for k, (d, mult) in universe.items():
             deficit = mult - keys.count(k)
             if deficit > 0:

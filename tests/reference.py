@@ -15,7 +15,8 @@ evaluators take from shortcuts:
   product per kernel, per t_g and per unit inverse;
 * the constant and single-variable series those products start from;
 * small exact helpers that only the tests use: a matrix product, lattice
-  membership, the powers of pi, an arrangement with its functionals
+  membership, the powers of pi, an exact scalar re-expressed in a larger
+  cyclotomic field, an arrangement with its functionals
   reordered, the character sums over a basis's coset representatives and
   a series builder with one coefficient perturbed.
 """
@@ -413,6 +414,21 @@ def lattice_contains(rows: Sequence[Sequence[int]], v: Sequence) -> bool:
 def pi_pow(ring, k: int) -> ExactScalar:
     """pi^k in the exact ring."""
     return ExactScalar(ring.field, {(k, ring.field.zero_exps): 1})
+
+
+def lift(x: ExactScalar, ring) -> ExactScalar:
+    """The exact scalar x in `ring`, whose cyclotomic order M is a multiple
+    of x's order N: zeta_N^j is zeta_M^(j M/N)."""
+    field = ring.field
+    if field.N % x.field.N:
+        raise ValueError("target order must be a multiple of the source")
+    step = field.N // x.field.N
+    poly = {}
+    for k, c in x.pi_poly().items():
+        poly[k] = field.zero()
+        for j, q in c.as_zeta_poly().items():
+            poly[k] = poly[k] + field.zeta_pow(j * step) * q
+    return ExactScalar.from_pi_poly(field, poly)
 
 
 def permuted(arr: Arrangement, perm: Sequence[int]) -> Arrangement:

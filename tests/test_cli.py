@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,18 @@ from latticesums.scalar import ExactRing, parse_scalar
 from reference import pi_pow
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(args):
+    """The CLI in a fresh interpreter that imports this checkout's package,
+    installed or not."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path
+               else SRC + os.pathsep + path)
     proc = subprocess.run([sys.executable, "-m", "latticesums.cli"] + args,
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=env)
     return proc
 
 

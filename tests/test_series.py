@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_mp import MPContext
 
 from latticesums import series as series_module
 from latticesums.errors import NonDivisible
@@ -168,8 +169,14 @@ def test_divide_exact_examples():
     l2 = LinearForm(R, {"t1": 1, "t2": 2})
     q2 = divide_exact(t1 * (t1 + t2.scalar_mul(R.from_fraction(2))), l2)
     assert q2.terms == t1.terms
-    with pytest.raises(NonDivisible):
+    # the remainder is free of the pivot t1 (|q| tied, first by name):
+    # t1 + t2 = (t1 - t2) + 2 t2 and t1^2 + t2 = (t1 - t2)(t1 + t2) + t2 + t2^2
+    with pytest.raises(NonDivisible) as err:
         divide_exact(t1 + t2, l)
+    assert err.value.residual == t2.scalar_mul(R.from_fraction(2)).terms
+    with pytest.raises(NonDivisible) as err:
+        divide_exact(t1 * t1 + t2, l)
+    assert err.value.residual == (t2 + t2 * t2).terms
 
 
 @st.composite
@@ -207,6 +214,63 @@ def test_divide_round_trip(data):
     # and multiplying it back by the form reproduces s on every exponent
     back = got * linear_series(l, R, VARS, q.trunc)
     assert back.terms == s.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_series_and_form())
+def test_remainder_is_free_of_the_pivot(data):
+    s, l = data
+    try:
+        divide_exact(s, l)
+        r = {}
+    except NonDivisible as err:
+        r = err.residual
+    pivot = min((-abs(q), v) for v, q in l.coeffs.items())[1]
+    assert all(e[VARS.index(pivot)] == 0 for e in r)
+    # s - r is l times the quotient
+    rest = s - TruncatedSeries(R, VARS, s.trunc, dict(r))
+    q = divide_exact(rest, l)
+    assert (q * linear_series(l, R, VARS, s.trunc)).terms == rest.terms
+
+
+@st.composite
+def wide_forms_and_quotients(draw):
+    """A singular form with coefficients of modulus 1/1000 to 7 and a
+    rational series of total degree below 4, as exact Fraction terms."""
+    size = st.fractions(Fraction(1, 1000), 7, max_denominator=1000)
+    coeffs = {v: draw(size) * draw(st.sampled_from((1, -1)))
+              for v in draw(st.lists(st.sampled_from(VARS), min_size=1,
+                                     max_size=3, unique=True))}
+    quotient = {}
+    for _ in range(draw(st.integers(1, 6))):
+        e = tuple(draw(st.integers(0, 3)) for _ in VARS)
+        if sum(e) < 4:
+            quotient[e] = draw(st.fractions(-7, 7, max_denominator=1000))
+    return coeffs, quotient
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_forms_and_quotients())
+def test_numeric_quotient_matches_the_exact_one(data):
+    coeffs, quotient = data
+    trunc = Truncation(4)
+    product = {}
+    for e, c in quotient.items():
+        for v, q in coeffs.items():
+            ne = tuple(x + (w == v) for x, w in zip(e, VARS))
+            product[ne] = product.get(ne, 0) + c * q
+    exact, numeric = (
+        divide_exact(TruncatedSeries(ring, VARS, trunc, {
+            e: ring.from_fraction(c) for e, c in product.items() if c}),
+            LinearForm(ring, coeffs))
+        for ring in (R, NR128))
+    ref = MPContext()
+    ref.prec = 256
+    want = {e: c.embed(ref) for e, c in exact.terms.items()}
+    scale = max([abs(w) for w in want.values()], default=ref.mpf(0))
+    for e in set(want) | set(numeric.terms):
+        err = abs(ref.mpc(numeric.coefficient(e)) - want.get(e, 0))
+        assert err <= ref.mpf(2) ** -100 * scale
 
 
 def linear_series(form, ring, vars, trunc):

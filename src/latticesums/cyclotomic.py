@@ -6,6 +6,11 @@ the product of zeta_{p_i^{a_i}}^{e_i}.  The representation is canonical, so
 zero tests and equality are plain dictionary comparisons, and the values that
 dominate this package (roots of unity and short combinations of them) stay
 sparse no matter how large N gets.
+
+Phi_{p^a}(zeta) = 0 is applied in one place, ``_row``; ``_reduce`` rewrites
+exponents through those rows, and every product (of ``CycElt`` and of the
+exact scalars in ``scalar``) reads the products of basis monomials from one
+table, ``basis_product``, built from them.
 """
 
 from __future__ import annotations
@@ -130,32 +135,19 @@ class CyclotomicField:
     def _reduce(self, raw: Dict[Exps, Fraction]) -> Dict[Exps, Fraction]:
         """Rewrite exponents into the basis ranges, merging coefficients.
 
-        Incoming exponents must already satisfy 0 <= e_i < q_i; only the
-        relation Phi_{p^a}(zeta) = 0 is applied here.
+        Incoming exponents must already satisfy 0 <= e_i < q_i, and
+        coefficients must be nonzero.  Factor by factor, each exponent is
+        replaced by its row (``_row``), and equal terms merge before the
+        next factor.
         """
-        for i, (p, q, phi, pk) in enumerate(self.factors):
-            pending = raw
-            raw = {}
+        for i, rows in enumerate(self._rows):
+            pending, raw = raw, {}
             for exps, coeff in pending.items():
                 e = exps[i]
-                if e < phi:
-                    _acc(raw, exps, coeff)
-                else:
-                    # zeta^(phi+s) = -sum_{m=0}^{p-2} zeta^(s + m*p^(a-1))
-                    s = e - phi
-                    for m in range(p - 1):
-                        ne = exps[:i] + (s + m * pk,) + exps[i + 1:]
-                        _acc(raw, ne, -coeff)
-        return {e: c for e, c in raw.items() if c != 0}
-
-    def _mul_raw(self, a: Dict[Exps, Fraction], b: Dict[Exps, Fraction]):
-        qs = [f[1] for f in self.factors]
-        out: Dict[Exps, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple((x + y) % q for x, y, q in zip(ea, eb, qs))
-                _acc(out, e, ca * cb)
-        return self._reduce(out)
+                for f, d in rows.get(e) or self._row(i, e):
+                    _acc(raw, exps[:i] + (f,) + exps[i + 1:],
+                         coeff if d > 0 else -coeff)
+        return raw
 
     def basis_product(self, ea: Exps, eb: Exps) -> tuple:
         """The product of two basis monomials as ((exps, +-1), ...),
@@ -273,9 +265,15 @@ class CycElt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return self.field.zero()
-        return CycElt(self.field, self.field._mul_raw(self.coeffs, other.coeffs))
+        fld = self.field
+        table = fld.basis_products
+        out: Dict[Exps, Fraction] = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                c = ca * cb
+                for e, m in table.get((ea, eb)) or fld.basis_product(ea, eb):
+                    _acc(out, e, c if m > 0 else -c)
+        return CycElt(fld, out)
 
     __rmul__ = __mul__
 

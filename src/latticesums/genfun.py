@@ -124,7 +124,6 @@ class WeightVector:
 class EvaluationReport:
     value: object
     series_order: int
-    basis_count: int
     mode: str
     n_cyclotomic: Optional[int] = None
     timing_ms: float = 0.0
@@ -142,9 +141,7 @@ class EvaluationReport:
         return out
 
 
-def cyclotomic_order(arr: Arrangement, y: Sequence,
-                     k: Optional[WeightVector] = None,
-                     phi: Optional[GenericDirection] = None) -> int:
+def cyclotomic_order(arr: Arrangement, y: Sequence) -> int:
     """Smallest safe N: every exponential e^{-2 pi i q} met while evaluating
     at (arr, y) lies in Q(zeta_N).
 
@@ -155,7 +152,6 @@ def cyclotomic_order(arr: Arrangement, y: Sequence,
     for f in arr.functionals:
         f.rational_constant()
     yq = [Fraction(v) for v in y]
-    phi = phi or choose_phi(arr)
     N = 4
 
     def lcm_in(x: int):
@@ -204,7 +200,7 @@ class EvaluationContext:
         # floats are taken at their exact binary value in both modes
         self.y = tuple(Fraction(v) for v in y)
         if mode == "exact":
-            self.N = cyclotomic_order(arr, self.y, phi=self.phi)
+            self.N = cyclotomic_order(arr, self.y)
             self.ring = ExactRing(self.N)
         else:
             self.N = None
@@ -726,7 +722,6 @@ def lattice_sum_value(arr: Arrangement, y: Sequence, k,
     return EvaluationReport(
         value=value,
         series_order=k.total,
-        basis_count=len(arr.bases),
         mode=ctx.mode,
         n_cyclotomic=ctx.N,
         timing_ms=dt,

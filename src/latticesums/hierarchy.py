@@ -167,7 +167,4 @@ def _with_field(sub: Arrangement, y, mode, precision,
     if mode == "exact" and parent_ctx.N % sub_ctx.N == 0:
         sub_ctx.N = parent_ctx.N
         sub_ctx.ring = parent_ctx.ring
-        sub_ctx._bases.clear()
-        sub_ctx._parts.clear()
-        sub_ctx._geometry.clear()
     return sub_ctx

@@ -1,14 +1,15 @@
 """Exact linear algebra helpers: Fraction matrices and integer normal forms.
 
 Everything here is small (r <= 3, #functionals <= a dozen), so clarity wins
-over asymptotics: Gauss-Jordan with Fractions, and a textbook Smith normal
-form with unimodular transforms.
+over asymptotics: one Gaussian elimination with Fractions serves ``det`` and
+``rank``, Gauss-Jordan gives inverses, and a textbook Smith normal form
+comes with unimodular transforms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -22,25 +23,38 @@ def mat_vec(A, v):
     return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
-    n = len(rows)
+def _eliminate(rows: Sequence[Sequence]) -> Tuple[List[Fraction], int]:
+    """Gaussian elimination over Q, column by column: the pivots of the
+    row echelon form of `rows`, and the sign (+-1) of its row swaps."""
     a = [[Fraction(x) for x in row] for row in rows]
-    out = Fraction(1)
-    for i in range(n):
-        p = next((r for r in range(i, n) if a[r][i] != 0), None)
+    m, n = len(a), len(a[0]) if a else 0
+    pivots: List[Fraction] = []
+    sign = 1
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][col]), None)
         if p is None:
-            return Fraction(0)
-        if p != i:
-            a[i], a[p] = a[p], a[i]
-            out = -out
-        out *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            f = a[r][i] * inv
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        piv = a[r][col]
+        for i in range(r + 1, m):
+            f = a[i][col] / piv
             if f:
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-    return out
+                for c in range(col, n):
+                    a[i][c] -= f * a[r][c]
+        pivots.append(piv)
+    return pivots, sign
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    pivots, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return prod(pivots, start=Fraction(sign))
 
 
 def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
@@ -66,26 +80,7 @@ def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    a = [[Fraction(x) for x in row] for row in rows]
-    m, n = len(a), len(a[0])
-    r = 0
-    for col in range(n):
-        p = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][col]
-        for i in range(r + 1, m):
-            f = a[i][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[i][c] -= f * a[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_eliminate(rows)[0])
 
 
 def smith_normal_form(A: Sequence[Sequence[int]]):

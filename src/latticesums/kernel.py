@@ -93,15 +93,13 @@ def kernel_base(ring, params: KernelParams, order: int) -> list:
     """B_k(lam) / k! for k <= order, lam = e^{-2 pi i b}: Bernoulli
     numbers for integral b (lam = 1), Apostol-Bernoulli numbers otherwise.
     They depend on b and the order, not on y.  The only inverse taken is
-    1/(lam - 1)."""
+    1/(lam - 1); the division by k! is ``ring.scale`` in both rings."""
     if params.integral:
         base = [ring.from_fraction(bk) for bk in bernoulli_numbers(order)]
     else:
         base = _apostol_numbers(ring, exp_2pii(ring, params.b, -1), order)
-    if ring.exact:
-        return [ring.scale(bk, Fraction(1, math.factorial(k)))
-                for k, bk in enumerate(base)]
-    return [bk / math.factorial(k) for k, bk in enumerate(base)]
+    return [ring.scale(bk, Fraction(1, math.factorial(k)))
+            for k, bk in enumerate(base)]
 
 
 def kernel_parts(ring, params: KernelParams, order: int, base) -> list:

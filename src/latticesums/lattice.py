@@ -7,7 +7,7 @@ indispensable functionals, the bases (independent r-subsets) with dual
 vectors and coset representatives of Z^r modulo the direction lattice,
 a generic direction phi, the phi-branched multi-dimensional fractional
 part, and the excluded-hyperplane membership tests.  All of it is exact
-Fraction arithmetic; floats are only accepted for numeric-mode points.
+Fraction arithmetic: a float point y is read at its exact binary value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,8 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import intlinalg
 from .errors import LatticeSumError
-
-NUMERIC_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -280,8 +277,6 @@ def _phi_valid(arr: Arrangement, phi: Sequence[int]) -> bool:
 
 
 def _frac(a):
-    if isinstance(a, Fraction):
-        return a - (a.numerator // a.denominator)
     return a - math.floor(a)
 
 
@@ -315,26 +310,13 @@ def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,
         for i in subset:
             if i not in arr.indispensable:
                 raise ValueError(f"functional {i} is not indispensable")
-    if not subset:
-        return False
     basis = arr.bases[0]
-    exact = all(isinstance(v, (int, Fraction)) for v in y)
     for i in subset:
         dual = basis.dual(i)
-        if exact:
-            g = intlinalg.vec_gcd_of_fractions(
-                [Fraction(1)] + [Fraction(d) for d in dual])
-            val = sum(Fraction(v) * d for v, d in zip(y, dual))
-            if (val / g).denominator == 1:
-                return True
-        else:
-            g = float(intlinalg.vec_gcd_of_fractions(
-                [Fraction(1)] + [Fraction(d) for d in dual]))
-            val = float(sum(v * float(d) for v, d in zip(y, dual)))
-            dist = abs(val / g - round(val / g))
-            if dist < NUMERIC_EPS:
-                warnings.warn("point is numerically on an excluded hyperplane")
-                return True
+        g = intlinalg.vec_gcd_of_fractions([Fraction(1), *dual])
+        val = sum(Fraction(v) * d for v, d in zip(y, dual))
+        if (val / g).denominator == 1:
+            return True
     return False
 
 
@@ -344,17 +326,11 @@ def in_singular_locus(y: Sequence, arr: Arrangement) -> bool:
     This is the locus where the fractional parts jump; polytope-based
     reconstruction and the differential hierarchy require y off it.
     """
-    exact = all(isinstance(v, (int, Fraction)) for v in y)
     for n in arr.codim1_normals:
-        g = math.gcd(*[abs(x) for x in n]) if len(n) > 1 else abs(n[0])
-        if exact:
-            val = sum(Fraction(v) * x for v, x in zip(y, n))
-            if (val / g).denominator == 1:
-                return True
-        else:
-            val = sum(float(v) * x for v, x in zip(y, n)) / g
-            if abs(val - round(val)) < NUMERIC_EPS:
-                return True
+        g = math.gcd(*n)
+        val = sum(Fraction(v) * x for v, x in zip(y, n))
+        if (val / g).denominator == 1:
+            return True
     return False
 
 

@@ -241,9 +241,9 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
              for f in dec.b0.members}
     for x, c in _tstar_combination(tstar, dec, w.point).items():
         coeff[x] = coeff.get(x, Fraction(0)) + c
-    num = ctx.combination(coeff).exp(ring, ctx.vars, trunc)
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
-    num = num.scalar_mul(ring.from_fraction(detv))
+    num = ctx.combination(coeff).exp(ring, ctx.vars, trunc).shifted(
+        (), trunc, detv)
     # edge denominators t* . (p - p'): the units in one exact product
     units = [(den, 1) for den in dens if not den.singular]
     if units:
@@ -258,7 +258,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     """Reassemble the generating function from polytope integrals, over
     the decomposition at the first basis.
 
-    Requires y off the singular locus (exactly tested for rational y);
+    Requires y off the singular locus (tested exactly);
     raises NotSimple if a polytope fails the simplicity expected there.
     The edge denominators come from the evaluator's denominator builder
     (``EvaluationContext.combination``).  Each translate's vertex forms

@@ -288,7 +288,7 @@ class ExactRing:
         terms, den = data
         return ExactScalar(self.field, dict(terms), den)
 
-    def is_zero(self, x, scale=None) -> bool:
+    def is_zero(self, x) -> bool:
         return x.is_zero()
 
     def inv(self, x):
@@ -409,9 +409,8 @@ class NumericRing:
         """The scalar that ``detach`` made `data` from, in this ring."""
         return self.ctx.make_mpc(data)
 
-    def is_zero(self, x, scale=None) -> bool:
-        s = 1.0 if scale is None else max(1.0, float(abs(scale)))
-        return abs(x) <= self.zero_tol * s
+    def is_zero(self, x) -> bool:
+        return abs(x) <= self.zero_tol
 
     def inv(self, x):
         return 1 / x

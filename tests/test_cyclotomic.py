@@ -112,11 +112,20 @@ def test_embed_is_homomorphic(a, b):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_basis_product_matches_reduction(N, data):
-    # the tensor product of the per-factor rows gives the terms, and their
-    # order, of the product reduced factor by factor
+    # the table entry is the product of the two monomials: distinct
+    # exponents, each in its basis range, with coefficients +-1, that
+    # embed at 120 bits to the product of the embedded monomials
+    ctx = MPContext()
+    ctx.prec = 120
     F = CyclotomicField(N)
     phis = [phi for (_, _, phi, _) in F.factors]
     ea, eb = (tuple(data.draw(st.integers(0, phi - 1)) for phi in phis)
               for _ in range(2))
-    want = F._mul_raw({ea: Fraction(1)}, {eb: Fraction(1)})
-    assert list(F.basis_product(ea, eb)) == list(want.items())
+    terms = F.basis_product(ea, eb)
+    assert len({e for e, _ in terms}) == len(terms)
+    assert all(0 <= x < phi for e, _ in terms for x, phi in zip(e, phis))
+    assert all(m in (1, -1) for _, m in terms)
+    got = CycElt(F, {e: Fraction(m) for e, m in terms}).embed(ctx)
+    want = CycElt(F, {ea: Fraction(1)}).embed(ctx) * \
+        CycElt(F, {eb: Fraction(1)}).embed(ctx)
+    assert abs(got - want) < ctx.mpf(2) ** -110

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -82,3 +84,44 @@ def test_vec_gcd_of_fractions():
     assert intlinalg.vec_gcd_of_fractions([Fraction(0)]) == 0
     assert intlinalg.vec_gcd_of_fractions(
         [Fraction(1), Fraction(2, 3)]) == Fraction(1, 3)
+
+
+def leibniz_det(M):
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+def minor_rank(M):
+    """The largest size of a nonzero minor."""
+    m, n = len(M), len(M[0])
+    for r in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), r):
+            for cols in combinations(range(n), r):
+                if leibniz_det([[M[i][j] for j in cols] for i in rows]):
+                    return r
+    return 0
+
+
+# entries in -2..2 make singular and rank-deficient matrices common
+def int_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: int_matrices(n, n)))
+def test_det_matches_leibniz(M):
+    assert intlinalg.det(M) == leibniz_det(M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda mn: int_matrices(*mn)))
+def test_rank_matches_nonzero_minors(M):
+    assert intlinalg.rank(M) == minor_rank(M)

@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.lattice import (Arrangement, GenericDirection, choose_phi,
                                  arrangement_from_json, arrangement_to_json,
                                  enumerate_bases, frac_part,
-                                 make_functional, on_excluded_hyperplanes)
+                                 in_singular_locus, make_functional,
+                                 on_excluded_hyperplanes)
 from reference import coset_character_sum, lattice_contains
 
 
@@ -168,6 +170,20 @@ def test_excluded_hyperplanes():
     # empty indispensable set: never excluded
     assert not on_excluded_hyperplanes((Fraction(0), Fraction(0)),
                                        triangle(0, 0, 0))
+
+
+def test_float_points_are_read_at_their_binary_value():
+    # 1e-13 is within 1e-12 of the excluded hyperplane y_0 in Z and of the
+    # singular locus, but not on them; 1.0 and 2.0 are exactly on them
+    arr = Arrangement(2, [make_functional((1, 0), 0),
+                          make_functional((0, 1), 0),
+                          make_functional((0, 2), 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not on_excluded_hyperplanes((1e-13, 0.3), arr)
+        assert not in_singular_locus((1e-13, 0.3), arr)
+        assert on_excluded_hyperplanes((1.0, 0.3), arr)
+        assert in_singular_locus((0.3, 2.0), arr)
 
 
 def test_excluded_requires_indispensable(triangle_rational):

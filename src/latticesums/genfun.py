@@ -72,7 +72,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le
+from operator import add, le, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ExcludedPoint, NonDivisible
@@ -82,7 +82,10 @@ from .kernel import (KernelParams, exp_2pii, kernel_base, kernel_parts,
 # genfun.kernel_series_dy
 from .kernel import kernel_series, kernel_series_dy  # noqa: F401
 from .lattice import (Arrangement, GaussianRational, GenericDirection,
-                      choose_phi, frac_part, on_excluded_hyperplanes)
+                      arrangement_data, branch_fraction, choose_phi,
+                      on_excluded_hyperplanes)
+# unused here, but the benchmark's tracer patches genfun.frac_part
+from .lattice import frac_part  # noqa: F401
 from .scalar import ExactRing, NumericRing
 from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
                      division_count, sum_rational_forms)
@@ -149,27 +152,16 @@ def cyclotomic_order(arr: Arrangement, y: Sequence) -> int:
     the polytope vertex coordinates), so N collects the products of their
     denominators, not just the denominators themselves.
     """
-    for f in arr.functionals:
-        f.rational_constant()
+    cdens = [f.rational_constant().denominator for f in arr.functionals]
     yq = [Fraction(v) for v in y]
-    N = 4
-
-    def lcm_in(x: int):
-        nonlocal N
-        N = N * x // math.gcd(N, x)
-
-    for f in arr.functionals:
-        lcm_in(f.rational_constant().denominator)
-    for b in arr.bases:
-        for m in b.members:
-            cden = arr.functionals[m].rational_constant().denominator
-            dual_den = 1
-            for d in b.dual(m):
-                dual_den = dual_den * d.denominator // math.gcd(dual_den,
-                                                                d.denominator)
-            ip_den = sum(v * d for v, d in zip(yq, b.dual(m))).denominator
-            scale = dual_den * ip_den // math.gcd(dual_den, ip_den)
-            lcm_in(cden * scale)
+    q = math.lcm(*(v.denominator for v in yq))
+    ynum = [v.numerator * (q // v.denominator) for v in yq]
+    N = math.lcm(4, *cdens)
+    for duals in arrangement_data(arr).integer_duals:
+        for m, (den, num) in duals.items():
+            # <y, f^B> = <ynum, num> / (q den), in lowest terms
+            ip_den = q * den // math.gcd(sum(map(mul, ynum, num)), q * den)
+            N = math.lcm(N, cdens[m] * math.lcm(den, ip_den))
     return N
 
 
@@ -185,7 +177,14 @@ def _exact_constant(f) -> object:
 
 
 class EvaluationContext:
-    """Per-(arrangement, y, mode) state shared by all evaluation calls."""
+    """Per-(arrangement, y, mode) state shared by all evaluation calls.
+
+    What the directions fix, the bases, phi, the pairings <g, f^B> and the
+    branch of every fractional part, is read from the arrangement table
+    (``lattice.arrangement_data``), shared by every context over the same
+    directions; a context adds the constants, y and the scalars: the
+    denominators den_g of each basis (``geometry``), the fractional parts
+    and the kernels, each computed once."""
 
     def __init__(self, arr: Arrangement, y: Sequence, mode: str = "exact",
                  precision: int = 128, phi: Optional[GenericDirection] = None):
@@ -196,6 +195,8 @@ class EvaluationContext:
         self.arr = arr
         self.mode = mode
         self.phi = phi or choose_phi(arr)
+        self.data = arrangement_data(arr)
+        self._branches = self.data.branches(self.phi)
         self.vars = tuple(f"t{i}" for i in range(arr.size))
         # floats are taken at their exact binary value in both modes
         self.y = tuple(Fraction(v) for v in y)
@@ -234,7 +235,12 @@ class EvaluationContext:
                           re if im == 0 else GaussianRational(re, im))
 
     def yhat(self, bidx: int, w: Tuple[int, ...], member: int):
-        return frac_part(self.y, w, self.arr.bases[bidx], member, self.phi)
+        """``lattice.frac_part`` of (y, w) for `member` of basis bidx, on
+        the branch of phi read from the arrangement table."""
+        dual = self.data.bases[bidx].dual(member)
+        return branch_fraction(
+            sum((yi + wi) * d for yi, wi, d in zip(self.y, w, dual)),
+            self._branches[bidx][member])
 
     def kernel_parts(self, bidx: int, w: Tuple[int, ...], member: int,
                      order: int) -> Tuple[Dict[int, object], object]:
@@ -268,25 +274,14 @@ class EvaluationContext:
 
     def geometry(self, bidx: int) -> List[Tuple[int, LinearForm]]:
         """For each g outside basis bidx: (g, den_g) with
-        den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>."""
+        den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>, the
+        pairings <g, f^B> read from the arrangement table."""
         got = self._geometry.get(bidx)
-        if got is not None:
-            return got
-        b = self.arr.bases[bidx]
-        out = []
-        for g in range(self.arr.size):
-            if g in b.members:
-                continue
-            gdir = self.arr.functionals[g].direction
-            lin: Dict[int, Fraction] = {g: Fraction(1)}
-            for m in b.members:
-                coef = sum(Fraction(d) * e
-                           for d, e in zip(gdir, b.dual(m)))
-                if coef:
-                    lin[m] = -coef
-            out.append((g, self.combination(lin)))
-        self._geometry[bidx] = out
-        return out
+        if got is None:
+            got = self._geometry[bidx] = [
+                (g, self.combination(relative_form(g, pairs)))
+                for g, pairs in self.data.pairings[bidx].items()]
+        return got
 
     def denominator_form(self, bidx: int, g: int) -> LinearForm:
         """den_g in the ring."""
@@ -294,6 +289,14 @@ class EvaluationContext:
             if gg == g:
                 return den
         raise KeyError(g)
+
+
+def relative_form(g: int, pairs: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    """t_g - sum_f <g, f^B> t_f, as coefficients on the functionals, from
+    g's pairings {f: <g, f^B>} with the duals of a basis B."""
+    lin = {g: Fraction(1)}
+    lin.update((f, -c) for f, c in pairs.items() if c)
+    return lin
 
 
 def _context(arr: Arrangement, y: Sequence, mode: str, precision: int,

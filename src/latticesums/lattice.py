@@ -8,6 +8,20 @@ vectors and coset representatives of Z^r modulo the direction lattice,
 a generic direction phi, the phi-branched multi-dimensional fractional
 part, and the excluded-hyperplane membership tests.  All of it is exact
 Fraction arithmetic: a float point y is read at its exact binary value.
+
+All of it but the fractional parts and the membership tests, which read
+y, depends on the directions alone.  So it is computed once per list of
+directions, on first use, and kept in one process-wide table
+(``arrangement_data``) of ``ARRANGEMENT_TABLE_SIZE`` entries, keyed by
+the rank and the ordered directions, least recently used dropped first.
+An entry (``ArrangementData``) holds the bases, the indispensable
+functionals, the codimension-one normals and the default phi; per basis,
+the pairings <g, f^B> of every g outside it with the duals f^B of its
+members, and each dual as an integer vector over the lcm of its
+denominators; per phi asked for, the sign of <phi, f^B> that picks the
+branch of each fractional part.  Arrangements with equal directions and
+different constants share an entry: the constants enter only in the
+evaluators.
 """
 
 from __future__ import annotations
@@ -161,33 +175,16 @@ class Arrangement:
     @cached_property
     def indispensable(self) -> Tuple[int, ...]:
         """Functionals whose removal drops the direction span below full rank."""
-        out = []
-        dirs = [f.direction for f in self.functionals]
-        for i in range(len(dirs)):
-            rest = dirs[:i] + dirs[i + 1:]
-            if intlinalg.rank(rest) != self.rank:
-                out.append(i)
-        return tuple(out)
+        return arrangement_data(self).indispensable
 
     @cached_property
     def bases(self) -> List[Basis]:
-        return enumerate_bases(self)
+        return arrangement_data(self).bases
 
     @cached_property
     def codim1_normals(self) -> List[Tuple[int, ...]]:
         """Integer normals of the spans of independent (r-1)-subsets."""
-        if self.rank == 1:
-            return [(1,)]
-        normals = {}
-        dirs = [f.direction for f in self.functionals]
-        for combo in itertools.combinations(range(len(dirs)), self.rank - 1):
-            rows = [dirs[i] for i in combo]
-            if intlinalg.rank(rows) != self.rank - 1:
-                continue
-            n = tuple(intlinalg.integer_normal(rows))
-            canon = n if n > tuple(-x for x in n) else tuple(-x for x in n)
-            normals[canon] = True
-        return list(normals)
+        return arrangement_data(self).codim1_normals
 
     def restricted(self, keep: Sequence[int]) -> "Arrangement":
         return Arrangement(self.rank, [self.functionals[i] for i in keep])
@@ -196,6 +193,16 @@ class Arrangement:
 # ---------------------------------------------------------------------------
 # bases
 # ---------------------------------------------------------------------------
+
+
+def _dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _integer_vector(v: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(D, D v) for D the lcm of the denominators of v."""
+    D = math.lcm(*(x.denominator for x in v))
+    return D, tuple(x.numerator * (D // x.denominator) for x in v)
 
 
 def enumerate_bases(arr: Arrangement) -> List[Basis]:
@@ -213,11 +220,6 @@ def enumerate_bases(arr: Arrangement) -> List[Basis]:
                  for j, m in enumerate(combo)}
         index = abs(int(d))
         out.append(Basis(tuple(combo), rows, duals, index, _coset_reps(rows)))
-    for i in arr.indispensable:
-        for b in out:
-            if i not in b.members:
-                raise LatticeSumError(
-                    "internal: an indispensable functional escaped a basis")
     return out
 
 
@@ -239,36 +241,136 @@ def _coset_reps(rows: List[List[int]]) -> List[Tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# the arrangement table
+# ---------------------------------------------------------------------------
+
+
+class ArrangementData:
+    """What the directions of an arrangement fix, each part computed on
+    first use, bases in the order of ``enumerate_bases`` (see the module
+    docstring).  ``phi`` is the default phi once ``choose_phi`` has
+    found it."""
+
+    def __init__(self, arr: Arrangement):
+        self.rank = arr.rank
+        self.directions = tuple(f.direction for f in arr.functionals)
+        # the arrangement the entry was made for, which enumerate_bases reads
+        self._arr = arr
+        self.phi: Optional[GenericDirection] = None
+        self._branches: Dict[GenericDirection, List[Dict[int, bool]]] = {}
+
+    @cached_property
+    def indispensable(self) -> Tuple[int, ...]:
+        dirs = self.directions
+        return tuple(i for i in range(len(dirs))
+                     if intlinalg.rank(dirs[:i] + dirs[i + 1:]) != self.rank)
+
+    @cached_property
+    def bases(self) -> List[Basis]:
+        bases = enumerate_bases(self._arr)
+        for i in self.indispensable:
+            for b in bases:
+                if i not in b.members:
+                    raise LatticeSumError(
+                        "internal: an indispensable functional escaped a "
+                        "basis")
+        return bases
+
+    @cached_property
+    def pairings(self) -> List[Dict[int, Dict[int, Fraction]]]:
+        """Per basis: {g outside it: {member f: <g, f^B>}}."""
+        return [{g: {m: _dot(gdir, b.dual(m)) for m in b.members}
+                 for g, gdir in enumerate(self.directions)
+                 if g not in b.members}
+                for b in self.bases]
+
+    @cached_property
+    def integer_duals(self) -> List[Dict[int, Tuple[int, Tuple[int, ...]]]]:
+        """Per basis: {member f: (D, D f^B)}, D the lcm of the denominators
+        of f^B, so that D f^B is an integer vector."""
+        return [{m: _integer_vector(b.dual(m)) for m in b.members}
+                for b in self.bases]
+
+    @cached_property
+    def codim1_normals(self) -> List[Tuple[int, ...]]:
+        """Integer normals of the spans of independent (r-1)-subsets."""
+        if self.rank == 1:
+            return [(1,)]
+        normals = {}
+        dirs = self.directions
+        for combo in itertools.combinations(range(len(dirs)), self.rank - 1):
+            rows = [dirs[i] for i in combo]
+            if intlinalg.rank(rows) != self.rank - 1:
+                continue
+            n = tuple(intlinalg.integer_normal(rows))
+            canon = n if n > tuple(-x for x in n) else tuple(-x for x in n)
+            normals[canon] = True
+        return list(normals)
+
+    def branches(self, phi: GenericDirection) -> List[Dict[int, bool]]:
+        """Per basis: {member f: <phi, f^B> > 0}, the branch that
+        ``frac_part`` takes for f, computed once per phi."""
+        got = self._branches.get(phi)
+        if got is None:
+            got = self._branches[phi] = [
+                {m: _dot(phi.phi, b.dual(m)) > 0 for m in b.members}
+                for b in self.bases]
+        return got
+
+
+# the direction data of this process, most recently used last
+ARRANGEMENT_TABLE_SIZE = 64
+_arrangement_table: Dict[tuple, ArrangementData] = {}
+
+
+def clear_arrangement_table() -> None:
+    """Forget the direction data of every arrangement seen so far."""
+    _arrangement_table.clear()
+
+
+def arrangement_data(arr: Arrangement) -> ArrangementData:
+    """The table entry of arr's rank and ordered directions."""
+    key = (arr.rank, tuple(f.direction for f in arr.functionals))
+    data = _arrangement_table.pop(key, None)
+    if data is None:
+        data = ArrangementData(arr)
+        if len(_arrangement_table) >= ARRANGEMENT_TABLE_SIZE:
+            del _arrangement_table[next(iter(_arrangement_table))]
+    _arrangement_table[key] = data
+    return data
+
+
+# ---------------------------------------------------------------------------
 # generic direction phi
 # ---------------------------------------------------------------------------
 
 
 def choose_phi(arr: Arrangement, skip: int = 0) -> GenericDirection:
-    """Deterministic phi = (1, M, ..., M^(r-1)) for the smallest workable M.
+    """Deterministic phi = (1, M, ..., M^(r-1)) for the smallest workable M,
+    searched once per list of directions and kept in the arrangement
+    table.
 
     `skip` > 0 returns the (skip+1)-th workable M, for invariance tests.
     """
+    data = arrangement_data(arr)
+    if skip == 0 and data.phi is not None:
+        return data.phi
     r = arr.rank
     M = 1
     found = 0
     while True:
         phi = tuple(M**i for i in range(r))
-        if _phi_valid(arr, phi):
+        if all(_dot(phi, b.dual(m)) != 0
+               for b in data.bases for m in b.members):
             if found == skip:
-                return GenericDirection(phi)
+                out = GenericDirection(phi)
+                if skip == 0:
+                    data.phi = out
+                return out
             found += 1
         M += 1
         if M > 10_000:
             raise LatticeSumError("no generic direction found (bug)")
-
-
-def _phi_valid(arr: Arrangement, phi: Sequence[int]) -> bool:
-    for b in arr.bases:
-        for m in b.members:
-            dual = b.dual(m)
-            if sum(Fraction(p) * d for p, d in zip(phi, dual)) == 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +382,19 @@ def _frac(a):
     return a - math.floor(a)
 
 
+def branch_fraction(a, positive: bool):
+    """{a} on the positive phi-branch and 1 - {-a} on the negative one, so
+    integer values of a map to 0 or 1 respectively."""
+    return _frac(a) if positive else 1 - _frac(-a)
+
+
 def frac_part(y: Sequence, w: Sequence[int], basis: Basis, member: int,
               phi: GenericDirection):
-    """The branch-aware fractional part of <y + w, dual(member)>.
-
-    Returns {a} on the positive phi-branch and 1 - {-a} on the negative one,
-    so integer values of a map to 0 or 1 respectively.
-    """
+    """The branch-aware fractional part of <y + w, dual(member)>: the
+    ``branch_fraction`` on the side of the sign of <phi, dual(member)>."""
     dual = basis.dual(member)
     val = sum((yi + wi) * d for yi, wi, d in zip(y, w, dual))
-    sgn = sum(Fraction(p) * d for p, d in zip(phi.phi, dual))
-    if sgn > 0:
-        return _frac(val)
-    return 1 - _frac(-val)
+    return branch_fraction(val, _dot(phi.phi, dual) > 0)
 
 
 def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,

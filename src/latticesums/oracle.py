@@ -62,12 +62,13 @@ def _zero_constraints(arr: Arrangement, k: WeightVector):
                 return None
             rhs.append(-int(c.re))
         else:
-            if c.imag != 0 or abs(c.real - round(c.real)) > 1e-12:
+            # a float constant is read at its binary value
+            if c.imag != 0 or not float(c.real).is_integer():
                 warnings.warn("non-rational constant in a zero-weight "
                               "functional: the constrained sublattice is "
                               "empty by fiat")
                 return None
-            rhs.append(-int(round(c.real)))
+            rhs.append(-int(c.real))
         rows.append(list(f.direction))
     return rows, rhs
 
@@ -99,6 +100,25 @@ def _window_bounding_box(arr: Arrangement, window: TruncationWindow) -> int:
     return bound
 
 
+_FLOAT = "float"
+
+
+def _vanishing_target(f):
+    """When f(v) = <d, v> + c vanishes on the lattice: for a rational c,
+    exactly when c is an integer and <d, v> == -c, so the integer -c, or
+    None when c is not an integer; None for a Gaussian c with im != 0;
+    ``_FLOAT`` for a float c, read at its binary value, since a float sum
+    of an integer and c is zero exactly when the exact sum is."""
+    c = f.constant
+    if isinstance(c, GaussianRational):
+        if c.im != 0:
+            return None
+        c = c.re
+    if not isinstance(c, Fraction):
+        return _FLOAT
+    return -c.numerator if c.denominator == 1 else None
+
+
 def constrained_points(arr: Arrangement, k: WeightVector,
                        window: TruncationWindow) -> Iterator[Tuple[int, ...]]:
     """Integer points of the window with f(v) = 0 on the zero-weight set and
@@ -109,20 +129,14 @@ def constrained_points(arr: Arrangement, k: WeightVector,
         return
     rows, rhs = constraints
     bound = _window_bounding_box(arr, window)
-    # f(v) = <d, v> + c with a rational c vanishes exactly when c is an
-    # integer and <d, v> == -c; a Gaussian c with im != 0 never does
     integral, floating = [], []
     for i in k.positive_set():
         f = arr.functionals[i]
-        c = f.constant
-        if isinstance(c, GaussianRational):
-            if c.im != 0:
-                continue
-            c = c.re
-        if not isinstance(c, Fraction):
+        target = _vanishing_target(f)
+        if target is _FLOAT:
             floating.append(f)
-        elif c.denominator == 1:
-            integral.append((f.direction, -c.numerator))
+        elif target is not None:
+            integral.append((f.direction, target))
 
     def admissible(v, inside=False) -> bool:
         if not (inside or _in_window(arr, v, window)):
@@ -131,7 +145,7 @@ def constrained_points(arr: Arrangement, k: WeightVector,
             if sum(map(mul, direction, v)) == target:
                 return False
         for f in floating:
-            if abs(f.evaluate_int(v)) < 1e-12:
+            if f.evaluate_int(v) == 0:
                 return False
         return True
 
@@ -297,20 +311,29 @@ def _sum_pointwise(arr, k, y, window, precision):
 
 
 def _sum_vectorized(arr, k, y, window) -> complex:
-    N = window.N
+    """The float64 path of truncated_sum: which points are excluded is
+    decided exactly, from int64 values of <d, v> for rational constants
+    and from the binary value of a float constant; only the terms are
+    rounded."""
     yf = [float(v) for v in y]
-    positive = [(arr.functionals[i], k.weights[i]) for i in k.positive_set()]
+    positive = [(arr.functionals[i], k.weights[i],
+                 _vanishing_target(arr.functionals[i]))
+                for i in k.positive_set()]
     bound = _window_bounding_box(arr, window)
-    v2 = np.arange(-bound, bound + 1, dtype=np.float64)
+    v2i = np.arange(-bound, bound + 1, dtype=np.int64)
+    v2 = v2i.astype(np.float64)
     re_parts: List[float] = []
     im_parts: List[float] = []
     for v1 in range(-bound, bound + 1):
         mask = _window_mask_2d(arr, window, v1, v2)
         den = np.ones_like(v2, dtype=np.complex128)
-        for f, kf in positive:
+        for f, kf, target in positive:
             val = f.direction[0] * v1 + f.direction[1] * v2 \
                 + complex(f.constant_complex())
-            mask &= np.abs(val) > 1e-12
+            if target is _FLOAT:
+                mask &= val != 0
+            elif target is not None:
+                mask &= f.direction[0] * v1 + f.direction[1] * v2i != target
             den *= np.where(mask, val, 1.0)**kf
         num = np.exp(2j * np.pi * (yf[0] * v1 + yf[1] * v2))
         terms = np.where(mask, num / den, 0.0)

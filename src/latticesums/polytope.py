@@ -48,15 +48,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import NotSimple
-from .genfun import EvaluationContext, _context, unit_product
+from .genfun import EvaluationContext, _context, relative_form, unit_product
 from .kernel import KernelParams, kernel_series
-from .lattice import Arrangement, Basis, in_singular_locus
+from .lattice import Arrangement, Basis, arrangement_data, in_singular_locus
 from .series import (RationalForm, TruncatedSeries, Truncation,
                      division_count, sum_rational_forms)
 
@@ -77,15 +78,15 @@ class Decomposition:
 
     def __init__(self, arr: Arrangement, b0_index: int = 0):
         self.arr = arr
-        self.b0: Basis = arr.bases[b0_index]
-        self.l0: Tuple[int, ...] = tuple(i for i in range(arr.size)
-                                         if i not in self.b0.members)
+        data = arrangement_data(arr)
+        self.b0: Basis = data.bases[b0_index]
+        # {g in L0: {f in B0: <g, f^B0>}}, from the arrangement table
+        self.pairings = data.pairings[b0_index]
+        self.l0: Tuple[int, ...] = tuple(self.pairings)
 
     def dual_pair(self, g: int, member: int) -> Fraction:
         """<direction(g), dual of member in B0>."""
-        return sum(Fraction(d) * e for d, e in
-                   zip(self.arr.functionals[g].direction,
-                       self.b0.dual(member)))
+        return self.pairings[g][member]
 
 
 def enumerate_m(dec: Decomposition, y: Sequence[Fraction]
@@ -207,15 +208,7 @@ def adjacency(verts: List[VertexWitness]) -> List[List[int]]:
 def _tstar_data(dec: Decomposition) -> Dict[int, Dict[int, Fraction]]:
     """Per g in L0: t*_g = t_g - sum_{f in B0} <g, f^B0> t_f as a
     combination of the functionals."""
-    out = {}
-    for g in dec.l0:
-        lin: Dict[int, Fraction] = {g: Fraction(1)}
-        for f in dec.b0.members:
-            c = dec.dual_pair(g, f)
-            if c:
-                lin[f] = lin.get(f, Fraction(0)) - c
-        out[g] = lin
-    return out
+    return {g: relative_form(g, pairs) for g, pairs in dec.pairings.items()}
 
 
 def _tstar_combination(tstar, dec: Decomposition, v) -> Dict[int, Fraction]:
@@ -273,12 +266,12 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
                         "not all simple there")
     ctx = _context(arr, y, mode, precision, None, ctx)
     ring = ctx.ring
-    dec = Decomposition(arr)
+    dec, translates = _walk(ctx)
     tstar = _tstar_data(dec)
     n = len(dec.l0)
     cells = []   # (m, [(vertex, edge vectors, edge denominators)])
     divisions = 0
-    for m, verts in _translates(dec, y):
+    for m, verts in translates:
         if not witnesses_simple(verts):
             raise NotSimple(f"polytope at m={m} is not simple")
         adj = adjacency(verts)
@@ -313,6 +306,25 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
                          Fraction(1, dec.b0.index))
 
 
+# the walk over the first basis per live context (``_walk``)
+_walks: "weakref.WeakKeyDictionary[EvaluationContext, tuple]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _walk(ctx: EvaluationContext
+          ) -> Tuple[Decomposition, List[Tuple[Tuple[int, ...],
+                                               List[VertexWitness]]]]:
+    """The decomposition at the first basis of ctx's arrangement and its
+    ``_translates`` at ctx's y, walked once per context: a
+    ``polytope_report`` counts the translates and reassembles the series
+    from the same walk."""
+    got = _walks.get(ctx)
+    if got is None:
+        dec = Decomposition(ctx.arr)
+        got = _walks[ctx] = (dec, _translates(dec, ctx.y))
+    return got
+
+
 def _kernel_prefactor(ctx: EvaluationContext, params: List[KernelParams],
                       order: int) -> TruncatedSeries:
     """prod_f kernel(c_f, 0)(t_f), with the factor t_f of every
@@ -339,10 +351,11 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
     ctx = EvaluationContext(arr, y, mode, precision)
     per_m = [{"m": list(m), "vertices": len(verts),
               "simple": witnesses_simple(verts)}
-             for m, verts in _translates(Decomposition(arr), y)]
+             for m, verts in _walk(ctx)[1]]
     f_direct = generating_function(arr, y, order, mode=mode,
                                    precision=precision, ctx=ctx,
                                    check_excluded=False)
+    # reads the same walk back through ctx
     f_poly = genfun_via_polytopes(arr, y, order, mode=mode,
                                   precision=precision, ctx=ctx)
     exps = set(f_direct.terms) | set(f_poly.terms)

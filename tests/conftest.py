@@ -4,12 +4,15 @@ import pytest
 
 from latticesums.families import a2_directions, hurwitz_a1, hurwitz_a2, triangle
 from latticesums.genfun import clear_coefficient_table
+from latticesums.lattice import clear_arrangement_table
 
 
 @pytest.fixture(autouse=True)
 def _empty_coefficient_table():
-    # no test may read a coefficient that an earlier test computed
+    # no test may read a coefficient, or the data of a list of directions,
+    # that an earlier test computed
     clear_coefficient_table()
+    clear_arrangement_table()
 
 
 @pytest.fixture(scope="session")

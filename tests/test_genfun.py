@@ -1,13 +1,15 @@
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
-from latticesums import genfun, intlinalg
+from latticesums import genfun, intlinalg, lattice
 from latticesums.errors import ExcludedPoint, NonDivisible
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   triangle)
@@ -20,7 +22,7 @@ from latticesums.genfun import (EvaluationContext, WeightVector,
 from latticesums.kernel import (KernelParams, kernel_base, kernel_parts,
                                 kernel_series)
 from latticesums.lattice import (Arrangement, GaussianRational, choose_phi,
-                                make_functional)
+                                frac_part, make_functional)
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
 from latticesums.scalar import ExactRing, NumericRing, format_scalar
@@ -1024,6 +1026,86 @@ def test_coefficient_table_drops_the_least_recently_used(monkeypatch,
     assert coefficient(a1_alpha1, [0], (2, 2, 2)) == first
     with pytest.raises(_Miss):
         coefficient(a1_alpha1, [0], (2, 2, 4))
+
+
+# ---------------------------------------------------------------------------
+# the arrangement table
+# ---------------------------------------------------------------------------
+
+
+def test_manifest_rows_enumerate_bases_once_per_direction_list(monkeypatch):
+    calls = []
+    real = lattice.enumerate_bases
+
+    def counted(arr):
+        calls.append(tuple(f.direction for f in arr.functionals))
+        return real(arr)
+
+    monkeypatch.setattr(lattice, "enumerate_bases", counted)
+    fixtures = resources.files("latticesums.fixtures")
+    rows = json.loads(fixtures.joinpath("manifest.json").read_text())["rows"]
+    assert len(rows) == 14
+    for row in rows:
+        # a new Arrangement object per row, as reproduce-examples reads it
+        arr = lattice.arrangement_from_json(
+            fixtures.joinpath(row["arrangement"]).read_text())
+        if row["kind"] == "S":
+            value = lattice_sum_value(arr, [Fraction(v) for v in row["y"]],
+                                      row["k"]).value
+        else:
+            value = zeta_from_S(arr, row["k"], row["symmetry_factor"])
+        assert format_scalar(value) == row["expect"], row["label"]
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_equal_directions_share_bases_not_constants(generic_y2):
+    first = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    second = (Fraction(1, 3), Fraction(1, 4), Fraction(2, 7))
+    k = (2, 1, 2)
+    arr1, arr2 = triangle(*first), triangle(*second)
+    warm1 = lattice_sum_value(arr1, generic_y2, k).value
+    warm2 = lattice_sum_value(arr2, generic_y2, k).value
+    assert arr1.bases is arr2.bases
+    ctx1 = EvaluationContext(arr1, generic_y2)
+    ctx2 = EvaluationContext(arr2, generic_y2)
+    assert ctx1.data is ctx2.data
+    for bidx in range(len(arr1.bases)):
+        forms1, forms2 = ctx1.geometry(bidx), ctx2.geometry(bidx)
+        assert [(g, f.coeffs) for g, f in forms1] == \
+            [(g, f.coeffs) for g, f in forms2]
+        assert [f.c for _, f in forms1] != [f.c for _, f in forms2]
+    # a cold table, and new arrangement objects, give the same values
+    for consts, warm in ((second, warm2), (first, warm1)):
+        lattice.clear_arrangement_table()
+        clear_coefficient_table()
+        assert lattice_sum_value(triangle(*consts), generic_y2, k).value \
+            == warm
+
+
+def test_non_default_phi_reads_its_own_branches():
+    # at y = 0 every <y + w, f^B> is an integer, so each fractional part
+    # takes its branch; phi = (1, 1) and (1, 3) disagree on two of them
+    arr = Arrangement(2, [make_functional((1, 0), Fraction(1, 2)),
+                          make_functional((0, 1), Fraction(1, 2)),
+                          make_functional((1, 2), 0)])
+    y = (Fraction(0), Fraction(0))
+    phi0, phi1 = choose_phi(arr), choose_phi(arr, skip=1)
+    assert (phi0.phi, phi1.phi) == ((1, 1), (1, 3))
+    yhats = {}
+    for phi in (phi0, phi1):
+        ctx = EvaluationContext(arr, y, phi=phi)
+        yhats[phi] = [ctx.yhat(bidx, w, m)
+                      for bidx, b in enumerate(arr.bases)
+                      for w in b.coset_reps for m in b.members]
+        assert yhats[phi] == [frac_part(y, w, b, m, phi)
+                              for b in arr.bases
+                              for w in b.coset_reps for m in b.members]
+        # the sum does not depend on phi, only its summands do
+        assert format_scalar(lattice_sum_value(arr, y, (1, 2, 2),
+                                               phi=phi).value) == \
+            "2*pi^4/9 - 4*pi^3/27 - 40*pi^2/27 - 32*pi/27"
+        clear_coefficient_table()
+    assert yhats[phi0] != yhats[phi1]
 
 
 # ---------------------------------------------------------------------------

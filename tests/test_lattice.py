@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from latticesums import lattice
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.lattice import (Arrangement, GenericDirection, choose_phi,
                                  arrangement_from_json, arrangement_to_json,
@@ -225,3 +226,42 @@ def test_rank_validation():
         Arrangement(2, [make_functional((1, 0), 0)])
     with pytest.raises(ValueError):
         make_functional((0, 0), 1)
+
+
+def test_arrangement_table_keys_on_rank_and_ordered_directions():
+    a, b = triangle(Fraction(1, 2), 0, 0), triangle(0, Fraction(1, 3), 1)
+    assert lattice.arrangement_data(a) is lattice.arrangement_data(b)
+    assert a.bases is b.bases
+    assert a.indispensable is b.indispensable
+    assert a.codim1_normals is b.codim1_normals
+    swapped = Arrangement(2, list(reversed(a.functionals)))
+    assert lattice.arrangement_data(swapped) is not \
+        lattice.arrangement_data(a)
+    assert len(lattice._arrangement_table) == 2
+
+
+def test_arrangement_table_evicts_the_least_recently_used(monkeypatch):
+    calls = []
+    real = lattice.enumerate_bases
+
+    def counted(arr):
+        calls.append(arr.rank)
+        return real(arr)
+
+    def bases(arr):
+        return lattice.arrangement_data(arr).bases
+
+    monkeypatch.setattr(lattice, "enumerate_bases", counted)
+    monkeypatch.setattr(lattice, "ARRANGEMENT_TABLE_SIZE", 2)
+    one, two = hurwitz_a1(1), triangle(0, 0, 0)
+    three = Arrangement(2, a2_directions().functionals[:2])
+    first = bases(one)
+    bases(two)
+    assert bases(hurwitz_a1(2)) is first  # a hit
+    bases(three)  # evicts `two`, used longest ago
+    assert len(lattice._arrangement_table) == 2
+    assert len(calls) == 3
+    assert bases(one) is first
+    assert len(calls) == 3
+    bases(triangle(1, 1, 1))  # `two`, built again
+    assert len(calls) == 4

@@ -310,3 +310,35 @@ def test_constrained_points_match_the_definition_rank1():
     k = WeightVector.make((1, 2, 1, 1))
     want = [(x,) for x in range(-5, 6) if x not in (3, -2)]
     assert list(constrained_points(arr, k, TruncationWindow(5))) == want
+
+
+def test_float64_path_keeps_a_tiny_rational_constant():
+    # f_0(v) = 2^-60 at the points with <d_0, v> = 0: they are not
+    # excluded, and their terms of size 2^120 dominate the sum
+    arr = triangle(Fraction(1, 2**60), Fraction(1, 3), Fraction(1, 5))
+    y = (Fraction(1, 7), Fraction(2, 11))
+    window = TruncationWindow(20)
+    floats = truncated_sum(arr, (2, 2, 2), y, window, precision=53)
+    ints = complex(truncated_sum(arr, (2, 2, 2), y, window, precision=54))
+    assert abs(ints) > 1e38
+    assert abs(floats - ints) <= 1e-12 * abs(ints)
+
+
+def test_float_constants_are_excluded_at_their_binary_value():
+    # 1e-13 is within 1e-12 of the integer 0, but f(v) = v_0 + 1e-13 never
+    # vanishes; -2.0 is an integer, and v_0 = 2 is excluded
+    near = Arrangement(2, [Functional((1, 0), complex(1e-13)),
+                           make_functional((0, 1), Fraction(1, 3))])
+    on = Arrangement(2, [Functional((1, 0), complex(-2.0)),
+                         make_functional((0, 1), Fraction(1, 3))])
+    k = WeightVector.make((2, 2))
+    pts = list(constrained_points(near, k, TruncationWindow(3)))
+    assert len(pts) == 49
+    pts = list(constrained_points(on, k, TruncationWindow(3)))
+    assert len(pts) == 42 and all(v[0] != 2 for v in pts)
+    zero_weight = WeightVector.make((0, 2))
+    with pytest.warns(UserWarning, match="empty by fiat"):
+        assert list(constrained_points(near, zero_weight,
+                                       TruncationWindow(3))) == []
+    assert [v[0] for v in constrained_points(on, zero_weight,
+                                             TruncationWindow(3))] == [2] * 7

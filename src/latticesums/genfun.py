@@ -15,16 +15,23 @@ exactly when that constant is zero, and forms are merged by their
 normalised rational coefficients.  Every unit inverse, a live factor
 1/den_g, a factor collapsed to its Taylor coefficient or a non-singular
 edge denominator of the polytope route, comes from one function,
-``unit_product``: the constants are 2 pi i times exact rationals, so
-the product of all the inverses of a summand (or of a vertex) is a
-series over Q (over Q(i) for Gaussian constants) in t / (2 pi i),
-multiplied in integers and lifted into the ring once per term, where
-numeric mode rounds for the first time.  Singular factors are carried
-as rational forms whose singularities cancel across bases.  Numeric mode
-takes the same decisions from the same exact data, and keeps y exact too
-(a float y at its binary value), so that only values are rounded.  Taylor
-coefficients of the holomorphic total give the special values S via the
-weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
+``unit_product``, and so does the exponential e^{t* . p} of a polytope
+vertex: the constants are 2 pi i times exact rationals, so the product
+of all the inverses of a summand (or of a vertex, with its exponential)
+is a root of unity times a series over Q (over Q(i) for Gaussian
+constants) in t / (2 pi i), multiplied in integers and lifted into the
+ring once per term, where numeric mode rounds for the first time.
+Singular factors are carried as rational forms whose singularities
+cancel across bases.  Numeric mode takes the same decisions from the
+same exact data, and keeps y exact too (a float y at its binary value),
+so that only values are rounded.  Taylor coefficients of the holomorphic
+total give the special values S via the weight prefactor
+prod_f -(2 pi i)^{k_f} / k_f!.
+
+Every summand reads its kernels one grid per coset
+(``_coset_grids``): the products prod_m a_m(w)[e_m] of the kernels'
+root-free parts, with the coset's one root e^{2 pi i q_w} kept apart, to
+be applied once, or not at all when q_w is an integer.
 
 One summand builder, ``summand_rational_form``, writes a summand out as
 a rational form for every evaluator.  Every factor t_g / den_g and every
@@ -46,13 +53,13 @@ strategies use it:
   hyperplane and is a component of its own.  Nothing is divided there,
   so no truncated series is built: its coefficient is read at k on the
   box e <= k_B of its basis weights, from the unit factors' product and
-  each coset's kernel product without its roots of unity, whose
-  e^{-2 pi i b_m yhat_m} are summed as one exponent, applied last.  Only
-  components with a singular denominator build series, to the order that
-  their divisions need, through the builder with the component's live
-  variables: the kernels are multiplied on the rank-many basis variables
-  and extended to the live ones once, then multiplied by the one unit
-  product of the summand's live and collapsed unit factors.
+  each coset's grid, the coset's root applied last.  Only components
+  with a singular denominator build series, to the order that their
+  divisions need, through the builder with the component's live
+  variables: the coset grids, each root applied once per term, are
+  summed on the rank-many basis variables and extended to the live ones
+  once, then multiplied by the one unit product of the summand's live
+  and collapsed unit factors.
 
 ``coefficient`` keeps its values in one process-wide table of
 ``COEFFICIENT_TABLE_SIZE`` entries, least recently used dropped first.
@@ -72,12 +79,12 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, mul
+from operator import add, le, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ExcludedPoint, NonDivisible
 from .kernel import (KernelParams, exp_2pii, kernel_base, kernel_parts,
-                     nonzero_parts, rooted_series)
+                     nonzero_parts)
 # unused here, but the benchmark's tracer patches genfun.kernel_series and
 # genfun.kernel_series_dy
 from .kernel import kernel_series, kernel_series_dy  # noqa: F401
@@ -242,8 +249,8 @@ class EvaluationContext:
             sum((yi + wi) * d for yi, wi, d in zip(self.y, w, dual)),
             self._branches[bidx][member])
 
-    def kernel_parts(self, bidx: int, w: Tuple[int, ...], member: int,
-                     order: int) -> Tuple[Dict[int, object], object]:
+    def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
+               order: int) -> Tuple[Dict[int, object], object]:
         """`(a, q)`: the kernel of `member` at its fractional part for
         (bidx, w), through degree `order`, is e^{2 pi i q} sum_n a[n] t^n,
         `a` its nonzero root-free parts (``kernel.nonzero_parts``), cached
@@ -262,13 +269,6 @@ class EvaluationContext:
             parts = self._parts[params, order] = nonzero_parts(
                 self.ring, kernel_parts(self.ring, params, order, base), q)
         return parts, q
-
-    def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
-               order: int) -> TruncatedSeries:
-        """The kernel of `member` at its fractional part for (bidx, w) as
-        a series in its variable, built from ``kernel_parts``."""
-        parts, q = self.kernel_parts(bidx, w, member, order)
-        return rooted_series(self.ring, parts, q, order, self.vars[member])
 
     # -- basis geometry ------------------------------------------------------
 
@@ -363,8 +363,10 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
     function of the basis variables alone; `k` is read only for those.
 
     Every t_g is a monomial, so everything else is built below `order` by
-    one degree for each of them: the coset sum of kernel products,
-    extended once to `live_vars`, times one exact ``unit_product`` of
+    one degree for each of them: the coset sum of kernel products, read
+    from the root-free grids of ``_coset_grids`` with each coset's root
+    applied once per term, extended once to `live_vars`, times one exact
+    ``unit_product`` of
     every unit factor, dead ones as (a_g + U_g, k_g) and live ones as
     (den_g, 1), lifted into the ring once.  The weight and the monomial
     prod t_g are applied last, as one exponent shift into `order`.  The
@@ -372,9 +374,7 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
     dead factor is read at k_g = 0."""
     ring = ctx.ring
     live_vars = ctx.vars if live_vars is None else live_vars
-    basis = ctx.arr.bases[s.bidx]
-    members, cosets = basis.members, basis.coset_reps
-    basis_vars = tuple(ctx.vars[m] for m in members)
+    basis_vars = tuple(ctx.vars[m] for m in ctx.arr.bases[s.bidx].members)
     units, monomial = [], [ctx.vars[g] for g, _ in s.degenerate_factors]
     weight = s.weight
     for g, form in s.unit_factors:
@@ -391,18 +391,45 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
         return RationalForm(TruncatedSeries(ring, live_vars,
                                             Truncation(order)), denoms)
     low = Truncation(top)
-    num = None
-    for w in cosets:
-        prod = None
-        for m in members:
-            f = ctx.kernel(s.bidx, w, m, top).extend(basis_vars)
-            prod = f if prod is None else prod * f
-        num = prod if num is None else num + prod
+    terms: Dict[tuple, object] = {}
+    for grid, root in _coset_grids(ctx, s.bidx, low):
+        for e, a in grid.items():
+            a = a if root is None else a * root
+            cur = terms.get(e)
+            terms[e] = a if cur is None else cur + a
+    num = TruncatedSeries(ring, basis_vars, low, {
+        e: c for e, c in terms.items() if not ring.is_zero(c)})
     num = num.extend(live_vars)
     if units:
         num = num * unit_product(ring, units, live_vars, low)
     return RationalForm(num.shifted(monomial, Truncation(order), weight),
                         denoms)
+
+
+def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
+                 ) -> List[Tuple[Dict[tuple, object], object]]:
+    """Per coset representative w of basis bidx, `(A_w, root)`: the
+    product of its kernels prod_m K_m(w) is e^{2 pi i q_w} sum_e A_w[e]
+    t_B^e, with A_w[e] = prod_m a_m(w)[e_m] the products of their
+    root-free parts (``EvaluationContext.kernel``) on the exponents that
+    `trunc` keeps, and q_w = sum_m q_m(w).  `root` is e^{2 pi i q_w} in
+    the ring, or None when q_w is an integer, so that each coset's root
+    is applied once, or not at all, by the caller."""
+    members = ctx.arr.bases[bidx].members
+    total = trunc.total
+    tops = trunc.box or (total,) * len(members)
+    out = []
+    for w in ctx.arr.bases[bidx].coset_reps:
+        grid, q = {(): None}, 0
+        for m, top in zip(members, tops):
+            parts, qm = ctx.kernel(bidx, w, m, top)
+            q += qm
+            grid = {e + (n,): c if p is None else p * c
+                    for e, p in grid.items() for n, c in parts.items()
+                    if sum(e) + n <= total}
+        integral = isinstance(q, Fraction) and q.denominator == 1
+        out.append((grid, None if integral else exp_2pii(ctx.ring, q)))
+    return out
 
 
 def generating_function(arr: Arrangement, y: Sequence, order: int,
@@ -436,7 +463,7 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
 # ---------------------------------------------------------------------------
 
 
-def _component_partition(ctx: EvaluationContext, summands: List[Summand]):
+def _component_partition(summands: List[Summand]):
     """Group summands by connected components of shared singular forms."""
     keys = [{cf.key for cf in s.denominators} for s in summands]
     parent = list(range(len(summands)))
@@ -486,12 +513,14 @@ def _reciprocal(c) -> Tuple[object, int]:
 
 
 def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
-                 trunc: Truncation) -> TruncatedSeries:
+                 trunc: Truncation, exponent: Optional[LinearForm] = None
+                 ) -> TruncatedSeries:
     """prod (a + L)^(-k) over the (form, k) pairs, a = -2 pi i c the
-    form's constant (nonzero) and L its linear part, on `vars` and
-    truncated at `trunc`: every unit inverse that the evaluators expand,
-    the live and collapsed unit factors of a summand and the non-singular
-    edge denominators of a polytope vertex.
+    form's constant (nonzero) and L its linear part, times e^exponent when
+    an exponent form is given, on `vars` and truncated at `trunc`: every
+    unit inverse that the evaluators expand, the live and collapsed unit
+    factors of a summand, and the whole numerator of a polytope vertex,
+    its exponential and its non-singular edge denominators.
 
     Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
     the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the
@@ -500,10 +529,14 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n on ``LinearForm.monomials``,
     as int numerators (pairs of them, GaussianRationals with int parts,
     for Gaussian constants) over one denominator; the factors are
-    convolved in ints, truncated as ``mul_terms`` truncates, and each
-    term that survives is lifted into the ring once, as one ``ring.scale``
-    of (2 pi i)^(-m) (one per part for a Gaussian numerator).  Numeric
-    mode rounds only there."""
+    convolved in ints, truncated as ``mul_terms`` truncates (``_convolve``).
+    The exponential e^(-2 pi i c_E) e^(L_E) of an exponent form is a root
+    times sum_n L_E^n / n!, a series over Q too: it is convolved last,
+    into the terms of each degree n that came from the unit factors on
+    their own.  Each term of degree n is lifted into the ring once, as one
+    ``ring.scale`` of the root times (2 pi i)^(-(K + n)), built once per n
+    (one per part for a Gaussian numerator).  Numeric mode rounds only
+    there."""
     vars = tuple(vars)
     total, box = trunc.total, trunc.box
     terms: Dict[tuple, object] = {(0,) * len(vars): 1}
@@ -528,35 +561,63 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
             power = power * wnum
         den *= wden ** k * base ** top
         K += k
-        fac = [(e, coef[n] * m, n) for e, m, n in monos]
-        out: Dict[tuple, object] = {}
-        get = out.get
-        for ea, va in terms.items():
-            na = sum(ea)
-            for eb, vb, nb in fac:
-                if na + nb > total:
-                    continue
-                e = tuple(map(add, ea, eb))
-                if box is not None and not all(map(le, e, box)):
-                    continue
-                cur = get(e)
-                out[e] = va * vb if cur is None else cur + va * vb
-        terms = {e: v for e, v in out.items() if v}
+        terms = _convolve(terms, [(e, coef[n] * m, n) for e, m, n in monos],
+                          total, box)
     step = ring.inv(ring.two_pi_i())
-    lifts = [step ** K]  # lifts[n] = (2 pi i)^(-(K + n))
+    lifts = [step ** K]  # lifts[n] = root * (2 pi i)^(-(K + n))
+    # (e, n, numerator): n the degree that came from the unit factors
+    keyed = ((e, sum(e), v) for e, v in terms.items())
+    if exponent is not None:
+        monos = exponent.monomials(vars, trunc, total)
+        top = max(n for _, _, n in monos)
+        # the degree-n coefficient 1 / (n! D^n), over top! D^top
+        fact = [math.factorial(n) for n in range(top + 1)]
+        D = exponent.den
+        den *= fact[top] * D ** top
+        fac = [(e, fact[top] // fact[n] * D ** (top - n) * m, n)
+               for e, m, n in monos]
+        by_degree: Dict[int, Dict[tuple, object]] = {}
+        for e, n, v in keyed:
+            by_degree.setdefault(n, {})[e] = v
+        keyed = [(e, n, v) for n, part in by_degree.items()
+                 for e, v in _convolve(part, fac, total, box).items()]
+        lifts[0] = lifts[0] * exp_2pii(ring, exponent.c, -1)
     for _ in range(max(map(sum, terms), default=0)):
         lifts.append(lifts[-1] * step)
     scale = ring.scale
-    if all(isinstance(v, int) for v in terms.values()):
-        return TruncatedSeries(ring, vars, trunc, {
-            e: scale(lifts[sum(e)], Fraction(v, den))
-            for e, v in terms.items()})
-    i = ring.root_of_unity(Fraction(1, 4))
-    i_lifts = [x * i for x in lifts]
-    return TruncatedSeries(ring, vars, trunc, {
-        e: scale(lifts[sum(e)], Fraction(v.re, den))
-        + scale(i_lifts[sum(e)], Fraction(v.im, den))
-        for e, v in terms.items()})
+    if not all(isinstance(v, int) for v in terms.values()):
+        i = ring.root_of_unity(Fraction(1, 4))
+        i_lifts = [x * i for x in lifts]
+    out: Dict[tuple, object] = {}
+    for e, n, v in keyed:
+        if isinstance(v, int):
+            x = scale(lifts[n], Fraction(v, den))
+        else:
+            x = scale(lifts[n], Fraction(v.re, den)) \
+                + scale(i_lifts[n], Fraction(v.im, den))
+        out[e] = x if e not in out else out[e] + x
+    return TruncatedSeries(ring, vars, trunc, out)
+
+
+def _convolve(terms: Dict[tuple, int], fac, total: int, box
+              ) -> Dict[tuple, int]:
+    """The product of the integer (or Gaussian integer) series `terms`
+    and `fac`, given as (e, value, |e|) triples, truncated at the total
+    degree `total` and the `box` (None for none) as ``mul_terms``
+    truncates, with no zero value."""
+    out: Dict[tuple, int] = {}
+    get = out.get
+    for ea, va in terms.items():
+        na = sum(ea)
+        for eb, vb, nb in fac:
+            if na + nb > total:
+                continue
+            e = tuple(map(add, ea, eb))
+            if box is not None and not all(map(le, e, box)):
+                continue
+            cur = get(e)
+            out[e] = va * vb if cur is None else cur + va * vb
+    return {e: v for e, v in out.items() if v}
 
 
 def _unit_summand_value(ctx: EvaluationContext, s: Summand,
@@ -564,14 +625,13 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     """[t^k] of a summand with no singular denominator, with no series
     beyond the box e <= k_B of its basis weights:
 
-        weight * sum_w e^{2 pi i q_w} sum_e F[e] * A_w[e],
+        weight * sum_w e^{2 pi i q_w} sum_e F[e] * A_w[k_B - e],
 
     F = prod_g -(a_g + U_g)^{-k_g} over the unit factors, one exact
-    ``unit_product`` on the box, lifted into the ring once per term;
-    each kernel K_m(w) = e^{2 pi i q_m(w)} sum_n a_m(w)[n] t_m^n
-    only to degree k_m, A_w[e] = prod_m a_m(w)[k_m - e_m] its root-free
-    grid and q_w = sum_m q_m(w).  Each coset takes one scalar product per
-    term of F on the sparse grid, and its one root of unity last."""
+    ``unit_product`` on the box, lifted into the ring once per term, and
+    A_w the root-free grid of coset w (``_coset_grids``), each kernel
+    only to degree k_m.  Each coset takes one scalar product per term of
+    F on the sparse grid, and its one root of unity last."""
     ring = ctx.ring
     members = ctx.arr.bases[s.bidx].members
     vars = tuple(ctx.vars[m] for m in members)
@@ -582,21 +642,16 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     F = unit_product(ring, [(_dead_unit(ctx, g, form), k.weights[g])
                             for g, form in s.unit_factors],
                      vars, trunc).terms
+    # F[e] with the grid exponent k_B - e that it meets
+    pairs = [(tuple(map(sub, box, e)), f) for e, f in F.items()]
     total = ring.zero()
-    for w in ctx.arr.bases[s.bidx].coset_reps:
-        # A_w[e] for every e in the box with nonzero parts
-        grid, q = {(): None}, 0
-        for m, km in zip(members, box):
-            parts, qm = ctx.kernel_parts(s.bidx, w, m, km)
-            q += qm
-            grid = {e + (km - n,): c if p is None else p * c
-                    for e, p in grid.items() for n, c in parts.items()}
+    for grid, root in _coset_grids(ctx, s.bidx, trunc):
         acc = ring.zero()
-        for e, f in F.items():
+        for e, f in pairs:
             p = grid.get(e)
             if p is not None:
                 acc = acc + f * p
-        total = total + acc * exp_2pii(ring, q)
+        total = total + (acc if root is None else acc * root)
     sign = -1 if len(s.unit_factors) % 2 else 1
     return ring.scale(total, sign * s.weight)
 
@@ -646,7 +701,7 @@ def coefficient(arr: Arrangement, y: Sequence, k,
 def _coefficient_components(ctx: EvaluationContext, k: WeightVector):
     summands = build_summands(ctx)
     total = ctx.ring.zero()
-    for idxs in _component_partition(ctx, summands):
+    for idxs in _component_partition(summands):
         total = total + _component_value(ctx, [summands[i] for i in idxs], k)
     return total
 

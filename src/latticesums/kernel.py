@@ -6,8 +6,14 @@ of unity times a part without it, the Bernoulli generating function for
 integral b (lam = 1) and else the Apostol-Bernoulli one (T. M. Apostol, On
 the Lerch zeta function, Pacific J. Math. 1, 1951).  Its numbers B_k(lam)
 follow from a recurrence that inverts only lam - 1 and depend on b, not on
-y, so one list serves every y (``kernel_base``, ``kernel_parts``).  The
-closed-form coefficients C(k, y; b) and their moment integrals against
+y, so one list serves every y (``kernel_base``, ``kernel_parts``).
+
+The basis sum reads only the root-free parts (``nonzero_parts``, through
+``genfun.EvaluationContext.kernel``) and multiplies the roots of a
+coset's kernels once, as one exponent.  The rooted series
+(``rooted_series``: ``kernel_series`` and ``kernel_series_dy``) serve the
+polytope route's prefactor at y = 0 and the tests.  The closed-form
+coefficients C(k, y; b) and their moment integrals against
 e^{-2 pi i m x} are independent references, in ``tests/reference.py``.
 """
 

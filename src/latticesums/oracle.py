@@ -16,31 +16,24 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 from mpmath.ctx_mp import MPContext
 
 from . import intlinalg
 from .genfun import WeightVector
-from .lattice import Arrangement, Basis, GaussianRational
+from .lattice import Arrangement, GaussianRational
 
 @dataclass(frozen=True)
 class TruncationWindow:
-    """Box half-width N; either the coordinate box |v_j| <= N or the
-    parallelotope |Re f(v)| <= N over a fixed basis."""
+    """The coordinate box |v_j| <= N."""
 
     N: int
-    shape: str = "box"
-    basis: Optional[Basis] = None
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("window size must be >= 1")
-        if self.shape not in ("box", "basis_box"):
-            raise ValueError("shape must be 'box' or 'basis_box'")
-        if self.shape == "basis_box" and self.basis is None:
-            raise ValueError("basis_box window needs a basis")
 
 
 def _zero_constraints(arr: Arrangement, k: WeightVector):
@@ -73,33 +66,6 @@ def _zero_constraints(arr: Arrangement, k: WeightVector):
     return rows, rhs
 
 
-def _in_window(arr: Arrangement, v: Sequence[int],
-               window: TruncationWindow) -> bool:
-    if window.shape == "box":
-        return all(abs(x) <= window.N for x in v)
-    for m in window.basis.members:
-        f = arr.functionals[m]
-        val = sum(d * x for d, x in zip(f.direction, v)) \
-            + float(f.constant_complex().real)
-        if abs(val) > window.N:
-            return False
-    return True
-
-
-def _window_bounding_box(arr: Arrangement, window: TruncationWindow) -> int:
-    if window.shape == "box":
-        return window.N
-    rows = [list(arr.functionals[m].direction) for m in window.basis.members]
-    inv = intlinalg.mat_inverse(rows)
-    bound = 0
-    for j in range(arr.rank):
-        s = sum(abs(inv[j][i]) * (window.N
-                                  + abs(arr.functionals[m].constant_complex()))
-                for i, m in enumerate(window.basis.members))
-        bound = max(bound, int(math.ceil(float(s))) + 1)
-    return bound
-
-
 _FLOAT = "float"
 
 
@@ -128,7 +94,7 @@ def constrained_points(arr: Arrangement, k: WeightVector,
     if constraints is None:
         return
     rows, rhs = constraints
-    bound = _window_bounding_box(arr, window)
+    bound = window.N
     integral, floating = [], []
     for i in k.positive_set():
         f = arr.functionals[i]
@@ -139,7 +105,7 @@ def constrained_points(arr: Arrangement, k: WeightVector,
             integral.append((f.direction, target))
 
     def admissible(v, inside=False) -> bool:
-        if not (inside or _in_window(arr, v, window)):
+        if not (inside or all(abs(x) <= bound for x in v)):
             return False
         for direction, target in integral:
             if sum(map(mul, direction, v)) == target:
@@ -150,11 +116,10 @@ def constrained_points(arr: Arrangement, k: WeightVector,
         return True
 
     if not rows:
-        # for a box window the range below is the window itself
-        boxed = window.shape == "box"
+        # the range below is the window itself
         for v in itertools.product(range(-bound, bound + 1),
                                    repeat=arr.rank):
-            if admissible(v, boxed):
+            if admissible(v, True):
                 yield v
         return
     solved = intlinalg.solve_integer(rows, rhs)
@@ -253,7 +218,7 @@ def _sum_integer(arr, k, y, window, precision, constants):
     q = math.lcm(*(v.denominator for v in y))
     ynum = [int(q * v) for v in y]
     work = max(precision, 53) + 24
-    points = (2 * _window_bounding_box(arr, window) + 1) ** arr.rank
+    points = (2 * window.N + 1) ** arr.rank
     P = work + points.bit_length() + 1
     twice = D ** sum(k.weights) << (P + 1)
     buckets = [0] * q
@@ -319,13 +284,13 @@ def _sum_vectorized(arr, k, y, window) -> complex:
     positive = [(arr.functionals[i], k.weights[i],
                  _vanishing_target(arr.functionals[i]))
                 for i in k.positive_set()]
-    bound = _window_bounding_box(arr, window)
+    bound = window.N
     v2i = np.arange(-bound, bound + 1, dtype=np.int64)
     v2 = v2i.astype(np.float64)
     re_parts: List[float] = []
     im_parts: List[float] = []
     for v1 in range(-bound, bound + 1):
-        mask = _window_mask_2d(arr, window, v1, v2)
+        mask = np.ones(v2.shape, dtype=bool)
         den = np.ones_like(v2, dtype=np.complex128)
         for f, kf, target in positive:
             val = f.direction[0] * v1 + f.direction[1] * v2 \
@@ -342,22 +307,8 @@ def _sum_vectorized(arr, k, y, window) -> complex:
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
-def _window_mask_2d(arr, window, v1, v2):
-    if window.shape == "box":
-        return (np.abs(v2) <= window.N) & (abs(v1) <= window.N)
-    mask = np.ones_like(v2, dtype=bool)
-    for m in window.basis.members:
-        f = arr.functionals[m]
-        val = f.direction[0] * v1 + f.direction[1] * v2 \
-            + float(f.constant_complex().real)
-        mask &= np.abs(val) <= window.N
-    return mask
-
-
 def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
-                     precision: int = 53, target=None,
-                     shape: str = "box", basis: Optional[Basis] = None
-                     ) -> List[dict]:
+                     precision: int = 53, target=None) -> List[dict]:
     """Successive-difference table of Z(N) over increasing window sizes.
 
     `target` may be an exact scalar (embedded at working precision) or a
@@ -377,8 +328,7 @@ def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
     rows = []
     prev = None
     for N in Ns:
-        z = truncated_sum(arr, k, y, TruncationWindow(N, shape, basis),
-                          precision)
+        z = truncated_sum(arr, k, y, TruncationWindow(N), precision)
         z = ctx.mpc(z)
         row = {"N": N, "re": float(z.real), "im": float(z.imag)}
         row["diff_prev"] = float(abs(z - prev)) if prev is not None else None

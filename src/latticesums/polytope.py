@@ -30,10 +30,11 @@ of the functionals.  The evaluator's builder
 (``EvaluationContext.combination``) returns each, and each vertex
 exponent, as an exact ``LinearForm``.  From its exact constant an edge
 denominator is singular, to be divided out after summing, or a unit.
-The unit inverses of a vertex are one exact product
-(``genfun.unit_product``), the one expansion of every unit inverse,
-lifted into the ring once; the vertex exponential e^{t* . p} is expanded
-in closed form (``LinearForm.exp``), with no series product.
+The numerator of a vertex, its exponential e^{t* . p} and the inverses
+of its unit edge denominators, is one exact product
+(``genfun.unit_product``, the one expansion of every unit inverse): a
+series over Q in integers, lifted into the ring once per term together
+with the vertex's root of unity, with no series product.
 
 The vertex sums are multiplied by the kernel prefactor prod_f K_f(0) at
 y = 0.  K_f(0) is t_f / (e^{t_f - 2 pi i c_f} - 1): a unit when c_f is an
@@ -225,7 +226,6 @@ def _tstar_combination(tstar, dec: Decomposition, v) -> Dict[int, Fraction]:
 def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
                           m, y, w: VertexWitness, edges, dens, tstar,
                           order: int) -> RationalForm:
-    ring = ctx.ring
     trunc = Truncation(order)
     n = len(dec.l0)
     # exponent: sum_{f in B0} (t_f - 2 pi i c_f) <y+m, f^B0> + t* . p
@@ -235,12 +235,11 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
     for x, c in _tstar_combination(tstar, dec, w.point).items():
         coeff[x] = coeff.get(x, Fraction(0)) + c
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
-    num = ctx.combination(coeff).exp(ring, ctx.vars, trunc).shifted(
-        (), trunc, detv)
-    # edge denominators t* . (p - p'): the units in one exact product
+    # e^{exponent} over the edge denominators t* . (p - p'): the units and
+    # the exponential in one exact product
     units = [(den, 1) for den in dens if not den.singular]
-    if units:
-        num = num * unit_product(ring, units, ctx.vars, trunc)
+    num = unit_product(ctx.ring, units, ctx.vars, trunc,
+                       ctx.combination(coeff)).shifted((), trunc, detv)
     return RationalForm(num, [den for den in dens if den.singular])
 
 

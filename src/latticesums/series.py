@@ -11,10 +11,11 @@ the operations that make the closed-form evaluators work:
   Its singularity (c == 0) and its merge key (the normalised q_v) are read
   from that exact data in both rings.  One multinomial enumerator
   (``monomials``) expands every function of it that the evaluators need,
-  coefficient by coefficient with no series product: ``power`` and
-  ``exp`` here, and every unit inverse (c != 0) in
-  ``genfun.unit_product``, one exact product over Q of all the inverses
-  of a summand or a polytope vertex, lifted into the ring once;
+  coefficient by coefficient with no series product: ``power`` here, and
+  in ``genfun.unit_product`` every unit inverse (c != 0) and the vertex
+  exponential, one exact product over Q of all the inverses of a summand
+  or of the whole numerator of a polytope vertex, lifted into the ring
+  once;
 * ``divide_exact`` -- division by a singular linear form, valid exactly
   because the assembled sums are holomorphic even though the individual
   summands are not.  Polynomial division in the variable of the largest
@@ -226,11 +227,7 @@ class LinearForm:
     `constant` is -2 pi i c in the ring.  `key`, the coefficients scaled
     so that the first (by variable order) is 1, is equal for forms that
     agree up to a rational scale.  Both are built on first use: a unit
-    inverse (``genfun.unit_product``) reads neither.
-
-    ``power`` and ``exp`` are power series sum_n f_n L^n in the linear
-    part L = sum_v q_v t_v, and ``_expand`` writes both out from their
-    closed forms on ``monomials``.
+    inverse or an exponential (``genfun.unit_product``) reads neither.
     """
 
     __slots__ = ("coeffs", "den", "c", "_ring", "_constant", "_key")
@@ -293,42 +290,25 @@ class LinearForm:
             partial = grown
         return [(e, fact[n] // fe * pe, n) for e, pe, fe, n in partial]
 
-    def _expand(self, ring, vars, trunc: Truncation, phi) -> TruncatedSeries:
-        """sum_n phi[n] (D L)^n: the coefficient of t^e is phi[|e|] times
-        the integer m of ``monomials``.  Each phi[n] is a nonzero ring
-        scalar, or None to leave the degree out; so are the degrees past
-        the end of phi.  A `trunc.box` keeps only the terms with
-        e_v <= box_v.
-        """
-        top = min(trunc.total, len(phi) - 1)
-        terms = {e: ring.scale(phi[n], m)
-                 for e, m, n in self.monomials(vars, trunc, top)
-                 if phi[n] is not None}
-        return TruncatedSeries(ring, tuple(vars), trunc, terms)
-
     def power(self, ring, vars, trunc: Truncation, m: int
               ) -> TruncatedSeries:
-        """(a + L)^m for m >= 0, a = `constant`: f_n = C(m, n) a^(m-n),
-        only f_m = 1 when the form is singular."""
+        """(a + L)^m for m >= 0, a = `constant`, as sum_n f_n (D L)^n,
+        f_n = C(m, n) a^(m-n) / D^n, only f_m = 1 / D^m when the form is
+        singular: the coefficient of t^e is f_|e| times the integer m of
+        ``monomials``.  A `trunc.box` keeps only the terms with
+        e_v <= box_v."""
         den = self.den
         if self.singular:
-            return self._expand(ring, vars, trunc, [None] * m + [
-                ring.from_fraction(Fraction(1, den ** m))])
-        phi = [ring.scale(self.constant ** (m - n),
-                          Fraction(math.comb(m, n), den ** n))
-               for n in range(min(m, trunc.total) + 1)]
-        return self._expand(ring, vars, trunc, phi)
-
-    def exp(self, ring, vars, trunc: Truncation) -> TruncatedSeries:
-        """e^(a + L) = e^(-2 pi i c) e^L: f_n = e^(-2 pi i c) / n!.  In the
-        exact ring, c must be rational."""
-        pref = ring.root_of_unity(-self.c) if isinstance(self.c, Fraction) \
-            else ring.exp_2pii_times(-ring_value(ring, self.c))
-        phi, scale = [], Fraction(1)
-        for n in range(trunc.total + 1):
-            phi.append(ring.scale(pref, scale))
-            scale /= (n + 1) * self.den
-        return self._expand(ring, vars, trunc, phi)
+            f = {m: ring.from_fraction(Fraction(1, den ** m))}
+        else:
+            f = {n: ring.scale(self.constant ** (m - n),
+                               Fraction(math.comb(m, n), den ** n))
+                 for n in range(min(m, trunc.total) + 1)}
+        terms = {e: ring.scale(f[n], c)
+                 for e, c, n in self.monomials(vars, trunc,
+                                               min(m, trunc.total))
+                 if n in f}
+        return TruncatedSeries(ring, tuple(vars), trunc, terms)
 
 
 # ---------------------------------------------------------------------------

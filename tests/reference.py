@@ -10,7 +10,8 @@ evaluators take from shortcuts:
   (Brion-Lawrence) in floating point;
 * the kernel's closed-form coefficients C(k, y; b) (Bernoulli polynomials
   for integral b) and their moment integrals against e^{-2 pi i m x};
-* the inverse of a unit linear form by the generic series inverse, and
+* the inverse of a unit linear form by the generic series inverse, the
+  exponential of a linear form from its closed form, and
   one coset's term of a basis's summand built at full order, one series
   product per kernel, per t_g and per unit inverse;
 * the constant and single-variable series those products start from;
@@ -368,6 +369,23 @@ def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
     return form.power(ring, vars, trunc, 1).invert_unit()
 
 
+def form_exp(form, ring, vars, trunc) -> TruncatedSeries:
+    """e^form = e^(-2 pi i c) e^L for a LinearForm with constant c and
+    linear part L, from its closed form: the coefficient of t^e is
+    e^(-2 pi i c) / (|e|! D^|e|) times the integer of
+    ``LinearForm.monomials``.  Independent of ``genfun.unit_product``, which
+    expands the vertex exponentials in production; in the exact ring, c
+    must be rational."""
+    root = exp_2pii(ring, form.c, -1)
+    phi, scale = [], Fraction(1)
+    for n in range(trunc.total + 1):
+        phi.append(ring.scale(root, scale))
+        scale /= (n + 1) * form.den
+    return TruncatedSeries(ring, vars, trunc, {
+        e: ring.scale(phi[n], m)
+        for e, m, n in form.monomials(vars, trunc, trunc.total)})
+
+
 def full_order_summand(ctx: EvaluationContext, bidx: int,
                        w: Tuple[int, ...], order: int) -> RationalForm:
     """The term of coset representative w in the summand of basis bidx,
@@ -380,7 +398,8 @@ def full_order_summand(ctx: EvaluationContext, bidx: int,
     num = series_constant(ring, vars, trunc,
                           ring.from_fraction(Fraction(1, basis.index)))
     for m in basis.members:
-        num = num * ctx.kernel(bidx, w, m, order).extend(vars, trunc)
+        params = KernelParams.make(ctx.constant(m), ctx.yhat(bidx, w, m))
+        num = num * kernel_series(ring, params, order, vars[m], vars)
     denoms = []
     for g, form in ctx.geometry(bidx):
         num = num * series_variable(ring, vars, trunc, vars[g])

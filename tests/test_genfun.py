@@ -20,7 +20,7 @@ from latticesums.genfun import (EvaluationContext, WeightVector,
                                 generating_function, lattice_sum_value,
                                 summand_rational_form, zeta_from_S)
 from latticesums.kernel import (KernelParams, kernel_base, kernel_parts,
-                                kernel_series)
+                                kernel_series, rooted_series)
 from latticesums.lattice import (Arrangement, GaussianRational, choose_phi,
                                 frac_part, make_functional)
 from latticesums.oracle import TruncationWindow, truncated_sum
@@ -823,6 +823,38 @@ def test_basis_summand_is_its_coset_sum(mode, singular, data):
             Fraction(math.prod(math.factorial(x) for x in k))))
 
 
+@pytest.mark.parametrize("box", [None, (3, 2)], ids=["total", "box"])
+def test_coset_grid_matches_rooted_kernel_products(box):
+    # the root-free grid of each coset times its one root, summed over the
+    # cosets, is exactly the coset sum of the products of the rooted kernel
+    # series, on a basis of index 3 whose cosets carry non-integral phases
+    arr = Arrangement(2, [make_functional(d, c) for d, c in zip(
+        COSET_HEAVY_DIRECTIONS,
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))])
+    ctx = EvaluationContext(arr, (Fraction(1, 7), Fraction(1, 11)), "exact")
+    ring, order = ctx.ring, 5
+    trunc = Truncation(order) if box is None else Truncation(sum(box), box)
+    bidx = next(i for i, b in enumerate(arr.bases) if b.index == 3)
+    basis = arr.bases[bidx]
+    vars = tuple(ctx.vars[m] for m in basis.members)
+    grids = genfun._coset_grids(ctx, bidx, trunc)
+    assert len(grids) == 3 and any(root is not None for _, root in grids)
+    got = TruncatedSeries(ring, vars, trunc)
+    for grid, root in grids:
+        got = got + TruncatedSeries(ring, vars, trunc, {
+            e: a if root is None else a * root for e, a in grid.items()})
+    want = TruncatedSeries(ring, vars, trunc)
+    for w in basis.coset_reps:
+        prod = TruncatedSeries.one(ring, vars, trunc)
+        for m in basis.members:
+            params = KernelParams.make(ctx.constant(m), ctx.yhat(bidx, w, m))
+            prod = prod * kernel_series(ring, params, order, ctx.vars[m],
+                                        vars).with_truncation(trunc)
+        want = want + prod
+    assert len(want.terms) > order
+    assert got.terms == want.terms
+
+
 def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     # each build expands all of a basis's unit factors, live and
     # collapsed, in one unit product, not once per coset or per factor;
@@ -836,7 +868,7 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     assert any(b.index == 3 for b in arr.bases)
     y = (Fraction(1, 7), Fraction(1, 11))
     products, reads, bases, parts, muls = [], [], [], [], []
-    real_parts = EvaluationContext.kernel_parts
+    real_parts = EvaluationContext.kernel
     real_product = genfun.unit_product
     real_mul = TruncatedSeries.__mul__
 
@@ -861,7 +893,7 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         return real_mul(a, b)
 
     monkeypatch.setattr(genfun, "unit_product", counted_product)
-    monkeypatch.setattr(EvaluationContext, "kernel_parts", counted_read)
+    monkeypatch.setattr(EvaluationContext, "kernel", counted_read)
     monkeypatch.setattr(genfun, "kernel_base", counted_base)
     monkeypatch.setattr(genfun, "kernel_parts", counted_parts)
     ctx = EvaluationContext(arr, y, "exact")
@@ -1203,7 +1235,9 @@ def test_numeric_kernel_with_large_imaginary_constant(im, precision):
         for m in (0, 1):
             p = KernelParams.make(ctx.constant(m), ctx.yhat(0, w, m))
             kernels.append(kernel_series(ring, p, order))
-            assert ctx.kernel(0, w, m, order).terms == kernels[-1].terms
+            parts, q = ctx.kernel(0, w, m, order)
+            assert rooted_series(ring, parts, q, order, "t").terms \
+                == kernels[-1].terms
         for (i,), a in kernels[0].terms.items():
             for (j,), c in kernels[1].terms.items():
                 want[i, j] = want.get((i, j), ring.zero()) + a * c

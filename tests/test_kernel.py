@@ -12,9 +12,9 @@ from latticesums.lattice import Arrangement, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import LinearForm, TruncatedSeries, Truncation
-from reference import (bernoulli_poly, kernel_coeff, kernel_coeff_poly,
-                       kernel_moment, moment_integral_exact, series_constant,
-                       series_variable)
+from reference import (bernoulli_poly, form_exp, kernel_coeff,
+                       kernel_coeff_poly, kernel_moment, moment_integral_exact,
+                       series_constant, series_variable)
 
 CTX = MPContext()
 CTX.prec = 100
@@ -148,8 +148,8 @@ def test_kernel_shift_in_y(ring, b, y, delta):
     # Apostol-Bernoulli shift, checked on the closed-form coefficients
     order = 7
     shifted = kernel_series(ring, KernelParams.make(b, y + delta), order)
-    factor = LinearForm(ring, {"t": delta}, b * delta).exp(
-        ring, ("t",), Truncation(order))
+    factor = form_exp(LinearForm(ring, {"t": delta}, b * delta), ring,
+                      ("t",), Truncation(order))
     product = kernel_series(ring, KernelParams.make(b, y), order) * factor
     if ring.exact:
         assert shifted.terms == product.terms

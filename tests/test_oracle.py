@@ -89,20 +89,6 @@ def test_sign_convention_redundant_zero_weight():
     assert abs(complex(zb) + complex(zd)) < 1e-12
 
 
-def test_box_shape_robustness(triangle_rational, generic_y2):
-    arr = triangle_rational
-    b0 = arr.bases[0]
-    diffs = []
-    for N in (250, 500, 1000):
-        zb = complex(truncated_sum(arr, (2, 2, 2), generic_y2,
-                                   TruncationWindow(N)))
-        zp = complex(truncated_sum(arr, (2, 2, 2), generic_y2,
-                                   TruncationWindow(N, "basis_box", b0)))
-        diffs.append(abs(zb - zp))
-    assert diffs[0] > diffs[1] > diffs[2]
-    assert diffs[2] < 1e-9
-
-
 def test_convergence_scan_monotone_envelope(a1_alpha1):
     rep = lattice_sum_value(a1_alpha1, (Fraction(0),), (2, 2, 2))
     rows = convergence_scan(a1_alpha1, (2, 2, 2), (Fraction(0),),

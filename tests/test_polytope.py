@@ -9,16 +9,18 @@ from latticesums import intlinalg, polytope
 from latticesums.errors import NotSimple
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.genfun import EvaluationContext, generating_function
-from latticesums.lattice import (Arrangement, in_singular_locus,
-                                 make_functional)
+from latticesums.lattice import (Arrangement, GaussianRational,
+                                 in_singular_locus, make_functional)
 from latticesums.polytope import (Decomposition, VertexWitness,
                                   enumerate_m, genfun_via_polytopes,
                                   polytope_report, vertices,
                                   witnesses_simple, _translates, _tstar_data)
+from latticesums.series import TruncatedSeries
 from reference import (HalfSpace, HPolytope, box_translates,
                        brute_force_vertices, build_polytope,
-                       exp_integral_simple, incident_hyperplane_count,
-                       is_simple, largest_coefficient_scaled, permuted,
+                       exp_integral_simple, form_exp,
+                       incident_hyperplane_count, is_simple,
+                       largest_coefficient_scaled, permuted, unit_inverse,
                        witness_matrix)
 
 CTX = MPContext()
@@ -378,36 +380,91 @@ def test_reconstruction_equals_direct_small_cases(generic_y2):
 
 
 def test_vertex_unit_edges_are_one_unit_product(generic_y2, monkeypatch):
-    # a vertex expands all of its non-singular edge denominators in one
-    # unit product, each at power one, and a vertex with none makes no
-    # product; the cases meet vertices with zero, one and two unit edges
-    products, units_seen = [], set()
+    # a vertex's numerator, its exponential and all of its non-singular
+    # edge denominators (each at power one), is one unit product, also for
+    # a vertex with no unit edge, and no series product; the cases meet
+    # vertices with zero, one and two unit edges
+    products, muls, units_seen = [], [], set()
     real_product = polytope.unit_product
     real_vertex = polytope._vertex_rational_form
+    real_mul = TruncatedSeries.__mul__
 
-    def counted_product(ring, factors, vars, trunc):
-        products.append([k for _, k in factors])
-        return real_product(ring, factors, vars, trunc)
+    def counted_product(ring, factors, vars, trunc, exponent=None):
+        products.append(([k for _, k in factors], exponent is not None))
+        return real_product(ring, factors, vars, trunc, exponent)
 
     def counted_vertex(ctx, dec, m, y, w, edges, dens, tstar, order):
         products.clear()
+        muls.clear()
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
         form = real_vertex(ctx, dec, m, y, w, edges, dens, tstar, order)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", real_mul)
         units = sum(not d.singular for d in dens)
-        assert products == ([[1] * units] if units else [])
+        assert products == [([1] * units, True)]
+        assert muls == []
         assert len(form.denominators) == len(dens) - units
         units_seen.add(units)
         return form
 
+    def counted_mul(a, b):
+        muls.append((a, b))
+        return real_mul(a, b)
+
     monkeypatch.setattr(polytope, "unit_product", counted_product)
     monkeypatch.setattr(polytope, "_vertex_rational_form", counted_vertex)
-    mixed = Arrangement(2, [make_functional((1, 0), Fraction(0)),
-                            make_functional((0, 1), Fraction(1, 3)),
-                            make_functional((1, 1), Fraction(0)),
-                            make_functional((1, 2), Fraction(1, 3))])
-    for arr in (mixed, triangle(Fraction(1, 2), Fraction(1, 3),
-                                Fraction(5, 6))):
+    for arr in _unit_edge_cases(Fraction(1, 2), Fraction(1, 3)):
         genfun_via_polytopes(arr, generic_y2, 3)
     assert units_seen == {0, 1, 2}
+
+
+def _unit_edge_cases(a, b):
+    """Two arrangements whose vertices have zero, one and two unit edges:
+    directions e1, e2, (1,1), (1,2) with constants 0, b, 0, b, and the
+    triangle e1, e2, (1,1) with the singular constants a, b, a + b."""
+    return [Arrangement(2, [make_functional(d, c) for d, c in zip(
+                ((1, 0), (0, 1), (1, 1), (1, 2)), (0, b, 0, b))]),
+            Arrangement(2, [make_functional(d, c) for d, c in zip(
+                ((1, 0), (0, 1), (1, 1)), (a, b, a + b))])]
+
+
+@pytest.mark.parametrize("mode, a, b", [
+    ("exact", Fraction(1, 2), Fraction(1, 3)),
+    ("numeric", GaussianRational(Fraction(1, 2), Fraction(1, 7)),
+     GaussianRational(Fraction(1, 3), Fraction(-1, 5)))])
+def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
+                                            monkeypatch):
+    # each vertex's one unit product is the closed-form exponential of its
+    # exponent times the generic series inverse of every unit edge
+    # denominator: equal in exact mode, and within 2^-120 relative at 128
+    # bits in numeric mode, where the constants are Gaussian; a misplaced
+    # root of unity or power of 2 pi i moves its coefficients.  The
+    # vertices have zero, one and two unit edges.
+    calls = []
+    real_product = polytope.unit_product
+
+    def recorded(ring, factors, vars, trunc, exponent=None):
+        out = real_product(ring, factors, vars, trunc, exponent)
+        calls.append((ring, factors, vars, trunc, exponent, out))
+        return out
+
+    monkeypatch.setattr(polytope, "unit_product", recorded)
+    for arr in _unit_edge_cases(a, b):
+        genfun_via_polytopes(arr, generic_y2, 3, mode=mode)
+    assert {len(factors) for _, factors, *_ in calls} == {0, 1, 2}
+    # some vertex roots are not 1
+    assert any(not isinstance(call[4].c, Fraction) or call[4].c.denominator
+               > 1 for call in calls)
+    for ring, factors, vars, trunc, exponent, out in calls:
+        want = form_exp(exponent, ring, vars, trunc)
+        for form, k in factors:
+            assert k == 1
+            want = want * unit_inverse(ring, vars, trunc, form)
+        if ring.exact:
+            assert out.terms == want.terms
+            continue
+        assert set(out.terms) == set(want.terms)
+        for e, w in want.terms.items():
+            assert abs(out.terms[e] - w) <= 2.0 ** -120 * abs(w)
 
 
 @pytest.mark.parametrize("arr,order", [

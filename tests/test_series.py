@@ -14,7 +14,8 @@ from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, divide_exact, division_count,
                                 sum_rational_forms)
-from reference import pi_pow, series_constant, series_variable
+from reference import (form_exp, pi_pow, series_constant,
+                       series_variable)
 
 R = ExactRing(4)
 VARS = ("t1", "t2", "t3")
@@ -138,8 +139,8 @@ def test_exp_multiplicativity():
         l1 = LinearForm(R, {"t1": 1})
         l2 = LinearForm(R, {"t2": 1})
         l12 = LinearForm(R, {"t1": 1, "t2": 1})
-        lhs = l12.exp(R, VARS, tr)
-        rhs = l1.exp(R, VARS, tr) * l2.exp(R, VARS, tr)
+        lhs = form_exp(l12, R, VARS, tr)
+        rhs = form_exp(l1, R, VARS, tr) * form_exp(l2, R, VARS, tr)
         assert lhs.terms == rhs.terms
 
 
@@ -151,8 +152,8 @@ def test_invert_unit_geometric():
     c = series_constant(R, ("t",), tr, R.from_fraction(Fraction(3)))
     assert c.invert_unit().terms == {(0,): R.from_fraction(Fraction(1, 3))}
     # exp(t) inverse is exp(-t)
-    e = LinearForm(R, {"t": 1}).exp(R, ("t",), tr)
-    em = LinearForm(R, {"t": -1}).exp(R, ("t",), tr)
+    e = form_exp(LinearForm(R, {"t": 1}), R, ("t",), tr)
+    em = form_exp(LinearForm(R, {"t": -1}), R, ("t",), tr)
     assert e.invert_unit().terms == em.terms
 
 
@@ -339,7 +340,8 @@ def _exp_reference(form, ring, vars, trunc):
 
 
 def _expansion_and_reference(data, ring):
-    """power(m) or exp of a random form, with its value from repeated
+    """power(m) of a random form, or its exponential from the closed-form
+    reference (``reference.form_exp``), with its value from repeated
     series products.  The unit inverses are checked against
     ``invert_unit`` in ``tests/test_genfun.py`` (``unit_product``)."""
     form = data.draw(rational_forms(ring))
@@ -348,7 +350,7 @@ def _expansion_and_reference(data, ring):
         m = data.draw(st.integers(0, 4))
         return (form.power(ring, VARS, trunc, m),
                 _power(linear_series(form, ring, VARS, trunc), m).terms)
-    return (form.exp(ring, VARS, trunc),
+    return (form_exp(form, ring, VARS, trunc),
             _exp_reference(form, ring, VARS, trunc).terms)
 
 
@@ -377,7 +379,10 @@ def test_int_constant_is_a_fraction(ring, c):
     got = LinearForm(ring, coeffs, c)
     want = LinearForm(ring, coeffs, Fraction(c))
     assert got.singular == want.singular == (c == 0)
-    assert got.exp(ring, VARS, tr).terms == want.exp(ring, VARS, tr).terms
+    assert form_exp(got, ring, VARS, tr).terms == \
+        form_exp(want, ring, VARS, tr).terms
+    assert unit_product(ring, [], VARS, tr, got).terms == \
+        unit_product(ring, [], VARS, tr, want).terms
     if c == 0:
         with pytest.raises(NonDivisible):
             unit_product(ring, [(got, 2)], VARS, tr)

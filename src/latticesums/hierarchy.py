@@ -162,9 +162,16 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
 
 def _with_field(sub: Arrangement, y, mode, precision,
                 parent_ctx: EvaluationContext) -> EvaluationContext:
-    """Context for the sub-arrangement sharing the parent's scalar field."""
+    """Context for the sub-arrangement sharing the parent's scalar field,
+    and with it the parent's kernel tables: they are keyed by the value of
+    (KernelParams, order), so they hold for any context in the same ring
+    object."""
     sub_ctx = EvaluationContext(sub, y, mode, precision, phi=parent_ctx.phi)
-    if mode == "exact" and parent_ctx.N % sub_ctx.N == 0:
+    if mode == "numeric" or parent_ctx.N % sub_ctx.N == 0:
+        # both contexts work at one precision in numeric mode
         sub_ctx.N = parent_ctx.N
         sub_ctx.ring = parent_ctx.ring
+    if sub_ctx.ring is parent_ctx.ring:
+        sub_ctx._parts = parent_ctx._parts
+        sub_ctx._bases = parent_ctx._bases
     return sub_ctx

@@ -192,3 +192,26 @@ def test_singular_point_uses_one_sided_branch(a1_alpha1):
     # evaluating at a small positive shift along phi gives the same verdict
     reps = check_hierarchy(a1_alpha1, [0, 2], (Fraction(1, 10**6),), 4)
     assert reps["max_discrepancy"] == 0
+
+
+@pytest.mark.parametrize("mode, discrepancy", [
+    ("exact", "0 (exact)"), ("numeric", "1.8367099231598242e-40")])
+def test_sub_context_shares_the_parent_kernel_tables(mode, discrepancy,
+                                                     monkeypatch):
+    # the sub-arrangement's context takes the parent's ring, and with it
+    # the parent's kernels: each (params, order) is built once per check
+    import latticesums.genfun as genfun
+    built = []
+    real = genfun.kernel_parts
+
+    def counted(ring, params, order, base):
+        built.append((params, order))
+        return real(ring, params, order, base)
+
+    monkeypatch.setattr(genfun, "kernel_parts", counted)
+    arr = triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    rep = check_hierarchy(arr, [0, 1], (Fraction(1, 7), Fraction(1, 11)), 4,
+                          mode=mode)
+    assert len(built) == len(set(built)) == 2
+    assert rep["removed"] == [2] and rep["stray_variable_terms"] == 0
+    assert rep["max_discrepancy_str"] == discrepancy

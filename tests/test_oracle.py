@@ -7,14 +7,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
+import latticesums.oracle as oracle
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.genfun import WeightVector, lattice_sum_value
 from latticesums.intlinalg import rank
 from latticesums.lattice import (Arrangement, Functional, GaussianRational,
                                  make_functional)
 from latticesums.oracle import (TruncationWindow, _sum_pointwise,
-                                constrained_points, convergence_scan,
-                                truncated_sum)
+                                _window_sums, constrained_points,
+                                convergence_scan, truncated_sum)
 
 CTX = MPContext()
 CTX.prec = 128
@@ -137,7 +138,7 @@ def test_vectorized_and_pointwise_paths_agree(generic_y2):
     k, window = WeightVector.make((2, 2, 2)), TruncationWindow(25)
     zf = truncated_sum(arr, k, generic_y2, window, precision=53)
     zi = truncated_sum(arr, k, generic_y2, window, precision=80)
-    zp = _sum_pointwise(arr, k, generic_y2, window, 80)
+    zp = _sum_pointwise(arr, k, generic_y2, [window.N], 80)[0]
     assert abs(complex(zf) - complex(zi)) < 1e-12
     assert abs(zi - zp) < 2.0 ** -90
 
@@ -160,7 +161,7 @@ def test_pointwise_sum_keeps_rational_constants_exact(triangle_rational):
             / (ref_ctx.mpf(den.numerator) / den.denominator)
     got = truncated_sum(triangle_rational, k, y, window, precision=113)
     assert abs(ref_ctx.mpc(got) - ref) < 1e-25
-    pointwise = _sum_pointwise(triangle_rational, k, y, window, 113)
+    pointwise = _sum_pointwise(triangle_rational, k, y, [window.N], 113)[0]
     assert abs(ref_ctx.mpc(pointwise) - ref) < 1e-25
 
 
@@ -232,20 +233,30 @@ def rational_lattice_sums(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(rational_lattice_sums())
-def test_integer_path_matches_exact_terms(case):
+@given(rational_lattice_sums(), st.sets(st.integers(1, 9), max_size=3))
+def test_integer_path_matches_exact_terms(case, others):
     # the contract is 2^-precision; each of the n points is rounded to
     # the nearest multiple of 2^-P, with P as in truncated_sum, so the
     # sum is off by at most n 2^-(P+1), and the final combination by
-    # under 2^-(P+4)
+    # under 2^-(P+4).  A scan fixes P from its largest window, and each
+    # of its windows keeps that bound
     arr, k, y, N, precision = case
+
+    def assert_within_bound(z, window, largest):
+        ctx, ref = _exact_reference(arr, k, y, window)
+        err = abs(ctx.mpc(z) - ref)
+        assert err <= ctx.mpf(2) ** -precision
+        n = len(list(constrained_points(arr, k, window)))
+        P = max(precision, 53) + 24 \
+            + ((2 * largest + 1) ** arr.rank).bit_length() + 1
+        assert err <= (n + 1) * ctx.mpf(2) ** -(P + 1)
+
     window = TruncationWindow(N)
-    ctx, ref = _exact_reference(arr, k, y, window)
-    err = abs(ctx.mpc(truncated_sum(arr, k, y, window, precision)) - ref)
-    assert err <= ctx.mpf(2) ** -precision
-    n = len(list(constrained_points(arr, k, window)))
-    P = max(precision, 53) + 24 + ((2 * N + 1) ** arr.rank).bit_length() + 1
-    assert err <= (n + 1) * ctx.mpf(2) ** -(P + 1)
+    assert_within_bound(truncated_sum(arr, k, y, window, precision), window,
+                        N)
+    Ns = sorted(others | {N})
+    for M, z in zip(Ns, _window_sums(arr, k, y, Ns, precision)):
+        assert_within_bound(z, TruncationWindow(M), Ns[-1])
 
 
 def _vanishes(val) -> bool:
@@ -328,3 +339,144 @@ def test_float_constants_are_excluded_at_their_binary_value():
                                        TruncationWindow(3))) == []
     assert [v[0] for v in constrained_points(on, zero_weight,
                                              TruncationWindow(3))] == [2] * 7
+
+
+# -- one walk per scan ------------------------------------------------------
+
+def _rows_window_by_window(arr, k, y, Ns, precision, target):
+    """The scan table with each window summed from scratch by
+    truncated_sum, its rows built as convergence_scan builds them."""
+    ctx = MPContext()
+    ctx.prec = max(precision, 53) + 24
+    rows, prev = [], None
+    for N in Ns:
+        z = ctx.mpc(truncated_sum(arr, k, y, TruncationWindow(N), precision))
+        row = {"N": N, "re": float(z.real), "im": float(z.imag),
+               "diff_prev": float(abs(z - prev)) if prev is not None
+               else None}
+        if target is not None:
+            row["err"] = float(abs(z - ctx.mpc(target)))
+        rows.append(row)
+        prev = z
+    return rows
+
+
+FLOATY2 = Arrangement(2, [Functional((1, 0), complex(0.3)),
+                          make_functional((0, 1), Fraction(1, 3)),
+                          Functional((1, 1), complex(0.1, 0.2))])
+FLOATY1 = Arrangement(1, [Functional((1,), complex(0.25)),
+                          make_functional((2,), Fraction(1, 3))])
+Y2 = (Fraction(1, 7), Fraction(2, 11))
+
+# (arrangement, k, y, precision): the float64 path (rank 2, no zero
+# weight, precision <= 53) and the mpmath path point by point (a float
+# constant), in rank 1, rank 2 and on a zero-weight constraint
+EXACT_ROW_PATHS = {
+    "float64": (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+                (2, 2, 2), Y2, 53),
+    "float64 float constants": (FLOATY2, (2, 1, 2), (0.1, 0.25), 53),
+    "pointwise rank 1": (FLOATY1, (2, 1), (Fraction(1, 5),), 53),
+    "pointwise rank 2": (FLOATY2, (2, 1, 2), Y2, 60),
+    "pointwise zero weight": (MIXED, (0, 1, 1, 1, 1, 1, 1), Y2, 53),
+}
+SCANS = [[3, 7, 12, 20], [5], []]
+
+
+@pytest.mark.parametrize("Ns", SCANS, ids=["four", "single", "empty"])
+@pytest.mark.parametrize("path", sorted(EXACT_ROW_PATHS))
+def test_scan_rows_equal_window_by_window_rows(path, Ns):
+    # on the float64 and mpmath paths a window's sum read off the one
+    # walk is the one its own truncated_sum makes: every row byte-equal
+    arr, k, y, precision = EXACT_ROW_PATHS[path]
+    for target in (None, 1.5 - 0.5j):
+        got = convergence_scan(arr, k, y, Ns, precision, target=target)
+        want = _rows_window_by_window(arr, k, y, Ns, precision, target)
+        assert repr(got) == repr(want)
+
+
+# (arrangement, k, y, precision) on the integer path
+INTEGER_PATHS = {
+    "rank 1": (hurwitz_a1(1), (2, 2, 2), (Fraction(1, 3),), 53),
+    "rank 2": (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+               (2, 2, 2), Y2, 54),
+    "zero weight": (Arrangement(2, [make_functional((1, -1), 0),
+                                    make_functional((0, 1), Fraction(1, 3)),
+                                    make_functional((1, 1), Fraction(1, 5))]),
+                    (0, 2, 2), Y2, 80),
+}
+
+
+@pytest.mark.parametrize("Ns", SCANS, ids=["four", "single", "empty"])
+@pytest.mark.parametrize("path", sorted(INTEGER_PATHS))
+def test_integer_scan_is_within_the_bound_of_every_window(path, Ns):
+    # P is fixed from the largest window, so each window's n points are
+    # off by at most n 2^-(P+1), and the combination by under 2^-(P+4)
+    arr, k, y, precision = INTEGER_PATHS[path]
+    k = WeightVector.make(k)
+    sums = _window_sums(arr, k, y, Ns, precision)
+    assert len(sums) == len(Ns)
+    if not Ns:
+        assert convergence_scan(arr, k, y, Ns, precision) == []
+        return
+    P = max(precision, 53) + 24 \
+        + ((2 * Ns[-1] + 1) ** arr.rank).bit_length() + 1
+    for N, z in zip(Ns, sums):
+        window = TruncationWindow(N)
+        ctx, ref = _exact_reference(arr, k, y, window)
+        n = len(list(constrained_points(arr, k, window)))
+        assert abs(ctx.mpc(z) - ref) <= (n + 1) * ctx.mpf(2) ** -(P + 1)
+    # the largest window's sum is its truncated_sum, to the byte
+    assert repr(sums[-1]) == repr(truncated_sum(arr, k, y,
+                                                TruncationWindow(Ns[-1]),
+                                                precision))
+    got = convergence_scan(arr, k, y, Ns, precision, target=0.25)
+    want = _rows_window_by_window(arr, k, y, Ns, precision, 0.25)
+    for a, b in zip(got, want):
+        assert a["N"] == b["N"]
+        for key in ("re", "im", "diff_prev", "err"):
+            if b[key] is None:
+                assert a[key] is None
+            else:
+                assert abs(a[key] - b[key]) <= 2.0 ** -(precision + 20) \
+                    * max(1.0, abs(b[key]))
+
+
+@pytest.mark.parametrize("case", [
+    EXACT_ROW_PATHS["float64"], EXACT_ROW_PATHS["pointwise rank 1"],
+    EXACT_ROW_PATHS["pointwise zero weight"], INTEGER_PATHS["rank 1"],
+    INTEGER_PATHS["zero weight"]],
+    ids=["float64", "pointwise", "pointwise zero weight", "integer",
+         "integer zero weight"])
+def test_scan_walks_the_largest_window_once(case, monkeypatch):
+    arr, k, y, precision = case
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan summed a window on its own")
+
+    walks = []
+    real = oracle.constrained_points
+
+    def counted(arr, k, window):
+        walks.append(window.N)
+        return real(arr, k, window)
+
+    monkeypatch.setattr(oracle, "truncated_sum", refuse)
+    monkeypatch.setattr(oracle, "constrained_points", counted)
+    rows = convergence_scan(arr, k, y, [2, 4, 8], precision)
+    assert [row["N"] for row in rows] == [2, 4, 8]
+    # the float64 path walks the box itself, row block by row block
+    assert walks == ([] if precision <= 53 and arr.rank == 2
+                     and all(k) else [8])
+
+
+def test_integer_path_with_a_large_direction_coefficient():
+    # <d, v> spans 100 N + 1 values, of which the walk meets 2 N + 1
+    arr = Arrangement(1, [make_functional((50,), Fraction(1, 3)),
+                          make_functional((3,), Fraction(-2, 5))])
+    k, y = WeightVector.make((2, 1)), (Fraction(1, 7),)
+    Ns = [40, 2000]
+    P = 60 + 24 + (2 * Ns[-1] + 1).bit_length() + 1
+    for N, z in zip(Ns, _window_sums(arr, k, y, Ns, 60)):
+        window = TruncationWindow(N)
+        ctx, ref = _exact_reference(arr, k, y, window)
+        assert abs(ctx.mpc(z) - ref) <= (2 * N + 2) * ctx.mpf(2) ** -(P + 1)

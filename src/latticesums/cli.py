@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("oracle", help="truncated-sum convergence scan")
     _common_eval_flags(p)
     p.add_argument("--N", default="250,500,1000,2000",
-                   help="increasing window sizes")
+                   help="increasing window sizes; for a shift with "
+                   "denominator q, give windows in one residue class mod q")
     p.set_defaults(fn=cmd_verify_oracle)
 
     p = vsub.add_parser("polytope", help="polytope reconstruction check")

@@ -1,16 +1,16 @@
-"""Coefficient rings for all series work.
+"""Coefficient rings for all series work, and exact-scalar serialization.
 
 Two interchangeable rings live here behind one small protocol:
 
 * ``ExactRing`` -- Laurent polynomials in the transcendental symbol ``pi``
-  with coefficients in Q(zeta_N).  A value is one flat map
-  ``{(pi power, cyclotomic basis exponents): int}`` of numerators over one
-  shared positive denominator, kept in lowest terms after every operation;
+  with coefficients in Q(zeta_N), as ``ExactScalar`` values (defined in
+  ``cyclotomic`` and re-exported here): one flat map ``{(pi power,
+  cyclotomic basis exponents): int}`` of numerators over one shared
+  positive denominator, kept in lowest terms after every operation;
   products of basis monomials come from a table that the field fills as
-  they are first met.
-  Only pi-monomials with a nonzero Q(zeta_N) coefficient are invertible,
-  which is every inverse the evaluators take; any other inverse raises
-  ``NotInvertible``.
+  they are first met.  Only pi-monomials with a nonzero Q(zeta_N)
+  coefficient are invertible, which covers every inverse the evaluators
+  take; any other inverse raises ``NotInvertible``.
 * ``NumericRing`` -- arbitrary-precision complex floats (mpmath), with the
   tolerance conventions needed by the numeric evaluation paths.
 
@@ -27,6 +27,9 @@ coefficient pivots a division) is taken from exact rational data outside
 the ring, so the exact ring has no float size estimate; only
 ``NumericRing`` has ``magnitude``, which sizes division residuals and
 tolerances.
+
+``format_scalar`` writes an exact scalar canonically and ``parse_scalar``
+reads it back.
 """
 
 from __future__ import annotations
@@ -38,201 +41,7 @@ from typing import Dict
 
 from mpmath.ctx_mp import MPContext
 
-from .cyclotomic import CycElt, CyclotomicField
-from .errors import NotInvertible
-
-class ExactScalar:
-    """Element of Q(zeta_N)[pi, 1/pi] as ``{(k, exps): int}`` over ``den``.
-
-    The key ``(k, exps)`` stands for pi^k times the basis monomial ``exps``
-    of the field, and its value is the integer numerator of that
-    coefficient; every coefficient shares the one positive denominator
-    ``den``.  The form is canonical: no numerator is zero and
-    ``gcd(den, *numerators) == 1`` (zero is ``{}`` over 1), so equality
-    and hashing compare the dict and ``den`` directly.
-    """
-
-    __slots__ = ("field", "terms", "den")
-
-    def __init__(self, field: CyclotomicField, terms: Dict[tuple, int],
-                 den: int = 1):
-        self.field = field
-        self.terms = terms
-        self.den = den
-
-    @classmethod
-    def from_pi_poly(cls, field: CyclotomicField, poly: Dict[int, CycElt]
-                     ) -> "ExactScalar":
-        # over the least common denominator of coefficients in lowest
-        # terms, the numerators have no factor in common with it
-        coeffs = {(k, e): q for k, c in poly.items()
-                  for e, q in c.coeffs.items()}
-        den = math.lcm(*(q.denominator for q in coeffs.values()))
-        return cls(field, {key: q.numerator * (den // q.denominator)
-                           for key, q in coeffs.items()}, den)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def pi_poly(self) -> Dict[int, CycElt]:
-        """The Laurent coefficients ``{k: CycElt}``, by ascending k."""
-        grouped: Dict[int, dict] = {}
-        den = self.den
-        for (k, e), v in self.terms.items():
-            grouped.setdefault(k, {})[e] = Fraction(v, den)
-        return {k: CycElt(self.field, grouped[k]) for k in sorted(grouped)}
-
-    # -- arithmetic ------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, ExactScalar):
-            if other.field.N != self.field.N:
-                raise ValueError("mixed cyclotomic orders")
-            return other
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                return ExactScalar(self.field, {})
-            return ExactScalar(self.field, {(0, self.field.zero_exps):
-                                            f.numerator}, f.denominator)
-        if isinstance(other, CycElt):
-            return ExactScalar.from_pi_poly(self.field, {0: other})
-        return NotImplemented
-
-    def _cancel(self, terms: Dict[tuple, int], den: int) -> "ExactScalar":
-        """The canonical value of ``terms / den``, numerators nonzero."""
-        if not terms:
-            return ExactScalar(self.field, terms)
-        if den != 1:
-            g = math.gcd(den, *terms.values())
-            if g != 1:
-                den //= g
-                terms = {key: v // g for key, v in terms.items()}
-        return ExactScalar(self.field, terms, den)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        da, db = self.den, other.den
-        if da == db:
-            out, sb = dict(self.terms), 1
-        else:
-            g = math.gcd(da, db)
-            sa, sb = db // g, da // g
-            out = {key: v * sa for key, v in self.terms.items()}
-            da *= sa
-        get = out.get
-        for key, v in other.terms.items():
-            v *= sb
-            cur = get(key)
-            if cur is None:
-                out[key] = v
-            elif cur + v:
-                out[key] = cur + v
-            else:
-                del out[key]
-        return self._cancel(out, da)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactScalar(self.field,
-                           {key: -v for key, v in self.terms.items()},
-                           self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        field = self.field
-        table = field.basis_products
-        out: Dict[tuple, int] = {}
-        get = out.get
-        for (ka, ea), va in self.terms.items():
-            for (kb, eb), vb in other.terms.items():
-                v = va * vb
-                k = ka + kb
-                for e, m in (table.get((ea, eb))
-                             or field.basis_product(ea, eb)):
-                    cur = get((k, e))
-                    out[k, e] = v * m if cur is None else cur + v * m
-        return self._cancel({key: v for key, v in out.items() if v},
-                            self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
-
-    def inv(self):
-        """Inverse of c * pi^k for nonzero c in Q(zeta_N)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero scalar")
-        poly = self.pi_poly()
-        if len(poly) != 1:
-            raise NotInvertible(f"not a pi-monomial: {self}")
-        (k, c), = poly.items()
-        return ExactScalar.from_pi_poly(self.field, {-k: c.inv()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ExactScalar(self.field, {(0, self.field.zero_exps): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.den == other.den and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.field.N, self.den, frozenset(self.terms.items())))
-
-    # -- numerics ---------------------------------------------------------
-
-    def embed(self, ctx):
-        pi = ctx.pi
-        out = ctx.mpc(0)
-        for k, c in self.pi_poly().items():
-            out += c.embed(ctx) * pi**k
-        return out
-
-    def __repr__(self):
-        return format_scalar(self)
-
+from .cyclotomic import CyclotomicField, ExactScalar
 
 # ---------------------------------------------------------------------------
 # ring adapters
@@ -251,8 +60,8 @@ class ExactRing:
         self.field = CyclotomicField(N)
         self._zero = ExactScalar(self.field, {})
         self._one = self.from_fraction(1)
-        self._two_pi_i = ExactScalar.from_pi_poly(
-            self.field, {1: self.field.zeta_pow(N // 4) * 2})
+        self._two_pi_i = self.field.zeta_pow(N // 4) \
+            * ExactScalar(self.field, {(1, self.field.zero_exps): 2})
 
     def zero(self):
         return self._zero
@@ -267,14 +76,11 @@ class ExactRing:
         return ExactScalar(self.field, {(0, self.field.zero_exps):
                                         q.numerator}, q.denominator)
 
-    def from_cyc(self, c: CycElt):
-        return ExactScalar.from_pi_poly(self.field, {0: c})
-
     def root_of_unity(self, q):
         """e^{2 pi i q} for rational q."""
         if Fraction(q).denominator == 1:
             return self._one
-        return self.from_cyc(self.field.root_of_unity(q))
+        return self.field.root_of_unity(q)
 
     def two_pi_i(self):
         return self._two_pi_i
@@ -455,11 +261,13 @@ def embed(x: ExactScalar, precision: int = 128):
 # ---------------------------------------------------------------------------
 
 
-def _format_cyc(c: CycElt) -> str:
-    if c.is_rational():
-        return str(c.rational_value())
+def _format_cyc(c: Dict[int, Fraction]) -> str:
+    """A coefficient ``{j: q}``, the sum of q * zeta_N^j: a rational, or
+    a z-polynomial in parentheses by ascending j."""
+    if c.keys() == {0}:
+        return str(c[0])
     parts = []
-    for j, q in sorted(c.as_zeta_poly().items()):
+    for j, q in sorted(c.items()):
         if j == 0:
             parts.append(str(q))
         else:
@@ -470,9 +278,12 @@ def _format_cyc(c: CycElt) -> str:
 
 def format_scalar(x: ExactScalar) -> str:
     """Canonical string, descending pi powers, rationals in lowest terms."""
-    poly = x.pi_poly()
-    if not poly:
+    if not x.terms:
         return "0"
+    field = x.field
+    poly: Dict[int, Dict[int, Fraction]] = {}
+    for (k, e), v in x.terms.items():
+        poly.setdefault(k, {})[field.zeta_exponent(e)] = Fraction(v, x.den)
     parts = []
     for k in sorted(poly, reverse=True):
         c = poly[k]
@@ -480,8 +291,8 @@ def format_scalar(x: ExactScalar) -> str:
             parts.append(_format_cyc(c))
             continue
         pp = "pi" if k == 1 else f"pi^{k}"
-        if c.is_rational():
-            q = c.rational_value()
+        if c.keys() == {0}:
+            q = c[0]
             if q == 1:
                 term = pp
             elif q == -1:
@@ -530,7 +341,7 @@ def _split_terms(text: str):
     return out
 
 
-def _parse_cyc(field: CyclotomicField, text: str) -> CycElt:
+def _parse_cyc(field: CyclotomicField, text: str) -> ExactScalar:
     text = text.strip()
     neg = False
     if text.startswith("-("):
@@ -573,17 +384,13 @@ def parse_scalar(ring: ExactRing, text: str) -> ExactScalar:
     """Parse the output of format_scalar back into an ExactScalar."""
     text = text.strip()
     field = ring.field
-    poly: Dict[int, CycElt] = {}
-
-    def add(k, c):
-        poly[k] = poly.get(k, field.zero()) + c
-
+    total = field.zero()
     for sign, piece in _split_terms(text):
         if not piece or piece == "0":
             continue
         idx = _find_top_level(piece, "pi")
         if idx is None:
-            add(0, _parse_cyc(field, piece) * sign)
+            total = total + _parse_cyc(field, piece) * sign
             continue
         head = piece[:idx].rstrip()
         tail = piece[idx + 2:].strip()
@@ -604,5 +411,6 @@ def parse_scalar(ring: ExactRing, text: str) -> ExactScalar:
             coeff = field.from_fraction(-1)
         else:
             coeff = _parse_cyc(field, head)
-        add(k, coeff * (Fraction(sign) / denom))
-    return ExactScalar.from_pi_poly(field, poly)
+        pi_k = ExactScalar(field, {(k, field.zero_exps): 1})
+        total = total + coeff * pi_k * (Fraction(sign) / denom)
+    return total

@@ -442,12 +442,12 @@ def lift(x: ExactScalar, ring) -> ExactScalar:
     if field.N % x.field.N:
         raise ValueError("target order must be a multiple of the source")
     step = field.N // x.field.N
-    poly = {}
-    for k, c in x.pi_poly().items():
-        poly[k] = field.zero()
-        for j, q in c.as_zeta_poly().items():
-            poly[k] = poly[k] + field.zeta_pow(j * step) * q
-    return ExactScalar.from_pi_poly(field, poly)
+    out = field.zero()
+    for (k, e), v in x.terms.items():
+        j = x.field.zeta_exponent(e)
+        out = out + pi_pow(ring, k) * field.zeta_pow(j * step) \
+            * Fraction(v, x.den)
+    return out
 
 
 def permuted(arr: Arrangement, perm: Sequence[int]) -> Arrangement:

@@ -10,7 +10,8 @@ multiply series, while the ``manifest`` rows read single coefficients and
 need next to none.  The ``verify`` pass runs one polytope report, so the
 polytope counts and the reconstruction's time must read above zero there.
 Those passes run no hierarchy check, so a third test traces one in
-process.
+process.  A last test checks that uninstalling the tracer restores every
+class and module it patched to what it was.
 """
 
 import json
@@ -19,7 +20,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from latticesums import hierarchy
+import latticesums
+from latticesums import (cyclotomic, genfun, hierarchy, kernel, lattice,
+                         oracle, polytope, scalar, series)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -69,3 +72,21 @@ def test_tracer_sees_the_hierarchy_operators(a1_alpha1, monkeypatch):
     metrics = tracing.layer_metrics(tracer)
     assert metrics["hierarchy.apply_Dg_summand.calls"] > 0
     assert metrics["hierarchy.check_hierarchy.time_s"] > 0
+
+
+def test_uninstall_restores_every_patched_namespace(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "benchmark"))
+    import tracing
+    owners = [scalar.ExactScalar, cyclotomic.CycElt,
+              cyclotomic.CyclotomicField, series.TruncatedSeries,
+              genfun.EvaluationContext, latticesums, genfun, hierarchy,
+              kernel, lattice, oracle, polytope, series]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    tracer.uninstall()
+    for owner, old in zip(owners, before):
+        new = vars(owner)
+        assert new.keys() == old.keys(), owner.__name__
+        for name, value in old.items():
+            assert new[name] is value, f"{owner.__name__}.{name}"

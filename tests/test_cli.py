@@ -148,6 +148,14 @@ def test_verify_oracle(tmp_path):
     assert len(rows) == 4
 
 
+def test_verify_oracle_rational_shift_windows_in_one_class():
+    # for a shift of denominator q = 3 the box error oscillates with N mod
+    # 3; windows that share one residue class mod 3 decrease monotonically
+    assert main(["verify", "oracle", "--arrangement", "a1_alpha_half.json",
+                 "--k", "2,2,2", "--y", "1/3",
+                 "--N", "240,480,960,1920"]) == 0
+
+
 @pytest.mark.parametrize("windows", ["250", "-5,10", "0,10", "10,10"])
 def test_verify_oracle_rejects_vacuous_windows(windows, monkeypatch,
                                                capsys):

@@ -175,7 +175,7 @@ def test_degenerate_assembly_matches_oracle(generic_y2):
 
 def _transcribed_C012(ctx, beta, gamma, y2):
     R = ctx.ring
-    i = R.from_cyc(R.field.zeta_pow(R.N // 4))
+    i = R.field.zeta_pow(R.N // 4)
     pi = pi_pow(R, 1)
 
     def e(q):
@@ -222,7 +222,7 @@ def test_C222_nonintegral_branch_closed_form():
     arr = hurwitz_a1(a)
     ctx = EvaluationContext(arr, (yv,), "exact")
     R = ctx.ring
-    i = R.from_cyc(R.field.zeta_pow(R.N // 4))
+    i = R.field.zeta_pow(R.N // 4)
     pi = pi_pow(R, 1)
     aF = R.from_fraction
     e = R.root_of_unity
@@ -250,7 +250,7 @@ def test_C222_integral_branch_closed_form():
     arr = hurwitz_a1(1)
     ctx = EvaluationContext(arr, (yv,), "exact")
     R = ctx.ring
-    i = R.from_cyc(R.field.zeta_pow(R.N // 4))
+    i = R.field.zeta_pow(R.N // 4)
     pi = pi_pow(R, 1)
     aF = R.from_fraction
     e = R.root_of_unity

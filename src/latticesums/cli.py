@@ -187,14 +187,16 @@ def cmd_reproduce_examples(args) -> int:
 
 def cmd_verify_oracle(args) -> int:
     arr = _load_arr(args.arrangement)
-    # the shift is read as rationals, so exact constants give a target
-    job = _job_from_args(args, oracle_target=arr.is_exact)
+    # numeric mode evaluates any constants, exact mode only exact ones
+    job = _job_from_args(args, oracle_target=args.mode == "numeric"
+                         or arr.is_exact)
     y, k, Ns = job.y, job.k, job.oracle_windows
     target = None
     if job.oracle_target:
-        rep = lattice_sum_value(arr, y, k)
-        target = rep.value
-        print(f"target S = {format_scalar(rep.value)}")
+        target = lattice_sum_value(arr, y, k, mode=job.mode,
+                                   precision=job.precision).value
+        shown = format_scalar(target) if job.mode == "exact" else target
+        print(f"target S = {shown}")
     rows = convergence_scan(arr, k, y, Ns, precision=job.precision,
                             target=target)
     print("N,ReZ,ImZ,diff_prev,err")
@@ -275,6 +277,9 @@ def _common_eval_flags(p, need_k=True):
     p.add_argument("--mode", choices=["exact", "numeric"], default="exact")
     p.add_argument("--precision", type=int, default=128)
     p.add_argument("--out", default=None)
+
+
+def _format_flag(p):
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
@@ -286,12 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate S(k, y) for an arrangement")
     _common_eval_flags(p)
+    _format_flag(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("reproduce-examples",
                        help="evaluate the bundled reference table")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _format_flag(p)
     p.set_defaults(fn=cmd_reproduce_examples)
 
     pv = sub.add_parser("verify", help="verification suites")
@@ -299,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("oracle", help="truncated-sum convergence scan")
     _common_eval_flags(p)
+    _format_flag(p)
     p.add_argument("--N", default="250,500,1000,2000",
                    help="increasing window sizes; for a shift with "
                    "denominator q, give windows in one residue class mod q")

@@ -172,17 +172,6 @@ def cyclotomic_order(arr: Arrangement, y: Sequence) -> int:
     return N
 
 
-def _exact_constant(f) -> object:
-    """The constant of f as a Fraction when it is real, else as a
-    GaussianRational; floats are taken at their exact binary value."""
-    c = f.constant
-    if not isinstance(c, (Fraction, GaussianRational)):
-        c = GaussianRational(Fraction(c.real), Fraction(c.imag))
-    if isinstance(c, GaussianRational) and c.im == 0:
-        return c.re
-    return c
-
-
 class EvaluationContext:
     """Per-(arrangement, y, mode) state shared by all evaluation calls.
 
@@ -213,7 +202,7 @@ class EvaluationContext:
         else:
             self.N = None
             self.ring = NumericRing(precision)
-        self._constants = [_exact_constant(f) for f in arr.functionals]
+        self._constants = [f.exact_constant() for f in arr.functionals]
         self._bases: Dict[tuple, list] = {}
         self._parts: Dict[tuple, dict] = {}
         self._geometry: Dict[int, list] = {}
@@ -309,7 +298,7 @@ def _context(arr: Arrangement, y: Sequence, mode: str, precision: int,
     if (arr.rank != ctx.arr.rank
             or [f.direction for f in arr.functionals]
             != [f.direction for f in ctx.arr.functionals]
-            or [_exact_constant(f) for f in arr.functionals] != ctx._constants
+            or [f.exact_constant() for f in arr.functionals] != ctx._constants
             or tuple(Fraction(v) for v in y) != ctx.y):
         raise ValueError("the evaluation context was built for another "
                          "arrangement or another y")

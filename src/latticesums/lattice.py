@@ -96,6 +96,16 @@ class Functional:
             return self.constant.re
         raise ValueError(f"constant {self.constant!r} is not a real rational")
 
+    def exact_constant(self) -> Union[Fraction, GaussianRational]:
+        """The constant as a Fraction when it is real, else as a
+        GaussianRational; a float is taken at its exact binary value."""
+        c = self.constant
+        if not isinstance(c, (Fraction, GaussianRational)):
+            c = GaussianRational(Fraction(c.real), Fraction(c.imag))
+        if isinstance(c, GaussianRational) and c.im == 0:
+            return c.re
+        return c
+
     def constant_complex(self) -> complex:
         if isinstance(self.constant, Fraction):
             return complex(self.constant)

@@ -6,17 +6,24 @@ e^{2 pi i <y, v>} / prod f(v)^{k_f} over the integer points of an expanding
 symmetric box, with the zero-weight functionals turned into exact linear
 constraints on the summation sublattice and a (-1) sign each.  No
 acceleration or resummation tricks.
+
+Every input is read exactly: a constant through
+``Functional.exact_constant`` (a Fraction or a GaussianRational, a float
+at its binary value) and y as Fractions (a float at its binary value).
+Which points a functional excludes is decided from those exact data, and
+a sum is taken on one of two paths, float64 or exact integers (see
+``truncated_sum``); only the terms are rounded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -37,53 +44,32 @@ class TruncationWindow:
             raise ValueError("window size must be >= 1")
 
 
+def _vanishing_target(f):
+    """The integer -c when the constant c of f is an integer, so that f
+    vanishes exactly where <d, v> == -c; None when f vanishes nowhere on
+    the lattice (c not an integer, or a Gaussian c with im != 0).  The
+    constant is read exactly, a float at its binary value."""
+    c = f.exact_constant()
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return -c.numerator
+    return None
+
+
 def _zero_constraints(arr: Arrangement, k: WeightVector):
     """Rows/rhs of the integral system f(v) = 0 for zero-weight functionals.
 
-    Returns None when the system has no integer solutions (e.g. a
-    non-integral constant), which empties the sum.
+    Returns None when the system has no integer solutions (a constant that
+    is not an integer), which empties the sum.
     """
     rows, rhs = [], []
     for i in k.zero_set():
         f = arr.functionals[i]
-        c = f.constant
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                return None
-            rhs.append(-int(c))
-        elif isinstance(c, GaussianRational):
-            if c.im != 0 or c.re.denominator != 1:
-                return None
-            rhs.append(-int(c.re))
-        else:
-            # a float constant is read at its binary value
-            if c.imag != 0 or not float(c.real).is_integer():
-                warnings.warn("non-rational constant in a zero-weight "
-                              "functional: the constrained sublattice is "
-                              "empty by fiat")
-                return None
-            rhs.append(-int(c.real))
-        rows.append(list(f.direction))
-    return rows, rhs
-
-
-_FLOAT = "float"
-
-
-def _vanishing_target(f):
-    """When f(v) = <d, v> + c vanishes on the lattice: for a rational c,
-    exactly when c is an integer and <d, v> == -c, so the integer -c, or
-    None when c is not an integer; None for a Gaussian c with im != 0;
-    ``_FLOAT`` for a float c, read at its binary value, since a float sum
-    of an integer and c is zero exactly when the exact sum is."""
-    c = f.constant
-    if isinstance(c, GaussianRational):
-        if c.im != 0:
+        target = _vanishing_target(f)
+        if target is None:
             return None
-        c = c.re
-    if not isinstance(c, Fraction):
-        return _FLOAT
-    return -c.numerator if c.denominator == 1 else None
+        rows.append(list(f.direction))
+        rhs.append(target)
+    return rows, rhs
 
 
 def constrained_points(arr: Arrangement, k: WeightVector,
@@ -96,13 +82,11 @@ def constrained_points(arr: Arrangement, k: WeightVector,
         return
     rows, rhs = constraints
     bound = window.N
-    integral, floating = [], []
+    integral = []
     for i in k.positive_set():
         f = arr.functionals[i]
         target = _vanishing_target(f)
-        if target is _FLOAT:
-            floating.append(f)
-        elif target is not None:
+        if target is not None:
             integral.append((f.direction, target))
 
     def admissible(v, inside=False) -> bool:
@@ -110,9 +94,6 @@ def constrained_points(arr: Arrangement, k: WeightVector,
             return False
         for direction, target in integral:
             if sum(map(mul, direction, v)) == target:
-                return False
-        for f in floating:
-            if f.evaluate_int(v) == 0:
                 return False
         return True
 
@@ -171,32 +152,35 @@ def truncated_sum(arr: Arrangement, k, y: Sequence,
 
     Raises ValueError unless k has one weight per functional and y one
     entry per dimension.  This is the one-window case of the walk that
-    ``convergence_scan`` makes, and one of its three paths runs, chosen
+    ``convergence_scan`` makes, and one of its two paths runs, chosen
     from the data:
 
     - rank 2 without zero weights at precision <= 53: numpy float64, the
       rows of the box in blocks of ``_BLOCK_ROWS``, each row summed by
       numpy and the row sums added with ``math.fsum``;
-    - otherwise, when every positive-weight constant is a real rational
-      and y is rational: exact integers.  With D the common denominator
-      of the constants, g_f = D f is an integer on the lattice, read with
-      its power k_f from one table per functional keyed by <d_f, v> and
-      filled as the walk meets each value, and each point adds
-      round(2^P D^K / prod g_f(v)^{k_f}), K = sum k_f, to the bucket of
-      its phase e^{2 pi i <y, v>}, a root of unity of order den(y).  The
-      buckets meet their roots once, at the end.  With
+    - otherwise exact integers.  Every constant is read exactly
+      (``Functional.exact_constant``, a float at its binary value), and
+      so is y.  With D the common denominator of the parts of the
+      constants, g_f = D f is an integer, or a Gaussian integer, on the
+      lattice, read with its power k_f from one table per functional
+      keyed by <d_f, v> and filled as the walk meets each value.  Each
+      point adds round(2^P D^K / prod g_f(v)^{k_f}), K = sum k_f, to the
+      bucket of its phase e^{2 pi i <y, v>}, a root of unity of order q
+      = den(y), keyed by <q y, v> mod q.  For Gaussian constants, with G
+      the product of the Gaussian g_f(v)^{k_f} and R that of the real
+      ones, the term D^K conj(G) / (R |G|^2) is rounded part by part.
+      The buckets meet their roots once, at the end.  With
       w = max(precision, 53) + 24 and P = w + 1 + bit_length((2 N + 1)^rank),
       the n points summed are off by at most n 2^-(P+1) <= 2^-(w+2) in
-      any order, and the combination adds under 2^-(P+4);
-    - otherwise mpmath, point by point at w bits with Neumaier
-      compensation, every rational part of a constant rounded once.
+      each part of the buckets, in any order, so the sum by as much in
+      modulus with real constants and by sqrt(2) times that with a
+      Gaussian one, and the combination adds under 2^-(P+4).
 
     Measured on a 2-CPU x86-64 box with Python 3.11 (process time, the
-    best of 3 to 9 runs): ``a1_alpha1``, k = (2,2,2), y = 0, N = 2000
-    takes 0.013 s on the integer path and 0.16 s point by point;
-    ``triangle_rational`` at y = (1/7, 2/11), N = 200 takes 0.36 s on
-    the integer path at precision 128 and 0.010 s in float64, 4.6e-13
-    off.
+    best of 8 to 40 runs): ``a1_alpha1``, k = (2,2,2), y = 0, N = 2000
+    takes 0.015 s on the integer path; ``triangle_rational`` at
+    y = (1/7, 2/11), N = 200 takes 0.39 s on the integer path at
+    precision 128 and 0.010 s in float64, 4.6e-13 off.
     """
     k = _weight_vector(arr, k, y)
     return _window_sums(arr, k, y, [window.N], precision)[0]
@@ -210,37 +194,46 @@ def _window_sums(arr: Arrangement, k: WeightVector, y: Sequence,
         return []
     if not k.zero_set() and precision <= 53 and arr.rank == 2:
         return _sum_vectorized(arr, k, y, Ns)
-    try:
-        constants = [arr.functionals[i].rational_constant()
-                     for i in k.positive_set()]
-    except ValueError:
-        constants = None
-    if constants is not None and all(isinstance(v, (int, Fraction))
-                                     for v in y):
-        return _sum_integer(arr, k, [Fraction(v) for v in y], Ns,
-                            precision, constants)
-    return _sum_pointwise(arr, k, y, Ns, precision)
+    return _sum_integer(arr, k, y, Ns, precision)
 
 
-def _sum_integer(arr, k, y, Ns, precision, constants):
-    """The integer path of truncated_sum for each window of Ns, signed;
-    `constants` are the positive-weight constants as Fractions.
+def _gaussian_power(a: int, b: int, e: int) -> Tuple[int, int]:
+    """(a + b i)^e as the pair of its parts."""
+    re, im = 1, 0
+    for _ in range(e):
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+def _sum_integer(arr, k, y, Ns, precision):
+    """The integer path of truncated_sum for each window of Ns, signed.
 
     P is fixed from the largest window, so the bound of truncated_sum,
-    n 2^-(P+1) <= 2^-(w+2), holds for every window's n points.  Each
-    point is added to the buckets of the smallest window that holds it,
-    and a window's buckets are the prefix sum up to it."""
-    D = math.lcm(*(c.denominator for c in constants))
+    n 2^-(P+1) <= 2^-(w+2) in each part, holds for every window's n
+    points.  Each point is added to the buckets of the smallest window
+    that holds it, and a window's buckets are the sum of those up to it.
+    Without a Gaussian constant no point does Gaussian work."""
+    parts = []
+    for i in k.positive_set():
+        f = arr.functionals[i]
+        c = f.exact_constant()
+        re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+        parts.append((f.direction, re, im, k.weights[i]))
+    D = math.lcm(*(x.denominator for _, re, im, _ in parts
+                   for x in (re, im)))
+    tables = [(d, int(D * re), kf, {}) for d, re, im, kf in parts if not im]
+    gaussian = [(d, int(D * re), int(D * im), kf, {})
+                for d, re, im, kf in parts if im]
+    yq = [Fraction(v) for v in y]
+    q = math.lcm(*(v.denominator for v in yq))
+    ynum = [int(q * v) for v in yq]
     bound = Ns[-1]
-    tables = [(arr.functionals[i].direction, int(D * c), k.weights[i], {})
-              for i, c in zip(k.positive_set(), constants)]
-    q = math.lcm(*(v.denominator for v in y))
-    ynum = [int(q * v) for v in y]
     work = max(precision, 53) + 24
     points = (2 * bound + 1) ** arr.rank
     P = work + points.bit_length() + 1
     twice = D ** sum(k.weights) << (P + 1)
-    buckets = [[0] * q for _ in Ns]
+    re_buckets = [defaultdict(int) for _ in Ns]
+    im_buckets = [defaultdict(int) for _ in Ns]
     for v in constrained_points(arr, k, TruncationWindow(bound)):
         den = 1
         for direction, Dc, kf, powers in tables:
@@ -251,69 +244,46 @@ def _sum_integer(arr, k, y, Ns, precision, constants):
             if power is None:
                 power = powers[t] = (D * t + Dc) ** kf
             den *= power
-        # floor(2^P D^K / den + 1/2), the nearest integer for either sign,
-        # in the buckets of the smallest window that holds v
+        # the buckets of the smallest window that holds v, at its phase
         w = bisect_left(Ns, max(map(abs, v)))
-        buckets[w][sum(map(mul, ynum, v)) % q] += (twice + den) // (2 * den)
+        j = sum(map(mul, ynum, v)) % q
+        if not gaussian:
+            # floor(2^P D^K / den + 1/2), the nearest integer for either
+            # sign
+            re_buckets[w][j] += (twice + den) // (2 * den)
+            continue
+        gre, gim = 1, 0
+        for direction, Dre, Dim, kf, powers in gaussian:
+            t = sum(map(mul, direction, v))
+            power = powers.get(t)
+            if power is None:
+                power = powers[t] = _gaussian_power(D * t + Dre, Dim, kf)
+            gre, gim = (gre * power[0] - gim * power[1],
+                        gre * power[1] + gim * power[0])
+        # D^K / (den G) = D^K conj(G) / (den |G|^2), each part rounded to
+        # the nearest integer as above
+        den *= gre * gre + gim * gim
+        re_buckets[w][j] += (twice * gre + den) // (2 * den)
+        im_buckets[w][j] += (den - twice * gim) // (2 * den)
     sign = (-1) ** len(k.zero_set())
     ctx = MPContext()
-    sums, acc = [], [0] * q
-    for window_buckets in buckets:
-        acc = list(map(add, acc, window_buckets))
+    sums, acc_re, acc_im = [], defaultdict(int), defaultdict(int)
+    for window_buckets in zip(re_buckets, im_buckets):
+        for acc, buckets in zip((acc_re, acc_im), window_buckets):
+            for j, b in buckets.items():
+                acc[j] += b
         # every bucket converts exactly, and the roots of unity and the
         # sum stay within 2^-(P+4) of the exact combination
-        ctx.prec = max(abs(b) for b in acc).bit_length() \
+        values = itertools.chain(acc_re.values(), acc_im.values())
+        ctx.prec = max(map(abs, values), default=0).bit_length() \
             + 2 * q.bit_length() + 8
-        total = ctx.fsum(ctx.mpf(b) * ctx.expjpi(ctx.mpf(2 * j) / q)
-                         for j, b in enumerate(acc) if b)
+        total = ctx.fsum(ctx.mpc(acc_re.get(j, 0), acc_im.get(j, 0))
+                         * ctx.expjpi(ctx.mpf(2 * j) / q)
+                         for j in sorted(acc_re.keys() | acc_im.keys())
+                         if acc_re.get(j) or acc_im.get(j))
         sums.append(sign * ctx.mpc(ctx.ldexp(total.real, -P),
                                    ctx.ldexp(total.imag, -P)))
     return sums
-
-
-def _at_precision(ctx, c):
-    """A Fraction, GaussianRational or float constant at the working
-    precision of ctx, each rational part rounded once."""
-    if isinstance(c, Fraction):
-        return ctx.mpf(c.numerator) / c.denominator
-    if isinstance(c, GaussianRational):
-        return ctx.mpc(_at_precision(ctx, c.re), _at_precision(ctx, c.im))
-    return ctx.mpc(c)
-
-
-def _sum_pointwise(arr, k, y, Ns, precision):
-    """The mpmath path of truncated_sum for each window of Ns, signed: one
-    Neumaier accumulator per window, which meets its points in the
-    lexicographic order of its own walk."""
-    ctx = MPContext()
-    ctx.prec = max(precision, 53) + 24
-    totals = [ctx.mpc(0)] * len(Ns)
-    comps = [ctx.mpc(0)] * len(Ns)  # Neumaier compensation
-    yf = [_at_precision(ctx, v) if isinstance(v, Fraction) else ctx.mpf(v)
-          for v in y]
-    positive = [(arr.functionals[i].direction,
-                 _at_precision(ctx, arr.functionals[i].constant),
-                 k.weights[i]) for i in k.positive_set()]
-    for v in constrained_points(arr, k, TruncationWindow(Ns[-1])):
-        phase = ctx.expjpi(2 * sum(a * b for a, b in zip(yf, v)))
-        den = ctx.mpc(1)
-        for direction, c, kf in positive:
-            val = sum(d * x for d, x in zip(direction, v)) + c
-            den *= val**kf
-        term = phase / den
-        size = abs(term)
-        # every window from the smallest that holds v
-        for w in range(bisect_left(Ns, max(map(abs, v))), len(Ns)):
-            # Neumaier step
-            total = totals[w]
-            t = total + term
-            if abs(total) >= size:
-                comps[w] += (total - t) + term
-            else:
-                comps[w] += (term - t) + total
-            totals[w] = t
-    sign = (-1) ** len(k.zero_set())
-    return [sign * (total + comp) for total, comp in zip(totals, comps)]
 
 
 # rows of the box per numpy pass of the float64 path: on a 2-CPU x86-64
@@ -325,10 +295,10 @@ _BLOCK_ROWS = 8
 def _sum_vectorized(arr, k, y, Ns) -> List[complex]:
     """The float64 path of truncated_sum for each window of Ns: which
     points are excluded is decided exactly, from int64 values of <d, v>
-    for rational constants and from the binary value of a float constant;
-    only the terms are rounded.  The terms of a block of rows of the
-    largest window are computed once, and each window sums the part of
-    every row that it covers."""
+    against the integer -c of an integral constant c (a float at its
+    binary value); only the terms are rounded.  The terms of a block of
+    rows of the largest window are computed once, and each window sums
+    the part of every row that it covers."""
     yf = [float(v) for v in y]
     positive = [(arr.functionals[i], k.weights[i],
                  _vanishing_target(arr.functionals[i]))
@@ -347,9 +317,7 @@ def _sum_vectorized(arr, k, y, Ns) -> List[complex]:
         for f, kf, target in positive:
             val = f.direction[0] * v1i + f.direction[1] * v2 \
                 + complex(f.constant_complex())
-            if target is _FLOAT:
-                mask &= val != 0
-            elif target is not None:
+            if target is not None:
                 mask &= f.direction[0] * v1i + f.direction[1] * v2i != target
             den *= np.where(mask, val, 1.0)**kf
         num = np.exp(2j * np.pi * (yf[0] * v1 + yf[1] * v2))
@@ -371,20 +339,23 @@ def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
 
     One walk over the largest window gives every row: each window's sum
     is read as the walk passes it, on the path that ``truncated_sum``
-    would take for it.  The float64 and mpmath rows equal the one-window
-    sums; on the integer path P is fixed from the largest window, so a
-    smaller window's sum is within n 2^-(P+1) + 2^-(P+4) <= 2^-(w+1) of
-    the exact one, as its own truncated_sum is, but not always equal to
-    it.  Measured as ``truncated_sum`` is: the ``a1_alpha1`` windows
-    N = 250, 500, 1000 and 2000 take 0.013 s on the integer path, and
-    the ``triangle_rational`` windows N = 25, 50, 100 and 200 take
-    0.010 s in float64 and 0.36 s on the integer path at precision 128,
-    against 0.020 s, 0.033 s and 0.43 s when each window is summed from
-    scratch.
+    would take for it.  The float64 rows equal the one-window sums; on
+    the integer path P is fixed from the largest window, so each part of
+    a smaller window's buckets is within n 2^-(P+1) of the exact one, and
+    its sum within n 2^-(P+1) + 2^-(P+4) <= 2^-(w+1) (with a Gaussian
+    constant, sqrt(2) n 2^-(P+1) + 2^-(P+4)), as its own truncated_sum
+    is, but not always equal to it.  Measured as ``truncated_sum`` is:
+    the ``a1_alpha1`` windows N = 250, 500, 1000 and 2000 take 0.015 s
+    on the integer path, and the ``triangle_rational`` windows N = 25,
+    50, 100 and 200 take 0.010 s in float64 and 0.39 s on the integer
+    path at precision 128; a rank-1 scan with a Gaussian-rational
+    constant (N = 100, 200 and 400, precision 128) takes 0.0043 s, and a
+    rank-2 one with float constants (N = 25, 50 and 100) 0.22 s.
 
-    `target` may be an exact scalar (embedded at working precision) or a
-    complex number; differences are taken at working precision so that
-    sub-double errors stay resolvable.
+    `target` may be an exact scalar (embedded at working precision), an
+    mpmath number (read at its own precision, rounded to the working one
+    only if that is lower) or a complex number; differences are taken at
+    working precision so that sub-double errors stay resolvable.
     """
     k = _weight_vector(arr, k, y)
     Ns = list(Ns)
@@ -397,7 +368,7 @@ def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
     tval = None
     if target is not None:
         tval = target.embed(ctx) if hasattr(target, "embed") \
-            else ctx.mpc(complex(target))
+            else ctx.mpc(target)
     rows = []
     prev = None
     for N, z in zip(Ns, _window_sums(arr, k, y, Ns, precision)):

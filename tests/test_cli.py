@@ -186,6 +186,36 @@ def test_verify_oracle_without_target_needs_three_windows(tmp_path, capsys):
                  "--precision", "64"]) == 0
 
 
+def test_verify_oracle_numeric_target_for_gaussian_constants(tmp_path,
+                                                             capsys):
+    # exact mode has no target for a Gaussian-rational constant; numeric
+    # mode used to ask for the exact one all the same, and exit 1 with
+    # "... is not a real rational"
+    path = tmp_path / "gaussian.json"
+    path.write_text(json.dumps({"rank": 1, "functionals": [
+        {"direction": [1], "constant": {"re": "1/2", "im": "1/3"}},
+        {"direction": [1], "constant": 0}]}))
+    assert main(["verify", "oracle", "--arrangement", str(path),
+                 "--k", "2,2", "--y", "0", "--N", "100,200,400",
+                 "--mode", "numeric"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("target S = (1.6235119685386498194")
+    assert "errors monotone decreasing: True" in out
+
+
+@pytest.mark.parametrize("suite", ["polytope", "hierarchy"])
+def test_verify_polytope_and_hierarchy_have_no_format_flag(suite, tmp_path,
+                                                           capsys):
+    # both write their JSON report to --out whatever --format said
+    removal = ["--remove", "f0"] if suite == "hierarchy" else []
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--arrangement", "a1_alpha1.json", "--y",
+              "0", "--out", str(tmp_path / "p.csv"), "--format", "csv"]
+             + removal)
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_verify_polytope(capsys):
     rc = main(["verify", "polytope", "--arrangement", "a1_alpha_half.json",
                "--y", "1/3", "--order", "4"])

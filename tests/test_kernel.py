@@ -48,8 +48,9 @@ def test_integral_branch_is_bernoulli():
 @pytest.mark.parametrize("b", [0.5, complex(0.5, 1)],
                          ids=["float", "complex"])
 def test_kernel_params_take_exact_constants_only(b):
-    # the evaluators hand the kernels exact constants (``_exact_constant``);
-    # a float constant is refused, not rounded
+    # the evaluators hand the kernels exact constants
+    # (``Functional.exact_constant``); a float constant is refused, not
+    # rounded
     with pytest.raises(TypeError):
         KernelParams.make(b, Fraction(1, 3))
 

@@ -13,9 +13,9 @@ from latticesums.genfun import WeightVector, lattice_sum_value
 from latticesums.intlinalg import rank
 from latticesums.lattice import (Arrangement, Functional, GaussianRational,
                                  make_functional)
-from latticesums.oracle import (TruncationWindow, _sum_pointwise,
-                                _window_sums, constrained_points,
-                                convergence_scan, truncated_sum)
+from latticesums.oracle import (TruncationWindow, _window_sums,
+                                constrained_points, convergence_scan,
+                                truncated_sum)
 
 CTX = MPContext()
 CTX.prec = 128
@@ -132,37 +132,28 @@ def test_constant_arrangement_constrained_single_point():
 
 
 def test_vectorized_and_pointwise_paths_agree(generic_y2):
-    # precision 53 takes numpy float64 and precision 80 exact integers;
-    # mpmath point by point is called directly
+    # precision 53 takes numpy float64, the rows of the box in blocks, and
+    # precision 80 exact integers, the points one by one
     arr = a2_directions()
     k, window = WeightVector.make((2, 2, 2)), TruncationWindow(25)
     zf = truncated_sum(arr, k, generic_y2, window, precision=53)
     zi = truncated_sum(arr, k, generic_y2, window, precision=80)
-    zp = _sum_pointwise(arr, k, generic_y2, [window.N], 80)[0]
     assert abs(complex(zf) - complex(zi)) < 1e-12
-    assert abs(zi - zp) < 2.0 ** -90
 
 
-def test_pointwise_sum_keeps_rational_constants_exact(triangle_rational):
-    # reference: each term at 400 bits from exact rational data
-    ref_ctx = MPContext()
-    ref_ctx.prec = 400
-    y = (Fraction(1, 7), Fraction(2, 11))
-    k = WeightVector.make((2, 2, 2))
-    window = TruncationWindow(10)
-    ref = ref_ctx.mpc(0)
-    for v in constrained_points(triangle_rational, k, window):
-        phase = sum(a * b for a, b in zip(y, v))
-        den = Fraction(1)
-        for f in triangle_rational.functionals:
-            den *= f.evaluate_int(v) ** 2
-        ref += ref_ctx.expjpi(2 * ref_ctx.mpf(phase.numerator)
-                              / phase.denominator) \
-            / (ref_ctx.mpf(den.numerator) / den.denominator)
-    got = truncated_sum(triangle_rational, k, y, window, precision=113)
-    assert abs(ref_ctx.mpc(got) - ref) < 1e-25
-    pointwise = _sum_pointwise(triangle_rational, k, y, [window.N], 113)[0]
-    assert abs(ref_ctx.mpc(pointwise) - ref) < 1e-25
+def test_convergence_scan_reads_an_mpmath_target_at_its_precision():
+    # a 128-bit numeric target used to be rounded to a double first, and
+    # err at N = 2000 read 1.147e-17 against it and 1.248e-17 against the
+    # exact value
+    arr, y, k = hurwitz_a1(1), (Fraction(0),), (2, 2, 2)
+    exact = lattice_sum_value(arr, y, k).value
+    numeric = lattice_sum_value(arr, y, k, mode="numeric",
+                                precision=128).value
+    Ns = [1000, 2000]
+    for got, want in zip(
+            convergence_scan(arr, k, y, Ns, precision=128, target=numeric),
+            convergence_scan(arr, k, y, Ns, precision=128, target=exact)):
+        assert abs(got["err"] - want["err"]) <= 1e-30
 
 
 @pytest.mark.parametrize("k, y, message", [
@@ -188,37 +179,70 @@ def test_rank2_oracle_rejects_a_short_shift(triangle_rational):
                       TruncationWindow(10))
 
 
+def _exact_parts(c):
+    """A Fraction, GaussianRational or float constant as the pair of its
+    parts, each a Fraction; a float at its binary value."""
+    if isinstance(c, GaussianRational):
+        return c.re, c.im
+    if isinstance(c, Fraction):
+        return c, Fraction(0)
+    return Fraction(c.real), Fraction(c.imag)
+
+
 def _exact_reference(arr, k, y, window):
-    """The signed sum of the exactly computed terms: one Fraction per
-    phase <y, v> mod 1, each met with its root of unity at 400 bits."""
-    classes = defaultdict(Fraction)
+    """The signed sum of the exactly computed terms: one pair of Fractions
+    per phase <y, v> mod 1, each term 1/den = conj(den) / |den|^2 for a
+    Gaussian den, and each pair met with its root of unity at 400 bits.
+    Float constants and shifts are read at their binary value."""
+    classes = defaultdict(lambda: [Fraction(0), Fraction(0)])
+    yq = [Fraction(v) for v in y]
     for v in constrained_points(arr, k, window):
-        den = Fraction(1)
+        re, im = Fraction(1), Fraction(0)
         for f, kf in zip(arr.functionals, k.weights):
-            if kf:
-                den *= f.evaluate_int(v) ** kf
-        classes[sum(a * b for a, b in zip(y, v)) % 1] += 1 / den
+            a, b = _exact_parts(f.constant)
+            a += sum(d * x for d, x in zip(f.direction, v))
+            for _ in range(kf):
+                re, im = re * a - im * b, re * b + im * a
+        norm = re * re + im * im
+        parts = classes[sum(a * b for a, b in zip(yq, v)) % 1]
+        parts[0] += re / norm
+        parts[1] -= im / norm
     ctx = MPContext()
     ctx.prec = 400
     total = ctx.mpc(0)
-    for phase, s in classes.items():
+    for phase, (re, im) in classes.items():
         total += ctx.expjpi(2 * ctx.mpf(phase.numerator) / phase.denominator) \
-            * (ctx.mpf(s.numerator) / s.denominator)
+            * ctx.mpc(ctx.mpf(re.numerator) / re.denominator,
+                      ctx.mpf(im.numerator) / im.denominator)
     return ctx, (-1) ** len(k.zero_set()) * total
+
+
+def _bound(arr, k, n, P, ctx):
+    """The documented error of n points rounded at 2^-P, with a spare
+    point for the final combination: n 2^-(P+1) in each part of every
+    bucket, so in modulus with a Gaussian constant sqrt(2) times that."""
+    gaussian = any(kf and _exact_parts(f.constant)[1]
+                   for f, kf in zip(arr.functionals, k.weights))
+    return (n + 1) * ctx.mpf(2) ** -(P + 1) * (ctx.sqrt(2) if gaussian else 1)
 
 
 @st.composite
 def rational_lattice_sums(draw):
     """A rank-1 or rank-2 arrangement of one to three functionals with
-    rational constants (integral ones included), weights 0-2, a rational
-    shift that is often 0, a window 1 <= N <= 9 and a precision."""
+    rational constants (integral ones included) or Gaussian-rational ones,
+    weights 0-2, a rational or float shift that is often 0, a window
+    1 <= N <= 9 and a precision."""
     r = draw(st.sampled_from([1, 2]))
     entries = st.integers(-2, 2)
     directions = draw(st.lists(
         st.tuples(*[entries] * r).filter(any), min_size=r, max_size=3))
     assume(rank([list(d) for d in directions]) == r)
+    rationals = st.builds(Fraction, st.integers(-6, 6),
+                          st.sampled_from([1, 2, 3, 6]))
     constants = draw(st.lists(
-        st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6])),
+        st.one_of(rationals, st.builds(
+            GaussianRational, rationals,
+            rationals.filter(lambda im: im != 0))),
         min_size=len(directions), max_size=len(directions)))
     arr = Arrangement(r, [make_functional(d, c)
                           for d, c in zip(directions, constants)])
@@ -226,7 +250,9 @@ def rational_lattice_sums(draw):
         st.integers(0, 2), min_size=arr.size, max_size=arr.size)))
     y = tuple(draw(st.lists(st.one_of(
         st.just(Fraction(0)),
-        st.builds(Fraction, st.integers(1, 11), st.integers(2, 12))),
+        st.builds(Fraction, st.integers(1, 11), st.integers(2, 12)),
+        st.builds(lambda a, b: a / b, st.integers(1, 11),
+                  st.integers(2, 12))),
         min_size=r, max_size=r)))
     return arr, k, y, draw(st.integers(1, 9)), \
         draw(st.sampled_from([60, 113, 200]))
@@ -235,11 +261,11 @@ def rational_lattice_sums(draw):
 @settings(max_examples=80, deadline=None)
 @given(rational_lattice_sums(), st.sets(st.integers(1, 9), max_size=3))
 def test_integer_path_matches_exact_terms(case, others):
-    # the contract is 2^-precision; each of the n points is rounded to
-    # the nearest multiple of 2^-P, with P as in truncated_sum, so the
-    # sum is off by at most n 2^-(P+1), and the final combination by
-    # under 2^-(P+4).  A scan fixes P from its largest window, and each
-    # of its windows keeps that bound
+    # the contract is 2^-precision; each part of each of the n points is
+    # rounded to the nearest multiple of 2^-P, with P as in truncated_sum,
+    # so each part of the buckets is off by at most n 2^-(P+1), and the
+    # final combination by under 2^-(P+4).  A scan fixes P from its
+    # largest window, and each of its windows keeps that bound
     arr, k, y, N, precision = case
 
     def assert_within_bound(z, window, largest):
@@ -249,7 +275,7 @@ def test_integer_path_matches_exact_terms(case, others):
         n = len(list(constrained_points(arr, k, window)))
         P = max(precision, 53) + 24 \
             + ((2 * largest + 1) ** arr.rank).bit_length() + 1
-        assert err <= (n + 1) * ctx.mpf(2) ** -(P + 1)
+        assert err <= _bound(arr, k, n, P, ctx)
 
     window = TruncationWindow(N)
     assert_within_bound(truncated_sum(arr, k, y, window, precision), window,
@@ -334,9 +360,8 @@ def test_float_constants_are_excluded_at_their_binary_value():
     pts = list(constrained_points(on, k, TruncationWindow(3)))
     assert len(pts) == 42 and all(v[0] != 2 for v in pts)
     zero_weight = WeightVector.make((0, 2))
-    with pytest.warns(UserWarning, match="empty by fiat"):
-        assert list(constrained_points(near, zero_weight,
-                                       TruncationWindow(3))) == []
+    assert list(constrained_points(near, zero_weight,
+                                   TruncationWindow(3))) == []
     assert [v[0] for v in constrained_points(on, zero_weight,
                                              TruncationWindow(3))] == [2] * 7
 
@@ -368,16 +393,12 @@ FLOATY1 = Arrangement(1, [Functional((1,), complex(0.25)),
                           make_functional((2,), Fraction(1, 3))])
 Y2 = (Fraction(1, 7), Fraction(2, 11))
 
-# (arrangement, k, y, precision): the float64 path (rank 2, no zero
-# weight, precision <= 53) and the mpmath path point by point (a float
-# constant), in rank 1, rank 2 and on a zero-weight constraint
+# (arrangement, k, y, precision) on the float64 path (rank 2, no zero
+# weight, precision <= 53)
 EXACT_ROW_PATHS = {
     "float64": (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
                 (2, 2, 2), Y2, 53),
     "float64 float constants": (FLOATY2, (2, 1, 2), (0.1, 0.25), 53),
-    "pointwise rank 1": (FLOATY1, (2, 1), (Fraction(1, 5),), 53),
-    "pointwise rank 2": (FLOATY2, (2, 1, 2), Y2, 60),
-    "pointwise zero weight": (MIXED, (0, 1, 1, 1, 1, 1, 1), Y2, 53),
 }
 SCANS = [[3, 7, 12, 20], [5], []]
 
@@ -385,8 +406,8 @@ SCANS = [[3, 7, 12, 20], [5], []]
 @pytest.mark.parametrize("Ns", SCANS, ids=["four", "single", "empty"])
 @pytest.mark.parametrize("path", sorted(EXACT_ROW_PATHS))
 def test_scan_rows_equal_window_by_window_rows(path, Ns):
-    # on the float64 and mpmath paths a window's sum read off the one
-    # walk is the one its own truncated_sum makes: every row byte-equal
+    # on the float64 path a window's sum read off the one walk is the one
+    # its own truncated_sum makes: every row byte-equal
     arr, k, y, precision = EXACT_ROW_PATHS[path]
     for target in (None, 1.5 - 0.5j):
         got = convergence_scan(arr, k, y, Ns, precision, target=target)
@@ -394,8 +415,14 @@ def test_scan_rows_equal_window_by_window_rows(path, Ns):
         assert repr(got) == repr(want)
 
 
-# (arrangement, k, y, precision) on the integer path
+# (arrangement, k, y, precision) on the integer path; float and
+# Gaussian constants, and float shifts, in rank 1, rank 2 and on a
+# zero-weight constraint
 INTEGER_PATHS = {
+    "float constants rank 1": (FLOATY1, (2, 1), (Fraction(1, 5),), 53),
+    "float constants rank 2": (FLOATY2, (2, 1, 2), Y2, 60),
+    "float shift": (FLOATY2, (2, 1, 2), (0.1, 0.25), 60),
+    "Gaussian zero weight": (MIXED, (0, 1, 1, 1, 1, 1, 1), Y2, 53),
     "rank 1": (hurwitz_a1(1), (2, 2, 2), (Fraction(1, 3),), 53),
     "rank 2": (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
                (2, 2, 2), Y2, 54),
@@ -409,8 +436,9 @@ INTEGER_PATHS = {
 @pytest.mark.parametrize("Ns", SCANS, ids=["four", "single", "empty"])
 @pytest.mark.parametrize("path", sorted(INTEGER_PATHS))
 def test_integer_scan_is_within_the_bound_of_every_window(path, Ns):
-    # P is fixed from the largest window, so each window's n points are
-    # off by at most n 2^-(P+1), and the combination by under 2^-(P+4)
+    # P is fixed from the largest window, so each part of each window's
+    # n points is off by at most n 2^-(P+1), and the combination by under
+    # 2^-(P+4)
     arr, k, y, precision = INTEGER_PATHS[path]
     k = WeightVector.make(k)
     sums = _window_sums(arr, k, y, Ns, precision)
@@ -424,7 +452,7 @@ def test_integer_scan_is_within_the_bound_of_every_window(path, Ns):
         window = TruncationWindow(N)
         ctx, ref = _exact_reference(arr, k, y, window)
         n = len(list(constrained_points(arr, k, window)))
-        assert abs(ctx.mpc(z) - ref) <= (n + 1) * ctx.mpf(2) ** -(P + 1)
+        assert abs(ctx.mpc(z) - ref) <= _bound(arr, k, n, P, ctx)
     # the largest window's sum is its truncated_sum, to the byte
     assert repr(sums[-1]) == repr(truncated_sum(arr, k, y,
                                                 TruncationWindow(Ns[-1]),
@@ -441,9 +469,11 @@ def test_integer_scan_is_within_the_bound_of_every_window(path, Ns):
                     * max(1.0, abs(b[key]))
 
 
+# every path but float64 walks the points one by one; "pointwise" are the
+# cases with float and Gaussian-rational constants
 @pytest.mark.parametrize("case", [
-    EXACT_ROW_PATHS["float64"], EXACT_ROW_PATHS["pointwise rank 1"],
-    EXACT_ROW_PATHS["pointwise zero weight"], INTEGER_PATHS["rank 1"],
+    EXACT_ROW_PATHS["float64"], INTEGER_PATHS["float constants rank 1"],
+    INTEGER_PATHS["Gaussian zero weight"], INTEGER_PATHS["rank 1"],
     INTEGER_PATHS["zero weight"]],
     ids=["float64", "pointwise", "pointwise zero weight", "integer",
          "integer zero weight"])

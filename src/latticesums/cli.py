@@ -20,6 +20,7 @@ import argparse
 import csv
 import importlib.resources as resources
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -76,6 +77,14 @@ class JobConfig:
             if any(b <= a for a, b in zip(self.oracle_windows,
                                           self.oracle_windows[1:])):
                 raise ValueError("window sizes must be increasing")
+            # for a shift of denominator q the box error oscillates with
+            # N mod q, so only windows of one class can show it falling
+            q = math.lcm(*(v.denominator for v in self.y or ()))
+            first = self.oracle_windows[0]
+            if any((n - first) % q for n in self.oracle_windows):
+                raise ValueError(f"windows must be in one residue class "
+                                 f"mod {q}; the first, {first}, is "
+                                 f"{first % q} mod {q}")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
         return self
@@ -307,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     _common_eval_flags(p)
     _format_flag(p)
     p.add_argument("--N", default="250,500,1000,2000",
-                   help="increasing window sizes; for a shift with "
-                   "denominator q, give windows in one residue class mod q")
+                   help="increasing window sizes, in one residue class mod "
+                   "the shift's denominator")
     p.set_defaults(fn=cmd_verify_oracle)
 
     p = vsub.add_parser("polytope", help="polytope reconstruction check")

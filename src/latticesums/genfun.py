@@ -73,6 +73,7 @@ from the table.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -82,6 +83,7 @@ from fractions import Fraction
 from operator import add, le, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import intlinalg
 from .errors import ExcludedPoint, NonDivisible
 from .kernel import (KernelParams, exp_2pii, kernel_base, kernel_parts,
                      nonzero_parts)
@@ -775,63 +777,102 @@ def lattice_sum_value(arr: Arrangement, y: Sequence, k,
     )
 
 
-# -- documented symmetric families ------------------------------------------
+# -- the zeta symmetry factor -----------------------------------------------
 
 
-def documented_family(arr: Arrangement) -> Optional[str]:
-    """Recognize the shipped symmetric families by structure."""
-    dirs = [f.direction for f in arr.functionals]
-    consts = [f.constant for f in arr.functionals]
-    if arr.rank == 1 and arr.size == 3:
-        # directions (-1), (1), (1); constants (a, 0, a) with a != 0
-        if sorted(d[0] for d in dirs) == [-1, 1, 1]:
-            neg = [consts[i] for i, d in enumerate(dirs) if d[0] == -1]
-            pos = [consts[i] for i, d in enumerate(dirs) if d[0] == 1]
-            if len(neg) == 1 and sorted(map(str, pos)) == sorted(
-                    map(str, [neg[0], Fraction(0)])) and neg[0] != 0:
-                return "hurwitz-a1"
-    if arr.rank == 2 and arr.size == 9:
-        groups: Dict[tuple, list] = {}
-        for d, c in zip(dirs, consts):
-            canon = d if d > tuple(-x for x in d) else tuple(-x for x in d)
-            groups.setdefault(canon, []).append((d, c))
-        if set(groups) == {(1, 0), (0, 1), (1, 1)} and \
-                all(len(v) == 3 for v in groups.values()):
-            alphas = set()
-            ok = True
-            for canon, items in groups.items():
-                nonzero = [c for _, c in items if c != 0]
-                zero = [c for _, c in items if c == 0]
-                if len(zero) != 1 or len(set(map(str, nonzero))) != 1:
-                    ok = False
+def _oriented(v):
+    """(s, s v), the sign s = +-1 making the first nonzero entry positive."""
+    s = -1 if next((x for x in v if x), 0) < 0 else 1
+    return s, tuple(s * x for x in v)
+
+
+def _symmetry_factor(arr: Arrangement, k: WeightVector) -> int:
+    """The number of regions of the directions' hyperplanes, each summing
+    to the zeta value, by which S(k, 0) is divided.
+
+    v -> A v sends <d, v> + c to <T d, v> + c, T = A^T.  The symmetries
+    are the T that carry each (direction, constant, weight) to +- one of
+    the same multiset, with prod s_f^{k_f} = 1 over the signs: T maps the
+    lines one to one, each d to s d' with the constants and weights of d'
+    those of d times s, and the weights of the lines with s = -1 sum to
+    an even number.  As every e_i is a direction, the columns T e_i are
+    distinct signed directions, and |det T| = 1 follows with no inverse
+    taken.  The factor is the orbit of the positive orthant, read off the
+    signs of A (1,...,1), the column sums of T, on the lines.  Raises
+    ValueError on a zero weight, on a wall e_i without a functional of
+    constant 0, on a direction with entries of both signs (the orthant is
+    no region), and unless the orbit holds every region, counted by
+    Zaslavsky's theorem as the sum over the sets S of lines of
+    (-1)^(|S| - rank S)."""
+    r = arr.rank
+    if not all(k.weights):
+        raise ValueError(f"a zeta value needs positive weights: {k.weights}")
+    parts = [(c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+             for c in (f.exact_constant() for f in arr.functionals)]
+    D = math.lcm(*(x.denominator for p in parts for x in p))
+    # per oriented direction, the (D c, k_f) of its functionals oriented
+    # with it, sorted as they are (key 1) and negated (key -1)
+    on: Dict[tuple, list] = {}
+    for f, p, kf in zip(arr.functionals, parts, k.weights):
+        s, d = _oriented(f.direction)
+        on.setdefault(d, []).append((*(s * x.numerator * D // x.denominator
+                                       for x in p), kf))
+    signed = {d: {1: sorted(c), -1: sorted((-a, -b, kf) for a, b, kf in c)}
+              for d, c in on.items()}
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    if any(e not in on or all(a or b for a, b, _ in on[e]) for e in units):
+        raise ValueError("a wall of the positive orthant is not excluded: "
+                         "a coordinate direction has no constant 0")
+    if any(x < 0 for d in on for x in d):
+        raise ValueError("the positive orthant is not a region: a "
+                         "direction has entries of both signs")
+    lines = sorted({tuple(x // math.gcd(*d) for x in d) for d in on})
+    # distinct lines: rank S = min(|S|, r) unless |S| > 2 and r > 2
+    regions = sum((-1) ** (n - (intlinalg.rank(S) if n > 2 and r > 2
+                                else min(n, r)))
+                  for n in range(len(lines) + 1)
+                  for S in itertools.combinations(lines, n))
+    weight = {d: sum(kf for *_, kf in c) for d, c in on.items()}
+    orbit = set()
+    for columns in itertools.permutations(on, r):
+        for signs in itertools.product((1, -1), repeat=r):
+            # the region of A (1,...,1), the column sums of T
+            point = [s * sum(d) for s, d in zip(signs, columns)]
+            region = tuple(sum(map(mul, line, point)) > 0 for line in lines)
+            if region in orbit:
+                continue
+            rows = list(zip(*(tuple(s * x for x in d)
+                              for s, d in zip(signs, columns))))
+            # T e_i is the i-th column
+            known = dict(zip(units, zip(signs, columns)))
+            odd, images = 0, set()
+            for d in on:
+                s, td = known.get(d) or _oriented(
+                    [sum(map(mul, d, row)) for row in rows])
+                if td not in signed or signed[td][1] != signed[d][s]:
                     break
-                alphas.add(str(nonzero[0]))
-            if ok and len(alphas) == 1:
-                return "hurwitz-a2"
-    if arr.rank == 2 and arr.size == 3:
-        if sorted(dirs) == [(0, 1), (1, 0), (1, 1)] and \
-                all(c == 0 for c in consts):
-            return "a2-directions"
-    return None
+                odd += weight[d] if s < 0 else 0
+                images.add(td)
+            else:
+                if len(images) == len(on) and odd % 2 == 0:
+                    orbit.add(region)
+                    if len(orbit) == regions:
+                        return regions
+    raise ValueError(f"the symmetries of the functionals carry the positive "
+                     f"orthant to {len(orbit)} of the {regions} regions")
 
 
-def zeta_from_S(arr: Arrangement, k, symmetry_factor: int,
+def zeta_from_S(arr: Arrangement, k, symmetry_factor: Optional[int] = None,
                 mode: str = "exact", precision: int = 128,
                 ctx: Optional[EvaluationContext] = None):
-    """S divided by the documented symmetry factor (2 for the rank-one
-    family, 6 for the rank-two ones); rejects undocumented shapes."""
+    """The sum over positive integers: S(k, 0) over ``_symmetry_factor``,
+    which a `symmetry_factor` given must equal (else ValueError)."""
     k = k if isinstance(k, WeightVector) else WeightVector.make(k)
-    family = documented_family(arr)
-    if family is None:
-        raise ValueError("arrangement is not one of the documented "
-                         "symmetric families")
-    expected = 2 if family == "hurwitz-a1" else 6
-    if symmetry_factor != expected:
-        raise ValueError(f"family {family} has symmetry factor {expected}")
-    kw = set(k.weights)
-    if len(kw) != 1 or next(iter(kw)) % 2 != 0 or next(iter(kw)) == 0:
-        raise ValueError("documented families require equal even weights")
+    factor = _symmetry_factor(arr, k)
+    if symmetry_factor not in (None, factor):
+        raise ValueError(f"the symmetry factor is {factor}, not "
+                         f"{symmetry_factor}")
     y0 = tuple(Fraction(0) for _ in range(arr.rank))
     ctx = ctx or EvaluationContext(arr, y0, mode, precision)
     rep = lattice_sum_value(arr, y0, k, ctx=ctx)
-    return ctx.ring.scale(rep.value, Fraction(1, symmetry_factor))
+    return ctx.ring.scale(rep.value, Fraction(1, factor))

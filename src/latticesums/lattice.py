@@ -113,14 +113,6 @@ class Functional:
             return self.constant.as_complex()
         return complex(self.constant)
 
-    def evaluate_int(self, v: Sequence[int]):
-        base = sum(d * x for d, x in zip(self.direction, v))
-        if isinstance(self.constant, Fraction):
-            return base + self.constant
-        if isinstance(self.constant, GaussianRational):
-            return GaussianRational(base + self.constant.re, self.constant.im)
-        return base + self.constant
-
 
 def make_functional(direction, constant) -> Functional:
     if isinstance(constant, (int, Fraction)):
@@ -170,9 +162,6 @@ class Arrangement:
                 raise ValueError("direction length must equal the rank")
         if intlinalg.rank([f.direction for f in self.functionals]) != rank:
             raise ValueError("directions must span the full space")
-
-    def __len__(self):
-        return len(self.functionals)
 
     @property
     def size(self) -> int:

@@ -12,7 +12,8 @@ Every input is read exactly: a constant through
 at its binary value) and y as Fractions (a float at its binary value).
 Which points a functional excludes is decided from those exact data, and
 a sum is taken on one of two paths, float64 or exact integers (see
-``truncated_sum``); only the terms are rounded.
+``truncated_sum``); only the terms are rounded, the integer path's to a
+bound relative to the largest term.
 """
 
 from __future__ import annotations
@@ -152,29 +153,11 @@ def truncated_sum(arr: Arrangement, k, y: Sequence,
 
     Raises ValueError unless k has one weight per functional and y one
     entry per dimension.  This is the one-window case of the walk that
-    ``convergence_scan`` makes, and one of its two paths runs, chosen
-    from the data:
-
-    - rank 2 without zero weights at precision <= 53: numpy float64, the
-      rows of the box in blocks of ``_BLOCK_ROWS``, each row summed by
-      numpy and the row sums added with ``math.fsum``;
-    - otherwise exact integers.  Every constant is read exactly
-      (``Functional.exact_constant``, a float at its binary value), and
-      so is y.  With D the common denominator of the parts of the
-      constants, g_f = D f is an integer, or a Gaussian integer, on the
-      lattice, read with its power k_f from one table per functional
-      keyed by <d_f, v> and filled as the walk meets each value.  Each
-      point adds round(2^P D^K / prod g_f(v)^{k_f}), K = sum k_f, to the
-      bucket of its phase e^{2 pi i <y, v>}, a root of unity of order q
-      = den(y), keyed by <q y, v> mod q.  For Gaussian constants, with G
-      the product of the Gaussian g_f(v)^{k_f} and R that of the real
-      ones, the term D^K conj(G) / (R |G|^2) is rounded part by part.
-      The buckets meet their roots once, at the end.  With
-      w = max(precision, 53) + 24 and P = w + 1 + bit_length((2 N + 1)^rank),
-      the n points summed are off by at most n 2^-(P+1) <= 2^-(w+2) in
-      each part of the buckets, in any order, so the sum by as much in
-      modulus with real constants and by sqrt(2) times that with a
-      Gaussian one, and the combination adds under 2^-(P+4).
+    ``convergence_scan`` makes, on one of two paths chosen from the data:
+    rank 2 without zero weights at precision <= 53 in numpy float64
+    (``_sum_vectorized``), otherwise in exact integers (``_sum_integer``),
+    within 2^-(max(precision, 53)+1) t of the exact sum, t the largest
+    |term|.
 
     Measured on a 2-CPU x86-64 box with Python 3.11 (process time, the
     best of 8 to 40 runs): ``a1_alpha1``, k = (2,2,2), y = 0, N = 2000
@@ -208,11 +191,31 @@ def _gaussian_power(a: int, b: int, e: int) -> Tuple[int, int]:
 def _sum_integer(arr, k, y, Ns, precision):
     """The integer path of truncated_sum for each window of Ns, signed.
 
-    P is fixed from the largest window, so the bound of truncated_sum,
-    n 2^-(P+1) <= 2^-(w+2) in each part, holds for every window's n
-    points.  Each point is added to the buckets of the smallest window
-    that holds it, and a window's buckets are the sum of those up to it.
-    Without a Gaussian constant no point does Gaussian work."""
+    Every constant is read exactly (a float at its binary value), and so
+    is y.  With D the common denominator of the parts of the constants,
+    g_f = D f is an integer, or a Gaussian integer, on the lattice, read
+    with its power k_f from one table per functional keyed by <d_f, v>
+    and filled as the walk meets each value.  Each point adds
+    round(2^P D^K / prod g_f(v)^{k_f}), K = sum k_f, to the bucket of its
+    phase e^{2 pi i <y, v>}, a root of unity of order q = den(y), keyed
+    by <q y, v> mod q, among the buckets of the smallest window that holds
+    it; a window's buckets are the sum of those up to it, and meet their
+    roots once, at the end.  For Gaussian constants, with G the product of
+    the Gaussian g_f(v)^{k_f} and R that of the real ones, the term
+    D^K conj(G) / (R |G|^2) is rounded part by part; without one, no
+    point does Gaussian work.
+
+    With w = max(precision, 53) + 24 and
+    P = w + 1 + bit_length((2 N + 1)^rank), N the largest window, the n
+    points of a window are off by at most n 2^-(P+1) <= 2^-(w+2) in each
+    part of its buckets, in any order, so its sum by as much in modulus
+    with real constants and by sqrt(2) times that with a Gaussian one,
+    and the combination adds under 2^-(P+4).  When the largest |term| t
+    (at least D^K over the smallest |prod g_f(v)^{k_f}|, kept on the
+    walk) is below 2^-24, the walk is made once more with P raised by e,
+    2^-e <= t, so that each part is off by at most 2^-(w+2) t.  Either
+    way the sum is within 2^-(max(precision, 53)+1) t of the exact one.
+    """
     parts = []
     for i in k.positive_set():
         f = arr.functionals[i]
@@ -231,40 +234,52 @@ def _sum_integer(arr, k, y, Ns, precision):
     work = max(precision, 53) + 24
     points = (2 * bound + 1) ** arr.rank
     P = work + points.bit_length() + 1
-    twice = D ** sum(k.weights) << (P + 1)
-    re_buckets = [defaultdict(int) for _ in Ns]
-    im_buckets = [defaultdict(int) for _ in Ns]
-    for v in constrained_points(arr, k, TruncationWindow(bound)):
-        den = 1
-        for direction, Dc, kf, powers in tables:
-            # g_f(v)^{k_f} keyed by t = <d_f, v>, computed when the walk
-            # first meets t
-            t = sum(map(mul, direction, v))
-            power = powers.get(t)
-            if power is None:
-                power = powers[t] = (D * t + Dc) ** kf
-            den *= power
-        # the buckets of the smallest window that holds v, at its phase
-        w = bisect_left(Ns, max(map(abs, v)))
-        j = sum(map(mul, ynum, v)) % q
-        if not gaussian:
-            # floor(2^P D^K / den + 1/2), the nearest integer for either
-            # sign
-            re_buckets[w][j] += (twice + den) // (2 * den)
-            continue
-        gre, gim = 1, 0
-        for direction, Dre, Dim, kf, powers in gaussian:
-            t = sum(map(mul, direction, v))
-            power = powers.get(t)
-            if power is None:
-                power = powers[t] = _gaussian_power(D * t + Dre, Dim, kf)
-            gre, gim = (gre * power[0] - gim * power[1],
-                        gre * power[1] + gim * power[0])
-        # D^K / (den G) = D^K conj(G) / (den |G|^2), each part rounded to
-        # the nearest integer as above
-        den *= gre * gre + gim * gim
-        re_buckets[w][j] += (twice * gre + den) // (2 * den)
-        im_buckets[w][j] += (den - twice * gim) // (2 * den)
+    DK = D ** sum(k.weights)
+    for walk in range(2):
+        twice = DK << (P + 1)
+        re_buckets = [defaultdict(int) for _ in Ns]
+        im_buckets = [defaultdict(int) for _ in Ns]
+        smallest = math.inf
+        for v in constrained_points(arr, k, TruncationWindow(bound)):
+            den = 1
+            for direction, Dc, kf, powers in tables:
+                # g_f(v)^{k_f} keyed by t = <d_f, v>, computed when the
+                # walk first meets t
+                t = sum(map(mul, direction, v))
+                power = powers.get(t)
+                if power is None:
+                    power = powers[t] = (D * t + Dc) ** kf
+                den *= power
+            # the buckets of the smallest window that holds v, at its phase
+            w = bisect_left(Ns, max(map(abs, v)))
+            j = sum(map(mul, ynum, v)) % q
+            if not gaussian:
+                if abs(den) < smallest:
+                    smallest = abs(den)
+                # floor(2^P D^K / den + 1/2), the nearest integer for
+                # either sign
+                re_buckets[w][j] += (twice + den) // (2 * den)
+                continue
+            gre, gim = 1, 0
+            for direction, Dre, Dim, kf, powers in gaussian:
+                t = sum(map(mul, direction, v))
+                power = powers.get(t)
+                if power is None:
+                    power = powers[t] = _gaussian_power(D * t + Dre, Dim, kf)
+                gre, gim = (gre * power[0] - gim * power[1],
+                            gre * power[1] + gim * power[0])
+            # |R| ceil(|G|), with |G|^2 >= 1
+            smallest = min(smallest, abs(den)
+                           * (math.isqrt(gre * gre + gim * gim - 1) + 1))
+            # D^K / (den G) = D^K conj(G) / (den |G|^2), each part rounded
+            # to the nearest integer as above
+            den *= gre * gre + gim * gim
+            re_buckets[w][j] += (twice * gre + den) // (2 * den)
+            im_buckets[w][j] += (den - twice * gim) // (2 * den)
+        if walk or not DK << 24 < smallest < math.inf:
+            break
+        # t, the largest term, is below 2^-24: walk again at P + e, 2^-e <= t
+        P += smallest.bit_length() - DK.bit_length() + 1
     sign = (-1) ** len(k.zero_set())
     ctx = MPContext()
     sums, acc_re, acc_im = [], defaultdict(int), defaultdict(int)
@@ -297,8 +312,9 @@ def _sum_vectorized(arr, k, y, Ns) -> List[complex]:
     points are excluded is decided exactly, from int64 values of <d, v>
     against the integer -c of an integral constant c (a float at its
     binary value); only the terms are rounded.  The terms of a block of
-    rows of the largest window are computed once, and each window sums
-    the part of every row that it covers."""
+    ``_BLOCK_ROWS`` rows of the largest window are computed once, each
+    window sums with numpy the part of every row that it covers, and the
+    row sums are added with ``math.fsum``."""
     yf = [float(v) for v in y]
     positive = [(arr.functionals[i], k.weights[i],
                  _vanishing_target(arr.functionals[i]))
@@ -337,20 +353,15 @@ def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
                      precision: int = 53, target=None) -> List[dict]:
     """Successive-difference table of Z(N) over increasing window sizes.
 
-    One walk over the largest window gives every row: each window's sum
-    is read as the walk passes it, on the path that ``truncated_sum``
-    would take for it.  The float64 rows equal the one-window sums; on
-    the integer path P is fixed from the largest window, so each part of
-    a smaller window's buckets is within n 2^-(P+1) of the exact one, and
-    its sum within n 2^-(P+1) + 2^-(P+4) <= 2^-(w+1) (with a Gaussian
-    constant, sqrt(2) n 2^-(P+1) + 2^-(P+4)), as its own truncated_sum
-    is, but not always equal to it.  Measured as ``truncated_sum`` is:
-    the ``a1_alpha1`` windows N = 250, 500, 1000 and 2000 take 0.015 s
-    on the integer path, and the ``triangle_rational`` windows N = 25,
-    50, 100 and 200 take 0.010 s in float64 and 0.39 s on the integer
-    path at precision 128; a rank-1 scan with a Gaussian-rational
-    constant (N = 100, 200 and 400, precision 128) takes 0.0043 s, and a
-    rank-2 one with float constants (N = 25, 50 and 100) 0.22 s.
+    One walk over the largest window gives every row (two on the integer
+    path when its largest term is below 2^-24): each window's sum is read
+    as the walk passes it, on the path that ``truncated_sum`` would take
+    for it.  The float64 rows equal the one-window sums; the integer rows
+    keep the bound of ``_sum_integer``, P being fixed from the largest
+    window, but are not always equal to them.  Measured as
+    ``truncated_sum`` is, a rank-1 scan with a Gaussian-rational constant
+    (N = 100, 200 and 400, precision 128) takes 0.0043 s, and a rank-2
+    one with float constants (N = 25, 50 and 100) 0.22 s.
 
     `target` may be an exact scalar (embedded at working precision), an
     mpmath number (read at its own precision, rounded to the working one

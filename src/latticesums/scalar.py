@@ -35,6 +35,7 @@ reads it back.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import add, le
 from typing import Dict
@@ -292,19 +293,11 @@ def format_scalar(x: ExactScalar) -> str:
             continue
         pp = "pi" if k == 1 else f"pi^{k}"
         if c.keys() == {0}:
+            # [-][|numerator|*]pi^k[/denominator]
             q = c[0]
-            if q == 1:
-                term = pp
-            elif q == -1:
-                term = f"-{pp}"
-            elif q.denominator == 1:
-                term = f"{q}*{pp}"
-            elif q.numerator == 1:
-                term = f"{pp}/{q.denominator}"
-            elif q.numerator == -1:
-                term = f"-{pp}/{q.denominator}"
-            else:
-                term = f"{q.numerator}*{pp}/{q.denominator}"
+            num = abs(q.numerator)
+            term = ("-" if q < 0 else "") + ("" if num == 1 else f"{num}*") \
+                + pp + ("" if q.denominator == 1 else f"/{q.denominator}")
         else:
             term = f"{_format_cyc(c)}*{pp}"
         parts.append(term)
@@ -314,70 +307,34 @@ def format_scalar(x: ExactScalar) -> str:
     return out
 
 
+# a separator or a pi outside the parentheses of a coefficient, which do
+# not nest: no ")" follows before a "("
+_OUTSIDE = r"(?![^(]*\))"
+
+
 def _split_terms(text: str):
-    """Split at top-level ' + ' / ' - ' separators, yielding (sign, term)."""
-    out = []
-    depth = 0
-    cur = []
-    sign = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and i > 0 and i + 1 < n \
-                and text[i - 1] == " " and text[i + 1] == " ":
-            out.append((sign, "".join(cur).strip()))
-            sign = 1 if ch == "+" else -1
-            cur = []
-            i += 2
-            continue
-        cur.append(ch)
-        i += 1
-    out.append((sign, "".join(cur).strip()))
-    return out
+    """Split at the ' + ' / ' - ' separators outside parentheses, yielding
+    (sign, term)."""
+    pieces = re.split(r" ([+-]) " + _OUTSIDE, text)
+    return [(1, pieces[0].strip())] + [
+        (1 if sign == "+" else -1, piece.strip())
+        for sign, piece in zip(pieces[1::2], pieces[2::2])]
 
 
 def _parse_cyc(field: CyclotomicField, text: str) -> ExactScalar:
+    """A coefficient as ``_format_cyc`` writes it, perhaps negated."""
     text = text.strip()
-    neg = False
-    if text.startswith("-("):
-        neg = True
-        text = text[1:]
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
+    neg = text.startswith("-(")
     total = field.zero()
-    for sign, piece in _split_terms(text):
-        if not piece:
-            continue
-        if "z" in piece:
-            if "*" in piece:
-                coeff_s, zs = piece.split("*", 1)
-                coeff = Fraction(coeff_s)
-            else:
-                zs = piece
-                coeff = Fraction(-1) if zs.startswith("-") else Fraction(1)
-                zs = zs.lstrip("-")
-            j = 1 if zs.strip() == "z" else int(zs.strip()[2:])
-            total = total + field.zeta_pow(j) * (coeff * sign)
-        else:
+    for sign, piece in _split_terms((text[1:] if neg else text).strip("()")):
+        # q*z^j, with q = 1 or -1 written as nothing or "-", or a rational
+        z = re.fullmatch(r"(-?)(.*?)\*?z(?:\^(\d+))?", piece)
+        if z is None:
             total = total + field.from_fraction(Fraction(piece) * sign)
+        else:
+            coeff = Fraction(z[2] or 1) * (-sign if z[1] else sign)
+            total = total + field.zeta_pow(int(z[3] or 1)) * coeff
     return -total if neg else total
-
-
-def _find_top_level(text: str, token: str):
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(token, i):
-            return i
-    return None
 
 
 def parse_scalar(ring: ExactRing, text: str) -> ExactScalar:
@@ -388,29 +345,19 @@ def parse_scalar(ring: ExactRing, text: str) -> ExactScalar:
     for sign, piece in _split_terms(text):
         if not piece or piece == "0":
             continue
-        idx = _find_top_level(piece, "pi")
-        if idx is None:
+        pi = re.search("pi" + _OUTSIDE, piece)
+        if pi is None:
             total = total + _parse_cyc(field, piece) * sign
             continue
-        head = piece[:idx].rstrip()
-        tail = piece[idx + 2:].strip()
-        if head.endswith("*"):
-            head = head[:-1].rstrip()
-        k = 1
-        denom = Fraction(1)
-        if tail.startswith("^"):
-            pow_s, _, rest = tail[1:].partition("/")
-            k = int(pow_s)
-            if rest:
-                denom = Fraction(rest)
-        elif tail.startswith("/"):
-            denom = Fraction(tail[1:])
-        if head == "":
-            coeff = field.one()
-        elif head == "-":
-            coeff = field.from_fraction(-1)
-        else:
-            coeff = _parse_cyc(field, head)
-        pi_k = ExactScalar(field, {(k, field.zero_exps): 1})
-        total = total + coeff * pi_k * (Fraction(sign) / denom)
+        # [coefficient][*]pi[^k][/den]
+        head = piece[:pi.start()].rstrip(" *")
+        power = re.fullmatch(r"(?:\^(-?\d+))?(?:/(.+))?",
+                             piece[pi.end():].strip())
+        if power is None:
+            raise ValueError(f"unreadable power of pi in {piece!r}")
+        coeff = field.from_fraction(-1 if head else 1) \
+            if head in ("", "-") else _parse_cyc(field, head)
+        pi_k = ExactScalar(field, {(int(power[1] or 1), field.zero_exps): 1})
+        total = total + coeff * pi_k * (Fraction(sign)
+                                        / Fraction(power[2] or 1))
     return total

@@ -17,9 +17,10 @@ evaluators take from shortcuts:
 * the constant and single-variable series those products start from;
 * small exact helpers that only the tests use: a matrix product, lattice
   membership, the powers of pi, an exact scalar re-expressed in a larger
-  cyclotomic field, an arrangement with its functionals
-  reordered, the character sums over a basis's coset representatives and
-  a series builder with one coefficient perturbed.
+  cyclotomic field, a functional's value at a lattice point, an
+  arrangement with its functionals reordered, the character sums over a
+  basis's coset representatives and a series builder with one
+  coefficient perturbed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from latticesums.errors import NotSimple
 from latticesums.genfun import EvaluationContext
 from latticesums.kernel import (KernelParams, _apostol_numbers, exp_2pii,
                                 bernoulli_numbers, kernel_series)
-from latticesums.lattice import Arrangement, Basis
+from latticesums.lattice import (Arrangement, Basis, Functional,
+                                 GaussianRational)
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
 from latticesums.scalar import ExactScalar
@@ -448,6 +450,14 @@ def lift(x: ExactScalar, ring) -> ExactScalar:
         out = out + pi_pow(ring, k) * field.zeta_pow(j * step) \
             * Fraction(v, x.den)
     return out
+
+
+def functional_value(f: Functional, v: Sequence[int]):
+    """f(v) = <d, v> + c at an integer point, in the type of c."""
+    base = sum(d * x for d, x in zip(f.direction, v))
+    if isinstance(f.constant, GaussianRational):
+        return GaussianRational(base + f.constant.re, f.constant.im)
+    return base + f.constant
 
 
 def permuted(arr: Arrangement, perm: Sequence[int]) -> Arrangement:

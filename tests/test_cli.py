@@ -103,6 +103,11 @@ def test_job_config_validation():
     assert JobConfig("x.json", oracle_windows=[100, 200, 400],
                      oracle_target=False).validate()
     assert JobConfig("x.json", k=[2], y=[Fraction(0)]).validate()
+    with pytest.raises(ValueError, match="mod 6"):
+        JobConfig("x.json", y=[Fraction(1, 2), Fraction(1, 3)],
+                  oracle_windows=[10, 20]).validate()
+    assert JobConfig("x.json", y=[Fraction(1, 2), Fraction(1, 3)],
+                     oracle_windows=[10, 22]).validate()
 
 
 def test_exit_code_missing_file():
@@ -156,6 +161,24 @@ def test_verify_oracle_rational_shift_windows_in_one_class():
                  "--N", "240,480,960,1920"]) == 0
 
 
+def test_verify_oracle_rejects_windows_in_two_classes(monkeypatch, capsys):
+    # at y = 1/3 the box errors of 250, 500, 1000 and 2000 (classes 1, 2,
+    # 1, 2 mod 3) are true truncation errors that do not fall at every
+    # window; the scan is refused before the exact target is computed
+    import latticesums.cli as cli
+
+    def no_target(*args, **kwargs):
+        raise AssertionError("evaluated before the windows were checked")
+
+    monkeypatch.setattr(cli, "lattice_sum_value", no_target)
+    assert main(["verify", "oracle", "--arrangement", "a1_alpha_half.json",
+                 "--k", "2,2,2", "--y", "1/3",
+                 "--N", "250,500,1000,2000"]) == 1
+    err = capsys.readouterr().err
+    assert "one residue class mod 3" in err
+    assert "the first, 250, is 1 mod 3" in err
+
+
 @pytest.mark.parametrize("windows", ["250", "-5,10", "0,10", "10,10"])
 def test_verify_oracle_rejects_vacuous_windows(windows, monkeypatch,
                                                capsys):
@@ -181,8 +204,9 @@ def test_verify_oracle_without_target_needs_three_windows(tmp_path, capsys):
     assert main(["verify", "oracle", "--arrangement", str(path),
                  "--k", "2", "--y", "1/3", "--N", "50,100"]) == 1
     assert "at least 3 windows" in capsys.readouterr().err
+    # windows in one class mod 3: 50, 110 and 200 are all 2 mod 3
     assert main(["verify", "oracle", "--arrangement", str(path),
-                 "--k", "2", "--y", "1/3", "--N", "50,100,200",
+                 "--k", "2", "--y", "1/3", "--N", "50,110,200",
                  "--precision", "64"]) == 0
 
 

@@ -14,11 +14,11 @@ from latticesums.errors import ExcludedPoint, NonDivisible
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   triangle)
 from latticesums.genfun import (EvaluationContext, WeightVector,
-                                build_summands, clear_coefficient_table,
-                                coefficient,
-                                cyclotomic_order, documented_family,
-                                generating_function, lattice_sum_value,
-                                summand_rational_form, zeta_from_S)
+                                _symmetry_factor, build_summands,
+                                clear_coefficient_table, coefficient,
+                                cyclotomic_order, generating_function,
+                                lattice_sum_value, summand_rational_form,
+                                zeta_from_S)
 from latticesums.kernel import (KernelParams, kernel_base, kernel_parts,
                                 kernel_series, rooted_series)
 from latticesums.lattice import (Arrangement, GaussianRational, choose_phi,
@@ -1308,14 +1308,60 @@ def test_numeric_mode_keeps_int_and_float_shifts_exact(y):
 
 
 # ---------------------------------------------------------------------------
-# documented symmetric families
+# zeta values: the symmetry factor
 # ---------------------------------------------------------------------------
 
 
-def test_documented_families_detected():
-    assert documented_family(hurwitz_a1(2)) == "hurwitz-a1"
-    assert documented_family(a2_directions()) == "a2-directions"
-    assert documented_family(triangle(0, Fraction(1, 3), 0)) is None
+def _constants_zero(*directions):
+    return Arrangement(len(directions[0]),
+                       [make_functional(d, 0) for d in directions])
+
+
+# the positive coroots of B2, G2 and A3 in the basis of fundamental weights
+B2 = ((1, 0), (0, 1), (1, 1), (1, 2))
+G2 = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
+A3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1))
+
+
+def test_symmetry_factor_of_the_shipped_families():
+    assert _symmetry_factor(hurwitz_a1(2), WeightVector.make((2, 2, 2))) \
+        == 2
+    assert _symmetry_factor(a2_directions(), WeightVector.make((2, 2, 2))) \
+        == 6
+    # the constant 1/3 leaves the wall v_2 = 0 in the sum
+    with pytest.raises(ValueError, match="wall"):
+        _symmetry_factor(triangle(0, Fraction(1, 3), 0),
+                         WeightVector.make((2, 2, 2)))
+    # with these weights v -> -v changes S, and the negative half-line
+    # is left out of the orbit
+    for k in ((2, 2, 4), (3, 3, 3)):
+        with pytest.raises(ValueError, match="to 1 of the 2 regions"):
+            _symmetry_factor(hurwitz_a1(1), WeightVector.make(k))
+
+
+@pytest.mark.parametrize("directions, factor", [(G2, 12), (A3, 24)])
+def test_symmetry_factor_of_root_systems(directions, factor):
+    # the rule alone, with no S evaluated: |W| regions, one orbit
+    arr = _constants_zero(*directions)
+    assert _symmetry_factor(arr, WeightVector.make((2,) * len(directions))) \
+        == factor
+
+
+def test_zeta_without_a_factor_given():
+    a2 = _constants_zero((1, 0), (0, 1), (1, 1))
+    assert format_scalar(zeta_from_S(a2, (2, 2, 2))) == "pi^6/2835"
+    b2 = _constants_zero(*B2)
+    assert format_scalar(lattice_sum_value(b2, (0, 0), (2,) * 4).value) \
+        == "pi^8/37800"
+    assert format_scalar(zeta_from_S(b2, (2,) * 4)) == "pi^8/302400"
+    assert format_scalar(zeta_from_S(b2, (2,) * 4, 8)) == "pi^8/302400"
+
+
+def test_zeta_rejects_a_zero_weight_and_a_wrong_factor():
+    with pytest.raises(ValueError, match="positive"):
+        zeta_from_S(a2_directions(), (2, 0, 2))
+    with pytest.raises(ValueError, match="symmetry factor is 8, not 6"):
+        zeta_from_S(_constants_zero(*B2), (2,) * 4, 6)
 
 
 def test_zeta_rejects_undocumented():

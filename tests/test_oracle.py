@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from latticesums.lattice import (Arrangement, Functional, GaussianRational,
 from latticesums.oracle import (TruncationWindow, _window_sums,
                                 constrained_points, convergence_scan,
                                 truncated_sum)
+from reference import functional_value
 
 CTX = MPContext()
 CTX.prec = 128
@@ -314,11 +316,11 @@ MIXED = Arrangement(2, [
 ])
 def test_constrained_points_match_the_definition(weights):
     # the integer zero test yields the points of the definitional filter
-    # through evaluate_int, in the same order
+    # through the functionals' values, in the same order
     k = WeightVector.make(weights)
     N = 4
     want = [v for v in itertools.product(range(-N, N + 1), repeat=2)
-            if all(_vanishes(f.evaluate_int(v)) == (kf == 0)
+            if all(_vanishes(functional_value(f, v)) == (kf == 0)
                    for f, kf in zip(MIXED.functionals, k.weights))]
     assert list(constrained_points(MIXED, k, TruncationWindow(N))) == want
     assert want
@@ -510,3 +512,33 @@ def test_integer_path_with_a_large_direction_coefficient():
         window = TruncationWindow(N)
         ctx, ref = _exact_reference(arr, k, y, window)
         assert abs(ctx.mpc(z) - ref) <= (2 * N + 2) * ctx.mpf(2) ** -(P + 1)
+
+
+@pytest.mark.parametrize("precision", [54, 128])
+def test_integer_path_bound_is_relative_to_the_largest_term(precision,
+                                                            monkeypatch):
+    # every term is below 3e-38: a rounding unit 2^-P with P set from the
+    # precision and N only reads the sum as exactly 0 at 54 bits and to
+    # 1e-11 relative at 128, so the walk is made once more with P raised
+    # past the largest term
+    arr = triangle(10 ** 20, Fraction(1, 3), Fraction(1, 5))
+    k = WeightVector.make((2, 2, 2))
+    y = (Fraction(1, 7), Fraction(2, 11))
+    window = TruncationWindow(5)
+    walks = []
+    real = oracle.constrained_points
+
+    def counted(arr, k, window):
+        walks.append(window.N)
+        return real(arr, k, window)
+
+    monkeypatch.setattr(oracle, "constrained_points", counted)
+    z = truncated_sum(arr, k, y, window, precision)
+    assert walks == [5, 5]
+    monkeypatch.undo()
+    ctx, ref = _exact_reference(arr, k, y, window)
+    largest = max(1 / abs(math.prod(functional_value(f, v) ** kf for f, kf
+                                    in zip(arr.functionals, k.weights)))
+                  for v in constrained_points(arr, k, window))
+    largest = ctx.mpf(largest.numerator) / largest.denominator
+    assert abs(ctx.mpc(z) - ref) <= ctx.mpf(2) ** -(precision + 1) * largest

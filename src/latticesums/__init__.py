@@ -4,6 +4,7 @@ oracle and a convex-polytope reconstruction as independent checks."""
 
 from .errors import (ExcludedPoint, LatticeSumError, NonDivisible,
                      NotInvertible, NotSimple, RankDrop)
+from .families import root_system
 from .genfun import (EvaluationContext, EvaluationReport, WeightVector,
                      coefficient, cyclotomic_order, generating_function,
                      lattice_sum_value, zeta_from_S)
@@ -35,4 +36,5 @@ __all__ = [
     "truncated_sum", "convergence_scan", "genfun_via_polytopes",
     "polytope_report", "check_hierarchy", "apply_Dg_summand",
     "HierarchyStep", "embed", "format_scalar", "parse_scalar",
+    "root_system",
 ]

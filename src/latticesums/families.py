@@ -46,3 +46,28 @@ def triangle(alpha, beta, gamma) -> Arrangement:
 def a2_directions() -> Arrangement:
     """The all-constants-zero triangle: directions (1,0), (0,1), (1,1)."""
     return triangle(0, 0, 0)
+
+
+# The positive coroots of each root system as coefficient vectors on the
+# simple coroots, which are their pairings with the fundamental weights;
+# the simple root alpha_1 is the short one in B2 and G2.
+_POSITIVE_COROOTS = {
+    "A2": ((1, 0), (0, 1), (1, 1)),
+    "B2": ((1, 0), (0, 1), (1, 1), (1, 2)),
+    "G2": ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)),
+    "A3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+           (1, 1, 1)),
+}
+
+
+def root_system(name: str) -> Arrangement:
+    """The arrangement of the zeta function of the root system `name`
+    ("A2", "B2", "G2" or "A3"): one functional per positive coroot, its
+    direction the coroot in the basis of fundamental weights, constant 0.
+    Any other name raises ValueError."""
+    if name not in _POSITIVE_COROOTS:
+        raise ValueError(f"unknown root system {name!r}: expected one of "
+                         f"{', '.join(_POSITIVE_COROOTS)}")
+    coroots = _POSITIVE_COROOTS[name]
+    return Arrangement(len(coroots[0]),
+                       [make_functional(d, 0) for d in coroots])

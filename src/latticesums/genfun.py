@@ -55,11 +55,28 @@ strategies use it:
   box e <= k_B of its basis weights, from the unit factors' product and
   each coset's grid, the coset's root applied last.  Only components
   with a singular denominator build series, to the order that their
-  divisions need, through the builder with the component's live
+  divisions need and on the box of their target, through the builder with the component's live
   variables: the coset grids, each root applied once per term, are
   summed on the rank-many basis variables and extended to the live ones
   once, then multiplied by the one unit product of the summand's live
   and collapsed unit factors.
+
+A singular component is built only on the box B of its target: every
+exponent e_v with v live and not the pivot (``LinearForm.pivot``) of a
+singular denominator is capped at k_v, and the total degree at |k| plus
+the divisions.  Only the coefficient of t^k is read, and B holds k.  B is
+a lower set, so every numerator, every product by a missing denominator
+and the sum are exact on it.  The division's step
+Q[f] = (s[f + e_p] - sum_{v != p} q_v Q[f + e_p - e_v]) / q_p (pivot p)
+moves information only from lower to higher exponents of the non-pivot
+variables, at the same total degree, and a pivot is capped only by the
+total degree, so B is closed under the step and under f -> f + e_p: the
+division on B is the total-degree division restricted to B, and so is
+the final read.  Each remainder test still sees every kept term, and so
+every term that feeds t^k, but no term outside the box; the numeric
+residual tolerance scales with the largest kept term.
+``generating_function``, the polytope check and the hierarchy check
+build full total-degree series.
 
 ``coefficient`` keeps its values in one process-wide table of
 ``COEFFICIENT_TABLE_SIZE`` entries, least recently used dropped first.
@@ -339,11 +356,12 @@ def build_summands(ctx: EvaluationContext) -> List[Summand]:
     return out
 
 
-def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
+def summand_rational_form(ctx: EvaluationContext, s: Summand,
+                          trunc: Truncation,
                           live_vars: Optional[Tuple[str, ...]] = None,
                           k: Optional[WeightVector] = None) -> RationalForm:
     """The summand as a rational form in `live_vars` (every variable when
-    None), its numerator truncated at `order`:
+    None), its numerator truncated at `trunc`:
 
         weight * sum_w prod_m K_m(w) * prod_dead -(a_g + U_g)^(-k_g)
                * prod_live t_g / den_g * prod_singular t_g
@@ -353,16 +371,26 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
     [t_g^{k_g}] t_g / den_g = -(a_g + U_g)^(-k_g) (``_dead_unit``), a
     function of the basis variables alone; `k` is read only for those.
 
-    Every t_g is a monomial, so everything else is built below `order` by
-    one degree for each of them: the coset sum of kernel products, read
+    Every t_g is a monomial, so everything else is built below `trunc` by
+    one degree for each of them, and below its box, if it has one, by the
+    exponents of the monomial: the coset sum of kernel products, read
     from the root-free grids of ``_coset_grids`` with each coset's root
     applied once per term, extended once to `live_vars`, times one exact
     ``unit_product`` of
     every unit factor, dead ones as (a_g + U_g, k_g) and live ones as
     (den_g, 1), lifted into the ring once.  The weight and the monomial
-    prod t_g are applied last, as one exponent shift into `order`.  The
-    numerator is zero when the t_g leave nothing below `order`, or when a
-    dead factor is read at k_g = 0."""
+    prod t_g are applied last, as one exponent shift into `trunc`.  The
+    numerator is zero when the t_g leave nothing below `trunc`, or when a
+    dead factor is read at k_g = 0.
+
+    A box is a lower set, so each of those products and the shift is
+    exact on it: the numerator is the total-degree one restricted to the
+    box.  ``coefficient`` builds a singular component on the box that caps
+    every exponent but a pivot's at its target k_v (the module docstring),
+    on which ``sum_rational_forms`` divides exactly too; the remainder
+    tests then see every kept term, and so every term that feeds t^k, but
+    no term outside the box, and the numeric residual tolerance scales
+    with the largest kept term."""
     ring = ctx.ring
     live_vars = ctx.vars if live_vars is None else live_vars
     basis_vars = tuple(ctx.vars[m] for m in ctx.arr.bases[s.bidx].members)
@@ -375,26 +403,29 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand, order: int,
         else:
             units.append((_dead_unit(ctx, g, form), k.weights[g]))
             weight = -weight
-    top = order - len(monomial)
+    top, box = trunc.total - len(monomial), trunc.box
+    if box is not None:
+        box = tuple(b - (v in monomial) for v, b in zip(live_vars, box))
     denoms = s.denominators
-    if top < 0 or any(kg == 0 for _, kg in units):
-        # nothing below `order`, or [t_g^0] (t_g * unit) = 0
-        return RationalForm(TruncatedSeries(ring, live_vars,
-                                            Truncation(order)), denoms)
-    low = Truncation(top)
+    if top < 0 or (box is not None and min(box) < 0) \
+            or any(kg == 0 for _, kg in units):
+        # nothing below `trunc`, or [t_g^0] (t_g * unit) = 0
+        return RationalForm(TruncatedSeries(ring, live_vars, trunc), denoms)
+    low = Truncation(top, box)
+    on_basis = low if box is None else Truncation(
+        top, tuple(box[live_vars.index(v)] for v in basis_vars))
     terms: Dict[tuple, object] = {}
-    for grid, root in _coset_grids(ctx, s.bidx, low):
+    for grid, root in _coset_grids(ctx, s.bidx, on_basis):
         for e, a in grid.items():
             a = a if root is None else a * root
             cur = terms.get(e)
             terms[e] = a if cur is None else cur + a
-    num = TruncatedSeries(ring, basis_vars, low, {
+    num = TruncatedSeries(ring, basis_vars, on_basis, {
         e: c for e, c in terms.items() if not ring.is_zero(c)})
-    num = num.extend(live_vars)
+    num = num.extend(live_vars, low)
     if units:
         num = num * unit_product(ring, units, live_vars, low)
-    return RationalForm(num.shifted(monomial, Truncation(order), weight),
-                        denoms)
+    return RationalForm(num.shifted(monomial, trunc, weight), denoms)
 
 
 def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
@@ -408,7 +439,7 @@ def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
     is applied once, or not at all, by the caller."""
     members = ctx.arr.bases[bidx].members
     total = trunc.total
-    tops = trunc.box or (total,) * len(members)
+    tops = [min(total, b) for b in trunc.box or (total,) * len(members)]
     out = []
     for w in ctx.arr.bases[bidx].coset_reps:
         grid, q = {(): None}, 0
@@ -444,7 +475,8 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
                 "indispensable functional")
     summands = build_summands(ctx)
     work = order + division_count(s.denominators for s in summands)
-    total = sum_rational_forms([summand_rational_form(ctx, s, work)
+    trunc = Truncation(work)
+    total = sum_rational_forms([summand_rational_form(ctx, s, trunc)
                                 for s in summands])
     return total.with_truncation(Truncation(order))
 
@@ -704,7 +736,23 @@ def _component_value(ctx: EvaluationContext, summands: List[Summand],
         # it is its component: nothing to divide, read its coefficient
         (s,) = summands
         return _unit_summand_value(ctx, s, k)
-    ring = ctx.ring
+    live_vars, target, trunc = _component_truncation(ctx, summands, k)
+    forms = [summand_rational_form(ctx, s, trunc, live_vars, k)
+             for s in summands]
+    forms = [form for form in forms if not form.numerator.is_zero()]
+    if not forms:
+        return ctx.ring.zero()
+    total = sum_rational_forms(forms)
+    return total.coefficient(target)
+
+
+def _component_truncation(ctx: EvaluationContext, summands: List[Summand],
+                          k: WeightVector
+                          ) -> Tuple[Tuple[str, ...], tuple, Truncation]:
+    """`(live_vars, target, trunc)` of a component with singular
+    denominators: its live variables, the exponent k on them and the
+    truncation of its forms, total degree |target| + divisions with every
+    exponent capped at its target but a pivot's (module docstring)."""
     live = set()
     for s in summands:
         for m in ctx.arr.bases[s.bidx].members:
@@ -714,16 +762,12 @@ def _component_value(ctx: EvaluationContext, summands: List[Summand],
             for v in cf.coeffs:
                 live.add(v)
     live_vars = tuple(sorted(live, key=lambda v: ctx.vars.index(v)))
-    target = {v: k.weights[ctx.vars.index(v)] for v in live_vars}
-    order = sum(target.values()) + division_count(
-        s.denominators for s in summands)
-    forms = [summand_rational_form(ctx, s, order, live_vars, k)
-             for s in summands]
-    forms = [form for form in forms if not form.numerator.is_zero()]
-    if not forms:
-        return ring.zero()
-    total = sum_rational_forms(forms)
-    return total.coefficient(tuple(target[v] for v in live_vars))
+    target = tuple(k.weights[ctx.vars.index(v)] for v in live_vars)
+    denominators = [s.denominators for s in summands]
+    order = sum(target) + division_count(denominators)
+    pivots = {d.pivot for ds in denominators for d in ds}
+    return live_vars, target, Truncation(order, tuple(
+        order if v in pivots else kv for v, kv in zip(live_vars, target)))
 
 
 # ---------------------------------------------------------------------------

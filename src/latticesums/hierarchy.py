@@ -109,7 +109,7 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
                 if set(removed).isdisjoint(ctx.arr.bases[s.bidx].members)]
     tgs = [LinearForm(ctx.ring, {ctx.vars[g]: Fraction(1)}) for g in removed]
     work = order + division_count(s.denominators + tgs for s in summands)
-    states = [(s.bidx, summand_rational_form(ctx, s, work))
+    states = [(s.bidx, summand_rational_form(ctx, s, Truncation(work)))
               for s in summands]
     steps = [HierarchyStep(g, ctx.constant(g), arr.functionals[g].direction)
              for g in removed]

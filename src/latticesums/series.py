@@ -1,7 +1,7 @@
 """Truncated multivariate power series over either coefficient ring.
 
 A series is a sparse map from exponent tuples to scalars, truncated by
-total degree.  The product of two series is a term convolution that the
+total degree and, with a box, by one cap per variable (``Truncation``).  The product of two series is a term convolution that the
 coefficient ring performs (``mul_terms``), each ring on its own
 representation.  On top of the plain ring operations this module provides
 the operations that make the closed-form evaluators work:
@@ -261,6 +261,13 @@ class LinearForm:
     def singular(self) -> bool:
         return self.c == 0
 
+    @property
+    def pivot(self) -> str:
+        """The variable ``divide_exact`` divides in: the one of largest
+        |q_v|, ties broken by name.  A rational scale keeps it, so the
+        forms of one ``key`` share it."""
+        return min((-abs(q), v) for v, q in self.coeffs.items())[1]
+
     def monomials(self, vars, trunc: Truncation, top: int
                   ) -> List[Tuple[Exps, int, int]]:
         """``(e, m, |e|)`` for every t^e with |e| <= `top` in `trunc`'s box,
@@ -333,10 +340,11 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
                  residuals: Optional[List[float]] = None) -> TruncatedSeries:
     """Divide s by a linear form with zero constant term.
 
-    Polynomial division in one pivot variable t_p, the one with the
-    largest |q_v| (ties broken by name).  With l = q_p t_p + l' and s and
-    the quotient Q split into t_p-slices s_j and Q_j, matching coefficients
-    of t_p^j in s = l Q + r gives, from the top slice down,
+    Polynomial division in one pivot variable t_p, ``LinearForm.pivot``:
+    the one with the largest |q_v|, ties broken by name.  With
+    l = q_p t_p + l' and s and the quotient Q split into t_p-slices s_j
+    and Q_j, matching coefficients of t_p^j in s = l Q + r gives, from the
+    top slice down,
 
         Q_{j-1} = (s_j - l' Q_j) / q_p,
 
@@ -348,20 +356,43 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
     reads s through degree W only, and the remainder test covers every
     degree of s.
 
+    A box (``Truncation.box``) must leave the pivot free, its cap at least
+    the total degree; a lower cap raises ValueError, since the division
+    would read t_p-slices that were never built.  Per exponent the step is
+
+        Q[f] = (s[f + e_p] - sum_{v != p} q_v Q[f + e_p - e_v]) / q_p:
+
+    every exponent it reads has the total degree of f + e_p, the pivot's
+    exponent at most one higher and every other one at most that of f.
+    The box is a lower set closed under that step, so on it the division
+    computes the total-degree quotient restricted to the box; the updates
+    that leave the box feed only exponents outside it and are dropped.
+    The remainder test still sees every kept term, and so every term that
+    feeds a coefficient read inside the box, but no term outside the box.
+
     Exact mode demands a literally zero remainder and raises NonDivisible
     (carrying the remainder terms) otherwise.  Numeric mode tolerates
-    remainder norms below 2^(-precision/2) * |s| and records them.
+    remainder norms below 2^(-precision/2) times the largest kept term of
+    s, and records them.
     """
     ring = s.ring
     if not form.singular:
         raise ValueError("divide_exact needs a constant-free linear form")
+    pivot, total, box = form.pivot, s.trunc.total, s.trunc.box
+    q_p, p = form.coeffs[pivot], s.vars.index(pivot)
+    if box is not None and box[p] < total:
+        raise ValueError(f"the box caps the pivot {pivot} below the total "
+                         f"degree: its t_p-slices were never built")
     if s.is_zero():
         return s.clone_empty()
-    pivot = min((-abs(q), v) for v, q in form.coeffs.items())[1]
-    q_p, p = form.coeffs[pivot], s.vars.index(pivot)
     inv, down = 1 / q_p, tuple(-int(v == pivot) for v in s.vars)
-    updates = [(tuple(int(w == v) for w in s.vars), -q / q_p)
-               for v, q in form.coeffs.items() if v != pivot]
+    # per t_v: (position, step, ratio, cap), updates kept while e_v < cap
+    updates = []
+    for v, q in form.coeffs.items():
+        if v != pivot:
+            i = s.vars.index(v)
+            updates.append((i, tuple(int(w == v) for w in s.vars), -q / q_p,
+                            total if box is None else box[i]))
     slices: Dict[int, Dict[Exps, object]] = {}
     for e, c in s.terms.items():
         slices.setdefault(e[p], {})[e] = c
@@ -373,7 +404,9 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
                 continue
             e = tuple(map(add, e, down))
             out.terms[e] = ring.scale(c, inv)
-            for step, ratio in updates:
+            for i, step, ratio, cap in updates:
+                if e[i] >= cap:
+                    continue
                 ne = tuple(map(add, e, step))
                 val = ring.scale(c, ratio)
                 cur = below.get(ne)
@@ -441,7 +474,16 @@ def sum_rational_forms(forms: Sequence[RationalForm],
     sum is exact through W - ``division_count`` of the denominators, so
     the working order of a sum through `order` is order + divisions.  The
     remainder test of each division covers every degree up to W, so it
-    sees every term that feeds a returned coefficient."""
+    sees every term that feeds a returned coefficient.
+
+    The numerators may share a box that leaves the pivot of every
+    denominator free (``divide_exact``).  The box is a lower set, so the
+    scaling, each product by a missing representative's power and the sum
+    are exact on it, and so is each division: the result is the
+    total-degree sum restricted to the box.  Each remainder test then sees
+    every kept term, and so every term that feeds a coefficient read
+    inside the box, but no term outside it; in numeric mode its tolerance
+    scales with the largest kept term."""
     if not forms:
         raise ValueError("no forms to sum")
     ring = forms[0].numerator.ring

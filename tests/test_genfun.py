@@ -12,7 +12,7 @@ from mpmath.ctx_mp import MPContext
 from latticesums import genfun, intlinalg, lattice
 from latticesums.errors import ExcludedPoint, NonDivisible
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
-                                  triangle)
+                                  root_system, triangle)
 from latticesums.genfun import (EvaluationContext, WeightVector,
                                 _symmetry_factor, build_summands,
                                 clear_coefficient_table, coefficient,
@@ -490,8 +490,8 @@ def test_coefficient_with_gaussian_unit_constants(k, generic_y2):
 
 
 def _summed_at(ctx, summands, work):
-    return sum_rational_forms([summand_rational_form(ctx, s, work)
-                               for s in summands])
+    return sum_rational_forms([
+        summand_rational_form(ctx, s, Truncation(work)) for s in summands])
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -514,6 +514,61 @@ def test_working_order_is_order_plus_divisions(order):
                for e in degrees)
     assert any(short.coefficient(e) != exact.coefficient(e)
                for e in degrees if sum(e) == order)
+
+
+# the rank-two manifest rows, and the singular case of the generic
+# benchmark workload: (arrangement, y, k)
+SINGULAR_COMPONENT_CASES = {
+    "a2_alpha1": ("a2_alpha1.json", (0, 0), (1, 2, 2, 2, 1, 1, 1, 2, 2)),
+    "a2_alpha2": ("a2_alpha2.json", (0, 0), (2,) * 9),
+    "a2_alpha3": ("a2_alpha3.json", (0, 0), (1, 1, 1, 2, 2, 2, 1, 1, 1)),
+    "a2_directions": ("a2_directions.json", (0, 0), (2, 2, 2)),
+    "generic_singular": (
+        Arrangement(2, [make_functional(d, c) for d, c in zip(
+            ((2, 1), (1, 1), (1, 0), (-1, 2)),
+            (Fraction(-1, 3), Fraction(-1, 3), 0, Fraction(-1, 2)))]),
+        (Fraction(-10, 7), Fraction(-8, 7)), (2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("case", sorted(SINGULAR_COMPONENT_CASES))
+def test_boxed_components_read_the_total_degree_coefficient(case, mode):
+    # a singular component's forms built on the box that caps every
+    # non-pivot exponent at k_v give the same t^k coefficient as its forms
+    # built to total degree alone, and with fewer terms
+    arr, y, k = SINGULAR_COMPONENT_CASES[case]
+    if isinstance(arr, str):
+        arr = lattice.arrangement_from_json(resources.files(
+            "latticesums.fixtures").joinpath(arr).read_text())
+    k = WeightVector.make(k)
+    ctx = EvaluationContext(arr, y, mode)
+    ring = ctx.ring
+    summands = build_summands(ctx)
+    capped = shrunk = 0
+    for idxs in genfun._component_partition(summands):
+        component = [summands[i] for i in idxs]
+        if not component[0].degenerate_factors:
+            continue
+        live, target, box = genfun._component_truncation(ctx, component, k)
+        capped += any(b < box.total for b in box.box)
+        values, sizes = [], []
+        for trunc in (box, Truncation(box.total)):
+            forms = [summand_rational_form(ctx, s, trunc, live, k)
+                     for s in component]
+            sizes.append(sum(len(f.numerator.terms) for f in forms))
+            forms = [f for f in forms if not f.numerator.is_zero()]
+            values.append(sum_rational_forms(forms).coefficient(target)
+                          if forms else ring.zero())
+        got, want = values
+        assert sizes[0] <= sizes[1]
+        shrunk += sizes[0] < sizes[1]
+        if mode == "exact":
+            assert got == want
+        else:
+            assert abs(got - want) <= 2.0 ** (-ring.precision / 2) \
+                * max(1.0, abs(want))
+    assert capped and shrunk
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -731,7 +786,7 @@ def test_summand_builder_matches_full_order_reference(rank, singular, data):
     ref_ctx.prec = 192
     for order in range(tg_count + 3):
         for s, ns in zip(summands, build_summands(nctx)):
-            got = summand_rational_form(ctx, s, order)
+            got = summand_rational_form(ctx, s, Truncation(order))
             if order < tg_count:
                 assert got.numerator.is_zero()
             want = _coset_sum_reference(ctx, s.bidx, order)
@@ -739,7 +794,8 @@ def test_summand_builder_matches_full_order_reference(rank, singular, data):
             assert got.numerator.terms == want.numerator.terms
             assert [d.key for d in got.denominators] == \
                 [d.key for d in want.denominators]
-            num = summand_rational_form(nctx, ns, order).numerator
+            num = summand_rational_form(nctx, ns,
+                                        Truncation(order)).numerator
             for e in set(num.terms) | set(want.numerator.terms):
                 w = want.numerator.coefficient(e).embed(ref_ctx)
                 err = abs(ref_ctx.mpc(num.coefficient(e)) - w)
@@ -798,7 +854,7 @@ def test_basis_summand_is_its_coset_sum(mode, singular, data):
         assume(not any(s.degenerate_factors for s in summands))
     for s in summands:
         for order in range(4):
-            got = summand_rational_form(ctx, s, order)
+            got = summand_rational_form(ctx, s, Truncation(order))
             want = _coset_sum_reference(ctx, s.bidx, order)
             assert [d.key for d in got.denominators] == \
                 [d.key for d in want.denominators]
@@ -912,9 +968,10 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         # the (factor count, truncation) of each build's unit products:
         # below the order by one degree per live t_g
         for build, want in (
-                (lambda: summand_rational_form(ctx, s, 4),
+                (lambda: summand_rational_form(ctx, s, Truncation(4)),
                  [(units, Truncation(4 - units))]),
-                (lambda: summand_rational_form(ctx, s, 4, live, k),
+                (lambda: summand_rational_form(ctx, s, Truncation(4),
+                                               live, k),
                  [(units, Truncation(3))]),
                 (lambda: genfun._unit_summand_value(ctx, s, k),
                  [(units, Truncation(sum(box), box))])):
@@ -949,7 +1006,8 @@ def test_summand_builder_multiplies_no_monomial(arr, generic_y2,
     monkeypatch.setattr(TruncatedSeries, "__mul__", no_monomial)
     ctx = EvaluationContext(arr, generic_y2, "exact")
     for s in build_summands(ctx):
-        assert not summand_rational_form(ctx, s, 5).numerator.is_zero()
+        assert not summand_rational_form(
+            ctx, s, Truncation(5)).numerator.is_zero()
     assert not ctx.ring.is_zero(coefficient(arr, generic_y2, (2, 2, 2)))
 
 
@@ -1323,6 +1381,16 @@ G2 = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
 A3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1))
 
 
+def test_root_system_arrangements():
+    assert root_system("A2").functionals == a2_directions().functionals
+    for name, directions in (("B2", B2), ("G2", G2), ("A3", A3)):
+        assert root_system(name).functionals \
+            == _constants_zero(*directions).functionals
+    for name in ("A1", "b2", "E8"):
+        with pytest.raises(ValueError, match="unknown root system"):
+            root_system(name)
+
+
 def test_symmetry_factor_of_the_shipped_families():
     assert _symmetry_factor(hurwitz_a1(2), WeightVector.make((2, 2, 2))) \
         == 2
@@ -1350,18 +1418,27 @@ def test_symmetry_factor_of_root_systems(directions, factor):
 def test_zeta_without_a_factor_given():
     a2 = _constants_zero((1, 0), (0, 1), (1, 1))
     assert format_scalar(zeta_from_S(a2, (2, 2, 2))) == "pi^6/2835"
-    b2 = _constants_zero(*B2)
+    b2 = root_system("B2")
     assert format_scalar(lattice_sum_value(b2, (0, 0), (2,) * 4).value) \
         == "pi^8/37800"
     assert format_scalar(zeta_from_S(b2, (2,) * 4)) == "pi^8/302400"
     assert format_scalar(zeta_from_S(b2, (2,) * 4, 8)) == "pi^8/302400"
 
 
+def test_a3_zeta_value():
+    # Zagier's zeta(2, ..., 2; A3) = 23 pi^12 / 2554051500, S over 24
+    a3 = root_system("A3")
+    assert format_scalar(lattice_sum_value(a3, (0,) * 3, (2,) * 6).value) \
+        == "46*pi^12/212837625"
+    assert format_scalar(zeta_from_S(a3, (2,) * 6, 24)) \
+        == "23*pi^12/2554051500"
+
+
 def test_zeta_rejects_a_zero_weight_and_a_wrong_factor():
     with pytest.raises(ValueError, match="positive"):
         zeta_from_S(a2_directions(), (2, 0, 2))
     with pytest.raises(ValueError, match="symmetry factor is 8, not 6"):
-        zeta_from_S(_constants_zero(*B2), (2,) * 4, 6)
+        zeta_from_S(root_system("B2"), (2,) * 4, 6)
 
 
 def test_zeta_rejects_undocumented():

@@ -9,15 +9,15 @@ from latticesums.genfun import (EvaluationContext, build_summands,
                                 summand_rational_form)
 from latticesums.hierarchy import apply_Dg_summand, check_hierarchy
 from latticesums.lattice import Arrangement, make_functional
-from latticesums.series import (LinearForm, RationalForm, divide_exact,
-                                sum_rational_forms)
+from latticesums.series import (LinearForm, RationalForm, Truncation,
+                                divide_exact, sum_rational_forms)
 from reference import largest_coefficient_scaled
 
 
 def _states(ctx, order):
     """Every summand as the (basis index, rational form) pair that the
     removal operators act on."""
-    return [(s.bidx, summand_rational_form(ctx, s, order))
+    return [(s.bidx, summand_rational_form(ctx, s, Truncation(order)))
             for s in build_summands(ctx)]
 
 

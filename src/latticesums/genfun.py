@@ -14,17 +14,22 @@ computed exactly from the functional constants.  The form is singular
 exactly when that constant is zero, and forms are merged by their
 normalised rational coefficients.  Every unit inverse, a live factor
 1/den_g, a factor collapsed to its Taylor coefficient or a non-singular
-edge denominator of the polytope route, comes from one function,
-``unit_product``, and so does the exponential e^{t* . p} of a polytope
-vertex: the constants are 2 pi i times exact rationals, so the product
-of all the inverses of a summand (or of a vertex, with its exponential)
-is a root of unity times a series over Q (over Q(i) for Gaussian
-constants) in t / (2 pi i), multiplied in integers and lifted into the
-ring once per term, where numeric mode rounds for the first time.
-Singular factors are carried as rational forms whose singularities
-cancel across bases.  Numeric mode takes the same decisions from the
-same exact data, and keeps y exact too (a float y at its binary value),
-so that only values are rounded.  Taylor coefficients of the holomorphic
+edge denominator of the polytope route, comes from one integer product,
+``_unit_numerators``, and so does the exponential e^{t* . p} of a
+polytope vertex (``unit_product``): the constants are 2 pi i times exact
+rationals, so the product of all the inverses of a summand (or of a
+vertex, with its exponential) is a root of unity times a series over Q
+(over Q(i) for Gaussian constants) in t / (2 pi i), multiplied in
+integers.  Each coefficient is then built once from its int numerators
+(``ring.unit_lift``): (2 pi i)^(-n) is a power of pi, a power of 2 in the
+one denominator and a power of i that turns the root, and numeric mode
+rounds there for the first time, once per term.  A non-singular summand
+reads the integer series itself: per coset and degree its terms meet the
+kernel grid in one integer combination, lifted once.  Singular factors
+are carried as rational forms whose singularities cancel across bases.
+Numeric mode takes the same decisions from the same exact data, and
+keeps y exact too (a float y at its binary value), so that only values
+are rounded.  Taylor coefficients of the holomorphic
 total give the special values S via the weight prefactor
 prod_f -(2 pi i)^{k_f} / k_f!.
 
@@ -36,10 +41,10 @@ be applied once, or not at all when q_w is an integer.
 One summand builder, ``summand_rational_form``, writes a summand out as
 a rational form for every evaluator.  Every factor t_g / den_g and every
 singular t_g carries the monomial t_g, so the rest of the summand (its
-coset sum of kernel products and its unit inverses) is built below the
-requested order by one degree for each t_g, and prod t_g is applied
-once, as an exponent shift, with no series product.  Two evaluation
-strategies use it:
+coset sum of kernel products, with its weight, and its unit inverses) is
+built below the requested order by one degree for each t_g, and
+prod t_g is applied once, as an exponent shift, with no series product.
+Two evaluation strategies use it:
 
 * ``generating_function`` assembles the full truncated series, every
   variable live (fine for small arrangements and used by all
@@ -55,11 +60,12 @@ strategies use it:
   box e <= k_B of its basis weights, from the unit factors' product and
   each coset's grid, the coset's root applied last.  Only components
   with a singular denominator build series, to the order that their
-  divisions need and on the box of their target, through the builder with the component's live
-  variables: the coset grids, each root applied once per term, are
-  summed on the rank-many basis variables and extended to the live ones
-  once, then multiplied by the one unit product of the summand's live
-  and collapsed unit factors.
+  divisions need and on the box of their target, through the builder
+  with the component's live variables: the coset grids times their roots
+  are summed on the rank-many basis variables in integers
+  (``ring.scaled_sum``) and extended to the live ones once, then
+  multiplied by the one unit product of the summand's live and collapsed
+  unit factors, inside that product's lift.
 
 A singular component is built only on the box B of its target: every
 exponent e_v with v live and not the pivot (``LinearForm.pivot``) of a
@@ -373,15 +379,16 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand,
 
     Every t_g is a monomial, so everything else is built below `trunc` by
     one degree for each of them, and below its box, if it has one, by the
-    exponents of the monomial: the coset sum of kernel products, read
-    from the root-free grids of ``_coset_grids`` with each coset's root
-    applied once per term, extended once to `live_vars`, times one exact
-    ``unit_product`` of
-    every unit factor, dead ones as (a_g + U_g, k_g) and live ones as
-    (den_g, 1), lifted into the ring once.  The weight and the monomial
-    prod t_g are applied last, as one exponent shift into `trunc`.  The
-    numerator is zero when the t_g leave nothing below `trunc`, or when a
-    dead factor is read at k_g = 0.
+    exponents of the monomial: the weight times the coset sum of kernel
+    products, read from the root-free grids of ``_coset_grids`` and added
+    with each coset's root in integers (``ring.scaled_sum``), extended
+    once to `live_vars`, times one exact ``unit_product`` of every unit
+    factor, dead ones as (a_g + U_g, k_g) and live ones as (den_g, 1),
+    which takes the coset sum as its `times`, so that the product is made
+    in the unit product's one lift, with no series product.  The
+    monomial prod t_g is applied last, as one exponent shift into
+    `trunc`.  The numerator is zero when the t_g leave nothing below
+    `trunc`, or when a dead factor is read at k_g = 0.
 
     A box is a lower set, so each of those products and the shift is
     exact on it: the numerator is the total-degree one restricted to the
@@ -414,18 +421,12 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand,
     low = Truncation(top, box)
     on_basis = low if box is None else Truncation(
         top, tuple(box[live_vars.index(v)] for v in basis_vars))
-    terms: Dict[tuple, object] = {}
-    for grid, root in _coset_grids(ctx, s.bidx, on_basis):
-        for e, a in grid.items():
-            a = a if root is None else a * root
-            cur = terms.get(e)
-            terms[e] = a if cur is None else cur + a
-    num = TruncatedSeries(ring, basis_vars, on_basis, {
-        e: c for e, c in terms.items() if not ring.is_zero(c)})
-    num = num.extend(live_vars, low)
+    num = TruncatedSeries(ring, basis_vars, on_basis, ring.scaled_sum(
+        ((root, grid) for grid, root in _coset_grids(ctx, s.bidx, on_basis)),
+        weight)).extend(live_vars, low)
     if units:
-        num = num * unit_product(ring, units, live_vars, low)
-    return RationalForm(num.shifted(monomial, trunc, weight), denoms)
+        num = unit_product(ring, units, live_vars, low, times=num.terms)
+    return RationalForm(num.shifted(monomial, trunc), denoms)
 
 
 def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
@@ -535,33 +536,20 @@ def _reciprocal(c) -> Tuple[object, int]:
     return GaussianRational(d * a // g, -d * b // g), den // g
 
 
-def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
-                 trunc: Truncation, exponent: Optional[LinearForm] = None
-                 ) -> TruncatedSeries:
-    """prod (a + L)^(-k) over the (form, k) pairs, a = -2 pi i c the
-    form's constant (nonzero) and L its linear part, times e^exponent when
-    an exponent form is given, on `vars` and truncated at `trunc`: every
-    unit inverse that the evaluators expand, the live and collapsed unit
-    factors of a summand, and the whole numerator of a polytope vertex,
-    its exponential and its non-singular edge denominators.
+def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
+                     trunc: Truncation
+                     ) -> Tuple[Dict[tuple, object], int, int]:
+    """``(G, den, K)``: G = prod (-c + L)^(-k) over the (form, k) pairs, c
+    the form's constant (nonzero) and L its linear part, on `vars` and
+    truncated at `trunc`, as ``{e: numerator}`` over the positive int
+    `den`; K is the sum of the k.  The numerators are ints, or
+    GaussianRationals with int parts when a constant is Gaussian.
 
-    Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
-    the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the
-    k, where G = prod (-c + L)^(-k) is a series over Q (over Q(i) when a
-    constant is a Gaussian rational).  Each factor of G is expanded from
-    (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n on ``LinearForm.monomials``,
-    as int numerators (pairs of them, GaussianRationals with int parts,
-    for Gaussian constants) over one denominator; the factors are
-    convolved in ints, truncated as ``mul_terms`` truncates (``_convolve``).
-    The exponential e^(-2 pi i c_E) e^(L_E) of an exponent form is a root
-    times sum_n L_E^n / n!, a series over Q too: it is convolved last,
-    into the terms of each degree n that came from the unit factors on
-    their own.  Each term of degree n is lifted into the ring once, as one
-    ``ring.scale`` of the root times (2 pi i)^(-(K + n)), built once per n
-    (one per part for a Gaussian numerator).  Numeric mode rounds only
-    there."""
-    vars = tuple(vars)
-    total, box = trunc.total, trunc.box
+    Each factor is expanded from (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n
+    on ``LinearForm.monomials``, over one denominator, and the factors are
+    convolved in ints, truncated as ``mul_terms`` truncates
+    (``_convolve``)."""
+    total = trunc.total
     terms: Dict[tuple, object] = {(0,) * len(vars): 1}
     den, K = 1, 0
     for form, k in factors:
@@ -585,12 +573,59 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
         den *= wden ** k * base ** top
         K += k
         terms = _convolve(terms, [(e, coef[n] * m, n) for e, m, n in monos],
-                          total, box)
-    step = ring.inv(ring.two_pi_i())
-    lifts = [step ** K]  # lifts[n] = root * (2 pi i)^(-(K + n))
-    # (e, n, numerator): n the degree that came from the unit factors
-    keyed = ((e, sum(e), v) for e, v in terms.items())
-    if exponent is not None:
+                          total, trunc.box)
+    return terms, den, K
+
+
+def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
+                 trunc: Truncation, exponent: Optional[LinearForm] = None,
+                 scale=1, times: Optional[Dict[tuple, object]] = None
+                 ) -> TruncatedSeries:
+    """The rational `scale` times prod (a + L)^(-k) over the (form, k)
+    pairs, a = -2 pi i c the form's constant (nonzero) and L its linear
+    part, times e^exponent when an exponent form is given, or else times
+    the series term map `times` when one is given, on `vars` and
+    truncated at `trunc`: every unit inverse that the evaluators expand,
+    the live and collapsed unit factors of a summand times its coset sum,
+    and the whole numerator of a polytope vertex, its exponential and its
+    non-singular edge denominators with its weight.
+
+    Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
+    the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the
+    k, where G = prod (-c + L)^(-k) is a series over Q (over Q(i) when a
+    constant is a Gaussian rational), convolved in ints
+    (``_unit_numerators``).  The exponential e^(-2 pi i c_E) e^(L_E) of an
+    exponent form is a root times sum_n L_E^n / n!, a series over Q too:
+    it is convolved last, into the terms of each degree n that came from
+    the unit factors on their own.  Each term of G meets each term x of
+    `times` (the root, or 1, when there is none).  Every coefficient is
+    then built once from its int numerators, the x it meets and the power
+    (2 pi i)^(-(K + n)) of each of its terms, one ``ring.unit_lift`` for
+    the whole series: in exact mode over one shared denominator that holds
+    den, the powers of 2 of (2 pi i)^(-(K + n)), the denominators of the x
+    and that of `scale` (its numerator is folded into the numerators),
+    each term of x turned by its power of i and set at its power of pi,
+    cancelled once; no product of two scalars is taken.  Numeric mode
+    rounds only there, once per term."""
+    vars = tuple(vars)
+    total, box = trunc.total, trunc.box
+    terms, den, K = _unit_numerators(factors, vars, trunc)
+    if exponent is None:
+        # each term of G meets each term of `times`, or the constant 1
+        if times is None:
+            times = {(0,) * len(vars): ring.one()}
+        units = [(e, sum(e), v) for e, v in terms.items()]
+        series = {}
+        for eb, x in times.items():
+            nb = sum(eb)
+            for eu, n, v in units:
+                if nb + n > total:
+                    continue
+                e = tuple(map(add, eb, eu))
+                if box is None or all(map(le, e, box)):
+                    series.setdefault(e, []).append((n, v, x))
+    else:
+        root = exp_2pii(ring, exponent.c, -1)
         monos = exponent.monomials(vars, trunc, total)
         top = max(n for _, _, n in monos)
         # the degree-n coefficient 1 / (n! D^n), over top! D^top
@@ -599,27 +634,17 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
         den *= fact[top] * D ** top
         fac = [(e, fact[top] // fact[n] * D ** (top - n) * m, n)
                for e, m, n in monos]
+        # n, the degree that came from the unit factors, sets the power of
+        # 2 pi i of every term that the exponential's terms carry from it
         by_degree: Dict[int, Dict[tuple, object]] = {}
-        for e, n, v in keyed:
-            by_degree.setdefault(n, {})[e] = v
-        keyed = [(e, n, v) for n, part in by_degree.items()
-                 for e, v in _convolve(part, fac, total, box).items()]
-        lifts[0] = lifts[0] * exp_2pii(ring, exponent.c, -1)
-    for _ in range(max(map(sum, terms), default=0)):
-        lifts.append(lifts[-1] * step)
-    scale = ring.scale
-    if not all(isinstance(v, int) for v in terms.values()):
-        i = ring.root_of_unity(Fraction(1, 4))
-        i_lifts = [x * i for x in lifts]
-    out: Dict[tuple, object] = {}
-    for e, n, v in keyed:
-        if isinstance(v, int):
-            x = scale(lifts[n], Fraction(v, den))
-        else:
-            x = scale(lifts[n], Fraction(v.re, den)) \
-                + scale(i_lifts[n], Fraction(v.im, den))
-        out[e] = x if e not in out else out[e] + x
-    return TruncatedSeries(ring, vars, trunc, out)
+        for e, v in terms.items():
+            by_degree.setdefault(sum(e), {})[e] = v
+        series = {}
+        for n, part in by_degree.items():
+            for e, v in _convolve(part, fac, total, box).items():
+                series.setdefault(e, []).append((n, v, root))
+    return TruncatedSeries(ring, vars, trunc,
+                           ring.unit_lift(series, den, K, scale))
 
 
 def _convolve(terms: Dict[tuple, int], fac, total: int, box
@@ -650,11 +675,14 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
 
         weight * sum_w e^{2 pi i q_w} sum_e F[e] * A_w[k_B - e],
 
-    F = prod_g -(a_g + U_g)^{-k_g} over the unit factors, one exact
-    ``unit_product`` on the box, lifted into the ring once per term, and
-    A_w the root-free grid of coset w (``_coset_grids``), each kernel
-    only to degree k_m.  Each coset takes one scalar product per term of
-    F on the sparse grid, and its one root of unity last."""
+    F = prod_g -(a_g + U_g)^{-k_g} over the unit factors and A_w the
+    root-free grid of coset w (``_coset_grids``), each kernel only to
+    degree k_m.  F is read from its int series on the box, G over den
+    (``_unit_numerators``), as F[e] = +-(2 pi i)^(-(K + |e|)) G[e] / den,
+    with no scalar built for it: per coset and per degree n the sum over
+    |e| = n of G[e] * A_w[k_B - e] is one integer combination of the grid
+    values, lifted once, in one ``ring.unit_lift`` for every coset; each
+    coset's one root of unity is applied last."""
     ring = ctx.ring
     members = ctx.arr.bases[s.bidx].members
     vars = tuple(ctx.vars[m] for m in members)
@@ -662,19 +690,22 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     trunc = Truncation(sum(box), box)
     if any(k.weights[g] == 0 for g, _ in s.unit_factors):
         return ring.zero()  # [t_g^0] (t_g * unit) = 0
-    F = unit_product(ring, [(_dead_unit(ctx, g, form), k.weights[g])
-                            for g, form in s.unit_factors],
-                     vars, trunc).terms
-    # F[e] with the grid exponent k_B - e that it meets
-    pairs = [(tuple(map(sub, box, e)), f) for e, f in F.items()]
+    G, den, K = _unit_numerators([(_dead_unit(ctx, g, form), k.weights[g])
+                                  for g, form in s.unit_factors], vars, trunc)
+    # G[e] with the grid exponent k_B - e that it meets
+    pairs = [(tuple(map(sub, box, e)), sum(e), v) for e, v in G.items()]
+    grids = _coset_grids(ctx, s.bidx, trunc)
+    series = {}
+    for w, (grid, _) in enumerate(grids):
+        parts = [(n, v, grid[e]) for e, n, v in pairs if e in grid]
+        if parts:
+            series[w] = parts
+    lifted = ring.unit_lift(series, den, K)
     total = ring.zero()
-    for grid, root in _coset_grids(ctx, s.bidx, trunc):
-        acc = ring.zero()
-        for e, f in pairs:
-            p = grid.get(e)
-            if p is not None:
-                acc = acc + f * p
-        total = total + (acc if root is None else acc * root)
+    for w, (_, root) in enumerate(grids):
+        acc = lifted.get(w)
+        if acc is not None:
+            total = total + (acc if root is None else acc * root)
     sign = -1 if len(s.unit_factors) % 2 else 1
     return ring.scale(total, sign * s.weight)
 

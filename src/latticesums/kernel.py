@@ -120,7 +120,9 @@ def kernel_parts(ring, params: KernelParams, order: int, base) -> list:
         ypow = [y ** j / math.factorial(j) for j in range(order + 1)]
         weigh = ring.scale
     else:
-        yv = ring.from_fraction(y)
+        # y^j / j! is real: an mpf, which the mpc parts multiply faster
+        # than an mpc with a zero imaginary part
+        yv = ring.ctx.mpf(y.numerator) / y.denominator
         ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
         weigh = operator.mul
     out = []

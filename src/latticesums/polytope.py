@@ -30,11 +30,13 @@ of the functionals.  The evaluator's builder
 (``EvaluationContext.combination``) returns each, and each vertex
 exponent, as an exact ``LinearForm``.  From its exact constant an edge
 denominator is singular, to be divided out after summing, or a unit.
-The numerator of a vertex, its exponential e^{t* . p} and the inverses
-of its unit edge denominators, is one exact product
+The numerator of a vertex, its weight |det| / |Z^r / L_B0| (the edge
+determinant over the index of B0), its exponential e^{t* . p} and the
+inverses of its unit edge denominators, is one exact product
 (``genfun.unit_product``, the one expansion of every unit inverse): a
-series over Q in integers, lifted into the ring once per term together
-with the vertex's root of unity, with no series product.
+series over Q in integers, each coefficient built once from its
+numerators, the vertex's root of unity and the weight, with no series
+product.
 
 The vertex sums are multiplied by the kernel prefactor prod_f K_f(0) at
 y = 0.  K_f(0) is t_f / (e^{t_f - 2 pi i c_f} - 1): a unit when c_f is an
@@ -235,11 +237,12 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
     for x, c in _tstar_combination(tstar, dec, w.point).items():
         coeff[x] = coeff.get(x, Fraction(0)) + c
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
-    # e^{exponent} over the edge denominators t* . (p - p'): the units and
-    # the exponential in one exact product
+    # |det| / index * e^{exponent} over the edge denominators t* . (p - p'):
+    # the units, the exponential and the weight in one exact product
     units = [(den, 1) for den in dens if not den.singular]
     num = unit_product(ctx.ring, units, ctx.vars, trunc,
-                       ctx.combination(coeff)).shifted((), trunc, detv)
+                       ctx.combination(coeff),
+                       Fraction(detv, dec.b0.index))
     return RationalForm(num, [den for den in dens if den.singular])
 
 
@@ -301,8 +304,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
             _vertex_rational_form(ctx, dec, m, y, w, edges, dens, tstar, low)
             for w, edges, dens in cell])
     total = total * _kernel_prefactor(ctx, params, low)
-    return total.shifted(monomial, Truncation(order),
-                         Fraction(1, dec.b0.index))
+    return total.shifted(monomial, Truncation(order))
 
 
 # the walk over the first basis per live context (``_walk``)

@@ -18,10 +18,15 @@ The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction``, ``root_of_unity`` (e^{2 pi i q}), ``two_pi_i``,
 ``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
 of scalars), ``mul_terms`` (the truncated product of two series term
-maps), ``detach``/``attach`` (a scalar as plain data that holds no field
-or context, and back), and the flag ``exact``.  The exact ring's
-``mul_terms`` convolves integer numerators over one denominator per
-factor and builds one ``ExactScalar`` per output coefficient.  Every
+maps), ``scaled_sum`` (a sum of series term maps, each times a scalar),
+``sum_products`` (a sum of series term maps, each times integer linear
+forms and a rational), ``unit_lift`` (coefficients from integer
+numerators times scalars over powers of 2 pi i), ``detach``/``attach`` (a
+scalar as plain data that holds no field or context, and back), and the
+flag ``exact``.  The exact ring builds each output coefficient of the
+four series operations once: it works on integer numerators over one
+denominator and builds one ``ExactScalar`` per coefficient, cancelled
+once.  Every
 structural decision (which forms are singular, which are equal, which
 coefficient pivots a division) is taken from exact rational data outside
 the ring, so the exact ring has no float size estimate; only
@@ -63,6 +68,11 @@ class ExactRing:
         self._one = self.from_fraction(1)
         self._two_pi_i = self.field.zeta_pow(N // 4) \
             * ExactScalar(self.field, {(1, self.field.zero_exps): 2})
+        # i^(-m) for m = 0..3 (1, -i, -1, i) as (basis exponents, sign):
+        # i = zeta_N^(N/4) is one basis monomial
+        (_, i_exps), = self.field.zeta_pow(N // 4).terms
+        zero = self.field.zero_exps
+        self._turns = ((zero, 1), (i_exps, -1), (zero, -1), (i_exps, 1))
 
     def zero(self):
         return self._zero
@@ -116,6 +126,88 @@ class ExactRing:
                            {key: v // gb * a for key, v in x.terms.items()},
                            x.den // ga * (b // gb))
 
+    def unit_lift(self, series: dict, den: int, K: int, scale=1) -> dict:
+        """``{key: sum over (n, v, x) of x v scale / (den (2 pi i)^(K+n))}``
+        for ``series = {key: [(n, v, x), ...]}``, v an int or a Gaussian
+        integer (a GaussianRational with int parts) and x a scalar; a key
+        whose sum is zero is left out.
+
+        (2 pi i)^(-(K+n)) = pi^(-(K+n)) i^(-(K+n)) / 2^(K+n): each term of
+        x is turned by a power of i (by one less for the imaginary part of
+        v), through the basis-product table, and moved to its power of pi,
+        and the numerators of one key are added in integers over one
+        denominator, den times scale's denominator times 2^(K + its largest
+        n) times the lcm of its x's denominators, and cancelled once.  The
+        turned terms of an x are built once per (x, n): a shared x, such as
+        a root of unity, is turned once per call."""
+        scale = Fraction(scale)
+        sn, sd = scale.numerator, scale.denominator
+        table = self.field.basis_products
+        product = self.field.basis_product
+        # per id(x): {2 n + imag: [((pi power, exps), int)]}
+        placed: Dict[int, Dict[int, list]] = {}
+
+        def place(x, n, imag):
+            slots = placed.get(id(x))
+            if slots is None:
+                slots = placed[id(x)] = {}
+            terms = slots.get(2 * n + imag)
+            if terms is None:
+                unit, sign = self._turns[(K + n - imag) % 4]
+                terms = slots[2 * n + imag] = [
+                    ((k - K - n, e2), a * s * sign)
+                    for (k, e), a in x.terms.items()
+                    for e2, s in table.get((e, unit)) or product(e, unit)]
+            return terms
+
+        cancel = self._zero._cancel  # reads only the field of its scalar
+        out = {}
+        for key, parts in series.items():
+            top, lcm = 0, 1
+            for n, _, x in parts:
+                top = max(top, n)
+                if x.den != 1:
+                    lcm = math.lcm(lcm, x.den)
+            # (turned terms, numerator) per part of v, the numerators over
+            # the key's denominator; their gcd with it is taken out first
+            picked = []
+            for n, v, x in parts:
+                w = (sn << (top - n)) * (lcm // x.den)
+                if type(v) is int:
+                    picked.append((place(x, n, 0), v * w))
+                else:
+                    if v.re:
+                        picked.append((place(x, n, 0), v.re.numerator * w))
+                    if v.im:
+                        picked.append((place(x, n, 1), v.im.numerator * w))
+            dk = den * sd * lcm << (K + top)
+            g = math.gcd(dk, *(c for _, c in picked))
+            acc: Dict[tuple, int] = {}
+            get = acc.get
+            for terms, c in picked:
+                c //= g
+                for k2, a in terms:
+                    acc[k2] = get(k2, 0) + a * c
+            if 0 in acc.values():
+                acc = {k2: a for k2, a in acc.items() if a}
+            if acc:
+                out[key] = cancel(acc, dk // g)
+        return out
+
+    def _scalars(self, acc: Dict[tuple, Dict[tuple, int]], den: int
+                 ) -> dict:
+        """``{e: numerators / den}`` for ``acc = {e: {(k, exps): int}}``,
+        each coefficient cancelled once, without the zero numerators and
+        the zero coefficients."""
+        cancel = self._zero._cancel  # reads only the field of its scalar
+        result = {}
+        for e, out in acc.items():
+            if 0 in out.values():
+                out = {key: v for key, v in out.items() if v}
+            if out:
+                result[e] = cancel(out, den)
+        return result
+
     def _over_lcm(self, terms: dict):
         """``(den, [(exps, degree, [(k, basis exps, numerator)])])``: the
         series terms with every coefficient brought over ``den``, the least
@@ -130,6 +222,72 @@ class ExactRing:
             out.append((e, sum(e), [(k, x, v * s)
                                     for (k, x), v in c.terms.items()]))
         return den, out
+
+    def sum_products(self, items, trunc) -> dict:
+        """sum over ``(terms, forms, q)`` of q * terms * prod over `forms`
+        of sum_j p_j t_(v_j), each form a list ``[(v_j, p_j)]`` of variable
+        positions and int coefficients and q a Fraction, truncated at
+        ``trunc`` (a ``series.Truncation``), with no zero coefficient.
+
+        Each series is read once into integer numerators over one
+        denominator, multiplied by each form by one shift and add of its
+        numerators, and added to the sum over the lcm of every q's
+        denominator times the series' denominator; every output
+        coefficient is cancelled once."""
+        items = [(terms, forms, q, math.lcm(*(c.den for c in terms.values())))
+                 for terms, forms, q in items]
+        den = math.lcm(*(d * q.denominator for _, _, q, d in items))
+        acc: Dict[tuple, Dict[tuple, int]] = {}
+        # one product at a time, added as soon as it is made
+        for terms, forms, q, d in items:
+            read = [(e, c.terms, d // c.den) for e, c in terms.items()]
+            if forms:
+                cur = {e: {key: v * s for key, v in nums.items()}
+                       for e, nums, s in read}
+                for form in forms:
+                    cur = _shift_add(cur, form, trunc, _add_ints)
+                read = [(e, nums, 1) for e, nums in cur.items()]
+            m = q.numerator * (den // (d * q.denominator))
+            for e, nums, s in read:
+                _add_ints(acc, e, nums, s * m)
+        return self._scalars(acc, den)
+
+    def scaled_sum(self, pairs, scale=1) -> dict:
+        """The rational `scale` times the sum over ``(x, terms)`` of
+        x * terms, x a scalar or None for 1 and terms a series term map
+        ``{exps: scalar}``, with no zero coefficient.  Every product is
+        added in integer numerators over one denominator, the lcm of the
+        products' denominators times that of `scale`, through the
+        basis-product table, and each output coefficient is cancelled
+        once."""
+        table = self.field.basis_products
+        product = self.field.basis_product
+        scale = Fraction(scale)
+        parts = [(x, terms, 1 if x is None else x.den) for x, terms in pairs]
+        if len(parts) == 1 and parts[0][0] is None and scale == 1:
+            return dict(parts[0][1])  # one canonical term map, as it is
+        den = math.lcm(*(c.den * xd for _, terms, xd in parts
+                         for c in terms.values()))
+        acc: Dict[tuple, Dict[tuple, int]] = {}
+        for x, terms, xd in parts:
+            xs = None if x is None else list(x.terms.items())
+            for e, c in terms.items():
+                out = acc.get(e)
+                if out is None:
+                    out = acc[e] = {}
+                get = out.get
+                s = den // (c.den * xd) * scale.numerator
+                if xs is None:
+                    for key, v in c.terms.items():
+                        out[key] = get(key, 0) + v * s
+                    continue
+                for (ka, ea), va in c.terms.items():
+                    va *= s
+                    for (kb, eb), vb in xs:
+                        v, k = va * vb, ka + kb
+                        for ee, m in table.get((ea, eb)) or product(ea, eb):
+                            out[k, ee] = get((k, ee), 0) + v * m
+        return self._scalars(acc, den * scale.denominator)
 
     def mul_terms(self, a: dict, b: dict, trunc) -> dict:
         """The product of two series term maps ``{exps: scalar}``, truncated
@@ -165,14 +323,7 @@ class ExactRing:
                                      or product(xa, xb)):
                             cur = get((k, x))
                             out[k, x] = v * m if cur is None else cur + v * m
-        den = da * db
-        cancel = self._zero._cancel  # reads only the field of its scalar
-        result = {}
-        for e, out in acc.items():
-            out = {key: v for key, v in out.items() if v}
-            if out:
-                result[e] = cancel(out, den)
-        return result
+        return self._scalars(acc, da * db)
 
 
 class NumericRing:
@@ -186,6 +337,7 @@ class NumericRing:
         ctx.prec = precision
         self.ctx = ctx
         self.zero_tol = 2.0 ** (-precision + 12)
+        self._i = self.root_of_unity(Fraction(1, 4))
 
     def zero(self):
         return self.ctx.mpc(0)
@@ -226,6 +378,67 @@ class NumericRing:
         """x times the int or Fraction q."""
         return x * q.numerator / q.denominator
 
+    def unit_lift(self, series: dict, den: int, K: int, scale=1) -> dict:
+        """``{key: sum over (n, v, x) of x v scale / (den (2 pi i)^(K+n))}``
+        for ``series = {key: [(n, v, x), ...]}``, as ``ExactRing.unit_lift``.
+        v scale / (den (2 pi i)^(K+n)) is rounded once per (n, v) of a
+        call, from (2 pi i)^(-K) times n factors (2 pi i)^(-1), and its
+        product with x once per term."""
+        scale = Fraction(scale)
+        sn, sd = scale.numerator, scale.denominator
+        step = 1 / self.two_pi_i()
+        lifts = [step ** K]
+        i = self._i
+        weights: dict = {}  # (n, v) -> v scale / (den (2 pi i)^(K+n))
+        out = {}
+        for key, parts in series.items():
+            total = None
+            for n, v, x in parts:
+                f = weights.get((n, v))
+                if f is None:
+                    while len(lifts) <= n:
+                        lifts.append(lifts[-1] * step)
+                    d = den * sd
+                    if type(v) is int:
+                        f = self.scale(lifts[n], Fraction(v * sn, d))
+                    else:
+                        f = self.scale(lifts[n], Fraction(v.re * sn, d)) \
+                            + self.scale(lifts[n] * i, Fraction(v.im * sn, d))
+                    weights[n, v] = f
+                term = f * x
+                total = term if total is None else total + term
+            out[key] = total
+        return out
+
+    def sum_products(self, items, trunc) -> dict:
+        """sum over ``(terms, forms, q)`` of q * terms * prod of the integer
+        `forms`, as ``ExactRing.sum_products``: each form is one shift and
+        add of the values, and each product is scaled by q once, without
+        the coefficients that read as zero."""
+        acc: dict = {}
+        for terms, forms, q in items:
+            for form in forms:
+                terms = _shift_add(terms, form, trunc, _add_values)
+            for e, c in terms.items():
+                c = self.scale(c, q)
+                cur = acc.get(e)
+                acc[e] = c if cur is None else cur + c
+        return {e: c for e, c in acc.items() if not self.is_zero(c)}
+
+    def scaled_sum(self, pairs, scale=1) -> dict:
+        """The rational `scale` times the sum over ``(x, terms)`` of
+        x * terms, x a scalar or None for 1, without the coefficients that
+        read as zero; scaled once per output coefficient."""
+        acc: dict = {}
+        for x, terms in pairs:
+            for e, c in terms.items():
+                c = c if x is None else c * x
+                cur = acc.get(e)
+                acc[e] = c if cur is None else cur + c
+        scale = Fraction(scale)
+        return {e: c if scale == 1 else self.scale(c, scale)
+                for e, c in acc.items() if not self.is_zero(c)}
+
     def mul_terms(self, a: dict, b: dict, trunc) -> dict:
         """The product of two series term maps ``{exps: scalar}``, truncated
         at ``trunc`` (a ``series.Truncation``), without the coefficients
@@ -248,6 +461,39 @@ class NumericRing:
 
     def magnitude(self, x) -> float:
         return float(abs(x))
+
+
+def _shift_add(terms: dict, form, trunc, add_into) -> dict:
+    """``terms`` times the integer linear form ``[(position, p)]``,
+    truncated at ``trunc``: each term moves up by one in each position
+    and is added there times p (``add_into(out, e, value, p)``)."""
+    total, box = trunc.total, trunc.box
+    out: dict = {}
+    for e, value in terms.items():
+        if sum(e) >= total:
+            continue
+        for pos, p in form:
+            if box is not None and e[pos] >= box[pos]:
+                continue
+            add_into(out, e[:pos] + (e[pos] + 1,) + e[pos + 1:], value, p)
+    return out
+
+
+def _add_ints(out: dict, e, nums: dict, p: int) -> None:
+    """out[e] += p * nums, numerators keyed by (pi power, basis exps)."""
+    dst = out.get(e)
+    if dst is None:
+        out[e] = {key: p * v for key, v in nums.items()}
+    else:
+        get = dst.get
+        for key, v in nums.items():
+            dst[key] = get(key, 0) + p * v
+
+
+def _add_values(out: dict, e, value, p: int) -> None:
+    """out[e] += p * value."""
+    cur = out.get(e)
+    out[e] = value * p if cur is None else cur + value * p
 
 
 def embed(x: ExactScalar, precision: int = 128):

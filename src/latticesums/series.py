@@ -1,10 +1,11 @@
 """Truncated multivariate power series over either coefficient ring.
 
 A series is a sparse map from exponent tuples to scalars, truncated by
-total degree and, with a box, by one cap per variable (``Truncation``).  The product of two series is a term convolution that the
-coefficient ring performs (``mul_terms``), each ring on its own
-representation.  On top of the plain ring operations this module provides
-the operations that make the closed-form evaluators work:
+total degree and, with a box, by one cap per variable (``Truncation``).
+The product of two series is a term convolution that the coefficient
+ring performs (``mul_terms``), each ring on its own representation.  On
+top of the plain ring operations this module provides the operations
+that make the closed-form evaluators work:
 
 * ``LinearForm`` -- sum_v q_v t_v - 2 pi i c with exact rational q_v and
   an exact constant c, the one type of every denominator and exponent.
@@ -14,17 +15,19 @@ the operations that make the closed-form evaluators work:
   coefficient by coefficient with no series product: ``power`` here, and
   in ``genfun.unit_product`` every unit inverse (c != 0) and the vertex
   exponential, one exact product over Q of all the inverses of a summand
-  or of the whole numerator of a polytope vertex, lifted into the ring
-  once;
+  or of the whole numerator of a polytope vertex, each coefficient built
+  once from its int numerators (``ring.unit_lift``);
 * ``divide_exact`` -- division by a singular linear form, valid exactly
   because the assembled sums are holomorphic even though the individual
   summands are not.  Polynomial division in the variable of the largest
   |q_v| yields the quotient with rational scalings only, and a remainder
   free of that variable, zero exactly when the form divides;
 * ``sum_rational_forms`` -- combination of summands carrying such singular
-  denominators over a common product of one representative per merge key,
-  each numerator rescaled once to those representatives, followed by the
-  exact divisions, ``division_count`` of them, each losing one degree.
+  denominators over a common product of one representative per merge key:
+  each numerator scaled to those representatives and multiplied by the
+  ones it lacks in integers, all in one ring call (``sum_products``),
+  followed by the exact divisions, ``division_count`` of them, each losing
+  one degree.
 
 ``TruncatedSeries.invert_unit`` remains as the generic inverse of any unit
 series; the tests use it as an independent reference for the closed forms.
@@ -115,21 +118,19 @@ class TruncatedSeries:
                 out.terms[ne] = c
         return out
 
-    def shifted(self, names: Sequence[str], trunc: Truncation,
-                scale=1) -> "TruncatedSeries":
-        """The series times the monomial prod_{v in names} t_v and the
-        int or Fraction `scale`, truncated at `trunc`: one exponent shift,
-        no series product."""
+    def shifted(self, names: Sequence[str], trunc: Truncation
+                ) -> "TruncatedSeries":
+        """The series times the monomial prod_{v in names} t_v, truncated
+        at `trunc`: one exponent shift, no series product."""
         step = [0] * len(self.vars)
         for v in names:
             step[self.vars.index(v)] += 1
-        ring = self.ring
         terms = {}
         for e, c in self.terms.items():
             e = tuple(map(add, e, step))
             if trunc.keeps(e):
-                terms[e] = c if scale == 1 else ring.scale(c, scale)
-        return TruncatedSeries(ring, self.vars, trunc, terms)
+                terms[e] = c
+        return TruncatedSeries(self.ring, self.vars, trunc, terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -465,10 +466,16 @@ def sum_rational_forms(forms: Sequence[RationalForm],
     Forms equal up to a rational scale share one ``LinearForm.key``, and
     ``_divisors`` picks one representative r of each.  A denominator d of
     that key is lead(d)/lead(r) times r (lead: the first coefficient by
-    variable order), so each numerator is scaled once by the product of
-    lead(r)/lead(d) over its own denominators, multiplied by the powers of
-    the representatives it lacks, and the sum is divided by the
-    representatives.
+    variable order), so each numerator is scaled by the product of
+    lead(r)/lead(d) over its own denominators and multiplied by the powers
+    of the representatives it lacks, and the sum is divided by the
+    representatives.  A missing r = L is the integer form D L over its
+    denominator D, so the numerators, their products and their sum are one
+    ring call (``ring.sum_products``): each numerator is read once into
+    numerators over one denominator, multiplied by each integer form D L
+    by one shift and add, and added into the sum, whose terms are
+    cancelled once; the scalings and the powers of D enter as one
+    rational per form.
 
     Each division loses one degree: for numerators truncated at W, the
     sum is exact through W - ``division_count`` of the denominators, so
@@ -494,24 +501,28 @@ def sum_rational_forms(forms: Sequence[RationalForm],
             raise ValueError("forms must share variables and truncation")
 
     universe = _divisors(f.denominators for f in forms)
-    total = TruncatedSeries(ring, vars, trunc)
+    # each missing representative as its integer form D L: [(position, p_v)]
+    integer = {k: [(vars.index(v), q.numerator * (d.den // q.denominator))
+                   for v, q in d.coeffs.items()]
+               for k, (d, _) in universe.items()}
+    products = []
     for f in forms:
-        num = f.numerator
         keys = [d.key for d in f.denominators]
-        scale = Fraction(1)
+        scale, lins = Fraction(1), []
         for d, k in zip(f.denominators, keys):
             if not d.singular or not d.coeffs:
                 raise ValueError("a denominator must be a singular form "
                                  "with a linear part")
             lead = min(d.coeffs)
             scale *= universe[k][0].coeffs[lead] / d.coeffs[lead]
-        if scale != 1:
-            num = num.shifted((), trunc, scale)
         for k, (d, mult) in universe.items():
             deficit = mult - keys.count(k)
             if deficit > 0:
-                num = num * d.power(ring, vars, trunc, deficit)
-        total = total + num
+                lins += [integer[k]] * deficit
+                scale /= d.den ** deficit
+        products.append((f.numerator.terms, lins, scale))
+    total = TruncatedSeries(ring, vars, trunc,
+                            ring.sum_products(products, trunc))
 
     for d, mult in universe.values():
         for _ in range(mult):

@@ -14,6 +14,11 @@ evaluators take from shortcuts:
   exponential of a linear form from its closed form, and
   one coset's term of a basis's summand built at full order, one series
   product per kernel, per t_g and per unit inverse;
+* the unit product lifted into the ring term by term, a non-singular
+  summand's coefficient as one ring product per term of its unit
+  product, and the sum of rational forms with one series product per
+  missing representative: the paths that the integer lifts and sums of
+  the evaluators replaced;
 * the constant and single-variable series those products start from;
 * small exact helpers that only the tests use: a matrix product, lattice
   membership, the powers of pi, an exact scalar re-expressed in a larger
@@ -35,7 +40,8 @@ from typing import List, Sequence, Tuple, Union
 from latticesums import intlinalg
 from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
-from latticesums.genfun import EvaluationContext
+from latticesums.genfun import (EvaluationContext, _convolve, _coset_grids,
+                                _dead_unit, _unit_numerators, unit_product)
 from latticesums.kernel import (KernelParams, _apostol_numbers, exp_2pii,
                                 bernoulli_numbers, kernel_series)
 from latticesums.lattice import (Arrangement, Basis, Functional,
@@ -43,7 +49,8 @@ from latticesums.lattice import (Arrangement, Basis, Functional,
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
 from latticesums.scalar import ExactScalar
-from latticesums.series import RationalForm, TruncatedSeries, Truncation
+from latticesums.series import (RationalForm, TruncatedSeries, Truncation,
+                                _divisors, divide_exact)
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -386,6 +393,107 @@ def form_exp(form, ring, vars, trunc) -> TruncatedSeries:
     return TruncatedSeries(ring, vars, trunc, {
         e: ring.scale(phi[n], m)
         for e, m, n in form.monomials(vars, trunc, trunc.total)})
+
+
+def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
+                          scale=1) -> TruncatedSeries:
+    """``genfun.unit_product`` with its integer series lifted term by term:
+    the int numerators from ``genfun._unit_numerators`` (and the
+    exponential's, convolved per degree n of the unit factors as
+    ``unit_product`` does), then each term lifted with one ``ring.scale``
+    of root * (2 pi i)^(-(K + n)), built once per n (one more per part for
+    a Gaussian numerator), the terms of one exponent added in the ring and
+    every coefficient scaled by `scale` last.  Independent of
+    ``ring.unit_lift``."""
+    vars = tuple(vars)
+    terms, den, K = _unit_numerators(factors, vars, trunc)
+    keyed = [(e, sum(e), v) for e, v in terms.items()]
+    step = ring.inv(ring.two_pi_i())
+    lifts = [step ** K]  # lifts[n] = root * (2 pi i)^(-(K + n))
+    if exponent is not None:
+        monos = exponent.monomials(vars, trunc, trunc.total)
+        top = max(n for _, _, n in monos)
+        fact = [math.factorial(n) for n in range(top + 1)]
+        D = exponent.den
+        den *= fact[top] * D ** top
+        fac = [(e, fact[top] // fact[n] * D ** (top - n) * m, n)
+               for e, m, n in monos]
+        by_degree = {}
+        for e, n, v in keyed:
+            by_degree.setdefault(n, {})[e] = v
+        keyed = [(e, n, v) for n, part in by_degree.items()
+                 for e, v in _convolve(part, fac, trunc.total,
+                                       trunc.box).items()]
+        lifts[0] = lifts[0] * exp_2pii(ring, exponent.c, -1)
+    for _ in range(max(map(sum, terms), default=0)):
+        lifts.append(lifts[-1] * step)
+    i = ring.root_of_unity(Fraction(1, 4))
+    out = {}
+    for e, n, v in keyed:
+        if isinstance(v, int):
+            x = ring.scale(lifts[n], Fraction(v, den))
+        else:
+            x = ring.scale(lifts[n], Fraction(v.re, den)) \
+                + ring.scale(lifts[n] * i, Fraction(v.im, den))
+        out[e] = x if e not in out else out[e] + x
+    return TruncatedSeries(ring, vars, trunc, {
+        e: ring.scale(x, Fraction(scale)) for e, x in out.items()
+        if not ring.is_zero(x)})
+
+
+def termwise_unit_summand(ctx: EvaluationContext, s, k):
+    """``genfun._unit_summand_value`` as a dot product per coset: F, the
+    product of the collapsed unit factors, as one ``unit_product`` series
+    in the ring, then per coset one ring product F[e] * A_w[k_B - e] per
+    term of F, the coset's root, the sign and the weight last."""
+    ring = ctx.ring
+    members = ctx.arr.bases[s.bidx].members
+    vars = tuple(ctx.vars[m] for m in members)
+    box = tuple(k.weights[m] for m in members)
+    trunc = Truncation(sum(box), box)
+    if any(k.weights[g] == 0 for g, _ in s.unit_factors):
+        return ring.zero()
+    F = unit_product(ring, [(_dead_unit(ctx, g, form), k.weights[g])
+                            for g, form in s.unit_factors], vars, trunc)
+    total = ring.zero()
+    for grid, root in _coset_grids(ctx, s.bidx, trunc):
+        acc = ring.zero()
+        for e, f in F.terms.items():
+            p = grid.get(tuple(b - x for b, x in zip(box, e)))
+            if p is not None:
+                acc = acc + f * p
+        total = total + (acc if root is None else acc * root)
+    sign = -1 if len(s.unit_factors) % 2 else 1
+    return ring.scale(total, sign * s.weight)
+
+
+def sum_by_series_products(forms: Sequence[RationalForm]) -> TruncatedSeries:
+    """``series.sum_rational_forms`` with the numerators multiplied by the
+    representatives they lack one series product at a time: each numerator
+    scaled to its representatives term by term, times
+    ``LinearForm.power`` of every missing representative, added in the
+    ring and divided by the representatives."""
+    num0 = forms[0].numerator
+    ring, vars, trunc = num0.ring, num0.vars, num0.trunc
+    universe = _divisors(f.denominators for f in forms)
+    total = TruncatedSeries(ring, vars, trunc)
+    for f in forms:
+        num, keys = f.numerator, [d.key for d in f.denominators]
+        scale = Fraction(1)
+        for d, key in zip(f.denominators, keys):
+            lead = min(d.coeffs)
+            scale *= universe[key][0].coeffs[lead] / d.coeffs[lead]
+        num = TruncatedSeries(ring, vars, trunc, {
+            e: ring.scale(c, scale) for e, c in num.terms.items()})
+        for key, (d, mult) in universe.items():
+            if mult > keys.count(key):
+                num = num * d.power(ring, vars, trunc,
+                                    mult - keys.count(key))
+        total = total + num
+    for d, mult in universe.values():
+        for _ in range(mult):
+            total = divide_exact(total, d)
+    return total
 
 
 def full_order_summand(ctx: EvaluationContext, bidx: int,

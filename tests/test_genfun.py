@@ -30,7 +30,8 @@ from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, division_count,
                                 sum_rational_forms)
 from reference import (full_order_summand, lift, permuted, pi_pow,
-                       series_variable, unit_inverse)
+                       series_variable, termwise_unit_product,
+                       termwise_unit_summand, unit_inverse)
 
 CTX = MPContext()
 CTX.prec = 128
@@ -720,6 +721,123 @@ def test_unit_product_of_no_factor_is_one():
     assert got.terms == {(0, 0, 0): ring.one()}
 
 
+# (N, exponent constant): each root e^(-2 pi i c) lies in Q(zeta_N), and
+# N = 2772 = 4 * 9 * 7 * 11 has four prime-power factors
+LIFT_RINGS = [(4, Fraction(3, 4)), (60, Fraction(7, 30)),
+              (2772, Fraction(5, 36))]
+
+
+@pytest.mark.parametrize("box", [None, (3, 2, 4)], ids=["total", "box"])
+@pytest.mark.parametrize("N, c", LIFT_RINGS, ids=[str(n) for n, _ in
+                                                   LIFT_RINGS])
+def test_one_step_lift_matches_the_termwise_lift(N, c, box):
+    # the coefficients built in one step from their int numerators equal
+    # the per-term lift, with a Gaussian constant, an exponent form, a box
+    # and a Fraction scale, and with none of the last three
+    ring = ExactRing(N)
+    trunc = Truncation(5, box)
+    factors = [(LinearForm(ring, coeffs, const), k) for (coeffs, const), k
+               in zip(SCALED_FACTORS, (2, 1, 3))]
+    exponent = LinearForm(ring, {"t0": Fraction(2, 3), "t2": Fraction(-1)},
+                          c)
+    got = genfun.unit_product(ring, factors, UNIT_VARS, trunc, exponent,
+                              Fraction(-14, 9))
+    want = termwise_unit_product(ring, factors, UNIT_VARS, trunc, exponent,
+                                 Fraction(-14, 9))
+    assert len(want.terms) > 20
+    assert got.terms == want.terms
+    assert all(x.den > 0 and math.gcd(x.den, *x.terms.values()) == 1
+               for x in got.terms.values())
+    plain = genfun.unit_product(ring, factors, UNIT_VARS, trunc)
+    assert plain.terms == termwise_unit_product(ring, factors, UNIT_VARS,
+                                                trunc).terms
+
+
+@pytest.mark.parametrize("ring", ["4", "60", "numeric"])
+def test_unit_product_times_a_series_is_the_series_product(ring):
+    # a series given as `times` is multiplied inside the lift: the same as
+    # the series product with the unit product (within 2^-120 relative at
+    # 128 bits), and an empty one gives the zero series
+    ring = NumericRing(128) if ring == "numeric" else UNIT_RINGS[int(ring)]
+    trunc = Truncation(5, (3, 2, 4))
+    factors = [(LinearForm(ring, coeffs, const), k) for (coeffs, const), k
+               in zip(SCALED_FACTORS, (2, 1, 3))]
+    root = ring.root_of_unity(Fraction(1, 4)) + ring.from_fraction(
+        Fraction(2, 3))
+    times = TruncatedSeries(ring, UNIT_VARS, trunc, {
+        (0, 0, 0): ring.from_fraction(Fraction(-5, 7)),
+        (1, 0, 2): root, (0, 2, 1): root * root,
+        (2, 1, 0): ring.two_pi_i() * ring.from_fraction(Fraction(3, 11))})
+    got = genfun.unit_product(ring, factors, UNIT_VARS, trunc,
+                              times=times.terms)
+    want = times * genfun.unit_product(ring, factors, UNIT_VARS, trunc)
+    assert len(want.terms) > 20
+    if ring.exact:
+        assert got.terms == want.terms
+    else:
+        assert set(got.terms) == set(want.terms)
+        for e, w in want.terms.items():
+            assert abs(got.terms[e] - w) <= 2.0 ** -120 * abs(w), e
+    assert genfun.unit_product(ring, factors, UNIT_VARS, trunc,
+                               times={}).terms == {}
+
+
+def test_one_step_lift_turns_each_part_by_its_power_of_i():
+    # one term: (2 pi i)^(-(K + n)) = pi^(-(K + n)) i^(-(K + n)) / 2^(K + n),
+    # and a Gaussian numerator's imaginary part is turned once more by i
+    ring = ExactRing(12)
+    i = ring.root_of_unity(Fraction(1, 4))
+    x = ring.root_of_unity(Fraction(1, 3)) + ring.from_fraction(2)
+    for K in range(4):
+        for n in range(3):
+            for v in (5, GaussianRational(Fraction(3), Fraction(-2))):
+                got = ring.unit_lift({(): [(n, v, x)]}, 7, K, Fraction(2, 3))
+                value = ring.from_fraction(v) if isinstance(v, int) else \
+                    ring.from_fraction(v.re) + i * ring.from_fraction(v.im)
+                want = value * x * ring.from_fraction(Fraction(2, 21)) \
+                    * ring.inv(ring.two_pi_i()) ** (K + n)
+                assert got[()] == want
+
+
+def _gaussian_summand_cases():
+    """(context, summand, k) for the non-singular summands of one
+    arrangement with rational constants (exact mode) and one with a
+    Gaussian unit constant (numeric mode)."""
+    out = []
+    y = (Fraction(1, 7), Fraction(2, 11))
+    for mode, consts in (("exact", (Fraction(1, 3), Fraction(1, 5),
+                                    Fraction(3, 7), Fraction(2, 9))),
+                         ("numeric", GAUSSIAN_UNITS[1])):
+        arr = Arrangement(2, [make_functional(d, c)
+                              for d, c in zip(GAUSSIAN_UNITS[0], consts)])
+        ctx = EvaluationContext(arr, y, mode)
+        for k in ((2, 1, 1, 1), (1, 2, 3, 2)):
+            for s in build_summands(ctx):
+                if not s.degenerate_factors:
+                    out.append((ctx, s, WeightVector.make(k)))
+    return out
+
+
+def test_unit_summand_integer_path_matches_the_dot_product():
+    # per coset and degree one integer combination of the grid values,
+    # lifted once, equals one ring product per term of the unit product:
+    # equal in exact mode, within 2^-110 relative in numeric mode, where a
+    # unit constant is Gaussian
+    cases = _gaussian_summand_cases()
+    modes = set()
+    for ctx, s, k in cases:
+        got = genfun._unit_summand_value(ctx, s, k)
+        want = termwise_unit_summand(ctx, s, k)
+        modes.add(ctx.mode)
+        if ctx.ring.exact:
+            assert not want.is_zero() and got == want
+        else:
+            assert abs(got - want) <= CTX.mpf(2) ** -110 * abs(want)
+    assert modes == {"exact", "numeric"}
+    assert any(isinstance(den.c, GaussianRational)
+               for ctx, s, _ in cases for _, den in s.unit_factors)
+
+
 def _rational(dens):
     return st.sampled_from(dens).flatmap(
         lambda d: st.integers(-d, 2 * d).map(lambda n: Fraction(n, d)))
@@ -913,7 +1031,8 @@ def test_coset_grid_matches_rooted_kernel_products(box):
 
 def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     # each build expands all of a basis's unit factors, live and
-    # collapsed, in one unit product, not once per coset or per factor;
+    # collapsed, in one integer product (``_unit_numerators``, under
+    # ``unit_product`` or read directly), not once per coset or per factor;
     # the unit path reads its product on the box with no series product;
     # the kernels are read once per (coset, member) through the one
     # accessor, their root-free parts built once per parameters and order
@@ -925,12 +1044,12 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     y = (Fraction(1, 7), Fraction(1, 11))
     products, reads, bases, parts, muls = [], [], [], [], []
     real_parts = EvaluationContext.kernel
-    real_product = genfun.unit_product
+    real_product = genfun._unit_numerators
     real_mul = TruncatedSeries.__mul__
 
-    def counted_product(ring, factors, vars, trunc):
+    def counted_product(factors, vars, trunc):
         products.append((len(factors), trunc))
-        return real_product(ring, factors, vars, trunc)
+        return real_product(factors, vars, trunc)
 
     def counted_read(self, bidx, w, member, order):
         reads.append((bidx, w, member))
@@ -948,7 +1067,7 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         muls.append((a, b))
         return real_mul(a, b)
 
-    monkeypatch.setattr(genfun, "unit_product", counted_product)
+    monkeypatch.setattr(genfun, "_unit_numerators", counted_product)
     monkeypatch.setattr(EvaluationContext, "kernel", counted_read)
     monkeypatch.setattr(genfun, "kernel_base", counted_base)
     monkeypatch.setattr(genfun, "kernel_parts", counted_parts)

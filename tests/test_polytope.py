@@ -389,9 +389,9 @@ def test_vertex_unit_edges_are_one_unit_product(generic_y2, monkeypatch):
     real_vertex = polytope._vertex_rational_form
     real_mul = TruncatedSeries.__mul__
 
-    def counted_product(ring, factors, vars, trunc, exponent=None):
+    def counted_product(ring, factors, vars, trunc, exponent=None, scale=1):
         products.append(([k for _, k in factors], exponent is not None))
-        return real_product(ring, factors, vars, trunc, exponent)
+        return real_product(ring, factors, vars, trunc, exponent, scale)
 
     def counted_vertex(ctx, dec, m, y, w, edges, dens, tstar, order):
         products.clear()
@@ -442,9 +442,9 @@ def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
     calls = []
     real_product = polytope.unit_product
 
-    def recorded(ring, factors, vars, trunc, exponent=None):
-        out = real_product(ring, factors, vars, trunc, exponent)
-        calls.append((ring, factors, vars, trunc, exponent, out))
+    def recorded(ring, factors, vars, trunc, exponent=None, scale=1):
+        out = real_product(ring, factors, vars, trunc, exponent, scale)
+        calls.append((ring, factors, vars, trunc, exponent, scale, out))
         return out
 
     monkeypatch.setattr(polytope, "unit_product", recorded)
@@ -454,11 +454,14 @@ def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
     # some vertex roots are not 1
     assert any(not isinstance(call[4].c, Fraction) or call[4].c.denominator
                > 1 for call in calls)
-    for ring, factors, vars, trunc, exponent, out in calls:
+    # the weight |det| / index of some vertices is not 1
+    assert any(call[5] != 1 for call in calls)
+    for ring, factors, vars, trunc, exponent, scale, out in calls:
         want = form_exp(exponent, ring, vars, trunc)
         for form, k in factors:
             assert k == 1
             want = want * unit_inverse(ring, vars, trunc, form)
+        want = want.scalar_mul(ring.from_fraction(scale))
         if ring.exact:
             assert out.terms == want.terms
             continue

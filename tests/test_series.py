@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, divide_exact, division_count,
                                 sum_rational_forms)
 from reference import (form_exp, pi_pow, series_constant,
-                       series_variable)
+                       series_variable, sum_by_series_products)
 
 R = ExactRing(4)
 VARS = ("t1", "t2", "t3")
@@ -499,6 +500,67 @@ def test_sum_rational_forms_divides_division_count_times(monkeypatch):
     # three divisions leave the total exact through degree 4 - 3
     assert total.terms == {(1, 0, 0): R.one(),
                            (0, 0, 1): R.from_fraction(Fraction(-2, 3))}
+
+
+def _drawn_series(ring, trunc, seed, top=3):
+    """A fixed series of degree at most `top` in VARS, inside `trunc`:
+    coefficients q * pi^k * zeta_12^j in the exact ring, their values in
+    the numeric one."""
+    rng = random.Random(seed)
+    exact = EXACT_RINGS[12]
+    terms = {}
+    for e in itertools.product(range(top + 1), repeat=len(VARS)):
+        if sum(e) > top or not trunc.keeps(e) or rng.random() < 0.3:
+            continue
+        c = exact.field.zeta_pow(rng.randrange(12)) \
+            * pi_pow(exact, rng.randrange(-1, 2)) \
+            * Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+        terms[e] = c if ring.exact else c.embed(ring.ctx)
+    return TruncatedSeries(ring, VARS, trunc, terms)
+
+
+@pytest.mark.parametrize("box", [None, (7, 7, 2)], ids=["total", "box"])
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_sum_rational_forms_matches_series_products(mode, box):
+    # numerators lacking representatives, one representative twice, scaled
+    # denominators: the integer products equal one series product per
+    # missing representative (exactly, or within 2^-100 relative), and the
+    # sum is P through the working order less the four divisions; the box
+    # caps t3, the pivot of no denominator
+    ring = EXACT_RINGS[12] if mode == "exact" else NumericRing(128)
+    trunc = Truncation(7, box)
+    l1 = LinearForm(ring, {"t1": 1, "t2": -1})
+    l1s = LinearForm(ring, {"t1": Fraction(-3, 2), "t2": Fraction(3, 2)})
+    l2 = LinearForm(ring, {"t2": 1, "t3": Fraction(2, 3)})
+    l3 = LinearForm(ring, {"t1": 3, "t3": -1})
+    assert [d.pivot for d in (l1, l2, l3)] == ["t1", "t2", "t1"]
+
+    def times(x, *forms):
+        for d in forms:
+            x = x * d.power(ring, VARS, trunc, 1)
+        return x
+
+    P, M2, M3, N4 = (_drawn_series(ring, trunc, seed) for seed in range(4))
+    forms = [RationalForm(times(P - M2 - M3 - N4, l1, l1s, l2),
+                          [l1, l1s, l2]),
+             RationalForm(times(M2, l1s), [l1s]),
+             RationalForm(times(M3, l3), [l3]),
+             RationalForm(N4, [])]
+    assert division_count(f.denominators for f in forms) == 4
+    got = sum_rational_forms(forms)
+    want = sum_by_series_products(forms)
+    assert len(want.terms) >= 10
+    if ring.exact:
+        assert got.terms == want.terms
+    else:
+        assert set(got.terms) == set(want.terms)
+        for e, w in want.terms.items():
+            assert abs(got.terms[e] - w) <= 2.0 ** -100 * abs(w), e
+    for e in set(got.terms) | set(P.terms):
+        if sum(e) <= 7 - 4:
+            diff = got.coefficient(e) - P.coefficient(e)
+            assert ring.is_zero(diff) if ring.exact else \
+                abs(diff) <= 2.0 ** -100 * abs(P.coefficient(e)), e
 
 
 def test_numeric_divide_reports_residual():

@@ -9,7 +9,8 @@ Commands:
 * ``verify hierarchy``    operator-removal identity check
 
 Exit codes: 0 ok, 1 I/O or usage (including kept functionals that no
-longer span the space), 2 excluded point, 3 internal consistency failure (a
+longer span the space, and a ``verify polytope`` shift on the singular
+locus), 2 excluded point, 3 internal consistency failure (a
 non-divisible sum, a non-simple polytope, or an exact scalar that cannot be
 inverted), 4 verification failure.
 """
@@ -33,7 +34,8 @@ from .errors import (ExcludedPoint, NonDivisible, NotInvertible, NotSimple,
 from .genfun import (EvaluationContext, coefficient, lattice_sum_value,
                      zeta_from_S)
 from .hierarchy import check_hierarchy
-from .lattice import arrangement_from_json, load_arrangement
+from .lattice import (arrangement_from_json, in_singular_locus,
+                      load_arrangement)
 from .oracle import convergence_scan
 from .polytope import polytope_report
 from .scalar import format_scalar
@@ -233,6 +235,11 @@ def cmd_verify_polytope(args) -> int:
     job = _job_from_args(args, need_k=False)
     arr = _load_arr(job.arrangement)
     y = job.y
+    # a usage error, refused before any series is built
+    if in_singular_locus(y, arr):
+        raise ValueError(f"--y {args.y} lies on the singular locus, where "
+                         f"the fractional parts jump and the polytopes are "
+                         f"not all simple; choose a shift off it")
     report = polytope_report(arr, y, args.order, mode=args.mode,
                              precision=args.precision)
     text = json.dumps(report, indent=1)

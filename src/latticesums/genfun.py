@@ -62,8 +62,9 @@ Two evaluation strategies use it:
   with a singular denominator build series, to the order that their
   divisions need and on the box of their target, through the builder
   with the component's live variables: the coset grids times their roots
-  are summed on the rank-many basis variables in integers
-  (``ring.scaled_sum``) and extended to the live ones once, then
+  are summed on the rank-many basis variables in one ring product call
+  (``ring.mul_terms``, each root a one-term series; in integers in exact
+  mode) and extended to the live ones once, then
   multiplied by the one unit product of the summand's live and collapsed
   unit factors, inside that product's lift.
 
@@ -120,7 +121,7 @@ from .lattice import (Arrangement, GaussianRational, GenericDirection,
 from .lattice import frac_part  # noqa: F401
 from .scalar import ExactRing, NumericRing
 from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
-                     division_count, sum_rational_forms)
+                     convolve, division_count, sum_rational_forms)
 
 
 @dataclass(frozen=True)
@@ -380,15 +381,17 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand,
     Every t_g is a monomial, so everything else is built below `trunc` by
     one degree for each of them, and below its box, if it has one, by the
     exponents of the monomial: the weight times the coset sum of kernel
-    products, read from the root-free grids of ``_coset_grids`` and added
-    with each coset's root in integers (``ring.scaled_sum``), extended
-    once to `live_vars`, times one exact ``unit_product`` of every unit
-    factor, dead ones as (a_g + U_g, k_g) and live ones as (den_g, 1),
-    which takes the coset sum as its `times`, so that the product is made
-    in the unit product's one lift, with no series product.  The
-    monomial prod t_g is applied last, as one exponent shift into
-    `trunc`.  The numerator is zero when the t_g leave nothing below
-    `trunc`, or when a dead factor is read at k_g = 0.
+    products, read from the root-free grids of ``_coset_grids``, each
+    times its coset's root as a one-term series, and added with the
+    weight in one ``ring.mul_terms`` (one coset with no root and weight 1
+    is its grid as it is), extended once to `live_vars`, times one exact
+    ``unit_product`` of every unit factor, dead ones as (a_g + U_g, k_g)
+    and live ones as (den_g, 1), which takes the coset sum as its
+    `times`, so that the product is made in the unit product's one lift,
+    with no series product.  The monomial prod t_g is applied last, as
+    one exponent shift into `trunc`.  The numerator is zero when the t_g
+    leave nothing below `trunc`, or when a dead factor is read at
+    k_g = 0.
 
     A box is a lower set, so each of those products and the shift is
     exact on it: the numerator is the total-degree one restricted to the
@@ -421,9 +424,11 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand,
     low = Truncation(top, box)
     on_basis = low if box is None else Truncation(
         top, tuple(box[live_vars.index(v)] for v in basis_vars))
-    num = TruncatedSeries(ring, basis_vars, on_basis, ring.scaled_sum(
-        ((root, grid) for grid, root in _coset_grids(ctx, s.bidx, on_basis)),
-        weight)).extend(live_vars, low)
+    zero, one = (0,) * len(basis_vars), ring.one()
+    num = TruncatedSeries(ring, basis_vars, on_basis, ring.mul_terms(
+        [({zero: one if root is None else root}, grid)
+         for grid, root in _coset_grids(ctx, s.bidx, on_basis)],
+        on_basis, weight)).extend(live_vars, low)
     if units:
         num = unit_product(ring, units, live_vars, low, times=num.terms)
     return RationalForm(num.shifted(monomial, trunc), denoms)
@@ -547,8 +552,7 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
 
     Each factor is expanded from (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n
     on ``LinearForm.monomials``, over one denominator, and the factors are
-    convolved in ints, truncated as ``mul_terms`` truncates
-    (``_convolve``)."""
+    convolved in ints (``series.convolve``)."""
     total = trunc.total
     terms: Dict[tuple, object] = {(0,) * len(vars): 1}
     den, K = 1, 0
@@ -572,8 +576,8 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
             power = power * wnum
         den *= wden ** k * base ** top
         K += k
-        terms = _convolve(terms, [(e, coef[n] * m, n) for e, m, n in monos],
-                          total, trunc.box)
+        terms = convolve(terms, [(e, coef[n] * m, n) for e, m, n in monos],
+                         trunc)
     return terms, den, K
 
 
@@ -641,31 +645,10 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
             by_degree.setdefault(sum(e), {})[e] = v
         series = {}
         for n, part in by_degree.items():
-            for e, v in _convolve(part, fac, total, box).items():
+            for e, v in convolve(part, fac, trunc).items():
                 series.setdefault(e, []).append((n, v, root))
     return TruncatedSeries(ring, vars, trunc,
                            ring.unit_lift(series, den, K, scale))
-
-
-def _convolve(terms: Dict[tuple, int], fac, total: int, box
-              ) -> Dict[tuple, int]:
-    """The product of the integer (or Gaussian integer) series `terms`
-    and `fac`, given as (e, value, |e|) triples, truncated at the total
-    degree `total` and the `box` (None for none) as ``mul_terms``
-    truncates, with no zero value."""
-    out: Dict[tuple, int] = {}
-    get = out.get
-    for ea, va in terms.items():
-        na = sum(ea)
-        for eb, vb, nb in fac:
-            if na + nb > total:
-                continue
-            e = tuple(map(add, ea, eb))
-            if box is not None and not all(map(le, e, box)):
-                continue
-            cur = get(e)
-            out[e] = va * vb if cur is None else cur + va * vb
-    return {e: v for e, v in out.items() if v}
 
 
 def _unit_summand_value(ctx: EvaluationContext, s: Summand,

@@ -45,8 +45,8 @@ from .errors import RankDrop
 from .genfun import (EvaluationContext, generating_function,
                      summand_rational_form)
 from .lattice import Arrangement
-from .series import (LinearForm, RationalForm, Truncation, division_count,
-                     sum_rational_forms)
+from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
+                     division_count, sum_rational_forms)
 
 
 @dataclass
@@ -67,9 +67,14 @@ def apply_Dg_summand(ctx: EvaluationContext, state: Tuple[int, RationalForm],
     bidx, form = state
     if g in ctx.arr.bases[bidx].members:
         return None
-    den = ctx.denominator_form(bidx, g).power(ctx.ring, ctx.vars,
-                                              Truncation(order), 1)
-    tg = LinearForm(ctx.ring, {ctx.vars[g]: Fraction(1)})
+    ring, vars = ctx.ring, ctx.vars
+    den_g = ctx.denominator_form(bidx, g)
+    # den_g as a series: its constant and its q_v t_v
+    terms = {} if den_g.singular else {(0,) * len(vars): den_g.constant}
+    for v, q in den_g.coeffs.items():
+        terms[tuple(int(w == v) for w in vars)] = ring.from_fraction(q)
+    den = TruncatedSeries(ring, vars, Truncation(order), terms)
+    tg = LinearForm(ring, {vars[g]: Fraction(1)})
     return bidx, RationalForm(form.numerator * den,
                               form.denominators + [tg])
 
@@ -118,8 +123,6 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     total = sum_rational_forms([form for _, form in states])
 
     sub = arr.restricted(keep)
-    # the sub-arrangement's exponentials form a subset of the parent's, so
-    # the parent's coefficient field always contains them
     sub_ctx = _with_field(sub, y, mode, precision, ctx)
     f_sub = generating_function(sub, y, order, mode=mode,
                                 precision=precision, ctx=sub_ctx,
@@ -162,16 +165,14 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
 
 def _with_field(sub: Arrangement, y, mode, precision,
                 parent_ctx: EvaluationContext) -> EvaluationContext:
-    """Context for the sub-arrangement sharing the parent's scalar field,
-    and with it the parent's kernel tables: they are keyed by the value of
+    """Context for the sub-arrangement in the parent's ring, and with it
+    the parent's kernel tables: they are keyed by the value of
     (KernelParams, order), so they hold for any context in the same ring
     object."""
     sub_ctx = EvaluationContext(sub, y, mode, precision, phi=parent_ctx.phi)
-    if mode == "numeric" or parent_ctx.N % sub_ctx.N == 0:
-        # both contexts work at one precision in numeric mode
-        sub_ctx.N = parent_ctx.N
-        sub_ctx.ring = parent_ctx.ring
-    if sub_ctx.ring is parent_ctx.ring:
-        sub_ctx._parts = parent_ctx._parts
-        sub_ctx._bases = parent_ctx._bases
+    # every basis of the sub-arrangement is a parent basis with the same
+    # duals and constants, so its cyclotomic order divides the parent's
+    # (numeric mode: one precision for both)
+    sub_ctx.N, sub_ctx.ring = parent_ctx.N, parent_ctx.ring
+    sub_ctx._parts, sub_ctx._bases = parent_ctx._parts, parent_ctx._bases
     return sub_ctx

@@ -17,17 +17,17 @@ Two interchangeable rings live here behind one small protocol:
 The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction``, ``root_of_unity`` (e^{2 pi i q}), ``two_pi_i``,
 ``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
-of scalars), ``mul_terms`` (the truncated product of two series term
-maps), ``scaled_sum`` (a sum of series term maps, each times a scalar),
-``sum_products`` (a sum of series term maps, each times integer linear
-forms and a rational), ``unit_lift`` (coefficients from integer
-numerators times scalars over powers of 2 pi i), ``detach``/``attach`` (a
-scalar as plain data that holds no field or context, and back), and the
-flag ``exact``.  The exact ring builds each output coefficient of the
-four series operations once: it works on integer numerators over one
-denominator and builds one ``ExactScalar`` per coefficient, cancelled
-once.  Every
-structural decision (which forms are singular, which are equal, which
+of scalars), ``mul_terms`` (a rational times a sum of truncated products
+of two series term maps: one series product, or a sum of series each
+times a scalar as one-term maps), ``sum_products`` (a sum of series term
+maps, each times integer linear forms and a rational), ``unit_lift``
+(coefficients from integer numerators times scalars over powers of
+2 pi i), ``detach``/``attach`` (a scalar as plain data that holds no
+field or context, and back), and the flag ``exact``.  The exact ring
+builds each output coefficient of the three series operations once: it
+works on integer numerators over one denominator and builds one
+``ExactScalar`` per coefficient, cancelled once.  Every structural
+decision (which forms are singular, which are equal, which
 coefficient pivots a division) is taken from exact rational data outside
 the ring, so the exact ring has no float size estimate; only
 ``NumericRing`` has ``magnitude``, which sizes division residuals and
@@ -48,6 +48,7 @@ from typing import Dict
 from mpmath.ctx_mp import MPContext
 
 from .cyclotomic import CyclotomicField, ExactScalar
+from .series import convolve
 
 # ---------------------------------------------------------------------------
 # ring adapters
@@ -252,78 +253,56 @@ class ExactRing:
                 _add_ints(acc, e, nums, s * m)
         return self._scalars(acc, den)
 
-    def scaled_sum(self, pairs, scale=1) -> dict:
-        """The rational `scale` times the sum over ``(x, terms)`` of
-        x * terms, x a scalar or None for 1 and terms a series term map
-        ``{exps: scalar}``, with no zero coefficient.  Every product is
-        added in integer numerators over one denominator, the lcm of the
-        products' denominators times that of `scale`, through the
-        basis-product table, and each output coefficient is cancelled
-        once."""
-        table = self.field.basis_products
-        product = self.field.basis_product
-        scale = Fraction(scale)
-        parts = [(x, terms, 1 if x is None else x.den) for x, terms in pairs]
-        if len(parts) == 1 and parts[0][0] is None and scale == 1:
-            return dict(parts[0][1])  # one canonical term map, as it is
-        den = math.lcm(*(c.den * xd for _, terms, xd in parts
-                         for c in terms.values()))
-        acc: Dict[tuple, Dict[tuple, int]] = {}
-        for x, terms, xd in parts:
-            xs = None if x is None else list(x.terms.items())
-            for e, c in terms.items():
-                out = acc.get(e)
-                if out is None:
-                    out = acc[e] = {}
-                get = out.get
-                s = den // (c.den * xd) * scale.numerator
-                if xs is None:
-                    for key, v in c.terms.items():
-                        out[key] = get(key, 0) + v * s
-                    continue
-                for (ka, ea), va in c.terms.items():
-                    va *= s
-                    for (kb, eb), vb in xs:
-                        v, k = va * vb, ka + kb
-                        for ee, m in table.get((ea, eb)) or product(ea, eb):
-                            out[k, ee] = get((k, ee), 0) + v * m
-        return self._scalars(acc, den * scale.denominator)
+    def mul_terms(self, pairs, trunc, scale=1) -> dict:
+        """The rational `scale` times the sum over ``(a, b)`` in the list
+        `pairs` of the products of two series term maps ``{exps: scalar}``,
+        truncated at ``trunc`` (a ``series.Truncation``), with no zero
+        coefficient.
 
-    def mul_terms(self, a: dict, b: dict, trunc) -> dict:
-        """The product of two series term maps ``{exps: scalar}``, truncated
-        at ``trunc`` (a ``series.Truncation``), with no zero coefficient.
-
-        Both factors are brought over one denominator each, so the
-        convolution runs on integer numerators; every output coefficient is
-        cancelled once, over the product of the two denominators.
+        Every factor is brought over one denominator, so the convolutions
+        run on integer numerators, added over the lcm of the products'
+        denominators times that of `scale`; every output coefficient is
+        cancelled once.  One pair whose `a` is the constant 1, with scale
+        1, is `b` truncated, its coefficients kept as they are.
         """
+        scale = Fraction(scale)
+        if len(pairs) == 1 and scale == 1 and len(pairs[0][0]) == 1:
+            (e, x), = pairs[0][0].items()
+            if not any(e) and x == self._one:
+                return {e: c for e, c in pairs[0][1].items()
+                        if trunc.keeps(e)}
         field = self.field
         table = field.basis_products
         product = field.basis_product
         total, box = trunc.total, trunc.box
-        da, a_items = self._over_lcm(a)
-        db, b_items = self._over_lcm(b)
+        read = [(self._over_lcm(a), self._over_lcm(b)) for a, b in pairs]
+        den = math.lcm(*(da * db for (da, _), (db, _) in read))
         acc: Dict[tuple, Dict[tuple, int]] = {}
-        for ea, sa, ta in a_items:
-            for eb, sb, tb in b_items:
-                if sa + sb > total:
-                    continue
-                e = tuple(map(add, ea, eb))
-                if box is not None and not all(map(le, e, box)):
-                    continue
-                out = acc.get(e)
-                if out is None:
-                    out = acc[e] = {}
-                get = out.get
-                for ka, xa, va in ta:
-                    for kb, xb, vb in tb:
-                        v = va * vb
-                        k = ka + kb
-                        for x, m in (table.get((xa, xb))
-                                     or product(xa, xb)):
-                            cur = get((k, x))
-                            out[k, x] = v * m if cur is None else cur + v * m
-        return self._scalars(acc, da * db)
+        for (da, a_items), (db, b_items) in read:
+            s = den // (da * db) * scale.numerator
+            for ea, sa, ta in a_items:
+                if s != 1:
+                    ta = [(k, x, v * s) for k, x, v in ta]
+                for eb, sb, tb in b_items:
+                    if sa + sb > total:
+                        continue
+                    e = tuple(map(add, ea, eb))
+                    if box is not None and not all(map(le, e, box)):
+                        continue
+                    out = acc.get(e)
+                    if out is None:
+                        out = acc[e] = {}
+                    get = out.get
+                    for ka, xa, va in ta:
+                        for kb, xb, vb in tb:
+                            v = va * vb
+                            k = ka + kb
+                            for x, m in (table.get((xa, xb))
+                                         or product(xa, xb)):
+                                cur = get((k, x))
+                                out[k, x] = v * m if cur is None \
+                                    else cur + v * m
+        return self._scalars(acc, den * scale.denominator)
 
 
 class NumericRing:
@@ -425,39 +404,25 @@ class NumericRing:
                 acc[e] = c if cur is None else cur + c
         return {e: c for e, c in acc.items() if not self.is_zero(c)}
 
-    def scaled_sum(self, pairs, scale=1) -> dict:
-        """The rational `scale` times the sum over ``(x, terms)`` of
-        x * terms, x a scalar or None for 1, without the coefficients that
-        read as zero; scaled once per output coefficient."""
-        acc: dict = {}
-        for x, terms in pairs:
-            for e, c in terms.items():
-                c = c if x is None else c * x
+    def mul_terms(self, pairs, trunc, scale=1) -> dict:
+        """The rational `scale` times the sum over ``(a, b)`` in `pairs` of
+        the products of two series term maps, as ``ExactRing.mul_terms``,
+        without the coefficients that read as zero.  Each product is the
+        truncated convolution ``series.convolve``, the terms of `a` outer;
+        the products are added in the order of `pairs`, and scaled once
+        per output coefficient, after the sum."""
+        acc = {}
+        for a, b in pairs:
+            p = convolve(a, [(e, c, sum(e)) for e, c in b.items()], trunc)
+            if not acc:
+                acc = p
+                continue
+            for e, c in p.items():
                 cur = acc.get(e)
                 acc[e] = c if cur is None else cur + c
         scale = Fraction(scale)
         return {e: c if scale == 1 else self.scale(c, scale)
                 for e, c in acc.items() if not self.is_zero(c)}
-
-    def mul_terms(self, a: dict, b: dict, trunc) -> dict:
-        """The product of two series term maps ``{exps: scalar}``, truncated
-        at ``trunc`` (a ``series.Truncation``), without the coefficients
-        that read as zero."""
-        total, box = trunc.total, trunc.box
-        out: dict = {}
-        big_items = [(e, sum(e), c) for e, c in b.items()]
-        for ea, ca in a.items():
-            da = sum(ea)
-            for eb, db, cb in big_items:
-                if da + db > total:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if box is not None and not all(map(le, e, box)):
-                    continue
-                cur = out.get(e)
-                p = ca * cb
-                out[e] = p if cur is None else cur + p
-        return {e: c for e, c in out.items() if not self.is_zero(c)}
 
     def magnitude(self, x) -> float:
         return float(abs(x))

@@ -3,17 +3,19 @@
 A series is a sparse map from exponent tuples to scalars, truncated by
 total degree and, with a box, by one cap per variable (``Truncation``).
 The product of two series is a term convolution that the coefficient
-ring performs (``mul_terms``), each ring on its own representation.  On
-top of the plain ring operations this module provides the operations
-that make the closed-form evaluators work:
+ring performs (``mul_terms``), each ring on its own representation; the
+truncation rule of a convolution of values, numeric scalars or the ints
+of the unit products, is written once (``convolve``).  On top of the
+plain ring operations this module provides the operations that make the
+closed-form evaluators work:
 
 * ``LinearForm`` -- sum_v q_v t_v - 2 pi i c with exact rational q_v and
   an exact constant c, the one type of every denominator and exponent.
   Its singularity (c == 0) and its merge key (the normalised q_v) are read
   from that exact data in both rings.  One multinomial enumerator
   (``monomials``) expands every function of it that the evaluators need,
-  coefficient by coefficient with no series product: ``power`` here, and
-  in ``genfun.unit_product`` every unit inverse (c != 0) and the vertex
+  coefficient by coefficient with no series product: in
+  ``genfun.unit_product`` every unit inverse (c != 0) and the vertex
   exponential, one exact product over Q of all the inverses of a summand
   or of the whole numerator of a polytope vertex, each coefficient built
   once from its int numerators (``ring.unit_lift``);
@@ -56,6 +58,28 @@ class Truncation:
     def keeps(self, exps: Exps) -> bool:
         return sum(exps) <= self.total and (
             self.box is None or all(map(le, exps, self.box)))
+
+
+def convolve(terms: Dict[Exps, object], fac, trunc: Truncation
+             ) -> Dict[Exps, object]:
+    """The product of the series `terms` and `fac`, the latter given as
+    (e, value, |e|) triples, truncated at `trunc`, with no zero value: the
+    one convolution of values, ints or Gaussian ints, each term of `terms`
+    outer."""
+    total, box = trunc.total, trunc.box
+    out: Dict[Exps, object] = {}
+    get = out.get
+    for ea, va in terms.items():
+        na = sum(ea)
+        for eb, vb, nb in fac:
+            if na + nb > total:
+                continue
+            e = tuple(map(add, ea, eb))
+            if box is not None and not all(map(le, e, box)):
+                continue
+            cur = get(e)
+            out[e] = va * vb if cur is None else cur + va * vb
+    return {e: v for e, v in out.items() if v}
 
 
 class TruncatedSeries:
@@ -171,7 +195,7 @@ class TruncatedSeries:
         small, big = (self.terms, other.terms) \
             if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
         return TruncatedSeries(self.ring, self.vars, self.trunc,
-                               self.ring.mul_terms(small, big, self.trunc))
+                               self.ring.mul_terms([(small, big)], self.trunc))
 
     # -- analytic helpers ----------------------------------------------------
 
@@ -297,26 +321,6 @@ class LinearForm:
                     fe *= j + 1
             partial = grown
         return [(e, fact[n] // fe * pe, n) for e, pe, fe, n in partial]
-
-    def power(self, ring, vars, trunc: Truncation, m: int
-              ) -> TruncatedSeries:
-        """(a + L)^m for m >= 0, a = `constant`, as sum_n f_n (D L)^n,
-        f_n = C(m, n) a^(m-n) / D^n, only f_m = 1 / D^m when the form is
-        singular: the coefficient of t^e is f_|e| times the integer m of
-        ``monomials``.  A `trunc.box` keeps only the terms with
-        e_v <= box_v."""
-        den = self.den
-        if self.singular:
-            f = {m: ring.from_fraction(Fraction(1, den ** m))}
-        else:
-            f = {n: ring.scale(self.constant ** (m - n),
-                               Fraction(math.comb(m, n), den ** n))
-                 for n in range(min(m, trunc.total) + 1)}
-        terms = {e: ring.scale(f[n], c)
-                 for e, c, n in self.monomials(vars, trunc,
-                                               min(m, trunc.total))
-                 if n in f}
-        return TruncatedSeries(ring, tuple(vars), trunc, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ evaluators take from shortcuts:
 * the kernel's closed-form coefficients C(k, y; b) (Bernoulli polynomials
   for integral b) and their moment integrals against e^{-2 pi i m x};
 * the inverse of a unit linear form by the generic series inverse, the
-  exponential of a linear form from its closed form, and
+  powers and the exponential of a linear form from their closed forms,
+  and
   one coset's term of a basis's summand built at full order, one series
   product per kernel, per t_g and per unit inverse;
+* the ring's series product, one scalar product per term pair;
 * the unit product lifted into the ring term by term, a non-singular
   summand's coefficient as one ring product per term of its unit
   product, and the sum of rational forms with one series product per
@@ -40,8 +42,8 @@ from typing import List, Sequence, Tuple, Union
 from latticesums import intlinalg
 from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
-from latticesums.genfun import (EvaluationContext, _convolve, _coset_grids,
-                                _dead_unit, _unit_numerators, unit_product)
+from latticesums.genfun import (EvaluationContext, _coset_grids, _dead_unit,
+                                _unit_numerators, unit_product)
 from latticesums.kernel import (KernelParams, _apostol_numbers, exp_2pii,
                                 bernoulli_numbers, kernel_series)
 from latticesums.lattice import (Arrangement, Basis, Functional,
@@ -50,7 +52,7 @@ from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
 from latticesums.scalar import ExactScalar
 from latticesums.series import (RationalForm, TruncatedSeries, Truncation,
-                                _divisors, divide_exact)
+                                _divisors, convolve, divide_exact)
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -372,10 +374,46 @@ def largest_coefficient_scaled(series_fn, eps: Fraction, shifts: list):
     return scaled
 
 
+def termwise_product(ring, pairs, trunc, scale=1) -> dict:
+    """``ring.mul_terms`` one term pair at a time: the rational `scale`
+    times the sum over the pairs (a, b) of series term maps of one scalar
+    product per two terms whose exponent `trunc` keeps, added in the ring,
+    each coefficient scaled last (``ring.scale``), without the ones that
+    read as zero.  Independent of the rings' convolutions."""
+    out = {}
+    for a, b in pairs:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if trunc.keeps(e):
+                    out[e] = ca * cb if e not in out else out[e] + ca * cb
+    return {e: ring.scale(c, Fraction(scale)) for e, c in out.items()
+            if not ring.is_zero(c)}
+
+
 def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
     """1/form for a form with a nonzero constant: the generic series
     inverse of the form, independent of ``genfun.unit_product``."""
-    return form.power(ring, vars, trunc, 1).invert_unit()
+    return form_power(form, ring, vars, trunc, 1).invert_unit()
+
+
+def form_power(form, ring, vars, trunc, m: int) -> TruncatedSeries:
+    """(a + L)^m for m >= 0, a the form's constant, as sum_n f_n (D L)^n,
+    f_n = C(m, n) a^(m-n) / D^n, only f_m = 1 / D^m when the form is
+    singular: the coefficient of t^e is f_|e| times the integer m of
+    ``LinearForm.monomials``.  A `trunc.box` keeps only the terms with
+    e_v <= box_v."""
+    den = form.den
+    if form.singular:
+        f = {m: ring.from_fraction(Fraction(1, den ** m))}
+    else:
+        f = {n: ring.scale(form.constant ** (m - n),
+                           Fraction(math.comb(m, n), den ** n))
+             for n in range(min(m, trunc.total) + 1)}
+    terms = {e: ring.scale(f[n], c)
+             for e, c, n in form.monomials(vars, trunc, min(m, trunc.total))
+             if n in f}
+    return TruncatedSeries(ring, tuple(vars), trunc, terms)
 
 
 def form_exp(form, ring, vars, trunc) -> TruncatedSeries:
@@ -422,8 +460,7 @@ def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
         for e, n, v in keyed:
             by_degree.setdefault(n, {})[e] = v
         keyed = [(e, n, v) for n, part in by_degree.items()
-                 for e, v in _convolve(part, fac, trunc.total,
-                                       trunc.box).items()]
+                 for e, v in convolve(part, fac, trunc).items()]
         lifts[0] = lifts[0] * exp_2pii(ring, exponent.c, -1)
     for _ in range(max(map(sum, terms), default=0)):
         lifts.append(lifts[-1] * step)
@@ -471,7 +508,7 @@ def sum_by_series_products(forms: Sequence[RationalForm]) -> TruncatedSeries:
     """``series.sum_rational_forms`` with the numerators multiplied by the
     representatives they lack one series product at a time: each numerator
     scaled to its representatives term by term, times
-    ``LinearForm.power`` of every missing representative, added in the
+    ``form_power`` of every missing representative, added in the
     ring and divided by the representatives."""
     num0 = forms[0].numerator
     ring, vars, trunc = num0.ring, num0.vars, num0.trunc
@@ -487,8 +524,8 @@ def sum_by_series_products(forms: Sequence[RationalForm]) -> TruncatedSeries:
             e: ring.scale(c, scale) for e, c in num.terms.items()})
         for key, (d, mult) in universe.items():
             if mult > keys.count(key):
-                num = num * d.power(ring, vars, trunc,
-                                    mult - keys.count(key))
+                num = num * form_power(d, ring, vars, trunc,
+                                       mult - keys.count(key))
         total = total + num
     for d, mult in universe.values():
         for _ in range(mult):

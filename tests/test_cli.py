@@ -131,6 +131,42 @@ def test_exit_code_excluded_point():
                  "--y", "0,1/3"]) == 2
 
 
+def test_exit_code_internal_consistency_failure(monkeypatch, capsys):
+    # a2_directions at y = 0 has one singular component, divided out once;
+    # a remainder there is an internal inconsistency, exit code 3
+    import latticesums.genfun as genfun
+    import latticesums.series as series
+    from latticesums.errors import NonDivisible
+
+    def not_divisible(s, form, residuals=None):
+        raise NonDivisible("series is not divisible by the linear form")
+
+    monkeypatch.setattr(series, "divide_exact", not_divisible)
+    monkeypatch.setattr(genfun, "_coefficient_table", {})
+    assert main(["eval", "--arrangement", "a2_directions.json",
+                 "--k", "2,2,2", "--y", "0,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal consistency failure: series is not "
+                            "divisible by the linear form\n")
+
+
+def test_verify_polytope_refuses_the_singular_locus(monkeypatch, capsys):
+    # y = 0 lies on the singular locus of a1_alpha1, where the polytopes
+    # are not all simple: a usage error, refused before any series is
+    # built
+    import latticesums.cli as cli
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("built series before the shift was checked")
+
+    monkeypatch.setattr(cli, "polytope_report", no_report)
+    assert main(["verify", "polytope", "--arrangement", "a1_alpha1.json",
+                 "--y", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --y 0 lies on the singular locus")
+
+
 def test_reproduce_examples_table(tmp_path, capsys):
     out = tmp_path / "table.csv"
     rc = main(["reproduce-examples", "--out", str(out), "--format", "csv"])

@@ -86,7 +86,7 @@ def _display_summand(ctx, den_coeffs, den_const_q, kernels, order):
     gvar = [v for v, c in den_coeffs.items() if c == 1][0]
     form = LinearForm(ring, den_coeffs, den_const_q)
     num = series_variable(ring, ctx.vars, trunc, gvar)
-    num = num * form.power(ring, ctx.vars, trunc, 1).invert_unit()
+    num = num * unit_inverse(ring, ctx.vars, trunc, form)
     for var, b, yhat in kernels:
         num = num * kernel_series(ring, KernelParams.make(b, yhat), order,
                                   var=var).extend(ctx.vars, trunc)
@@ -134,7 +134,7 @@ def test_rank1_family_closed_form_display():
         form = LinearForm(ring, coeffs, const_q)
         gvar = [v for v, c in coeffs.items() if c == 1][0]
         t = series_variable(ring, ctx.vars, trunc, gvar)
-        return t * form.power(ring, ctx.vars, trunc, 1).invert_unit()
+        return t * unit_inverse(ring, ctx.vars, trunc, form)
 
     def ker(var, b, yhat):
         return kernel_series(ring, KernelParams.make(b, yhat), order,

@@ -15,8 +15,9 @@ from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, divide_exact, division_count,
                                 sum_rational_forms)
-from reference import (form_exp, pi_pow, series_constant,
-                       series_variable, sum_by_series_products)
+from reference import (form_exp, form_power, pi_pow, series_constant,
+                       series_variable, sum_by_series_products,
+                       termwise_product)
 
 R = ExactRing(4)
 VARS = ("t1", "t2", "t3")
@@ -65,18 +66,6 @@ def exact_series(draw, ring, trunc=Truncation(3), vars=("t1", "t2")):
     return TruncatedSeries(ring, vars, trunc, terms)
 
 
-def termwise_product(a, b):
-    """Reference product: one ``ExactScalar`` product and sum per term
-    pair, truncated by total degree."""
-    out = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if a.trunc.keeps(e):
-                out[e] = out.get(e, a.ring.zero()) + ca * cb
-    return {e: c for e, c in out.items() if not c.is_zero()}
-
-
 def assert_canonical(c):
     assert c.den >= 1
     assert all(isinstance(v, int) and v for v in c.terms.values())
@@ -90,7 +79,7 @@ def test_exact_product_matches_termwise(N, data):
     ring = EXACT_RINGS[N]
     a = data.draw(exact_series(ring))
     b = data.draw(exact_series(ring))
-    want = termwise_product(a, b)
+    want = termwise_product(ring, [(a.terms, b.terms)], a.trunc)
     for got in (a * b, b * a):
         assert got.terms == want
         for c in got.terms.values():
@@ -107,6 +96,67 @@ def test_exact_product_matches_termwise(N, data):
         assert_canonical(v)
 
 
+MUL_RINGS = {N: ExactRing(N) for N in (4, 60, 2772)}
+
+
+@pytest.mark.parametrize("mode", [4, 60, 2772, "numeric"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mul_terms_is_the_scaled_sum_of_termwise_products(mode, data):
+    # one to three pairs, with and without a box and a scale, against one
+    # scalar product per term pair; numeric mode multiplies the embedded
+    # exact series and is compared with the exact sum
+    ring = MUL_RINGS[2772 if mode == "numeric" else mode]
+    box = data.draw(st.one_of(st.none(), st.tuples(st.integers(0, 3),
+                                                   st.integers(0, 3))))
+    trunc = Truncation(3, box)
+    pairs = [(data.draw(exact_series(ring, trunc)).terms,
+              data.draw(exact_series(ring, trunc)).terms)
+             for _ in range(data.draw(st.integers(1, 3)))]
+    scale = data.draw(st.sampled_from([1, Fraction(-3, 4), Fraction(5, 7)]))
+    want = termwise_product(ring, pairs, trunc, scale)
+    if mode != "numeric":
+        got = ring.mul_terms(pairs, trunc, scale)
+        assert got == want
+        for c in got.values():
+            assert_canonical(c)
+        return
+    numeric = NumericRing(128)
+
+    def embedded(terms):
+        return {e: c.embed(numeric.ctx) for e, c in terms.items()}
+    got = numeric.mul_terms([(embedded(a), embedded(b)) for a, b in pairs],
+                            trunc, scale)
+    assert set(got) <= set(want)
+    for e, c in want.items():
+        ref = c.embed(numeric.ctx)
+        assert abs(got.get(e, 0) - ref) <= 2.0 ** -100 * max(1, abs(ref))
+
+
+@pytest.mark.parametrize("N", [4, 60, 2772])
+def test_mul_terms_by_one_returns_the_term_map_as_it_is(N):
+    # one pair whose first factor is the constant 1, with scale 1, is the
+    # second factor's coefficients themselves; a root or a scale in its
+    # place takes the general product
+    ring = MUL_RINGS[N]
+    trunc = Truncation(3)
+    grid = {(0, 0): ring.from_fraction(Fraction(2, 3)),
+            (1, 2): ring.field.zeta_pow(1) * Fraction(1, 5),
+            (2, 0): pi_pow(ring, 1) - ring.one()}
+    one = {(0, 0): ring.one()}
+    got = ring.mul_terms([(one, grid)], trunc)
+    assert got == grid
+    assert all(got[e] is c for e, c in grid.items())
+    # and truncated, as every product is
+    got = ring.mul_terms([(one, {**grid, (2, 2): ring.one()})], trunc)
+    assert got == grid
+    root = {(0, 0): ring.field.zeta_pow(N // 4 + 1)}
+    for pairs, scale in (([(one, grid)], Fraction(1, 2)),
+                         ([(root, grid)], 1), ([(one, grid)] * 2, 1)):
+        assert ring.mul_terms(pairs, trunc, scale) \
+            == termwise_product(ring, pairs, trunc, scale)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_boxed_product_keeps_the_box(data):
@@ -121,7 +171,8 @@ def test_boxed_product_keeps_the_box(data):
         * TruncatedSeries(ring, b.vars, Truncation(3), b.terms)
     want = {e: c for e, c in full.terms.items()
             if all(x <= m for x, m in zip(e, box))}
-    assert (a * b).terms == want == termwise_product(a, b)
+    assert (a * b).terms == want \
+        == termwise_product(ring, [(a.terms, b.terms)], trunc)
 
     def embedded(s):
         return TruncatedSeries(numeric, s.vars, trunc, {
@@ -379,15 +430,16 @@ def _exp_reference(form, ring, vars, trunc):
 
 
 def _expansion_and_reference(data, ring):
-    """power(m) of a random form, or its exponential from the closed-form
-    reference (``reference.form_exp``), with its value from repeated
-    series products.  The unit inverses are checked against
+    """power(m) of a random form (``reference.form_power``), or its
+    exponential from the closed-form reference (``reference.form_exp``),
+    with its value from repeated series products.  The unit inverses are
+    checked against
     ``invert_unit`` in ``tests/test_genfun.py`` (``unit_product``)."""
     form = data.draw(rational_forms(ring))
     trunc = Truncation(data.draw(st.integers(0, 5)))
     if data.draw(st.booleans()):
         m = data.draw(st.integers(0, 4))
-        return (form.power(ring, VARS, trunc, m),
+        return (form_power(form, ring, VARS, trunc, m),
                 _power(linear_series(form, ring, VARS, trunc), m).terms)
     return (form_exp(form, ring, VARS, trunc),
             _exp_reference(form, ring, VARS, trunc).terms)
@@ -482,9 +534,10 @@ def test_sum_rational_forms_divides_division_count_times(monkeypatch):
     scaled = LinearForm(R, {"t1": Fraction(-3, 2), "t2": Fraction(3, 2)})
     l13 = LinearForm(R, {"t1": 1, "t3": -1})
     # l12^2 t3 / (l12 * scaled) + l13 t1 / l13 = -2/3 t3 + t1
-    forms = [RationalForm(l12.power(R, VARS, trunc, 2) * var("t3"),
+    forms = [RationalForm(form_power(l12, R, VARS, trunc, 2) * var("t3"),
                           [l12, scaled]),
-             RationalForm(l13.power(R, VARS, trunc, 1) * var("t1"), [l13])]
+             RationalForm(form_power(l13, R, VARS, trunc, 1) * var("t1"),
+                          [l13])]
     divided = []
     real = series_module.divide_exact
 
@@ -537,7 +590,7 @@ def test_sum_rational_forms_matches_series_products(mode, box):
 
     def times(x, *forms):
         for d in forms:
-            x = x * d.power(ring, VARS, trunc, 1)
+            x = x * form_power(d, ring, VARS, trunc, 1)
         return x
 
     P, M2, M3, N4 = (_drawn_series(ring, trunc, seed) for seed in range(4))

@@ -8,11 +8,18 @@ Commands:
 * ``verify polytope``     polytope reconstruction vs the direct series
 * ``verify hierarchy``    operator-removal identity check
 
-Exit codes: 0 ok, 1 I/O or usage (including kept functionals that no
-longer span the space, and a ``verify polytope`` shift on the singular
-locus), 2 excluded point, 3 internal consistency failure (a
-non-divisible sum, a non-simple polytope, or an exact scalar that cannot be
-inverted), 4 verification failure.
+Each command reads argparse's namespace and makes, before any evaluation,
+only the checks that neither argparse nor the library makes: the
+precision and series order (``_check_settings``) and the oracle's windows
+(``_oracle_windows``).  ``verify polytope`` and ``verify hierarchy`` share
+one report tail (``_finish_report``).
+
+Exit codes: 0 ok, 1 I/O or usage (argparse's own errors included, a
+``--y`` of the wrong length, kept functionals that no longer span the
+space, and a ``verify polytope`` shift on the singular locus), 2 excluded
+point, 3 internal consistency failure (a non-divisible sum, a non-simple
+polytope, or an exact scalar that cannot be inverted), 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -25,9 +32,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .errors import (ExcludedPoint, NonDivisible, NotInvertible, NotSimple,
                      RankDrop)
@@ -39,73 +44,6 @@ from .lattice import (arrangement_from_json, in_singular_locus,
 from .oracle import convergence_scan
 from .polytope import polytope_report
 from .scalar import format_scalar
-
-
-@dataclass
-class JobConfig:
-    """A validated evaluation job assembled from the command line."""
-
-    arrangement: str
-    k: Optional[List[int]] = None
-    y: Optional[List[Fraction]] = None
-    mode: str = "exact"
-    precision: int = 128
-    order: Optional[int] = None
-    oracle_windows: Optional[List[int]] = None
-    oracle_target: bool = True
-    out: Optional[str] = None
-    format: str = "json"
-
-    def validate(self) -> "JobConfig":
-        if self.mode not in ("exact", "numeric"):
-            raise ValueError("mode must be exact or numeric")
-        if self.precision < 24:
-            raise ValueError("precision must be at least 24 bits")
-        if self.k is not None and any(x < 0 for x in self.k):
-            raise ValueError("weights must be nonnegative")
-        if self.order is not None and self.order < 0:
-            raise ValueError("series order must be nonnegative")
-        if self.oracle_windows is not None:
-            # errors against a target fall monotonically only between two
-            # windows; without one, the differences need three
-            need = 2 if self.oracle_target else 3
-            if len(self.oracle_windows) < need:
-                raise ValueError(
-                    f"the scan needs at least {need} windows "
-                    f"{'with' if self.oracle_target else 'without'} an "
-                    f"exact target")
-            if any(n < 1 for n in self.oracle_windows):
-                raise ValueError("window sizes must be at least 1")
-            if any(b <= a for a, b in zip(self.oracle_windows,
-                                          self.oracle_windows[1:])):
-                raise ValueError("window sizes must be increasing")
-            # for a shift of denominator q the box error oscillates with
-            # N mod q, so only windows of one class can show it falling
-            q = math.lcm(*(v.denominator for v in self.y or ()))
-            first = self.oracle_windows[0]
-            if any((n - first) % q for n in self.oracle_windows):
-                raise ValueError(f"windows must be in one residue class "
-                                 f"mod {q}; the first, {first}, is "
-                                 f"{first % q} mod {q}")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-        return self
-
-
-def _job_from_args(args, need_k=True, oracle_target=True) -> JobConfig:
-    return JobConfig(
-        arrangement=args.arrangement,
-        k=_parse_k(args.k) if need_k else None,
-        y=_parse_y(args.y),
-        mode=getattr(args, "mode", "exact"),
-        precision=getattr(args, "precision", 128),
-        order=getattr(args, "order", None),
-        oracle_windows=[int(x) for x in args.N.split(",")]
-        if hasattr(args, "N") else None,
-        oracle_target=oracle_target,
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "json"),
-    ).validate()
 
 
 def _fixture_text(name: str) -> str:
@@ -134,6 +72,37 @@ def _parse_y(text: str):
         raise ValueError(f"--y {text}: a shift with denominator 0") from None
 
 
+def _check_settings(precision: int, order: int = 0) -> None:
+    if precision < 24:
+        raise ValueError("precision must be at least 24 bits")
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+
+
+def _oracle_windows(text: str, y, has_target: bool) -> List[int]:
+    """The --N windows, refused unless the scan can compare them."""
+    windows = [int(x) for x in text.split(",")]
+    # errors against a target fall monotonically only between two
+    # windows; without one, the differences need three
+    need = 2 if has_target else 3
+    if len(windows) < need:
+        raise ValueError(f"the scan needs at least {need} windows "
+                         f"{'with' if has_target else 'without'} an exact "
+                         f"target")
+    if any(n < 1 for n in windows):
+        raise ValueError("window sizes must be at least 1")
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ValueError("window sizes must be increasing")
+    # for a shift of denominator q the box error oscillates with N mod q,
+    # so only windows of one class can show it falling
+    q = math.lcm(*(v.denominator for v in y))
+    first = windows[0]
+    if any((n - first) % q for n in windows):
+        raise ValueError(f"windows must be in one residue class mod {q}; "
+                         f"the first, {first}, is {first % q} mod {q}")
+    return windows
+
+
 def _write_out(path, rows, fmt, headers=None):
     if fmt == "json":
         with open(path, "w") as fh:
@@ -141,8 +110,6 @@ def _write_out(path, rows, fmt, headers=None):
             fh.write("\n")
     else:
         with open(path, "w", newline="") as fh:
-            if headers is None:
-                headers = sorted({k for row in rows for k in row})
             w = csv.DictWriter(fh, fieldnames=headers)
             w.writeheader()
             for row in rows:
@@ -150,20 +117,21 @@ def _write_out(path, rows, fmt, headers=None):
 
 
 def cmd_eval(args) -> int:
-    job = _job_from_args(args)
-    arr = _load_arr(job.arrangement)
-    ctx = EvaluationContext(arr, job.y, job.mode, job.precision)
-    rep = lattice_sum_value(arr, job.y, job.k, ctx=ctx)
-    c_val = coefficient(arr, job.y, job.k, ctx=ctx)
+    k, y = _parse_k(args.k), _parse_y(args.y)
+    _check_settings(args.precision)
+    arr = _load_arr(args.arrangement)
+    ctx = EvaluationContext(arr, y, args.mode, args.precision)
+    rep = lattice_sum_value(arr, y, k, ctx=ctx)
+    c_val = coefficient(arr, y, k, ctx=ctx)
     record = rep.to_json(include_C=c_val)
     print(json.dumps(record, indent=1))
-    if job.out:
-        if job.format == "csv":
-            _write_out(job.out, [record], "csv",
+    if args.out:
+        if args.format == "csv":
+            _write_out(args.out, [record], "csv",
                        ["S", "C", "mode", "order", "N_cyclotomic",
                         "timing_ms"])
         else:
-            _write_out(job.out, record, "json")
+            _write_out(args.out, record, "json")
     return 0
 
 
@@ -198,26 +166,24 @@ def cmd_reproduce_examples(args) -> int:
 
 def cmd_verify_oracle(args) -> int:
     arr = _load_arr(args.arrangement)
+    k, y = _parse_k(args.k), _parse_y(args.y)
+    _check_settings(args.precision)
     # numeric mode evaluates any constants, exact mode only exact ones
-    job = _job_from_args(args, oracle_target=args.mode == "numeric"
-                         or arr.is_exact)
-    y, k, Ns = job.y, job.k, job.oracle_windows
+    has_target = args.mode == "numeric" or arr.is_exact
+    Ns = _oracle_windows(args.N, y, has_target)
     target = None
-    if job.oracle_target:
-        target = lattice_sum_value(arr, y, k, mode=job.mode,
-                                   precision=job.precision).value
-        shown = format_scalar(target) if job.mode == "exact" else target
+    if has_target:
+        target = lattice_sum_value(arr, y, k, mode=args.mode,
+                                   precision=args.precision).value
+        shown = format_scalar(target) if args.mode == "exact" else target
         print(f"target S = {shown}")
-    rows = convergence_scan(arr, k, y, Ns, precision=job.precision,
+    rows = convergence_scan(arr, k, y, Ns, precision=args.precision,
                             target=target)
     print("N,ReZ,ImZ,diff_prev,err")
-    out_rows = []
-    for row in rows:
-        err = row.get("err")
+    out_rows = [dict(row, err=row.get("err")) for row in rows]
+    for row in out_rows:
         print(f"{row['N']},{row['re']!r},{row['im']!r},"
-              f"{row['diff_prev']!r},{err!r}")
-        out_rows.append({"N": row["N"], "re": row["re"], "im": row["im"],
-                         "diff_prev": row["diff_prev"], "err": err})
+              f"{row['diff_prev']!r},{row['err']!r}")
     if args.out:
         _write_out(args.out, out_rows, args.format,
                    ["N", "re", "im", "diff_prev", "err"])
@@ -231,10 +197,24 @@ def cmd_verify_oracle(args) -> int:
     return 0 if all(b < a for a, b in zip(diffs, diffs[1:])) else 4
 
 
+def _finish_report(args, record, shown, discrepancy) -> int:
+    """The tail of ``verify polytope`` and ``verify hierarchy``: print the
+    report and its discrepancy as `shown`, write the report to --out, and
+    pass on an exact zero, or in numeric mode on a `discrepancy` below
+    2^(-precision/2)."""
+    print(json.dumps(record, indent=1))
+    print(f"max discrepancy: {shown}")
+    if args.out:
+        _write_out(args.out, record, "json")
+    ok = shown == "0 (exact)" if args.mode == "exact" \
+        else discrepancy < 2.0 ** (-args.precision / 2)
+    return 0 if ok else 4
+
+
 def cmd_verify_polytope(args) -> int:
-    job = _job_from_args(args, need_k=False)
-    arr = _load_arr(job.arrangement)
-    y = job.y
+    y = _parse_y(args.y)
+    _check_settings(args.precision, args.order)
+    arr = _load_arr(args.arrangement)
     # a usage error, refused before any series is built
     if in_singular_locus(y, arr):
         raise ValueError(f"--y {args.y} lies on the singular locus, where "
@@ -242,21 +222,14 @@ def cmd_verify_polytope(args) -> int:
                          f"not all simple; choose a shift off it")
     report = polytope_report(arr, y, args.order, mode=args.mode,
                              precision=args.precision)
-    text = json.dumps(report, indent=1)
-    print(text)
-    print(f"max discrepancy: {report['max_discrepancy']}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    ok = report["max_discrepancy"] == "0 (exact)" if args.mode == "exact" \
-        else report["max_discrepancy"] < 2.0 ** (-args.precision / 2)
-    return 0 if ok else 4
+    disc = report["max_discrepancy"]
+    return _finish_report(args, report, disc, disc)
 
 
 def cmd_verify_hierarchy(args) -> int:
-    job = _job_from_args(args, need_k=False)
-    arr = _load_arr(job.arrangement)
-    y = job.y
+    y = _parse_y(args.y)
+    _check_settings(args.precision, args.order)
+    arr = _load_arr(args.arrangement)
     tokens = [tok.strip() for tok in args.remove.split(",")]
     removed = [int(tok[1:]) if tok.startswith("f") else int(tok)
                for tok in tokens if tok]
@@ -273,15 +246,8 @@ def cmd_verify_hierarchy(args) -> int:
     record["steps"] = [{"removed": st.removed, "constant": str(st.constant),
                         "direction": list(st.direction)}
                        for st in report["steps"]]
-    print(json.dumps(record, indent=1))
-    print(f"max discrepancy: {report['max_discrepancy_str']}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
-    ok = report["max_discrepancy"] == 0 if args.mode == "exact" \
-        else report["max_discrepancy"] < 2.0 ** (-args.precision / 2)
-    return 0 if ok else 4
+    return _finish_report(args, record, report["max_discrepancy_str"],
+                          report["max_discrepancy"])
 
 
 def _common_eval_flags(p, need_k=True):
@@ -299,8 +265,18 @@ def _format_flag(p):
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, in every subcommand, raise
+    ValueError: ``main`` reports them with the other usage errors and
+    returns 1, where argparse would exit with 2, the code of an excluded
+    point."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="latticesums",
         description="Exact and numeric lattice-sum special values")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -342,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ExcludedPoint as exc:
         print(f"excluded point: {exc}", file=sys.stderr)

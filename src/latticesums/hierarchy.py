@@ -46,7 +46,8 @@ from .genfun import (EvaluationContext, generating_function,
                      summand_rational_form)
 from .lattice import Arrangement
 from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
-                     division_count, sum_rational_forms)
+                     coefficient_discrepancy, division_count,
+                     sum_rational_forms)
 
 
 @dataclass
@@ -137,21 +138,13 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
             e[i] = e2[pos]
         expected[tuple(e)] = c2
     zero = ctx.ring.zero()
-    stray = mismatches = 0
-    worst = 0.0
-    for e in expected.keys() | {e for e in total.terms if sum(e) <= order}:
-        if any(e[i] for i in removed):
-            stray += 1
-        c, c2 = total.coefficient(e), expected.get(e, zero)
-        if mode == "exact":
-            mismatches += not (c == c2)
-        else:
-            # in the ring, so that it is seen below double precision
-            worst = max(worst, ctx.ring.magnitude(c - c2))
+    exps = expected.keys() | {e for e in total.terms if sum(e) <= order}
+    stray = sum(1 for e in exps if any(e[i] for i in removed))
+    discrepancy = coefficient_discrepancy(
+        ctx.ring, ((total.coefficient(e), expected.get(e, zero))
+                   for e in exps))
     if mode == "exact":
-        discrepancy = 0 if mismatches == 0 and stray == 0 else 1
-    else:
-        discrepancy = worst
+        discrepancy = 0 if discrepancy == 0 and stray == 0 else 1
     return {
         "removed": removed,
         "steps": steps,

@@ -405,6 +405,9 @@ def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,
     <y + w, dual_f> in Z for some integer w, i.e. <y, dual_f> lying in the
     subgroup of Q generated by 1 and the dual entries.
     """
+    # zipped against the duals, a short y would be read as it is
+    if len(y) != arr.rank:
+        raise ValueError("y must have one entry per dimension")
     if subset is None:
         subset = arr.indispensable
     else:
@@ -427,6 +430,8 @@ def in_singular_locus(y: Sequence, arr: Arrangement) -> bool:
     This is the locus where the fractional parts jump; polytope-based
     reconstruction and the differential hierarchy require y off it.
     """
+    if len(y) != arr.rank:
+        raise ValueError("y must have one entry per dimension")
     for n in arr.codim1_normals:
         g = math.gcd(*n)
         val = sum(Fraction(v) * x for v, x in zip(y, n))

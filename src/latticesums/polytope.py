@@ -62,7 +62,8 @@ from .genfun import EvaluationContext, _context, relative_form, unit_product
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, arrangement_data, in_singular_locus
 from .series import (RationalForm, TruncatedSeries, Truncation,
-                     division_count, sum_rational_forms)
+                     coefficient_discrepancy, division_count,
+                     sum_rational_forms)
 
 Label = Tuple[int, int]  # (functional index, side a)
 
@@ -263,9 +264,7 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     (``division_count``) of the translate that needs the most.
     """
     y = [Fraction(v) for v in y]
-    if in_singular_locus(y, arr):
-        raise NotSimple("y lies on the singular locus; the polytopes are "
-                        "not all simple there")
+    _refuse_singular_locus(y, arr)
     ctx = _context(arr, y, mode, precision, None, ctx)
     ring = ctx.ring
     dec, translates = _walk(ctx)
@@ -342,13 +341,21 @@ def _kernel_prefactor(ctx: EvaluationContext, params: List[KernelParams],
     return TruncatedSeries(ring, ctx.vars, Truncation(order), terms)
 
 
+def _refuse_singular_locus(y, arr: Arrangement) -> None:
+    if in_singular_locus(y, arr):
+        raise NotSimple("y lies on the singular locus; the polytopes are "
+                        "not all simple there")
+
+
 def polytope_report(arr: Arrangement, y: Sequence, order: int,
                     mode: str = "exact", precision: int = 128) -> dict:
     """Per-m vertex counts and simplicity flags plus the maximum
     coefficientwise discrepancy between the reconstruction and the direct
-    series (exact zero expected in exact mode)."""
+    series (exact zero expected in exact mode).  Raises NotSimple for a y
+    on the singular locus before any series is built."""
     from .genfun import generating_function
     y = [Fraction(v) for v in y]
+    _refuse_singular_locus(y, arr)
     ctx = EvaluationContext(arr, y, mode, precision)
     per_m = [{"m": list(m), "vertices": len(verts),
               "simple": witnesses_simple(verts)}
@@ -359,17 +366,11 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
     # reads the same walk back through ctx
     f_poly = genfun_via_polytopes(arr, y, order, mode=mode,
                                   precision=precision, ctx=ctx)
-    exps = set(f_direct.terms) | set(f_poly.terms)
+    disc = coefficient_discrepancy(
+        ctx.ring, ((f_direct.coefficient(e), f_poly.coefficient(e))
+                   for e in set(f_direct.terms) | set(f_poly.terms)))
     if mode == "exact":
-        mismatches = sum(1 for e in exps
-                         if not f_direct.coefficient(e) == f_poly.coefficient(e))
-        disc = "0 (exact)" if mismatches == 0 else f"{mismatches} coefficients"
-    else:
-        # the difference is taken in the ring, so that it is seen below
-        # double precision
-        disc = max((ctx.ring.magnitude(f_direct.coefficient(e)
-                                       - f_poly.coefficient(e))
-                    for e in exps), default=0.0)
+        disc = "0 (exact)" if disc == 0 else f"{disc} coefficients"
     return {
         "m_count": len(per_m),
         "per_m": per_m,

@@ -229,6 +229,16 @@ class TruncatedSeries:
                 f"terms={len(self.terms)})")
 
 
+def coefficient_discrepancy(ring, pairs: Iterable[tuple]):
+    """How far the coefficient pairs (a, b) are apart: in an exact ring the
+    number of unequal pairs, in a numeric one the largest |a - b|, the
+    difference taken in the ring so that it shows below double precision
+    (0.0 for no pairs)."""
+    if ring.exact:
+        return sum(1 for a, b in pairs if not a == b)
+    return max((ring.magnitude(a - b) for a, b in pairs), default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # linear forms
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -77,37 +78,80 @@ def test_eval_rejects_a_zero_denominator_in_y():
 
 def test_eval_has_no_order_flag(capsys):
     # S and C are read at k; a full series to another order changes nothing
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--arrangement", "a1_alpha1.json", "--k", "2,2,2",
-              "--y", "0", "--order", "6"])
-    assert exc.value.code == 2
+    assert main(["eval", "--arrangement", "a1_alpha1.json", "--k", "2,2,2",
+                 "--y", "0", "--order", "6"]) == 1
     assert "--order" in capsys.readouterr().err
 
 
-def test_job_config_validation():
-    from latticesums.cli import JobConfig
-    with pytest.raises(ValueError):
-        JobConfig("x.json", mode="fancy").validate()
-    with pytest.raises(ValueError):
-        JobConfig("x.json", k=[-1]).validate()
-    with pytest.raises(ValueError):
-        JobConfig("x.json", oracle_windows=[100, 100]).validate()
-    with pytest.raises(ValueError):
-        JobConfig("x.json", oracle_windows=[100]).validate()
-    with pytest.raises(ValueError):
-        JobConfig("x.json", oracle_windows=[0, 100]).validate()
-    with pytest.raises(ValueError):
-        JobConfig("x.json", oracle_windows=[100, 200],
-                  oracle_target=False).validate()
-    assert JobConfig("x.json", oracle_windows=[100, 200]).validate()
-    assert JobConfig("x.json", oracle_windows=[100, 200, 400],
-                     oracle_target=False).validate()
-    assert JobConfig("x.json", k=[2], y=[Fraction(0)]).validate()
-    with pytest.raises(ValueError, match="mod 6"):
-        JobConfig("x.json", y=[Fraction(1, 2), Fraction(1, 3)],
-                  oracle_windows=[10, 20]).validate()
-    assert JobConfig("x.json", y=[Fraction(1, 2), Fraction(1, 3)],
-                     oracle_windows=[10, 22]).validate()
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--arrangement", "a1_alpha1.json", "--k", "2,2,2", "--y", "0",
+      "--precision", "8"], "error: precision must be at least 24 bits"),
+    (["verify", "polytope", "--arrangement", "a1_alpha_half.json", "--y",
+      "1/3", "--order", "-1"], "error: series order must be nonnegative"),
+    (["verify", "hierarchy", "--arrangement", "a1_alpha1.json", "--y", "1/3",
+      "--order", "-1", "--remove", "f0"],
+     "error: series order must be nonnegative"),
+    (["eval", "--arrangement", "a1_alpha1.json", "--k=-1,2,2", "--y", "0"],
+     "error: weights must be nonnegative"),
+    (["eval", "--arrangement", "a1_alpha1.json", "--k", "2,2,2", "--y", "0",
+      "--mode", "fancy"], "error: argument --mode: invalid choice: 'fancy'"),
+    (["eval", "--arrangement", "a1_alpha1.json", "--y", "0"],
+     "error: the following arguments are required: --k"),
+    (["eval", "--arrangement", "a1_alpha1.json", "--k", "2,2,2", "--y", "0",
+      "--bogus"], "error: unrecognized arguments: --bogus"),
+    ([], "error: the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["eval"], ["verify", "oracle"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: latticesums")
+
+
+def test_verify_polytope_refuses_a_shift_of_the_wrong_length(capsys):
+    # zipped against the normals, (1/7,) would lie on the singular locus
+    assert main(["verify", "polytope", "--arrangement",
+                 "triangle_rational.json", "--y", "1/7"]) == 1
+    assert capsys.readouterr().err == ("error: y must have one entry per "
+                                       "dimension\n")
+
+
+class Evaluated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("windows, message", [
+    ("10,20", "windows must be in one residue class mod 6; the first, 10, "
+     "is 4 mod 6"),
+    ("10,22", None),
+])
+def test_verify_oracle_windows_in_one_class_mod_the_common_denominator(
+        windows, message, monkeypatch, capsys):
+    # y = (1/2, 1/3) oscillates with N mod 6; two windows in one class
+    # suffice against a target, and the scan goes on to evaluate it
+    import latticesums.cli as cli
+
+    def evaluated(*args, **kwargs):
+        raise Evaluated
+
+    monkeypatch.setattr(cli, "lattice_sum_value", evaluated)
+    argv = ["verify", "oracle", "--arrangement", "triangle_rational.json",
+            "--k", "1,2,2", "--y", "1/2,1/3", "--N", windows]
+    if message is None:
+        with pytest.raises(Evaluated):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_exit_code_missing_file():
@@ -268,11 +312,9 @@ def test_verify_polytope_and_hierarchy_have_no_format_flag(suite, tmp_path,
                                                            capsys):
     # both write their JSON report to --out whatever --format said
     removal = ["--remove", "f0"] if suite == "hierarchy" else []
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", suite, "--arrangement", "a1_alpha1.json", "--y",
-              "0", "--out", str(tmp_path / "p.csv"), "--format", "csv"]
-             + removal)
-    assert exc.value.code == 2
+    assert main(["verify", suite, "--arrangement", "a1_alpha1.json", "--y",
+                 "0", "--out", str(tmp_path / "p.csv"), "--format", "csv"]
+                + removal) == 1
     assert "--format" in capsys.readouterr().err
 
 
@@ -354,6 +396,26 @@ def test_verify_hierarchy_stray_removed_variable_exits_4(mode, monkeypatch,
     record = json.loads(capsys.readouterr().out.rsplit("\nmax discrepancy",
                                                        1)[0])
     assert record["stray_variable_terms"] > 0
+
+
+def _readme_cli_examples():
+    """Each ``latticesums ...`` line of the fenced block under ``## CLI`` in
+    README.md, as an argument list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("latticesums ")]
+
+
+def _command(argv):
+    return " ".join(itertools.takewhile(lambda w: not w.startswith("-"),
+                                        argv))
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=_command)
+def test_readme_cli_examples_exit_0(argv, capsys):
+    # the documented examples cannot drift from the parser
+    assert main(argv) == 0
 
 
 def test_deterministic_output_bytes():

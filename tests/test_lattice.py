@@ -187,6 +187,20 @@ def test_float_points_are_read_at_their_binary_value():
         assert in_singular_locus((0.3, 2.0), arr)
 
 
+@pytest.mark.parametrize("y", [(Fraction(1, 7),),
+                               (Fraction(1, 7), Fraction(2, 11), Fraction(0))])
+def test_predicates_refuse_a_shift_of_the_wrong_length(y):
+    # both zip y against their normals or duals, which would read a
+    # short y as it is: (1/7,) on the singular locus of this arrangement
+    arr = Arrangement(2, [make_functional((1, 0), 0),
+                          make_functional((0, 1), 0),
+                          make_functional((0, 2), 1)])
+    with pytest.raises(ValueError, match="one entry per dimension"):
+        in_singular_locus(y, arr)
+    with pytest.raises(ValueError, match="one entry per dimension"):
+        on_excluded_hyperplanes(y, arr)
+
+
 def test_excluded_requires_indispensable(triangle_rational):
     with pytest.raises(ValueError):
         on_excluded_hyperplanes((Fraction(0), Fraction(0)),

@@ -168,6 +168,19 @@ def test_nonsimple_on_singular_locus():
     assert found_nonsimple
 
 
+def test_report_refuses_the_singular_locus_before_any_series(monkeypatch):
+    import latticesums.genfun as genfun
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("built the direct series")
+
+    monkeypatch.setattr(genfun, "generating_function", no_series)
+    # on the span of (1,0) + Z^2
+    with pytest.raises(NotSimple, match="^y lies on the singular locus; "
+                       "the polytopes are not all simple there$"):
+        polytope_report(slab_instance(), (Fraction(1, 2), Fraction(0)), 3)
+
+
 def test_witness_incidence_structure():
     arr = slab_instance()
     dec = Decomposition(arr, 0)

@@ -13,7 +13,8 @@ from latticesums.genfun import unit_product
 from latticesums.lattice import GaussianRational
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
-                                Truncation, divide_exact, division_count,
+                                Truncation, coefficient_discrepancy,
+                                divide_exact, division_count,
                                 sum_rational_forms)
 from reference import (form_exp, form_power, pi_pow, series_constant,
                        series_variable, sum_by_series_products,
@@ -656,3 +657,21 @@ def test_dump_format():
     lines = s.dump().splitlines()
     assert lines[0].startswith("(0, 0, 0) :")
     assert lines[1].startswith("(1, 0, 0) :")
+
+
+def test_coefficient_discrepancy_counts_or_measures():
+    ring = EXACT_RINGS[4]
+    half, third = ring.from_fraction(Fraction(1, 2)), \
+        ring.from_fraction(Fraction(1, 3))
+    assert coefficient_discrepancy(ring, []) == 0
+    assert coefficient_discrepancy(ring, [(half, half)]) == 0
+    assert coefficient_discrepancy(
+        ring, [(half, third), (half, half), (third, half)]) == 2
+    # numeric: the largest difference, seen below double precision
+    one = NR128.one()
+    tiny = NR128.from_fraction(Fraction(1, 2 ** 80))
+    assert coefficient_discrepancy(NR128, []) == 0.0
+    assert coefficient_discrepancy(NR128, [(one, one)]) == 0.0
+    assert coefficient_discrepancy(
+        NR128, [(one + tiny, one), (one, one + 2 * tiny)]) == 2.0 ** -79
+

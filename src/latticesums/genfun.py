@@ -109,8 +109,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import ExcludedPoint, NonDivisible
-from .kernel import (KernelParams, exp_2pii, kernel_base, kernel_parts,
-                     nonzero_parts)
+from .kernel import KernelParams, kernel_base, kernel_parts, nonzero_parts
 # unused here, but the benchmark's tracer patches genfun.kernel_series and
 # genfun.kernel_series_dy
 from .kernel import kernel_series, kernel_series_dy  # noqa: F401
@@ -245,16 +244,11 @@ class EvaluationContext:
         polytope edges is.  The one place that decides whether a
         denominator is singular: its constant sum_x lin[x] c_x is
         computed from the exact constants, never from a rounded value."""
-        re = im = Fraction(0)
-        for x, q in lin.items():
-            c = self._constants[x]
-            if isinstance(c, GaussianRational):
-                re += q * c.re
-                im += q * c.im
-            else:
-                re += q * c
-        return LinearForm(self.ring, {self.vars[x]: q for x, q in lin.items()},
-                          re if im == 0 else GaussianRational(re, im))
+        c = sum((q * self._constants[x] for x, q in lin.items()),
+                Fraction(0))
+        if isinstance(c, GaussianRational) and c.im == 0:
+            c = c.re
+        return LinearForm({self.vars[x]: q for x, q in lin.items()}, c)
 
     def yhat(self, bidx: int, w: Tuple[int, ...], member: int):
         """``lattice.frac_part`` of (y, w) for `member` of basis bidx, on
@@ -287,23 +281,16 @@ class EvaluationContext:
 
     # -- basis geometry ------------------------------------------------------
 
-    def geometry(self, bidx: int) -> List[Tuple[int, LinearForm]]:
-        """For each g outside basis bidx: (g, den_g) with
+    def geometry(self, bidx: int) -> Dict[int, LinearForm]:
+        """``{g: den_g}`` for each g outside basis bidx, with
         den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>, the
         pairings <g, f^B> read from the arrangement table."""
         got = self._geometry.get(bidx)
         if got is None:
-            got = self._geometry[bidx] = [
-                (g, self.combination(relative_form(g, pairs)))
-                for g, pairs in self.data.pairings[bidx].items()]
+            got = self._geometry[bidx] = {
+                g: self.combination(relative_form(g, pairs))
+                for g, pairs in self.data.pairings[bidx].items()}
         return got
-
-    def denominator_form(self, bidx: int, g: int) -> LinearForm:
-        """den_g in the ring."""
-        for gg, den in self.geometry(bidx):
-            if gg == g:
-                return den
-        raise KeyError(g)
 
 
 def relative_form(g: int, pairs: Dict[int, Fraction]) -> Dict[int, Fraction]:
@@ -356,7 +343,7 @@ def build_summands(ctx: EvaluationContext) -> List[Summand]:
     out = []
     for bidx, b in enumerate(ctx.arr.bases):
         s = Summand(bidx, Fraction(1, b.index))
-        for g, den in ctx.geometry(bidx):
+        for g, den in ctx.geometry(bidx).items():
             factors = s.degenerate_factors if den.singular else s.unit_factors
             factors.append((g, den))
         out.append(s)
@@ -456,7 +443,7 @@ def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
                     for e, p in grid.items() for n, c in parts.items()
                     if sum(e) + n <= total}
         integral = isinstance(q, Fraction) and q.denominator == 1
-        out.append((grid, None if integral else exp_2pii(ctx.ring, q)))
+        out.append((grid, None if integral else ctx.ring.root_of_unity(q)))
     return out
 
 
@@ -522,8 +509,8 @@ def _dead_unit(ctx: EvaluationContext, g: int, form: LinearForm
                ) -> LinearForm:
     """c = a_g + U_g(t_B) for den_g = t_g - c, so that the target Taylor
     coefficient [t_g^{k_g}] t_g / den_g is -c^{-k_g}."""
-    return LinearForm(ctx.ring, {v: -q for v, q in form.coeffs.items()
-                                 if v != ctx.vars[g]}, -form.c)
+    return LinearForm({v: -q for v, q in form.coeffs.items()
+                       if v != ctx.vars[g]}, -form.c)
 
 
 def _reciprocal(c) -> Tuple[object, int]:
@@ -629,7 +616,7 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
                 if box is None or all(map(le, e, box)):
                     series.setdefault(e, []).append((n, v, x))
     else:
-        root = exp_2pii(ring, exponent.c, -1)
+        root = ring.root_of_unity(-exponent.c)
         monos = exponent.monomials(vars, trunc, total)
         top = max(n for _, _, n in monos)
         # the degree-n coefficient 1 / (n! D^n), over top! D^top
@@ -810,19 +797,18 @@ def lattice_sum_value(arr: Arrangement, y: Sequence, k,
     ctx = _context(arr, y, mode, precision, phi, ctx)
     ones = set(k.one_set())
     bad = [i for i in arr.indispensable if i in ones]
-    if bad and on_excluded_hyperplanes(ctx.y, arr, subset=bad):
-        for i in bad:
-            if not on_excluded_hyperplanes(ctx.y, arr, subset=[i]):
-                continue
-            message = (f"y lies on an excluded translated hyperplane for "
-                       f"functional {i} (weight 1): the sum does not "
-                       f"converge there")
-            if ctx.mode == "numeric":
-                warnings.warn(message)
-                break
-            raise ExcludedPoint(
-                message, functional=i,
-                hyperplane=f"span of directions other than #{i} + Z^r")
+    for i in bad:
+        if not on_excluded_hyperplanes(ctx.y, arr, subset=[i]):
+            continue
+        message = (f"y lies on an excluded translated hyperplane for "
+                   f"functional {i} (weight 1): the sum does not converge "
+                   f"there")
+        if ctx.mode == "numeric":
+            warnings.warn(message)
+            break
+        raise ExcludedPoint(
+            message, functional=i,
+            hyperplane=f"span of directions other than #{i} + Z^r")
     c_val = coefficient(arr, ctx.y, k, ctx=ctx)
     value = weight_prefactor(ctx.ring, k) * c_val
     dt = (time.perf_counter() - t0) * 1000

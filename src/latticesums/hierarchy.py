@@ -69,13 +69,14 @@ def apply_Dg_summand(ctx: EvaluationContext, state: Tuple[int, RationalForm],
     if g in ctx.arr.bases[bidx].members:
         return None
     ring, vars = ctx.ring, ctx.vars
-    den_g = ctx.denominator_form(bidx, g)
-    # den_g as a series: its constant and its q_v t_v
-    terms = {} if den_g.singular else {(0,) * len(vars): den_g.constant}
+    den_g = ctx.geometry(bidx)[g]
+    # den_g as a series: its constant -2 pi i c and its q_v t_v
+    terms = {} if den_g.singular else {
+        (0,) * len(vars): -(ring.two_pi_i() * ring.from_fraction(den_g.c))}
     for v, q in den_g.coeffs.items():
         terms[tuple(int(w == v) for w in vars)] = ring.from_fraction(q)
     den = TruncatedSeries(ring, vars, Truncation(order), terms)
-    tg = LinearForm(ring, {vars[g]: Fraction(1)})
+    tg = LinearForm({vars[g]: Fraction(1)})
     return bidx, RationalForm(form.numerator * den,
                               form.denominators + [tg])
 
@@ -113,7 +114,7 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     # functional, so only the others are built
     summands = [s for s in build_summands(ctx)
                 if set(removed).isdisjoint(ctx.arr.bases[s.bidx].members)]
-    tgs = [LinearForm(ctx.ring, {ctx.vars[g]: Fraction(1)}) for g in removed]
+    tgs = [LinearForm({ctx.vars[g]: Fraction(1)}) for g in removed]
     work = order + division_count(s.denominators + tgs for s in summands)
     states = [(s.bidx, summand_rational_form(ctx, s, Truncation(work)))
               for s in summands]

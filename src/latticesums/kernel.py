@@ -8,13 +8,17 @@ the Lerch zeta function, Pacific J. Math. 1, 1951).  Its numbers B_k(lam)
 follow from a recurrence that inverts only lam - 1 and depend on b, not on
 y, so one list serves every y (``kernel_base``, ``kernel_parts``).
 
-The basis sum reads only the root-free parts (``nonzero_parts``, through
-``genfun.EvaluationContext.kernel``) and multiplies the roots of a
-coset's kernels once, as one exponent.  The rooted series
-(``rooted_series``: ``kernel_series`` and ``kernel_series_dy``) serve the
-polytope route's prefactor at y = 0 and the tests.  The closed-form
-coefficients C(k, y; b) and their moment integrals against
-e^{-2 pi i m x} are independent references, in ``tests/reference.py``.
+Each root e^{2 pi i q}, for the exact q = -b y or -b, is the ring's
+``root_of_unity(q)``, and 2 pi i b is ``two_pi_i() * from_fraction(b)``:
+the ring alone turns an exact constant, a Gaussian-rational one included,
+into a scalar.  The basis sum reads only the root-free parts
+(``nonzero_parts``, through ``genfun.EvaluationContext.kernel``) and
+multiplies the roots of a coset's kernels once, as one exponent.  The
+rooted series (``rooted_series``: ``kernel_series`` and
+``kernel_series_dy``) serve the polytope route's prefactor at y = 0 and
+the tests.  The closed-form coefficients C(k, y; b) and their moment
+integrals against e^{-2 pi i m x} are independent references, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Union
 
 from .lattice import GaussianRational
-from .series import TruncatedSeries, Truncation, ring_value
+from .series import TruncatedSeries, Truncation
 
 
 @lru_cache(maxsize=None)
@@ -71,15 +75,6 @@ class KernelParams:
         return cls(b, y, integral)
 
 
-def exp_2pii(ring, b, scale=1):
-    """e^{2 pi i b scale} in either ring for an exact b and a rational
-    scale: a root of unity for rational b, kept exact in both rings; a
-    Gaussian-rational b is exact up to the one exponential."""
-    if isinstance(b, GaussianRational):
-        return ring.exp_2pii_times(ring_value(ring, b * Fraction(scale)))
-    return ring.root_of_unity(Fraction(b) * Fraction(scale))
-
-
 def _apostol_numbers(ring, lam, order: int) -> list:
     """B_0(lam)..B_order(lam) for lam != 1, defined by
     t / (lam e^t - 1) = sum_n B_n(lam) t^n / n!, from the recurrence
@@ -103,7 +98,7 @@ def kernel_base(ring, params: KernelParams, order: int) -> list:
     if params.integral:
         base = [ring.from_fraction(bk) for bk in bernoulli_numbers(order)]
     else:
-        base = _apostol_numbers(ring, exp_2pii(ring, params.b, -1), order)
+        base = _apostol_numbers(ring, ring.root_of_unity(-params.b), order)
     return [ring.scale(bk, Fraction(1, math.factorial(k)))
             for k, bk in enumerate(base)]
 
@@ -142,7 +137,7 @@ def nonzero_parts(ring, parts, q) -> Dict[int, object]:
     is made on the coefficient, as the root's modulus is e^{-2 pi Im q}."""
     if ring.exact or isinstance(q, (int, Fraction)):
         return {n: a for n, a in enumerate(parts) if not ring.is_zero(a)}
-    root = exp_2pii(ring, q)
+    root = ring.root_of_unity(q)
     return {n: a for n, a in enumerate(parts) if not ring.is_zero(a * root)}
 
 
@@ -153,7 +148,7 @@ def rooted_series(ring, parts: Dict[int, object], q, order: int, var: str,
     parts (``nonzero_parts``)."""
     vars = (var,) if vars is None else tuple(vars)
     p = vars.index(var)
-    root = exp_2pii(ring, q)
+    root = ring.root_of_unity(q)
     return TruncatedSeries(ring, vars, Truncation(order), {
         (0,) * p + (n,) + (0,) * (len(vars) - p - 1): a * root
         for n, a in parts.items()})
@@ -171,7 +166,7 @@ def kernel_series_dy(ring, params: KernelParams, order: int, var: str = "t",
                      vars: Optional[tuple] = None) -> TruncatedSeries:
     """d/dy of the kernel series: the kernel times (t - 2 pi i b), since
     the kernel depends on y only through e^{(t - 2 pi i b) y}."""
-    two_pi_i_b = ring.two_pi_i() * ring_value(ring, params.b)
+    two_pi_i_b = ring.two_pi_i() * ring.from_fraction(params.b)
     a = kernel_parts(ring, params, order, kernel_base(ring, params, order))
     dy = [(a[n - 1] if n else ring.zero()) - two_pi_i_b * a[n]
           for n in range(order + 1)]

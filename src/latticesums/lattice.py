@@ -43,7 +43,7 @@ class GaussianRational:
     re: Fraction
     im: Fraction
 
-    def as_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
     def __neg__(self) -> "GaussianRational":
@@ -68,7 +68,7 @@ class GaussianRational:
         return bool(self.re or self.im)
 
     def __str__(self) -> str:
-        return str(self.as_complex())
+        return str(complex(self))
 
 
 Constant = Union[Fraction, GaussianRational, complex]
@@ -105,13 +105,6 @@ class Functional:
         if isinstance(c, GaussianRational) and c.im == 0:
             return c.re
         return c
-
-    def constant_complex(self) -> complex:
-        if isinstance(self.constant, Fraction):
-            return complex(self.constant)
-        if isinstance(self.constant, GaussianRational):
-            return self.constant.as_complex()
-        return complex(self.constant)
 
 
 def make_functional(direction, constant) -> Functional:

@@ -332,7 +332,7 @@ def _sum_vectorized(arr, k, y, Ns) -> List[complex]:
         den = np.ones(mask.shape, dtype=np.complex128)
         for f, kf, target in positive:
             val = f.direction[0] * v1i + f.direction[1] * v2 \
-                + complex(f.constant_complex())
+                + complex(f.exact_constant())
             if target is not None:
                 mask &= f.direction[0] * v1i + f.direction[1] * v2i != target
             den *= np.where(mask, val, 1.0)**kf

@@ -15,7 +15,10 @@ Two interchangeable rings live here behind one small protocol:
   tolerance conventions needed by the numeric evaluation paths.
 
 The ring interface used by the rest of the package: ``zero``, ``one``,
-``from_fraction``, ``root_of_unity`` (e^{2 pi i q}), ``two_pi_i``,
+``from_fraction`` and ``root_of_unity`` (e^{2 pi i q}), the one road from
+an exact constant q, a Fraction or a Gaussian rational, to a scalar (the
+exact ring has no root for a Gaussian q: exact mode refuses non-real
+constants before any kernel is built), ``two_pi_i``,
 ``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
 of scalars), ``mul_terms`` (a rational times a sum of truncated products
 of two series term maps: one series product, or a sum of series each
@@ -48,6 +51,7 @@ from typing import Dict
 from mpmath.ctx_mp import MPContext
 
 from .cyclotomic import CyclotomicField, ExactScalar
+from .lattice import GaussianRational
 from .series import convolve
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,10 @@ class ExactRing:
         return self._one
 
     def from_fraction(self, q):
+        """The int, Fraction or Gaussian rational q as a scalar."""
+        if isinstance(q, GaussianRational):
+            return self.from_fraction(q.re) + self.root_of_unity(
+                Fraction(1, 4)) * self.from_fraction(q.im)
         q = Fraction(q)
         if q == 0:
             return self._zero
@@ -325,16 +333,19 @@ class NumericRing:
         return self.ctx.mpc(1)
 
     def from_fraction(self, q):
+        """The int, Fraction or Gaussian rational q as a scalar."""
+        if isinstance(q, GaussianRational):
+            return self.from_fraction(q.re) + self._i \
+                * self.from_fraction(q.im)
         q = Fraction(q)
         return self.ctx.mpc(self.ctx.mpf(q.numerator) / self.ctx.mpf(q.denominator))
 
     def root_of_unity(self, q):
-        q = Fraction(q)
+        """e^{2 pi i q} for an exact q: a root of unity for rational q, and
+        for a Gaussian rational q rounded once, in the exponential."""
+        if isinstance(q, GaussianRational):
+            return self.ctx.exp(2j * self.ctx.pi * self.from_fraction(q))
         return self.ctx.expjpi(2 * self.from_fraction(q))
-
-    def exp_2pii_times(self, c):
-        """e^{2 pi i c} for an arbitrary complex constant c."""
-        return self.ctx.exp(2j * self.ctx.pi * self.ctx.mpc(c))
 
     def two_pi_i(self):
         return self.ctx.mpc(0, 2) * self.ctx.pi

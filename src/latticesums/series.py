@@ -11,8 +11,10 @@ closed-form evaluators work:
 
 * ``LinearForm`` -- sum_v q_v t_v - 2 pi i c with exact rational q_v and
   an exact constant c, the one type of every denominator and exponent.
-  Its singularity (c == 0) and its merge key (the normalised q_v) are read
-  from that exact data in both rings.  One multinomial enumerator
+  It is plain exact data and holds no ring: its singularity (c == 0) and
+  its merge key (the normalised q_v) are read from that data in both
+  rings, and a reader that needs c as a scalar asks its ring
+  (``from_fraction``, ``root_of_unity``).  One multinomial enumerator
   (``monomials``) expands every function of it that the evaluators need,
   coefficient by coefficient with no series product: in
   ``genfun.unit_product`` every unit inverse (c != 0) and the vertex
@@ -244,45 +246,28 @@ def coefficient_discrepancy(ring, pairs: Iterable[tuple]):
 # ---------------------------------------------------------------------------
 
 
-def ring_value(ring, c):
-    """The Fraction or Gaussian rational c in the ring."""
-    if isinstance(c, Fraction):
-        return ring.from_fraction(c)
-    # e^{2 pi i/4} = i
-    return ring.from_fraction(c.re) + ring.root_of_unity(Fraction(1, 4)) \
-        * ring.from_fraction(c.im)
-
-
 class LinearForm:
     """sum_v q_v t_v - 2 pi i c with rational q_v, the one form type.
 
-    `coeffs` holds the nonzero q_v as Fractions, `den` their common
-    denominator, and `c` the exact constant, a Fraction (an int is made
-    one) or a Gaussian rational; `c == 0` marks a singular form.
-    `constant` is -2 pi i c in the ring.  `key`, the coefficients scaled
+    Plain exact data, in no ring: `coeffs` holds the nonzero q_v as
+    Fractions, `den` their common denominator, and `c` the exact
+    constant, a Fraction (an int is made one) or a Gaussian rational;
+    `c == 0` marks a singular form.  A reader that needs -2 pi i c as a
+    scalar builds it from `c` in its ring.  `key`, the coefficients scaled
     so that the first (by variable order) is 1, is equal for forms that
-    agree up to a rational scale.  Both are built on first use: a unit
-    inverse or an exponential (``genfun.unit_product``) reads neither.
+    agree up to a rational scale; it is built on first use, as a unit
+    inverse or an exponential (``genfun.unit_product``) does not read it.
     """
 
-    __slots__ = ("coeffs", "den", "c", "_ring", "_constant", "_key")
+    __slots__ = ("coeffs", "den", "c", "_key")
 
-    def __init__(self, ring, coeffs: Dict[str, Fraction], c=Fraction(0)):
+    def __init__(self, coeffs: Dict[str, Fraction], c=Fraction(0)):
         self.coeffs = {v: Fraction(q) for v, q in coeffs.items() if q}
         self.den = math.lcm(*(q.denominator for q in self.coeffs.values()))
         if isinstance(c, int):
             c = Fraction(c)
         self.c = c
-        self._ring = ring
-        self._constant = self._key = None
-
-    @property
-    def constant(self):
-        if self._constant is None:
-            ring, c = self._ring, self.c
-            self._constant = ring.zero() if c == 0 else \
-                -(ring.two_pi_i() * ring_value(ring, c))
-        return self._constant
+        self._key = None
 
     @property
     def key(self) -> tuple:

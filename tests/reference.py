@@ -44,7 +44,7 @@ from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
 from latticesums.genfun import (EvaluationContext, _coset_grids, _dead_unit,
                                 _unit_numerators, unit_product)
-from latticesums.kernel import (KernelParams, _apostol_numbers, exp_2pii,
+from latticesums.kernel import (KernelParams, _apostol_numbers,
                                 bernoulli_numbers, kernel_series)
 from latticesums.lattice import (Arrangement, Basis, Functional,
                                  GaussianRational)
@@ -267,7 +267,7 @@ def bernoulli_poly(k: int, y) -> Fraction:
 def kernel_coeff(ring, k: int, params: KernelParams):
     """C(k, y; b): k! times the k-th Taylor coefficient."""
     if params.integral and ring.exact:
-        pref = exp_2pii(ring, params.b, -Fraction(params.y))
+        pref = ring.root_of_unity(-params.b * Fraction(params.y))
         return pref * ring.from_fraction(bernoulli_poly(k, Fraction(params.y)))
     s = kernel_series(ring, params, k)
     fact = ring.from_fraction(Fraction(math.factorial(k)))
@@ -298,7 +298,7 @@ def kernel_coeff_poly(ring, k: int, params_b: Fraction):
     if b.denominator == 1:
         return [ring.from_fraction(c) for c in bernoulli_poly_coeffs(k)]
     # C(k, x; b) = B_k(x; lam) = sum_j C(k, j) B_{k-j}(lam) x^j, B_0(lam) = 0
-    bn = _apostol_numbers(ring, exp_2pii(ring, b, -1), k)
+    bn = _apostol_numbers(ring, ring.root_of_unity(-b), k)
     return [ring.scale(bn[k - j], math.comb(k, j)) for j in range(k)] \
         or [ring.zero()]
 
@@ -397,6 +397,12 @@ def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
     return form_power(form, ring, vars, trunc, 1).invert_unit()
 
 
+def form_constant(form, ring):
+    """-2 pi i c, the constant term of a LinearForm with exact constant c,
+    in the ring."""
+    return -(ring.two_pi_i() * ring.from_fraction(form.c))
+
+
 def form_power(form, ring, vars, trunc, m: int) -> TruncatedSeries:
     """(a + L)^m for m >= 0, a the form's constant, as sum_n f_n (D L)^n,
     f_n = C(m, n) a^(m-n) / D^n, only f_m = 1 / D^m when the form is
@@ -407,7 +413,8 @@ def form_power(form, ring, vars, trunc, m: int) -> TruncatedSeries:
     if form.singular:
         f = {m: ring.from_fraction(Fraction(1, den ** m))}
     else:
-        f = {n: ring.scale(form.constant ** (m - n),
+        a = form_constant(form, ring)
+        f = {n: ring.scale(a ** (m - n),
                            Fraction(math.comb(m, n), den ** n))
              for n in range(min(m, trunc.total) + 1)}
     terms = {e: ring.scale(f[n], c)
@@ -423,7 +430,7 @@ def form_exp(form, ring, vars, trunc) -> TruncatedSeries:
     ``LinearForm.monomials``.  Independent of ``genfun.unit_product``, which
     expands the vertex exponentials in production; in the exact ring, c
     must be rational."""
-    root = exp_2pii(ring, form.c, -1)
+    root = ring.root_of_unity(-form.c)
     phi, scale = [], Fraction(1)
     for n in range(trunc.total + 1):
         phi.append(ring.scale(root, scale))
@@ -461,7 +468,7 @@ def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
             by_degree.setdefault(n, {})[e] = v
         keyed = [(e, n, v) for n, part in by_degree.items()
                  for e, v in convolve(part, fac, trunc).items()]
-        lifts[0] = lifts[0] * exp_2pii(ring, exponent.c, -1)
+        lifts[0] = lifts[0] * ring.root_of_unity(-exponent.c)
     for _ in range(max(map(sum, terms), default=0)):
         lifts.append(lifts[-1] * step)
     i = ring.root_of_unity(Fraction(1, 4))
@@ -548,7 +555,7 @@ def full_order_summand(ctx: EvaluationContext, bidx: int,
         params = KernelParams.make(ctx.constant(m), ctx.yhat(bidx, w, m))
         num = num * kernel_series(ring, params, order, vars[m], vars)
     denoms = []
-    for g, form in ctx.geometry(bidx):
+    for g, form in ctx.geometry(bidx).items():
         num = num * series_variable(ring, vars, trunc, vars[g])
         if form.singular:
             denoms.append(form)

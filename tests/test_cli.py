@@ -28,6 +28,13 @@ def run_cli(args):
     return proc
 
 
+def test_module_entry_point_help_exits_0():
+    proc = run_cli(["--help"])
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: latticesums")
+    assert proc.stderr == ""
+
+
 def test_module_entry_point():
     proc = run_cli(["eval", "--arrangement", "a1_alpha1.json",
                     "--k", "2,2,2", "--y", "0"])

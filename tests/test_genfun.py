@@ -84,7 +84,7 @@ def _display_summand(ctx, den_coeffs, den_const_q, kernels, order):
     ring = ctx.ring
     trunc = Truncation(order)
     gvar = [v for v, c in den_coeffs.items() if c == 1][0]
-    form = LinearForm(ring, den_coeffs, den_const_q)
+    form = LinearForm(den_coeffs, den_const_q)
     num = series_variable(ring, ctx.vars, trunc, gvar)
     num = num * unit_inverse(ring, ctx.vars, trunc, form)
     for var, b, yhat in kernels:
@@ -131,7 +131,7 @@ def test_rank1_family_closed_form_display():
 
     def unit(coeffs, const_q):
         # t_g / (sum coeffs[v] t_v - 2 pi i const_q), g the +1 coefficient
-        form = LinearForm(ring, coeffs, const_q)
+        form = LinearForm(coeffs, const_q)
         gvar = [v for v, c in coeffs.items() if c == 1][0]
         t = series_variable(ring, ctx.vars, trunc, gvar)
         return t * unit_inverse(ring, ctx.vars, trunc, form)
@@ -644,7 +644,7 @@ def _inverse_power_product(ring, factors, trunc):
     out = TruncatedSeries.one(ring, UNIT_VARS, trunc)
     for coeffs, c, k in factors:
         inverse = unit_inverse(ring, UNIT_VARS, trunc,
-                               LinearForm(ring, coeffs, c))
+                               LinearForm(coeffs, c))
         for _ in range(k):
             out = out * inverse
     return out
@@ -652,7 +652,7 @@ def _inverse_power_product(ring, factors, trunc):
 
 def _unit_product(ring, factors, trunc):
     return genfun.unit_product(
-        ring, [(LinearForm(ring, coeffs, c), k) for coeffs, c, k in factors],
+        ring, [(LinearForm(coeffs, c), k) for coeffs, c, k in factors],
         UNIT_VARS, trunc)
 
 
@@ -711,7 +711,7 @@ def test_unit_product_matches_inverse_powers_numeric(factors, trunc):
 def test_unit_product_rejects_a_zero_constant():
     ring = UNIT_RINGS[4]
     with pytest.raises(NonDivisible):
-        genfun.unit_product(ring, [(LinearForm(ring, {"t0": 1}), 1)],
+        genfun.unit_product(ring, [(LinearForm({"t0": 1}), 1)],
                             UNIT_VARS, Truncation(2))
 
 
@@ -736,10 +736,9 @@ def test_one_step_lift_matches_the_termwise_lift(N, c, box):
     # and a Fraction scale, and with none of the last three
     ring = ExactRing(N)
     trunc = Truncation(5, box)
-    factors = [(LinearForm(ring, coeffs, const), k) for (coeffs, const), k
+    factors = [(LinearForm(coeffs, const), k) for (coeffs, const), k
                in zip(SCALED_FACTORS, (2, 1, 3))]
-    exponent = LinearForm(ring, {"t0": Fraction(2, 3), "t2": Fraction(-1)},
-                          c)
+    exponent = LinearForm({"t0": Fraction(2, 3), "t2": Fraction(-1)}, c)
     got = genfun.unit_product(ring, factors, UNIT_VARS, trunc, exponent,
                               Fraction(-14, 9))
     want = termwise_unit_product(ring, factors, UNIT_VARS, trunc, exponent,
@@ -760,7 +759,7 @@ def test_unit_product_times_a_series_is_the_series_product(ring):
     # 128 bits), and an empty one gives the zero series
     ring = NumericRing(128) if ring == "numeric" else UNIT_RINGS[int(ring)]
     trunc = Truncation(5, (3, 2, 4))
-    factors = [(LinearForm(ring, coeffs, const), k) for (coeffs, const), k
+    factors = [(LinearForm(coeffs, const), k) for (coeffs, const), k
                in zip(SCALED_FACTORS, (2, 1, 3))]
     root = ring.root_of_unity(Fraction(1, 4)) + ring.from_fraction(
         Fraction(2, 3))
@@ -1280,9 +1279,10 @@ def test_equal_directions_share_bases_not_constants(generic_y2):
     assert ctx1.data is ctx2.data
     for bidx in range(len(arr1.bases)):
         forms1, forms2 = ctx1.geometry(bidx), ctx2.geometry(bidx)
-        assert [(g, f.coeffs) for g, f in forms1] == \
-            [(g, f.coeffs) for g, f in forms2]
-        assert [f.c for _, f in forms1] != [f.c for _, f in forms2]
+        assert [(g, f.coeffs) for g, f in forms1.items()] == \
+            [(g, f.coeffs) for g, f in forms2.items()]
+        assert [f.c for f in forms1.values()] != \
+            [f.c for f in forms2.values()]
     # a cold table, and new arrangement objects, give the same values
     for consts, warm in ((second, warm2), (first, warm1)):
         lattice.clear_arrangement_table()

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
-from latticesums.kernel import (KernelParams, bernoulli_numbers, exp_2pii,
-                                kernel_base, kernel_parts, kernel_series,
-                                kernel_series_dy)
+from latticesums.kernel import (KernelParams, bernoulli_numbers, kernel_base,
+                                kernel_parts, kernel_series, kernel_series_dy)
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.scalar import ExactRing, NumericRing
@@ -149,7 +148,7 @@ def test_kernel_shift_in_y(ring, b, y, delta):
     # Apostol-Bernoulli shift, checked on the closed-form coefficients
     order = 7
     shifted = kernel_series(ring, KernelParams.make(b, y + delta), order)
-    factor = form_exp(LinearForm(ring, {"t": delta}, b * delta), ring,
+    factor = form_exp(LinearForm({"t": delta}, b * delta), ring,
                       ("t",), Truncation(order))
     product = kernel_series(ring, KernelParams.make(b, y), order) * factor
     if ring.exact:
@@ -243,7 +242,7 @@ def test_root_times_parts_is_the_kernel(case, other):
                          order)
     parts = kernel_parts(ring, p, order, kernel_base(ring, p, order))
     assert kernel_parts(ring, p, order, shared) == parts
-    root = exp_2pii(ring, b, -y)
+    root = ring.root_of_unity(-b * y)
     want = kernel_series(ring, p, order)
     if p.integral:  # e^{-2 pi i b y} B_n(y) / n!
         reference = [root * ring.from_fraction(
@@ -255,7 +254,7 @@ def test_root_times_parts_is_the_kernel(case, other):
     for n, a in enumerate(parts):
         assert root * a == want.coefficient((n,)) == reference[n]
     numeric = kernel_series(NUMERIC, p, order)
-    root = exp_2pii(NUMERIC, b, -y)
+    root = NUMERIC.root_of_unity(-b * y)
     for n, a in enumerate(kernel_parts(NUMERIC, p, order,
                                        kernel_base(NUMERIC, p, order))):
         ref = want.coefficient((n,)).embed(REF192)

@@ -7,7 +7,8 @@ import pytest
 
 from latticesums import lattice
 from latticesums.families import a2_directions, hurwitz_a1, triangle
-from latticesums.lattice import (Arrangement, GenericDirection, choose_phi,
+from latticesums.lattice import (Arrangement, GaussianRational,
+                                 GenericDirection, choose_phi,
                                  arrangement_from_json, arrangement_to_json,
                                  enumerate_bases, frac_part,
                                  in_singular_locus, make_functional,
@@ -226,6 +227,40 @@ def test_json_gaussian_and_float_constants():
     assert arr.functionals[0].exact
     assert not arr.functionals[1].exact
     assert arr.functionals[2].rational_constant() == 3
+
+
+def test_json_roundtrip_keeps_gaussian_and_float_constants():
+    arr = Arrangement(1, [make_functional((1,), (Fraction(1, 2),
+                                                 Fraction(-1, 3))),
+                          make_functional((2,), 0.1),
+                          make_functional((1,), complex(0.25, -1.5)),
+                          make_functional((3,), Fraction(-7, 4))])
+    blob = json.dumps(arrangement_to_json(arr))
+    back = arrangement_from_json(blob)
+    assert [f.direction for f in back.functionals] == [(1,), (2,), (1,), (3,)]
+    assert [f.constant for f in back.functionals] == \
+        [f.constant for f in arr.functionals]
+    assert [type(f.constant) for f in back.functionals] == \
+        [GaussianRational, complex, complex, Fraction]
+    assert json.dumps(arrangement_to_json(back)) == blob
+
+
+def test_make_functional_reads_a_short_real_float_exactly():
+    half = make_functional((1,), 0.5)
+    assert half.constant == Fraction(1, 2)
+    assert isinstance(half.constant, Fraction) and half.exact
+    # 0.1 has no short binary fraction: it stays a numeric-only constant
+    tenth = make_functional((1,), 0.1)
+    assert tenth.constant == complex(0.1)
+    assert tenth.exact is False
+
+
+def test_gaussian_rational_as_a_complex():
+    z = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+    assert complex(z) == complex(0.5) + 1j * complex(Fraction(-1, 3))
+    assert complex(z) == complex(0.5, -1 / 3)
+    assert str(z) == str(complex(0.5, -1 / 3))
+    assert complex(GaussianRational(Fraction(3), Fraction(0))) == 3
 
 
 def test_duplicate_functionals_are_distinct_slots():

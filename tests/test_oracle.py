@@ -143,6 +143,20 @@ def test_vectorized_and_pointwise_paths_agree(generic_y2):
     assert abs(complex(zf) - complex(zi)) < 1e-12
 
 
+def test_vectorized_and_pointwise_paths_agree_on_a_gaussian_constant(
+        generic_y2):
+    # both paths read the constant 1/2 + i/3 exactly: float64 through
+    # complex(), the integer path in its real and imaginary parts
+    arr = Arrangement(2, [
+        make_functional((1, 0), (Fraction(1, 2), Fraction(1, 3))),
+        make_functional((0, 1), Fraction(1, 3)),
+        make_functional((1, 1), Fraction(1, 5))])
+    k, window = WeightVector.make((2, 2, 2)), TruncationWindow(25)
+    zf = truncated_sum(arr, k, generic_y2, window, precision=53)
+    zi = complex(truncated_sum(arr, k, generic_y2, window, precision=80))
+    assert zi.imag and abs(complex(zf) - zi) < 1e-12 * abs(zi)
+
+
 def test_convergence_scan_reads_an_mpmath_target_at_its_precision():
     # a 128-bit numeric target used to be rounded to a double first, and
     # err at N = 2000 read 1.147e-17 against it and 1.248e-17 against the

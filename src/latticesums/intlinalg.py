@@ -1,9 +1,10 @@
-"""Exact linear algebra helpers: Fraction matrices and integer normal forms.
+"""Exact linear algebra helpers: Fraction matrices and an integer echelon form.
 
 Everything here is small (r <= 3, #functionals <= a dozen), so clarity wins
 over asymptotics: one Gaussian elimination with Fractions serves ``det`` and
-``rank``, Gauss-Jordan gives inverses, and a textbook Smith normal form
-comes with unimodular transforms.
+``rank``, Gauss-Jordan gives inverses, and one integer column echelon form
+with its unimodular transform (``column_echelon``) serves integer solving
+and the coset representatives of a lattice.
 """
 
 from __future__ import annotations
@@ -83,88 +84,55 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_eliminate(rows)[0])
 
 
-def smith_normal_form(A: Sequence[Sequence[int]]):
-    """Return (D, U, V) with D = U*A*V diagonal, U, V unimodular.
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
-    Diagonal entries are nonnegative and satisfy d_1 | d_2 | ... .
+
+def column_echelon(A: Sequence[Sequence[int]]
+                   ) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """Return (H, U, pivots) with H = A U in lower column echelon form and
+    U unimodular.
+
+    Column j < len(pivots) is zero above row pivots[j], where it holds a
+    positive entry; the rows pivots[0] < pivots[1] < ... rise strictly, and
+    the columns past the pivots are zero.  Row by row, extended-gcd steps
+    on pairs of columns gather the gcd of the row's entries right of the
+    last pivot into the next column; entries left of a pivot are not
+    reduced (Cohen, GTM 138, section 2.4).
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    a = [[int(x) for x in row] for row in A]
-    U = identity(m)
-    V = identity(n)
+    H = [list(row) for row in A]
+    U = identity(n)
+    pivots: List[int] = []
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
+    def combine(c, j, s, t, u, v):  # (col c, col j) <- (s c + t j, u c + v j)
+        for row in H + U:
+            row[c], row[j] = (s * row[c] + t * row[j],
+                              u * row[c] + v * row[j])
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):  # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        U[i] = [x + c * y for x, y in zip(U[i], U[j])]
-
-    def add_col(i, j, c):  # col_i += c * col_j
-        for row in a:
-            row[i] += c * row[j]
-        for row in V:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    for i in range(m):
+        c = len(pivots)
+        if c == n:
             break
-        i0, j0 = best
-        if i0 != t:
-            swap_rows(t, i0)
-        if j0 != t:
-            swap_cols(t, j0)
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                dirty = dirty or a[t][j] != 0
-        if dirty:
-            continue
-        # enforce divisibility of the remaining block by a[t][t]
-        piv = a[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % piv != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    D = a
-    return D, U, V
+        for j in range(c + 1, n):
+            a, b = H[i][c], H[i][j]
+            if b:
+                g, s, t = _xgcd(a, b)
+                combine(c, j, s, t, -b // g, a // g)
+        if H[i][c]:
+            if H[i][c] < 0:
+                for row in H + U:
+                    row[c] = -row[c]
+            pivots.append(i)
+    return H, U, pivots
 
 
 def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]
@@ -172,76 +140,34 @@ def solve_integer(A: Sequence[Sequence[int]], b: Sequence[int]
     """Solve A x = b over the integers.
 
     Returns (particular solution, kernel lattice basis) or None when the
-    system has no integer solution.
+    system has no integer solution.  With A U = H from ``column_echelon``,
+    H y = b is solved row by row, a row without a pivot only checked, and
+    x = U y; the kernel basis is the columns of U past the pivots.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [0] * n, [list(row) for row in identity(n)]
-    D, U, V = smith_normal_form(A)
-    c = mat_vec(U, list(b))
-    z = [0] * n
-    kernel_idx = []
-    for j in range(n):
-        d = D[j][j] if j < m else 0
-        if d == 0:
-            kernel_idx.append(j)
-        else:
-            if c[j] % d != 0:
-                return None
-            z[j] = c[j] // d
-    for i in range(n, m):
-        if c[i] != 0:
+    H, U, pivots = column_echelon(A)
+    n = len(U)
+    y = [0] * n
+    c = 0
+    for i, row in enumerate(H):
+        rest = b[i] - sum(row[j] * y[j] for j in range(c))
+        if c < len(pivots) and pivots[c] == i:
+            y[c], rest = divmod(rest, row[c])
+            c += 1
+        if rest:
             return None
-    # also reject inconsistent zero-diagonal rows within range
-    for j in range(min(m, n)):
-        if D[j][j] == 0 and c[j] != 0:
-            return None
-    x0 = mat_vec(V, z)
-    kernel = []
-    for j in kernel_idx:
-        kernel.append([V[i][j] for i in range(n)])
-    return x0, kernel
+    return mat_vec(U, y), [[Ui[j] for Ui in U] for j in range(c, n)]
 
 
 def integer_normal(rows: Sequence[Sequence[int]]) -> List[int]:
-    """An integer normal vector to the span of (r-1) independent rows in R^r."""
+    """The primitive integer normal to the span of r-1 independent rows in
+    Z^r: its signed maximal minors (-1)^i det(rows without column i), over
+    their gcd."""
     r = len(rows[0])
     if len(rows) != r - 1:
         raise ValueError("expected r-1 rows")
-    # Cramer-style: normal_i = (-1)^i * minor_i
-    normal = []
-    for i in range(r):
-        minor = [[Fraction(row[j]) for j in range(r) if j != i] for row in rows]
-        d = det(minor) if r > 1 else Fraction(1)
-        normal.append((-1) ** i * d)
-    dens = [x.denominator for x in normal]
-    scale = 1
-    for d in dens:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(x * scale) for x in normal]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    minors = [(-1) ** i * int(det([row[:i] + row[i + 1:] for row in rows]))
+              for i in range(r)]
+    g = gcd(*minors)
     if g == 0:
         raise ValueError("rows are linearly dependent")
-    return [x // g for x in ints]
-
-
-def vec_gcd_of_fractions(entries: Sequence[Fraction]) -> Fraction:
-    """Generator of the subgroup of Q generated by the given rationals."""
-    num = 0
-    den = 1
-    for e in entries:
-        e = Fraction(e)
-        if e == 0:
-            continue
-        den = den * e.denominator // gcd(den, e.denominator)
-    for e in entries:
-        e = Fraction(e)
-        if e == 0:
-            continue
-        num = gcd(num, abs(int(e * den)))
-    if num == 0:
-        return Fraction(0)
-    return Fraction(num, den)
+    return [x // g for x in minors]

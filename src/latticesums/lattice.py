@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,6 +83,13 @@ class Functional:
     constant: Constant
 
     def __post_init__(self):
+        # int() would truncate 2.5 to 2, and True is an int in Python
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral)
+               for x in self.direction):
+            raise ValueError(
+                f"direction entries must be integers, got {self.direction}")
+        object.__setattr__(self, "direction",
+                           tuple(int(x) for x in self.direction))
         if all(x == 0 for x in self.direction):
             raise ValueError("functional direction must be nonzero")
 
@@ -120,7 +128,7 @@ def make_functional(direction, constant) -> Functional:
             as_frac = Fraction(constant.real)
             if as_frac.denominator <= 10**6 and float(as_frac) == constant.real:
                 constant = as_frac
-    return Functional(tuple(int(x) for x in direction), constant)
+    return Functional(tuple(direction), constant)
 
 
 @dataclass
@@ -192,14 +200,15 @@ def _dot(a: Sequence, b: Sequence):
 
 
 def _integer_vector(v: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
-    """(D, D v) for D the lcm of the denominators of v."""
+    """(D, D v) for D the lcm of the denominators of v.  No prime of D
+    divides every entry of D v, so D and the entries of D v are coprime."""
     D = math.lcm(*(x.denominator for x in v))
     return D, tuple(x.numerator * (D // x.denominator) for x in v)
 
 
 def enumerate_bases(arr: Arrangement) -> List[Basis]:
     """All r-subsets with invertible direction matrix, with dual vectors,
-    index and Smith-normal-form coset representatives."""
+    index and coset representatives from an integer column echelon form."""
     r = arr.rank
     out = []
     for combo in itertools.combinations(range(arr.size), r):
@@ -216,20 +225,13 @@ def enumerate_bases(arr: Arrangement) -> List[Basis]:
 
 
 def _coset_reps(rows: List[List[int]]) -> List[Tuple[int, ...]]:
-    """Representatives of Z^r modulo the row lattice, via Smith normal form."""
-    r = len(rows)
-    D, U, V = intlinalg.smith_normal_form(rows)
-    v_inv_frac = intlinalg.mat_inverse(V)
-    if any(x.denominator != 1 for row in v_inv_frac for x in row):
-        raise LatticeSumError("internal: Smith transform was not unimodular")
-    v_inv = [[int(x) for x in row] for row in v_inv_frac]
-    ranges = [range(D[i][i]) for i in range(r)]
-    reps = []
-    for c in itertools.product(*ranges):
-        # w = c * V^{-1} (row-vector convention)
-        w = tuple(sum(c[i] * v_inv[i][j] for i in range(r)) for j in range(r))
-        reps.append(w)
-    return reps
+    """Representatives of Z^r modulo the lattice of the rows: the box
+    0 <= w_i < H_ii of the column echelon H of the transposed rows.  H is
+    lower triangular with the lattice as its column lattice, so column i
+    reduces coordinate i of any v into the box without touching the ones
+    before it, and two points of the box never differ by a lattice point."""
+    H, _, _ = intlinalg.column_echelon([list(col) for col in zip(*rows)])
+    return list(itertools.product(*(range(H[i][i]) for i in range(len(H)))))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,9 @@ def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,
 
     For indispensable f the excluded set is characterized by
     <y + w, dual_f> in Z for some integer w, i.e. <y, dual_f> lying in the
-    subgroup of Q generated by 1 and the dual entries.
+    subgroup of Q generated by 1 and the dual entries.  With dual_f read
+    from the table as (D, D dual_f), that subgroup is gcd(D, D dual_f)/D Z
+    = (1/D) Z, so the test is whether <y, D dual_f> is an integer.
     """
     # zipped against the duals, a short y would be read as it is
     if len(y) != arr.rank:
@@ -407,12 +411,10 @@ def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,
         for i in subset:
             if i not in arr.indispensable:
                 raise ValueError(f"functional {i} is not indispensable")
-    basis = arr.bases[0]
+    duals = arrangement_data(arr).integer_duals[0]
     for i in subset:
-        dual = basis.dual(i)
-        g = intlinalg.vec_gcd_of_fractions([Fraction(1), *dual])
-        val = sum(Fraction(v) * d for v, d in zip(y, dual))
-        if (val / g).denominator == 1:
+        _, dual = duals[i]
+        if sum(Fraction(v) * d for v, d in zip(y, dual)).denominator == 1:
             return True
     return False
 
@@ -425,10 +427,10 @@ def in_singular_locus(y: Sequence, arr: Arrangement) -> bool:
     """
     if len(y) != arr.rank:
         raise ValueError("y must have one entry per dimension")
+    # y is on n^perp + Z^r iff <y, n> lies in <Z^r, n>, which is Z as the
+    # normals are primitive
     for n in arr.codim1_normals:
-        g = math.gcd(*n)
-        val = sum(Fraction(v) * x for v, x in zip(y, n))
-        if (val / g).denominator == 1:
+        if sum(Fraction(v) * x for v, x in zip(y, n)).denominator == 1:
             return True
     return False
 
@@ -475,7 +477,7 @@ def arrangement_from_json(obj) -> Arrangement:
         obj = json.loads(obj)
     fs = []
     for item in obj["functionals"]:
-        fs.append(Functional(tuple(int(x) for x in item["direction"]),
+        fs.append(Functional(tuple(item["direction"]),
                              _constant_from_json(item["constant"])))
     return Arrangement(int(obj["rank"]), fs)
 

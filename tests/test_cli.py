@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from latticesums.cli import main
+from latticesums.cli import _load_arr, main
 from latticesums.scalar import ExactRing, parse_scalar
 from reference import pi_pow
 
@@ -180,6 +181,30 @@ def test_exit_code_excluded_point():
         path = fh.name
     assert main(["eval", "--arrangement", path, "--k", "1,2,2",
                  "--y", "0,1/3"]) == 2
+
+
+def test_exit_code_fractional_direction(tmp_path, capsys):
+    # read with int(), these directions were a1_alpha1's and exited 0
+    blob = {"rank": 1, "functionals": [
+        {"direction": [-1.5], "constant": 1},
+        {"direction": [1], "constant": 0},
+        {"direction": [1.9], "constant": 1}]}
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(blob))
+    assert main(["eval", "--arrangement", str(path), "--k", "2,2,2",
+                 "--y", "0"]) == 1
+    assert "direction entries must be integers" in capsys.readouterr().err
+
+
+ARRANGEMENT_FIXTURES = sorted(
+    p.name for p in resources.files("latticesums.fixtures").iterdir()
+    if p.name.endswith(".json") and p.name != "manifest.json")
+
+
+@pytest.mark.parametrize("name", ARRANGEMENT_FIXTURES)
+def test_every_bundled_fixture_loads(name):
+    arr = _load_arr(name)
+    assert arr.size >= arr.rank
 
 
 def test_exit_code_internal_consistency_failure(monkeypatch, capsys):

@@ -19,21 +19,18 @@ int_matrix = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(int_matrix)
-def test_smith_normal_form_properties(A):
-    D, U, V = intlinalg.smith_normal_form(A)
-    assert is_unimodular(U) and is_unimodular(V)
-    UAV = mat_mul(mat_mul(U, A), V)
-    assert UAV == D
+def test_column_echelon_properties(A):
+    H, U, pivots = intlinalg.column_echelon(A)
+    assert is_unimodular(U)
+    assert mat_mul(A, U) == H
     m, n = len(A), len(A[0])
-    diag = [D[i][i] for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert D[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        assert a >= 0
-        if a != 0:
-            assert b % a == 0
+    assert len(pivots) == intlinalg.rank(A)
+    assert pivots == sorted(set(pivots))
+    for j, p in enumerate(pivots):
+        assert H[p][j] > 0
+        assert all(H[i][j] == 0 for i in range(p))
+    for j in range(len(pivots), n):
+        assert all(H[i][j] == 0 for i in range(m))
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,9 +44,19 @@ def test_solve_integer(A, x_true):
     x0, kernel = solved
     assert [sum(A[i][j] * x0[j] for j in range(n))
             for i in range(len(A))] == b
+    # the oracle enumerates over a full kernel basis
+    assert len(kernel) == n - intlinalg.rank(A)
     for kv in kernel:
         assert all(sum(A[i][j] * kv[j] for j in range(n)) == 0
                    for i in range(len(A)))
+
+
+def test_solve_integer_dependent_rows():
+    A = [[1, 1], [2, 2]]
+    x0, kernel = intlinalg.solve_integer(A, [1, 2])
+    assert x0[0] + x0[1] == 1
+    assert kernel in ([[1, -1]], [[-1, 1]])
+    assert intlinalg.solve_integer(A, [1, 3]) is None
 
 
 def test_solve_integer_infeasible():
@@ -76,14 +83,6 @@ def test_row_lattice_membership():
     M = [[1, 1], [1, -1]]
     assert lattice_contains(M, (2, 0))
     assert not lattice_contains(M, (1, 0))
-
-
-def test_vec_gcd_of_fractions():
-    g = intlinalg.vec_gcd_of_fractions([Fraction(1, 2), Fraction(1, 3)])
-    assert g == Fraction(1, 6)
-    assert intlinalg.vec_gcd_of_fractions([Fraction(0)]) == 0
-    assert intlinalg.vec_gcd_of_fractions(
-        [Fraction(1), Fraction(2, 3)]) == Fraction(1, 3)
 
 
 def leibniz_det(M):

@@ -1,19 +1,23 @@
+import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from latticesums import lattice
+from latticesums import intlinalg, lattice
 from latticesums.families import a2_directions, hurwitz_a1, triangle
-from latticesums.lattice import (Arrangement, GaussianRational,
+from latticesums.lattice import (Arrangement, Functional, GaussianRational,
                                  GenericDirection, choose_phi,
                                  arrangement_from_json, arrangement_to_json,
                                  enumerate_bases, frac_part,
                                  in_singular_locus, make_functional,
                                  on_excluded_hyperplanes)
-from reference import coset_character_sum, lattice_contains
+from reference import coset_character_sum
 
 
 def test_triangle_has_three_bases(triangle_rational):
@@ -48,16 +52,33 @@ def test_dual_basis_identity(triangle_rational):
                 assert v == (1 if i == j else 0)
 
 
-def test_coset_reps_complete_and_distinct():
-    for dirs in [[(1, 1), (1, -1)], [(2, 1), (0, 3)], [(2, 0), (0, 2)]]:
-        arr = Arrangement(2, [make_functional(d, 0) for d in dirs])
-        (b,) = arr.bases
-        assert len(b.coset_reps) == b.index
-        reps = b.coset_reps
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                diff = [a - c for a, c in zip(reps[i], reps[j])]
-                assert not lattice_contains(b.direction_matrix, diff)
+def _square_matrices(r):
+    row = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
+    return st.lists(row, min_size=r, max_size=r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(_square_matrices))
+@example([[1, 1], [1, -1]])
+@example([[2, 1], [0, 3]])
+@example([[2, 0], [0, 2]])
+def test_coset_reps_complete_and_distinct(rows):
+    assume(intlinalg.det(rows) != 0)
+    r = len(rows)
+    arr = Arrangement(r, [make_functional(d, 0) for d in rows])
+    (b,) = arr.bases
+    # v and w are in one class iff v B^-1 and w B^-1 agree mod 1
+    inv = intlinalg.mat_inverse(rows)
+
+    def cls(v):
+        return tuple(sum(v[i] * inv[i][j] for i in range(r)) % 1
+                     for j in range(r))
+
+    classes = [cls(w) for w in b.coset_reps]
+    assert len(classes) == len(set(classes)) == b.index
+    # every point of a box meets the class of exactly one representative
+    for v in itertools.product(range(-2, 3), repeat=r):
+        assert classes.count(cls(v)) == 1
 
 
 def test_indispensable_examples():
@@ -174,6 +195,57 @@ def test_excluded_hyperplanes():
                                        triangle(0, 0, 0))
 
 
+def _unit_fractions():
+    return st.integers(1, 6).flatmap(
+        lambda d: st.integers(0, d - 1).map(lambda n: Fraction(n, d)))
+
+
+@st.composite
+def _first_basis_of_index_above_one(draw):
+    """A rank-2 arrangement whose first basis (0, 1) has index > 1, its
+    other directions multiples of the second, and a shift in [0, 1)^2."""
+    entry = st.integers(-2, 2)
+    d0 = draw(st.tuples(entry, entry))
+    d1 = draw(st.tuples(entry, entry))
+    assume(abs(d0[0] * d1[1] - d0[1] * d1[0]) > 1)
+    mults = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=2))
+    dirs = [d0, d1] + [(m * d1[0], m * d1[1]) for m in mults]
+    arr = Arrangement(2, [make_functional(d, 0) for d in dirs])
+    return arr, draw(st.tuples(_unit_fractions(), _unit_fractions()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_first_basis_of_index_above_one())
+def test_predicates_match_their_definitions_on_non_integral_duals(case):
+    arr, y = case
+    b = arr.bases[0]
+    assert b.members == (0, 1) and b.index > 1 and 0 in arr.indispensable
+    # y is excluded for f iff <y + w, f^B> is an integer for some integer
+    # w; index * f^B is integral, so w in [0, index)^2 meets every value
+    box = list(itertools.product(range(b.index), repeat=2))
+    for f in arr.indispensable:
+        dual = b.dual(f)
+        want = any((sum((yi + wi) * d for yi, wi, d in zip(y, w, dual))
+                    ).denominator == 1 for w in box)
+        assert on_excluded_hyperplanes(y, arr, [f]) == want
+        # y moved along the direction of f onto <y, f^B> = 0
+        shift = sum(yi * d for yi, d in zip(y, dual))
+        direction = arr.functionals[f].direction
+        on = [yi - shift * x for yi, x in zip(y, direction)]
+        assert on_excluded_hyperplanes(on, arr, [f])
+    # y is on the locus iff <y + w, n> = 0 for some integer w and some
+    # normal n of a direction, taken here as it is, not made primitive;
+    # with |n_i| <= 4 and y in [0, 1)^2 a solution has |w_i| <= 20
+    box = list(itertools.product(range(-20, 21), repeat=2))
+    normals = {(-d[1], d[0]) for d in (f.direction for f in arr.functionals)}
+    # in integers: L (y + w) with L the common denominator of y
+    L = math.lcm(*(yi.denominator for yi in y))
+    Ly = [int(yi * L) for yi in y]
+    want = any(sum((a + L * wi) * ni for a, wi, ni in zip(Ly, w, n)) == 0
+               for n in normals for w in box)
+    assert in_singular_locus(y, arr) == want
+
+
 def test_float_points_are_read_at_their_binary_value():
     # 1e-13 is within 1e-12 of the excluded hyperplane y_0 in Z and of the
     # singular locus, but not on them; 1.0 and 2.0 are exactly on them
@@ -243,6 +315,26 @@ def test_json_roundtrip_keeps_gaussian_and_float_constants():
     assert [type(f.constant) for f in back.functionals] == \
         [GaussianRational, complex, complex, Fraction]
     assert json.dumps(arrangement_to_json(back)) == blob
+
+
+@pytest.mark.parametrize("entry", [2.5, 1.0, True, "1", Fraction(1)])
+def test_direction_entries_must_be_integers(entry):
+    # int() would read 2.5 as 2 and sum over another arrangement
+    with pytest.raises(ValueError, match="integers"):
+        Functional((entry, 1), Fraction(0))
+    with pytest.raises(ValueError, match="integers"):
+        make_functional((entry, 1), 0)
+    blob = {"rank": 2, "functionals": [
+        {"direction": [entry, 1], "constant": 0},
+        {"direction": [0, 1], "constant": 0}]}
+    with pytest.raises(ValueError, match="integers"):
+        arrangement_from_json(blob)
+
+
+def test_direction_entries_accept_integers():
+    f = make_functional([np.int64(2), -1], 0)
+    assert f.direction == (2, -1)
+    assert all(type(x) is int for x in f.direction)
 
 
 def test_make_functional_reads_a_short_real_float_exactly():

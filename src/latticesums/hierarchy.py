@@ -92,7 +92,8 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     with 0.  ``max_discrepancy`` is 0 or 1 in exact mode (1 on any
     mismatch or stray term) and the largest coefficient difference in
     numeric mode.  Raises ValueError unless `keep` names distinct
-    functionals and leaves at least one to remove.
+    functionals and leaves at least one to remove, and when no exponent
+    through `order` is compared: neither side has a nonzero coefficient.
     """
     unknown = [i for i in keep if i not in range(arr.size)]
     if unknown:
@@ -140,6 +141,10 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
         expected[tuple(e)] = c2
     zero = ctx.ring.zero()
     exps = expected.keys() | {e for e in total.terms if sum(e) <= order}
+    if not exps:
+        raise ValueError(f"neither side has a nonzero coefficient through "
+                         f"order {order}, so nothing is compared; raise the "
+                         f"order")
     stray = sum(1 for e in exps if any(e[i] for i in removed))
     discrepancy = coefficient_discrepancy(
         ctx.ring, ((total.coefficient(e), expected.get(e, zero))

@@ -448,17 +448,19 @@ def _constant_to_json(c: Constant):
     return {"re": c.real, "im": c.imag}
 
 
-def _constant_from_json(obj):
-    if isinstance(obj, (int, str)):
-        return Fraction(obj)
-    if isinstance(obj, float):
-        return complex(obj)
-    if isinstance(obj, dict):
-        re, im = obj.get("re", 0), obj.get("im", 0)
-        if isinstance(re, float) or isinstance(im, float):
-            return complex(float(re), float(im))
-        return GaussianRational(Fraction(re), Fraction(im))
-    raise ValueError(f"unreadable constant: {obj!r}")
+def _constant_from_json(obj, where: str):
+    parts = ((obj.get("re", 0), obj.get("im", 0)) if isinstance(obj, dict)
+             else (obj,))
+    if any(isinstance(x, bool) or not isinstance(x, (int, str, float))
+           for x in parts):
+        raise ValueError(f"{where}: unreadable constant {obj!r}")
+    if any(isinstance(x, float) for x in parts):
+        return complex(*map(float, parts))
+    try:
+        exact = [Fraction(x) for x in parts]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{where}: unreadable constant {obj!r}") from None
+    return exact[0] if len(exact) == 1 else GaussianRational(*exact)
 
 
 def arrangement_to_json(arr: Arrangement) -> dict:
@@ -472,14 +474,38 @@ def arrangement_to_json(arr: Arrangement) -> dict:
     }
 
 
+def _json_field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
 def arrangement_from_json(obj) -> Arrangement:
+    """The arrangement of {"rank": int, "functionals": [{"direction":
+    [int, ...], "constant": ...}, ...]}, given as an object or its JSON
+    text.  Raises ValueError naming a missing or ill-typed field."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    rank = _json_field(obj, "rank", "the arrangement")
+    # int() would read 2.7 as 2, and True is an int in Python
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+    items = _json_field(obj, "functionals", "the arrangement")
+    if not isinstance(items, list):
+        raise ValueError(f"functionals must be a list, got {items!r}")
     fs = []
-    for item in obj["functionals"]:
-        fs.append(Functional(tuple(item["direction"]),
-                             _constant_from_json(item["constant"])))
-    return Arrangement(int(obj["rank"]), fs)
+    for i, item in enumerate(items):
+        where = f"functional {i}"
+        direction = _json_field(item, "direction", where)
+        if not isinstance(direction, list):
+            raise ValueError(f"{where}: direction must be a list of "
+                             f"integers, got {direction!r}")
+        constant = _json_field(item, "constant", where)
+        fs.append(Functional(tuple(direction),
+                             _constant_from_json(constant, where)))
+    return Arrangement(rank, fs)
 
 
 def load_arrangement(path) -> Arrangement:

@@ -21,18 +21,27 @@ All geometry (vertices, incidence, edges) is exact rational arithmetic in
 the coordinates of L0, computed once per translate m.  Each vertex comes
 from a witness (B, A): it lies on the hyperplanes (g, a_g) for g outside
 B by construction, and on another one exactly when one of its basis
-values <y + m - sum a_g g, f^B>, f in B, is 0 or 1.  A polytope is
-therefore simple exactly when no witness has a basis value 0 or 1.
+values q_f = <y + m - sum a_g g, f^B>, f in B, is 0 or 1.  A polytope is
+therefore simple exactly when no witness has a basis value 0 or 1.  The
+basis values are <y + m, f^B> less the pairings <g, f^B> of the
+arrangement table, one per g with a_g = 1.
 
-The functional constants only enter through the exponential prefactors
-and the edge denominators t* . (p - p'), which are rational combinations
-of the functionals.  The evaluator's builder
-(``EvaluationContext.combination``) returns each, and each vertex
-exponent, as an exact ``LinearForm``.  From its exact constant an edge
+Everything else a vertex contributes is read off its witness.  With
+t*_g = t_g - sum_{f in B0} <g, f^B0> t_f, the exponent of a vertex p,
+sum_{f in B0} <y + m, f^B0> (t_f - 2 pi i c_f) + t* . p, is
+
+    sum_{g not in B} a_g (t_g - 2 pi i c_g)
+      + sum_{f in B} q_f (t_f - 2 pi i c_f),
+
+a rational combination of the functionals.  The vertices of a translate
+share its B0 part, so the denominator t* . (p - p') of an edge is the
+difference of the exponents at its two ends.  The evaluator's builder
+(``EvaluationContext.combination``) returns each exponent and edge
+denominator as an exact ``LinearForm``.  From its exact constant an edge
 denominator is singular, to be divided out after summing, or a unit.
 The numerator of a vertex, its weight |det| / |Z^r / L_B0| (the edge
-determinant over the index of B0), its exponential e^{t* . p} and the
-inverses of its unit edge denominators, is one exact product
+determinant over the index of B0), its exponential and the inverses of
+its unit edge denominators, is one exact product
 (``genfun.unit_product``, the one expansion of every unit inverse): a
 series over Q in integers, each coefficient built once from its
 numerators, the vertex's root of unity and the weight, with no series
@@ -58,7 +67,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import NotSimple
-from .genfun import EvaluationContext, _context, relative_form, unit_product
+from .genfun import EvaluationContext, _context, unit_product
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, arrangement_data, in_singular_locus
 from .series import (RationalForm, TruncatedSeries, Truncation,
@@ -76,13 +85,19 @@ class VertexWitness:
     basis_values: Dict[int, Fraction]  # <y + m - sum a_g g, f^B> per f in B
     incident: Tuple[Label, ...]
 
+    @property
+    def exponent(self) -> Dict[int, Fraction]:
+        """The vertex's exponent as a combination of the functionals (see
+        the module docstring): a_g outside the basis, q_f in it."""
+        return {**self.sides, **self.basis_values}
+
 
 class Decomposition:
     """A fixed split of the arrangement into basis B0 and remainder L0."""
 
     def __init__(self, arr: Arrangement, b0_index: int = 0):
         self.arr = arr
-        data = arrangement_data(arr)
+        self.data = data = arrangement_data(arr)
         self.b0: Basis = data.bases[b0_index]
         # {g in L0: {f in B0: <g, f^B0>}}, from the arrangement table
         self.pairings = data.pairings[b0_index]
@@ -139,45 +154,33 @@ def vertices(dec: Decomposition, m: Sequence[int], y: Sequence[Fraction]
 
     Every vertex arises from a witness W = (B, A): it is the intersection
     of the hyperplanes labelled (g, a_g) for g outside B, and it belongs to
-    the polytope iff all basis inner products lie in [0, 1].  A vertex with
-    several witnesses is kept once, with the first."""
-    arr, l0 = dec.arr, dec.l0
-    y = [Fraction(v) for v in y]
+    the polytope iff its basis values q_f, f in B, lie in [0, 1] (from
+    the table's pairings, see the module docstring).  Its coordinate on g
+    in L0 is q_g in B and a_g outside.  A vertex with several witnesses is
+    kept once, with the first."""
+    ym = [Fraction(v) + mv for v, mv in zip(y, m)]
     out = []
     seen_points = set()
-    for b in arr.bases:
-        outside = tuple(i for i in range(arr.size) if i not in b.members)
-        for sides in itertools.product((0, 1), repeat=len(outside)):
-            a = dict(zip(outside, sides))
-            shift = [Fraction(v) for v in y]
+    for b, pairs in zip(dec.data.bases, dec.data.pairings):
+        base = {f: sum(v * d for v, d in zip(ym, b.dual(f)))
+                for f in b.members}
+        # pairs holds the g outside b, in index order
+        for sides in itertools.product((0, 1), repeat=len(pairs)):
+            a = dict(zip(pairs, sides))
+            qvals = dict(base)
             for g, ag in a.items():
                 if ag:
-                    gd = arr.functionals[g].direction
-                    shift = [s - d for s, d in zip(shift, gd)]
-            shift = [s + mv for s, mv in zip(shift, m)]
-            qvals = {}
-            ok = True
-            for f in b.members:
-                q = sum(s * d for s, d in zip(shift, b.dual(f)))
-                if not (0 <= q <= 1):
-                    ok = False
-                    break
-                qvals[f] = q
-            if not ok:
+                    for f, c in pairs[g].items():
+                        qvals[f] -= c
+            if not all(0 <= q <= 1 for q in qvals.values()):
                 continue
-            point = []
-            for g in l0:
-                if g not in b.members:
-                    point.append(Fraction(a[g]))
-                else:
-                    point.append(sum(s * d for s, d in
-                                     zip(shift, b.dual(g))))
-            point = tuple(point)
+            point = tuple(qvals[g] if g in qvals else Fraction(a[g])
+                          for g in dec.l0)
             if point in seen_points:
                 continue
             seen_points.add(point)
-            incident = tuple(sorted((g, a[g]) for g in outside))
-            out.append(VertexWitness(b.members, a, point, qvals, incident))
+            out.append(VertexWitness(b.members, a, point, qvals,
+                                     tuple(sorted(a.items()))))
     out.sort(key=lambda w: (w.point, w.basis_members))
     return out
 
@@ -209,41 +212,15 @@ def adjacency(verts: List[VertexWitness]) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _tstar_data(dec: Decomposition) -> Dict[int, Dict[int, Fraction]]:
-    """Per g in L0: t*_g = t_g - sum_{f in B0} <g, f^B0> t_f as a
-    combination of the functionals."""
-    return {g: relative_form(g, pairs) for g, pairs in dec.pairings.items()}
-
-
-def _tstar_combination(tstar, dec: Decomposition, v) -> Dict[int, Fraction]:
-    """t* . v as a combination of the functionals."""
-    out: Dict[int, Fraction] = {}
-    for g, vg in zip(dec.l0, v):
-        if vg == 0:
-            continue
-        for x, c in tstar[g].items():
-            out[x] = out.get(x, Fraction(0)) + vg * c
-    return out
-
-
 def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
-                          m, y, w: VertexWitness, edges, dens, tstar,
-                          order: int) -> RationalForm:
-    trunc = Truncation(order)
+                          exponent, edges, dens, order: int) -> RationalForm:
     n = len(dec.l0)
-    # exponent: sum_{f in B0} (t_f - 2 pi i c_f) <y+m, f^B0> + t* . p
-    coeff = {f: sum((Fraction(yv) + mv) * d
-                    for yv, mv, d in zip(y, m, dec.b0.dual(f)))
-             for f in dec.b0.members}
-    for x, c in _tstar_combination(tstar, dec, w.point).items():
-        coeff[x] = coeff.get(x, Fraction(0)) + c
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
     # |det| / index * e^{exponent} over the edge denominators t* . (p - p'):
     # the units, the exponential and the weight in one exact product
     units = [(den, 1) for den in dens if not den.singular]
-    num = unit_product(ctx.ring, units, ctx.vars, trunc,
-                       ctx.combination(coeff),
-                       Fraction(detv, dec.b0.index))
+    num = unit_product(ctx.ring, units, ctx.vars, Truncation(order),
+                       exponent, Fraction(detv, dec.b0.index))
     return RationalForm(num, [den for den in dens if den.singular])
 
 
@@ -256,11 +233,13 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
 
     Requires y off the singular locus (tested exactly);
     raises NotSimple if a polytope fails the simplicity expected there.
-    The edge denominators come from the evaluator's denominator builder
-    (``EvaluationContext.combination``).  Each translate's vertex forms
-    are summed on their own, and each exact division of that sum loses one
-    degree, so the singular ones set the extra truncation order: the
-    working order is order + divisions, with the divisions
+    Each vertex exponent is the combination of its witness's sides and
+    basis values, and each edge denominator the difference of the
+    exponents at its ends, both built by the evaluator's denominator
+    builder (``EvaluationContext.combination``).  Each translate's vertex
+    forms are summed on their own, and each exact division of that sum
+    loses one degree, so the singular ones set the extra truncation order:
+    the working order is order + divisions, with the divisions
     (``division_count``) of the translate that needs the most.
     """
     y = [Fraction(v) for v in y]
@@ -268,9 +247,8 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     ctx = _context(arr, y, mode, precision, None, ctx)
     ring = ctx.ring
     dec, translates = _walk(ctx)
-    tstar = _tstar_data(dec)
     n = len(dec.l0)
-    cells = []   # (m, [(vertex, edge vectors, edge denominators)])
+    cells = []   # per translate: [(exponent, edge vectors, denominators)]
     divisions = 0
     for m, verts in translates:
         if not witnesses_simple(verts):
@@ -278,14 +256,17 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
         adj = adjacency(verts)
         if any(len(nb) != n for nb in adj):
             raise NotSimple(f"polytope at m={m} has a vertex of wrong degree")
+        # an edge denominator t* . (p - p') is the exponents' difference
+        lins = [w.exponent for w in verts]
         cell = []
-        for w, nbrs in zip(verts, adj):
+        for w, lin, nbrs in zip(verts, lins, adj):
             edges = [tuple(pk - pj for pk, pj in zip(w.point, verts[j].point))
                      for j in nbrs]
-            dens = [ctx.combination(_tstar_combination(tstar, dec, e))
-                    for e in edges]
-            cell.append((w, edges, dens))
-        cells.append((m, cell))
+            dens = [ctx.combination({x: c - lins[j][x]
+                                     for x, c in lin.items()})
+                    for j in nbrs]
+            cell.append((ctx.combination(lin), edges, dens))
+        cells.append(cell)
         divisions = max(divisions, division_count(
             [d for d in ds if d.singular] for _, _, ds in cell))
     work = order + divisions
@@ -298,10 +279,10 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     if low < 0:
         return TruncatedSeries(ring, ctx.vars, Truncation(order))
     total = TruncatedSeries(ring, ctx.vars, Truncation(low))
-    for m, cell in cells:
+    for cell in cells:
         total = total + sum_rational_forms([
-            _vertex_rational_form(ctx, dec, m, y, w, edges, dens, tstar, low)
-            for w, edges, dens in cell])
+            _vertex_rational_form(ctx, dec, exponent, edges, dens, low)
+            for exponent, edges, dens in cell])
     total = total * _kernel_prefactor(ctx, params, low)
     return total.shifted(monomial, Truncation(order))
 
@@ -352,7 +333,9 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
     """Per-m vertex counts and simplicity flags plus the maximum
     coefficientwise discrepancy between the reconstruction and the direct
     series (exact zero expected in exact mode).  Raises NotSimple for a y
-    on the singular locus before any series is built."""
+    on the singular locus before any series is built, and ValueError when
+    neither series has a term through `order`, which would compare
+    nothing."""
     from .genfun import generating_function
     y = [Fraction(v) for v in y]
     _refuse_singular_locus(y, arr)
@@ -366,6 +349,10 @@ def polytope_report(arr: Arrangement, y: Sequence, order: int,
     # reads the same walk back through ctx
     f_poly = genfun_via_polytopes(arr, y, order, mode=mode,
                                   precision=precision, ctx=ctx)
+    if not f_direct.terms and not f_poly.terms:
+        raise ValueError(f"neither series has a nonzero coefficient through "
+                         f"order {order}, so nothing is compared; raise the "
+                         f"order")
     disc = coefficient_discrepancy(
         ctx.ring, ((f_direct.coefficient(e), f_poly.coefficient(e))
                    for e in set(f_direct.terms) | set(f_poly.terms)))

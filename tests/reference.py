@@ -89,7 +89,9 @@ def build_polytope(dec: Decomposition, m: Sequence[int],
         for a in (0, 1):
             if f in b0.members:
                 dual = b0.dual(f)
-                base = [dec.dual_pair(g, f) for g in l0]
+                base = [sum(Fraction(x) * d for x, d in
+                            zip(arr.functionals[g].direction, dual))
+                        for g in l0]
                 ym = sum((yv + mv) * d for yv, mv, d in zip(y, m, dual))
                 if a == 1:
                     u = tuple(base)

@@ -196,6 +196,41 @@ def test_exit_code_fractional_direction(tmp_path, capsys):
     assert "direction entries must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blob, message", [
+    ({"rank": 1}, "the arrangement has no 'functionals' field"),
+    ({"rank": 1, "functionals": [{"direction": 5, "constant": 0}]},
+     "functional 0: direction must be a list of integers, got 5"),
+    ({"rank": 1, "functionals": [{"constant": 0}]},
+     "functional 0 has no 'direction' field"),
+    ([{"direction": [1], "constant": 0}],
+     "the arrangement must be a JSON object"),
+    ({"rank": 2.7, "functionals": [{"direction": [1, 0], "constant": 0}]},
+     "rank must be an integer, got 2.7"),
+    ({"rank": True, "functionals": [{"direction": [1], "constant": 0}]},
+     "rank must be an integer, got True"),
+    ({"rank": 1, "functionals": [{"direction": [1]}]},
+     "functional 0 has no 'constant' field"),
+    ({"rank": 1, "functionals": [{"direction": [1], "constant": "1/0"}]},
+     "functional 0: unreadable constant '1/0'"),
+    ({"rank": 1, "functionals": [{"direction": [1], "constant": True}]},
+     "functional 0: unreadable constant True"),
+], ids=["no_functionals", "direction_5", "no_direction", "top_level_list",
+        "rank_2.7", "rank_true", "no_constant", "constant_1/0",
+        "constant_true"])
+def test_malformed_arrangement_file_exits_1(blob, message, tmp_path,
+                                            capsys):
+    # each escaped main with a traceback, or (the ranks and the bool
+    # constant) was read as another integer and summed over another
+    # arrangement
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(blob))
+    assert main(["eval", "--arrangement", str(path), "--k", "2",
+                 "--y", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
 ARRANGEMENT_FIXTURES = sorted(
     p.name for p in resources.files("latticesums.fixtures").iterdir()
     if p.name.endswith(".json") and p.name != "manifest.json")
@@ -360,6 +395,33 @@ def test_verify_polytope(capsys):
 def test_verify_hierarchy(capsys):
     rc = main(["verify", "hierarchy", "--arrangement", "a1_alpha1.json",
                "--y", "0", "--order", "4", "--remove", "f0"])
+    assert rc == 0
+    assert "max discrepancy: 0 (exact)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["polytope", "--arrangement", "a1_alpha_half.json", "--y", "1/3"], 1),
+    (["polytope", "--arrangement", "triangle_rational.json",
+      "--y", "1/7,2/11"], 2),
+    (["hierarchy", "--arrangement", "a1_alpha1.json", "--y", "0",
+      "--remove", "f0"], 0),
+], ids=["polytope_a1_alpha_half", "polytope_triangle", "hierarchy_a1"])
+def test_verify_refuses_an_order_that_compares_nothing(argv, order, capsys):
+    # neither series has a nonzero coefficient through this order: the
+    # check used to print "max discrepancy: 0 (exact)" and exit 0
+    rc = main(["verify"] + argv + ["--order", str(order)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "max discrepancy" not in captured.out
+    assert captured.err.startswith("error: ")
+    assert f"through order {order}, so nothing is compared; raise the " \
+        "order" in captured.err
+
+
+def test_verify_polytope_compares_the_one_term_at_order_2(capsys):
+    # the lowest order at which a1_alpha_half at y = 1/3 has a term
+    rc = main(["verify", "polytope", "--arrangement", "a1_alpha_half.json",
+               "--y", "1/3", "--order", "2"])
     assert rc == 0
     assert "max discrepancy: 0 (exact)" in capsys.readouterr().out
 

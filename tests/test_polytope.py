@@ -8,13 +8,14 @@ from mpmath.ctx_mp import MPContext
 from latticesums import intlinalg, polytope
 from latticesums.errors import NotSimple
 from latticesums.families import a2_directions, hurwitz_a1, triangle
-from latticesums.genfun import EvaluationContext, generating_function
+from latticesums.genfun import (EvaluationContext, generating_function,
+                                relative_form)
 from latticesums.lattice import (Arrangement, GaussianRational,
                                  in_singular_locus, make_functional)
 from latticesums.polytope import (Decomposition, VertexWitness,
                                   enumerate_m, genfun_via_polytopes,
                                   polytope_report, vertices,
-                                  witnesses_simple, _translates, _tstar_data)
+                                  witnesses_simple, _translates)
 from latticesums.series import TruncatedSeries
 from reference import (HalfSpace, HPolytope, box_translates,
                        brute_force_vertices, build_polytope,
@@ -141,6 +142,105 @@ def test_vertices_against_brute_force():
         assert sorted(w.point for w in verts) == brute
 
 
+def _dot(u, v):
+    return sum(Fraction(a) * b for a, b in zip(u, v))
+
+
+def _tstar(dec):
+    """Per g in L0: t*_g = t_g - sum_{f in B0} <g, f^B0> t_f as a
+    combination of the functionals, paired from the directions and the
+    duals of B0."""
+    return {g: relative_form(g, {
+                f: _dot(dec.arr.functionals[g].direction, dec.b0.dual(f))
+                for f in dec.b0.members})
+            for g in dec.l0}
+
+
+def _check_witnesses(arr, y):
+    """At every choice of B0, the witness data of every vertex against
+    the directions and the duals: the points against the brute-force
+    vertices of the H-polytope, each basis value against
+    <y + m - sum a_g g, f^B>, the exponent against
+    sum_{f in B0} <y + m, f^B0> (t_f - 2 pi i c_f) + t* . p, and every edge
+    denominator of the reconstruction (at B0 the first basis of the
+    functionals permuted to lead with it) against t* . (p - p')."""
+    dirs = [f.direction for f in arr.functionals]
+    for b0 in arr.bases:
+        perm = list(b0.members) + [g for g in range(arr.size)
+                                   if g not in b0.members]
+        arr_p = permuted(arr, perm)
+        dec = Decomposition(arr_p, 0)
+        assert dec.b0.members == tuple(range(arr.rank))
+        tstar = _tstar(dec)
+        dirs_p = [dirs[g] for g in perm]
+        by_members = {b.members: b for b in arr_p.bases}
+        translates = _translates(dec, y)
+        for m, verts in translates:
+            ym = [Fraction(v) + mv for v, mv in zip(y, m)]
+            assert sorted(w.point for w in verts) == \
+                brute_force_vertices(build_polytope(dec, m, y))
+            for w in verts:
+                shift = [v - sum(w.sides[g] * dirs_p[g][i] for g in w.sides)
+                         for i, v in enumerate(ym)]
+                basis = by_members[w.basis_members]
+                assert w.basis_values == {
+                    f: _dot(shift, basis.dual(f)) for f in basis.members}
+                want = {f: _dot(ym, dec.b0.dual(f)) for f in dec.b0.members}
+                for g, pg in zip(dec.l0, w.point):
+                    for x, c in tstar[g].items():
+                        want[x] = want.get(x, Fraction(0)) + pg * c
+                assert {x: c for x, c in w.exponent.items() if c} == \
+                    {x: c for x, c in want.items() if c}
+        ctx = EvaluationContext(arr_p, y, "exact")
+        seen = []
+        real = polytope._vertex_rational_form
+
+        def recorded(ctx_, dec_, exponent, edges, dens, order):
+            seen.append((edges, dens))
+            return real(ctx_, dec_, exponent, edges, dens, order)
+
+        # the vertex forms are built when the working order is at least
+        # the number of non-integral constants
+        order = sum(ctx.constant(f) != int(ctx.constant(f))
+                    for f in range(arr.size))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope, "_vertex_rational_form", recorded)
+            genfun_via_polytopes(arr_p, y, order, ctx=ctx)
+        assert len(seen) == sum(len(verts) for _, verts in translates)
+        for edges, dens in seen:
+            assert len(edges) == len(dens) == len(dec.l0)
+            for e, den in zip(edges, dens):
+                lin = {}
+                for g, eg in zip(dec.l0, e):
+                    for x, c in tstar[g].items():
+                        lin[x] = lin.get(x, Fraction(0)) + eg * c
+                want = ctx.combination(lin)
+                assert (den.coeffs, den.c) == (want.coeffs, want.c)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_witness_data_against_directions(rank, data):
+    arr, y = data.draw(_arrangements(rank, (7, 11, 13)))
+    assume(not in_singular_locus(y, arr))
+    _check_witnesses(arr, y)
+
+
+@pytest.mark.parametrize("dirs, consts", [
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+     [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(1, 5)]),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, -1)],
+     [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1, 3),
+      Fraction(-1, 6)]),
+], ids=["four_functionals", "five_with_singular_triples"])
+def test_witness_data_against_directions_rank3(dirs, consts):
+    arr = Arrangement(3, [make_functional(d, c) for d, c in zip(dirs, consts)])
+    y = (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13))
+    assert not in_singular_locus(y, arr)
+    _check_witnesses(arr, y)
+
+
 def test_simplicity_off_singular_locus():
     arr = slab_instance()
     dec = Decomposition(arr, 0)
@@ -240,7 +340,7 @@ def test_cramer_linear_form_identity():
     y = GENERIC_Y
     ctx = EvaluationContext(arr, y, "exact")
     dec = Decomposition(arr, 0)
-    tstar = _tstar_data(dec)
+    tstar = _tstar(dec)
     by_members = {b.members: b for b in arr.bases}
     checked = 0
     for m in enumerate_m(dec, y):
@@ -291,7 +391,7 @@ def test_vertex_exponent_identity():
     arr = slab_instance()
     y = GENERIC_Y
     dec = Decomposition(arr, 0)
-    tstar = _tstar_data(dec)
+    tstar = _tstar(dec)
     for m in enumerate_m(dec, y):
         for w in vertices(dec, m, y):
             coeff = {}
@@ -406,11 +506,11 @@ def test_vertex_unit_edges_are_one_unit_product(generic_y2, monkeypatch):
         products.append(([k for _, k in factors], exponent is not None))
         return real_product(ring, factors, vars, trunc, exponent, scale)
 
-    def counted_vertex(ctx, dec, m, y, w, edges, dens, tstar, order):
+    def counted_vertex(ctx, dec, exponent, edges, dens, order):
         products.clear()
         muls.clear()
         monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
-        form = real_vertex(ctx, dec, m, y, w, edges, dens, tstar, order)
+        form = real_vertex(ctx, dec, exponent, edges, dens, order)
         monkeypatch.setattr(TruncatedSeries, "__mul__", real_mul)
         units = sum(not d.singular for d in dens)
         assert products == [([1] * units, True)]

@@ -454,11 +454,11 @@ def _constant_from_json(obj, where: str):
     if any(isinstance(x, bool) or not isinstance(x, (int, str, float))
            for x in parts):
         raise ValueError(f"{where}: unreadable constant {obj!r}")
-    if any(isinstance(x, float) for x in parts):
-        return complex(*map(float, parts))
     try:
+        if any(isinstance(x, float) for x in parts):
+            return complex(*map(float, parts))
         exact = [Fraction(x) for x in parts]
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{where}: unreadable constant {obj!r}") from None
     return exact[0] if len(exact) == 1 else GaussianRational(*exact)
 

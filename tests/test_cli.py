@@ -214,9 +214,16 @@ def test_exit_code_fractional_direction(tmp_path, capsys):
      "functional 0: unreadable constant '1/0'"),
     ({"rank": 1, "functionals": [{"direction": [1], "constant": True}]},
      "functional 0: unreadable constant True"),
+    ({"rank": 1, "functionals": [{"direction": [1],
+                                  "constant": {"re": "1/2", "im": 0.5}}]},
+     "functional 0: unreadable constant {'re': '1/2', 'im': 0.5}"),
+    ({"rank": 1, "functionals": [{"direction": [1],
+                                  "constant": {"re": 10 ** 400, "im": 0.5}}]},
+     "functional 0: unreadable constant {'re': 1000"),
 ], ids=["no_functionals", "direction_5", "no_direction", "top_level_list",
         "rank_2.7", "rank_true", "no_constant", "constant_1/0",
-        "constant_true"])
+        "constant_true", "constant_str_beside_float",
+        "constant_float_overflow"])
 def test_malformed_arrangement_file_exits_1(blob, message, tmp_path,
                                             capsys):
     # each escaped main with a traceback, or (the ranks and the bool

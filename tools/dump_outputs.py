@@ -1,11 +1,11 @@
 """Print the output of every benchmark operation, one line each.
 
-    python3 tools/dump_outputs.py [--root CHECKOUT] [--workloads ...]
-        [--seeds ...] > dump.txt
+    python3 tools/dump_outputs.py [--root CHECKOUT] > dump.txt
 
 Each line is the workload, the seed, the operation's label and the
 ``repr`` of what its call returned, or ``raised Type: message``, tab
-separated.  The operations are those of ``benchmark/workloads.py`` of the
+separated.  The operations are every one of the manifest, generic and
+verify workloads on seeds 1-3, from ``benchmark/workloads.py`` of the
 checkout at --root (default: the one holding this script), run against
 that checkout's ``src``; the workloads file is imported, not changed, and
 no check or timing runs.  Two checkouts print the same outputs exactly
@@ -29,16 +29,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=HERE,
                     help="checkout whose src and benchmark are run")
-    ap.add_argument("--workloads", nargs="+",
-                    default=["manifest", "generic", "verify"])
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"),
                     os.path.join(root, "benchmark")]
     import workloads
-    for name in args.workloads:
-        for seed in args.seeds:
+    for name in ("manifest", "generic", "verify"):
+        for seed in (1, 2, 3):
             for op in workloads.build(name, seed).operations:
                 try:
                     shown = repr(op.call())

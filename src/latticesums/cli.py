@@ -43,7 +43,7 @@ from .lattice import (arrangement_from_json, in_singular_locus,
                       load_arrangement)
 from .oracle import convergence_scan
 from .polytope import polytope_report
-from .scalar import format_scalar
+from .scalar import MIN_PRECISION, format_scalar
 
 
 def _fixture_text(name: str) -> str:
@@ -73,8 +73,9 @@ def _parse_y(text: str):
 
 
 def _check_settings(precision: int, order: int = 0) -> None:
-    if precision < 24:
-        raise ValueError("precision must be at least 24 bits")
+    # in both modes, though only numeric mode reads the precision
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     if order < 0:
         raise ValueError("series order must be nonnegative")
 
@@ -168,7 +169,7 @@ def cmd_verify_oracle(args) -> int:
     arr = _load_arr(args.arrangement)
     k, y = _parse_k(args.k), _parse_y(args.y)
     _check_settings(args.precision)
-    # numeric mode evaluates any constants, exact mode only exact ones
+    # numeric mode evaluates any constants, exact mode real rational ones
     has_target = args.mode == "numeric" or arr.is_exact
     Ns = _oracle_windows(args.N, y, has_target)
     target = None

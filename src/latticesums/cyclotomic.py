@@ -45,8 +45,9 @@ def _factorize(n: int):
 
 
 class CyclotomicField:
-    """Q(zeta_N): its reduction rows, the basis product table, the numeric
-    images of the generators and the inverse cache."""
+    """Q(zeta_N): its reduction rows, the basis product table and the
+    inverse cache; the numeric images of the generators are computed where
+    an element is embedded (``_roots``)."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -68,7 +69,6 @@ class CyclotomicField:
         self.basis_products: Dict[Tuple[Exps, Exps], tuple] = {}
         # per factor: s -> zeta_q^s on the basis, filled as products need it
         self._rows = [{} for _ in self.factors]
-        self._root_cache: Dict[int, list] = {}
 
     def __repr__(self):
         return f"CyclotomicField({self.N})"
@@ -189,14 +189,11 @@ class CyclotomicField:
     # -- numerics -------------------------------------------------------
 
     def _roots(self, ctx):
-        key = ctx.prec
-        roots = self._root_cache.get(key)
-        if roots is None:
-            roots = []
-            for (_, q, phi, _) in self.factors:
-                w = ctx.expjpi(ctx.mpf(2) / q)
-                roots.append([w**e for e in range(phi)])
-            self._root_cache[key] = roots
+        """Per factor q, the zeta_q^e for e < phi(q), in mpmath's ctx."""
+        roots = []
+        for (_, q, phi, _) in self.factors:
+            w = ctx.expjpi(ctx.mpf(2) / q)
+            roots.append([w**e for e in range(phi)])
         return roots
 
 

@@ -97,6 +97,7 @@ from the table.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import numbers
@@ -114,10 +115,8 @@ from .kernel import KernelParams, kernel_base, kernel_parts, nonzero_parts
 # genfun.kernel_series_dy
 from .kernel import kernel_series, kernel_series_dy  # noqa: F401
 from .lattice import (Arrangement, GaussianRational, GenericDirection,
-                      arrangement_data, branch_fraction, choose_phi,
+                      arrangement_data, choose_phi, frac_part, is_generic,
                       on_excluded_hyperplanes)
-# unused here, but the benchmark's tracer patches genfun.frac_part
-from .lattice import frac_part  # noqa: F401
 from .scalar import ExactRing, NumericRing
 from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
                      convolve, division_count, sum_rational_forms)
@@ -200,12 +199,13 @@ def cyclotomic_order(arr: Arrangement, y: Sequence) -> int:
 class EvaluationContext:
     """Per-(arrangement, y, mode) state shared by all evaluation calls.
 
-    What the directions fix, the bases, phi, the pairings <g, f^B> and the
-    branch of every fractional part, is read from the arrangement table
-    (``lattice.arrangement_data``), shared by every context over the same
-    directions; a context adds the constants, y and the scalars: the
-    denominators den_g of each basis (``geometry``), the fractional parts
-    and the kernels, each computed once."""
+    What the directions fix, the bases, phi and the pairings <g, f^B>, is
+    read from the arrangement table (``lattice.arrangement_data``), shared
+    by every context over the same directions; a context adds the
+    constants, y and the scalars: the denominators den_g of each basis
+    (``geometry``), the fractional parts (``lattice.frac_part``) and the
+    kernels, computed once per ring.  A caller's phi must be generic
+    (``lattice.is_generic``), else ValueError."""
 
     def __init__(self, arr: Arrangement, y: Sequence, mode: str = "exact",
                  precision: int = 128, phi: Optional[GenericDirection] = None):
@@ -213,24 +213,38 @@ class EvaluationContext:
             raise ValueError("mode must be 'exact' or 'numeric'")
         if len(y) != arr.rank:
             raise ValueError("y must have one entry per dimension")
-        self.arr = arr
+        if phi is not None and not is_generic(arr, phi.phi):
+            raise ValueError(f"phi {phi.phi} is not generic: it is "
+                             f"orthogonal to the dual of a basis member")
         self.mode = mode
         self.phi = phi or choose_phi(arr)
-        self.data = arrangement_data(arr)
-        self._branches = self.data.branches(self.phi)
-        self.vars = tuple(f"t{i}" for i in range(arr.size))
         # floats are taken at their exact binary value in both modes
         self.y = tuple(Fraction(v) for v in y)
+        self._set_arrangement(arr)
         if mode == "exact":
             self.N = cyclotomic_order(arr, self.y)
             self.ring = ExactRing(self.N)
         else:
             self.N = None
             self.ring = NumericRing(precision)
-        self._constants = [f.exact_constant() for f in arr.functionals]
         self._bases: Dict[tuple, list] = {}
         self._parts: Dict[tuple, dict] = {}
-        self._geometry: Dict[int, list] = {}
+
+    def _set_arrangement(self, arr: Arrangement) -> None:
+        """The fields that depend on the arrangement, and only those."""
+        self.arr = arr
+        self.data = arrangement_data(arr)
+        self.vars = tuple(f"t{i}" for i in range(arr.size))
+        self._constants = [f.exact_constant() for f in arr.functionals]
+
+    def restricted(self, keep: Sequence[int]) -> "EvaluationContext":
+        """The context of ``arr.restricted(keep)`` at the same y and phi,
+        in this ring, reading this context's kernel tables: every basis of
+        the sub-arrangement is one here, with the same duals and constants,
+        so its cyclotomic order divides this one and phi stays generic."""
+        sub = copy.copy(self)
+        sub._set_arrangement(self.arr.restricted(keep))
+        return sub
 
     # -- scalar helpers -----------------------------------------------------
 
@@ -252,11 +266,8 @@ class EvaluationContext:
 
     def yhat(self, bidx: int, w: Tuple[int, ...], member: int):
         """``lattice.frac_part`` of (y, w) for `member` of basis bidx, on
-        the branch of phi read from the arrangement table."""
-        dual = self.data.bases[bidx].dual(member)
-        return branch_fraction(
-            sum((yi + wi) * d for yi, wi, d in zip(self.y, w, dual)),
-            self._branches[bidx][member])
+        the side of phi."""
+        return frac_part(self.y, w, self.data.bases[bidx], member, self.phi)
 
     def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
                order: int) -> Tuple[Dict[int, object], object]:
@@ -285,12 +296,8 @@ class EvaluationContext:
         """``{g: den_g}`` for each g outside basis bidx, with
         den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>, the
         pairings <g, f^B> read from the arrangement table."""
-        got = self._geometry.get(bidx)
-        if got is None:
-            got = self._geometry[bidx] = {
-                g: self.combination(relative_form(g, pairs))
+        return {g: self.combination(relative_form(g, pairs))
                 for g, pairs in self.data.pairings[bidx].items()}
-        return got
 
 
 def relative_form(g: int, pairs: Dict[int, Fraction]) -> Dict[int, Fraction]:

@@ -26,7 +26,9 @@ by den_g and appends t_g to the denominators, which the final
 ``sum_rational_forms`` divides out with the singular ones.  Each exact
 division loses one degree, so the working order is the compared order
 plus the divisions: the singular den_g and the removed t_g that the
-surviving summands carry (``division_count``).
+surviving summands carry (``division_count``).  The sub-arrangement's
+generating function is built in the parent's context restricted to the
+kept functionals (``EvaluationContext.restricted``): one ring per check.
 
 The y-derivative uses the per-summand affine gradient of the fractional
 parts, which is constant off the singular locus; on the locus the
@@ -125,9 +127,8 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
         states = [apply_Dg_summand(ctx, st, g, work) for st in states]
     total = sum_rational_forms([form for _, form in states])
 
-    sub = arr.restricted(keep)
-    sub_ctx = _with_field(sub, y, mode, precision, ctx)
-    f_sub = generating_function(sub, y, order, mode=mode,
+    sub_ctx = ctx.restricted(keep)
+    f_sub = generating_function(sub_ctx.arr, y, order, mode=mode,
                                 precision=precision, ctx=sub_ctx,
                                 check_excluded=False)
 
@@ -160,18 +161,3 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
         "max_discrepancy_str": "0 (exact)" if discrepancy == 0 and
                                mode == "exact" else str(discrepancy),
     }
-
-
-def _with_field(sub: Arrangement, y, mode, precision,
-                parent_ctx: EvaluationContext) -> EvaluationContext:
-    """Context for the sub-arrangement in the parent's ring, and with it
-    the parent's kernel tables: they are keyed by the value of
-    (KernelParams, order), so they hold for any context in the same ring
-    object."""
-    sub_ctx = EvaluationContext(sub, y, mode, precision, phi=parent_ctx.phi)
-    # every basis of the sub-arrangement is a parent basis with the same
-    # duals and constants, so its cyclotomic order divides the parent's
-    # (numeric mode: one precision for both)
-    sub_ctx.N, sub_ctx.ring = parent_ctx.N, parent_ctx.ring
-    sub_ctx._parts, sub_ctx._bases = parent_ctx._parts, parent_ctx._bases
-    return sub_ctx

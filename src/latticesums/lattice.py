@@ -18,10 +18,10 @@ An entry (``ArrangementData``) holds the bases, the indispensable
 functionals, the codimension-one normals and the default phi; per basis,
 the pairings <g, f^B> of every g outside it with the duals f^B of its
 members, and each dual as an integer vector over the lcm of its
-denominators; per phi asked for, the sign of <phi, f^B> that picks the
-branch of each fractional part.  Arrangements with equal directions and
-different constants share an entry: the constants enter only in the
-evaluators.
+denominators.  Arrangements with equal directions and different constants
+share an entry: the constants enter only in the evaluators.  The side of
+phi that a fractional part takes is read where the part is taken
+(``frac_part``), from one dot product with the dual.
 """
 
 from __future__ import annotations
@@ -170,7 +170,14 @@ class Arrangement:
 
     @property
     def is_exact(self) -> bool:
-        return all(f.exact for f in self.functionals)
+        """Whether exact mode evaluates the arrangement: it reads every
+        constant as a real rational (``Functional.rational_constant``)."""
+        try:
+            for f in self.functionals:
+                f.rational_constant()
+        except ValueError:
+            return False
+        return True
 
     @cached_property
     def indispensable(self) -> Tuple[int, ...]:
@@ -243,7 +250,7 @@ class ArrangementData:
     """What the directions of an arrangement fix, each part computed on
     first use, bases in the order of ``enumerate_bases`` (see the module
     docstring).  ``phi`` is the default phi once ``choose_phi`` has
-    found it."""
+    found it; no other phi is kept."""
 
     def __init__(self, arr: Arrangement):
         self.rank = arr.rank
@@ -251,7 +258,6 @@ class ArrangementData:
         # the arrangement the entry was made for, which enumerate_bases reads
         self._arr = arr
         self.phi: Optional[GenericDirection] = None
-        self._branches: Dict[GenericDirection, List[Dict[int, bool]]] = {}
 
     @cached_property
     def indispensable(self) -> Tuple[int, ...]:
@@ -301,16 +307,6 @@ class ArrangementData:
             normals[canon] = True
         return list(normals)
 
-    def branches(self, phi: GenericDirection) -> List[Dict[int, bool]]:
-        """Per basis: {member f: <phi, f^B> > 0}, the branch that
-        ``frac_part`` takes for f, computed once per phi."""
-        got = self._branches.get(phi)
-        if got is None:
-            got = self._branches[phi] = [
-                {m: _dot(phi.phi, b.dual(m)) > 0 for m in b.members}
-                for b in self.bases]
-        return got
-
 
 # the direction data of this process, most recently used last
 ARRANGEMENT_TABLE_SIZE = 64
@@ -339,6 +335,13 @@ def arrangement_data(arr: Arrangement) -> ArrangementData:
 # ---------------------------------------------------------------------------
 
 
+def is_generic(arr: Arrangement, phi: Sequence[int]) -> bool:
+    """Whether phi is orthogonal to no dual f^B of a basis member, so that
+    every fractional part has a side of phi to take."""
+    return all(_dot(phi, b.dual(m)) != 0
+               for b in arr.bases for m in b.members)
+
+
 def choose_phi(arr: Arrangement, skip: int = 0) -> GenericDirection:
     """Deterministic phi = (1, M, ..., M^(r-1)) for the smallest workable M,
     searched once per list of directions and kept in the arrangement
@@ -354,8 +357,7 @@ def choose_phi(arr: Arrangement, skip: int = 0) -> GenericDirection:
     found = 0
     while True:
         phi = tuple(M**i for i in range(r))
-        if all(_dot(phi, b.dual(m)) != 0
-               for b in data.bases for m in b.members):
+        if is_generic(arr, phi):
             if found == skip:
                 out = GenericDirection(phi)
                 if skip == 0:
@@ -372,23 +374,16 @@ def choose_phi(arr: Arrangement, skip: int = 0) -> GenericDirection:
 # ---------------------------------------------------------------------------
 
 
-def _frac(a):
-    return a - math.floor(a)
-
-
-def branch_fraction(a, positive: bool):
-    """{a} on the positive phi-branch and 1 - {-a} on the negative one, so
-    integer values of a map to 0 or 1 respectively."""
-    return _frac(a) if positive else 1 - _frac(-a)
-
-
 def frac_part(y: Sequence, w: Sequence[int], basis: Basis, member: int,
               phi: GenericDirection):
-    """The branch-aware fractional part of <y + w, dual(member)>: the
-    ``branch_fraction`` on the side of the sign of <phi, dual(member)>."""
+    """The fractional part of a = <y + w, dual(member)> on the side of
+    phi: {a} when <phi, dual(member)> > 0 and 1 - {-a} when it is < 0, so
+    an integer a reads 0 or 1 respectively."""
     dual = basis.dual(member)
-    val = sum((yi + wi) * d for yi, wi, d in zip(y, w, dual))
-    return branch_fraction(val, _dot(phi.phi, dual) > 0)
+    a = sum((yi + wi) * d for yi, wi, d in zip(y, w, dual))
+    if _dot(phi.phi, dual) > 0:
+        return a - math.floor(a)
+    return 1 - (-a - math.floor(-a))
 
 
 def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,

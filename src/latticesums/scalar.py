@@ -313,12 +313,21 @@ class ExactRing:
         return self._scalars(acc, den * scale.denominator)
 
 
+# the least working precision, in bits: the zero tolerance 2^(12 - p)
+# is 2^-12 there, and at 12 bits it is 1, so that every term reads as zero
+MIN_PRECISION = 24
+
+
 class NumericRing:
-    """Arbitrary-precision complex floats behind the same interface."""
+    """Arbitrary-precision complex floats behind the same interface, at
+    ``MIN_PRECISION`` bits or more (ValueError below)."""
 
     exact = False
 
     def __init__(self, precision: int = 128):
+        if precision < MIN_PRECISION:
+            raise ValueError(f"precision must be at least {MIN_PRECISION} "
+                             f"bits")
         self.precision = precision
         ctx = MPContext()
         ctx.prec = precision

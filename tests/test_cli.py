@@ -381,6 +381,26 @@ def test_verify_oracle_numeric_target_for_gaussian_constants(tmp_path,
     assert "errors monotone decreasing: True" in out
 
 
+def test_verify_oracle_exact_mode_scans_gaussian_constants_without_target(
+        tmp_path, capsys):
+    # exact mode reads only real rational constants, so a Gaussian one
+    # gives no target and the scan runs on its differences; it used to
+    # ask for the target and exit 1 with "... is not a real rational"
+    path = tmp_path / "gaussian.json"
+    path.write_text(json.dumps({"rank": 1, "functionals": [
+        {"direction": [1], "constant": {"re": "1/3", "im": "1/4"}}]}))
+    args = ["verify", "oracle", "--arrangement", str(path), "--k", "2",
+            "--y", "0", "--mode", "exact"]
+    assert main(args + ["--N", "10,20,40"]) == 0
+    out = capsys.readouterr().out
+    assert "target S" not in out
+    assert out.splitlines()[1].startswith("10,")
+    # without a target, two windows give one difference and are refused
+    assert main(args + ["--N", "10,20"]) == 1
+    assert "at least 3 windows without an exact target" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["polytope", "hierarchy"])
 def test_verify_polytope_and_hierarchy_have_no_format_flag(suite, tmp_path,
                                                            capsys):

@@ -1317,6 +1317,36 @@ def test_non_default_phi_reads_its_own_branches():
     assert yhats[phi0] != yhats[phi1]
 
 
+def test_a_callers_phi_must_be_generic():
+    # (1, 1) is orthogonal to the dual (1, -1) of the basis {(1,0), (1,1)},
+    # where it picks no side; it used to end in NonDivisible, reported as
+    # an internal failure
+    arr = a2_directions()
+    with pytest.raises(ValueError, match=r"phi \(1, 1\) is not generic"):
+        lattice_sum_value(arr, (0, 0), (2, 2, 2),
+                          phi=lattice.GenericDirection((1, 1)))
+    for phi in (None, choose_phi(arr), choose_phi(arr, skip=1)):
+        assert format_scalar(lattice_sum_value(arr, (0, 0), (2, 2, 2),
+                                               phi=phi).value) \
+            == "2*pi^6/945"
+
+
+def test_numeric_mode_refuses_precision_below_24_bits(triangle_rational):
+    # at 12 bits the zero tolerance 2^(12 - 12) = 1 read every term as
+    # zero, and the value came back as 0
+    y = (Fraction(1, 7), Fraction(2, 11))
+    for precision in (12, 23):
+        with pytest.raises(ValueError, match="at least 24 bits"):
+            lattice_sum_value(triangle_rational, y, (2, 2, 2),
+                              mode="numeric", precision=precision)
+    low, ref = (complex(lattice_sum_value(triangle_rational, y, (2, 2, 2),
+                                          mode="numeric",
+                                          precision=p).value)
+                for p in (24, 128))
+    assert abs(ref - (1023.65 - 48.59j)) < 0.01
+    assert abs(low - ref) < 1e-6 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # excluded points and error surfaces
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ import latticesums.hierarchy as hierarchy
 from latticesums.errors import RankDrop
 from latticesums.families import a2_directions, triangle
 from latticesums.genfun import (EvaluationContext, build_summands,
-                                summand_rational_form)
+                                generating_function, summand_rational_form)
 from latticesums.hierarchy import apply_Dg_summand, check_hierarchy
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.series import (LinearForm, RationalForm, Truncation,
                                 divide_exact, sum_rational_forms)
-from reference import largest_coefficient_scaled
+from reference import largest_coefficient_scaled, lift
 
 
 def _states(ctx, order):
@@ -215,3 +215,46 @@ def test_sub_context_shares_the_parent_kernel_tables(mode, discrepancy,
     assert len(built) == len(set(built)) == 2
     assert rep["removed"] == [2] and rep["stray_variable_terms"] == 0
     assert rep["max_discrepancy_str"] == discrepancy
+
+
+def test_exact_check_builds_one_ring(monkeypatch, generic_y2):
+    # the sub-arrangement's context is restricted from the parent's, so
+    # it computes no cyclotomic order and builds no ring of its own
+    import latticesums.genfun as genfun
+    rings = []
+    real = genfun.ExactRing
+
+    def counted(N):
+        rings.append(N)
+        return real(N)
+
+    monkeypatch.setattr(genfun, "ExactRing", counted)
+    rep = check_hierarchy(a2_directions(), [0, 1], generic_y2, 3)
+    assert rep["max_discrepancy"] == 0
+    assert len(rings) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("keep", [[0, 1], [0, 2], [1, 2, 3]])
+def test_restricted_context_matches_a_fresh_one(mode, keep, generic_y2):
+    arr = Arrangement(2, [make_functional((1, 0), Fraction(1, 2)),
+                          make_functional((0, 1), 0),
+                          make_functional((1, 1), Fraction(1, 3)),
+                          make_functional((1, -1), Fraction(1, 5))])
+    ctx = EvaluationContext(arr, generic_y2, mode)
+    sub_ctx = ctx.restricted(keep)
+    fresh = EvaluationContext(arr.restricted(keep), generic_y2, mode,
+                              phi=ctx.phi)
+    assert sub_ctx.ring is ctx.ring and sub_ctx._parts is ctx._parts
+    assert sub_ctx.vars == fresh.vars
+    assert sub_ctx._constants == fresh._constants
+    # the parent keeps its own arrangement fields
+    assert ctx.arr is arr and len(ctx.vars) == 4
+    got = generating_function(sub_ctx.arr, generic_y2, 4, mode=mode,
+                              ctx=sub_ctx)
+    want = generating_function(fresh.arr, generic_y2, 4, mode=mode,
+                               ctx=fresh)
+    # the fresh context's cyclotomic order divides the parent's
+    assert got.terms.keys() == want.terms.keys()
+    for e, c in want.terms.items():
+        assert got.terms[e] == (lift(c, ctx.ring) if mode == "exact" else c)

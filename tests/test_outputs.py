@@ -1,0 +1,65 @@
+"""The exact outputs of every benchmark workload, pinned by digest.
+
+``tools/dump_outputs.py`` prints one line per operation of the manifest,
+generic and verify workloads on seeds 1-3.  The lines whose output is
+exact are pinned here, one SHA-256 per workload:
+
+* manifest: all 42 lines;
+* generic: the 45 exact-mode lines;
+* verify: the 27 polytope and 33 hierarchy lines.
+
+The generic numeric-mode lines and the oracle lines print floats that a
+change may move on purpose, and are left out.  A change that moves an
+exact output on purpose updates the digest here and says so.
+"""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PINNED = {
+    "manifest": (42, "03e58f7085ad396d0e0dc856d5220080"
+                     "fe2793fd871eac0b08177aa482d6591e"),
+    "generic": (45, "024ee92a56234ba3f07366a851cdcb72"
+                    "70121b4d05a38c4c85bc739cdc86bff4"),
+    "verify": (60, "ddfb55b387c7196aa13685f10d40c103"
+                   "3868ea66d9e20cd1c753b4bbd672faba"),
+}
+
+
+def _is_exact(workload: str, label: str) -> bool:
+    if workload == "generic":
+        return label.startswith("exact ")
+    if workload == "verify":
+        return label.startswith(("polytope ", "hierarchy "))
+    return True
+
+
+@pytest.fixture(scope="module")
+def dump():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                               "dump_outputs.py")],
+                          capture_output=True, text=True, timeout=600,
+                          cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_exact_workload_outputs_are_pinned(dump, workload):
+    lines = [line for line in dump
+             if line.split("\t")[0] == workload
+             and _is_exact(workload, line.split("\t")[2])]
+    count, digest = PINNED[workload]
+    got = hashlib.sha256("".join(line + "\n" for line in lines)
+                         .encode()).hexdigest()
+    assert (len(lines), got) == (count, digest), (
+        f"the exact {workload} outputs changed: run "
+        f"`python3 tools/dump_outputs.py > change.txt` here and "
+        f"`python3 tools/dump_outputs.py --root <parent checkout> > "
+        f"parent.txt`, then `cmp parent.txt change.txt` to find the line")

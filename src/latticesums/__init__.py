@@ -17,8 +17,8 @@ from .oracle import TruncationWindow, constrained_points, convergence_scan, \
     truncated_sum
 from .polytope import genfun_via_polytopes, polytope_report
 from .hierarchy import HierarchyStep, apply_Dg_summand, check_hierarchy
-from .scalar import ExactRing, ExactScalar, NumericRing, embed, \
-    format_scalar, parse_scalar
+from .scalar import ExactRing, ExactScalar, NumericRing, format_scalar, \
+    parse_scalar
 
 __version__ = "0.1.0"
 
@@ -35,6 +35,6 @@ __all__ = [
     "lattice_sum_value", "zeta_from_S", "constrained_points",
     "truncated_sum", "convergence_scan", "genfun_via_polytopes",
     "polytope_report", "check_hierarchy", "apply_Dg_summand",
-    "HierarchyStep", "embed", "format_scalar", "parse_scalar",
+    "HierarchyStep", "format_scalar", "parse_scalar",
     "root_system",
 ]

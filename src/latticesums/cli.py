@@ -12,14 +12,14 @@ Each command reads argparse's namespace and makes, before any evaluation,
 only the checks that neither argparse nor the library makes: the
 precision and series order (``_check_settings``) and the oracle's windows
 (``_oracle_windows``).  ``verify polytope`` and ``verify hierarchy`` share
-one report tail (``_finish_report``).
+one report tail (``_finish_report``).  Every other rule is the library's.
 
 Exit codes: 0 ok, 1 I/O or usage (argparse's own errors included, a
 ``--y`` of the wrong length, kept functionals that no longer span the
 space, and a ``verify polytope`` shift on the singular locus), 2 excluded
 point, 3 internal consistency failure (a non-divisible sum, a non-simple
-polytope, or an exact scalar that cannot be inverted), 4 verification
-failure.
+polytope off the singular locus, or an exact scalar that cannot be
+inverted), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from typing import List
 
 from .errors import (ExcludedPoint, NonDivisible, NotInvertible, NotSimple,
                      RankDrop)
-from .genfun import (EvaluationContext, coefficient, lattice_sum_value,
-                     zeta_from_S)
+from .genfun import lattice_sum_value, zeta_from_S
 from .hierarchy import check_hierarchy
-from .lattice import (arrangement_from_json, in_singular_locus,
-                      load_arrangement)
+from .lattice import arrangement_from_json, load_arrangement
 from .oracle import convergence_scan
 from .polytope import polytope_report
 from .scalar import MIN_PRECISION, format_scalar
@@ -121,10 +119,8 @@ def cmd_eval(args) -> int:
     k, y = _parse_k(args.k), _parse_y(args.y)
     _check_settings(args.precision)
     arr = _load_arr(args.arrangement)
-    ctx = EvaluationContext(arr, y, args.mode, args.precision)
-    rep = lattice_sum_value(arr, y, k, ctx=ctx)
-    c_val = coefficient(arr, y, k, ctx=ctx)
-    record = rep.to_json(include_C=c_val)
+    record = lattice_sum_value(arr, y, k, mode=args.mode,
+                               precision=args.precision).to_json()
     print(json.dumps(record, indent=1))
     if args.out:
         if args.format == "csv":
@@ -216,11 +212,6 @@ def cmd_verify_polytope(args) -> int:
     y = _parse_y(args.y)
     _check_settings(args.precision, args.order)
     arr = _load_arr(args.arrangement)
-    # a usage error, refused before any series is built
-    if in_singular_locus(y, arr):
-        raise ValueError(f"--y {args.y} lies on the singular locus, where "
-                         f"the fractional parts jump and the polytopes are "
-                         f"not all simple; choose a shift off it")
     report = polytope_report(arr, y, args.order, mode=args.mode,
                              precision=args.precision)
     disc = report["max_discrepancy"]

@@ -85,6 +85,10 @@ residual tolerance scales with the largest kept term.
 ``generating_function``, the polytope check and the hierarchy check
 build full total-degree series.
 
+Each input rule has one home: a context fixes the mode, precision and
+phi (``_context``), ``lattice_sum_value`` refuses the excluded points and
+``polytope.genfun_via_polytopes`` the singular locus.
+
 ``coefficient`` keeps its values in one process-wide table of
 ``COEFFICIENT_TABLE_SIZE`` entries, least recently used dropped first.
 The key holds everything the value depends on: rank, directions, exact
@@ -161,18 +165,17 @@ class EvaluationReport:
     mode: str
     n_cyclotomic: Optional[int] = None
     timing_ms: float = 0.0
+    C: object = None  # the coefficient that S is read from
 
-    def to_json(self, include_C=None) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "S": str(self.value),
             "mode": self.mode,
             "order": self.series_order,
             "N_cyclotomic": self.n_cyclotomic,
             "timing_ms": round(self.timing_ms, 3),
+            "C": str(self.C),
         }
-        if include_C is not None:
-            out["C"] = str(include_C)
-        return out
 
 
 def cyclotomic_order(arr: Arrangement, y: Sequence) -> int:
@@ -217,6 +220,7 @@ class EvaluationContext:
             raise ValueError(f"phi {phi.phi} is not generic: it is "
                              f"orthogonal to the dual of a basis member")
         self.mode = mode
+        self.precision = precision
         self.phi = phi or choose_phi(arr)
         # floats are taken at their exact binary value in both modes
         self.y = tuple(Fraction(v) for v in y)
@@ -308,13 +312,17 @@ def relative_form(g: int, pairs: Dict[int, Fraction]) -> Dict[int, Fraction]:
     return lin
 
 
-def _context(arr: Arrangement, y: Sequence, mode: str, precision: int,
-             phi: Optional[GenericDirection],
+def _context(arr: Arrangement, y: Sequence, mode: Optional[str],
+             precision: Optional[int], phi: Optional[GenericDirection],
              ctx: Optional[EvaluationContext]) -> EvaluationContext:
-    """A new context, or `ctx` after checking that it was built for the
-    rank, the functionals and the exact y of (arr, y)."""
+    """A new context from the settings given, those unset (None) at the
+    context's defaults, or `ctx` after checking that it was built for the
+    rank, the functionals and the exact y of (arr, y) and with each
+    setting given."""
+    given = {k: v for k, v in dict(mode=mode, precision=precision,
+                                   phi=phi).items() if v is not None}
     if ctx is None:
-        return EvaluationContext(arr, y, mode, precision, phi)
+        return EvaluationContext(arr, y, **given)
     if (arr.rank != ctx.arr.rank
             or [f.direction for f in arr.functionals]
             != [f.direction for f in ctx.arr.functionals]
@@ -322,6 +330,10 @@ def _context(arr: Arrangement, y: Sequence, mode: str, precision: int,
             or tuple(Fraction(v) for v in y) != ctx.y):
         raise ValueError("the evaluation context was built for another "
                          "arrangement or another y")
+    for name, v in given.items():
+        if getattr(ctx, name) != v:
+            raise ValueError(f"the evaluation context was built with {name} "
+                             f"{getattr(ctx, name)!r}, not {v!r}")
     return ctx
 
 
@@ -455,24 +467,17 @@ def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
 
 
 def generating_function(arr: Arrangement, y: Sequence, order: int,
-                        mode: str = "exact", precision: int = 128,
+                        mode: Optional[str] = None,
+                        precision: Optional[int] = None,
                         phi: Optional[GenericDirection] = None,
-                        check_excluded: bool = True,
                         ctx: Optional[EvaluationContext] = None
                         ) -> TruncatedSeries:
     """Taylor expansion of the generating function through total degree
-    `order`.  The summands are built at the working order
-    order + divisions: ``sum_rational_forms`` divides each distinct
-    singular den_g out once, and each exact division loses one degree."""
+    `order`, at any y, excluded or not.  The summands are built at the
+    working order order + divisions: ``sum_rational_forms`` divides each
+    distinct singular den_g out once, and each exact division loses one
+    degree."""
     ctx = _context(arr, y, mode, precision, phi, ctx)
-    if check_excluded and on_excluded_hyperplanes(ctx.y, arr):
-        if ctx.mode == "numeric":
-            warnings.warn("y lies on an excluded translated hyperplane; "
-                          "values may be meaningless")
-        else:
-            raise ExcludedPoint(
-                "y lies on an excluded translated hyperplane for an "
-                "indispensable functional")
     summands = build_summands(ctx)
     work = order + division_count(s.denominators for s in summands)
     trunc = Truncation(work)
@@ -707,7 +712,7 @@ def _table_key(ctx: EvaluationContext, k: WeightVector) -> tuple:
 
 
 def coefficient(arr: Arrangement, y: Sequence, k,
-                mode: str = "exact", precision: int = 128,
+                mode: Optional[str] = None, precision: Optional[int] = None,
                 phi: Optional[GenericDirection] = None,
                 ctx: Optional[EvaluationContext] = None):
     """C(k, y; arrangement): k! times the Taylor coefficient at exponent k."""
@@ -794,11 +799,14 @@ def weight_prefactor(ring, k: WeightVector):
 
 
 def lattice_sum_value(arr: Arrangement, y: Sequence, k,
-                      mode: str = "exact", precision: int = 128,
+                      mode: Optional[str] = None,
+                      precision: Optional[int] = None,
                       phi: Optional[GenericDirection] = None,
                       ctx: Optional[EvaluationContext] = None
                       ) -> EvaluationReport:
-    """The special value S(k, y; arrangement), with evaluation metadata."""
+    """The special value S(k, y; arrangement), with evaluation metadata and
+    C(k, y).  The sum diverges at an excluded point, where exact mode
+    raises ExcludedPoint and numeric mode warns."""
     t0 = time.perf_counter()
     k = k if isinstance(k, WeightVector) else WeightVector.make(k)
     ctx = _context(arr, y, mode, precision, phi, ctx)
@@ -825,6 +833,7 @@ def lattice_sum_value(arr: Arrangement, y: Sequence, k,
         mode=ctx.mode,
         n_cyclotomic=ctx.N,
         timing_ms=dt,
+        C=c_val,
     )
 
 
@@ -914,7 +923,7 @@ def _symmetry_factor(arr: Arrangement, k: WeightVector) -> int:
 
 
 def zeta_from_S(arr: Arrangement, k, symmetry_factor: Optional[int] = None,
-                mode: str = "exact", precision: int = 128,
+                mode: Optional[str] = None, precision: Optional[int] = None,
                 ctx: Optional[EvaluationContext] = None):
     """The sum over positive integers: S(k, 0) over ``_symmetry_factor``,
     which a `symmetry_factor` given must equal (else ValueError)."""
@@ -924,6 +933,6 @@ def zeta_from_S(arr: Arrangement, k, symmetry_factor: Optional[int] = None,
         raise ValueError(f"the symmetry factor is {factor}, not "
                          f"{symmetry_factor}")
     y0 = tuple(Fraction(0) for _ in range(arr.rank))
-    ctx = ctx or EvaluationContext(arr, y0, mode, precision)
+    ctx = _context(arr, y0, mode, precision, None, ctx)
     rep = lattice_sum_value(arr, y0, k, ctx=ctx)
     return ctx.ring.scale(rep.value, Fraction(1, factor))

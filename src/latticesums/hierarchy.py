@@ -28,7 +28,8 @@ division loses one degree, so the working order is the compared order
 plus the divisions: the singular den_g and the removed t_g that the
 surviving summands carry (``division_count``).  The sub-arrangement's
 generating function is built in the parent's context restricted to the
-kept functionals (``EvaluationContext.restricted``): one ring per check.
+kept functionals (``EvaluationContext.restricted``): one ring, mode,
+precision and phi per check, read from the context alone.
 
 The y-derivative uses the per-summand affine gradient of the fractional
 parts, which is constant off the singular locus; on the locus the
@@ -128,9 +129,7 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
     total = sum_rational_forms([form for _, form in states])
 
     sub_ctx = ctx.restricted(keep)
-    f_sub = generating_function(sub_ctx.arr, y, order, mode=mode,
-                                precision=precision, ctx=sub_ctx,
-                                check_excluded=False)
+    f_sub = generating_function(sub_ctx.arr, y, order, ctx=sub_ctx)
 
     # the sub-arrangement's series in the parent's variables, where the
     # removed variables must have dropped out

@@ -93,10 +93,6 @@ class Functional:
         if all(x == 0 for x in self.direction):
             raise ValueError("functional direction must be nonzero")
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.constant, (Fraction, GaussianRational))
-
     def rational_constant(self) -> Fraction:
         if isinstance(self.constant, Fraction):
             return self.constant
@@ -337,7 +333,12 @@ def arrangement_data(arr: Arrangement) -> ArrangementData:
 
 def is_generic(arr: Arrangement, phi: Sequence[int]) -> bool:
     """Whether phi is orthogonal to no dual f^B of a basis member, so that
-    every fractional part has a side of phi to take."""
+    every fractional part has a side of phi to take.  Raises ValueError
+    unless phi has one entry per dimension: zipped against the duals, a
+    longer phi would be read truncated."""
+    if len(phi) != arr.rank:
+        raise ValueError(f"phi {tuple(phi)} has length {len(phi)}, not "
+                         f"the rank {arr.rank}")
     return all(_dot(phi, b.dual(m)) != 0
                for b in arr.bases for m in b.members)
 

@@ -24,7 +24,8 @@ B by construction, and on another one exactly when one of its basis
 values q_f = <y + m - sum a_g g, f^B>, f in B, is 0 or 1.  A polytope is
 therefore simple exactly when no witness has a basis value 0 or 1.  The
 basis values are <y + m, f^B> less the pairings <g, f^B> of the
-arrangement table, one per g with a_g = 1.
+arrangement table, one per g with a_g = 1.  Off the singular locus no
+basis value is 0 or 1; ``genfun_via_polytopes`` refuses a y on it.
 
 Everything else a vertex contributes is read off its witness.  With
 t*_g = t_g - sum_{f in B0} <g, f^B0> t_f, the exponent of a vertex p,
@@ -225,14 +226,15 @@ def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
 
 
 def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
-                         mode: str = "exact", precision: int = 128,
+                         mode: Optional[str] = None,
+                         precision: Optional[int] = None,
                          ctx: Optional[EvaluationContext] = None
                          ) -> TruncatedSeries:
     """Reassemble the generating function from polytope integrals, over
     the decomposition at the first basis.
 
-    Requires y off the singular locus (tested exactly);
-    raises NotSimple if a polytope fails the simplicity expected there.
+    A y on the singular locus (tested exactly) raises ValueError before
+    anything is built; off it, a non-simple polytope raises NotSimple.
     Each vertex exponent is the combination of its witness's sides and
     basis values, and each edge denominator the difference of the
     exponents at its ends, both built by the evaluator's denominator
@@ -242,8 +244,11 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     the working order is order + divisions, with the divisions
     (``division_count``) of the translate that needs the most.
     """
-    y = [Fraction(v) for v in y]
-    _refuse_singular_locus(y, arr)
+    if in_singular_locus(y, arr):
+        shown = ", ".join(str(Fraction(v)) for v in y)
+        raise ValueError(f"y = ({shown}) lies on the singular locus, where "
+                         f"the fractional parts jump and the polytopes are "
+                         f"not all simple; choose a shift off it")
     ctx = _context(arr, y, mode, precision, None, ctx)
     ring = ctx.ring
     dec, translates = _walk(ctx)
@@ -322,33 +327,21 @@ def _kernel_prefactor(ctx: EvaluationContext, params: List[KernelParams],
     return TruncatedSeries(ring, ctx.vars, Truncation(order), terms)
 
 
-def _refuse_singular_locus(y, arr: Arrangement) -> None:
-    if in_singular_locus(y, arr):
-        raise NotSimple("y lies on the singular locus; the polytopes are "
-                        "not all simple there")
-
-
 def polytope_report(arr: Arrangement, y: Sequence, order: int,
                     mode: str = "exact", precision: int = 128) -> dict:
     """Per-m vertex counts and simplicity flags plus the maximum
     coefficientwise discrepancy between the reconstruction and the direct
-    series (exact zero expected in exact mode).  Raises NotSimple for a y
-    on the singular locus before any series is built, and ValueError when
-    neither series has a term through `order`, which would compare
-    nothing."""
+    series (exact zero expected in exact mode).  The reconstruction is
+    built first, so a y on the singular locus raises ValueError before any
+    series; so does an `order` through which neither series has a term."""
     from .genfun import generating_function
-    y = [Fraction(v) for v in y]
-    _refuse_singular_locus(y, arr)
     ctx = EvaluationContext(arr, y, mode, precision)
+    f_poly = genfun_via_polytopes(arr, y, order, ctx=ctx)
+    # the walk that the reconstruction made, read back through ctx
     per_m = [{"m": list(m), "vertices": len(verts),
               "simple": witnesses_simple(verts)}
              for m, verts in _walk(ctx)[1]]
-    f_direct = generating_function(arr, y, order, mode=mode,
-                                   precision=precision, ctx=ctx,
-                                   check_excluded=False)
-    # reads the same walk back through ctx
-    f_poly = genfun_via_polytopes(arr, y, order, mode=mode,
-                                  precision=precision, ctx=ctx)
+    f_direct = generating_function(arr, y, order, ctx=ctx)
     if not f_direct.terms and not f_poly.terms:
         raise ValueError(f"neither series has a nonzero coefficient through "
                          f"order {order}, so nothing is compared; raise the "

@@ -481,13 +481,6 @@ def _add_values(out: dict, e, value, p: int) -> None:
     out[e] = value * p if cur is None else cur + value * p
 
 
-def embed(x: ExactScalar, precision: int = 128):
-    """Numeric value of an exact scalar at the requested precision (bits)."""
-    ctx = MPContext()
-    ctx.prec = precision
-    return x.embed(ctx)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

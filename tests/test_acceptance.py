@@ -143,7 +143,7 @@ def test_criterion_06_polytope_cross_check():
     arr_a = triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
     y_a = (Fraction(1, 7), Fraction(1, 11))
     ctx = EvaluationContext(arr_a, y_a, "exact")
-    f1 = generating_function(arr_a, y_a, 4, ctx=ctx, check_excluded=False)
+    f1 = generating_function(arr_a, y_a, 4, ctx=ctx)
     f2 = genfun_via_polytopes(arr_a, y_a, 4, ctx=ctx)
     exps = set(f1.terms) | set(f2.terms)
     assert all(f1.coefficient(e) == f2.coefficient(e) for e in exps)
@@ -152,7 +152,7 @@ def test_criterion_06_polytope_cross_check():
     arr_b = hurwitz_a1(Fraction(1, 2))
     y_b = (Fraction(1, 3),)
     ctx_b = EvaluationContext(arr_b, y_b, "exact")
-    g1 = generating_function(arr_b, y_b, 4, ctx=ctx_b, check_excluded=False)
+    g1 = generating_function(arr_b, y_b, 4, ctx=ctx_b)
     g2 = genfun_via_polytopes(arr_b, y_b, 4, ctx=ctx_b)
     exps = set(g1.terms) | set(g2.terms)
     assert all(g1.coefficient(e) == g2.coefficient(e) for e in exps)

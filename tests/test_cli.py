@@ -271,18 +271,20 @@ def test_exit_code_internal_consistency_failure(monkeypatch, capsys):
 
 def test_verify_polytope_refuses_the_singular_locus(monkeypatch, capsys):
     # y = 0 lies on the singular locus of a1_alpha1, where the polytopes
-    # are not all simple: a usage error, refused before any series is
-    # built
-    import latticesums.cli as cli
+    # are not all simple: a usage error, which genfun_via_polytopes
+    # refuses before any series is built
+    import latticesums.genfun as genfun
+    import latticesums.polytope as polytope
 
-    def no_report(*args, **kwargs):
+    def no_series(*args, **kwargs):
         raise AssertionError("built series before the shift was checked")
 
-    monkeypatch.setattr(cli, "polytope_report", no_report)
+    monkeypatch.setattr(genfun, "generating_function", no_series)
+    monkeypatch.setattr(polytope, "_walk", no_series)
     assert main(["verify", "polytope", "--arrangement", "a1_alpha1.json",
                  "--y", "0"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --y 0 lies on the singular locus")
+    assert err.startswith("error: y = (0) lies on the singular locus")
 
 
 def test_reproduce_examples_table(tmp_path, capsys):
@@ -537,6 +539,15 @@ def _command(argv):
 def test_readme_cli_examples_exit_0(argv, capsys):
     # the documented examples cannot drift from the parser
     assert main(argv) == 0
+
+
+def test_readme_library_example(capsys):
+    # the documented API cannot drift: the python block under ``## Library``
+    # runs and prints what its comments say
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    exec(block.split("```", 1)[0], {})
+    assert capsys.readouterr().out.splitlines() == ["pi^2/2 - 39/8", "4"]
 
 
 def test_deterministic_output_bytes():

@@ -129,3 +129,10 @@ def test_basis_product_matches_reduction(N, data):
     want = ExactScalar(F, {(0, ea): 1}).embed(ctx) * \
         ExactScalar(F, {(0, eb): 1}).embed(ctx)
     assert abs(got - want) < ctx.mpf(2) ** -110
+
+
+@pytest.mark.parametrize("N, q", [(4, Fraction(1, 3)), (12, Fraction(1, 8))])
+def test_root_of_unity_outside_the_field_is_refused(N, q):
+    with pytest.raises(ValueError, match=rf"^e\^\(2 pi i {q}\) does not "
+                       rf"lie in Q\(zeta_{N}\)"):
+        CyclotomicField(N).root_of_unity(q)

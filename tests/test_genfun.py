@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -1134,7 +1135,8 @@ def test_summand_builder_multiplies_no_monomial(arr, generic_y2,
 # ---------------------------------------------------------------------------
 
 
-def test_context_for_another_arrangement_or_y_is_rejected(a1_alpha1):
+def test_context_for_another_arrangement_or_y_is_rejected(
+        a1_alpha1, triangle_rational):
     ctx = EvaluationContext(a1_alpha1, (Fraction(0),), "exact")
     a1_alpha2 = hurwitz_a1(2)
     calls = [
@@ -1156,6 +1158,36 @@ def test_context_for_another_arrangement_or_y_is_rejected(a1_alpha1):
     # an equal arrangement and an equal y, given as other objects, agree
     rep = lattice_sum_value(hurwitz_a1(1), [0.0], (2, 2, 2), ctx=ctx)
     assert format_scalar(rep.value) == "pi^2/2 - 39/8"
+
+    # a context fixes the mode, the precision and phi; a setting given
+    # next to it used to be dropped, so that a numeric request returned an
+    # exact value and another phi was read at the context's
+    arr, y = triangle_rational, (Fraction(1, 7), Fraction(2, 11))
+    ctx = EvaluationContext(arr, y, "exact")
+    zeta_arr = a2_directions()
+    zeta_ctx = EvaluationContext(zeta_arr, (0, 0), "exact")
+    others = [dict(mode="numeric"), dict(precision=64)]
+    with_phi = others + [dict(phi=choose_phi(arr, skip=1))]
+    calls = [
+        (lambda kw: lattice_sum_value(arr, y, (2, 2, 2), ctx=ctx, **kw),
+         with_phi),
+        (lambda kw: coefficient(arr, y, (2, 2, 2), ctx=ctx, **kw), with_phi),
+        (lambda kw: generating_function(arr, y, 2, ctx=ctx, **kw), with_phi),
+        (lambda kw: genfun_via_polytopes(arr, y, 2, ctx=ctx, **kw), others),
+        (lambda kw: zeta_from_S(zeta_arr, (2, 2, 2), ctx=zeta_ctx, **kw),
+         others),
+    ]
+    for call, settings in calls:
+        for kw in settings:
+            with pytest.raises(ValueError, match="context was built with"):
+                call(kw)
+    # with none of the settings, or with its own, a context evaluates
+    want = lattice_sum_value(arr, y, (2, 2, 2)).value
+    for kw in ({}, dict(mode="exact", precision=128, phi=ctx.phi)):
+        assert lattice_sum_value(arr, y, (2, 2, 2), ctx=ctx,
+                                 **kw).value == want
+    assert format_scalar(zeta_from_S(zeta_arr, (2, 2, 2), ctx=zeta_ctx,
+                                     mode="exact")) == "pi^6/2835"
 
 
 class _Miss(Exception):
@@ -1329,6 +1361,13 @@ def test_a_callers_phi_must_be_generic():
         assert format_scalar(lattice_sum_value(arr, (0, 0), (2, 2, 2),
                                                phi=phi).value) \
             == "2*pi^6/945"
+    # a phi of another length was read truncated, or refused as not
+    # generic
+    for phi in ((1, 2, 5), (1,)):
+        message = f"phi {phi} has length {len(phi)}, not the rank 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lattice_sum_value(arr, (0, 0), (2, 2, 2),
+                              phi=lattice.GenericDirection(phi))
 
 
 def test_numeric_mode_refuses_precision_below_24_bits(triangle_rational):
@@ -1394,11 +1433,19 @@ def test_numeric_mode_excluded_point_warns():
 
 
 def test_generating_function_excluded_check():
+    # the series is defined on an excluded hyperplane too, every
+    # fractional part taken on the side of phi; only the sum at weight one
+    # diverges there, which lattice_sum_value alone refuses
     arr = Arrangement(2, [make_functional((1, 0), 0),
                           make_functional((0, 1), 0),
                           make_functional((0, 2), 1)])
-    with pytest.raises(ExcludedPoint):
-        generating_function(arr, (Fraction(0), Fraction(1, 3)), 3)
+    y = (Fraction(0), Fraction(1, 3))
+    assert lattice.on_excluded_hyperplanes(y, arr)
+    F = generating_function(arr, y, 6)
+    for k in [(2, 2, 2), (1, 2, 2), (2, 1, 2), (3, 2, 1)]:
+        fact = math.prod(math.factorial(kf) for kf in k)
+        assert F.coefficient(k) * F.ring.from_fraction(Fraction(fact)) \
+            == coefficient(arr, y, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1630,8 +1677,38 @@ def test_series_dump_golden(a1_alpha1):
 
 def test_report_record_fields(a1_alpha1):
     rep = lattice_sum_value(a1_alpha1, (Fraction(0),), (2, 2, 2))
-    rec = rep.to_json(include_C="c")
-    assert set(rec) == {"S", "mode", "order", "N_cyclotomic", "timing_ms",
-                        "C"}
+    rec = rep.to_json()
+    assert list(rec) == ["S", "mode", "order", "N_cyclotomic", "timing_ms",
+                         "C"]
+    assert rec["C"] == str(coefficient(a1_alpha1, (Fraction(0),), (2, 2, 2)))
     assert rec["S"] == "pi^2/2 - 39/8"
     assert rec["N_cyclotomic"] == 4
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+
+def _mixed_sign_zeta():
+    # the walls e_1, e_2 are excluded, but (1, -1) cuts the orthant
+    arr = Arrangement(2, [make_functional((1, 0), 0),
+                          make_functional((0, 1), 0),
+                          make_functional((1, -1), 0)])
+    return zeta_from_S(arr, (2, 2, 2))
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda: EvaluationContext(hurwitz_a1(1), (0,), "fast"),
+     "mode must be 'exact' or 'numeric'"),
+    (lambda: EvaluationContext(hurwitz_a1(1), (0, 0)),
+     "y must have one entry per dimension"),
+    (lambda: coefficient(hurwitz_a1(1), (0,), (2, 2)),
+     "one weight per functional required"),
+    (_mixed_sign_zeta,
+     "the positive orthant is not a region: a direction has entries of "
+     "both signs"),
+], ids=["unknown_mode", "short_y", "weight_count", "mixed_sign_direction"])
+def test_genfun_refusals(call, start):
+    with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
+        call()

@@ -1,7 +1,9 @@
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticesums import intlinalg
@@ -124,3 +126,14 @@ def test_det_matches_leibniz(M):
     lambda mn: int_matrices(*mn)))
 def test_rank_matches_nonzero_minors(M):
     assert intlinalg.rank(M) == minor_rank(M)
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda: intlinalg.mat_inverse([[1, 2], [2, 4]]), "matrix is singular"),
+    (lambda: intlinalg.integer_normal([[1, 0, 0]]), "expected r-1 rows"),
+    (lambda: intlinalg.integer_normal([[1, 2, 3], [2, 4, 6]]),
+     "rows are linearly dependent"),
+], ids=["singular_inverse", "normal_row_count", "normal_dependent_rows"])
+def test_intlinalg_refusals(call, start):
+    with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
+        call()

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -296,8 +297,8 @@ def test_json_gaussian_and_float_constants():
         {"direction": [1], "constant": 3},
     ]}
     arr = arrangement_from_json(json.dumps(blob))
-    assert arr.functionals[0].exact
-    assert not arr.functionals[1].exact
+    assert isinstance(arr.functionals[0].constant, GaussianRational)
+    assert isinstance(arr.functionals[1].constant, complex)
     assert arr.functionals[2].rational_constant() == 3
 
 
@@ -340,11 +341,11 @@ def test_direction_entries_accept_integers():
 def test_make_functional_reads_a_short_real_float_exactly():
     half = make_functional((1,), 0.5)
     assert half.constant == Fraction(1, 2)
-    assert isinstance(half.constant, Fraction) and half.exact
+    assert isinstance(half.constant, Fraction)
     # 0.1 has no short binary fraction: it stays a numeric-only constant
     tenth = make_functional((1,), 0.1)
     assert tenth.constant == complex(0.1)
-    assert tenth.exact is False
+    assert isinstance(tenth.constant, complex)
 
 
 def test_gaussian_rational_as_a_complex():
@@ -406,3 +407,17 @@ def test_arrangement_table_evicts_the_least_recently_used(monkeypatch):
     assert len(calls) == 3
     bases(triangle(1, 1, 1))  # `two`, built again
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda: Arrangement(0, [make_functional((1,), 0)]),
+     "rank must be >= 1"),
+    (lambda: Arrangement(1, []), "arrangement must be nonempty"),
+    (lambda: Arrangement(2, [make_functional((1,), 0)]),
+     "direction length must equal the rank"),
+    (lambda: arrangement_from_json({"rank": 1, "functionals": 5}),
+     "functionals must be a list, got 5"),
+], ids=["rank_0", "no_functionals", "short_direction", "functionals_5"])
+def test_arrangement_refusals(call, start):
+    with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
+        call()

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from latticesums import intlinalg, polytope
-from latticesums.errors import NotSimple
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.genfun import (EvaluationContext, generating_function,
                                 relative_form)
@@ -125,8 +124,7 @@ def test_zero_dimensional_case():
     # for y strictly inside the unit cell exactly one translate fits
     assert ms == [(0, 0)]
     ctx = EvaluationContext(arr, GENERIC_Y, "exact")
-    F1 = generating_function(arr, GENERIC_Y, 4, ctx=ctx,
-                             check_excluded=False)
+    F1 = generating_function(arr, GENERIC_Y, 4, ctx=ctx)
     F2 = genfun_via_polytopes(arr, GENERIC_Y, 4, ctx=ctx)
     exps = set(F1.terms) | set(F2.terms)
     assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
@@ -275,10 +273,14 @@ def test_report_refuses_the_singular_locus_before_any_series(monkeypatch):
         raise AssertionError("built the direct series")
 
     monkeypatch.setattr(genfun, "generating_function", no_series)
+    monkeypatch.setattr(polytope, "_walk", no_series)
     # on the span of (1,0) + Z^2
-    with pytest.raises(NotSimple, match="^y lies on the singular locus; "
-                       "the polytopes are not all simple there$"):
-        polytope_report(slab_instance(), (Fraction(1, 2), Fraction(0)), 3)
+    for build in (polytope_report, genfun_via_polytopes):
+        with pytest.raises(ValueError, match=r"^y = \(1/2, 0\) lies on the "
+                           "singular locus, where the fractional parts jump "
+                           "and the polytopes are not all simple; choose a "
+                           "shift off it$"):
+            build(slab_instance(), (Fraction(1, 2), Fraction(0)), 3)
 
 
 def test_witness_incidence_structure():
@@ -485,8 +487,7 @@ def test_reconstruction_equals_direct_small_cases(generic_y2):
     ]
     for arr, y, order in cases:
         ctx = EvaluationContext(arr, y, "exact")
-        F1 = generating_function(arr, y, order, ctx=ctx,
-                                 check_excluded=False)
+        F1 = generating_function(arr, y, order, ctx=ctx)
         F2 = genfun_via_polytopes(arr, y, order, ctx=ctx)
         exps = set(F1.terms) | set(F2.terms)
         assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
@@ -602,8 +603,7 @@ def test_reconstruction_every_decomposition(arr, order, generic_y2):
         arr_p = permuted(arr, perm)
         firsts.add(tuple(sorted(perm[i] for i in arr_p.bases[0].members)))
         ctx = EvaluationContext(arr_p, generic_y2, "exact")
-        F1 = generating_function(arr_p, generic_y2, order, ctx=ctx,
-                                 check_excluded=False)
+        F1 = generating_function(arr_p, generic_y2, order, ctx=ctx)
         F2 = genfun_via_polytopes(arr_p, generic_y2, order, ctx=ctx)
         assert F2.trunc.total == order
         exps = set(F1.terms) | set(F2.terms)
@@ -612,7 +612,8 @@ def test_reconstruction_every_decomposition(arr, order, generic_y2):
 
 
 def test_reconstruction_rejects_singular_y():
-    with pytest.raises(NotSimple):
+    with pytest.raises(ValueError, match=r"^y = \(0\) lies on the singular "
+                       "locus"):
         genfun_via_polytopes(hurwitz_a1(1), (Fraction(0),), 3)
 
 
@@ -620,7 +621,7 @@ def test_reconstruction_numeric_mode(generic_y2):
     arr = a2_directions()
     ctx = EvaluationContext(arr, generic_y2, "numeric", precision=128)
     F1 = generating_function(arr, generic_y2, 3, mode="numeric",
-                             precision=128, ctx=ctx, check_excluded=False)
+                             precision=128, ctx=ctx)
     F2 = genfun_via_polytopes(arr, generic_y2, 3, mode="numeric",
                               precision=128, ctx=ctx)
     for e in set(F1.terms) | set(F2.terms):

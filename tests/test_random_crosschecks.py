@@ -70,7 +70,7 @@ def test_random_arrangements_polytope_route():
         if in_singular_locus(y, arr):
             continue
         ctx = EvaluationContext(arr, y, "exact")
-        f1 = generating_function(arr, y, 3, ctx=ctx, check_excluded=False)
+        f1 = generating_function(arr, y, 3, ctx=ctx)
         f2 = genfun_via_polytopes(arr, y, 3, ctx=ctx)
         exps = set(f1.terms) | set(f2.terms)
         assert all(f1.coefficient(e) == f2.coefficient(e) for e in exps)

@@ -200,3 +200,10 @@ def test_numeric_ring_tolerances():
     assert not NR.is_zero(NR.from_fraction(Fraction(1, 10**20)))
     z = NR.root_of_unity(Fraction(1, 4))
     assert abs(complex(z) - 1j) < 1e-30
+
+
+@pytest.mark.parametrize("N", [6, 10])
+def test_exact_ring_refuses_an_order_not_divisible_by_4(N):
+    with pytest.raises(ValueError,
+                       match="^cyclotomic order must be divisible by 4"):
+        ExactRing(N)

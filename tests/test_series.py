@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -675,3 +676,25 @@ def test_coefficient_discrepancy_counts_or_measures():
     assert coefficient_discrepancy(
         NR128, [(one + tiny, one), (one, one + 2 * tiny)]) == 2.0 ** -79
 
+
+def _series(vars):
+    return TruncatedSeries(R, vars, Truncation(2))
+
+
+@pytest.mark.parametrize("call, start", [
+    (lambda: divide_exact(_series(VARS), LinearForm({"t1": Fraction(1)},
+                                                    Fraction(1))),
+     "divide_exact needs a constant-free linear form"),
+    (lambda: sum_rational_forms([]), "no forms to sum"),
+    (lambda: sum_rational_forms([RationalForm(_series(VARS), []),
+                                 RationalForm(_series(VARS[:2]), [])]),
+     "forms must share variables and truncation"),
+    (lambda: sum_rational_forms([RationalForm(
+        _series(VARS), [LinearForm({"t1": Fraction(1)}, Fraction(1))])]),
+     "a denominator must be a singular form with a linear part"),
+    (lambda: _series(VARS) + _series(VARS[:2]), "variable sets differ"),
+], ids=["divide_by_a_unit", "no_forms", "mismatched_variables",
+        "unit_denominator", "add_other_variables"])
+def test_series_refusals(call, start):
+    with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
+        call()

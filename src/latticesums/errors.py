@@ -19,7 +19,9 @@ class ExcludedPoint(LatticeSumError):
 
 
 class NonDivisible(LatticeSumError):
-    """Exact division of a truncated series by a linear form left a residue.
+    """A sum that must be holomorphic is not: an exact division of a
+    truncated series by a linear form left a residue, or the summands of a
+    coefficient do not cancel at a negative exponent.
 
     In exact mode this signals a bug or an arrangement violating the
     holomorphy of the assembled generating function.  ``residual`` holds the

@@ -12,78 +12,58 @@ the polytope reconstruction.  One builder,
 ``LinearForm``: rational coefficients and the constant sum_f q_f c_f,
 computed exactly from the functional constants.  The form is singular
 exactly when that constant is zero, and forms are merged by their
-normalised rational coefficients.  Every unit inverse, a live factor
-1/den_g, a factor collapsed to its Taylor coefficient or a non-singular
-edge denominator of the polytope route, comes from one integer product,
-``_unit_numerators``, and so does the exponential e^{t* . p} of a
-polytope vertex (``unit_product``): the constants are 2 pi i times exact
-rationals, so the product of all the inverses of a summand (or of a
-vertex, with its exponential) is a root of unity times a series over Q
-(over Q(i) for Gaussian constants) in t / (2 pi i), multiplied in
-integers.  Each coefficient is then built once from its int numerators
-(``ring.unit_lift``): (2 pi i)^(-n) is a power of pi, a power of 2 in the
-one denominator and a power of i that turns the root, and numeric mode
-rounds there for the first time, once per term.  A non-singular summand
-reads the integer series itself: per coset and degree its terms meet the
-kernel grid in one integer combination, lifted once.  Singular factors
-are carried as rational forms whose singularities cancel across bases.
+normalised rational coefficients.  Every unit inverse, a factor 1/den_g
+of a full series, a factor collapsed to its Taylor coefficient or a
+non-singular edge denominator of the polytope route, comes from one
+integer product, ``_unit_numerators``, and so does the exponential
+e^{t* . p} of a polytope vertex (``unit_product``): the constants are
+2 pi i times exact rationals, so the product of all the inverses of a
+summand (or of a vertex, with its exponential) is a root of unity times a
+series over Q (over Q(i) for Gaussian constants) in t / (2 pi i),
+multiplied in integers.  Each coefficient is then built once from its
+int numerators (``ring.unit_lift``): (2 pi i)^(-n) is a power of pi, a
+power of 2 in the one denominator and a power of i that turns the root,
+and numeric mode rounds there for the first time, once per term.
 Numeric mode takes the same decisions from the same exact data, and
 keeps y exact too (a float y at its binary value), so that only values
-are rounded.  Taylor coefficients of the holomorphic
-total give the special values S via the weight prefactor
-prod_f -(2 pi i)^{k_f} / k_f!.
+are rounded.  Taylor coefficients of the holomorphic total give the
+special values S via the weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
 
 Every summand reads its kernels one grid per coset
 (``_coset_grids``): the products prod_m a_m(w)[e_m] of the kernels'
 root-free parts, with the coset's one root e^{2 pi i q_w} kept apart, to
 be applied once, or not at all when q_w is an integer.
 
-One summand builder, ``summand_rational_form``, writes a summand out as
-a rational form for every evaluator.  Every factor t_g / den_g and every
-singular t_g carries the monomial t_g, so the rest of the summand (its
-coset sum of kernel products, with its weight, and its unit inverses) is
-built below the requested order by one degree for each t_g, and
-prod t_g is applied once, as an exponent shift, with no series product.
-Two evaluation strategies use it:
+Two evaluation strategies read the summands:
 
 * ``generating_function`` assembles the full truncated series, every
   variable live (fine for small arrangements and used by all
-  cross-checks; the hierarchy check starts from the same forms);
-* ``coefficient`` targets a single exponent vector.  Unit factors are
-  collapsed to the closed form -(a_g + U_g)^{-k_g} immediately, so each
-  summand only keeps its basis variables and the variables of singular
-  denominators alive; summands are then grouped by the connected
-  components of their shared singular hyperplanes and resolved per
-  component.  A summand with no singular denominator shares no
-  hyperplane and is a component of its own.  Nothing is divided there,
-  so no truncated series is built: its coefficient is read at k on the
-  box e <= k_B of its basis weights, from the unit factors' product and
-  each coset's grid, the coset's root applied last.  Only components
-  with a singular denominator build series, to the order that their
-  divisions need and on the box of their target, through the builder
-  with the component's live variables: the coset grids times their roots
-  are summed on the rank-many basis variables in one ring product call
-  (``ring.mul_terms``, each root a one-term series; in integers in exact
-  mode) and extended to the live ones once, then
-  multiplied by the one unit product of the summand's live and collapsed
-  unit factors, inside that product's lift.
-
-A singular component is built only on the box B of its target: every
-exponent e_v with v live and not the pivot (``LinearForm.pivot``) of a
-singular denominator is capped at k_v, and the total degree at |k| plus
-the divisions.  Only the coefficient of t^k is read, and B holds k.  B is
-a lower set, so every numerator, every product by a missing denominator
-and the sum are exact on it.  The division's step
-Q[f] = (s[f + e_p] - sum_{v != p} q_v Q[f + e_p - e_v]) / q_p (pivot p)
-moves information only from lower to higher exponents of the non-pivot
-variables, at the same total degree, and a pivot is capped only by the
-total degree, so B is closed under the step and under f -> f + e_p: the
-division on B is the total-degree division restricted to B, and so is
-the final read.  Each remainder test still sees every kept term, and so
-every term that feeds t^k, but no term outside the box; the numeric
-residual tolerance scales with the largest kept term.
-``generating_function``, the polytope check and the hierarchy check
-build full total-degree series.
+  cross-checks; the hierarchy check starts from the same forms).  One
+  summand builder, ``summand_rational_form``, writes a summand out as a
+  rational form over its singular denominators: every factor
+  t_g / den_g and every singular t_g carries the monomial t_g, so the
+  rest of the summand is built below the requested order by one degree
+  for each t_g, and prod t_g is applied once, as an exponent shift.
+  ``series.sum_rational_forms`` divides the singular denominators out
+  of the sum, the one division path.
+* ``coefficient`` targets a single exponent vector k, with no
+  component, common denominator or division.  In the field of iterated
+  Laurent series in which each variable dominates those of later
+  functionals (G. Xin, *A fast algorithm for MacMahon's partition
+  analysis*, Electron. J. Combin. 11 (2004) R58), every summand has its
+  own expansion and their sum is the expansion of the holomorphic total,
+  its Taylor series; so [t^k] of the total is the sum over the summands
+  of their own [t^k] (``_unit_summand_value``).  Each t_g outside the
+  basis appears only in t_g / den_g, den_g = t_g - U_g, and collapses
+  by one of three rules: a unit den_g gives -U_g^{-k_g} (0 at
+  k_g = 0); a singular den_g whose t_g precedes every variable of U_g
+  gives U_g^{-k_g} for k_g <= 0, so 1 at k_g = 0, and 0 for k_g > 0; any
+  other singular den_g gives -U_g^{-k_g} (0 at k_g <= 0), U_g^{-k}
+  expanded around its first variable.  What is left is read at k_B in
+  the basis variables, from the integer series of the collapsed factors
+  and each coset's grid, the coset's root applied last.  The sums of the summands' reads at k with
+  k_v = -1, for each variable v that leads a singular factor, must
+  vanish (``_check_holomorphy``), else NonDivisible.
 
 Each input rule has one home: a context fixes the mode, precision and
 phi (``_context``), ``lattice_sum_value`` refuses the excluded points and
@@ -370,74 +350,43 @@ def build_summands(ctx: EvaluationContext) -> List[Summand]:
 
 
 def summand_rational_form(ctx: EvaluationContext, s: Summand,
-                          trunc: Truncation,
-                          live_vars: Optional[Tuple[str, ...]] = None,
-                          k: Optional[WeightVector] = None) -> RationalForm:
-    """The summand as a rational form in `live_vars` (every variable when
-    None), its numerator truncated at `trunc`:
+                          trunc: Truncation) -> RationalForm:
+    """The summand as a rational form in every variable, its numerator
+    truncated at `trunc`:
 
-        weight * sum_w prod_m K_m(w) * prod_dead -(a_g + U_g)^(-k_g)
-               * prod_live t_g / den_g * prod_singular t_g
+        weight * sum_w prod_m K_m(w) * prod_unit t_g / den_g
+               * prod_singular t_g
 
-    over the singular denominators.  A unit factor whose t_g is not live
-    is collapsed to its Taylor coefficient at k_g,
-    [t_g^{k_g}] t_g / den_g = -(a_g + U_g)^(-k_g) (``_dead_unit``), a
-    function of the basis variables alone; `k` is read only for those.
+    over the singular denominators.
 
     Every t_g is a monomial, so everything else is built below `trunc` by
-    one degree for each of them, and below its box, if it has one, by the
-    exponents of the monomial: the weight times the coset sum of kernel
+    one degree for each of them: the weight times the coset sum of kernel
     products, read from the root-free grids of ``_coset_grids``, each
     times its coset's root as a one-term series, and added with the
     weight in one ``ring.mul_terms`` (one coset with no root and weight 1
-    is its grid as it is), extended once to `live_vars`, times one exact
-    ``unit_product`` of every unit factor, dead ones as (a_g + U_g, k_g)
-    and live ones as (den_g, 1), which takes the coset sum as its
-    `times`, so that the product is made in the unit product's one lift,
-    with no series product.  The monomial prod t_g is applied last, as
-    one exponent shift into `trunc`.  The numerator is zero when the t_g
-    leave nothing below `trunc`, or when a dead factor is read at
-    k_g = 0.
-
-    A box is a lower set, so each of those products and the shift is
-    exact on it: the numerator is the total-degree one restricted to the
-    box.  ``coefficient`` builds a singular component on the box that caps
-    every exponent but a pivot's at its target k_v (the module docstring),
-    on which ``sum_rational_forms`` divides exactly too; the remainder
-    tests then see every kept term, and so every term that feeds t^k, but
-    no term outside the box, and the numeric residual tolerance scales
-    with the largest kept term."""
+    is its grid as it is), extended once to every variable, times one
+    exact ``unit_product`` of the unit factors (den_g, 1), which takes the
+    coset sum as its `times`, so that the product is made in the unit
+    product's one lift, with no series product.  The monomial prod t_g is
+    applied last, as one exponent shift into `trunc`.  The numerator is
+    zero when the t_g leave nothing below `trunc`."""
     ring = ctx.ring
-    live_vars = ctx.vars if live_vars is None else live_vars
     basis_vars = tuple(ctx.vars[m] for m in ctx.arr.bases[s.bidx].members)
-    units, monomial = [], [ctx.vars[g] for g, _ in s.degenerate_factors]
-    weight = s.weight
-    for g, form in s.unit_factors:
-        if ctx.vars[g] in live_vars:
-            units.append((form, 1))
-            monomial.append(ctx.vars[g])
-        else:
-            units.append((_dead_unit(ctx, g, form), k.weights[g]))
-            weight = -weight
-    top, box = trunc.total - len(monomial), trunc.box
-    if box is not None:
-        box = tuple(b - (v in monomial) for v, b in zip(live_vars, box))
-    denoms = s.denominators
-    if top < 0 or (box is not None and min(box) < 0) \
-            or any(kg == 0 for _, kg in units):
-        # nothing below `trunc`, or [t_g^0] (t_g * unit) = 0
-        return RationalForm(TruncatedSeries(ring, live_vars, trunc), denoms)
-    low = Truncation(top, box)
-    on_basis = low if box is None else Truncation(
-        top, tuple(box[live_vars.index(v)] for v in basis_vars))
+    monomial = [ctx.vars[g] for g, _ in s.degenerate_factors + s.unit_factors]
+    top = trunc.total - len(monomial)
+    if top < 0:
+        return RationalForm(TruncatedSeries(ring, ctx.vars, trunc),
+                            s.denominators)
+    low = Truncation(top)
     zero, one = (0,) * len(basis_vars), ring.one()
-    num = TruncatedSeries(ring, basis_vars, on_basis, ring.mul_terms(
+    num = TruncatedSeries(ring, basis_vars, low, ring.mul_terms(
         [({zero: one if root is None else root}, grid)
-         for grid, root in _coset_grids(ctx, s.bidx, on_basis)],
-        on_basis, weight)).extend(live_vars, low)
-    if units:
-        num = unit_product(ring, units, live_vars, low, times=num.terms)
-    return RationalForm(num.shifted(monomial, trunc), denoms)
+         for grid, root in _coset_grids(ctx, s.bidx, low)],
+        low, s.weight)).extend(ctx.vars, low)
+    if s.unit_factors:
+        num = unit_product(ring, [(form, 1) for _, form in s.unit_factors],
+                           ctx.vars, low, times=num.terms)
+    return RationalForm(num.shifted(monomial, trunc), s.denominators)
 
 
 def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
@@ -491,36 +440,11 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
 # ---------------------------------------------------------------------------
 
 
-def _component_partition(summands: List[Summand]):
-    """Group summands by connected components of shared singular forms."""
-    keys = [{cf.key for cf in s.denominators} for s in summands]
-    parent = list(range(len(summands)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_form: Dict[tuple, int] = {}
-    for i, ks in enumerate(keys):
-        for k in ks:
-            if k in by_form:
-                ra, rb = find(i), find(by_form[k])
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                by_form[k] = i
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(summands)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def _dead_unit(ctx: EvaluationContext, g: int, form: LinearForm
                ) -> LinearForm:
-    """c = a_g + U_g(t_B) for den_g = t_g - c, so that the target Taylor
-    coefficient [t_g^{k_g}] t_g / den_g is -c^{-k_g}."""
+    """U_g = a_g + U_g(t_B) for den_g = t_g - U_g, so that the target
+    Taylor coefficient [t_g^{k_g}] t_g / den_g of a unit factor is
+    -U_g^{-k_g}; a singular den_g gives U_g with no constant."""
     return LinearForm({v: -q for v, q in form.coeffs.items()
                        if v != ctx.vars[g]}, -form.c)
 
@@ -544,40 +468,86 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
                      trunc: Truncation
                      ) -> Tuple[Dict[tuple, object], int, int]:
     """``(G, den, K)``: G = prod (-c + L)^(-k) over the (form, k) pairs, c
-    the form's constant (nonzero) and L its linear part, on `vars` and
-    truncated at `trunc`, as ``{e: numerator}`` over the positive int
-    `den`; K is the sum of the k.  The numerators are ints, or
-    GaussianRationals with int parts when a constant is Gaussian.
+    the form's constant and L its linear part, on `vars` and truncated at
+    `trunc`, as ``{e: numerator}`` over the positive int `den`; K is the
+    sum of the k.  The numerators are ints, or GaussianRationals with int
+    parts when a constant is Gaussian.  Each factor is expanded on
+    ``LinearForm.monomials``, over one denominator, and the factors are
+    convolved in ints (``series.convolve``): a unit factor (c != 0) as
+    (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n, and a singular one (c = 0)
+    in the field of iterated Laurent series in which each variable of
+    `vars` dominates the later ones, for k > 0 around the first variable
+    t_p of L = q_p t_p + L' as
 
-    Each factor is expanded from (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n
-    on ``LinearForm.monomials``, over one denominator, and the factors are
-    convolved in ints (``series.convolve``)."""
-    total = trunc.total
+        L^(-k) = sum_n C(k + n - 1, n) (-L')^n / (q_p t_p)^(k + n),
+
+    every term of degree -k, and for k < 0 as the polynomial L^(-k).  The
+    singular factors need a box and come last, by first variable.  G is
+    exact on `trunc`: each partial product keeps every term from which
+    one within `trunc` can follow, its degree capped at the total plus the
+    singular k to come, and its exponent of t_u at box_u plus, while
+    expansions around t_u are to come, their k and the caps of the later
+    variables, the most that their L' carry there."""
+    vars = tuple(vars)
+    total, box = trunc.total, trunc.box
+    steps = sorted(((min(map(vars.index, form.coeffs))
+                     if form.singular and k > 0 else None, form, k)
+                    for form, k in factors),
+                   key=lambda x: (x[1].singular, x[0] is not None, x[0] or 0))
+    plain = not any(form.singular for form, _ in factors)
+    caps = list(box or ())
+    for p in reversed(range(0 if plain else len(caps))):
+        ks = sum(k for q, _, k in steps if q == p)
+        if ks:
+            caps[p] += ks + sum(caps[p + 1:])
+    if caps and min(caps) < 0:
+        return {}, 1, sum(k for _, k in factors)
     terms: Dict[tuple, object] = {(0,) * len(vars): 1}
-    den, K = 1, 0
-    for form, k in factors:
-        if form.singular:
-            raise NonDivisible("cannot invert a linear form with zero "
-                               "constant term")
-        wnum, wden = _reciprocal(form.c)
-        monos = form.monomials(vars, trunc, total)
-        top = max(n for _, _, n in monos)
-        # the degree-n coefficient (-w)^k C(k + n - 1, n) w^n / D^n,
-        # w = 1/c, over the factor's denominator wden^k (wden D)^top
-        base = wden * form.den
-        power = (-1) ** k
-        for _ in range(k):
-            power = power * wnum
-        coef = []
-        for n in range(top + 1):
-            coef.append(power * (math.comb(k + n - 1, n)
-                                 * base ** (top - n)))
-            power = power * wnum
-        den *= wden ** k * base ** top
-        K += k
-        terms = convolve(terms, [(e, coef[n] * m, n) for e, m, n in monos],
-                         trunc)
-    return terms, den, K
+    den = 1
+    for i, (p, form, k) in enumerate(steps):
+        step = trunc
+        if not plain:
+            later = steps[i + 1:]
+            leads = {q for q, _, _ in later}
+            step = Truncation(
+                total + sum(k2 for _, f, k2 in later if f.singular),
+                box and tuple(c if u in leads else b
+                              for u, (b, c) in enumerate(zip(box, caps))))
+        if form.singular and p is None:
+            # L^m = (D L)^m / D^m, its terms of degree m = -k
+            fac = [t for t in form.monomials(vars, step, -k) if t[2] == -k]
+            den *= form.den ** -k
+        else:
+            if p is None:
+                # w = 1/c = x/a, over a^k (a D)^top
+                x, a = _reciprocal(form.c)
+                first, b = -x, a * form.den
+                monos = form.monomials(vars, step, step.total)
+            else:
+                # 1/q_p = x/a, -L' = -(d L')/d, over a^k (a d)^top
+                v = vars[p]
+                rest = LinearForm({u: q for u, q in form.coeffs.items()
+                                   if u != v})
+                q = form.coeffs[v]
+                a, x = abs(q.numerator), q.denominator * (1 if q > 0 else -1)
+                first, x, b = x, -x, a * rest.den
+                monos = [(e[:p] + (-k - n,) + e[p + 1:], m, n)
+                         for e, m, n in rest.monomials(
+                             vars, step, sum(step.box[p + 1:]))]
+            top = max(n for _, _, n in monos)
+            # degree n: first^k x^n C(k + n - 1, n) b^(top - n), over a^k b^top
+            power = 1
+            for _ in range(k):
+                power = power * first
+            coef = []
+            for n in range(top + 1):
+                coef.append(power * (math.comb(k + n - 1, n) * b ** (top - n)))
+                power = power * x
+            den *= a ** k * b ** top
+            fac = [(e, coef[n] * m, n if p is None else -k)
+                   for e, m, n in monos]
+        terms = convolve(terms, fac, step)
+    return terms, den, sum(k for _, k in factors)
 
 
 def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
@@ -588,9 +558,9 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     pairs, a = -2 pi i c the form's constant (nonzero) and L its linear
     part, times e^exponent when an exponent form is given, or else times
     the series term map `times` when one is given, on `vars` and
-    truncated at `trunc`: every unit inverse that the evaluators expand,
-    the live and collapsed unit factors of a summand times its coset sum,
-    and the whole numerator of a polytope vertex, its exponential and its
+    truncated at `trunc`: the unit factors 1/den_g of a summand of a full
+    series times its coset sum, and the whole numerator of a polytope
+    vertex, its exponential and its
     non-singular edge denominators with its weight.
 
     Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
@@ -612,6 +582,9 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     rounds only there, once per term."""
     vars = tuple(vars)
     total, box = trunc.total, trunc.box
+    if any(form.singular for form, _ in factors):
+        raise NonDivisible("cannot invert a linear form with zero "
+                           "constant term")
     terms, den, K = _unit_numerators(factors, vars, trunc)
     if exponent is None:
         # each term of G meets each term of `times`, or the constant 1
@@ -650,46 +623,106 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
                            ring.unit_lift(series, den, K, scale))
 
 
+def _span(exps) -> Truncation:
+    """The least truncation that keeps every exponent of `exps`."""
+    exps = list(exps)
+    return Truncation(max(map(sum, exps)),
+                      tuple(max(col) for col in zip(*exps)))
+
+
 def _unit_summand_value(ctx: EvaluationContext, s: Summand,
-                        k: WeightVector):
-    """[t^k] of a summand with no singular denominator, with no series
-    beyond the box e <= k_B of its basis weights:
+                        k: WeightVector, checks: Optional[dict] = None):
+    """[t^k] of a summand, with no series beyond what meets t^k:
 
         weight * sum_w e^{2 pi i q_w} sum_e F[e] * A_w[k_B - e],
 
-    F = prod_g -(a_g + U_g)^{-k_g} over the unit factors and A_w the
-    root-free grid of coset w (``_coset_grids``), each kernel only to
-    degree k_m.  F is read from its int series on the box, G over den
-    (``_unit_numerators``), as F[e] = +-(2 pi i)^(-(K + |e|)) G[e] / den,
-    with no scalar built for it: per coset and per degree n the sum over
-    |e| = n of G[e] * A_w[k_B - e] is one integer combination of the grid
-    values, lifted once, in one ``ring.unit_lift`` for every coset; each
-    coset's one root of unity is applied last."""
+    A_w the root-free grid of coset w (``_coset_grids``), as far as G
+    reaches, and F the product of the [t_g^{k_g}] t_g / den_g, each by its
+    collapse rule (module docstring).  F is read from its int series G
+    over den (``_unit_numerators``: the unit factors' part, convolved with
+    the singular factors' part), as F[e] = +-(2 pi i)^(-(K + |e|)) G[e] /
+    den, with no scalar built for it: per coset and per degree n the sum
+    over |e| = n of G[e] * A_w[k_B - e] is one integer combination of the
+    grid values, lifted once, in one ``ring.unit_lift`` for every coset;
+    each coset's one root of unity is applied last.
+
+    With `checks`, a dict, the summand is read again at k with k_v = -1
+    for each v that leads one of its singular factors, on the same unit
+    part and grids, and each value is appended to ``checks[v]``
+    (``_check_holomorphy``)."""
     ring = ctx.ring
     members = ctx.arr.bases[s.bidx].members
     vars = tuple(ctx.vars[m] for m in members)
-    box = tuple(k.weights[m] for m in members)
-    trunc = Truncation(sum(box), box)
     if any(k.weights[g] == 0 for g, _ in s.unit_factors):
         return ring.zero()  # [t_g^0] (t_g * unit) = 0
-    G, den, K = _unit_numerators([(_dead_unit(ctx, g, form), k.weights[g])
-                                  for g, form in s.unit_factors], vars, trunc)
-    # G[e] with the grid exponent k_B - e that it meets
-    pairs = [(tuple(map(sub, box, e)), sum(e), v) for e, v in G.items()]
-    grids = _coset_grids(ctx, s.bidx, trunc)
-    series = {}
-    for w, (grid, _) in enumerate(grids):
-        parts = [(n, v, grid[e]) for e, n, v in pairs if e in grid]
-        if parts:
-            series[w] = parts
-    lifted = ring.unit_lift(series, den, K)
-    total = ring.zero()
-    for w, (_, root) in enumerate(grids):
-        acc = lifted.get(w)
-        if acc is not None:
-            total = total + (acc if root is None else acc * root)
-    sign = -1 if len(s.unit_factors) % 2 else 1
-    return ring.scale(total, sign * s.weight)
+    # (g, U_g, lead) per singular den_g = t_g - U_g, lead the functional
+    # whose variable dominates: g when t_g precedes every variable of U_g
+    singular = []
+    for g, form in s.degenerate_factors:
+        u = _dead_unit(ctx, g, form)
+        singular.append((g, u, min(g, *map(ctx.vars.index, u.coeffs))))
+    targets = {None: k.weights}
+    for _, _, v in singular if checks is not None else ():
+        targets.setdefault(v, k.weights[:v] + (-1,) + k.weights[v + 1:])
+    reads = []  # (v, k_B, the singular part or [] when none, sign)
+    for v, kappa in targets.items():
+        factors, sign = [], (-1) ** len(s.unit_factors)
+        for g, u, lead in singular:
+            kg = kappa[g]
+            if (kg > 0) if lead == g else (kg <= 0):
+                break  # the read is zero
+            if kg:
+                factors.append((u, kg))
+                if lead != g:
+                    sign = -sign
+        else:
+            box = tuple(kappa[m] for m in members)
+            part = factors and _unit_numerators(factors, vars,
+                                                Truncation(sum(box), box))
+            if not factors or part[0]:
+                reads.append((v, box, part, sign))
+    if not reads:
+        return ring.zero()
+    # the unit factors' part, once, on every exponent that a read meets
+    U, uden, uK = _unit_numerators(
+        [(_dead_unit(ctx, g, form), k.weights[g])
+         for g, form in s.unit_factors], vars,
+        _span(tuple(map(sub, box, e)) for _, box, part, _ in reads
+              for e in (part[0] if part else [(0,) * len(vars)])))
+    products = []
+    for v, box, part, sign in reads:
+        G, den, K = U, uden, uK
+        if part:
+            G = convolve(U, [(e, c, sum(e)) for e, c in part[0].items()],
+                         Truncation(sum(box), box))
+            den, K = den * part[1], K + part[2]
+        # G[e] with the grid exponent k_B - e that it meets
+        pairs = [(tuple(map(sub, box, e)), sum(e), c) for e, c in G.items()]
+        products.append((v, [p for p in pairs if min(p[0]) >= 0], den, K,
+                         sign))
+    grid_exps = [e for _, pairs, *_ in products for e, _, _ in pairs]
+    if not grid_exps:
+        return ring.zero()
+    grids = _coset_grids(ctx, s.bidx, _span(grid_exps))
+    value = ring.zero()
+    for v, pairs, den, K, sign in products:
+        series = {}
+        for w, (grid, _) in enumerate(grids):
+            parts = [(n, c, grid[e]) for e, n, c in pairs if e in grid]
+            if parts:
+                series[w] = parts
+        lifted = ring.unit_lift(series, den, K)
+        total = ring.zero()
+        for w, (_, root) in enumerate(grids):
+            acc = lifted.get(w)
+            if acc is not None:
+                total = total + (acc if root is None else acc * root)
+        total = ring.scale(total, sign * s.weight)
+        if v is None:
+            value = total
+        else:
+            checks.setdefault(v, []).append(total)
+    return value
 
 
 # the coefficients computed in this process, most recently used last (see
@@ -735,52 +768,38 @@ def coefficient(arr: Arrangement, y: Sequence, k,
 
 
 def _coefficient_components(ctx: EvaluationContext, k: WeightVector):
-    summands = build_summands(ctx)
+    """[t^k] of the generating function: the sum over the summands of
+    their reads at k (``_unit_summand_value``), with no component, common
+    denominator or division, after ``_check_holomorphy``."""
+    checks: Dict[int, list] = {}
     total = ctx.ring.zero()
-    for idxs in _component_partition(summands):
-        total = total + _component_value(ctx, [summands[i] for i in idxs], k)
+    for s in build_summands(ctx):
+        total = total + _unit_summand_value(ctx, s, k, checks)
+    _check_holomorphy(ctx.ring, checks)
     return total
 
 
-def _component_value(ctx: EvaluationContext, summands: List[Summand],
-                     k: WeightVector):
-    if not summands[0].degenerate_factors:
-        # a summand with no singular denominator shares no hyperplane, so
-        # it is its component: nothing to divide, read its coefficient
-        (s,) = summands
-        return _unit_summand_value(ctx, s, k)
-    live_vars, target, trunc = _component_truncation(ctx, summands, k)
-    forms = [summand_rational_form(ctx, s, trunc, live_vars, k)
-             for s in summands]
-    forms = [form for form in forms if not form.numerator.is_zero()]
-    if not forms:
-        return ctx.ring.zero()
-    total = sum_rational_forms(forms)
-    return total.coefficient(target)
+def _check_holomorphy(ring, checks: Dict[int, list]) -> None:
+    """NonDivisible unless the summands' reads at k with k_v = -1 sum to
+    zero for each v in `checks`: exactly in exact mode, and within
+    2^(-precision/2) times the largest read in numeric mode.
 
-
-def _component_truncation(ctx: EvaluationContext, summands: List[Summand],
-                          k: WeightVector
-                          ) -> Tuple[Tuple[str, ...], tuple, Truncation]:
-    """`(live_vars, target, trunc)` of a component with singular
-    denominators: its live variables, the exponent k on them and the
-    truncation of its forms, total degree |target| + divisions with every
-    exponent capped at its target but a pivot's (module docstring)."""
-    live = set()
-    for s in summands:
-        for m in ctx.arr.bases[s.bidx].members:
-            live.add(ctx.vars[m])
-        for g, cf in s.degenerate_factors:
-            live.add(ctx.vars[g])
-            for v in cf.coeffs:
-                live.add(v)
-    live_vars = tuple(sorted(live, key=lambda v: ctx.vars.index(v)))
-    target = tuple(k.weights[ctx.vars.index(v)] for v in live_vars)
-    denominators = [s.denominators for s in summands]
-    order = sum(target) + division_count(denominators)
-    pivots = {d.pivot for ds in denominators for d in ds}
-    return live_vars, target, Truncation(order, tuple(
-        order if v in pivots else kv for v, kv in zip(live_vars, target)))
+    The total is holomorphic: its expansion is its Taylor series, with no
+    term at a negative exponent.  A summand whose factors v leads none of
+    is a Taylor series in t_v and reads zero there.  So the check sees a
+    summand left out, or taken with the wrong sign, that reads nonzero at
+    one of these exponents, and nothing that reads zero at all of them."""
+    for v, reads in checks.items():
+        total = sum(reads[1:], reads[0])
+        if ring.exact:
+            ok = ring.is_zero(total)
+        else:
+            ok = ring.magnitude(total) <= 2.0 ** (-ring.precision / 2) \
+                * max(map(ring.magnitude, reads))
+        if not ok:
+            raise NonDivisible(f"the summands do not cancel at t{v}^-1: "
+                               f"their sum is not holomorphic",
+                               residual={v: total})
 
 
 # ---------------------------------------------------------------------------

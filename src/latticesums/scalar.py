@@ -235,8 +235,9 @@ class ExactRing:
     def sum_products(self, items, trunc) -> dict:
         """sum over ``(terms, forms, q)`` of q * terms * prod over `forms`
         of sum_j p_j t_(v_j), each form a list ``[(v_j, p_j)]`` of variable
-        positions and int coefficients and q a Fraction, truncated at
-        ``trunc`` (a ``series.Truncation``), with no zero coefficient.
+        positions and int coefficients and q a Fraction, truncated at the
+        total degree of ``trunc`` (a ``series.Truncation``), with no zero
+        coefficient.
 
         Each series is read once into integer numerators over one
         denominator, multiplied by each form by one shift and add of its
@@ -254,7 +255,7 @@ class ExactRing:
                 cur = {e: {key: v * s for key, v in nums.items()}
                        for e, nums, s in read}
                 for form in forms:
-                    cur = _shift_add(cur, form, trunc, _add_ints)
+                    cur = _shift_add(cur, form, trunc.total, _add_ints)
                 read = [(e, nums, 1) for e, nums in cur.items()]
             m = q.numerator * (den // (d * q.denominator))
             for e, nums, s in read:
@@ -397,12 +398,14 @@ class NumericRing:
                 if f is None:
                     while len(lifts) <= n:
                         lifts.append(lifts[-1] * step)
+                    # a Laurent term has n < 0, and K + n >= 0
+                    lift = lifts[n] if n >= 0 else step ** (K + n)
                     d = den * sd
                     if type(v) is int:
-                        f = self.scale(lifts[n], Fraction(v * sn, d))
+                        f = self.scale(lift, Fraction(v * sn, d))
                     else:
-                        f = self.scale(lifts[n], Fraction(v.re * sn, d)) \
-                            + self.scale(lifts[n] * i, Fraction(v.im * sn, d))
+                        f = self.scale(lift, Fraction(v.re * sn, d)) \
+                            + self.scale(lift * i, Fraction(v.im * sn, d))
                     weights[n, v] = f
                 term = f * x
                 total = term if total is None else total + term
@@ -417,7 +420,7 @@ class NumericRing:
         acc: dict = {}
         for terms, forms, q in items:
             for form in forms:
-                terms = _shift_add(terms, form, trunc, _add_values)
+                terms = _shift_add(terms, form, trunc.total, _add_values)
             for e, c in terms.items():
                 c = self.scale(c, q)
                 cur = acc.get(e)
@@ -448,18 +451,15 @@ class NumericRing:
         return float(abs(x))
 
 
-def _shift_add(terms: dict, form, trunc, add_into) -> dict:
+def _shift_add(terms: dict, form, total: int, add_into) -> dict:
     """``terms`` times the integer linear form ``[(position, p)]``,
-    truncated at ``trunc``: each term moves up by one in each position
-    and is added there times p (``add_into(out, e, value, p)``)."""
-    total, box = trunc.total, trunc.box
+    truncated at total degree `total`: each term moves up by one in each
+    position and is added there times p (``add_into(out, e, value, p)``)."""
     out: dict = {}
     for e, value in terms.items():
         if sum(e) >= total:
             continue
         for pos, p in form:
-            if box is not None and e[pos] >= box[pos]:
-                continue
             add_into(out, e[:pos] + (e[pos] + 1,) + e[pos + 1:], value, p)
     return out
 

@@ -25,7 +25,10 @@ closed-form evaluators work:
   because the assembled sums are holomorphic even though the individual
   summands are not.  Polynomial division in the variable of the largest
   |q_v| yields the quotient with rational scalings only, and a remainder
-  free of that variable, zero exactly when the form divides;
+  free of that variable, zero exactly when the form divides.  Only the
+  full series divide (``genfun.generating_function`` and the polytope and
+  hierarchy checks); a single coefficient is a sum of per-summand reads
+  with no division (``genfun.coefficient``);
 * ``sum_rational_forms`` -- combination of summands carrying such singular
   denominators over a common product of one representative per merge key:
   each numerator scaled to those representatives and multiplied by the
@@ -356,43 +359,22 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
     reads s through degree W only, and the remainder test covers every
     degree of s.
 
-    A box (``Truncation.box``) must leave the pivot free, its cap at least
-    the total degree; a lower cap raises ValueError, since the division
-    would read t_p-slices that were never built.  Per exponent the step is
-
-        Q[f] = (s[f + e_p] - sum_{v != p} q_v Q[f + e_p - e_v]) / q_p:
-
-    every exponent it reads has the total degree of f + e_p, the pivot's
-    exponent at most one higher and every other one at most that of f.
-    The box is a lower set closed under that step, so on it the division
-    computes the total-degree quotient restricted to the box; the updates
-    that leave the box feed only exponents outside it and are dropped.
-    The remainder test still sees every kept term, and so every term that
-    feeds a coefficient read inside the box, but no term outside the box.
-
     Exact mode demands a literally zero remainder and raises NonDivisible
     (carrying the remainder terms) otherwise.  Numeric mode tolerates
-    remainder norms below 2^(-precision/2) times the largest kept term of
-    s, and records them.
+    remainder norms below 2^(-precision/2) times the largest term of s,
+    and records them.
     """
     ring = s.ring
     if not form.singular:
         raise ValueError("divide_exact needs a constant-free linear form")
-    pivot, total, box = form.pivot, s.trunc.total, s.trunc.box
+    pivot = form.pivot
     q_p, p = form.coeffs[pivot], s.vars.index(pivot)
-    if box is not None and box[p] < total:
-        raise ValueError(f"the box caps the pivot {pivot} below the total "
-                         f"degree: its t_p-slices were never built")
     if s.is_zero():
         return s.clone_empty()
     inv, down = 1 / q_p, tuple(-int(v == pivot) for v in s.vars)
-    # per t_v: (position, step, ratio, cap), updates kept while e_v < cap
-    updates = []
-    for v, q in form.coeffs.items():
-        if v != pivot:
-            i = s.vars.index(v)
-            updates.append((i, tuple(int(w == v) for w in s.vars), -q / q_p,
-                            total if box is None else box[i]))
+    # per t_v: (step, ratio)
+    updates = [(tuple(int(w == v) for w in s.vars), -q / q_p)
+               for v, q in form.coeffs.items() if v != pivot]
     slices: Dict[int, Dict[Exps, object]] = {}
     for e, c in s.terms.items():
         slices.setdefault(e[p], {})[e] = c
@@ -404,9 +386,7 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
                 continue
             e = tuple(map(add, e, down))
             out.terms[e] = ring.scale(c, inv)
-            for i, step, ratio, cap in updates:
-                if e[i] >= cap:
-                    continue
+            for step, ratio in updates:
                 ne = tuple(map(add, e, step))
                 val = ring.scale(c, ratio)
                 cur = below.get(ne)
@@ -480,16 +460,7 @@ def sum_rational_forms(forms: Sequence[RationalForm],
     sum is exact through W - ``division_count`` of the denominators, so
     the working order of a sum through `order` is order + divisions.  The
     remainder test of each division covers every degree up to W, so it
-    sees every term that feeds a returned coefficient.
-
-    The numerators may share a box that leaves the pivot of every
-    denominator free (``divide_exact``).  The box is a lower set, so the
-    scaling, each product by a missing representative's power and the sum
-    are exact on it, and so is each division: the result is the
-    total-degree sum restricted to the box.  Each remainder test then sees
-    every kept term, and so every term that feeds a coefficient read
-    inside the box, but no term outside it; in numeric mode its tolerance
-    scales with the largest kept term."""
+    sees every term that feeds a returned coefficient."""
     if not forms:
         raise ValueError("no forms to sum")
     ring = forms[0].numerator.ring

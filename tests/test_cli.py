@@ -250,16 +250,17 @@ def test_every_bundled_fixture_loads(name):
 
 
 def test_exit_code_internal_consistency_failure(monkeypatch, capsys):
-    # a2_directions at y = 0 has one singular component, divided out once;
-    # a remainder there is an internal inconsistency, exit code 3
+    # a2_directions at y = 0 has singular summands, whose reads one degree
+    # below zero must cancel; a sum that does not is an internal
+    # inconsistency, exit code 3
     import latticesums.genfun as genfun
-    import latticesums.series as series
     from latticesums.errors import NonDivisible
 
-    def not_divisible(s, form, residuals=None):
+    def not_holomorphic(ring, checks):
+        assert checks
         raise NonDivisible("series is not divisible by the linear form")
 
-    monkeypatch.setattr(series, "divide_exact", not_divisible)
+    monkeypatch.setattr(genfun, "_check_holomorphy", not_holomorphic)
     monkeypatch.setattr(genfun, "_coefficient_table", {})
     assert main(["eval", "--arrangement", "a2_directions.json",
                  "--k", "2,2,2", "--y", "0,0"]) == 3

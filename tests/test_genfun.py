@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from latticesums import genfun, intlinalg, lattice
+from latticesums import series as series_module
 from latticesums.errors import ExcludedPoint, NonDivisible
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   root_system, triangle)
@@ -381,8 +383,8 @@ def _nonsingular_cases(triangle_rational, generic_y2):
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 def test_coefficient_without_singular_denominator_matches_series(
         mode, triangle_rational, generic_y2):
-    # every summand is its own component and is read at k from closed-form
-    # coefficients on the box e <= k_B; the full series builds it whole
+    # every summand is read at k from closed-form coefficients on the box
+    # e <= k_B; the full series builds it whole
     for arr, y in _nonsingular_cases(triangle_rational, generic_y2):
         ctx = EvaluationContext(arr, y, mode)
         assert ctx.mode == "numeric" or ctx.N >= 28
@@ -405,9 +407,9 @@ def test_coefficient_without_singular_denominator_matches_series(
 
 # (directions, constants, y, largest |k|).  The benchmark's fixed singular
 # case: (2,1) = (1,1) + (1,0) and -1/3 = -1/3 + 0 give a singular
-# hyperplane.  In rank three, bases of one component meet in different
-# points, so some summands have unit factors in live variables, and at
-# k = 0 they leave nothing below `order`.
+# hyperplane.  In rank three, bases that share a singular hyperplane meet
+# in different points, so some singular summands have unit factors too,
+# which read zero at k_g = 0.
 SINGULAR = [
     (((2, 1), (1, 1), (1, 0), (-1, 2)),
      (Fraction(-1, 3), Fraction(-1, 3), Fraction(0), Fraction(-1, 2)),
@@ -428,9 +430,9 @@ def _singular_cases(generic_y2):
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 def test_coefficient_with_singular_denominator_matches_series(
         mode, generic_y2):
-    # a component with a singular denominator builds each summand on its
-    # basis variables, truncated below `order` by its live and singular
-    # factors, before the division; the full series builds it whole
+    # a summand with a singular denominator is read at k on its own, in
+    # the field of iterated Laurent series, with no division; the full
+    # series divides the singular denominators out of the sum
     for arr, y, top in _singular_cases(generic_y2):
         ctx = EvaluationContext(arr, y, mode)
         assert any(s.degenerate_factors for s in build_summands(ctx))
@@ -451,10 +453,9 @@ def test_coefficient_with_singular_denominator_matches_series(
 
 # Rank two with a Gaussian-rational constant on (1,-1): the other three
 # functionals meet in a singular hyperplane (8/15 = 1/3 + 1/5), so the
-# bases among them form a singular component whose summands carry the
-# (1,-1) factor as a collapsed unit with a Gaussian constant, and the
-# bases holding (1,-1) are unit summands whose factors have Gaussian
-# constants too.  Exact mode refuses a non-real constant (its kernel is
+# bases among them are singular summands that carry the (1,-1) factor as
+# a collapsed unit with a Gaussian constant, and the bases holding (1,-1)
+# are unit summands whose factors have Gaussian constants too.  Exact mode refuses a non-real constant (its kernel is
 # not in a cyclotomic field), so the comparisons run in numeric mode.
 GAUSSIAN_UNITS = (((1, 0), (0, 1), (1, 1), (1, -1)),
                   (Fraction(1, 3), Fraction(1, 5), Fraction(8, 15),
@@ -518,78 +519,46 @@ def test_working_order_is_order_plus_divisions(order):
                for e in degrees if sum(e) == order)
 
 
-# the rank-two manifest rows, and the singular case of the generic
-# benchmark workload: (arrangement, y, k)
-SINGULAR_COMPONENT_CASES = {
-    "a2_alpha1": ("a2_alpha1.json", (0, 0), (1, 2, 2, 2, 1, 1, 1, 2, 2)),
-    "a2_alpha2": ("a2_alpha2.json", (0, 0), (2,) * 9),
-    "a2_alpha3": ("a2_alpha3.json", (0, 0), (1, 1, 1, 2, 2, 2, 1, 1, 1)),
-    "a2_directions": ("a2_directions.json", (0, 0), (2, 2, 2)),
-    "generic_singular": (
-        Arrangement(2, [make_functional(d, c) for d, c in zip(
-            ((2, 1), (1, 1), (1, 0), (-1, 2)),
-            (Fraction(-1, 3), Fraction(-1, 3), 0, Fraction(-1, 2)))]),
-        (Fraction(-10, 7), Fraction(-8, 7)), (2, 2, 2, 2)),
-}
+# (evaluator, mode, change, order): the full series at three orders, and
+# the coefficient at k = (1, 2, 1) in both modes, each summand dropped or
+# negated; at that k each of the three summands reads nonzero at t0^-1
+WITHOUT_ONE_SUMMAND = [
+    pytest.param("series", "exact", "drop", order, id=str(order))
+    for order in (2, 3, 4)] + [
+    pytest.param("coefficient", mode, change, None,
+                 id=f"coefficient-{mode}-{change}")
+    for mode in ("exact", "numeric") for change in ("drop", "negate")]
 
 
-@pytest.mark.parametrize("mode", ["exact", "numeric"])
-@pytest.mark.parametrize("case", sorted(SINGULAR_COMPONENT_CASES))
-def test_boxed_components_read_the_total_degree_coefficient(case, mode):
-    # a singular component's forms built on the box that caps every
-    # non-pivot exponent at k_v give the same t^k coefficient as its forms
-    # built to total degree alone, and with fewer terms
-    arr, y, k = SINGULAR_COMPONENT_CASES[case]
-    if isinstance(arr, str):
-        arr = lattice.arrangement_from_json(resources.files(
-            "latticesums.fixtures").joinpath(arr).read_text())
-    k = WeightVector.make(k)
-    ctx = EvaluationContext(arr, y, mode)
-    ring = ctx.ring
-    summands = build_summands(ctx)
-    capped = shrunk = 0
-    for idxs in genfun._component_partition(summands):
-        component = [summands[i] for i in idxs]
-        if not component[0].degenerate_factors:
-            continue
-        live, target, box = genfun._component_truncation(ctx, component, k)
-        capped += any(b < box.total for b in box.box)
-        values, sizes = [], []
-        for trunc in (box, Truncation(box.total)):
-            forms = [summand_rational_form(ctx, s, trunc, live, k)
-                     for s in component]
-            sizes.append(sum(len(f.numerator.terms) for f in forms))
-            forms = [f for f in forms if not f.numerator.is_zero()]
-            values.append(sum_rational_forms(forms).coefficient(target)
-                          if forms else ring.zero())
-        got, want = values
-        assert sizes[0] <= sizes[1]
-        shrunk += sizes[0] < sizes[1]
-        if mode == "exact":
-            assert got == want
-        else:
-            assert abs(got - want) <= 2.0 ** (-ring.precision / 2) \
-                * max(1.0, abs(want))
-    assert capped and shrunk
-
-
-@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("evaluator, mode, change, order",
+                         WITHOUT_ONE_SUMMAND)
 @pytest.mark.parametrize("dropped", [0, 1, 2])
-def test_sum_without_one_summand_is_not_divisible(order, dropped,
-                                                  monkeypatch):
-    # the exact divisions are the self-check of the assembled sum: without
-    # one basis's summand it is not holomorphic, and at the working order
-    # order + divisions the remainder test still sees that
+def test_sum_without_one_summand_is_not_divisible(
+        evaluator, mode, change, order, dropped, monkeypatch):
+    # the self-checks of the assembled sum: without one basis's summand, or
+    # with it negated, the sum is not holomorphic.  At the working order
+    # order + divisions the remainder tests of the full series still see
+    # that, and the summands' reads of the coefficient path one degree
+    # below zero in t0, which leads a singular factor of each, no longer
+    # cancel
     real = genfun.build_summands
 
-    def without_one(ctx):
+    def changed(ctx):
         summands = real(ctx)
         assert len(summands) == 3
-        return summands[:dropped] + summands[dropped + 1:]
+        assert all(s.degenerate_factors for s in summands)
+        s = summands[dropped]
+        return summands[:dropped] + (
+            [] if change == "drop"
+            else [dataclasses.replace(s, weight=-s.weight)]) \
+            + summands[dropped + 1:]
 
-    monkeypatch.setattr(genfun, "build_summands", without_one)
+    monkeypatch.setattr(genfun, "build_summands", changed)
     with pytest.raises(NonDivisible):
-        generating_function(a2_directions(), (0, 0), order)
+        if evaluator == "series":
+            generating_function(a2_directions(), (0, 0), order, mode=mode)
+        else:
+            coefficient(a2_directions(), (0, 0), (1, 2, 1), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,18 +1049,12 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         assert units == 2
         pairs = sorted((s.bidx, w, m) for w in b.coset_reps
                        for m in b.members)
-        # the basis variables and one unit factor's t_g live, one dead
-        live = tuple(ctx.vars[i] for i in sorted(
-            b.members + (s.unit_factors[0][0],)))
         box = tuple(k.weights[m] for m in b.members)
         # the (factor count, truncation) of each build's unit products:
         # below the order by one degree per live t_g
         for build, want in (
                 (lambda: summand_rational_form(ctx, s, Truncation(4)),
                  [(units, Truncation(4 - units))]),
-                (lambda: summand_rational_form(ctx, s, Truncation(4),
-                                               live, k),
-                 [(units, Truncation(3))]),
                 (lambda: genfun._unit_summand_value(ctx, s, k),
                  [(units, Truncation(sum(box), box))])):
             products.clear()
@@ -1628,6 +1591,60 @@ def test_a3_zeta_value():
         == "46*pi^12/212837625"
     assert format_scalar(zeta_from_S(a3, (2,) * 6, 24)) \
         == "23*pi^12/2554051500"
+
+
+def test_g2_zeta_value():
+    # zeta(2, ..., 2; G2) = 23 pi^12 / 297904566960, S over 12, within 2 s
+    # of CPU time
+    start = time.process_time()
+    g2 = root_system("G2")
+    assert format_scalar(lattice_sum_value(g2, (0, 0), (2,) * 6).value) \
+        == "23*pi^12/24825380580"
+    assert format_scalar(zeta_from_S(g2, (2,) * 6)) \
+        == "23*pi^12/297904566960"
+    assert time.process_time() - start <= 2
+
+
+@pytest.mark.parametrize("name, y, want", [
+    ("A3", (Fraction(1, 2), Fraction(1, 3), 0),
+     "611293829*pi^12/19304215939008000"),
+    ("G2", (Fraction(1, 3), Fraction(1, 4)),
+     "3755201323*pi^12/25302421915576565760")])
+def test_twisted_root_system_values(name, y, want):
+    # S at k = 2 off y = 0, within 2 s of CPU time, and the 128-bit value
+    # within 1e-25 relative of the exact one
+    start = time.process_time()
+    arr = root_system(name)
+    k = (2,) * arr.size
+    exact = lattice_sum_value(arr, y, k).value
+    assert format_scalar(exact) == want
+    assert time.process_time() - start <= 2
+    got = lattice_sum_value(arr, y, k, mode="numeric").value
+    want = exact.embed(CTX256)
+    assert abs(CTX256.mpc(got) - want) <= 1e-25 * abs(want)
+
+
+def test_coefficient_path_makes_no_division(monkeypatch):
+    # a singular manifest row is a sum of per-summand reads: no sum of
+    # rational forms and no division is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coefficient path divided")
+
+    for module, name in ((series_module, "sum_rational_forms"),
+                         (series_module, "divide_exact"),
+                         (genfun, "sum_rational_forms")):
+        monkeypatch.setattr(module, name, refuse)
+    fixtures = resources.files("latticesums.fixtures")
+    row = next(r for r in json.loads(fixtures.joinpath(
+        "manifest.json").read_text())["rows"]
+        if r["arrangement"] == "a2_alpha2.json")
+    arr = lattice.arrangement_from_json(
+        fixtures.joinpath(row["arrangement"]).read_text())
+    y = tuple(Fraction(v) for v in row["y"])
+    ctx = EvaluationContext(arr, y, "exact")
+    assert any(s.degenerate_factors for s in build_summands(ctx))
+    assert format_scalar(lattice_sum_value(arr, y, row["k"]).value) \
+        == row["expect"]
 
 
 def test_zeta_rejects_a_zero_weight_and_a_wrong_factor():

@@ -287,45 +287,6 @@ def test_remainder_is_free_of_the_pivot(data):
     assert (q * linear_series(l, R, VARS, s.trunc)).terms == rest.terms
 
 
-def test_divide_exact_rejects_a_box_that_caps_the_pivot():
-    # t1 is the pivot of t1 - t2/2: capped below the total degree, the
-    # t1-slices above its cap were never built
-    l = LinearForm({"t1": 1, "t2": Fraction(-1, 2)})
-    assert l.pivot == "t1"
-    for terms in ({(1, 0, 0): R.one()}, {}):
-        with pytest.raises(ValueError, match="pivot t1"):
-            divide_exact(TruncatedSeries(R, VARS, Truncation(4, (3, 4, 4)),
-                                         terms), l)
-    # with the pivot free, a box may cap every other variable
-    assert divide_exact(TruncatedSeries(R, VARS, Truncation(4, (4, 0, 0))),
-                        l).is_zero()
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_series_and_form(), st.data())
-def test_division_in_a_box_is_the_quotient_restricted(qf, data):
-    # a box that frees the pivot, the quotient and the remainder read only
-    # the exponents it keeps: the total-degree quotient restricted to it,
-    # and NonDivisible for a remainder term inside it
-    q, l = qf
-    box = tuple(4 if v == l.pivot else data.draw(st.integers(0, 3))
-                for v in VARS)
-    trunc = Truncation(4, box)
-    s = q * linear_series(l, R, VARS, q.trunc)
-    want = divide_exact(s, l).with_truncation(trunc)
-    got = divide_exact(s.with_truncation(trunc), l)
-    assert got.trunc == trunc
-    assert got.terms == want.terms
-    # t_v^a is free of the pivot, so it is the remainder of s + t_v^a
-    v = data.draw(st.sampled_from([w for w in VARS if w != l.pivot]))
-    a = data.draw(st.integers(0, box[VARS.index(v)]))
-    r = TruncatedSeries(R, VARS, trunc, {
-        tuple(a * (w == v) for w in VARS): R.one()})
-    with pytest.raises(NonDivisible) as err:
-        divide_exact(s.with_truncation(trunc) + r, l)
-    assert err.value.residual == r.terms
-
-
 @st.composite
 def wide_forms_and_quotients(draw):
     """A singular form with coefficients of modulus 1/1000 to 7 and a
@@ -574,16 +535,14 @@ def _drawn_series(ring, trunc, seed, top=3):
     return TruncatedSeries(ring, VARS, trunc, terms)
 
 
-@pytest.mark.parametrize("box", [None, (7, 7, 2)], ids=["total", "box"])
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
-def test_sum_rational_forms_matches_series_products(mode, box):
+def test_sum_rational_forms_matches_series_products(mode):
     # numerators lacking representatives, one representative twice, scaled
     # denominators: the integer products equal one series product per
     # missing representative (exactly, or within 2^-100 relative), and the
-    # sum is P through the working order less the four divisions; the box
-    # caps t3, the pivot of no denominator
+    # sum is P through the working order less the four divisions
     ring = EXACT_RINGS[12] if mode == "exact" else NumericRing(128)
-    trunc = Truncation(7, box)
+    trunc = Truncation(7)
     l1 = LinearForm({"t1": 1, "t2": -1})
     l1s = LinearForm({"t1": Fraction(-3, 2), "t2": Fraction(3, 2)})
     l2 = LinearForm({"t2": 1, "t3": Fraction(2, 3)})

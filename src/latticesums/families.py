@@ -57,14 +57,22 @@ _POSITIVE_COROOTS = {
     "G2": ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)),
     "A3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
            (1, 1, 1)),
+    # B3's coroots are the roots of C3, and C3's those of B3
+    "B3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+           (0, 2, 1), (1, 1, 1), (1, 2, 1), (2, 2, 1)),
+    "C3": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+           (1, 1, 1), (0, 1, 2), (1, 1, 2), (1, 2, 2)),
+    # the sums e_i + ... + e_j, i <= j
+    "A4": tuple(tuple(int(i <= m <= j) for m in range(4))
+                for i in range(4) for j in range(i, 4)),
 }
 
 
 def root_system(name: str) -> Arrangement:
     """The arrangement of the zeta function of the root system `name`
-    ("A2", "B2", "G2" or "A3"): one functional per positive coroot, its
-    direction the coroot in the basis of fundamental weights, constant 0.
-    Any other name raises ValueError."""
+    ("A2", "B2", "G2", "A3", "B3", "C3" or "A4"): one functional per
+    positive coroot, its direction the coroot in the basis of fundamental
+    weights, constant 0.  Any other name raises ValueError."""
     if name not in _POSITIVE_COROOTS:
         raise ValueError(f"unknown root system {name!r}: expected one of "
                          f"{', '.join(_POSITIVE_COROOTS)}")

@@ -16,14 +16,17 @@ normalised rational coefficients.  Every unit inverse, a factor 1/den_g
 of a full series, a factor collapsed to its Taylor coefficient or a
 non-singular edge denominator of the polytope route, comes from one
 integer product, ``_unit_numerators``, and so does the exponential
-e^{t* . p} of a polytope vertex (``unit_product``): the constants are
+e^{t* . p} of a polytope vertex (``unit_parts``): the constants are
 2 pi i times exact rationals, so the product of all the inverses of a
 summand (or of a vertex, with its exponential) is a root of unity times a
 series over Q (over Q(i) for Gaussian constants) in t / (2 pi i),
 multiplied in integers.  Each coefficient is then built once from its
 int numerators (``ring.unit_lift``): (2 pi i)^(-n) is a power of pi, a
 power of 2 in the one denominator and a power of i that turns the root,
-and numeric mode rounds there for the first time, once per term.
+and numeric mode rounds there for the first time, once per term.  Such
+products add in integers before any lift (``lift_units``), so a full
+series lifts every summand with no singular factor, and the polytope
+route every vertex with no singular edge, in one ``ring.unit_lift``.
 Numeric mode takes the same decisions from the same exact data, and
 keeps y exact too (a float y at its binary value), so that only values
 are rounded.  Taylor coefficients of the holomorphic total give the
@@ -39,13 +42,16 @@ Two evaluation strategies read the summands:
 * ``generating_function`` assembles the full truncated series, every
   variable live (fine for small arrangements and used by all
   cross-checks; the hierarchy check starts from the same forms).  One
-  summand builder, ``summand_rational_form``, writes a summand out as a
-  rational form over its singular denominators: every factor
-  t_g / den_g and every singular t_g carries the monomial t_g, so the
-  rest of the summand is built below the requested order by one degree
-  for each t_g, and prod t_g is applied once, as an exponent shift.
-  ``series.sum_rational_forms`` divides the singular denominators out
-  of the sum, the one division path.
+  summand builder, ``summand_parts``, writes a summand's numerator out
+  as the integer parts of one unit product: every factor t_g / den_g and
+  every singular t_g carries the monomial t_g, so the rest of the
+  summand is built below the requested order by one degree for each
+  t_g, and prod t_g is applied once, as an exponent shift of the parts.
+  The summands with no singular factor are lifted together, in one
+  ``lift_units``; the others are rational forms over their singular
+  denominators (``summand_rational_form``), which
+  ``series.sum_rational_forms`` divides out of their sum, the one
+  division path.
 * ``coefficient`` targets a single exponent vector k, with no
   component, common denominator or division.  In the field of iterated
   Laurent series in which each variable dominates those of later
@@ -357,36 +363,47 @@ def summand_rational_form(ctx: EvaluationContext, s: Summand,
         weight * sum_w prod_m K_m(w) * prod_unit t_g / den_g
                * prod_singular t_g
 
-    over the singular denominators.
+    over the singular denominators: its ``summand_parts``, lifted on their
+    own."""
+    return RationalForm(lift_units(ctx.ring, ctx.vars, trunc,
+                                   [summand_parts(ctx, s, trunc)]),
+                        s.denominators)
+
+
+def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
+                  ) -> UnitParts:
+    """The numerator of ``summand_rational_form`` as the integer parts of
+    one unit product, before the lift, so that the summands with no
+    singular factor are lifted together (``generating_function``).
 
     Every t_g is a monomial, so everything else is built below `trunc` by
     one degree for each of them: the weight times the coset sum of kernel
     products, read from the root-free grids of ``_coset_grids``, each
     times its coset's root as a one-term series, and added with the
     weight in one ``ring.mul_terms`` (one coset with no root and weight 1
-    is its grid as it is), extended once to every variable, times one
-    exact ``unit_product`` of the unit factors (den_g, 1), which takes the
-    coset sum as its `times`, so that the product is made in the unit
-    product's one lift, with no series product.  The monomial prod t_g is
-    applied last, as one exponent shift into `trunc`.  The numerator is
-    zero when the t_g leave nothing below `trunc`."""
+    is its grid as it is), is the `times` of one ``unit_parts`` of the
+    unit factors (den_g, 1).  The monomial prod t_g is applied last, as
+    one exponent shift of every key into `trunc`.  There are no parts
+    when the t_g leave nothing below `trunc`."""
     ring = ctx.ring
     basis_vars = tuple(ctx.vars[m] for m in ctx.arr.bases[s.bidx].members)
-    monomial = [ctx.vars[g] for g, _ in s.degenerate_factors + s.unit_factors]
-    top = trunc.total - len(monomial)
+    step = [0] * len(ctx.vars)
+    for g, _ in s.degenerate_factors + s.unit_factors:
+        step[g] += 1
+    top = trunc.total - sum(step)
     if top < 0:
-        return RationalForm(TruncatedSeries(ring, ctx.vars, trunc),
-                            s.denominators)
+        return UnitParts({})
     low = Truncation(top)
     zero, one = (0,) * len(basis_vars), ring.one()
-    num = TruncatedSeries(ring, basis_vars, low, ring.mul_terms(
+    cosets = TruncatedSeries(ring, basis_vars, low, ring.mul_terms(
         [({zero: one if root is None else root}, grid)
          for grid, root in _coset_grids(ctx, s.bidx, low)],
         low, s.weight)).extend(ctx.vars, low)
-    if s.unit_factors:
-        num = unit_product(ring, [(form, 1) for _, form in s.unit_factors],
-                           ctx.vars, low, times=num.terms)
-    return RationalForm(num.shifted(monomial, trunc), s.denominators)
+    parts = unit_parts(ring, [(form, 1) for _, form in s.unit_factors],
+                       ctx.vars, low, times=cosets.terms)
+    parts.series = {tuple(map(add, e, step)): p
+                    for e, p in parts.series.items()}
+    return parts
 
 
 def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
@@ -424,14 +441,21 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
     """Taylor expansion of the generating function through total degree
     `order`, at any y, excluded or not.  The summands are built at the
     working order order + divisions: ``sum_rational_forms`` divides each
-    distinct singular den_g out once, and each exact division loses one
-    degree."""
+    distinct singular den_g out of the sum of the summands that carry one,
+    and each exact division loses one degree.  The summands with no
+    singular factor divide nothing: their ``summand_parts`` are added in
+    integers and lifted together, in one ``lift_units``."""
     ctx = _context(arr, y, mode, precision, phi, ctx)
     summands = build_summands(ctx)
     work = order + division_count(s.denominators for s in summands)
     trunc = Truncation(work)
-    total = sum_rational_forms([summand_rational_form(ctx, s, trunc)
-                                for s in summands])
+    total = lift_units(ctx.ring, ctx.vars, trunc,
+                       [summand_parts(ctx, s, trunc)
+                        for s in summands if not s.denominators])
+    singular = [s for s in summands if s.denominators]
+    if singular:
+        total = total + sum_rational_forms(
+            [summand_rational_form(ctx, s, trunc) for s in singular])
     return total.with_truncation(Truncation(order))
 
 
@@ -550,18 +574,32 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
     return terms, den, sum(k for _, k in factors)
 
 
-def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
-                 trunc: Truncation, exponent: Optional[LinearForm] = None,
-                 scale=1, times: Optional[Dict[tuple, object]] = None
-                 ) -> TruncatedSeries:
+@dataclass
+class UnitParts:
+    """A unit product before its lift: ``series = {e: [(n, v, x)]}`` with
+    the int `den`, the `K` and the rational `scale`, so that the
+    coefficient of t^e is sum x v scale / (den (2 pi i)^(K + n)), as
+    ``ring.unit_lift`` reads them."""
+
+    series: Dict[tuple, list]
+    den: int = 1
+    K: int = 0
+    scale: Fraction = Fraction(1)
+
+
+def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
+               trunc: Truncation, exponent: Optional[LinearForm] = None,
+               scale=1, times: Optional[Dict[tuple, object]] = None
+               ) -> UnitParts:
     """The rational `scale` times prod (a + L)^(-k) over the (form, k)
     pairs, a = -2 pi i c the form's constant (nonzero) and L its linear
     part, times e^exponent when an exponent form is given, or else times
     the series term map `times` when one is given, on `vars` and
-    truncated at `trunc`: the unit factors 1/den_g of a summand of a full
+    truncated at `trunc`, as the integer parts of its one lift
+    (``lift_units``): the unit factors 1/den_g of a summand of a full
     series times its coset sum, and the whole numerator of a polytope
-    vertex, its exponential and its
-    non-singular edge denominators with its weight.
+    vertex, its exponential and its non-singular edge denominators with
+    its weight.
 
     Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
     the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the
@@ -571,15 +609,9 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     exponent form is a root times sum_n L_E^n / n!, a series over Q too:
     it is convolved last, into the terms of each degree n that came from
     the unit factors on their own.  Each term of G meets each term x of
-    `times` (the root, or 1, when there is none).  Every coefficient is
-    then built once from its int numerators, the x it meets and the power
-    (2 pi i)^(-(K + n)) of each of its terms, one ``ring.unit_lift`` for
-    the whole series: in exact mode over one shared denominator that holds
-    den, the powers of 2 of (2 pi i)^(-(K + n)), the denominators of the x
-    and that of `scale` (its numerator is folded into the numerators),
-    each term of x turned by its power of i and set at its power of pi,
-    cancelled once; no product of two scalars is taken.  Numeric mode
-    rounds only there, once per term."""
+    `times` (the root, or 1, when there is none), as one part (n, v, x) of
+    the key it lands on: its int numerator v, over `den`, and the degree n
+    that sets its power of 2 pi i."""
     vars = tuple(vars)
     total, box = trunc.total, trunc.box
     if any(form.singular for form, _ in factors):
@@ -619,8 +651,38 @@ def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
         for n, part in by_degree.items():
             for e, v in convolve(part, fac, trunc).items():
                 series.setdefault(e, []).append((n, v, root))
-    return TruncatedSeries(ring, vars, trunc,
-                           ring.unit_lift(series, den, K, scale))
+    return UnitParts(series, den, K, Fraction(scale))
+
+
+def lift_units(ring, vars, trunc: Truncation, parts: Sequence[UnitParts]
+               ) -> TruncatedSeries:
+    """The sum of the unit products `parts` (``unit_parts``), on `vars`
+    and truncated at `trunc`, in one ``ring.unit_lift``: the parts are
+    put over one denominator L, the lcm of their den times their scale's
+    denominator sd, each v times L // (den sd) times the scale's
+    numerator, and at the least K, each n raised by the part's K less that
+    one.  So each coefficient of the sum is built once from its int
+    numerators, the x they meet and their powers of 2 pi i, with no scalar
+    made for any one part, and numeric mode rounds once per term."""
+    L = math.lcm(*(p.den * p.scale.denominator for p in parts))
+    K = min((p.K for p in parts), default=0)
+    series: Dict[tuple, list] = {}
+    for p in parts:
+        m = L // (p.den * p.scale.denominator) * p.scale.numerator
+        dn = p.K - K
+        for e, terms in p.series.items():
+            series.setdefault(e, []).extend(
+                (n + dn, v * m, x) for n, v, x in terms)
+    return TruncatedSeries(ring, vars, trunc, ring.unit_lift(series, L, K))
+
+
+def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
+                 trunc: Truncation, exponent: Optional[LinearForm] = None,
+                 scale=1, times: Optional[Dict[tuple, object]] = None
+                 ) -> TruncatedSeries:
+    """The ``unit_parts`` of these arguments, lifted (``lift_units``)."""
+    return lift_units(ring, vars, trunc, [unit_parts(
+        ring, factors, vars, trunc, exponent, scale, times)])
 
 
 def _span(exps) -> Truncation:

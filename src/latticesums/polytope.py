@@ -43,10 +43,13 @@ denominator is singular, to be divided out after summing, or a unit.
 The numerator of a vertex, its weight |det| / |Z^r / L_B0| (the edge
 determinant over the index of B0), its exponential and the inverses of
 its unit edge denominators, is one exact product
-(``genfun.unit_product``, the one expansion of every unit inverse): a
-series over Q in integers, each coefficient built once from its
-numerators, the vertex's root of unity and the weight, with no series
-product.
+(``genfun.unit_parts``, the one expansion of every unit inverse): a
+series over Q in integers, with no series product.  The vertices with no
+singular edge, of every translate, are added in integers and lifted in
+one ``genfun.lift_units``, each coefficient built once from its
+numerators, the vertices' roots of unity and weights; a vertex with a
+singular edge is lifted on its own and divided with the others of its
+translate.
 
 The vertex sums are multiplied by the kernel prefactor prod_f K_f(0) at
 y = 0.  K_f(0) is t_f / (e^{t_f - 2 pi i c_f} - 1): a unit when c_f is an
@@ -68,7 +71,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import NotSimple
-from .genfun import EvaluationContext, _context, unit_product
+from .genfun import (EvaluationContext, UnitParts, _context, lift_units,
+                     unit_parts)
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, arrangement_data, in_singular_locus
 from .series import (RationalForm, TruncatedSeries, Truncation,
@@ -213,16 +217,17 @@ def adjacency(verts: List[VertexWitness]) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_rational_form(ctx: EvaluationContext, dec: Decomposition,
-                          exponent, edges, dens, order: int) -> RationalForm:
+def _vertex_parts(ctx: EvaluationContext, dec: Decomposition, exponent,
+                  edges, dens, order: int) -> UnitParts:
+    """The numerator of a vertex, |det| / index * e^{exponent} over its
+    unit edge denominators t* . (p - p'), as the integer parts of one
+    exact unit product (``genfun.unit_parts``), before the lift; the
+    vertex's singular edge denominators are left to the caller."""
     n = len(dec.l0)
     detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
-    # |det| / index * e^{exponent} over the edge denominators t* . (p - p'):
-    # the units, the exponential and the weight in one exact product
     units = [(den, 1) for den in dens if not den.singular]
-    num = unit_product(ctx.ring, units, ctx.vars, Truncation(order),
-                       exponent, Fraction(detv, dec.b0.index))
-    return RationalForm(num, [den for den in dens if den.singular])
+    return unit_parts(ctx.ring, units, ctx.vars, Truncation(order),
+                      exponent, Fraction(detv, dec.b0.index))
 
 
 def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
@@ -238,11 +243,14 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     Each vertex exponent is the combination of its witness's sides and
     basis values, and each edge denominator the difference of the
     exponents at its ends, both built by the evaluator's denominator
-    builder (``EvaluationContext.combination``).  Each translate's vertex
-    forms are summed on their own, and each exact division of that sum
-    loses one degree, so the singular ones set the extra truncation order:
-    the working order is order + divisions, with the divisions
-    (``division_count``) of the translate that needs the most.
+    builder (``EvaluationContext.combination``).  The vertices with no
+    singular edge divide nothing: their parts (``_vertex_parts``) are
+    lifted together, in one ``lift_units``.  Each translate's vertex
+    forms with a singular edge are summed on their own, and each exact
+    division of that sum loses one degree, so the singular ones set the
+    extra truncation order: the working order is order + divisions, with
+    the divisions (``division_count``) of the translate that needs the
+    most.
     """
     if in_singular_locus(y, arr):
         shown = ", ".join(str(Fraction(v)) for v in y)
@@ -283,11 +291,21 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     low = work - len(monomial)
     if low < 0:
         return TruncatedSeries(ring, ctx.vars, Truncation(order))
-    total = TruncatedSeries(ring, ctx.vars, Truncation(low))
+    trunc = Truncation(low)
+    total, plain = TruncatedSeries(ring, ctx.vars, trunc), []
     for cell in cells:
-        total = total + sum_rational_forms([
-            _vertex_rational_form(ctx, dec, exponent, edges, dens, low)
-            for exponent, edges, dens in cell])
+        forms = []
+        for exponent, edges, dens in cell:
+            parts = _vertex_parts(ctx, dec, exponent, edges, dens, low)
+            singular = [den for den in dens if den.singular]
+            if singular:
+                forms.append(RationalForm(
+                    lift_units(ring, ctx.vars, trunc, [parts]), singular))
+            else:
+                plain.append(parts)
+        if forms:
+            total = total + sum_rational_forms(forms)
+    total = total + lift_units(ring, ctx.vars, trunc, plain)
     total = total * _kernel_prefactor(ctx, params, low)
     return total.shifted(monomial, Truncation(order))
 

@@ -17,10 +17,11 @@ closed-form evaluators work:
   (``from_fraction``, ``root_of_unity``).  One multinomial enumerator
   (``monomials``) expands every function of it that the evaluators need,
   coefficient by coefficient with no series product: in
-  ``genfun.unit_product`` every unit inverse (c != 0) and the vertex
+  ``genfun.unit_parts`` every unit inverse (c != 0) and the vertex
   exponential, one exact product over Q of all the inverses of a summand
   or of the whole numerator of a polytope vertex, each coefficient built
-  once from its int numerators (``ring.unit_lift``);
+  once from its int numerators (``ring.unit_lift``, once for all the
+  summands or vertices of a full series that divide nothing);
 * ``divide_exact`` -- division by a singular linear form, valid exactly
   because the assembled sums are holomorphic even though the individual
   summands are not.  Polynomial division in the variable of the largest
@@ -259,7 +260,7 @@ class LinearForm:
     scalar builds it from `c` in its ring.  `key`, the coefficients scaled
     so that the first (by variable order) is 1, is equal for forms that
     agree up to a rational scale; it is built on first use, as a unit
-    inverse or an exponential (``genfun.unit_product``) does not read it.
+    inverse or an exponential (``genfun.unit_parts``) does not read it.
     """
 
     __slots__ = ("coeffs", "den", "c", "_key")

@@ -768,6 +768,246 @@ def test_one_step_lift_turns_each_part_by_its_power_of_i():
                 assert got[()] == want
 
 
+# ---------------------------------------------------------------------------
+# one lift for a full series
+# ---------------------------------------------------------------------------
+
+
+# directions e1, e2, (1,1), (1,2) with constants 0, 1/3, 0, 1/3: at
+# MIXED_Y three summands carry a singular factor and three do not
+MIXED = Arrangement(2, [make_functional(d, c) for d, c in zip(
+    ((1, 0), (0, 1), (1, 1), (1, 2)), (0, Fraction(1, 3), 0, Fraction(1, 3)))])
+MIXED_Y = (Fraction(1, 7), Fraction(1, 11))
+
+
+def _unit_part_set(ring):
+    """Unit parts with K = 0, 1, 3 and 2, scales over 1, 2, 9 and 4, an
+    exponent form, a `times` map and a Gaussian constant."""
+    trunc = Truncation(4)
+    f = [LinearForm(coeffs, c) for coeffs, c in SCALED_FACTORS]
+    exponent = LinearForm({"t0": Fraction(2, 3), "t2": Fraction(-1)},
+                          Fraction(7, 30))
+    times = {(0, 0, 0): ring.from_fraction(Fraction(-5, 7)),
+             (1, 0, 1): ring.root_of_unity(Fraction(1, 3))
+             + ring.from_fraction(Fraction(2, 3))}
+    return trunc, [
+        genfun.unit_parts(ring, [], UNIT_VARS, trunc),
+        genfun.unit_parts(ring, [(f[0], 1)], UNIT_VARS, trunc, exponent,
+                          Fraction(3, 2)),
+        genfun.unit_parts(ring, [(f[0], 2), (f[1], 1)], UNIT_VARS, trunc,
+                          scale=Fraction(-5, 9), times=times),
+        genfun.unit_parts(ring, [(f[2], 1), (f[1], 1)], UNIT_VARS, trunc,
+                          exponent, Fraction(7, 4))]
+
+
+def _lifted_one_by_one(ring, vars, trunc, parts):
+    total = TruncatedSeries(ring, vars, trunc)
+    for p in parts:
+        total = total + genfun.lift_units(ring, vars, trunc, [p])
+    return total
+
+
+def _assert_close(got, want, bits=120, sizes=None):
+    """Every coefficient of `got` within 2^-bits of `want`'s, relative to
+    its size in `sizes` or else to itself; `want` exact (embedded at 256
+    bits) or numeric."""
+    assert set(got.terms) == set(want.terms)
+    for e, w in want.terms.items():
+        w = w.embed(CTX256) if hasattr(w, "embed") else CTX256.mpc(w)
+        size = abs(w) if sizes is None else sizes[e]
+        assert abs(got.terms[e] - w) <= CTX256.mpf(2) ** -bits * size, e
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_one_lift_of_unit_parts_is_their_sum(mode):
+    # parts with different K, scales over different denominators, an
+    # exponent, a `times` map and a Gaussian constant, lifted together,
+    # are the sum of their lifts one by one: equal in exact mode, and
+    # within 2^-120 relative of it at 128 bits
+    exact = UNIT_RINGS[60]
+    trunc, parts = _unit_part_set(exact)
+    assert [p.K for p in parts] == [0, 1, 3, 2]
+    assert {p.scale.denominator for p in parts} == {1, 2, 9, 4}
+    want = _lifted_one_by_one(exact, UNIT_VARS, trunc, parts)
+    assert len(want.terms) > 20
+    if mode == "exact":
+        got = genfun.lift_units(exact, UNIT_VARS, trunc, parts)
+        assert got.terms == want.terms
+    else:
+        ring = NumericRing(128)
+        got = genfun.lift_units(ring, UNIT_VARS, trunc,
+                                _unit_part_set(ring)[1])
+        _assert_close(got, want)
+    assert genfun.lift_units(exact, UNIT_VARS, trunc, []).terms == {}
+
+
+def _vertex_part_sets(mode, a, b, monkeypatch):
+    """Per arrangement of ``_unit_edge_cases(a, b)``, the ``(ring, vars,
+    trunc, parts)`` of every vertex of its polytope reconstruction."""
+    from latticesums import polytope
+    from test_polytope import _unit_edge_cases
+    real = polytope.unit_parts
+    out = []
+
+    def recorded(ring, factors, vars, trunc, exponent=None, scale=1):
+        parts = real(ring, factors, vars, trunc, exponent, scale)
+        out[-1][3].append(parts)
+        out[-1][:3] = [ring, vars, trunc]
+        return parts
+
+    monkeypatch.setattr(polytope, "unit_parts", recorded)
+    for arr in _unit_edge_cases(a, b):
+        out.append([None, None, None, []])
+        genfun_via_polytopes(arr, (Fraction(1, 7), Fraction(1, 11)), 3,
+                             mode=mode)
+    monkeypatch.setattr(polytope, "unit_parts", real)
+    return out
+
+
+@pytest.mark.parametrize("mode, a, b", [
+    ("exact", Fraction(1, 2), Fraction(1, 3)),
+    ("numeric", GaussianRational(Fraction(1, 2), Fraction(1, 7)),
+     GaussianRational(Fraction(1, 3), Fraction(-1, 5)))])
+def test_one_lift_of_vertices_and_summands_is_their_sum(mode, a, b,
+                                                        monkeypatch):
+    # the parts that the full series lift together: the polytope vertices
+    # (K = 0, 1 and 2 unit edges, weights |det| / index other than 1, and
+    # Gaussian constants in numeric mode) and the summands of MIXED, with
+    # and without singular factors.  Together they are the sum of their
+    # lifts one by one: equal in exact mode, and at 128 bits within 2^-120
+    # of the same parts lifted one by one at 256 bits, relative to the sum
+    # of the sizes of those lifts (the summands cancel: a coefficient is
+    # up to 2^14 times smaller than the sum of its parts' sizes, and the
+    # 128-bit lifts one by one are no closer to it)
+    sets = _vertex_part_sets(mode, a, b, monkeypatch)
+    parts = [p for _, _, _, ps in sets for p in ps]
+    assert {p.K for p in parts} == {0, 1, 2}
+    assert any(p.scale != 1 for p in parts)
+    ctx = EvaluationContext(MIXED, MIXED_Y, mode)
+    trunc = Truncation(5)
+    summands = build_summands(ctx)
+    assert {bool(s.denominators) for s in summands} == {False, True}
+    sets.append((ctx.ring, ctx.vars, trunc,
+                 [genfun.summand_parts(ctx, s, trunc) for s in summands]))
+    for ring, vars, trunc, parts in sets:
+        got = genfun.lift_units(ring, vars, trunc, parts)
+        if ring.exact:
+            assert got.terms == \
+                _lifted_one_by_one(ring, vars, trunc, parts).terms
+            continue
+        fine = NumericRing(256)
+        want = _lifted_one_by_one(fine, vars, trunc, parts)
+        sizes = {}
+        for p in parts:
+            for e, c in genfun.lift_units(fine, vars, trunc,
+                                          [p]).terms.items():
+                sizes[e] = sizes.get(e, 0) + abs(c)
+        _assert_close(got, want, sizes=sizes)
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("arr, y", [
+    (MIXED, MIXED_Y),
+    (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+     (Fraction(1, 7), Fraction(2, 11))),
+    (a2_directions(), (0, 0)),
+    (Arrangement(3, [make_functional(d, c) for d, c in zip(
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+        (Fraction(1, 2), Fraction(1, 3), 0, Fraction(1, 5)))]),
+     (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)))],
+    ids=["mixed", "no_singular", "all_singular", "rank3"])
+def test_full_series_is_the_sum_of_every_summand_form(arr, y, mode):
+    # the one lift of the summands with no singular factor, plus the
+    # divided sum of the others, is the sum of every summand's rational
+    # form with all of them divided together: equal in exact mode, and
+    # within 2^-100 relative of it at 128 bits
+    order = 4
+    ctx = EvaluationContext(arr, y, "exact")
+    summands = build_summands(ctx)
+    work = order + division_count(s.denominators for s in summands)
+    want = _summed_at(ctx, summands, work).with_truncation(Truncation(order))
+    assert want.terms
+    got = generating_function(arr, y, order, mode=mode)
+    if mode == "exact":
+        assert got.terms == want.terms
+    else:
+        _assert_close(got, want, 100)
+
+
+def test_full_series_lifts_its_plain_summands_once(monkeypatch):
+    # with no singular summand the full series is one ring.unit_lift and
+    # no sum of rational forms; on MIXED the three plain summands are one
+    # lift, each singular summand with a unit factor one more, and only
+    # the singular summands' forms are summed
+    lifts, sums = [], []
+    real_lift = ExactRing.unit_lift
+    real_sum = genfun.sum_rational_forms
+
+    def counted_lift(self, series, den, K, scale=1):
+        lifts.append(len(series))
+        return real_lift(self, series, den, K, scale)
+
+    def refused(forms, residuals=None):
+        raise AssertionError("a sum of rational forms was made")
+
+    def counted_sum(forms, residuals=None):
+        sums.append(len(forms))
+        return real_sum(forms, residuals)
+
+    monkeypatch.setattr(ExactRing, "unit_lift", counted_lift)
+    monkeypatch.setattr(genfun, "sum_rational_forms", refused)
+    for arr, y in ((triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+                    (Fraction(1, 7), Fraction(2, 11))),
+                   (Arrangement(3, [make_functional(d, c) for d, c in zip(
+                       ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0)),
+                       (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5),
+                        Fraction(1, 7), Fraction(2, 9)))]),
+                    (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13)))):
+        ctx = EvaluationContext(arr, y, "exact")
+        assert len(build_summands(ctx)) > 2
+        assert not any(s.denominators for s in build_summands(ctx))
+        lifts.clear()
+        assert generating_function(arr, y, 5, ctx=ctx).terms
+        assert len(lifts) == 1
+    monkeypatch.setattr(genfun, "sum_rational_forms", counted_sum)
+    ctx = EvaluationContext(MIXED, MIXED_Y, "exact")
+    summands = build_summands(ctx)
+    singular = [s for s in summands if s.denominators]
+    lifts.clear()
+    generating_function(MIXED, MIXED_Y, 3, ctx=ctx)
+    assert len(lifts) == 1 + sum(bool(s.unit_factors) for s in singular)
+    assert sums == [len(singular)]
+
+
+@pytest.mark.parametrize("change", ["drop", "negate"])
+@pytest.mark.parametrize("changed", range(6))
+def test_mixed_series_without_one_summand_fails(changed, change,
+                                                monkeypatch):
+    # on MIXED a singular summand dropped or negated leaves the divided sum
+    # not holomorphic (NonDivisible); a plain one divides nothing, and the
+    # polytope route, which reads no summand, then disagrees
+    real = genfun.build_summands
+
+    def changed_summands(ctx):
+        summands = real(ctx)
+        s = summands[changed]
+        return summands[:changed] + (
+            [] if change == "drop"
+            else [dataclasses.replace(s, weight=-s.weight)]) \
+            + summands[changed + 1:]
+
+    singular = bool(real(EvaluationContext(MIXED, MIXED_Y)
+                         )[changed].denominators)
+    monkeypatch.setattr(genfun, "build_summands", changed_summands)
+    if singular:
+        with pytest.raises(NonDivisible):
+            generating_function(MIXED, MIXED_Y, 3)
+    else:
+        from latticesums.polytope import polytope_report
+        assert polytope_report(MIXED, MIXED_Y, 3)["max_discrepancy"] \
+            != "0 (exact)"
+
+
 def _gaussian_summand_cases():
     """(context, summand, k) for the non-singular summands of one
     arrangement with rational constants (exact mode) and one with a
@@ -1534,15 +1774,24 @@ def _constants_zero(*directions):
                        [make_functional(d, 0) for d in directions])
 
 
-# the positive coroots of B2, G2 and A3 in the basis of fundamental weights
+# the positive coroots of B2, G2, A3, B3, C3 and A4 in the basis of
+# fundamental weights
 B2 = ((1, 0), (0, 1), (1, 1), (1, 2))
 G2 = ((1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
 A3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1))
+B3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (0, 2, 1),
+      (1, 1, 1), (1, 2, 1), (2, 2, 1))
+C3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1),
+      (0, 1, 2), (1, 1, 2), (1, 2, 2))
+A4 = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1),
+      (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1), (0, 0, 1, 0),
+      (0, 0, 1, 1), (0, 0, 0, 1))
 
 
 def test_root_system_arrangements():
     assert root_system("A2").functionals == a2_directions().functionals
-    for name, directions in (("B2", B2), ("G2", G2), ("A3", A3)):
+    for name, directions in (("B2", B2), ("G2", G2), ("A3", A3),
+                             ("B3", B3), ("C3", C3), ("A4", A4)):
         assert root_system(name).functionals \
             == _constants_zero(*directions).functionals
     for name in ("A1", "b2", "E8"):
@@ -1603,6 +1852,35 @@ def test_g2_zeta_value():
     assert format_scalar(zeta_from_S(g2, (2,) * 6)) \
         == "23*pi^12/297904566960"
     assert time.process_time() - start <= 2
+
+
+@pytest.mark.parametrize("name, factor, S, zeta", [
+    ("B3", 48, "19*pi^18/175064906016000", "19*pi^18/8403115488768000"),
+    ("C3", 48, "19*pi^18/175064906016000", "19*pi^18/8403115488768000"),
+    ("A4", 120, "8*pi^20/43398001040625", "pi^20/650970015609375")],
+    ids=["B3", "C3", "A4"])
+def test_rank_three_and_four_zeta_values(name, factor, S, zeta):
+    # S at k = 2 and zeta(2, ..., 2) = S / |W|, each root system within
+    # 10 s of CPU time
+    start = time.process_time()
+    arr = root_system(name)
+    k = (2,) * arr.size
+    assert format_scalar(lattice_sum_value(arr, (0,) * arr.rank, k).value) \
+        == S
+    assert _symmetry_factor(arr, WeightVector.make(k)) == factor
+    assert format_scalar(zeta_from_S(arr, k)) == zeta
+    assert time.process_time() - start <= 10
+
+
+def test_b3_value_against_the_truncated_sum():
+    # the sum over the box |v_j| <= 20 falls short of B3's exact S by
+    # 1.4e-7 relative
+    arr = root_system("B3")
+    k = (2,) * arr.size
+    exact = complex(lattice_sum_value(arr, (0, 0, 0), k).value.embed(CTX))
+    z = complex(truncated_sum(arr, k, (0, 0, 0), TruncationWindow(20)))
+    assert 0 < (exact - z).real <= 2e-7 * abs(exact)
+    assert abs((exact - z).imag) <= 1e-15 * abs(exact)
 
 
 @pytest.mark.parametrize("name, y, want", [

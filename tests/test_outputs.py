@@ -11,6 +11,12 @@ exact are pinned here, one SHA-256 per workload:
 The generic numeric-mode lines and the oracle lines print floats that a
 change may move on purpose, and are left out.  A change that moves an
 exact output on purpose updates the digest here and says so.
+
+The verify polytope lines print only a discrepancy and vertex counts, so
+a fault shared by both routes would not show in them.  The two full
+series that each of those nine operations compares,
+``generating_function`` and ``genfun_via_polytopes``, are pinned too, by
+one SHA-256 of their ``dump()``s.
 """
 
 import hashlib
@@ -20,7 +26,15 @@ from pathlib import Path
 
 import pytest
 
+import latticesums
+from latticesums import genfun_via_polytopes, generating_function
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# the nine polytope operations of the verify workload, the same on every
+# seed: both series, exact mode, in the order of the workload
+SERIES_PINNED = (9, "31f6a65f9641ac6166fa031bc46ee2e5"
+                    "bb55da24d046728d59b37e0a3e1158d1")
 
 PINNED = {
     "manifest": (42, "03e58f7085ad396d0e0dc856d5220080"
@@ -63,3 +77,22 @@ def test_exact_workload_outputs_are_pinned(dump, workload):
         f"`python3 tools/dump_outputs.py > change.txt` here and "
         f"`python3 tools/dump_outputs.py --root <parent checkout> > "
         f"parent.txt`, then `cmp parent.txt change.txt` to find the line")
+
+
+def test_verify_polytope_series_are_pinned(monkeypatch):
+    # the workload's polytope operations call ``latticesums.polytope_report``
+    # at call time: record their inputs instead of running them
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    import workloads
+    inputs = []
+    monkeypatch.setattr(latticesums, "polytope_report",
+                        lambda arr, y, order: inputs.append((arr, y, order)))
+    for op in workloads.build("verify", 1).operations:
+        if op.label.startswith("polytope "):
+            op.call()
+    digest = hashlib.sha256()
+    for arr, y, order in inputs:
+        for build in (generating_function, genfun_via_polytopes):
+            digest.update(build(arr, y, order, mode="exact").dump().encode()
+                          + b"\n")
+    assert (len(inputs), digest.hexdigest()) == SERIES_PINNED

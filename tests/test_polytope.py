@@ -7,7 +7,8 @@ from mpmath.ctx_mp import MPContext
 
 from latticesums import intlinalg, polytope
 from latticesums.families import a2_directions, hurwitz_a1, triangle
-from latticesums.genfun import (EvaluationContext, generating_function,
+from latticesums.genfun import (EvaluationContext, UnitParts,
+                                generating_function, lift_units,
                                 relative_form)
 from latticesums.lattice import (Arrangement, GaussianRational,
                                  in_singular_locus, make_functional)
@@ -191,18 +192,18 @@ def _check_witnesses(arr, y):
                     {x: c for x, c in want.items() if c}
         ctx = EvaluationContext(arr_p, y, "exact")
         seen = []
-        real = polytope._vertex_rational_form
+        real = polytope._vertex_parts
 
         def recorded(ctx_, dec_, exponent, edges, dens, order):
             seen.append((edges, dens))
             return real(ctx_, dec_, exponent, edges, dens, order)
 
-        # the vertex forms are built when the working order is at least
+        # the vertex parts are built when the working order is at least
         # the number of non-integral constants
         order = sum(ctx.constant(f) != int(ctx.constant(f))
                     for f in range(arr.size))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polytope, "_vertex_rational_form", recorded)
+            mp.setattr(polytope, "_vertex_parts", recorded)
             genfun_via_polytopes(arr_p, y, order, ctx=ctx)
         assert len(seen) == sum(len(verts) for _, verts in translates)
         for edges, dens in seen:
@@ -495,12 +496,18 @@ def test_reconstruction_equals_direct_small_cases(generic_y2):
 
 def test_vertex_unit_edges_are_one_unit_product(generic_y2, monkeypatch):
     # a vertex's numerator, its exponential and all of its non-singular
-    # edge denominators (each at power one), is one unit product, also for
-    # a vertex with no unit edge, and no series product; the cases meet
-    # vertices with zero, one and two unit edges
-    products, muls, units_seen = [], [], set()
-    real_product = polytope.unit_product
-    real_vertex = polytope._vertex_rational_form
+    # edge denominators (each at power one), is the parts of one unit
+    # product, also for a vertex with no unit edge, and no series product;
+    # the vertices with no singular edge, of every translate, are lifted
+    # in one call, and each vertex with one on its own, over its singular
+    # edge denominators; the cases meet vertices with zero, one and two
+    # unit edges
+    products, muls, units_seen, lifts, built, divided = \
+        [], [], set(), [], [], []
+    real_product = polytope.unit_parts
+    real_vertex = polytope._vertex_parts
+    real_lift = polytope.lift_units
+    real_sum = polytope.sum_rational_forms
     real_mul = TruncatedSeries.__mul__
 
     def counted_product(ring, factors, vars, trunc, exponent=None, scale=1):
@@ -511,23 +518,41 @@ def test_vertex_unit_edges_are_one_unit_product(generic_y2, monkeypatch):
         products.clear()
         muls.clear()
         monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
-        form = real_vertex(ctx, dec, exponent, edges, dens, order)
+        parts = real_vertex(ctx, dec, exponent, edges, dens, order)
         monkeypatch.setattr(TruncatedSeries, "__mul__", real_mul)
         units = sum(not d.singular for d in dens)
         assert products == [([1] * units, True)]
         assert muls == []
-        assert len(form.denominators) == len(dens) - units
+        assert isinstance(parts, UnitParts)
         units_seen.add(units)
-        return form
+        built.append((parts, len(dens) - units))
+        return parts
 
     def counted_mul(a, b):
         muls.append((a, b))
         return real_mul(a, b)
 
-    monkeypatch.setattr(polytope, "unit_product", counted_product)
-    monkeypatch.setattr(polytope, "_vertex_rational_form", counted_vertex)
+    def counted_lift(ring, vars, trunc, parts):
+        lifts.append([id(p) for p in parts])
+        return real_lift(ring, vars, trunc, parts)
+
+    def counted_sum(forms):
+        divided.extend(len(f.denominators) for f in forms)
+        return real_sum(forms)
+
+    monkeypatch.setattr(polytope, "unit_parts", counted_product)
+    monkeypatch.setattr(polytope, "_vertex_parts", counted_vertex)
+    monkeypatch.setattr(polytope, "lift_units", counted_lift)
+    monkeypatch.setattr(polytope, "sum_rational_forms", counted_sum)
     for arr in _unit_edge_cases(Fraction(1, 2), Fraction(1, 3)):
+        built.clear()
+        lifts.clear()
+        divided.clear()
         genfun_via_polytopes(arr, generic_y2, 3)
+        plain = [id(p) for p, singular in built if not singular]
+        alone = [[id(p)] for p, singular in built if singular]
+        assert sorted(lifts) == sorted(alone + [plain])
+        assert sorted(divided) == sorted(s for _, s in built if s)
     assert units_seen == {0, 1, 2}
 
 
@@ -547,21 +572,21 @@ def _unit_edge_cases(a, b):
      GaussianRational(Fraction(1, 3), Fraction(-1, 5)))])
 def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
                                             monkeypatch):
-    # each vertex's one unit product is the closed-form exponential of its
-    # exponent times the generic series inverse of every unit edge
-    # denominator: equal in exact mode, and within 2^-120 relative at 128
-    # bits in numeric mode, where the constants are Gaussian; a misplaced
-    # root of unity or power of 2 pi i moves its coefficients.  The
-    # vertices have zero, one and two unit edges.
+    # each vertex's parts, lifted on their own, are the closed-form
+    # exponential of its exponent times the generic series inverse of
+    # every unit edge denominator: equal in exact mode, and within 2^-120
+    # relative at 128 bits in numeric mode, where the constants are
+    # Gaussian; a misplaced root of unity or power of 2 pi i moves its
+    # coefficients.  The vertices have zero, one and two unit edges.
     calls = []
-    real_product = polytope.unit_product
+    real_product = polytope.unit_parts
 
     def recorded(ring, factors, vars, trunc, exponent=None, scale=1):
         out = real_product(ring, factors, vars, trunc, exponent, scale)
         calls.append((ring, factors, vars, trunc, exponent, scale, out))
         return out
 
-    monkeypatch.setattr(polytope, "unit_product", recorded)
+    monkeypatch.setattr(polytope, "unit_parts", recorded)
     for arr in _unit_edge_cases(a, b):
         genfun_via_polytopes(arr, generic_y2, 3, mode=mode)
     assert {len(factors) for _, factors, *_ in calls} == {0, 1, 2}
@@ -570,7 +595,8 @@ def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
                > 1 for call in calls)
     # the weight |det| / index of some vertices is not 1
     assert any(call[5] != 1 for call in calls)
-    for ring, factors, vars, trunc, exponent, scale, out in calls:
+    for ring, factors, vars, trunc, exponent, scale, parts in calls:
+        out = lift_units(ring, vars, trunc, [parts])
         want = form_exp(exponent, ring, vars, trunc)
         for form, k in factors:
             assert k == 1

@@ -37,39 +37,27 @@ Every summand reads its kernels one grid per coset
 root-free parts, with the coset's one root e^{2 pi i q_w} kept apart, to
 be applied once, or not at all when q_w is an integer.
 
-Two evaluation strategies read the summands:
-
-* ``generating_function`` assembles the full truncated series, every
-  variable live (fine for small arrangements and used by all
-  cross-checks; the hierarchy check starts from the same forms).  One
-  summand builder, ``summand_parts``, writes a summand's numerator out
-  as the integer parts of one unit product: every factor t_g / den_g and
-  every singular t_g carries the monomial t_g, so the rest of the
-  summand is built below the requested order by one degree for each
-  t_g, and prod t_g is applied once, as an exponent shift of the parts.
-  The summands with no singular factor are lifted together, in one
-  ``lift_units``; the others are rational forms over their singular
-  denominators (``summand_rational_form``), which
-  ``series.sum_rational_forms`` divides out of their sum, the one
-  division path.
-* ``coefficient`` targets a single exponent vector k, with no
-  component, common denominator or division.  In the field of iterated
-  Laurent series in which each variable dominates those of later
-  functionals (G. Xin, *A fast algorithm for MacMahon's partition
-  analysis*, Electron. J. Combin. 11 (2004) R58), every summand has its
-  own expansion and their sum is the expansion of the holomorphic total,
-  its Taylor series; so [t^k] of the total is the sum over the summands
-  of their own [t^k] (``_unit_summand_value``).  Each t_g outside the
-  basis appears only in t_g / den_g, den_g = t_g - U_g, and collapses
-  by one of three rules: a unit den_g gives -U_g^{-k_g} (0 at
-  k_g = 0); a singular den_g whose t_g precedes every variable of U_g
-  gives U_g^{-k_g} for k_g <= 0, so 1 at k_g = 0, and 0 for k_g > 0; any
-  other singular den_g gives -U_g^{-k_g} (0 at k_g <= 0), U_g^{-k}
-  expanded around its first variable.  What is left is read at k_B in
-  the basis variables, from the integer series of the collapsed factors
-  and each coset's grid, the coset's root applied last.  The sums of the summands' reads at k with
-  k_v = -1, for each variable v that leads a singular factor, must
-  vanish (``_check_holomorphy``), else NonDivisible.
+The evaluator divides nothing.  In the field of iterated Laurent series
+in which each variable dominates those of later functionals (G. Xin, *A
+fast algorithm for MacMahon's partition analysis*, Electron. J. Combin.
+11 (2004) R58), every summand has its own expansion and their sum is the
+expansion of the holomorphic total, its Taylor series; so [t^k] of the
+total is the sum over the summands of their own [t^k]
+(``_unit_summand_value``).  Each t_g outside the basis appears only in
+t_g / den_g, den_g = t_g - U_g, and collapses by one of three rules: a
+unit den_g gives -U_g^{-k_g} (0 at k_g <= 0); a singular den_g whose t_g
+precedes every variable of U_g gives U_g^{-k_g} for k_g <= 0, so 1 at
+k_g = 0, and 0 for k_g > 0; any other singular den_g gives -U_g^{-k_g}
+(0 at k_g <= 0), U_g^{-k} expanded around its first variable.  What is
+left is read at k_B in the basis variables, from the integer series of
+the collapsed factors and each coset's grid.  ``coefficient`` reads one
+k; ``generating_function`` reads every exponent through its order, but
+lifts the summands with no singular factor, Taylor series, together
+(``summand_parts``).  The reads at exponents with one entry -1, at a
+variable that leads a singular factor, must cancel
+(``_check_holomorphy``).  Only the two check routes divide
+(``series.sum_rational_forms``): the polytope reconstruction and the
+hierarchy check.
 
 Each input rule has one home: a context fixes the mode, precision and
 phi (``_context``), ``lattice_sum_value`` refuses the excluded points and
@@ -108,8 +96,9 @@ from .lattice import (Arrangement, GaussianRational, GenericDirection,
                       arrangement_data, choose_phi, frac_part, is_generic,
                       on_excluded_hyperplanes)
 from .scalar import ExactRing, NumericRing
-from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
-                     convolve, division_count, sum_rational_forms)
+from .series import LinearForm, TruncatedSeries, Truncation, convolve
+# unused here, but the benchmark's tracer patches genfun.sum_rational_forms
+from .series import sum_rational_forms  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -355,26 +344,17 @@ def build_summands(ctx: EvaluationContext) -> List[Summand]:
     return out
 
 
-def summand_rational_form(ctx: EvaluationContext, s: Summand,
-                          trunc: Truncation) -> RationalForm:
-    """The summand as a rational form in every variable, its numerator
-    truncated at `trunc`:
-
-        weight * sum_w prod_m K_m(w) * prod_unit t_g / den_g
-               * prod_singular t_g
-
-    over the singular denominators: its ``summand_parts``, lifted on their
-    own."""
-    return RationalForm(lift_units(ctx.ring, ctx.vars, trunc,
-                                   [summand_parts(ctx, s, trunc)]),
-                        s.denominators)
-
-
 def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
                   ) -> UnitParts:
-    """The numerator of ``summand_rational_form`` as the integer parts of
-    one unit product, before the lift, so that the summands with no
-    singular factor are lifted together (``generating_function``).
+    """The summand's numerator in every variable, truncated at `trunc`,
+
+        weight * sum_w prod_m K_m(w) * prod_unit t_g / den_g
+               * prod_singular t_g,
+
+    as the integer parts of one unit product, before the lift, so that
+    the summands with no singular factor are lifted together
+    (``generating_function``); over the singular den_g it is the
+    summand's rational form, which the hierarchy check lifts on its own.
 
     Every t_g is a monomial, so everything else is built below `trunc` by
     one degree for each of them: the weight times the coset sum of kernel
@@ -439,24 +419,35 @@ def generating_function(arr: Arrangement, y: Sequence, order: int,
                         ctx: Optional[EvaluationContext] = None
                         ) -> TruncatedSeries:
     """Taylor expansion of the generating function through total degree
-    `order`, at any y, excluded or not.  The summands are built at the
-    working order order + divisions: ``sum_rational_forms`` divides each
-    distinct singular den_g out of the sum of the summands that carry one,
-    and each exact division loses one degree.  The summands with no
-    singular factor divide nothing: their ``summand_parts`` are added in
-    integers and lifted together, in one ``lift_units``."""
+    `order`, at any y, excluded or not, with no division: the summands
+    with no singular factor lifted together (``lift_units``), and every
+    other summand read at each exponent through `order`
+    (``_summand_reads``), checked at every exponent through `order` with
+    one entry -1 at a variable that leads one of its singular factors."""
     ctx = _context(arr, y, mode, precision, phi, ctx)
+    ring, trunc = ctx.ring, Truncation(order)
     summands = build_summands(ctx)
-    work = order + division_count(s.denominators for s in summands)
-    trunc = Truncation(work)
-    total = lift_units(ctx.ring, ctx.vars, trunc,
+    total = lift_units(ring, ctx.vars, trunc,
                        [summand_parts(ctx, s, trunc)
                         for s in summands if not s.denominators])
     singular = [s for s in summands if s.denominators]
     if singular:
-        total = total + sum_rational_forms(
-            [summand_rational_form(ctx, s, trunc) for s in singular])
-    return total.with_truncation(Truncation(order))
+        n = len(ctx.vars)
+        exps, lower = _exponents(n, order), _exponents(n - 1, order + 1)
+        sums = _summand_reads(ctx, singular, exps, lambda v: [
+            e[:v] + (-1,) + e[v:] for e in lower])
+        total = total + TruncatedSeries(ring, ctx.vars, trunc, {
+            e: c for e, c in zip(exps, sums) if not ring.is_zero(c)})
+    return total
+
+
+def _exponents(n: int, total: int) -> List[tuple]:
+    """Every exponent of n nonnegative entries that sum to at most
+    `total`."""
+    if n == 0:
+        return [()]
+    return [(a,) + rest for a in range(total + 1)
+            for rest in _exponents(n - 1, total - a)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,15 +667,6 @@ def lift_units(ring, vars, trunc: Truncation, parts: Sequence[UnitParts]
     return TruncatedSeries(ring, vars, trunc, ring.unit_lift(series, L, K))
 
 
-def unit_product(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
-                 trunc: Truncation, exponent: Optional[LinearForm] = None,
-                 scale=1, times: Optional[Dict[tuple, object]] = None
-                 ) -> TruncatedSeries:
-    """The ``unit_parts`` of these arguments, lifted (``lift_units``)."""
-    return lift_units(ring, vars, trunc, [unit_parts(
-        ring, factors, vars, trunc, exponent, scale, times)])
-
-
 def _span(exps) -> Truncation:
     """The least truncation that keeps every exponent of `exps`."""
     exps = list(exps)
@@ -693,8 +675,9 @@ def _span(exps) -> Truncation:
 
 
 def _unit_summand_value(ctx: EvaluationContext, s: Summand,
-                        k: WeightVector, checks: Optional[dict] = None):
-    """[t^k] of a summand, with no series beyond what meets t^k:
+                        targets: Sequence[tuple]) -> list:
+    """[t^k] of a summand at each exponent k of `targets`, with no series
+    beyond what meets t^k:
 
         weight * sum_w e^{2 pi i q_w} sum_e F[e] * A_w[k_B - e],
 
@@ -705,30 +688,25 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     the singular factors' part), as F[e] = +-(2 pi i)^(-(K + |e|)) G[e] /
     den, with no scalar built for it: per coset and per degree n the sum
     over |e| = n of G[e] * A_w[k_B - e] is one integer combination of the
-    grid values, lifted once, in one ``ring.unit_lift`` for every coset;
-    each coset's one root of unity is applied last.
-
-    With `checks`, a dict, the summand is read again at k with k_v = -1
-    for each v that leads one of its singular factors, on the same unit
-    part and grids, and each value is appended to ``checks[v]``
-    (``_check_holomorphy``)."""
+    grid values, lifted once, in one ``ring.unit_lift`` per exponent for
+    every coset; each coset's one root of unity is applied last.  The
+    grids are built once for all the exponents, the unit factors' part
+    once per set of their k_g.  An entry may be -1 (``_check_holomorphy``).
+    """
     ring = ctx.ring
     members = ctx.arr.bases[s.bidx].members
     vars = tuple(ctx.vars[m] for m in members)
-    if any(k.weights[g] == 0 for g, _ in s.unit_factors):
-        return ring.zero()  # [t_g^0] (t_g * unit) = 0
     # (g, U_g, lead) per singular den_g = t_g - U_g, lead the functional
-    # whose variable dominates: g when t_g precedes every variable of U_g
-    singular = []
-    for g, form in s.degenerate_factors:
-        u = _dead_unit(ctx, g, form)
-        singular.append((g, u, min(g, *map(ctx.vars.index, u.coeffs))))
-    targets = {None: k.weights}
-    for _, _, v in singular if checks is not None else ():
-        targets.setdefault(v, k.weights[:v] + (-1,) + k.weights[v + 1:])
-    reads = []  # (v, k_B, the singular part or [] when none, sign)
-    for v, kappa in targets.items():
-        factors, sign = [], (-1) ** len(s.unit_factors)
+    # whose variable dominates, its first: g when t_g precedes all of U_g
+    singular = [(g, _dead_unit(ctx, g, form),
+                 min(map(ctx.vars.index, form.coeffs)))
+                for g, form in s.degenerate_factors]
+    reads = {}  # per unit k_g: [(target index, k_B, singular part, sign)]
+    for i, kappa in enumerate(targets):
+        units = tuple(kappa[g] for g, _ in s.unit_factors)
+        if units and min(units) <= 0:
+            continue  # [t_g^k_g] (t_g * unit) = 0
+        factors, sign = [], (-1) ** len(units)
         for g, u, lead in singular:
             kg = kappa[g]
             if (kg > 0) if lead == g else (kg <= 0):
@@ -739,35 +717,40 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
                     sign = -sign
         else:
             box = tuple(kappa[m] for m in members)
-            part = factors and _unit_numerators(factors, vars,
-                                                Truncation(sum(box), box))
-            if not factors or part[0]:
-                reads.append((v, box, part, sign))
-    if not reads:
-        return ring.zero()
-    # the unit factors' part, once, on every exponent that a read meets
-    U, uden, uK = _unit_numerators(
-        [(_dead_unit(ctx, g, form), k.weights[g])
-         for g, form in s.unit_factors], vars,
-        _span(tuple(map(sub, box, e)) for _, box, part, _ in reads
-              for e in (part[0] if part else [(0,) * len(vars)])))
-    products = []
-    for v, box, part, sign in reads:
-        G, den, K = U, uden, uK
-        if part:
-            G = convolve(U, [(e, c, sum(e)) for e, c in part[0].items()],
-                         Truncation(sum(box), box))
-            den, K = den * part[1], K + part[2]
-        # G[e] with the grid exponent k_B - e that it meets
-        pairs = [(tuple(map(sub, box, e)), sum(e), c) for e, c in G.items()]
-        products.append((v, [p for p in pairs if min(p[0]) >= 0], den, K,
-                         sign))
-    grid_exps = [e for _, pairs, *_ in products for e, _, _ in pairs]
-    if not grid_exps:
-        return ring.zero()
-    grids = _coset_grids(ctx, s.bidx, _span(grid_exps))
-    value = ring.zero()
-    for v, pairs, den, K, sign in products:
+            if not factors:
+                if min(box) >= 0:
+                    reads.setdefault(units, []).append((i, box, None, sign))
+                continue
+            part = _unit_numerators(factors, vars, Truncation(sum(box), box))
+            if part[0]:
+                reads.setdefault(units, []).append((i, box, part, sign))
+    out = [ring.zero()] * len(targets)
+    products = []  # (target index, [(k_B - e, |e|, G[e])], den, K, sign)
+    for units, group in reads.items():
+        # the unit factors' part, once, on every exponent that a read meets
+        U, uden, uK = _unit_numerators(
+            [(_dead_unit(ctx, g, form), kg)
+             for (g, form), kg in zip(s.unit_factors, units)], vars,
+            _span(tuple(map(sub, box, e)) for _, box, part, _ in group
+                  for e in (part[0] if part else [(0,) * len(vars)])))
+        for i, box, part, sign in group:
+            G, den, K = U, uden, uK
+            if part:
+                G = convolve(U, [(e, c, sum(e)) for e, c in part[0].items()],
+                             Truncation(sum(box), box))
+                den, K = den * part[1], K + part[2]
+            # G[e] with the grid exponent k_B - e that it meets
+            pairs = [(tuple(map(sub, box, e)), sum(e), c)
+                     for e, c in G.items()]
+            pairs = [p for p in pairs if min(p[0]) >= 0]
+            if pairs:
+                products.append((i, pairs, den, K, sign))
+    if not products:
+        return out
+    grids = _coset_grids(ctx, s.bidx,
+                         _span(e for _, pairs, *_ in products
+                               for e, _, _ in pairs))
+    for i, pairs, den, K, sign in products:
         series = {}
         for w, (grid, _) in enumerate(grids):
             parts = [(n, c, grid[e]) for e, n, c in pairs if e in grid]
@@ -779,12 +762,8 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
             acc = lifted.get(w)
             if acc is not None:
                 total = total + (acc if root is None else acc * root)
-        total = ring.scale(total, sign * s.weight)
-        if v is None:
-            value = total
-        else:
-            checks.setdefault(v, []).append(total)
-    return value
+        out[i] = ring.scale(total, sign * s.weight)
+    return out
 
 
 # the coefficients computed in this process, most recently used last (see
@@ -831,37 +810,57 @@ def coefficient(arr: Arrangement, y: Sequence, k,
 
 def _coefficient_components(ctx: EvaluationContext, k: WeightVector):
     """[t^k] of the generating function: the sum over the summands of
-    their reads at k (``_unit_summand_value``), with no component, common
-    denominator or division, after ``_check_holomorphy``."""
-    checks: Dict[int, list] = {}
-    total = ctx.ring.zero()
-    for s in build_summands(ctx):
-        total = total + _unit_summand_value(ctx, s, k, checks)
-    _check_holomorphy(ctx.ring, checks)
-    return total
+    their reads at k (``_summand_reads``), checked at k with k_v = -1."""
+    return _summand_reads(ctx, build_summands(ctx), [k.weights], lambda v: [
+        k.weights[:v] + (-1,) + k.weights[v + 1:]])[0]
 
 
-def _check_holomorphy(ring, checks: Dict[int, list]) -> None:
-    """NonDivisible unless the summands' reads at k with k_v = -1 sum to
-    zero for each v in `checks`: exactly in exact mode, and within
-    2^(-precision/2) times the largest read in numeric mode.
+def _summand_reads(ctx: EvaluationContext, summands: Sequence[Summand],
+                   targets: Sequence[tuple], checks) -> list:
+    """Per exponent of `targets`, the sum over `summands` of their reads
+    (``_unit_summand_value``), after ``_check_holomorphy`` of their reads
+    at ``checks(v)`` for each v that leads (comes first in) a singular
+    factor of theirs."""
+    ring = ctx.ring
+    sums = [ring.zero()] * len(targets)
+    held: Dict[tuple, list] = {}
+    size = 0.0
+    for s in summands:
+        extra = [e for v in sorted({min(map(ctx.vars.index, form.coeffs))
+                                    for form in s.denominators})
+                 for e in checks(v)]
+        values = _unit_summand_value(ctx, s, list(targets) + extra)
+        sums = [a + b for a, b in zip(sums, values)]
+        for e, x in zip(extra, values[len(targets):]):
+            held.setdefault(e, []).append(x)
+        if not ring.exact:
+            size = max(size, *map(ring.magnitude, values))
+    _check_holomorphy(ring, held, size)
+    return sums
+
+
+def _check_holomorphy(ring, checks: Dict[tuple, list], size: float
+                      ) -> None:
+    """NonDivisible unless the summands' reads at each exponent of
+    `checks` sum to zero: exactly in exact mode, and in numeric mode
+    within 2^(-precision/2) times `size`, the largest read of the
+    evaluation, as ``series.divide_exact`` measures its remainder by the
+    largest term of what it divides (a check whose exact reads are all
+    zero reads rounding noise, which cannot measure itself).
 
     The total is holomorphic: its expansion is its Taylor series, with no
     term at a negative exponent.  A summand whose factors v leads none of
     is a Taylor series in t_v and reads zero there.  So the check sees a
     summand left out, or taken with the wrong sign, that reads nonzero at
     one of these exponents, and nothing that reads zero at all of them."""
-    for v, reads in checks.items():
+    tol = 0.0 if ring.exact else 2.0 ** (-ring.precision / 2) * size
+    for e, reads in checks.items():
         total = sum(reads[1:], reads[0])
-        if ring.exact:
-            ok = ring.is_zero(total)
-        else:
-            ok = ring.magnitude(total) <= 2.0 ** (-ring.precision / 2) \
-                * max(map(ring.magnitude, reads))
-        if not ok:
-            raise NonDivisible(f"the summands do not cancel at t{v}^-1: "
+        if not (ring.is_zero(total) if ring.exact
+                else ring.magnitude(total) <= tol):
+            raise NonDivisible(f"the summands do not cancel at t^{e}: "
                                f"their sum is not holomorphic",
-                               residual={v: total})
+                               residual={e: total})
 
 
 # ---------------------------------------------------------------------------

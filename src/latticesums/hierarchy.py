@@ -17,13 +17,13 @@ hold g the operator multiplies the numerator by
 
 and divides by t_g: one series product per summand and removal.  The
 summands come from the evaluator's one summand builder
-(``genfun.summand_rational_form``), one per basis (the coset sum of its
-kernel products times its factors, applied once), every variable live,
-built below the working order by one degree per t_g and shifted once;
-only the bases that hold no removed functional are built, since a
-removal annihilates the others.  A removal then multiplies the numerator
-by den_g and appends t_g to the denominators, which the final
-``sum_rational_forms`` divides out with the singular ones.  Each exact
+(``genfun.summand_parts``), one per basis, lifted on their own over their
+singular den_g; only the bases that hold no removed functional are
+built, since a removal annihilates the others.  A removal then
+multiplies the numerator by den_g and appends t_g to the denominators,
+which the final ``sum_rational_forms`` divides out with the singular
+ones: unlike the evaluator it is compared with
+(``genfun.generating_function``), this check divides.  Each exact
 division loses one degree, so the working order is the compared order
 plus the divisions: the singular den_g and the removed t_g that the
 surviving summands carry (``division_count``).  The sub-arrangement's
@@ -45,8 +45,8 @@ from typing import Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import RankDrop
-from .genfun import (EvaluationContext, generating_function,
-                     summand_rational_form)
+from .genfun import (EvaluationContext, generating_function, lift_units,
+                     summand_parts)
 from .lattice import Arrangement
 from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
                      coefficient_discrepancy, division_count,
@@ -120,7 +120,10 @@ def check_hierarchy(arr: Arrangement, keep: Sequence[int], y: Sequence,
                 if set(removed).isdisjoint(ctx.arr.bases[s.bidx].members)]
     tgs = [LinearForm({ctx.vars[g]: Fraction(1)}) for g in removed]
     work = order + division_count(s.denominators + tgs for s in summands)
-    states = [(s.bidx, summand_rational_form(ctx, s, Truncation(work)))
+    trunc = Truncation(work)
+    states = [(s.bidx, RationalForm(lift_units(ctx.ring, ctx.vars, trunc,
+                                               [summand_parts(ctx, s, trunc)]),
+                                    s.denominators))
               for s in summands]
     steps = [HierarchyStep(g, ctx.constant(g), arr.functionals[g].direction)
              for g in removed]

@@ -135,8 +135,8 @@ class ExactRing:
                            {key: v // gb * a for key, v in x.terms.items()},
                            x.den // ga * (b // gb))
 
-    def unit_lift(self, series: dict, den: int, K: int, scale=1) -> dict:
-        """``{key: sum over (n, v, x) of x v scale / (den (2 pi i)^(K+n))}``
+    def unit_lift(self, series: dict, den: int, K: int) -> dict:
+        """``{key: sum over (n, v, x) of x v / (den (2 pi i)^(K+n))}``
         for ``series = {key: [(n, v, x), ...]}``, v an int or a Gaussian
         integer (a GaussianRational with int parts) and x a scalar; a key
         whose sum is zero is left out.
@@ -145,12 +145,10 @@ class ExactRing:
         x is turned by a power of i (by one less for the imaginary part of
         v), through the basis-product table, and moved to its power of pi,
         and the numerators of one key are added in integers over one
-        denominator, den times scale's denominator times 2^(K + its largest
-        n) times the lcm of its x's denominators, and cancelled once.  The
-        turned terms of an x are built once per (x, n): a shared x, such as
-        a root of unity, is turned once per call."""
-        scale = Fraction(scale)
-        sn, sd = scale.numerator, scale.denominator
+        denominator, den times 2^(K + its largest n) times the lcm of its
+        x's denominators, and cancelled once.  The turned terms of an x are
+        built once per (x, n): a shared x, such as a root of unity, is
+        turned once per call."""
         table = self.field.basis_products
         product = self.field.basis_product
         # per id(x): {2 n + imag: [((pi power, exps), int)]}
@@ -181,7 +179,7 @@ class ExactRing:
             # the key's denominator; their gcd with it is taken out first
             picked = []
             for n, v, x in parts:
-                w = (sn << (top - n)) * (lcm // x.den)
+                w = (1 << (top - n)) * (lcm // x.den)
                 if type(v) is int:
                     picked.append((place(x, n, 0), v * w))
                 else:
@@ -189,7 +187,7 @@ class ExactRing:
                         picked.append((place(x, n, 0), v.re.numerator * w))
                     if v.im:
                         picked.append((place(x, n, 1), v.im.numerator * w))
-            dk = den * sd * lcm << (K + top)
+            dk = den * lcm << (K + top)
             g = math.gcd(dk, *(c for _, c in picked))
             acc: Dict[tuple, int] = {}
             get = acc.get
@@ -378,18 +376,16 @@ class NumericRing:
         """x times the int or Fraction q."""
         return x * q.numerator / q.denominator
 
-    def unit_lift(self, series: dict, den: int, K: int, scale=1) -> dict:
-        """``{key: sum over (n, v, x) of x v scale / (den (2 pi i)^(K+n))}``
+    def unit_lift(self, series: dict, den: int, K: int) -> dict:
+        """``{key: sum over (n, v, x) of x v / (den (2 pi i)^(K+n))}``
         for ``series = {key: [(n, v, x), ...]}``, as ``ExactRing.unit_lift``.
-        v scale / (den (2 pi i)^(K+n)) is rounded once per (n, v) of a
-        call, from (2 pi i)^(-K) times n factors (2 pi i)^(-1), and its
-        product with x once per term."""
-        scale = Fraction(scale)
-        sn, sd = scale.numerator, scale.denominator
+        v / (den (2 pi i)^(K+n)) is rounded once per (n, v) of a call, from
+        (2 pi i)^(-K) times n factors (2 pi i)^(-1), and its product with x
+        once per term."""
         step = 1 / self.two_pi_i()
         lifts = [step ** K]
         i = self._i
-        weights: dict = {}  # (n, v) -> v scale / (den (2 pi i)^(K+n))
+        weights: dict = {}  # (n, v) -> v / (den (2 pi i)^(K+n))
         out = {}
         for key, parts in series.items():
             total = None
@@ -400,12 +396,11 @@ class NumericRing:
                         lifts.append(lifts[-1] * step)
                     # a Laurent term has n < 0, and K + n >= 0
                     lift = lifts[n] if n >= 0 else step ** (K + n)
-                    d = den * sd
                     if type(v) is int:
-                        f = self.scale(lift, Fraction(v * sn, d))
+                        f = self.scale(lift, Fraction(v, den))
                     else:
-                        f = self.scale(lift, Fraction(v.re * sn, d)) \
-                            + self.scale(lift * i, Fraction(v.im * sn, d))
+                        f = self.scale(lift, Fraction(v.re, den)) \
+                            + self.scale(lift * i, Fraction(v.im, den))
                     weights[n, v] = f
                 term = f * x
                 total = term if total is None else total + term

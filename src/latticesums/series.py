@@ -21,15 +21,16 @@ closed-form evaluators work:
   exponential, one exact product over Q of all the inverses of a summand
   or of the whole numerator of a polytope vertex, each coefficient built
   once from its int numerators (``ring.unit_lift``, once for all the
-  summands or vertices of a full series that divide nothing);
+  summands of a full series with no singular factor, or all the vertices
+  with no singular edge);
 * ``divide_exact`` -- division by a singular linear form, valid exactly
   because the assembled sums are holomorphic even though the individual
   summands are not.  Polynomial division in the variable of the largest
   |q_v| yields the quotient with rational scalings only, and a remainder
   free of that variable, zero exactly when the form divides.  Only the
-  full series divide (``genfun.generating_function`` and the polytope and
-  hierarchy checks); a single coefficient is a sum of per-summand reads
-  with no division (``genfun.coefficient``);
+  two check routes divide, ``polytope.genfun_via_polytopes`` and
+  ``hierarchy.check_hierarchy``; the evaluator (``genfun``) reads its
+  summands in a field of iterated Laurent series;
 * ``sum_rational_forms`` -- combination of summands carrying such singular
   denominators over a common product of one representative per merge key:
   each numerator scaled to those representatives and multiplied by the

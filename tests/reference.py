@@ -26,8 +26,9 @@ evaluators take from shortcuts:
   membership, the powers of pi, an exact scalar re-expressed in a larger
   cyclotomic field, a functional's value at a lattice point, an
   arrangement with its functionals reordered, the character sums over a
-  basis's coset representatives and a series builder with one
-  coefficient perturbed.
+  basis's coset representatives, a series builder with one coefficient
+  perturbed and a summand's rational form as the hierarchy check builds
+  it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from latticesums import intlinalg
 from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
 from latticesums.genfun import (EvaluationContext, _coset_grids, _dead_unit,
-                                _unit_numerators, unit_product)
+                                _unit_numerators, lift_units, summand_parts,
+                                unit_parts)
 from latticesums.kernel import (KernelParams, _apostol_numbers,
                                 bernoulli_numbers, kernel_series)
 from latticesums.lattice import (Arrangement, Basis, Functional,
@@ -395,7 +397,7 @@ def termwise_product(ring, pairs, trunc, scale=1) -> dict:
 
 def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
     """1/form for a form with a nonzero constant: the generic series
-    inverse of the form, independent of ``genfun.unit_product``."""
+    inverse of the form, independent of ``genfun.unit_parts``."""
     return form_power(form, ring, vars, trunc, 1).invert_unit()
 
 
@@ -429,7 +431,7 @@ def form_exp(form, ring, vars, trunc) -> TruncatedSeries:
     """e^form = e^(-2 pi i c) e^L for a LinearForm with constant c and
     linear part L, from its closed form: the coefficient of t^e is
     e^(-2 pi i c) / (|e|! D^|e|) times the integer of
-    ``LinearForm.monomials``.  Independent of ``genfun.unit_product``, which
+    ``LinearForm.monomials``.  Independent of ``genfun.unit_parts``, which
     expands the vertex exponentials in production; in the exact ring, c
     must be rational."""
     root = ring.root_of_unity(-form.c)
@@ -444,10 +446,10 @@ def form_exp(form, ring, vars, trunc) -> TruncatedSeries:
 
 def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
                           scale=1) -> TruncatedSeries:
-    """``genfun.unit_product`` with its integer series lifted term by term:
+    """``genfun.unit_parts`` with its integer series lifted term by term:
     the int numerators from ``genfun._unit_numerators`` (and the
     exponential's, convolved per degree n of the unit factors as
-    ``unit_product`` does), then each term lifted with one ``ring.scale``
+    ``unit_parts`` does), then each term lifted with one ``ring.scale``
     of root * (2 pi i)^(-(K + n)), built once per n (one more per part for
     a Gaussian numerator), the terms of one exponent added in the ring and
     every coefficient scaled by `scale` last.  Independent of
@@ -489,7 +491,7 @@ def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
 
 def termwise_unit_summand(ctx: EvaluationContext, s, k):
     """``genfun._unit_summand_value`` as a dot product per coset: F, the
-    product of the collapsed unit factors, as one ``unit_product`` series
+    product of the collapsed unit factors, as one ``unit_parts`` series
     in the ring, then per coset one ring product F[e] * A_w[k_B - e] per
     term of F, the coset's root, the sign and the weight last."""
     ring = ctx.ring
@@ -499,8 +501,9 @@ def termwise_unit_summand(ctx: EvaluationContext, s, k):
     trunc = Truncation(sum(box), box)
     if any(k.weights[g] == 0 for g, _ in s.unit_factors):
         return ring.zero()
-    F = unit_product(ring, [(_dead_unit(ctx, g, form), k.weights[g])
-                            for g, form in s.unit_factors], vars, trunc)
+    F = lift_units(ring, vars, trunc, [unit_parts(
+        ring, [(_dead_unit(ctx, g, form), k.weights[g])
+               for g, form in s.unit_factors], vars, trunc)])
     total = ring.zero()
     for grid, root in _coset_grids(ctx, s.bidx, trunc):
         acc = ring.zero()
@@ -564,6 +567,17 @@ def full_order_summand(ctx: EvaluationContext, bidx: int,
         else:
             num = num * unit_inverse(ring, vars, trunc, form)
     return RationalForm(num, denoms)
+
+
+def summand_rational_form(ctx: EvaluationContext, s, trunc: Truncation
+                          ) -> RationalForm:
+    """Summand s as a rational form in every variable, its numerator
+    truncated at `trunc`: its ``genfun.summand_parts`` lifted on their own
+    over its singular denominators, as ``hierarchy.check_hierarchy``
+    builds each surviving summand."""
+    return RationalForm(lift_units(ctx.ring, ctx.vars, trunc,
+                                   [summand_parts(ctx, s, trunc)]),
+                        s.denominators)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_exit_code_internal_consistency_failure(monkeypatch, capsys):
     import latticesums.genfun as genfun
     from latticesums.errors import NonDivisible
 
-    def not_holomorphic(ring, checks):
+    def not_holomorphic(ring, checks, size):
         assert checks
         raise NonDivisible("series is not divisible by the linear form")
 

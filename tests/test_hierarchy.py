@@ -6,12 +6,12 @@ import latticesums.hierarchy as hierarchy
 from latticesums.errors import RankDrop
 from latticesums.families import a2_directions, triangle
 from latticesums.genfun import (EvaluationContext, build_summands,
-                                generating_function, summand_rational_form)
+                                generating_function)
 from latticesums.hierarchy import apply_Dg_summand, check_hierarchy
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.series import (LinearForm, RationalForm, Truncation,
                                 divide_exact, sum_rational_forms)
-from reference import largest_coefficient_scaled, lift
+from reference import largest_coefficient_scaled, lift, summand_rational_form
 
 
 def _states(ctx, order):

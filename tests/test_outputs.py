@@ -1,12 +1,15 @@
 """The exact outputs of every benchmark workload, pinned by digest.
 
 ``tools/dump_outputs.py`` prints one line per operation of the manifest,
-generic and verify workloads on seeds 1-3.  The lines whose output is
-exact are pinned here, one SHA-256 per workload:
+generic and verify workloads on seeds 1-3, and one exact full series per
+line of arrangements with singular summands (its ``series`` group).  The
+lines whose output is exact are pinned here, one SHA-256 per workload:
 
 * manifest: all 42 lines;
 * generic: the 45 exact-mode lines;
-* verify: the 27 polytope and 33 hierarchy lines.
+* verify: the 27 polytope and 33 hierarchy lines;
+* series: all 5 lines, the full series that read their singular
+  summands, which no workload builds.
 
 The generic numeric-mode lines and the oracle lines print floats that a
 change may move on purpose, and are left out.  A change that moves an
@@ -43,6 +46,8 @@ PINNED = {
                     "70121b4d05a38c4c85bc739cdc86bff4"),
     "verify": (60, "ddfb55b387c7196aa13685f10d40c103"
                    "3868ea66d9e20cd1c753b4bbd672faba"),
+    "series": (5, "dca0b22d9c328a709982cc7ed951ff52"
+                  "ee6cab12ba1ceab40fe0f614172674ad"),
 }
 
 

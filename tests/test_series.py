@@ -10,7 +10,7 @@ from mpmath.ctx_mp import MPContext
 
 from latticesums import series as series_module
 from latticesums.errors import NonDivisible
-from latticesums.genfun import unit_product
+from latticesums.genfun import lift_units, unit_parts
 from latticesums.lattice import GaussianRational
 from latticesums.scalar import ExactRing, NumericRing
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
@@ -397,7 +397,7 @@ def _expansion_and_reference(data, ring):
     exponential from the closed-form reference (``reference.form_exp``),
     with its value from repeated series products.  The unit inverses are
     checked against
-    ``invert_unit`` in ``tests/test_genfun.py`` (``unit_product``)."""
+    ``invert_unit`` in ``tests/test_genfun.py`` (``unit_parts``)."""
     form = data.draw(rational_forms(ring))
     trunc = Truncation(data.draw(st.integers(0, 5)))
     if data.draw(st.booleans()):
@@ -435,14 +435,17 @@ def test_int_constant_is_a_fraction(ring, c):
     assert got.singular == want.singular == (c == 0)
     assert form_exp(got, ring, VARS, tr).terms == \
         form_exp(want, ring, VARS, tr).terms
-    assert unit_product(ring, [], VARS, tr, got).terms == \
-        unit_product(ring, [], VARS, tr, want).terms
+
+    def lifted(factors, exponent=None):
+        return lift_units(ring, VARS, tr, [unit_parts(
+            ring, factors, VARS, tr, exponent)]).terms
+
+    assert lifted([], got) == lifted([], want)
     if c == 0:
         with pytest.raises(NonDivisible):
-            unit_product(ring, [(got, 2)], VARS, tr)
+            unit_parts(ring, [(got, 2)], VARS, tr)
     else:
-        assert unit_product(ring, [(got, 2)], VARS, tr).terms == \
-            unit_product(ring, [(want, 2)], VARS, tr).terms
+        assert lifted([(got, 2)]) == lifted([(want, 2)])
 
 
 def test_partial_fraction_identity():

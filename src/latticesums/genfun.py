@@ -357,13 +357,13 @@ def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
     summand's rational form, which the hierarchy check lifts on its own.
 
     Every t_g is a monomial, so everything else is built below `trunc` by
-    one degree for each of them: the weight times the coset sum of kernel
-    products, read from the root-free grids of ``_coset_grids``, each
-    times its coset's root as a one-term series, and added with the
-    weight in one ``ring.mul_terms`` (one coset with no root and weight 1
-    is its grid as it is), is the `times` of one ``unit_parts`` of the
-    unit factors (den_g, 1).  The monomial prod t_g is applied last, as
-    one exponent shift of every key into `trunc`.  There are no parts
+    one degree for each of them: the coset sum of kernel products, read
+    from the root-free grids of ``_coset_grids``, each times its coset's
+    root as a one-term series, and added in one ``ring.mul_terms`` (one
+    coset with no root is its grid as it is), is the `times` of one
+    ``unit_parts`` of the unit factors (den_g, 1), which carries the
+    weight as its scale.  The monomial prod t_g is applied last, as one
+    exponent shift of every key into `trunc`.  There are no parts
     when the t_g leave nothing below `trunc`."""
     ring = ctx.ring
     basis_vars = tuple(ctx.vars[m] for m in ctx.arr.bases[s.bidx].members)
@@ -378,9 +378,9 @@ def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
     cosets = TruncatedSeries(ring, basis_vars, low, ring.mul_terms(
         [({zero: one if root is None else root}, grid)
          for grid, root in _coset_grids(ctx, s.bidx, low)],
-        low, s.weight)).extend(ctx.vars, low)
+        low)).extend(ctx.vars, low)
     parts = unit_parts(ring, [(form, 1) for _, form in s.unit_factors],
-                       ctx.vars, low, times=cosets.terms)
+                       ctx.vars, low, scale=s.weight, times=cosets.terms)
     parts.series = {tuple(map(add, e, step)): p
                     for e, p in parts.series.items()}
     return parts
@@ -509,9 +509,8 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
                      if form.singular and k > 0 else None, form, k)
                     for form, k in factors),
                    key=lambda x: (x[1].singular, x[0] is not None, x[0] or 0))
-    plain = not any(form.singular for form, _ in factors)
     caps = list(box or ())
-    for p in reversed(range(0 if plain else len(caps))):
+    for p in reversed(range(len(caps))):
         ks = sum(k for q, _, k in steps if q == p)
         if ks:
             caps[p] += ks + sum(caps[p + 1:])
@@ -520,14 +519,12 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
     terms: Dict[tuple, object] = {(0,) * len(vars): 1}
     den = 1
     for i, (p, form, k) in enumerate(steps):
-        step = trunc
-        if not plain:
-            later = steps[i + 1:]
-            leads = {q for q, _, _ in later}
-            step = Truncation(
-                total + sum(k2 for _, f, k2 in later if f.singular),
-                box and tuple(c if u in leads else b
-                              for u, (b, c) in enumerate(zip(box, caps))))
+        later = steps[i + 1:]
+        leads = {q for q, _, _ in later}
+        step = Truncation(
+            total + sum(k2 for _, f, k2 in later if f.singular),
+            box and tuple(c if u in leads else b
+                          for u, (b, c) in enumerate(zip(box, caps))))
         if form.singular and p is None:
             # L^m = (D L)^m / D^m, its terms of degree m = -k
             fac = [t for t in form.monomials(vars, step, -k) if t[2] == -k]
@@ -588,9 +585,9 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     the series term map `times` when one is given, on `vars` and
     truncated at `trunc`, as the integer parts of its one lift
     (``lift_units``): the unit factors 1/den_g of a summand of a full
-    series times its coset sum, and the whole numerator of a polytope
-    vertex, its exponential and its non-singular edge denominators with
-    its weight.
+    series times its coset sum, with its weight, and the whole numerator
+    of a polytope vertex, its exponential and its non-singular edge
+    denominators with its weight.
 
     Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
     the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the

@@ -98,14 +98,15 @@ class VertexWitness:
 
 
 class Decomposition:
-    """A fixed split of the arrangement into basis B0 and remainder L0."""
+    """The split of the arrangement into its first basis B0 and the
+    remainder L0."""
 
-    def __init__(self, arr: Arrangement, b0_index: int = 0):
+    def __init__(self, arr: Arrangement):
         self.arr = arr
         self.data = data = arrangement_data(arr)
-        self.b0: Basis = data.bases[b0_index]
+        self.b0: Basis = data.bases[0]
         # {g in L0: {f in B0: <g, f^B0>}}, from the arrangement table
-        self.pairings = data.pairings[b0_index]
+        self.pairings = data.pairings[0]
         self.l0: Tuple[int, ...] = tuple(self.pairings)
 
     def dual_pair(self, g: int, member: int) -> Fraction:

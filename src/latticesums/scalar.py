@@ -20,14 +20,14 @@ an exact constant q, a Fraction or a Gaussian rational, to a scalar (the
 exact ring has no root for a Gaussian q: exact mode refuses non-real
 constants before any kernel is built), ``two_pi_i``,
 ``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
-of scalars), ``mul_terms`` (a rational times a sum of truncated products
-of two series term maps: one series product, or a sum of series each
-times a scalar as one-term maps), ``sum_products`` (a sum of series term
-maps, each times integer linear forms and a rational), ``unit_lift``
-(coefficients from integer numerators times scalars over powers of
-2 pi i), ``detach``/``attach`` (a scalar as plain data that holds no
-field or context, and back), and the flag ``exact``.  The exact ring
-builds each output coefficient of the three series operations once: it
+of scalars), the two series operations ``mul_terms`` (a sum of truncated
+products of two series term maps: one series product, or a sum of
+series each times a multiplier, a scalar as a one-term map or a
+polynomial over Q) and ``unit_lift`` (coefficients from integer
+numerators times scalars over powers of 2 pi i), ``detach``/``attach``
+(a scalar as plain data that holds no field or context, and back), and
+the flag ``exact``.  The exact ring builds each output coefficient of
+the two series operations once: it
 works on integer numerators over one denominator and builds one
 ``ExactScalar`` per coefficient, cancelled once.  Every structural
 decision (which forms are singular, which are equal, which
@@ -201,20 +201,6 @@ class ExactRing:
                 out[key] = cancel(acc, dk // g)
         return out
 
-    def _scalars(self, acc: Dict[tuple, Dict[tuple, int]], den: int
-                 ) -> dict:
-        """``{e: numerators / den}`` for ``acc = {e: {(k, exps): int}}``,
-        each coefficient cancelled once, without the zero numerators and
-        the zero coefficients."""
-        cancel = self._zero._cancel  # reads only the field of its scalar
-        result = {}
-        for e, out in acc.items():
-            if 0 in out.values():
-                out = {key: v for key, v in out.items() if v}
-            if out:
-                result[e] = cancel(out, den)
-        return result
-
     def _over_lcm(self, terms: dict):
         """``(den, [(exps, degree, [(k, basis exps, numerator)])])``: the
         series terms with every coefficient brought over ``den``, the least
@@ -230,50 +216,18 @@ class ExactRing:
                                     for (k, x), v in c.terms.items()]))
         return den, out
 
-    def sum_products(self, items, trunc) -> dict:
-        """sum over ``(terms, forms, q)`` of q * terms * prod over `forms`
-        of sum_j p_j t_(v_j), each form a list ``[(v_j, p_j)]`` of variable
-        positions and int coefficients and q a Fraction, truncated at the
-        total degree of ``trunc`` (a ``series.Truncation``), with no zero
-        coefficient.
-
-        Each series is read once into integer numerators over one
-        denominator, multiplied by each form by one shift and add of its
-        numerators, and added to the sum over the lcm of every q's
-        denominator times the series' denominator; every output
-        coefficient is cancelled once."""
-        items = [(terms, forms, q, math.lcm(*(c.den for c in terms.values())))
-                 for terms, forms, q in items]
-        den = math.lcm(*(d * q.denominator for _, _, q, d in items))
-        acc: Dict[tuple, Dict[tuple, int]] = {}
-        # one product at a time, added as soon as it is made
-        for terms, forms, q, d in items:
-            read = [(e, c.terms, d // c.den) for e, c in terms.items()]
-            if forms:
-                cur = {e: {key: v * s for key, v in nums.items()}
-                       for e, nums, s in read}
-                for form in forms:
-                    cur = _shift_add(cur, form, trunc.total, _add_ints)
-                read = [(e, nums, 1) for e, nums in cur.items()]
-            m = q.numerator * (den // (d * q.denominator))
-            for e, nums, s in read:
-                _add_ints(acc, e, nums, s * m)
-        return self._scalars(acc, den)
-
-    def mul_terms(self, pairs, trunc, scale=1) -> dict:
-        """The rational `scale` times the sum over ``(a, b)`` in the list
-        `pairs` of the products of two series term maps ``{exps: scalar}``,
-        truncated at ``trunc`` (a ``series.Truncation``), with no zero
-        coefficient.
+    def mul_terms(self, pairs, trunc) -> dict:
+        """The sum over ``(a, b)`` in the list `pairs` of the products of
+        two series term maps ``{exps: scalar}``, truncated at ``trunc`` (a
+        ``series.Truncation``), with no zero coefficient.
 
         Every factor is brought over one denominator, so the convolutions
         run on integer numerators, added over the lcm of the products'
-        denominators times that of `scale`; every output coefficient is
-        cancelled once.  One pair whose `a` is the constant 1, with scale
-        1, is `b` truncated, its coefficients kept as they are.
+        denominators; every output coefficient is cancelled once.  One
+        pair whose `a` is the constant 1 is `b` truncated, its
+        coefficients kept as they are.
         """
-        scale = Fraction(scale)
-        if len(pairs) == 1 and scale == 1 and len(pairs[0][0]) == 1:
+        if len(pairs) == 1 and len(pairs[0][0]) == 1:
             (e, x), = pairs[0][0].items()
             if not any(e) and x == self._one:
                 return {e: c for e, c in pairs[0][1].items()
@@ -286,7 +240,7 @@ class ExactRing:
         den = math.lcm(*(da * db for (da, _), (db, _) in read))
         acc: Dict[tuple, Dict[tuple, int]] = {}
         for (da, a_items), (db, b_items) in read:
-            s = den // (da * db) * scale.numerator
+            s = den // (da * db)
             for ea, sa, ta in a_items:
                 if s != 1:
                     ta = [(k, x, v * s) for k, x, v in ta]
@@ -309,7 +263,16 @@ class ExactRing:
                                 cur = get((k, x))
                                 out[k, x] = v * m if cur is None \
                                     else cur + v * m
-        return self._scalars(acc, den * scale.denominator)
+        # each coefficient cancelled once, without the zero numerators and
+        # the zero coefficients
+        cancel = self._zero._cancel  # reads only the field of its scalar
+        result = {}
+        for e, out in acc.items():
+            if 0 in out.values():
+                out = {key: v for key, v in out.items() if v}
+            if out:
+                result[e] = cancel(out, den)
+        return result
 
 
 # the least working precision, in bits: the zero tolerance 2^(12 - p)
@@ -407,28 +370,12 @@ class NumericRing:
             out[key] = total
         return out
 
-    def sum_products(self, items, trunc) -> dict:
-        """sum over ``(terms, forms, q)`` of q * terms * prod of the integer
-        `forms`, as ``ExactRing.sum_products``: each form is one shift and
-        add of the values, and each product is scaled by q once, without
-        the coefficients that read as zero."""
-        acc: dict = {}
-        for terms, forms, q in items:
-            for form in forms:
-                terms = _shift_add(terms, form, trunc.total, _add_values)
-            for e, c in terms.items():
-                c = self.scale(c, q)
-                cur = acc.get(e)
-                acc[e] = c if cur is None else cur + c
-        return {e: c for e, c in acc.items() if not self.is_zero(c)}
-
-    def mul_terms(self, pairs, trunc, scale=1) -> dict:
-        """The rational `scale` times the sum over ``(a, b)`` in `pairs` of
-        the products of two series term maps, as ``ExactRing.mul_terms``,
-        without the coefficients that read as zero.  Each product is the
-        truncated convolution ``series.convolve``, the terms of `a` outer;
-        the products are added in the order of `pairs`, and scaled once
-        per output coefficient, after the sum."""
+    def mul_terms(self, pairs, trunc) -> dict:
+        """The sum over ``(a, b)`` in `pairs` of the products of two series
+        term maps, as ``ExactRing.mul_terms``, without the coefficients
+        that read as zero.  Each product is the truncated convolution
+        ``series.convolve``, the terms of `a` outer; the products are added
+        in the order of `pairs`."""
         acc = {}
         for a, b in pairs:
             p = convolve(a, [(e, c, sum(e)) for e, c in b.items()], trunc)
@@ -438,42 +385,10 @@ class NumericRing:
             for e, c in p.items():
                 cur = acc.get(e)
                 acc[e] = c if cur is None else cur + c
-        scale = Fraction(scale)
-        return {e: c if scale == 1 else self.scale(c, scale)
-                for e, c in acc.items() if not self.is_zero(c)}
+        return {e: c for e, c in acc.items() if not self.is_zero(c)}
 
     def magnitude(self, x) -> float:
         return float(abs(x))
-
-
-def _shift_add(terms: dict, form, total: int, add_into) -> dict:
-    """``terms`` times the integer linear form ``[(position, p)]``,
-    truncated at total degree `total`: each term moves up by one in each
-    position and is added there times p (``add_into(out, e, value, p)``)."""
-    out: dict = {}
-    for e, value in terms.items():
-        if sum(e) >= total:
-            continue
-        for pos, p in form:
-            add_into(out, e[:pos] + (e[pos] + 1,) + e[pos + 1:], value, p)
-    return out
-
-
-def _add_ints(out: dict, e, nums: dict, p: int) -> None:
-    """out[e] += p * nums, numerators keyed by (pi power, basis exps)."""
-    dst = out.get(e)
-    if dst is None:
-        out[e] = {key: p * v for key, v in nums.items()}
-    else:
-        get = dst.get
-        for key, v in nums.items():
-            dst[key] = get(key, 0) + p * v
-
-
-def _add_values(out: dict, e, value, p: int) -> None:
-    """out[e] += p * value."""
-    cur = out.get(e)
-    out[e] = value * p if cur is None else cur + value * p
 
 
 # ---------------------------------------------------------------------------

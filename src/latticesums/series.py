@@ -33,10 +33,10 @@ closed-form evaluators work:
   summands in a field of iterated Laurent series;
 * ``sum_rational_forms`` -- combination of summands carrying such singular
   denominators over a common product of one representative per merge key:
-  each numerator scaled to those representatives and multiplied by the
-  ones it lacks in integers, all in one ring call (``sum_products``),
-  followed by the exact divisions, ``division_count`` of them, each losing
-  one degree.
+  each numerator times one multiplier, a polynomial over Q that scales it
+  to those representatives and multiplies it by the ones it lacks, all
+  summed in one series product call (``mul_terms``), followed by the exact
+  divisions, ``division_count`` of them, each losing one degree.
 
 ``TruncatedSeries.invert_unit`` remains as the generic inverse of any unit
 series; the tests use it as an independent reference for the closed forms.
@@ -125,13 +125,6 @@ class TruncatedSeries:
         if not self.terms:
             return 0.0
         return max(self.ring.magnitude(c) for c in self.terms.values())
-
-    def with_truncation(self, trunc: Truncation) -> "TruncatedSeries":
-        out = TruncatedSeries(self.ring, self.vars, trunc)
-        for e, c in self.terms.items():
-            if trunc.keeps(e):
-                out.terms[e] = c
-        return out
 
     def extend(self, vars: Sequence[str], trunc: Optional[Truncation] = None
                ) -> "TruncatedSeries":
@@ -328,21 +321,17 @@ class LinearForm:
 # ---------------------------------------------------------------------------
 
 
-def _residual_ok(s, residual_terms, residuals) -> bool:
+def _residual_ok(s, residual_terms) -> bool:
     ring = s.ring
     if ring.exact:
         return not residual_terms
     norm = 0.0
     for c in residual_terms.values():
         norm = max(norm, ring.magnitude(c))
-    tol = 2.0 ** (-ring.precision / 2) * max(1.0, s.max_magnitude())
-    if residuals is not None:
-        residuals.append(norm)
-    return norm <= tol
+    return norm <= 2.0 ** (-ring.precision / 2) * max(1.0, s.max_magnitude())
 
 
-def divide_exact(s: TruncatedSeries, form: LinearForm,
-                 residuals: Optional[List[float]] = None) -> TruncatedSeries:
+def divide_exact(s: TruncatedSeries, form: LinearForm) -> TruncatedSeries:
     """Divide s by a linear form with zero constant term.
 
     Polynomial division in one pivot variable t_p, ``LinearForm.pivot``:
@@ -363,8 +352,7 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
 
     Exact mode demands a literally zero remainder and raises NonDivisible
     (carrying the remainder terms) otherwise.  Numeric mode tolerates
-    remainder norms below 2^(-precision/2) times the largest term of s,
-    and records them.
+    remainder norms below 2^(-precision/2) times the largest term of s.
     """
     ring = s.ring
     if not form.singular:
@@ -395,7 +383,7 @@ def divide_exact(s: TruncatedSeries, form: LinearForm,
                 below[ne] = val if cur is None else cur + val
     remainder = {e: c for e, c in slices.get(0, {}).items()
                  if not ring.is_zero(c)}
-    if not _residual_ok(s, remainder, residuals):
+    if not _residual_ok(s, remainder):
         raise NonDivisible("series is not divisible by the linear form",
                            residual=remainder)
     return out
@@ -438,25 +426,20 @@ def division_count(denominator_lists: Iterable[Sequence[LinearForm]]
     return sum(m for _, m in _divisors(denominator_lists).values())
 
 
-def sum_rational_forms(forms: Sequence[RationalForm],
-                       residuals: Optional[List[float]] = None
-                       ) -> TruncatedSeries:
+def sum_rational_forms(forms: Sequence[RationalForm]) -> TruncatedSeries:
     """Combine summands over the product of their distinct denominators and
     perform the exact divisions; the result is the holomorphic total.
 
     Forms equal up to a rational scale share one ``LinearForm.key``, and
     ``_divisors`` picks one representative r of each.  A denominator d of
     that key is lead(d)/lead(r) times r (lead: the first coefficient by
-    variable order), so each numerator is scaled by the product of
-    lead(r)/lead(d) over its own denominators and multiplied by the powers
-    of the representatives it lacks, and the sum is divided by the
-    representatives.  A missing r = L is the integer form D L over its
-    denominator D, so the numerators, their products and their sum are one
-    ring call (``ring.sum_products``): each numerator is read once into
-    numerators over one denominator, multiplied by each integer form D L
-    by one shift and add, and added into the sum, whose terms are
-    cancelled once; the scalings and the powers of D enter as one
-    rational per form.
+    variable order), so each numerator is multiplied by one multiplier:
+    the product of lead(r)/lead(d) over its own denominators times the
+    powers of the representatives it lacks, an exact polynomial over Q of
+    degree at most ``division_count``, each coefficient made a scalar once
+    (``ring.from_fraction``).  The numerators times their multipliers are
+    summed in one ``ring.mul_terms``, and the sum is divided by the
+    representatives.
 
     Each division loses one degree: for numerators truncated at W, the
     sum is exact through W - ``division_count`` of the denominators, so
@@ -473,30 +456,29 @@ def sum_rational_forms(forms: Sequence[RationalForm],
             raise ValueError("forms must share variables and truncation")
 
     universe = _divisors(f.denominators for f in forms)
-    # each missing representative as its integer form D L: [(position, p_v)]
-    integer = {k: [(vars.index(v), q.numerator * (d.den // q.denominator))
-                   for v, q in d.coeffs.items()]
-               for k, (d, _) in universe.items()}
-    products = []
+    # each representative as one-variable terms (e, q_v, 1)
+    linear = {k: [(tuple(int(w == v) for w in vars), q, 1)
+                  for v, q in d.coeffs.items()]
+              for k, (d, _) in universe.items()}
+    pairs = []
     for f in forms:
         keys = [d.key for d in f.denominators]
-        scale, lins = Fraction(1), []
+        scale = Fraction(1)
         for d, k in zip(f.denominators, keys):
             if not d.singular or not d.coeffs:
                 raise ValueError("a denominator must be a singular form "
                                  "with a linear part")
             lead = min(d.coeffs)
             scale *= universe[k][0].coeffs[lead] / d.coeffs[lead]
-        for k, (d, mult) in universe.items():
-            deficit = mult - keys.count(k)
-            if deficit > 0:
-                lins += [integer[k]] * deficit
-                scale /= d.den ** deficit
-        products.append((f.numerator.terms, lins, scale))
-    total = TruncatedSeries(ring, vars, trunc,
-                            ring.sum_products(products, trunc))
+        multiplier = {(0,) * len(vars): scale}
+        for k, (_, mult) in universe.items():
+            for _ in range(mult - keys.count(k)):
+                multiplier = convolve(multiplier, linear[k], trunc)
+        pairs.append(({e: ring.from_fraction(q)
+                       for e, q in multiplier.items()}, f.numerator.terms))
+    total = TruncatedSeries(ring, vars, trunc, ring.mul_terms(pairs, trunc))
 
     for d, mult in universe.values():
         for _ in range(mult):
-            total = divide_exact(total, d, residuals)
+            total = divide_exact(total, d)
     return total

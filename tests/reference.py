@@ -365,6 +365,12 @@ def series_variable(ring, vars, trunc, name) -> TruncatedSeries:
     return s
 
 
+def with_truncation(s: TruncatedSeries, trunc) -> TruncatedSeries:
+    """The terms of `s` that `trunc` keeps, as a series truncated there."""
+    return TruncatedSeries(s.ring, s.vars, trunc, {
+        e: c for e, c in s.terms.items() if trunc.keeps(e)})
+
+
 def largest_coefficient_scaled(series_fn, eps: Fraction, shifts: list):
     """`series_fn` with the largest coefficient of the series it returns
     multiplied by 1 + eps; each call appends that coefficient's magnitude
@@ -378,12 +384,11 @@ def largest_coefficient_scaled(series_fn, eps: Fraction, shifts: list):
     return scaled
 
 
-def termwise_product(ring, pairs, trunc, scale=1) -> dict:
-    """``ring.mul_terms`` one term pair at a time: the rational `scale`
-    times the sum over the pairs (a, b) of series term maps of one scalar
-    product per two terms whose exponent `trunc` keeps, added in the ring,
-    each coefficient scaled last (``ring.scale``), without the ones that
-    read as zero.  Independent of the rings' convolutions."""
+def termwise_product(ring, pairs, trunc) -> dict:
+    """``ring.mul_terms`` one term pair at a time: the sum over the pairs
+    (a, b) of series term maps of one scalar product per two terms whose
+    exponent `trunc` keeps, added in the ring, without the ones that read
+    as zero.  Independent of the rings' convolutions."""
     out = {}
     for a, b in pairs:
         for ea, ca in a.items():
@@ -391,8 +396,7 @@ def termwise_product(ring, pairs, trunc, scale=1) -> dict:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 if trunc.keeps(e):
                     out[e] = ca * cb if e not in out else out[e] + ca * cb
-    return {e: ring.scale(c, Fraction(scale)) for e, c in out.items()
-            if not ring.is_zero(c)}
+    return {e: c for e, c in out.items() if not ring.is_zero(c)}
 
 
 def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
@@ -631,6 +635,13 @@ def functional_value(f: Functional, v: Sequence[int]):
 def permuted(arr: Arrangement, perm: Sequence[int]) -> Arrangement:
     """The arrangement with its functionals in the order `perm`."""
     return Arrangement(arr.rank, [arr.functionals[i] for i in perm])
+
+
+def led_by(arr: Arrangement, basis: Basis) -> Arrangement:
+    """The arrangement with the members of `basis` first, so that it is
+    the first basis, the B0 of a ``polytope.Decomposition``."""
+    rest = [g for g in range(arr.size) if g not in basis.members]
+    return permuted(arr, list(basis.members) + rest)
 
 
 def coset_character_sum(basis: Basis, lam: Sequence[Fraction]):

@@ -34,7 +34,7 @@ from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
 from reference import (full_order_summand, lift, permuted, pi_pow,
                        series_variable, summand_rational_form,
                        termwise_unit_product, termwise_unit_summand,
-                       unit_inverse)
+                       unit_inverse, with_truncation)
 
 CTX = MPContext()
 CTX.prec = 128
@@ -929,7 +929,7 @@ def test_full_series_is_the_sum_of_every_summand_form(arr, y, mode):
     ctx = EvaluationContext(arr, y, "exact")
     summands = build_summands(ctx)
     work = order + division_count(s.denominators for s in summands)
-    want = _summed_at(ctx, summands, work).with_truncation(Truncation(order))
+    want = with_truncation(_summed_at(ctx, summands, work), Truncation(order))
     assert want.terms
     got = generating_function(arr, y, order, mode=mode)
     if mode == "exact":
@@ -1250,8 +1250,8 @@ def test_coset_grid_matches_rooted_kernel_products(box):
         prod = TruncatedSeries.one(ring, vars, trunc)
         for m in basis.members:
             params = KernelParams.make(ctx.constant(m), ctx.yhat(bidx, w, m))
-            prod = prod * kernel_series(ring, params, order, ctx.vars[m],
-                                        vars).with_truncation(trunc)
+            prod = prod * with_truncation(kernel_series(
+                ring, params, order, ctx.vars[m], vars), trunc)
         want = want + prod
     assert len(want.terms) > order
     assert got.terms == want.terms

@@ -13,7 +13,10 @@ lines whose output is exact are pinned here, one SHA-256 per workload:
 
 The generic numeric-mode lines and the oracle lines print floats that a
 change may move on purpose, and are left out.  A change that moves an
-exact output on purpose updates the digest here and says so.
+exact output on purpose updates the digest here and says so.  The
+numeric lines are held to a floor instead: on seed 1, every generic
+numeric value keeps at least 90 correct bits against its exact one, as
+the workload's own checks measure them.
 
 The verify polytope lines print only a discrepancy and vertex counts, so
 a fault shared by both routes would not show in them.  The two full
@@ -101,3 +104,16 @@ def test_verify_polytope_series_are_pinned(monkeypatch):
             digest.update(build(arr, y, order, mode="exact").dump().encode()
                           + b"\n")
     assert (len(inputs), digest.hexdigest()) == SERIES_PINNED
+
+
+def test_generic_numeric_outputs_keep_90_bits(monkeypatch):
+    # the workload's checks record each numeric value's correct bits
+    # against the exact value of the same case (95.52 at the least on
+    # seeds 1-3 when this floor was set) and fail nothing on them
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    import workloads
+    work = workloads.build("generic", 1)
+    for op in work.operations:
+        assert op.check(op.call()) is None, op.label
+    assert len(work.numeric_bits) == 15
+    assert min(work.numeric_bits) >= 90

@@ -21,8 +21,8 @@ from reference import (HalfSpace, HPolytope, box_translates,
                        brute_force_vertices, build_polytope,
                        exp_integral_simple, form_exp,
                        incident_hyperplane_count, is_simple,
-                       largest_coefficient_scaled, permuted, unit_inverse,
-                       witness_matrix)
+                       largest_coefficient_scaled, led_by, permuted,
+                       unit_inverse, witness_matrix)
 
 CTX = MPContext()
 CTX.prec = 140
@@ -41,7 +41,7 @@ GENERIC_Y = (Fraction(1, 7), Fraction(2, 11))
 
 def test_enumerate_m_matches_direct_scan():
     arr = slab_instance()
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     ms = enumerate_m(dec, GENERIC_Y)
     assert ms
     # direct scan over a generous box
@@ -54,7 +54,7 @@ def test_enumerate_m_matches_direct_scan():
 
 def test_enumerate_m_translation_equivariance():
     arr = slab_instance()
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     ms = enumerate_m(dec, GENERIC_Y)
     w = (3, -2)
     yw = tuple(v + x for v, x in zip(GENERIC_Y, w))
@@ -94,10 +94,11 @@ def _arrangements(draw, rank, dens):
 def test_translates_match_box_scan(rank, data):
     # the translates enumerated through the coset representatives are
     # exactly the nonempty cells of a scan of a box holding every window
+    # at each basis B0, the functionals permuted to lead with it
     arr, y = data.draw(_arrangements(rank, (7, 11, 13)))
     assume(not in_singular_locus(y, arr))
-    for b in range(len(arr.bases)):
-        dec = Decomposition(arr, b)
+    for b0 in arr.bases:
+        dec = Decomposition(led_by(arr, b0))
         got = _translates(dec, y)
         assert got
         assert got == box_translates(dec, y)
@@ -110,8 +111,8 @@ def test_witness_simplicity_matches_incidence_count(rank, data):
     # shifts over small denominators often lie on the singular locus,
     # where polytopes stop being simple
     arr, y = data.draw(_arrangements(rank, (1, 2, 3, 7)))
-    for b in range(len(arr.bases)):
-        dec = Decomposition(arr, b)
+    for b0 in arr.bases:
+        dec = Decomposition(led_by(arr, b0))
         for m, verts in _translates(dec, y):
             assert witnesses_simple(verts) == \
                 is_simple(build_polytope(dec, m, y), verts)
@@ -120,7 +121,7 @@ def test_witness_simplicity_matches_incidence_count(rank, data):
 def test_zero_dimensional_case():
     arr = Arrangement(2, [make_functional((1, 0), Fraction(1, 3)),
                           make_functional((0, 1), Fraction(1, 5))])
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     ms = enumerate_m(dec, GENERIC_Y)
     # for y strictly inside the unit cell exactly one translate fits
     assert ms == [(0, 0)]
@@ -133,7 +134,7 @@ def test_zero_dimensional_case():
 
 def test_vertices_against_brute_force():
     arr = slab_instance()
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     for m in enumerate_m(dec, GENERIC_Y):
         verts = vertices(dec, m, GENERIC_Y)
         poly = build_polytope(dec, m, GENERIC_Y)
@@ -168,7 +169,7 @@ def _check_witnesses(arr, y):
         perm = list(b0.members) + [g for g in range(arr.size)
                                    if g not in b0.members]
         arr_p = permuted(arr, perm)
-        dec = Decomposition(arr_p, 0)
+        dec = Decomposition(arr_p)
         assert dec.b0.members == tuple(range(arr.rank))
         tstar = _tstar(dec)
         dirs_p = [dirs[g] for g in perm]
@@ -242,7 +243,7 @@ def test_witness_data_against_directions_rank3(dirs, consts):
 
 def test_simplicity_off_singular_locus():
     arr = slab_instance()
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     for m in enumerate_m(dec, GENERIC_Y):
         verts = vertices(dec, m, GENERIC_Y)
         poly = build_polytope(dec, m, GENERIC_Y)
@@ -254,7 +255,7 @@ def test_simplicity_off_singular_locus():
 
 def test_nonsimple_on_singular_locus():
     arr = slab_instance(a1=Fraction(0), a2=Fraction(0))
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     y = (Fraction(1, 2), Fraction(0))  # on the span of (1,0) + Z^2
     found_nonsimple = False
     for m in itertools.product(range(-3, 4), repeat=2):
@@ -286,7 +287,7 @@ def test_report_refuses_the_singular_locus_before_any_series(monkeypatch):
 
 def test_witness_incidence_structure():
     arr = slab_instance()
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     for m in enumerate_m(dec, GENERIC_Y):
         for w in vertices(dec, m, GENERIC_Y):
             outside = tuple(sorted(i for i in range(arr.size)
@@ -323,7 +324,7 @@ def test_index_ratio_identity():
                           make_functional((1, -1), Fraction(1, 5)),
                           make_functional((1, 0), Fraction(1, 7)),
                           make_functional((0, 1), Fraction(1, 11))])
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     by_members = {b.members: b for b in arr.bases}
     checked = 0
     for m in enumerate_m(dec, GENERIC_Y):
@@ -342,7 +343,7 @@ def test_cramer_linear_form_identity():
     arr = slab_instance()
     y = GENERIC_Y
     ctx = EvaluationContext(arr, y, "exact")
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     tstar = _tstar(dec)
     by_members = {b.members: b for b in arr.bases}
     checked = 0
@@ -393,7 +394,7 @@ def test_vertex_exponent_identity():
     #   + sum_{f in B} (t_f - 2 pi i c_f) <y + m - sum a_g g, f^B>
     arr = slab_instance()
     y = GENERIC_Y
-    dec = Decomposition(arr, 0)
+    dec = Decomposition(arr)
     tstar = _tstar(dec)
     for m in enumerate_m(dec, y):
         for w in vertices(dec, m, y):

@@ -19,7 +19,8 @@ from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 sum_rational_forms)
 from reference import (form_constant, form_exp, form_power, pi_pow,
                        series_constant, series_variable,
-                       sum_by_series_products, termwise_product)
+                       sum_by_series_products, termwise_product,
+                       with_truncation)
 
 R = ExactRing(4)
 VARS = ("t1", "t2", "t3")
@@ -43,7 +44,7 @@ def test_add_mul_truncation():
     p = (o + t) * (o - t)
     assert p.terms == {(0,): R.one(), (2,): R.from_fraction(-1)}
     q = (o + t) * (o + t)
-    q1 = q.with_truncation(Truncation(1))
+    q1 = with_truncation(q, Truncation(1))
     assert q1.terms == {(0,): R.one(), (1,): R.from_fraction(2)}
 
 
@@ -105,9 +106,11 @@ MUL_RINGS = {N: ExactRing(N) for N in (4, 60, 2772)}
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_mul_terms_is_the_scaled_sum_of_termwise_products(mode, data):
-    # one to three pairs, with and without a box and a scale, against one
-    # scalar product per term pair; numeric mode multiplies the embedded
-    # exact series and is compared with the exact sum
+    # one to three pairs and a series scaled by a rational, its multiplier
+    # a one-term map as ``sum_rational_forms`` passes it, with and without
+    # a box, against one scalar product per term pair; numeric mode
+    # multiplies the embedded exact series and is compared with the exact
+    # sum
     ring = MUL_RINGS[2772 if mode == "numeric" else mode]
     box = data.draw(st.one_of(st.none(), st.tuples(st.integers(0, 3),
                                                    st.integers(0, 3))))
@@ -116,9 +119,11 @@ def test_mul_terms_is_the_scaled_sum_of_termwise_products(mode, data):
               data.draw(exact_series(ring, trunc)).terms)
              for _ in range(data.draw(st.integers(1, 3)))]
     scale = data.draw(st.sampled_from([1, Fraction(-3, 4), Fraction(5, 7)]))
-    want = termwise_product(ring, pairs, trunc, scale)
+    pairs.append(({(0, 0): ring.from_fraction(scale)},
+                  data.draw(exact_series(ring, trunc)).terms))
+    want = termwise_product(ring, pairs, trunc)
     if mode != "numeric":
-        got = ring.mul_terms(pairs, trunc, scale)
+        got = ring.mul_terms(pairs, trunc)
         assert got == want
         for c in got.values():
             assert_canonical(c)
@@ -128,7 +133,7 @@ def test_mul_terms_is_the_scaled_sum_of_termwise_products(mode, data):
     def embedded(terms):
         return {e: c.embed(numeric.ctx) for e, c in terms.items()}
     got = numeric.mul_terms([(embedded(a), embedded(b)) for a, b in pairs],
-                            trunc, scale)
+                            trunc)
     assert set(got) <= set(want)
     for e, c in want.items():
         ref = c.embed(numeric.ctx)
@@ -137,9 +142,9 @@ def test_mul_terms_is_the_scaled_sum_of_termwise_products(mode, data):
 
 @pytest.mark.parametrize("N", [4, 60, 2772])
 def test_mul_terms_by_one_returns_the_term_map_as_it_is(N):
-    # one pair whose first factor is the constant 1, with scale 1, is the
-    # second factor's coefficients themselves; a root or a scale in its
-    # place takes the general product
+    # one pair whose first factor is the constant 1 is the second factor's
+    # coefficients themselves; a root or a rational in its place, or a
+    # second pair, takes the general product
     ring = MUL_RINGS[N]
     trunc = Truncation(3)
     grid = {(0, 0): ring.from_fraction(Fraction(2, 3)),
@@ -153,10 +158,10 @@ def test_mul_terms_by_one_returns_the_term_map_as_it_is(N):
     got = ring.mul_terms([(one, {**grid, (2, 2): ring.one()})], trunc)
     assert got == grid
     root = {(0, 0): ring.field.zeta_pow(N // 4 + 1)}
-    for pairs, scale in (([(one, grid)], Fraction(1, 2)),
-                         ([(root, grid)], 1), ([(one, grid)] * 2, 1)):
-        assert ring.mul_terms(pairs, trunc, scale) \
-            == termwise_product(ring, pairs, trunc, scale)
+    half = {(0, 0): ring.from_fraction(Fraction(1, 2))}
+    for pairs in ([(half, grid)], [(root, grid)], [(one, grid)] * 2):
+        assert ring.mul_terms(pairs, trunc) \
+            == termwise_product(ring, pairs, trunc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -507,9 +512,9 @@ def test_sum_rational_forms_divides_division_count_times(monkeypatch):
     divided = []
     real = series_module.divide_exact
 
-    def counting(s, form, residuals=None):
+    def counting(s, form):
         divided.append(form.key)
-        return real(s, form, residuals)
+        return real(s, form)
 
     monkeypatch.setattr(series_module, "divide_exact", counting)
     total = sum_rational_forms(forms)
@@ -580,16 +585,26 @@ def test_sum_rational_forms_matches_series_products(mode):
                 abs(diff) <= 2.0 ** -100 * abs(P.coefficient(e)), e
 
 
-def test_numeric_divide_reports_residual():
+def test_numeric_divide_matches_the_exact_quotient():
+    # (t1^2 - t2^2 + t1 t2 t3) / (t1 - t2), its numerator rounded at 96
+    # bits: the numeric remainder passes the tolerance, and the quotient
+    # is the exact one within 2^-90
     NR = NumericRing(96)
     trunc = Truncation(3)
-    t1 = series_variable(NR, ("t1", "t2"), trunc, "t1")
-    t2 = series_variable(NR, ("t1", "t2"), trunc, "t2")
+    vars = ("t1", "t2", "t3")
     l = LinearForm({"t1": 1, "t2": -1})
-    residuals = []
-    q = divide_exact(t1 * t1 - t2 * t2, l, residuals=residuals)
-    assert residuals and residuals[0] < 1e-20
-    assert abs(complex(q.coefficient((1, 0)))) - 1 < 1e-20
+    third = Fraction(1, 3)
+    numerators = {(2, 0, 0): 1, (0, 2, 0): -1, (1, 1, 1): third,
+                  (0, 2, 1): -third}
+    exact = divide_exact(TruncatedSeries(R, vars, trunc, {
+        e: R.from_fraction(q) for e, q in numerators.items()}), l)
+    got = divide_exact(TruncatedSeries(NR, vars, trunc, {
+        e: NR.from_fraction(q) for e, q in numerators.items()}), l)
+    assert exact.terms == {(1, 0, 0): R.one(), (0, 1, 0): R.one(),
+                           (0, 1, 1): R.from_fraction(third)}
+    assert set(got.terms) == set(exact.terms)
+    for e, c in exact.terms.items():
+        assert abs(got.terms[e] - c.embed(NR.ctx)) <= 2.0 ** -90, e
 
 
 def test_numeric_forms_keyed_by_exact_coefficients():

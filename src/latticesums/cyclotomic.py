@@ -45,9 +45,9 @@ def _factorize(n: int):
 
 
 class CyclotomicField:
-    """Q(zeta_N): its reduction rows, the basis product table and the
-    inverse cache; the numeric images of the generators are computed where
-    an element is embedded (``_roots``)."""
+    """Q(zeta_N): its reduction rows and the basis product table; the
+    numeric images of the generators are computed where an element is
+    embedded (``_roots``)."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -64,7 +64,6 @@ class CyclotomicField:
         self._crt_weights = [N // q for (_, q, _, _) in self.factors]
         self._crt_inverses = [pow(N // q, -1, q) if q > 1 else 0
                               for (_, q, _, _) in self.factors]
-        self._inv_cache: Dict[tuple, "ExactScalar"] = {}
         # (exps_a, exps_b) -> ((exps, integer coefficient), ...)
         self.basis_products: Dict[Tuple[Exps, Exps], tuple] = {}
         # per factor: s -> zeta_q^s on the basis, filled as products need it
@@ -99,11 +98,26 @@ class CyclotomicField:
 
     def root_of_unity(self, q) -> "CycElt":
         """e^{2 pi i q} for rational q with q*N integral."""
+        return self.zeta_pow(self._exponent(q))
+
+    def root_minus_one_inverse(self, q) -> "ExactScalar":
+        """1/(e^{2 pi i q} - 1) for non-integral rational q with q*N
+        integral: with w = e^{2 pi i q} of order M, the denominator of q,
+        1/(w - 1) = (1/M) sum_{m=1}^{M-1} m w^m.  The powers w^m are
+        distinct, so one reduction merges them all."""
+        j, M = self._exponent(q), Fraction(q).denominator
+        if M == 1:
+            raise ValueError(f"e^(2 pi i {q}) - 1 is zero")
+        raw = {(0, self._unreduced(j * m)): m for m in range(1, M)}
+        return ExactScalar(self, {})._cancel(self._reduce(raw), M)
+
+    def _exponent(self, q) -> int:
+        """The j with e^{2 pi i q} = zeta_N^j, for rational q."""
         q = Fraction(q)
         jN = q * self.N
         if jN.denominator != 1:
             raise ValueError(f"e^(2 pi i {q}) does not lie in Q(zeta_{self.N})")
-        return self.zeta_pow(int(jN))
+        return int(jN)
 
     # -- exponents ------------------------------------------------------
 
@@ -115,28 +129,6 @@ class CyclotomicField:
         """Exponents (j*u_i mod q_i) of zeta_N^j, before reduction."""
         return tuple((j * u) % q for (_, q, _, _), u
                      in zip(self.factors, self._crt_inverses))
-
-    def _unity_exponent(self, terms: Dict[tuple, int]):
-        """j if ``terms`` (pi-free, over 1) are the canonical form of
-        zeta_N^j, else None.
-
-        Factor i of a canonical root of unity is either one basis exponent
-        e or, reduced, the p-1 exponents e - phi + m*p^(a-1); the smallest
-        exponent met in position i gives e back.  For p = 2 both forms are
-        one exponent, so j is fixed only up to zeta_N^(N/2) = -1, and both
-        candidates are checked.
-        """
-        if not terms:
-            return None
-        j = 0
-        for i, ((_, _, phi, _), w) in enumerate(zip(self.factors,
-                                                    self._crt_weights)):
-            seen = {e[i] for _, e in terms}
-            j += (min(seen) + (phi if len(seen) > 1 else 0)) * w
-        for cand in (j, j + self.N // 2):
-            if self.zeta_pow(cand).terms == terms:
-                return cand % self.N
-        return None
 
     # -- canonical reduction -------------------------------------------
 
@@ -335,8 +327,7 @@ class ExactScalar:
         return other * self.inv()
 
     def inv(self) -> "ExactScalar":
-        """Inverse of c * pi^k for nonzero c in Q(zeta_N); the inverse of
-        c is kept in the field's cache."""
+        """Inverse of c * pi^k for nonzero c in Q(zeta_N)."""
         if not self.terms:
             raise ZeroDivisionError("inverting zero scalar")
         ks = {k for k, _ in self.terms}
@@ -344,31 +335,20 @@ class ExactScalar:
             raise NotInvertible(f"not a pi-monomial: {self}")
         k, = ks
         field = self.field
-        key = frozenset((e, v) for (_, e), v in self.terms.items()), self.den
-        got = field._inv_cache.get(key)
-        if got is None:
-            unit = ExactScalar(field, {(0, e): v for (_, e), v
-                                       in self.terms.items()}, self.den)
-            got = field._inv_cache[key] = unit._unit_inverse()
+        unit = ExactScalar(field, {(0, e): v for (_, e), v
+                                   in self.terms.items()}, self.den)
+        got = unit._unit_inverse()
         return ExactScalar(field, {(-k, e): v for (_, e), v
                                    in got.terms.items()}, got.den)
 
     def _unit_inverse(self) -> "ExactScalar":
-        """Inverse of a nonzero pi-free scalar c: a zeta-monomial and
-        c(zeta^j - 1) in closed form, any other c through its norm."""
+        """Inverse of a nonzero pi-free scalar c: a zeta-monomial in
+        closed form, any other c through its norm."""
         field = self.field
         if len(self.terms) == 1:
             ((_, e), v), = self.terms.items()
             return field.zeta_pow(-field.zeta_exponent(e)) \
                 * Fraction(self.den, v)
-        two = self._as_unity_minus_one()
-        if two is not None:
-            c, j = two  # self = c * (zeta_N^j - 1)
-            order = field.N // math.gcd(field.N, j)
-            # 1/(w - 1) = (1/M) * sum_{m=1}^{M-1} m w^m for w of order M;
-            # the powers w^m are distinct, so one reduction merges them all
-            raw = {(0, field._unreduced(j * m)): m for m in range(1, order)}
-            return ExactScalar(field, field._reduce(raw)) * (1 / (c * order))
         # generic: product of the nontrivial Galois conjugates over the norm
         prod = field.one()
         for j in range(2, field.N + 1):
@@ -378,25 +358,6 @@ class ExactScalar:
         if norm.terms.keys() != {(0, field.zero_exps)}:
             raise ArithmeticError("norm computation failed to land in Q")
         return prod * Fraction(norm.den, norm.terms[0, field.zero_exps])
-
-    def _as_unity_minus_one(self):
-        """Return (c, j) if the pi-free self = c*(zeta_N^j - 1), else None.
-
-        Every coefficient of a canonical root of unity is +-1, so any
-        coefficient of self off the constant monomial is +-c; for each sign
-        self/c + 1 is tested as a root of unity, whatever its basis form.
-        """
-        z = (0, self.field.zero_exps)
-        a = next((v for key, v in self.terms.items() if key != z), None)
-        if a is None or any(v % a for v in self.terms.values()):
-            return None
-        for c in (a, -a):
-            w = {key: v // c for key, v in self.terms.items()}
-            _acc(w, z, 1)
-            j = self.field._unity_exponent(w)
-            if j is not None:
-                return Fraction(c, self.den), j
-        return None
 
     def galois(self, j: int) -> "ExactScalar":
         """Apply zeta -> zeta^j; requires gcd(j, N) = 1."""

@@ -5,8 +5,9 @@ With lam = e^{-2 pi i b}, the kernel t * e^{(t - 2 pi i b) y} /
 of unity times a part without it, the Bernoulli generating function for
 integral b (lam = 1) and else the Apostol-Bernoulli one (T. M. Apostol, On
 the Lerch zeta function, Pacific J. Math. 1, 1951).  Its numbers B_k(lam)
-follow from a recurrence that inverts only lam - 1 and depend on b, not on
-y, so one list serves every y (``kernel_base``, ``kernel_parts``).
+follow from a recurrence whose one quotient, 1/(lam - 1), the ring builds
+from the exact -b (``root_minus_one_inverse``), and they depend on b, not
+on y, so one list serves every y (``kernel_base``, ``kernel_parts``).
 
 Each root e^{2 pi i q}, for the exact q = -b y or -b, is the ring's
 ``root_of_unity(q)``, and 2 pi i b is ``two_pi_i() * from_fraction(b)``:
@@ -75,11 +76,11 @@ class KernelParams:
         return cls(b, y, integral)
 
 
-def _apostol_numbers(ring, lam, order: int) -> list:
-    """B_0(lam)..B_order(lam) for lam != 1, defined by
+def _apostol_numbers(ring, q, order: int) -> list:
+    """B_0(lam)..B_order(lam) for lam = e^{2 pi i q} != 1, defined by
     t / (lam e^t - 1) = sum_n B_n(lam) t^n / n!, from the recurrence
     (lam - 1) B_n = [n = 1] - lam sum_{k<n} C(n, k) B_k (B_0 = 0)."""
-    inv = ring.inv(lam - ring.one())
+    lam, inv = ring.root_of_unity(q), ring.root_minus_one_inverse(q)
     out = [ring.zero()]
     for n in range(1, order + 1):
         acc = ring.zero()
@@ -93,12 +94,13 @@ def _apostol_numbers(ring, lam, order: int) -> list:
 def kernel_base(ring, params: KernelParams, order: int) -> list:
     """B_k(lam) / k! for k <= order, lam = e^{-2 pi i b}: Bernoulli
     numbers for integral b (lam = 1), Apostol-Bernoulli numbers otherwise.
-    They depend on b and the order, not on y.  The only inverse taken is
-    1/(lam - 1); the division by k! is ``ring.scale`` in both rings."""
+    They depend on b and the order, not on y.  The one inverse,
+    1/(lam - 1), is ``ring.root_minus_one_inverse(-b)``, in closed form in
+    the exact ring; the division by k! is ``ring.scale`` in both rings."""
     if params.integral:
         base = [ring.from_fraction(bk) for bk in bernoulli_numbers(order)]
     else:
-        base = _apostol_numbers(ring, ring.root_of_unity(-params.b), order)
+        base = _apostol_numbers(ring, -params.b, order)
     return [ring.scale(bk, Fraction(1, math.factorial(k)))
             for k, bk in enumerate(base)]
 

@@ -343,31 +343,20 @@ def is_generic(arr: Arrangement, phi: Sequence[int]) -> bool:
                for b in arr.bases for m in b.members)
 
 
-def choose_phi(arr: Arrangement, skip: int = 0) -> GenericDirection:
+def choose_phi(arr: Arrangement) -> GenericDirection:
     """Deterministic phi = (1, M, ..., M^(r-1)) for the smallest workable M,
     searched once per list of directions and kept in the arrangement
-    table.
-
-    `skip` > 0 returns the (skip+1)-th workable M, for invariance tests.
-    """
+    table."""
     data = arrangement_data(arr)
-    if skip == 0 and data.phi is not None:
-        return data.phi
-    r = arr.rank
     M = 1
-    found = 0
-    while True:
-        phi = tuple(M**i for i in range(r))
-        if is_generic(arr, phi):
-            if found == skip:
-                out = GenericDirection(phi)
-                if skip == 0:
-                    data.phi = out
-                return out
-            found += 1
-        M += 1
+    while data.phi is None:
         if M > 10_000:
             raise LatticeSumError("no generic direction found (bug)")
+        phi = tuple(M**i for i in range(arr.rank))
+        if is_generic(arr, phi):
+            data.phi = GenericDirection(phi)
+        M += 1
+    return data.phi
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ Two interchangeable rings live here behind one small protocol:
   positive denominator, kept in lowest terms after every operation;
   products of basis monomials come from a table that the field fills as
   they are first met.  Only pi-monomials with a nonzero Q(zeta_N)
-  coefficient are invertible, which covers every inverse the evaluators
-  take; any other inverse raises ``NotInvertible``.
+  coefficient are invertible; any other inverse raises ``NotInvertible``.
+  The evaluators invert no scalar: the one quotient they need,
+  1/(e^{2 pi i q} - 1), is built from q in closed form.
 * ``NumericRing`` -- arbitrary-precision complex floats (mpmath), with the
   tolerance conventions needed by the numeric evaluation paths.
 
@@ -18,15 +19,16 @@ The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction`` and ``root_of_unity`` (e^{2 pi i q}), the one road from
 an exact constant q, a Fraction or a Gaussian rational, to a scalar (the
 exact ring has no root for a Gaussian q: exact mode refuses non-real
-constants before any kernel is built), ``two_pi_i``,
-``is_zero``, ``inv``, ``scale`` (a scalar times a rational, with no product
-of scalars), the two series operations ``mul_terms`` (a sum of truncated
-products of two series term maps: one series product, or a sum of
-series each times a multiplier, a scalar as a one-term map or a
-polynomial over Q) and ``unit_lift`` (coefficients from integer
-numerators times scalars over powers of 2 pi i), ``detach``/``attach``
-(a scalar as plain data that holds no field or context, and back), and
-the flag ``exact``.  The exact ring builds each output coefficient of
+constants before any kernel is built), ``root_minus_one_inverse``
+(1/(e^{2 pi i q} - 1) for q not an integer, the kernels' one quotient),
+``two_pi_i``, ``is_zero``, ``inv``, ``scale`` (a scalar times a
+rational, with no product of scalars), the two series operations
+``mul_terms`` (a sum of truncated products of two series term maps: one
+series product, or a sum of series each times a multiplier, a scalar as
+a one-term map or a polynomial over Q) and ``unit_lift`` (coefficients
+from integer numerators times scalars over powers of 2 pi i),
+``detach``/``attach`` (a scalar as plain data that holds no field or
+context, and back), and the flag ``exact``.  The exact ring builds each output coefficient of
 the two series operations once: it
 works on integer numerators over one denominator and builds one
 ``ExactScalar`` per coefficient, cancelled once.  Every structural
@@ -101,6 +103,11 @@ class ExactRing:
         if Fraction(q).denominator == 1:
             return self._one
         return self.field.root_of_unity(q)
+
+    def root_minus_one_inverse(self, q):
+        """1/(e^{2 pi i q} - 1) for non-integral rational q, in closed
+        form."""
+        return self.field.root_minus_one_inverse(q)
 
     def two_pi_i(self):
         return self._two_pi_i
@@ -317,6 +324,10 @@ class NumericRing:
         if isinstance(q, GaussianRational):
             return self.ctx.exp(2j * self.ctx.pi * self.from_fraction(q))
         return self.ctx.expjpi(2 * self.from_fraction(q))
+
+    def root_minus_one_inverse(self, q):
+        """1/(e^{2 pi i q} - 1) for an exact q that is not an integer."""
+        return 1 / (self.root_of_unity(q) - self.one())
 
     def two_pi_i(self):
         return self.ctx.mpc(0, 2) * self.ctx.pi

@@ -49,7 +49,8 @@ from latticesums.genfun import (EvaluationContext, _coset_grids, _dead_unit,
 from latticesums.kernel import (KernelParams, _apostol_numbers,
                                 bernoulli_numbers, kernel_series)
 from latticesums.lattice import (Arrangement, Basis, Functional,
-                                 GaussianRational)
+                                 GaussianRational, GenericDirection,
+                                 is_generic)
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
 from latticesums.scalar import ExactScalar
@@ -302,7 +303,7 @@ def kernel_coeff_poly(ring, k: int, params_b: Fraction):
     if b.denominator == 1:
         return [ring.from_fraction(c) for c in bernoulli_poly_coeffs(k)]
     # C(k, x; b) = B_k(x; lam) = sum_j C(k, j) B_{k-j}(lam) x^j, B_0(lam) = 0
-    bn = _apostol_numbers(ring, ring.root_of_unity(-b), k)
+    bn = _apostol_numbers(ring, -b, k)
     return [ring.scale(bn[k - j], math.comb(k, j)) for j in range(k)] \
         or [ring.zero()]
 
@@ -602,6 +603,17 @@ def lattice_contains(rows: Sequence[Sequence[int]], v: Sequence) -> bool:
     coeffs = [sum(Fraction(v[j]) * inv[j][i] for j in range(len(v)))
               for i in range(len(rows))]
     return all(c.denominator == 1 for c in coeffs)
+
+
+def later_phi(arr: Arrangement, skip: int = 1) -> GenericDirection:
+    """The (skip+1)-th workable phi = (1, M, ..., M^(r-1)) by increasing
+    M, for invariance tests: skip = 0 is ``lattice.choose_phi``'s."""
+    for M in itertools.count(1):
+        phi = tuple(M**i for i in range(arr.rank))
+        if is_generic(arr, phi):
+            if not skip:
+                return GenericDirection(phi)
+            skip -= 1
 
 
 def pi_pow(ring, k: int) -> ExactScalar:

@@ -45,18 +45,19 @@ def test_zeta_poly_roundtrip():
 
 @pytest.mark.parametrize("N,j", [(12, 2), (12, 3), (60, 7), (4620, 7),
                                  (4620, 2310), (420, 315), (924, 616),
-                                 (4620, 3696), (1260, 1)])
+                                 (4620, 3696), (1260, 1), (12, -5),
+                                 (60, 127), (1260, -2519)])
 def test_unity_minus_one_inverse(N, j, monkeypatch):
-    # c*(zeta^j - 1) inverts in closed form whatever the basis form of
+    # 1/(zeta^j - 1) is built in closed form whatever the basis form of
     # zeta^j (at N = 420, zeta^315 - 1 is -1 - zeta^105): never by the norm
     def no_norm(self, j):
         raise AssertionError("inverted through the Galois norm")
 
     monkeypatch.setattr(ExactScalar, "galois", no_norm)
     F = CyclotomicField(N)
-    for c in (1, Fraction(-3, 2)):
-        e = (F.zeta_pow(j) - F.from_fraction(1)) * c
-        assert (e.inv() * e) == F.one()
+    q = Fraction(j, N)
+    x = F.root_minus_one_inverse(q)
+    assert x * (F.root_of_unity(q) - F.one()) == F.one()
 
 
 def test_generic_inverse_by_norm():
@@ -136,3 +137,9 @@ def test_root_of_unity_outside_the_field_is_refused(N, q):
     with pytest.raises(ValueError, match=rf"^e\^\(2 pi i {q}\) does not "
                        rf"lie in Q\(zeta_{N}\)"):
         CyclotomicField(N).root_of_unity(q)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(-3)])
+def test_root_minus_one_inverse_of_an_integer_is_refused(q):
+    with pytest.raises(ValueError, match=rf"^e\^\(2 pi i {q}\) - 1 is zero"):
+        CyclotomicField(12).root_minus_one_inverse(q)

@@ -31,8 +31,8 @@ from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, division_count,
                                 sum_rational_forms)
-from reference import (full_order_summand, lift, permuted, pi_pow,
-                       series_variable, summand_rational_form,
+from reference import (full_order_summand, later_phi, lift, permuted,
+                       pi_pow, series_variable, summand_rational_form,
                        termwise_unit_product, termwise_unit_summand,
                        unit_inverse, with_truncation)
 
@@ -320,7 +320,7 @@ def test_reduction_to_lower_dimension():
 def test_phi_independence(triangle_rational, generic_y2):
     arr = triangle_rational
     phi1 = choose_phi(arr)
-    phi2 = choose_phi(arr, skip=1)
+    phi2 = later_phi(arr)
     assert phi1.phi != phi2.phi
     r1 = lattice_sum_value(arr, generic_y2, (1, 2, 2), phi=phi1)
     r2 = lattice_sum_value(arr, generic_y2, (1, 2, 2), phi=phi2)
@@ -332,7 +332,7 @@ def test_phi_independence_at_lattice_point():
     r1 = lattice_sum_value(arr, (Fraction(0),), (2, 2, 2),
                            phi=choose_phi(arr))
     r2 = lattice_sum_value(arr, (Fraction(0),), (2, 2, 2),
-                           phi=choose_phi(arr, skip=1))
+                           phi=later_phi(arr))
     assert r1.value == r2.value
 
 
@@ -1389,7 +1389,7 @@ def test_context_for_another_arrangement_or_y_is_rejected(
     zeta_arr = a2_directions()
     zeta_ctx = EvaluationContext(zeta_arr, (0, 0), "exact")
     others = [dict(mode="numeric"), dict(precision=64)]
-    with_phi = others + [dict(phi=choose_phi(arr, skip=1))]
+    with_phi = others + [dict(phi=later_phi(arr))]
     calls = [
         (lambda kw: lattice_sum_value(arr, y, (2, 2, 2), ctx=ctx, **kw),
          with_phi),
@@ -1446,7 +1446,7 @@ def test_coefficient_table_serves_equal_data(monkeypatch, generic_y2):
         # a new Arrangement object on every call
         arr = triangle(*consts)
         return coefficient(arr, y, k, mode=mode, precision=precision,
-                           phi=phi and choose_phi(arr, skip=phi))
+                           phi=phi and later_phi(arr, skip=phi))
 
     for base, changes in [
             (exact, [dict(mode="numeric"),
@@ -1552,7 +1552,7 @@ def test_non_default_phi_reads_its_own_branches():
                           make_functional((0, 1), Fraction(1, 2)),
                           make_functional((1, 2), 0)])
     y = (Fraction(0), Fraction(0))
-    phi0, phi1 = choose_phi(arr), choose_phi(arr, skip=1)
+    phi0, phi1 = choose_phi(arr), later_phi(arr)
     assert (phi0.phi, phi1.phi) == ((1, 1), (1, 3))
     yhats = {}
     for phi in (phi0, phi1):
@@ -1579,7 +1579,7 @@ def test_a_callers_phi_must_be_generic():
     with pytest.raises(ValueError, match=r"phi \(1, 1\) is not generic"):
         lattice_sum_value(arr, (0, 0), (2, 2, 2),
                           phi=lattice.GenericDirection((1, 1)))
-    for phi in (None, choose_phi(arr), choose_phi(arr, skip=1)):
+    for phi in (None, choose_phi(arr), later_phi(arr)):
         assert format_scalar(lattice_sum_value(arr, (0, 0), (2, 2, 2),
                                                phi=phi).value) \
             == "2*pi^6/945"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,11 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
+from latticesums.cyclotomic import CycElt, ExactScalar
+from latticesums.families import triangle
+from latticesums.genfun import lattice_sum_value
+from latticesums.hierarchy import check_hierarchy
 from latticesums.kernel import (KernelParams, bernoulli_numbers, kernel_base,
                                 kernel_parts, kernel_series, kernel_series_dy)
 from latticesums.lattice import Arrangement, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
-from latticesums.scalar import ExactRing, NumericRing
+from latticesums.polytope import polytope_report
+from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import LinearForm, TruncatedSeries, Truncation
 from reference import (bernoulli_poly, form_exp, kernel_coeff,
                        kernel_coeff_poly, kernel_moment, moment_integral_exact,
@@ -266,3 +272,32 @@ def test_root_times_parts_is_the_kernel(case, other):
 def test_kernel_argument_validation():
     with pytest.raises(ValueError):
         KernelParams.make(Fraction(0), Fraction(3, 2))
+
+
+def test_exact_evaluators_invert_no_scalar(monkeypatch):
+    # the one inverse of a kernel, 1/(lam - 1), is built from the exact
+    # constant (``ring.root_minus_one_inverse``): the value, the polytope
+    # check and the hierarchy check of non-integral constants run with
+    # every scalar inverse refused, and give the values pinned here
+    def refused(self):
+        raise AssertionError("an exact scalar was inverted")
+
+    monkeypatch.setattr(ExactScalar, "inv", refused)
+    monkeypatch.setattr(CycElt, "inv", refused)
+    y = (Fraction(1, 7), Fraction(2, 11))
+    value = format_scalar(lattice_sum_value(
+        triangle(Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)), y,
+        (2, 2, 2)).value)
+    assert len(value) == 5040
+    assert hashlib.sha256(value.encode()).hexdigest() == \
+        "4fa19faf146b949be33e4c7bda4caa294c324a65454eb83271cd345a59153024"
+    arr = triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+    rep = polytope_report(arr, y, 3)
+    assert rep == {"m_count": 3, "per_m": [
+        {"m": [0, 0], "vertices": 2, "simple": True},
+        {"m": [1, 0], "vertices": 2, "simple": True},
+        {"m": [1, 1], "vertices": 2, "simple": True}],
+        "order": 3, "max_discrepancy": "0 (exact)"}
+    rep = check_hierarchy(arr, [0, 1], y, 4)
+    assert (rep["removed"], rep["stray_variable_terms"],
+            rep["max_discrepancy_str"]) == ([2], 0, "0 (exact)")

@@ -38,13 +38,10 @@ def scalars(draw, ring):
 
 @st.composite
 def pi_monomials(draw, ring):
-    """c * pi^k with c a nonzero rational times zeta^j or zeta^j - 1, the
-    shapes of the constants the evaluators invert."""
+    """c * pi^k with c a nonzero rational times zeta^j: a closed-form
+    inverse when zeta^j is one basis monomial, the Galois norm otherwise."""
     k = draw(st.integers(-3, 3))
-    j = draw(st.integers(0, ring.N - 1))
-    c = ring.field.zeta_pow(j)
-    if j and draw(st.booleans()):
-        c = c - 1
+    c = ring.field.zeta_pow(draw(st.integers(0, ring.N - 1)))
     q = Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1])),
                  draw(st.integers(1, 4)))
     return pi_pow(ring, k) * c * ring.from_fraction(q)
@@ -95,6 +92,29 @@ def test_embed_ring_homomorphism(N, data):
     scale = max(1.0, abs(complex(ea))) * max(1.0, abs(complex(eb)))
     assert abs(complex((a * b).embed(CTX)) - complex(ea * eb)) \
         < 2.0 ** (-100) * scale
+
+
+@st.composite
+def unit_fractions(draw, N):
+    """A rational q, not an integer, with e^{2 pi i q} in Q(zeta_N)."""
+    return Fraction(draw(st.integers(1, N - 1)), N) \
+        + draw(st.integers(-2, 2))
+
+
+@pytest.mark.parametrize("N", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_root_minus_one_inverse(N, data):
+    # both rings give 1/(e^{2 pi i q} - 1): the exact value embeds to it
+    # within 2^-120 relative, and the numeric value at 128 bits lies within
+    # 2^-124 (1 + |q|) |x| relative: the rounding of q, scaled by 2 pi |q|,
+    # and of the root are divided by |e^{2 pi i q} - 1| = 1/|x|
+    q = data.draw(unit_fractions(N))
+    want = 1 / (CTX.expjpi(2 * CTX.mpf(q.numerator) / q.denominator) - 1)
+    x = canonical(RINGS[N].root_minus_one_inverse(q)).embed(CTX)
+    assert abs(x - want) <= 2.0 ** -120 * abs(want)
+    got = NumericRing(128).root_minus_one_inverse(q)
+    assert abs(got - want) <= 2.0 ** -124 * (1 + abs(q)) * abs(want) ** 2
 
 
 def test_two_pi_i():

@@ -10,7 +10,9 @@ sum_f (t_f - 2 pi i c_f) <g, f^B>, and so is every edge denominator of
 the polytope reconstruction.  One builder,
 ``EvaluationContext.combination``, returns such a combination as a
 ``LinearForm``: rational coefficients and the constant sum_f q_f c_f,
-computed exactly from the functional constants.  The form is singular
+computed exactly from the functional constants, summed in integers over
+one denominator; a den_g's coefficients are the relative form that the
+arrangement table keeps per basis (``geometry``).  The form is singular
 exactly when that constant is zero, and forms are merged by their
 normalised rational coefficients.  Every unit inverse, a factor 1/den_g
 of a full series, a factor collapsed to its Taylor coefficient or a
@@ -93,8 +95,10 @@ from .kernel import KernelParams, kernel_base, kernel_parts, nonzero_parts
 # genfun.kernel_series_dy
 from .kernel import kernel_series, kernel_series_dy  # noqa: F401
 from .lattice import (Arrangement, GaussianRational, GenericDirection,
-                      arrangement_data, choose_phi, frac_part, is_generic,
-                      on_excluded_hyperplanes)
+                      arrangement_data, choose_phi, is_generic,
+                      on_excluded_hyperplanes, residue)
+# unused here, but the benchmark's tracer patches genfun.frac_part
+from .lattice import frac_part  # noqa: F401
 from .scalar import ExactRing, NumericRing
 from .series import LinearForm, TruncatedSeries, Truncation, convolve
 # unused here, but the benchmark's tracer patches genfun.sum_rational_forms
@@ -177,12 +181,15 @@ def cyclotomic_order(arr: Arrangement, y: Sequence) -> int:
 class EvaluationContext:
     """Per-(arrangement, y, mode) state shared by all evaluation calls.
 
-    What the directions fix, the bases, phi and the pairings <g, f^B>, is
-    read from the arrangement table (``lattice.arrangement_data``), shared
-    by every context over the same directions; a context adds the
-    constants, y and the scalars: the denominators den_g of each basis
-    (``geometry``), the fractional parts (``lattice.frac_part``) and the
-    kernels, computed once per ring.  A caller's phi must be generic
+    What the directions fix, the bases, phi, the integer duals D f^B, the
+    sides of phi and the relative forms of the den_g, is read from the
+    arrangement table (``lattice.arrangement_data``), shared by every
+    context over the same directions.  A context brings in, once, y as
+    integers Y over one denominator q and the constants as integer real
+    and imaginary numerators over one denominator, and adds the scalars:
+    the denominators den_g of each basis (``geometry``), the fractional
+    parts (``yhat``, one integer residue each) and the kernels, computed
+    once per ring.  A caller's phi must be generic
     (``lattice.is_generic``), else ValueError."""
 
     def __init__(self, arr: Arrangement, y: Sequence, mode: str = "exact",
@@ -199,6 +206,9 @@ class EvaluationContext:
         self.phi = phi or choose_phi(arr)
         # floats are taken at their exact binary value in both modes
         self.y = tuple(Fraction(v) for v in y)
+        self._q = math.lcm(*(v.denominator for v in self.y))
+        self._Y = tuple(v.numerator * (self._q // v.denominator)
+                        for v in self.y)
         self._set_arrangement(arr)
         if mode == "exact":
             self.N = cyclotomic_order(arr, self.y)
@@ -206,15 +216,30 @@ class EvaluationContext:
         else:
             self.N = None
             self.ring = NumericRing(precision)
+        # the kernel tables, keyed by values alone (constant, fractional
+        # part, order), so that a restricted context can share them
         self._bases: Dict[tuple, list] = {}
-        self._parts: Dict[tuple, dict] = {}
+        self._parts: Dict[tuple, tuple] = {}
 
     def _set_arrangement(self, arr: Arrangement) -> None:
-        """The fields that depend on the arrangement, and only those."""
+        """The fields that depend on the arrangement, and only those: every
+        one read by basis or functional index is set here, so that a
+        restricted context reads none of its parent's."""
         self.arr = arr
         self.data = arrangement_data(arr)
         self.vars = tuple(f"t{i}" for i in range(arr.size))
         self._constants = [f.exact_constant() for f in arr.functionals]
+        self._sides = self.data.sides(self.phi.phi)
+        parts = [(c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+                 for c in self._constants]
+        # c_x = (re[x] + i im[x]) / cden, and as a kernel key its parts in
+        # lowest terms
+        cden = self._cden = math.lcm(*(x.denominator for p in parts
+                                       for x in p))
+        self._re = [re.numerator * (cden // re.denominator) for re, _ in parts]
+        self._im = [im.numerator * (cden // im.denominator) for _, im in parts]
+        self._ckeys = [(re.numerator, re.denominator, im.numerator,
+                        im.denominator) for re, im in parts]
 
     def restricted(self, keep: Sequence[int]) -> "EvaluationContext":
         """The context of ``arr.restricted(keep)`` at the same y and phi,
@@ -235,56 +260,76 @@ class EvaluationContext:
         """sum_x lin[x] (t_x - 2 pi i c_x), a rational combination of the
         functionals, as every denominator of the basis sum and of the
         polytope edges is.  The one place that decides whether a
-        denominator is singular: its constant sum_x lin[x] c_x is
-        computed from the exact constants, never from a rounded value."""
-        c = sum((q * self._constants[x] for x, q in lin.items()),
-                Fraction(0))
-        if isinstance(c, GaussianRational) and c.im == 0:
-            c = c.re
-        return LinearForm({self.vars[x]: q for x, q in lin.items()}, c)
+        denominator is singular: its constant sum_x lin[x] c_x is summed
+        from the exact constants, in integers over the lcm of lin's
+        denominators times the constants' one denominator, and made one
+        Fraction (two for a Gaussian one), never from a rounded value."""
+        lin = {x: q if type(q) is Fraction else Fraction(q)
+               for x, q in lin.items() if q}
+        den = math.lcm(*(q.denominator for q in lin.values()))
+        re = im = 0
+        for x, q in lin.items():
+            p = q.numerator * (den // q.denominator)
+            re += p * self._re[x]
+            im += p * self._im[x]
+        c = Fraction(re, den * self._cden)
+        if im:
+            c = GaussianRational(c, Fraction(im, den * self._cden))
+        return LinearForm.normalised({self.vars[x]: q
+                                      for x, q in lin.items()}, den, c)
 
-    def yhat(self, bidx: int, w: Tuple[int, ...], member: int):
-        """``lattice.frac_part`` of (y, w) for `member` of basis bidx, on
-        the side of phi."""
-        return frac_part(self.y, w, self.data.bases[bidx], member, self.phi)
+    def _residue(self, bidx: int, w: Tuple[int, ...], member: int
+                 ) -> Tuple[int, int]:
+        """(r, d): r / d is the fractional part of <y + w, f^B> for
+        `member` of basis bidx on the side of phi, from the integer dual
+        D f^B of the table, d = q D (``lattice.residue``)."""
+        D, dual = self.data.integer_duals[bidx][member]
+        d = self._q * D
+        num = sum(map(mul, self._Y, dual)) + self._q * sum(map(mul, w, dual))
+        return residue(num, d, self._sides[bidx][member]), d
+
+    def yhat(self, bidx: int, w: Tuple[int, ...], member: int) -> Fraction:
+        """The fractional part of <y + w, f^B> for `member` of basis bidx,
+        on the side of phi, as ``lattice.frac_part`` reads it: one
+        integer residue over q D (``_residue``)."""
+        return Fraction(*self._residue(bidx, w, member))
 
     def kernel(self, bidx: int, w: Tuple[int, ...], member: int,
                order: int) -> Tuple[Dict[int, object], object]:
         """`(a, q)`: the kernel of `member` at its fractional part for
         (bidx, w), through degree `order`, is e^{2 pi i q} sum_n a[n] t^n,
-        `a` its nonzero root-free parts (``kernel.nonzero_parts``), cached
-        by the kernel's parameters (distinct cosets and bases often share
-        them) and their B_k(lam) / k! by b and the order."""
-        params = KernelParams.make(self.constant(member),
-                                   self.yhat(bidx, w, member))
-        q = -params.b * params.y
-        parts = self._parts.get((params, order))
-        if parts is None:
-            key = (None if params.integral else params.b, order)
-            base = self._bases.get(key)
+        `a` its nonzero root-free parts (``kernel.nonzero_parts``).  Both
+        are cached under the kernel's constant and fractional part as
+        ints in lowest terms, and the order (distinct cosets and bases
+        often share them), so that a hit builds no ``KernelParams``, and
+        their B_k(lam) / k! by the constant and the order."""
+        r, d = self._residue(bidx, w, member)
+        g = math.gcd(r, d)
+        key = (self._ckeys[member], r // g, d // g, order)
+        got = self._parts.get(key)
+        if got is None:
+            params = KernelParams.make(self.constant(member),
+                                       Fraction(r // g, d // g))
+            q = -params.b * params.y
+            bkey = (None if params.integral else self._ckeys[member], order)
+            base = self._bases.get(bkey)
             if base is None:
-                base = self._bases[key] = kernel_base(self.ring, params,
-                                                      order)
-            parts = self._parts[params, order] = nonzero_parts(
-                self.ring, kernel_parts(self.ring, params, order, base), q)
-        return parts, q
+                base = self._bases[bkey] = kernel_base(self.ring, params,
+                                                       order)
+            got = self._parts[key] = (nonzero_parts(
+                self.ring, kernel_parts(self.ring, params, order, base), q),
+                q)
+        return got
 
     # -- basis geometry ------------------------------------------------------
 
     def geometry(self, bidx: int) -> Dict[int, LinearForm]:
         """``{g: den_g}`` for each g outside basis bidx, with
-        den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>, the
-        pairings <g, f^B> read from the arrangement table."""
-        return {g: self.combination(relative_form(g, pairs))
-                for g, pairs in self.data.pairings[bidx].items()}
-
-
-def relative_form(g: int, pairs: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    """t_g - sum_f <g, f^B> t_f, as coefficients on the functionals, from
-    g's pairings {f: <g, f^B>} with the duals of a basis B."""
-    lin = {g: Fraction(1)}
-    lin.update((f, -c) for f, c in pairs.items() if c)
-    return lin
+        den_g = t_g - 2 pi i c_g - sum_f (t_f - 2 pi i c_f) <g, f^B>: the
+        relative form of the arrangement table with its constant
+        (``combination``)."""
+        return {g: self.combination(lin)
+                for g, (lin, _) in self.data.relative_forms[bidx].items()}
 
 
 def _context(arr: Arrangement, y: Sequence, mode: Optional[str],
@@ -455,13 +500,16 @@ def _exponents(n: int, total: int) -> List[tuple]:
 # ---------------------------------------------------------------------------
 
 
-def _dead_unit(ctx: EvaluationContext, g: int, form: LinearForm
+def _dead_unit(ctx: EvaluationContext, bidx: int, g: int, form: LinearForm
                ) -> LinearForm:
-    """U_g = a_g + U_g(t_B) for den_g = t_g - U_g, so that the target
-    Taylor coefficient [t_g^{k_g}] t_g / den_g of a unit factor is
-    -U_g^{-k_g}; a singular den_g gives U_g with no constant."""
-    return LinearForm({v: -q for v, q in form.coeffs.items()
-                       if v != ctx.vars[g]}, -form.c)
+    """U_g = a_g + U_g(t_B) for den_g = t_g - U_g, `form`, of basis bidx,
+    so that the target Taylor coefficient [t_g^{k_g}] t_g / den_g of a
+    unit factor is -U_g^{-k_g}; a singular den_g gives U_g with no
+    constant.  Its coefficients are the table's (``relative_forms``), over
+    den_g's denominator, its constant minus den_g's."""
+    _, unit = ctx.data.relative_forms[bidx][g]
+    return LinearForm.normalised({ctx.vars[f]: q for f, q in unit.items()},
+                                 form.den, -form.c)
 
 
 def _reciprocal(c) -> Tuple[object, int]:
@@ -695,7 +743,7 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     vars = tuple(ctx.vars[m] for m in members)
     # (g, U_g, lead) per singular den_g = t_g - U_g, lead the functional
     # whose variable dominates, its first: g when t_g precedes all of U_g
-    singular = [(g, _dead_unit(ctx, g, form),
+    singular = [(g, _dead_unit(ctx, s.bidx, g, form),
                  min(map(ctx.vars.index, form.coeffs)))
                 for g, form in s.degenerate_factors]
     reads = {}  # per unit k_g: [(target index, k_B, singular part, sign)]
@@ -726,7 +774,7 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     for units, group in reads.items():
         # the unit factors' part, once, on every exponent that a read meets
         U, uden, uK = _unit_numerators(
-            [(_dead_unit(ctx, g, form), kg)
+            [(_dead_unit(ctx, s.bidx, g, form), kg)
              for (g, form), kg in zip(s.unit_factors, units)], vars,
             _span(tuple(map(sub, box, e)) for _, box, part, _ in group
                   for e in (part[0] if part else [(0,) * len(vars)])))

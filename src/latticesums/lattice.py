@@ -6,8 +6,9 @@ This module computes everything downstream evaluators need from it:
 indispensable functionals, the bases (independent r-subsets) with dual
 vectors and coset representatives of Z^r modulo the direction lattice,
 a generic direction phi, the phi-branched multi-dimensional fractional
-part, and the excluded-hyperplane membership tests.  All of it is exact
-Fraction arithmetic: a float point y is read at its exact binary value.
+part, and the excluded-hyperplane membership tests.  All of it is exact:
+rational data is read over integers, and a float point y at its exact
+binary value.
 
 All of it but the fractional parts and the membership tests, which read
 y, depends on the directions alone.  So it is computed once per list of
@@ -17,11 +18,13 @@ the rank and the ordered directions, least recently used dropped first.
 An entry (``ArrangementData``) holds the bases, the indispensable
 functionals, the codimension-one normals and the default phi; per basis,
 the pairings <g, f^B> of every g outside it with the duals f^B of its
-members, and each dual as an integer vector over the lcm of its
-denominators.  Arrangements with equal directions and different constants
-share an entry: the constants enter only in the evaluators.  The side of
-phi that a fractional part takes is read where the part is taken
-(``frac_part``), from one dot product with the dual.
+members, the relative form of each such g (``relative_forms``), each dual
+as an integer vector D f^B over the lcm D of its denominators, and, per
+phi asked for, the side of phi of every dual (``sides``).  Arrangements
+with equal directions and different constants share an entry: the
+constants enter only in the evaluators.  A fractional part is one integer
+residue (``residue``): with y = Y / q over integers, <y + w, f^B> is
+<Y + q w, D f^B> / (q D), read on the side of phi.
 """
 
 from __future__ import annotations
@@ -202,6 +205,10 @@ def _dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
 def _integer_vector(v: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
     """(D, D v) for D the lcm of the denominators of v.  No prime of D
     divides every entry of D v, so D and the entries of D v are coprime."""
@@ -254,6 +261,7 @@ class ArrangementData:
         # the arrangement the entry was made for, which enumerate_bases reads
         self._arr = arr
         self.phi: Optional[GenericDirection] = None
+        self._sides: Dict[tuple, List[Dict[int, int]]] = {}
 
     @cached_property
     def indispensable(self) -> Tuple[int, ...]:
@@ -281,11 +289,38 @@ class ArrangementData:
                 for b in self.bases]
 
     @cached_property
+    def relative_forms(self) -> List[Dict[int, Tuple[Dict[int, Fraction],
+                                                     Dict[int, Fraction]]]]:
+        """Per basis: {g outside it: (den_g, U_g)}, the relative form
+        t_g - sum_f <g, f^B> t_f and U_g = sum_f <g, f^B> t_f, as their
+        nonzero coefficients on the functionals."""
+        out = []
+        for pairings in self.pairings:
+            forms = {}
+            for g, pairs in pairings.items():
+                unit = {f: c for f, c in pairs.items() if c}
+                forms[g] = ({g: Fraction(1), **{f: -c for f, c in
+                                                unit.items()}}, unit)
+            out.append(forms)
+        return out
+
+    @cached_property
     def integer_duals(self) -> List[Dict[int, Tuple[int, Tuple[int, ...]]]]:
         """Per basis: {member f: (D, D f^B)}, D the lcm of the denominators
         of f^B, so that D f^B is an integer vector."""
         return [{m: _integer_vector(b.dual(m)) for m in b.members}
                 for b in self.bases]
+
+    def sides(self, phi: Sequence[int]) -> List[Dict[int, int]]:
+        """Per basis: {member f: the sign of <phi, D f^B>}, 1, -1 or 0 where
+        phi is orthogonal to f^B, kept per phi asked for."""
+        phi = tuple(phi)
+        got = self._sides.get(phi)
+        if got is None:
+            got = self._sides[phi] = [
+                {m: _sign(_dot(phi, dual)) for m, (_, dual) in duals.items()}
+                for duals in self.integer_duals]
+        return got
 
     @cached_property
     def codim1_normals(self) -> List[Tuple[int, ...]]:
@@ -333,14 +368,15 @@ def arrangement_data(arr: Arrangement) -> ArrangementData:
 
 def is_generic(arr: Arrangement, phi: Sequence[int]) -> bool:
     """Whether phi is orthogonal to no dual f^B of a basis member, so that
-    every fractional part has a side of phi to take.  Raises ValueError
-    unless phi has one entry per dimension: zipped against the duals, a
-    longer phi would be read truncated."""
+    every fractional part has a side of phi to take: no sign of
+    <phi, D f^B> in the arrangement table is 0.  Raises ValueError unless
+    phi has one entry per dimension: zipped against the duals, a longer
+    phi would be read truncated."""
     if len(phi) != arr.rank:
         raise ValueError(f"phi {tuple(phi)} has length {len(phi)}, not "
                          f"the rank {arr.rank}")
-    return all(_dot(phi, b.dual(m)) != 0
-               for b in arr.bases for m in b.members)
+    return all(all(signs.values())
+               for signs in arrangement_data(arr).sides(phi))
 
 
 def choose_phi(arr: Arrangement) -> GenericDirection:
@@ -364,16 +400,29 @@ def choose_phi(arr: Arrangement) -> GenericDirection:
 # ---------------------------------------------------------------------------
 
 
+def residue(num: int, den: int, side: int) -> int:
+    """r such that r / den is the fractional part of a = num / den on the
+    side of phi, den > 0: {a} = (num mod den) / den when side > 0, and
+    1 - {-a} otherwise, which differs only at an integer a, where it reads
+    1 (r = den) instead of 0.  The one fractional-part rule."""
+    r = num % den
+    return r if r or side > 0 else den
+
+
 def frac_part(y: Sequence, w: Sequence[int], basis: Basis, member: int,
-              phi: GenericDirection):
+              phi: GenericDirection) -> Fraction:
     """The fractional part of a = <y + w, dual(member)> on the side of
     phi: {a} when <phi, dual(member)> > 0 and 1 - {-a} when it is < 0, so
-    an integer a reads 0 or 1 respectively."""
-    dual = basis.dual(member)
-    a = sum((yi + wi) * d for yi, wi, d in zip(y, w, dual))
-    if _dot(phi.phi, dual) > 0:
-        return a - math.floor(a)
-    return 1 - (-a - math.floor(-a))
+    an integer a reads 0 or 1 respectively.  Every entry of y is read as
+    ``Fraction(v)``, a float at its exact binary value, and a is taken
+    as the integer residue of <Y + q w, D f^B> over q D, with y = Y / q
+    and f^B = (D f^B) / D (``residue``)."""
+    y = [Fraction(v) for v in y]
+    q = math.lcm(*(v.denominator for v in y))
+    D, dual = _integer_vector(basis.dual(member))
+    num = sum((v.numerator * (q // v.denominator) + q * wi) * d
+              for v, wi, d in zip(y, w, dual))
+    return Fraction(residue(num, q * D, _dot(phi.phi, dual)), q * D)
 
 
 def on_excluded_hyperplanes(y: Sequence, arr: Arrangement,

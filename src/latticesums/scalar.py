@@ -17,10 +17,11 @@ Two interchangeable rings live here behind one small protocol:
 
 The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction`` and ``root_of_unity`` (e^{2 pi i q}), the one road from
-an exact constant q, a Fraction or a Gaussian rational, to a scalar (the
-exact ring has no root for a Gaussian q: exact mode refuses non-real
-constants before any kernel is built), ``root_minus_one_inverse``
-(1/(e^{2 pi i q} - 1) for q not an integer, the kernels' one quotient),
+an exact constant q, a Fraction or (in the numeric ring) a Gaussian
+rational, to a scalar (exact mode refuses non-real constants before any
+ring is built, so the exact ring reads real ones only),
+``root_minus_one_inverse`` (1/(e^{2 pi i q} - 1) for q not an integer,
+the kernels' one quotient),
 ``two_pi_i``, ``is_zero``, ``inv``, ``scale`` (a scalar times a
 rational, with no product of scalars), the two series operations
 ``mul_terms`` (a sum of truncated products of two series term maps: one
@@ -88,10 +89,8 @@ class ExactRing:
         return self._one
 
     def from_fraction(self, q):
-        """The int, Fraction or Gaussian rational q as a scalar."""
-        if isinstance(q, GaussianRational):
-            return self.from_fraction(q.re) + self.root_of_unity(
-                Fraction(1, 4)) * self.from_fraction(q.im)
+        """The int or Fraction q as a scalar (exact mode has no non-real
+        constant)."""
         q = Fraction(q)
         if q == 0:
             return self._zero
@@ -144,31 +143,29 @@ class ExactRing:
 
     def unit_lift(self, series: dict, den: int, K: int) -> dict:
         """``{key: sum over (n, v, x) of x v / (den (2 pi i)^(K+n))}``
-        for ``series = {key: [(n, v, x), ...]}``, v an int or a Gaussian
-        integer (a GaussianRational with int parts) and x a scalar; a key
-        whose sum is zero is left out.
+        for ``series = {key: [(n, v, x), ...]}``, v an int and x a scalar;
+        a key whose sum is zero is left out.
 
         (2 pi i)^(-(K+n)) = pi^(-(K+n)) i^(-(K+n)) / 2^(K+n): each term of
-        x is turned by a power of i (by one less for the imaginary part of
-        v), through the basis-product table, and moved to its power of pi,
-        and the numerators of one key are added in integers over one
-        denominator, den times 2^(K + its largest n) times the lcm of its
-        x's denominators, and cancelled once.  The turned terms of an x are
-        built once per (x, n): a shared x, such as a root of unity, is
-        turned once per call."""
+        x is turned by a power of i, through the basis-product table, and
+        moved to its power of pi, and the numerators of one key are added
+        in integers over one denominator, den times 2^(K + its largest n)
+        times the lcm of its x's denominators, and cancelled once.  The
+        turned terms of an x are built once per (x, n): a shared x, such
+        as a root of unity, is turned once per call."""
         table = self.field.basis_products
         product = self.field.basis_product
-        # per id(x): {2 n + imag: [((pi power, exps), int)]}
+        # per id(x): {n: [((pi power, exps), int)]}
         placed: Dict[int, Dict[int, list]] = {}
 
-        def place(x, n, imag):
+        def place(x, n):
             slots = placed.get(id(x))
             if slots is None:
                 slots = placed[id(x)] = {}
-            terms = slots.get(2 * n + imag)
+            terms = slots.get(n)
             if terms is None:
-                unit, sign = self._turns[(K + n - imag) % 4]
-                terms = slots[2 * n + imag] = [
+                unit, sign = self._turns[(K + n) % 4]
+                terms = slots[n] = [
                     ((k - K - n, e2), a * s * sign)
                     for (k, e), a in x.terms.items()
                     for e2, s in table.get((e, unit)) or product(e, unit)]
@@ -182,18 +179,10 @@ class ExactRing:
                 top = max(top, n)
                 if x.den != 1:
                     lcm = math.lcm(lcm, x.den)
-            # (turned terms, numerator) per part of v, the numerators over
-            # the key's denominator; their gcd with it is taken out first
-            picked = []
-            for n, v, x in parts:
-                w = (1 << (top - n)) * (lcm // x.den)
-                if type(v) is int:
-                    picked.append((place(x, n, 0), v * w))
-                else:
-                    if v.re:
-                        picked.append((place(x, n, 0), v.re.numerator * w))
-                    if v.im:
-                        picked.append((place(x, n, 1), v.im.numerator * w))
+            # (turned terms, numerator) per part, the numerators over the
+            # key's denominator; their gcd with it is taken out first
+            picked = [(place(x, n), v * (1 << (top - n)) * (lcm // x.den))
+                      for n, v, x in parts]
             dk = den * lcm << (K + top)
             g = math.gcd(dk, *(c for _, c in picked))
             acc: Dict[tuple, int] = {}
@@ -301,14 +290,16 @@ class NumericRing:
         ctx = MPContext()
         ctx.prec = precision
         self.ctx = ctx
-        self.zero_tol = 2.0 ** (-precision + 12)
+        self.zero_tol = ctx.mpf(2.0 ** (-precision + 12))
+        # one shared zero and one: an mpc is never changed in place
+        self._zero, self._one = ctx.mpc(0), ctx.mpc(1)
         self._i = self.root_of_unity(Fraction(1, 4))
 
     def zero(self):
-        return self.ctx.mpc(0)
+        return self._zero
 
     def one(self):
-        return self.ctx.mpc(1)
+        return self._one
 
     def from_fraction(self, q):
         """The int, Fraction or Gaussian rational q as a scalar."""
@@ -341,7 +332,12 @@ class NumericRing:
         return self.ctx.make_mpc(data)
 
     def is_zero(self, x) -> bool:
-        return abs(x) <= self.zero_tol
+        """|x| <= the zero tolerance.  |x| >= max(|Re x|, |Im x|), so a
+        part above it decides, before the modulus is taken."""
+        tol = self.zero_tol
+        if abs(x.real) > tol or abs(x.imag) > tol:
+            return False
+        return abs(x) <= tol
 
     def inv(self, x):
         return 1 / x

@@ -267,6 +267,16 @@ class LinearForm:
         self.c = c
         self._key = None
 
+    @classmethod
+    def normalised(cls, coeffs: Dict[str, Fraction], den: int, c
+                   ) -> "LinearForm":
+        """The form of already normalised data, taken as it is: `coeffs`
+        the nonzero q_v as Fractions, `den` their least common denominator
+        and `c` a Fraction or a Gaussian rational."""
+        form = cls.__new__(cls)
+        form.coeffs, form.den, form.c, form._key = coeffs, den, c, None
+        return form
+
     @property
     def key(self) -> tuple:
         if self._key is None:

@@ -21,6 +21,9 @@ evaluators take from shortcuts:
   product, and the sum of rational forms with one series product per
   missing representative: the paths that the integer lifts and sums of
   the evaluators replaced;
+* the lattice data that the evaluator reads over integers, in Fraction
+  arithmetic: the relative forms t_g - sum_f <g, f^B> t_f and the den_g
+  and U_g built from them, and the fractional part by its definition;
 * the constant and single-variable series those products start from;
 * small exact helpers that only the tests use: a matrix product, lattice
   membership, the powers of pi, an exact scalar re-expressed in a larger
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from latticesums import intlinalg
 from latticesums.cyclotomic import CyclotomicField
@@ -54,8 +57,8 @@ from latticesums.lattice import (Arrangement, Basis, Functional,
 from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
 from latticesums.scalar import ExactScalar
-from latticesums.series import (RationalForm, TruncatedSeries, Truncation,
-                                _divisors, convolve, divide_exact)
+from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
+                                Truncation, _divisors, convolve, divide_exact)
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -408,8 +411,15 @@ def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
 
 def form_constant(form, ring):
     """-2 pi i c, the constant term of a LinearForm with exact constant c,
-    in the ring."""
-    return -(ring.two_pi_i() * ring.from_fraction(form.c))
+    in the ring; a Gaussian c as re + i im, which the exact ring reads
+    too."""
+    c = form.c
+    if isinstance(c, GaussianRational):
+        value = ring.from_fraction(c.re) + ring.root_of_unity(
+            Fraction(1, 4)) * ring.from_fraction(c.im)
+    else:
+        value = ring.from_fraction(c)
+    return -(ring.two_pi_i() * value)
 
 
 def form_power(form, ring, vars, trunc, m: int) -> TruncatedSeries:
@@ -507,7 +517,7 @@ def termwise_unit_summand(ctx: EvaluationContext, s, k):
     if any(k.weights[g] == 0 for g, _ in s.unit_factors):
         return ring.zero()
     F = lift_units(ring, vars, trunc, [unit_parts(
-        ring, [(_dead_unit(ctx, g, form), k.weights[g])
+        ring, [(_dead_unit(ctx, s.bidx, g, form), k.weights[g])
                for g, form in s.unit_factors], vars, trunc)])
     total = ring.zero()
     for grid, root in _coset_grids(ctx, s.bidx, trunc):
@@ -583,6 +593,58 @@ def summand_rational_form(ctx: EvaluationContext, s, trunc: Truncation
     return RationalForm(lift_units(ctx.ring, ctx.vars, trunc,
                                    [summand_parts(ctx, s, trunc)]),
                         s.denominators)
+
+
+# ---------------------------------------------------------------------------
+# lattice data in Fractions
+# ---------------------------------------------------------------------------
+
+
+def relative_form(g: int, pairs: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    """t_g - sum_f <g, f^B> t_f, as coefficients on the functionals, from
+    g's pairings {f: <g, f^B>} with the duals of a basis B."""
+    lin = {g: Fraction(1)}
+    lin.update((f, -c) for f, c in pairs.items() if c)
+    return lin
+
+
+def fraction_combination(ctx: EvaluationContext, lin: Dict[int, Fraction]
+                         ) -> LinearForm:
+    """``EvaluationContext.combination`` in Fraction arithmetic: the
+    constant sum_x lin[x] c_x summed from the exact constants, a Gaussian
+    one with no imaginary part read as its real part, and the form built
+    by ``LinearForm``'s normalising constructor."""
+    c = sum((q * ctx.constant(x) for x, q in lin.items()), Fraction(0))
+    if isinstance(c, GaussianRational) and c.im == 0:
+        c = c.re
+    return LinearForm({ctx.vars[x]: q for x, q in lin.items()}, c)
+
+
+def fraction_geometry(ctx: EvaluationContext, bidx: int
+                      ) -> Dict[int, LinearForm]:
+    """``EvaluationContext.geometry`` from the pairings <g, f^B> of the
+    arrangement table, in Fractions."""
+    return {g: fraction_combination(ctx, relative_form(g, pairs))
+            for g, pairs in ctx.data.pairings[bidx].items()}
+
+
+def fraction_dead_unit(ctx: EvaluationContext, g: int, form: LinearForm
+                       ) -> LinearForm:
+    """``genfun._dead_unit`` from den_g alone: its coefficients off t_g
+    and its constant, negated."""
+    return LinearForm({v: -q for v, q in form.coeffs.items()
+                       if v != ctx.vars[g]}, -form.c)
+
+
+def fraction_frac_part(y, w, basis: Basis, member: int,
+                       phi: GenericDirection) -> Fraction:
+    """``lattice.frac_part`` by its definition: a = <y + w, f^B> in
+    Fractions, {a} = a - floor(a) when <phi, f^B> > 0, else 1 - {-a}."""
+    dual = basis.dual(member)
+    a = sum((Fraction(v) + wi) * d for v, wi, d in zip(y, w, dual))
+    if sum(p * d for p, d in zip(phi.phi, dual)) > 0:
+        return a - math.floor(a)
+    return 1 - (-a - math.floor(-a))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, division_count,
                                 sum_rational_forms)
-from reference import (full_order_summand, later_phi, lift, permuted,
+from reference import (fraction_dead_unit, fraction_geometry,
+                       full_order_summand, later_phi, lift, permuted,
                        pi_pow, series_variable, summand_rational_form,
                        termwise_unit_product, termwise_unit_summand,
                        unit_inverse, with_truncation)
@@ -572,33 +573,35 @@ CTX256 = MPContext()
 CTX256.prec = 256
 
 
-def _unit_constant(draw):
+def _unit_constant(draw, gaussian):
     re = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
     im = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7))) \
-        if draw(st.booleans()) else Fraction(0)
+        if gaussian and draw(st.booleans()) else Fraction(0)
     if re == 0 and im == 0:
         re = Fraction(1, 3)
     return re if im == 0 else GaussianRational(re, im)
 
 
 @st.composite
-def _unit_factors(draw):
+def _unit_factors(draw, gaussian=True):
     """(coefficients, constant, k) triples: rational coefficients on one
-    to three of UNIT_VARS, a nonzero Fraction or Gaussian-rational
-    constant and k from 1 to 4; one time in two the last linear part is a
-    rational multiple of the first, with its own constant."""
+    to three of UNIT_VARS, a nonzero Fraction or (when `gaussian`)
+    Gaussian-rational constant and k from 1 to 4; one time in two the
+    last linear part is a rational multiple of the first, with its own
+    constant."""
     out = []
     for _ in range(draw(st.integers(1, 3))):
         names = draw(st.lists(st.sampled_from(UNIT_VARS), min_size=1,
                               max_size=3, unique=True))
         coeffs = {v: Fraction(draw(st.integers(-6, 6).filter(bool)),
                               draw(st.integers(1, 9))) for v in names}
-        out.append((coeffs, _unit_constant(draw), draw(st.integers(1, 4))))
+        out.append((coeffs, _unit_constant(draw, gaussian),
+                    draw(st.integers(1, 4))))
     if draw(st.booleans()):
         scale = Fraction(draw(st.integers(-4, 4).filter(bool)),
                          draw(st.integers(1, 5)))
         out.append(({v: q * scale for v, q in out[0][0].items()},
-                    _unit_constant(draw), draw(st.integers(1, 4))))
+                    _unit_constant(draw, gaussian), draw(st.integers(1, 4))))
     return out
 
 
@@ -643,16 +646,27 @@ SCALED_FACTORS = [
 ]
 
 
+def _scaled_factors(ring):
+    """SCALED_FACTORS for `ring`: the exact ring reads real constants
+    only (exact mode refuses the others), so it takes the Gaussian one at
+    its real part."""
+    if not ring.exact:
+        return SCALED_FACTORS
+    return [(coeffs, c.re if isinstance(c, GaussianRational) else c)
+            for coeffs, c in SCALED_FACTORS]
+
+
 @pytest.mark.parametrize("box", [None, (2, 1, 3)], ids=["total", "box"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("ring", ["4", "60", "numeric"])
 def test_unit_product_is_the_product_of_inverse_powers(ring, k, box):
     # term by term: exact rings equal the series products of the inverse
-    # powers, the 128-bit ring their exact value within 2^-120 relative
-    factors = [(coeffs, c, k + i % 2) for i, (coeffs, c)
-               in enumerate(SCALED_FACTORS)]
-    trunc = Truncation(5, box)
+    # powers, the 128-bit ring their exact value within 2^-120 relative,
+    # with the Gaussian constant that the exact ring does not read
     exact = UNIT_RINGS[4 if ring == "numeric" else int(ring)]
+    factors = [(coeffs, c, k + i % 2) for i, (coeffs, c) in enumerate(
+        _scaled_factors(NumericRing(128) if ring == "numeric" else exact))]
+    trunc = Truncation(5, box)
     want = _inverse_power_product(exact, factors, trunc)
     assert want.terms
     if ring != "numeric":
@@ -667,7 +681,7 @@ def test_unit_product_is_the_product_of_inverse_powers(ring, k, box):
 
 @pytest.mark.parametrize("N", [4, 60])
 @settings(max_examples=25, deadline=None)
-@given(factors=_unit_factors(), trunc=_unit_truncations)
+@given(factors=_unit_factors(gaussian=False), trunc=_unit_truncations)
 def test_unit_product_matches_inverse_powers_exact(N, factors, trunc):
     ring = UNIT_RINGS[N]
     assert _drawn_product(ring, factors, trunc).terms == \
@@ -709,12 +723,12 @@ LIFT_RINGS = [(4, Fraction(3, 4)), (60, Fraction(7, 30)),
                                                    LIFT_RINGS])
 def test_one_step_lift_matches_the_termwise_lift(N, c, box):
     # the coefficients built in one step from their int numerators equal
-    # the per-term lift, with a Gaussian constant, an exponent form, a box
-    # and a Fraction scale, and with none of the last three
+    # the per-term lift, with an exponent form, a box and a Fraction
+    # scale, and with none of the three
     ring = ExactRing(N)
     trunc = Truncation(5, box)
     factors = [(LinearForm(coeffs, const), k) for (coeffs, const), k
-               in zip(SCALED_FACTORS, (2, 1, 3))]
+               in zip(_scaled_factors(ring), (2, 1, 3))]
     exponent = LinearForm({"t0": Fraction(2, 3), "t2": Fraction(-1)}, c)
     got = _unit_product(ring, factors, trunc, exponent, Fraction(-14, 9))
     want = termwise_unit_product(ring, factors, UNIT_VARS, trunc, exponent,
@@ -736,7 +750,7 @@ def test_unit_product_times_a_series_is_the_series_product(ring):
     ring = NumericRing(128) if ring == "numeric" else UNIT_RINGS[int(ring)]
     trunc = Truncation(5, (3, 2, 4))
     factors = [(LinearForm(coeffs, const), k) for (coeffs, const), k
-               in zip(SCALED_FACTORS, (2, 1, 3))]
+               in zip(_scaled_factors(ring), (2, 1, 3))]
     root = ring.root_of_unity(Fraction(1, 4)) + ring.from_fraction(
         Fraction(2, 3))
     times = TruncatedSeries(ring, UNIT_VARS, trunc, {
@@ -756,20 +770,34 @@ def test_unit_product_times_a_series_is_the_series_product(ring):
 
 
 def test_one_step_lift_turns_each_part_by_its_power_of_i():
-    # one term: (2 pi i)^(-(K + n)) = pi^(-(K + n)) i^(-(K + n)) / 2^(K + n),
-    # and a Gaussian numerator's imaginary part is turned once more by i
+    # one term: (2 pi i)^(-(K + n)) = pi^(-(K + n)) i^(-(K + n)) / 2^(K + n)
     ring = ExactRing(12)
-    i = ring.root_of_unity(Fraction(1, 4))
     x = ring.root_of_unity(Fraction(1, 3)) + ring.from_fraction(2)
     for K in range(4):
         for n in range(3):
-            for v in (5, GaussianRational(Fraction(3), Fraction(-2))):
-                got = ring.unit_lift({(): [(n, v, x)]}, 21, K)
-                value = ring.from_fraction(v) if isinstance(v, int) else \
-                    ring.from_fraction(v.re) + i * ring.from_fraction(v.im)
-                want = value * x * ring.from_fraction(Fraction(1, 21)) \
-                    * ring.inv(ring.two_pi_i()) ** (K + n)
-                assert got[()] == want
+            got = ring.unit_lift({(): [(n, 5, x)]}, 21, K)
+            want = x * ring.from_fraction(Fraction(5, 21)) \
+                * ring.inv(ring.two_pi_i()) ** (K + n)
+            assert got[()] == want
+
+
+def test_numeric_lift_turns_a_gaussian_numerator_by_i():
+    # the numeric ring reads the Gaussian numerators of non-real constants:
+    # one term's imaginary part is turned once more by i, within 2^-120
+    # relative of the exact value at 128 bits
+    ring, exact = NumericRing(128), ExactRing(12)
+    i = exact.root_of_unity(Fraction(1, 4))
+    x = ring.root_of_unity(Fraction(1, 3)) + ring.from_fraction(2)
+    x_exact = exact.root_of_unity(Fraction(1, 3)) + exact.from_fraction(2)
+    v = GaussianRational(Fraction(3), Fraction(-2))
+    for K in range(4):
+        for n in range(3):
+            got = ring.unit_lift({(): [(n, v, x)]}, 21, K)[()]
+            want = (exact.from_fraction(3) - i * exact.from_fraction(2)) \
+                * x_exact * exact.from_fraction(Fraction(1, 21)) \
+                * exact.inv(exact.two_pi_i()) ** (K + n)
+            want = want.embed(CTX256)
+            assert abs(got - want) <= CTX256.mpf(2) ** -120 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +816,7 @@ def _unit_part_set(ring):
     """Unit parts with K = 0, 1, 3 and 2, scales over 1, 2, 9 and 4, an
     exponent form, a `times` map and a Gaussian constant."""
     trunc = Truncation(4)
-    f = [LinearForm(coeffs, c) for coeffs, c in SCALED_FACTORS]
+    f = [LinearForm(coeffs, c) for coeffs, c in _scaled_factors(ring)]
     exponent = LinearForm({"t0": Fraction(2, 3), "t2": Fraction(-1)},
                           Fraction(7, 30))
     times = {(0, 0, 0): ring.from_fraction(Fraction(-5, 7)),
@@ -825,24 +853,24 @@ def _assert_close(got, want, bits=120, sizes=None):
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 def test_one_lift_of_unit_parts_is_their_sum(mode):
     # parts with different K, scales over different denominators, an
-    # exponent, a `times` map and a Gaussian constant, lifted together,
-    # are the sum of their lifts one by one: equal in exact mode, and
-    # within 2^-120 relative of it at 128 bits
-    exact = UNIT_RINGS[60]
-    trunc, parts = _unit_part_set(exact)
+    # exponent and a `times` map, lifted together, are the sum of their
+    # lifts one by one: equal in exact mode, and at 128 bits, with a
+    # Gaussian constant, within 2^-120 relative of it at 256 bits
+    ring = UNIT_RINGS[60] if mode == "exact" else NumericRing(128)
+    trunc, parts = _unit_part_set(ring)
     assert [p.K for p in parts] == [0, 1, 3, 2]
     assert {p.scale.denominator for p in parts} == {1, 2, 9, 4}
-    want = _lifted_one_by_one(exact, UNIT_VARS, trunc, parts)
-    assert len(want.terms) > 20
+    got = genfun.lift_units(ring, UNIT_VARS, trunc, parts)
     if mode == "exact":
-        got = genfun.lift_units(exact, UNIT_VARS, trunc, parts)
+        want = _lifted_one_by_one(ring, UNIT_VARS, trunc, parts)
         assert got.terms == want.terms
     else:
-        ring = NumericRing(128)
-        got = genfun.lift_units(ring, UNIT_VARS, trunc,
-                                _unit_part_set(ring)[1])
+        fine = NumericRing(256)
+        want = _lifted_one_by_one(fine, UNIT_VARS, trunc,
+                                  _unit_part_set(fine)[1])
         _assert_close(got, want)
-    assert genfun.lift_units(exact, UNIT_VARS, trunc, []).terms == {}
+    assert len(want.terms) > 20
+    assert genfun.lift_units(ring, UNIT_VARS, trunc, []).terms == {}
 
 
 def _vertex_part_sets(mode, a, b, monkeypatch):
@@ -1543,6 +1571,50 @@ def test_equal_directions_share_bases_not_constants(generic_y2):
         clear_coefficient_table()
         assert lattice_sum_value(triangle(*consts), generic_y2, k).value \
             == warm
+
+
+# directions in rank 2 and 3, and constants: zero, real, Gaussian and a
+# Gaussian one with no imaginary part, read as real
+TABLE_DIRECTIONS = {
+    2: [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (-1, 2)],
+    3: [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1),
+        (1, -1, 2), (2, 0, 1)]}
+TABLE_CONSTANTS = [0, Fraction(1, 2), Fraction(-1, 3), 1,
+                   GaussianRational(Fraction(1, 3), Fraction(-1, 2)),
+                   GaussianRational(Fraction(1, 2), Fraction(0))]
+
+
+def _form_data(form):
+    """Everything a form is read by: its coefficients, denominator,
+    constant (with its type), key, singularity and pivot."""
+    return (form.coeffs, form.den, type(form.c), form.c, form.key,
+            form.singular, form.pivot if form.coeffs else None)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_table_forms_match_the_fraction_builder(rank, data):
+    # every den_g (``geometry``) and U_g (``_dead_unit``), built from the
+    # arrangement table's relative forms over integers, equals the
+    # Fraction builder combination(relative_form(...)), for real and
+    # Gaussian constants
+    pool = TABLE_DIRECTIONS[rank]
+    dirs = data.draw(st.lists(st.sampled_from(pool), min_size=rank + 1,
+                              max_size=rank + 2))
+    assume(intlinalg.rank(dirs) == rank)
+    consts = data.draw(st.lists(st.sampled_from(TABLE_CONSTANTS),
+                                min_size=len(dirs), max_size=len(dirs)))
+    arr = Arrangement(rank, [make_functional(d, c)
+                             for d, c in zip(dirs, consts)])
+    ctx = EvaluationContext(arr, (Fraction(1, 7),) * rank, "numeric")
+    for bidx in range(len(arr.bases)):
+        got, want = ctx.geometry(bidx), fraction_geometry(ctx, bidx)
+        assert got.keys() == want.keys()
+        for g, form in got.items():
+            assert _form_data(form) == _form_data(want[g])
+            assert _form_data(genfun._dead_unit(ctx, bidx, g, form)) == \
+                _form_data(fraction_dead_unit(ctx, g, want[g]))
 
 
 def test_non_default_phi_reads_its_own_branches():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import latticesums.hierarchy as hierarchy
 from latticesums.errors import RankDrop
 from latticesums.families import a2_directions, triangle
-from latticesums.genfun import (EvaluationContext, build_summands,
+from latticesums.genfun import (EvaluationContext, _dead_unit, build_summands,
                                 generating_function)
 from latticesums.hierarchy import apply_Dg_summand, check_hierarchy
 from latticesums.lattice import Arrangement, make_functional
@@ -258,3 +259,43 @@ def test_restricted_context_matches_a_fresh_one(mode, keep, generic_y2):
     assert got.terms.keys() == want.terms.keys()
     for e, c in want.terms.items():
         assert got.terms[e] == (lift(c, ctx.ring) if mode == "exact" else c)
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("keep", [[0, 1], [0, 2], [1, 2, 3], [2, 3]])
+def test_restricted_context_reads_no_entry_of_its_parent(mode, keep,
+                                                         generic_y2):
+    # the parent reads the fractional part, kernel, den_g and U_g of every
+    # basis through order 3, and through order 4 its first basis only, so
+    # that the sub-context builds kernels of its own there; a basis or
+    # functional index of the sub-arrangement names another basis or
+    # functional of the parent, so an entry read from the parent by index
+    # would differ from a fresh context's
+    arr = Arrangement(2, [make_functional((1, 0), Fraction(1, 2)),
+                          make_functional((0, 1), 0),
+                          make_functional((1, 1), Fraction(1, 3)),
+                          make_functional((1, -1), Fraction(1, 5))])
+    ctx = EvaluationContext(arr, generic_y2, mode)
+
+    def reads(c, orders, count=None):
+        out = []
+        for bidx, b in enumerate(c.arr.bases[:count]):
+            for w, m, order in itertools.product(b.coset_reps, b.members,
+                                                 orders):
+                parts, q = c.kernel(bidx, w, m, order)
+                out.append((c.yhat(bidx, w, m), q, {
+                    n: lift(a, ctx.ring) if mode == "exact"
+                    and c is not ctx else a for n, a in parts.items()}))
+            for g, den in c.geometry(bidx).items():
+                unit = _dead_unit(c, bidx, g, den)
+                out.append((den.coeffs, den.c, unit.coeffs, unit.c))
+        return out
+
+    reads(ctx, (3,))
+    reads(ctx, (4,), count=1)
+    sub = ctx.restricted(keep)
+    fresh = EvaluationContext(arr.restricted(keep), generic_y2, mode,
+                              phi=ctx.phi)
+    got = reads(sub, (3, 4))
+    assert sub._parts is ctx._parts
+    assert got == reads(fresh, (3, 4))

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from latticesums import intlinalg, lattice
+from latticesums.genfun import EvaluationContext
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.lattice import (Arrangement, Functional, GaussianRational,
                                  GenericDirection, choose_phi,
                                  arrangement_from_json, arrangement_to_json,
                                  enumerate_bases, frac_part,
-                                 in_singular_locus, make_functional,
-                                 on_excluded_hyperplanes)
-from reference import coset_character_sum
+                                 in_singular_locus, is_generic,
+                                 make_functional, on_excluded_hyperplanes)
+from reference import coset_character_sum, fraction_frac_part
 
 
 def test_triangle_has_three_bases(triangle_rational):
@@ -132,6 +133,62 @@ def test_frac_part_branches():
     assert frac_part((Fraction(2),), (0,), b, 0, pos) == 0
     # {a} = 1 - {-a} off the integers, so both branches agree there
     assert frac_part((Fraction(3, 10),), (0,), b, 0, neg) == Fraction(3, 10)
+
+
+def test_frac_part_reads_a_float_y_at_its_binary_value():
+    # y = (0.1, 0.7) pairs with the dual (1, 0) of basis (0, 1) to the
+    # binary value of 0.1, not to the float 0.1; at (1, 0.7) the pairing is
+    # the integer 1, read 0 on phi's side, as a Fraction
+    arr = triangle(1, 1, 1)
+    b, phi = arr.bases[0], choose_phi(arr)
+    got = frac_part((0.1, 0.7), (0, 0), b, 0, phi)
+    assert type(got) is Fraction
+    assert got == Fraction(0.1) == Fraction(3602879701896397,
+                                            36028797018963968)
+    got = frac_part((1, 0.7), (0, 0), b, 0, phi)
+    assert type(got) is Fraction and got == 0
+
+
+@st.composite
+def _basis_cases(draw, rank):
+    """(arrangement, basis, coset representative w, y, phi): one basis of
+    `rank` integer directions, y rational, and one time in two
+    y = sum_i n_i d_i - w with each n_i an integer or a third, so that the
+    pairings <y + w, f^B> = n_m include integers; phi any nonzero integer
+    vector, so that both of its sides come up."""
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank,
+                                  max_size=rank),
+                         min_size=rank, max_size=rank))
+    assume(intlinalg.det(rows) != 0)
+    arr = Arrangement(rank, [make_functional(r, 0) for r in rows])
+    (b,) = arr.bases
+    w = draw(st.sampled_from(b.coset_reps))
+    if draw(st.booleans()):
+        n = [Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 3))))
+             for _ in range(rank)]
+        y = tuple(sum(ni * row[j] for ni, row in zip(n, rows)) - w[j]
+                  for j in range(rank))
+    else:
+        y = tuple(Fraction(draw(st.integers(-30, 30)),
+                           draw(st.integers(1, 12))) for _ in range(rank))
+    phi = tuple(draw(st.lists(st.integers(-4, 4), min_size=rank,
+                              max_size=rank).filter(any)))
+    return arr, b, w, y, GenericDirection(phi)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_frac_part_is_the_fraction_definition(rank, data):
+    # one integer residue (lattice.residue) against a - floor(a) and
+    # 1 - {-a} in Fractions, and the context's yhat, read from the table,
+    # against both where phi is generic
+    arr, b, w, y, phi = data.draw(_basis_cases(rank))
+    want = [fraction_frac_part(y, w, b, m, phi) for m in b.members]
+    assert [frac_part(y, w, b, m, phi) for m in b.members] == want
+    if is_generic(arr, phi.phi):
+        ctx = EvaluationContext(arr, y, "numeric", phi=phi)
+        assert [ctx.yhat(0, w, m) for m in b.members] == want
 
 
 def test_frac_part_one_sided_limit(triangle_rational):

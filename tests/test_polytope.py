@@ -8,8 +8,7 @@ from mpmath.ctx_mp import MPContext
 from latticesums import intlinalg, polytope
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.genfun import (EvaluationContext, UnitParts,
-                                generating_function, lift_units,
-                                relative_form)
+                                generating_function, lift_units)
 from latticesums.lattice import (Arrangement, GaussianRational,
                                  in_singular_locus, make_functional)
 from latticesums.polytope import (Decomposition, VertexWitness,
@@ -22,7 +21,7 @@ from reference import (HalfSpace, HPolytope, box_translates,
                        exp_integral_simple, form_exp,
                        incident_hyperplane_count, is_simple,
                        largest_coefficient_scaled, led_by, permuted,
-                       unit_inverse, witness_matrix)
+                       relative_form, unit_inverse, witness_matrix)
 
 CTX = MPContext()
 CTX.prec = 140

@@ -11,8 +11,11 @@ gets.  ``CycElt`` is the name of the pi-free scalars that the field's
 constructors return; it has no representation or arithmetic of its own.
 
 Phi_{p^a}(zeta) = 0 is applied in one place, ``_row``; ``_reduce`` rewrites
-exponents through those rows, and every product reads the products of
-basis monomials from one table, ``basis_product``, built from them.
+exponents through those rows, and a product of two many-term scalars reads
+the products of basis monomials from one table, ``basis_product``, built
+from them.  A product by a unit monomial, a root of unity (``moved``) or a
+one-term scalar, reads no table: each exponent of the other operand moves
+through its factor's row, in one pass per factor.
 """
 
 from __future__ import annotations
@@ -112,12 +115,11 @@ class CyclotomicField:
         return ExactScalar(self, {})._cancel(self._reduce(raw), M)
 
     def _exponent(self, q) -> int:
-        """The j with e^{2 pi i q} = zeta_N^j, for rational q."""
-        q = Fraction(q)
-        jN = q * self.N
-        if jN.denominator != 1:
+        """The j with e^{2 pi i q} = zeta_N^j, for an int or Fraction q."""
+        j, rest = divmod(q.numerator * self.N, q.denominator)
+        if rest:
             raise ValueError(f"e^(2 pi i {q}) does not lie in Q(zeta_{self.N})")
-        return int(jN)
+        return j
 
     # -- exponents ------------------------------------------------------
 
@@ -129,6 +131,29 @@ class CyclotomicField:
         """Exponents (j*u_i mod q_i) of zeta_N^j, before reduction."""
         return tuple((j * u) % q for (_, q, _, _), u
                      in zip(self.factors, self._crt_inverses))
+
+    def moved(self, terms: Dict[tuple, int], exps: Exps
+              ) -> Dict[tuple, int]:
+        """``{(k, basis exps): int}`` times the monomial of `exps`, whose
+        entries lie in [0, q_i): a basis monomial, or zeta_N^j as
+        ``_unreduced(j)`` exponents.  Factor by factor, each exponent e_i
+        is replaced by the row of e_i + exps_i (``_row``) and equal terms
+        merge; a factor with exps_i = 0 is skipped.  No term pair is
+        formed and no product table is read.  The tensor basis spans the
+        ring of integers and a root of unity is a unit of it, so moving a
+        scalar's terms by a root leaves the gcd of its numerators, and so
+        its lowest terms, as they were."""
+        for i, u in enumerate(exps):
+            if not u:
+                continue
+            rows = self._rows[i]
+            pending, terms = terms, {}
+            for (k, e), v in pending.items():
+                s = e[i] + u
+                for f, d in rows.get(s) or self._row(i, s):
+                    _acc(terms, (k, e[:i] + (f,) + e[i + 1:]),
+                         v if d > 0 else -v)
+        return terms
 
     # -- canonical reduction -------------------------------------------
 
@@ -298,6 +323,17 @@ class ExactScalar:
         if other is NotImplemented:
             return NotImplemented
         field = self.field
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a unit monomial c pi^k zeta^e: the pi powers shift, the
+            # numerators scale by c and, unless e = 0, the exponents move
+            # through the rows (``moved``); one cancel
+            x, mono = (other, self) if len(self.terms) == 1 else \
+                (self, other)
+            ((kb, eb), vb), = mono.terms.items()
+            out = {(k + kb, e): v * vb for (k, e), v in x.terms.items()}
+            if eb != field.zero_exps:
+                out = field.moved(out, eb)
+            return self._cancel(out, self.den * other.den)
         table = field.basis_products
         out: Dict[tuple, int] = {}
         get = out.get
@@ -396,7 +432,9 @@ class ExactScalar:
     def embed(self, ctx):
         """Numeric value under zeta_q -> e^{2 pi i/q} and pi -> ctx.pi in
         the mpmath context ctx, summed per power of pi, by ascending power,
-        each coefficient in lowest terms."""
+        each coefficient in lowest terms and each power's terms by
+        ascending basis exponents, so that equal scalars embed to equal
+        values whatever the order of their terms."""
         roots = self.field._roots(ctx)
         grouped: Dict[int, list] = {}
         for (k, exps), v in self.terms.items():
@@ -405,7 +443,7 @@ class ExactScalar:
         out = ctx.mpc(0)
         for k in sorted(grouped):
             total = ctx.mpc(0)
-            for exps, v in grouped[k]:
+            for exps, v in sorted(grouped[k]):
                 g = math.gcd(v, den)
                 term = ctx.mpc(ctx.mpf(v // g) / ctx.mpf(den // g))
                 for i, e in enumerate(exps):

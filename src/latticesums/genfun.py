@@ -36,8 +36,10 @@ special values S via the weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
 
 Every summand reads its kernels one grid per coset
 (``_coset_grids``): the products prod_m a_m(w)[e_m] of the kernels'
-root-free parts, with the coset's one root e^{2 pi i q_w} kept apart, to
-be applied once, or not at all when q_w is an integer.
+root-free parts, with the coset's one root e^{2 pi i q_w} kept apart as
+its exact exponent q_w, to be applied once (``ring.times_root``, which in
+the exact ring moves exponents and builds no root), or not at all when
+q_w is an integer.
 
 The evaluator divides nothing.  In the field of iterated Laurent series
 in which each variable dominates those of later functionals (G. Xin, *A
@@ -305,12 +307,12 @@ class EvaluationContext:
         their B_k(lam) / k! by the constant and the order."""
         r, d = self._residue(bidx, w, member)
         g = math.gcd(r, d)
-        key = (self._ckeys[member], r // g, d // g, order)
+        r, d = r // g, d // g
+        key = (self._ckeys[member], r, d, order)
         got = self._parts.get(key)
         if got is None:
-            params = KernelParams.make(self.constant(member),
-                                       Fraction(r // g, d // g))
-            q = -params.b * params.y
+            params = KernelParams.at(self.constant(member), r, d)
+            q = params.exponent()
             bkey = (None if params.integral else self._ckeys[member], order)
             base = self._bases.get(bkey)
             if base is None:
@@ -421,8 +423,8 @@ def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
     low = Truncation(top)
     zero, one = (0,) * len(basis_vars), ring.one()
     cosets = TruncatedSeries(ring, basis_vars, low, ring.mul_terms(
-        [({zero: one if root is None else root}, grid)
-         for grid, root in _coset_grids(ctx, s.bidx, low)],
+        [({zero: one if q is None else ring.root_of_unity(q)}, grid)
+         for grid, q in _coset_grids(ctx, s.bidx, low)],
         low)).extend(ctx.vars, low)
     parts = unit_parts(ring, [(form, 1) for _, form in s.unit_factors],
                        ctx.vars, low, scale=s.weight, times=cosets.terms)
@@ -433,13 +435,13 @@ def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
 
 def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
                  ) -> List[Tuple[Dict[tuple, object], object]]:
-    """Per coset representative w of basis bidx, `(A_w, root)`: the
-    product of its kernels prod_m K_m(w) is e^{2 pi i q_w} sum_e A_w[e]
-    t_B^e, with A_w[e] = prod_m a_m(w)[e_m] the products of their
-    root-free parts (``EvaluationContext.kernel``) on the exponents that
-    `trunc` keeps, and q_w = sum_m q_m(w).  `root` is e^{2 pi i q_w} in
-    the ring, or None when q_w is an integer, so that each coset's root
-    is applied once, or not at all, by the caller."""
+    """Per coset representative w of basis bidx, `(A_w, q)`: the product
+    of its kernels prod_m K_m(w) is e^{2 pi i q_w} sum_e A_w[e] t_B^e,
+    with A_w[e] = prod_m a_m(w)[e_m] the products of their root-free
+    parts (``EvaluationContext.kernel``) on the exponents that `trunc`
+    keeps, and q_w = sum_m q_m(w).  `q` is q_w, exact, or None when q_w
+    is an integer, so that the caller applies each coset's root once
+    (``ring.times_root``), or not at all."""
     members = ctx.arr.bases[bidx].members
     total = trunc.total
     tops = [min(total, b) for b in trunc.box or (total,) * len(members)]
@@ -453,7 +455,7 @@ def _coset_grids(ctx: EvaluationContext, bidx: int, trunc: Truncation
                     for e, p in grid.items() for n, c in parts.items()
                     if sum(e) + n <= total}
         integral = isinstance(q, Fraction) and q.denominator == 1
-        out.append((grid, None if integral else ctx.ring.root_of_unity(q)))
+        out.append((grid, None if integral else q))
     return out
 
 
@@ -734,7 +736,8 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     den, with no scalar built for it: per coset and per degree n the sum
     over |e| = n of G[e] * A_w[k_B - e] is one integer combination of the
     grid values, lifted once, in one ``ring.unit_lift`` per exponent for
-    every coset; each coset's one root of unity is applied last.  The
+    every coset; each coset's one root of unity is applied last, by
+    ``ring.times_root``, which in the exact ring moves exponents.  The
     grids are built once for all the exponents, the unit factors' part
     once per set of their k_g.  An entry may be -1 (``_check_holomorphy``).
     """
@@ -803,10 +806,11 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
                 series[w] = parts
         lifted = ring.unit_lift(series, den, K)
         total = ring.zero()
-        for w, (_, root) in enumerate(grids):
+        for w, (_, q) in enumerate(grids):
             acc = lifted.get(w)
             if acc is not None:
-                total = total + (acc if root is None else acc * root)
+                total = total + (acc if q is None
+                                 else ring.times_root(acc, q))
         out[i] = ring.scale(total, sign * s.weight)
     return out
 

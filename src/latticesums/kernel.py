@@ -9,23 +9,27 @@ follow from a recurrence whose one quotient, 1/(lam - 1), the ring builds
 from the exact -b (``root_minus_one_inverse``), and they depend on b, not
 on y, so one list serves every y (``kernel_base``, ``kernel_parts``).
 
-Each root e^{2 pi i q}, for the exact q = -b y or -b, is the ring's
-``root_of_unity(q)``, and 2 pi i b is ``two_pi_i() * from_fraction(b)``:
-the ring alone turns an exact constant, a Gaussian-rational one included,
-into a scalar.  The basis sum reads only the root-free parts
-(``nonzero_parts``, through ``genfun.EvaluationContext.kernel``) and
-multiplies the roots of a coset's kernels once, as one exponent.  The
-rooted series (``rooted_series``: ``kernel_series`` and
-``kernel_series_dy``) serve the polytope route's prefactor at y = 0 and
-the tests.  The closed-form coefficients C(k, y; b) and their moment
-integrals against e^{-2 pi i m x} are independent references, in
-``tests/reference.py``.
+Each root e^{2 pi i q}, for the exact q = -b y (``KernelParams.exponent``)
+or -b, is applied by the ring: the recurrence multiplies by lam through
+``times_root(x, -b)``, which in the exact ring moves exponents and builds
+no root, and 2 pi i b is ``two_pi_i() * from_fraction(b)``: the ring
+alone turns an exact constant, a Gaussian-rational one included, into a
+scalar.  The exact root-free parts are built on integer numerators: the
+base B_k(lam) / k! over one denominator, y = r / d as ints, one cancel per
+part (``kernel_parts``).  The basis sum reads only the root-free parts
+(``nonzero_parts``, through ``genfun.EvaluationContext.kernel``, which
+keys them by y's ints) and applies the roots of a coset's kernels once,
+as one exponent, through ``times_root``.  The rooted series
+(``rooted_series``: ``kernel_series`` and ``kernel_series_dy``, which
+build the root with ``root_of_unity``) serve the polytope route's
+prefactor at y = 0 and the tests.  The closed-form coefficients
+C(k, y; b) and their moment integrals against e^{-2 pi i m x} are
+independent references, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,44 +53,67 @@ def bernoulli_numbers(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel data: exact constant b, fractional-part argument y in
-    [0, 1] as a Fraction.  A non-real b is the exact GaussianRational, so
-    that numeric mode rounds its exponents -b y only once, in the
-    exponential."""
+    """Kernel data: exact constant b and the fractional-part argument
+    y = r / d in [0, 1], r and d ints in lowest terms.  A non-real b is
+    the exact GaussianRational, so that numeric mode rounds its exponents
+    -b y only once, in the exponential."""
 
     b: Union[Fraction, GaussianRational]
-    y: Fraction
+    r: int
+    d: int
     integral: bool
 
     @classmethod
     def make(cls, b, y) -> "KernelParams":
+        """The kernel of constant b at the rational y."""
+        y = Fraction(y)
+        return cls.at(b, y.numerator, y.denominator)
+
+    @classmethod
+    def at(cls, b, r: int, d: int) -> "KernelParams":
+        """The kernel of constant b at y = r / d, in lowest terms with
+        d > 0, as ``EvaluationContext.kernel`` holds its residue."""
         if isinstance(b, GaussianRational) and b.im == 0:
             b = b.re
         if isinstance(b, (int, Fraction)):
-            b = Fraction(b)
+            if type(b) is not Fraction:
+                b = Fraction(b)
             integral = b.denominator == 1
         elif isinstance(b, GaussianRational):
             integral = False
         else:
             raise TypeError(f"a kernel constant must be an int, a Fraction "
                             f"or a GaussianRational, got {b!r}")
-        y = Fraction(y)
-        if not 0 <= y <= 1:
-            raise ValueError(f"kernel argument must lie in [0, 1], got {y}")
-        return cls(b, y, integral)
+        if not 0 <= r <= d:
+            raise ValueError(f"kernel argument must lie in [0, 1], got "
+                             f"{Fraction(r, d)}")
+        return cls(b, r, d, integral)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.r, self.d)
+
+    def exponent(self):
+        """q = -b y, the exponent of the kernel's root e^{2 pi i q}."""
+        b = self.b
+        if type(b) is Fraction:
+            return Fraction(-b.numerator * self.r, b.denominator * self.d)
+        return -b * self.y
 
 
 def _apostol_numbers(ring, q, order: int) -> list:
     """B_0(lam)..B_order(lam) for lam = e^{2 pi i q} != 1, defined by
     t / (lam e^t - 1) = sum_n B_n(lam) t^n / n!, from the recurrence
-    (lam - 1) B_n = [n = 1] - lam sum_{k<n} C(n, k) B_k (B_0 = 0)."""
-    lam, inv = ring.root_of_unity(q), ring.root_minus_one_inverse(q)
+    (lam - 1) B_n = [n = 1] - lam sum_{k<n} C(n, k) B_k (B_0 = 0), each
+    product by lam a ``ring.times_root``."""
+    inv = ring.root_minus_one_inverse(q)
     out = [ring.zero()]
     for n in range(1, order + 1):
         acc = ring.zero()
         for k in range(1, n):
             acc = acc + ring.scale(out[k], math.comb(n, k))
-        rhs = (ring.one() if n == 1 else ring.zero()) - lam * acc
+        rhs = (ring.one() if n == 1 else ring.zero()) \
+            - ring.times_root(acc, q)
         out.append(rhs * inv)
     return out
 
@@ -111,24 +138,52 @@ def kernel_parts(ring, params: KernelParams, order: int, base) -> list:
 
         a_n = B_n(y; lam) / n! = sum_k B_k(lam)/k! * y^{n-k}/(n-k)!,
 
-    `base` = ``kernel_base(ring, params, order)``."""
-    y = params.y
+    `base` = ``kernel_base(ring, params, order)``.  In the exact ring the
+    base is put over one denominator D, and with y = r / d each a_n is one
+    sum of integer numerators, num_k r^(n-k) d^k n! / (n-k)! over
+    D d^n n!, cancelled once."""
     if ring.exact:
-        ypow = [y ** j / math.factorial(j) for j in range(order + 1)]
-        weigh = ring.scale
-    else:
-        # y^j / j! is real: an mpf, which the mpc parts multiply faster
-        # than an mpc with a zero imaginary part
-        yv = ring.ctx.mpf(y.numerator) / y.denominator
-        ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
-        weigh = operator.mul
+        return _exact_parts(ring, params.r, params.d, order, base)
+    # y^j / j! is real: an mpf, which the mpc parts multiply faster than
+    # an mpc with a zero imaginary part
+    yv = ring.ctx.mpf(params.r) / params.d
+    ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
     out = []
     for n in range(order + 1):
         acc = ring.zero()
         for k in range(n + 1):
             if ypow[n - k]:
-                acc = acc + weigh(base[k], ypow[n - k])
+                acc = acc + base[k] * ypow[n - k]
         out.append(acc)
+    return out
+
+
+def _exact_parts(ring, r: int, d: int, order: int, base) -> list:
+    """``kernel_parts`` in the exact ring, on integer numerators."""
+    base = base[:order + 1]
+    if not r:
+        return base  # y = 0: a_n = B_n(lam) / n!
+    D = math.lcm(*(x.den for x in base))
+    nums = [[(key, v * (D // x.den)) for key, v in x.terms.items()]
+            for x in base]
+    rpow, dpow = [1], [1]
+    for _ in range(order):
+        rpow.append(rpow[-1] * r)
+        dpow.append(dpow[-1] * d)
+    out = []
+    for n in range(order + 1):
+        acc: Dict[tuple, int] = {}
+        get = acc.get
+        fall = 1  # n! / (n - k)!
+        for k in range(n + 1):
+            c = rpow[n - k] * dpow[k] * fall
+            fall *= n - k
+            for key, v in nums[k]:
+                acc[key] = get(key, 0) + v * c
+        if 0 in acc.values():
+            acc = {key: v for key, v in acc.items() if v}
+        # reads only the field of its scalar
+        out.append(ring.zero()._cancel(acc, D * dpow[n] * math.factorial(n)))
     return out
 
 
@@ -159,7 +214,7 @@ def rooted_series(ring, parts: Dict[int, object], q, order: int, var: str,
 def kernel_series(ring, params: KernelParams, order: int, var: str = "t",
                   vars: Optional[tuple] = None) -> TruncatedSeries:
     """Taylor expansion of the kernel through total degree `order`."""
-    q = -params.b * params.y
+    q = params.exponent()
     a = kernel_parts(ring, params, order, kernel_base(ring, params, order))
     return rooted_series(ring, nonzero_parts(ring, a, q), q, order, var, vars)
 
@@ -172,5 +227,5 @@ def kernel_series_dy(ring, params: KernelParams, order: int, var: str = "t",
     a = kernel_parts(ring, params, order, kernel_base(ring, params, order))
     dy = [(a[n - 1] if n else ring.zero()) - two_pi_i_b * a[n]
           for n in range(order + 1)]
-    q = -params.b * params.y
+    q = params.exponent()
     return rooted_series(ring, nonzero_parts(ring, dy, q), q, order, var, vars)

@@ -8,7 +8,9 @@ Two interchangeable rings live here behind one small protocol:
   cyclotomic basis exponents): int}`` of numerators over one shared
   positive denominator, kept in lowest terms after every operation;
   products of basis monomials come from a table that the field fills as
-  they are first met.  Only pi-monomials with a nonzero Q(zeta_N)
+  they are first met, and a product by a unit monomial (a one-term
+  scalar, or a root of unity through ``times_root``) moves exponents
+  through the field's rows instead.  Only pi-monomials with a nonzero Q(zeta_N)
   coefficient are invertible; any other inverse raises ``NotInvertible``.
   The evaluators invert no scalar: the one quotient they need,
   1/(e^{2 pi i q} - 1), is built from q in closed form.
@@ -19,7 +21,10 @@ The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction`` and ``root_of_unity`` (e^{2 pi i q}), the one road from
 an exact constant q, a Fraction or (in the numeric ring) a Gaussian
 rational, to a scalar (exact mode refuses non-real constants before any
-ring is built, so the exact ring reads real ones only),
+ring is built, so the exact ring reads real ones only), ``times_root``
+(x e^{2 pi i q}: in the exact ring each term of x moves by the exponents
+of the root, which is never built, and in the numeric ring x times
+``root_of_unity(q)``, each q rounded once per ring),
 ``root_minus_one_inverse`` (1/(e^{2 pi i q} - 1) for q not an integer,
 the kernels' one quotient),
 ``two_pi_i``, ``is_zero``, ``inv``, ``scale`` (a scalar times a
@@ -102,6 +107,14 @@ class ExactRing:
         if Fraction(q).denominator == 1:
             return self._one
         return self.field.root_of_unity(q)
+
+    def times_root(self, x, q):
+        """x e^{2 pi i q} for rational q, with no root built: each term of
+        x moves by the exponents of zeta_N^(qN) (``CyclotomicField.moved``),
+        over x's denominator, with no cancel."""
+        field = self.field
+        exps = field._unreduced(field._exponent(q))
+        return ExactScalar(field, field.moved(x.terms, exps), x.den)
 
     def root_minus_one_inverse(self, q):
         """1/(e^{2 pi i q} - 1) for non-integral rational q, in closed
@@ -293,6 +306,7 @@ class NumericRing:
         self.zero_tol = ctx.mpf(2.0 ** (-precision + 12))
         # one shared zero and one: an mpc is never changed in place
         self._zero, self._one = ctx.mpc(0), ctx.mpc(1)
+        self._roots: Dict[object, object] = {}  # exact q -> e^{2 pi i q}
         self._i = self.root_of_unity(Fraction(1, 4))
 
     def zero(self):
@@ -311,10 +325,20 @@ class NumericRing:
 
     def root_of_unity(self, q):
         """e^{2 pi i q} for an exact q: a root of unity for rational q, and
-        for a Gaussian rational q rounded once, in the exponential."""
-        if isinstance(q, GaussianRational):
-            return self.ctx.exp(2j * self.ctx.pi * self.from_fraction(q))
-        return self.ctx.expjpi(2 * self.from_fraction(q))
+        for a Gaussian rational q rounded once, in the exponential; each
+        q is rounded once per ring."""
+        got = self._roots.get(q)
+        if got is None:
+            if isinstance(q, GaussianRational):
+                got = self.ctx.exp(2j * self.ctx.pi * self.from_fraction(q))
+            else:
+                got = self.ctx.expjpi(2 * self.from_fraction(q))
+            self._roots[q] = got
+        return got
+
+    def times_root(self, x, q):
+        """x e^{2 pi i q} for an exact q, as x times ``root_of_unity(q)``."""
+        return x * self.root_of_unity(q)
 
     def root_minus_one_inverse(self, q):
         """1/(e^{2 pi i q} - 1) for an exact q that is not an integer."""

@@ -15,7 +15,10 @@ evaluators take from shortcuts:
   and
   one coset's term of a basis's summand built at full order, one series
   product per kernel, per t_g and per unit inverse;
-* the ring's series product, one scalar product per term pair;
+* the ring's series product, one scalar product per term pair, and the
+  scalar product by the general loop over term pairs;
+* the kernel's root-free parts from the Fraction formula, the path that
+  the integer numerators of ``kernel.kernel_parts`` replaced;
 * the unit product lifted into the ring term by term, a non-singular
   summand's coefficient as one ring product per term of its unit
   product, and the sum of rational forms with one series product per
@@ -403,6 +406,44 @@ def termwise_product(ring, pairs, trunc) -> dict:
     return {e: c for e, c in out.items() if not ring.is_zero(c)}
 
 
+def termpair_product(x: ExactScalar, y: ExactScalar) -> ExactScalar:
+    """``x * y`` by the general double loop: one basis-monomial product
+    (``CyclotomicField.basis_product``) per pair of terms, added in
+    integers over the product of the denominators and cancelled once.
+    Independent of the one-term path of ``ExactScalar.__mul__`` and of
+    ``ExactRing.times_root``, which move exponents."""
+    field = x.field
+    out: Dict[tuple, int] = {}
+    for (ka, ea), va in x.terms.items():
+        for (kb, eb), vb in y.terms.items():
+            for e, m in field.basis_product(ea, eb):
+                key = (ka + kb, e)
+                out[key] = out.get(key, 0) + va * vb * m
+    out = {key: v for key, v in out.items() if v}
+    den = x.den * y.den
+    g = math.gcd(den, *out.values())
+    return ExactScalar(field, {key: v // g for key, v in out.items()},
+                       den // g)
+
+
+def fraction_kernel_parts(ring, params: KernelParams, order: int, base
+                          ) -> list:
+    """``kernel.kernel_parts`` in the exact ring by its formula in
+    Fractions, a_n = sum_k B_k(lam)/k! * y^{n-k}/(n-k)!: the powers
+    y^j / j! as Fractions, each term a ``ring.scale`` of the base, the
+    terms added in the ring."""
+    y = params.y
+    ypow = [y ** j / math.factorial(j) for j in range(order + 1)]
+    out = []
+    for n in range(order + 1):
+        acc = ring.zero()
+        for k in range(n + 1):
+            if ypow[n - k]:
+                acc = acc + ring.scale(base[k], ypow[n - k])
+        out.append(acc)
+    return out
+
+
 def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
     """1/form for a form with a nonzero constant: the generic series
     inverse of the form, independent of ``genfun.unit_parts``."""
@@ -520,13 +561,13 @@ def termwise_unit_summand(ctx: EvaluationContext, s, k):
         ring, [(_dead_unit(ctx, s.bidx, g, form), k.weights[g])
                for g, form in s.unit_factors], vars, trunc)])
     total = ring.zero()
-    for grid, root in _coset_grids(ctx, s.bidx, trunc):
+    for grid, q in _coset_grids(ctx, s.bidx, trunc):
         acc = ring.zero()
         for e, f in F.terms.items():
             p = grid.get(tuple(b - x for b, x in zip(box, e)))
             if p is not None:
                 acc = acc + f * p
-        total = total + (acc if root is None else acc * root)
+        total = total + (acc if q is None else acc * ring.root_of_unity(q))
     sign = -1 if len(s.unit_factors) % 2 else 1
     return ring.scale(total, sign * s.weight)
 

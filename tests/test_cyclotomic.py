@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from latticesums.cyclotomic import CyclotomicField, ExactScalar
+from reference import termpair_product
 
 CTX = MPContext()
 CTX.prec = 80
@@ -143,3 +144,71 @@ def test_root_of_unity_outside_the_field_is_refused(N, q):
 def test_root_minus_one_inverse_of_an_integer_is_refused(q):
     with pytest.raises(ValueError, match=rf"^e\^\(2 pi i {q}\) - 1 is zero"):
         CyclotomicField(12).root_minus_one_inverse(q)
+
+
+# 924 = 4 * 3 * 7 * 11: rows of one, two, six and ten terms
+ONE_TERM_FIELDS = {N: CyclotomicField(N) for N in (4, 12, 60, 924)}
+
+
+@st.composite
+def _dense(draw, F):
+    """A sum of up to four roots of unity with rational coefficients, at
+    pi powers -2..2."""
+    out = F.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+        pi = ExactScalar(F, {(draw(st.integers(-2, 2)), F.zero_exps): 1})
+        out = out + F.zeta_pow(draw(st.integers(0, F.N - 1))) * pi * c
+    return out
+
+
+@st.composite
+def _one_term(draw, F):
+    """c pi^k zeta^e, one basis monomial: a rational (k = 0, e = 0), a
+    pure pi power (e = 0), a zeta-monomial with any basis exponents, or
+    one at the top of every basis range, whose products leave the range
+    of every nonzero exponent of the other operand and expand through the
+    rows."""
+    kind = draw(st.sampled_from(["rational", "pi", "zeta", "top"]))
+    phis = [phi for (_, _, phi, _) in F.factors]
+    k = 0 if kind == "rational" else draw(st.integers(-2, 2))
+    if kind in ("rational", "pi"):
+        e = F.zero_exps
+    elif kind == "zeta":
+        e = tuple(draw(st.integers(0, phi - 1)) for phi in phis)
+    else:
+        e = tuple(phi - 1 for phi in phis)
+    c = Fraction(draw(st.integers(1, 12)) * draw(st.sampled_from([1, -1])),
+                 draw(st.integers(1, 12)))
+    return ExactScalar(F, {(k, e): c.numerator}, c.denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_term_product_is_the_term_pair_product(data):
+    # a one-term operand, on either side, takes the monomial path of
+    # __mul__; its product equals the general double loop exactly, terms
+    # and denominator, and a zero operand gives zero
+    F = ONE_TERM_FIELDS[data.draw(st.sampled_from(sorted(ONE_TERM_FIELDS)))]
+    x, m = data.draw(_dense(F)), data.draw(_one_term(F))
+    want = termpair_product(x, m)
+    for got in (x * m, m * x):
+        assert (got.terms, got.den) == (want.terms, want.den)
+    assert (m * m).terms == termpair_product(m, m).terms
+    for got in (m * F.zero(), F.zero() * m):
+        assert got.is_zero() and got.den == 1
+
+
+@pytest.mark.parametrize("N", [12, 924])
+def test_one_term_product_moves_through_the_rows(N):
+    # the top basis monomial times zeta^(1, ..., 1) leaves the basis range
+    # of every factor, so its rows expand (p - 1 terms for a factor p^a,
+    # one for 4): more terms out than in
+    F = ONE_TERM_FIELDS[N]
+    top = ExactScalar(F, {(1, tuple(phi - 1 for (_, _, phi, _)
+                                    in F.factors)): 3}, 5)
+    ones = tuple(1 for _ in F.factors)
+    x = F.one() + ExactScalar(F, {(0, ones): 2}, 7)
+    got, want = top * x, termpair_product(x, top)
+    assert len(got.terms) > len(x.terms)
+    assert (got.terms, got.den) == (want.terms, want.den)

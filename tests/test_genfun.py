@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ from mpmath.ctx_mp import MPContext
 
 from latticesums import genfun, intlinalg, lattice
 from latticesums import series as series_module
+from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import ExcludedPoint, NonDivisible
 from latticesums.families import (a2_directions, hurwitz_a1, hurwitz_a2,
                                   root_system, triangle)
@@ -1268,11 +1270,12 @@ def test_coset_grid_matches_rooted_kernel_products(box):
     basis = arr.bases[bidx]
     vars = tuple(ctx.vars[m] for m in basis.members)
     grids = genfun._coset_grids(ctx, bidx, trunc)
-    assert len(grids) == 3 and any(root is not None for _, root in grids)
+    assert len(grids) == 3 and any(q is not None for _, q in grids)
     got = TruncatedSeries(ring, vars, trunc)
-    for grid, root in grids:
+    for grid, q in grids:
+        root = ring.one() if q is None else ring.root_of_unity(q)
         got = got + TruncatedSeries(ring, vars, trunc, {
-            e: a if root is None else a * root for e, a in grid.items()})
+            e: a * root for e, a in grid.items()})
     want = TruncatedSeries(ring, vars, trunc)
     for w in basis.coset_reps:
         prod = TruncatedSeries.one(ring, vars, trunc)
@@ -2119,3 +2122,38 @@ def _mixed_sign_zeta():
 def test_genfun_refusals(call, start):
     with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
         call()
+
+
+# SHA-256 of the reprs of lattice_sum_value on the two cases below, one per
+# line, as the coefficient path gave them when it still built every root
+NO_ROOT_CASES = (
+    # N = 924
+    (((1, 2), (1, -1), (2, 1)), (2, 1, 2), (Fraction(-4, 11), Fraction(12, 7)),
+     (2, 3, 2)),
+    # N = 21,840
+    (((1, 2), (2, 1), (-1, 2)), (2, 1, Fraction(3, 4)),
+     (Fraction(-9, 13), Fraction(2, 7)), (2, 3, 3)),
+)
+NO_ROOT_DIGEST = ("27456fc9dac878e10d532d6a2eec4bff"
+                  "956f16bf318c05a5cd12e041075f5533")
+
+
+def test_coefficient_path_builds_no_root(monkeypatch):
+    # the exact coefficient path applies every coset's root and every lam
+    # of the Apostol-Bernoulli recurrence by moving exponents
+    # (``ring.times_root``): with both root constructors patched to
+    # raise, two cases of dense fields still give their pinned values
+    def refuse(self, q):
+        raise AssertionError(f"e^(2 pi i {q}) built as a scalar")
+
+    monkeypatch.setattr(ExactRing, "root_of_unity", refuse)
+    monkeypatch.setattr(CyclotomicField, "root_of_unity", refuse)
+    clear_coefficient_table()
+    shown = []
+    for dirs, consts, y, k in NO_ROOT_CASES:
+        arr = Arrangement(2, [make_functional(d, c)
+                              for d, c in zip(dirs, consts)])
+        shown.append(repr(lattice_sum_value(arr, y, k).value))
+    assert [len(x) > 1000 for x in shown] == [True, True]
+    digest = hashlib.sha256("\n".join(shown).encode()).hexdigest()
+    assert digest == NO_ROOT_DIGEST

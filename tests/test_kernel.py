@@ -17,7 +17,8 @@ from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import polytope_report
 from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import LinearForm, TruncatedSeries, Truncation
-from reference import (bernoulli_poly, form_exp, kernel_coeff,
+from reference import (bernoulli_poly, form_exp, fraction_kernel_parts,
+                       kernel_coeff,
                        kernel_coeff_poly, kernel_moment, moment_integral_exact,
                        series_constant, series_variable)
 
@@ -267,6 +268,22 @@ def test_root_times_parts_is_the_kernel(case, other):
         tol = 2.0 ** -100 * max(1, abs(ref))
         assert abs(root * a - ref) <= tol
         assert abs(numeric.coefficient((n,)) - ref) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.integers(0, 8))
+def test_integer_kernel_parts_match_the_fraction_formula(case, order):
+    # the exact root-free parts, made from integer numerators over one
+    # denominator, equal the Fraction formula term for term, for integral
+    # and non-integral b, y = 0 included, through order 8
+    N, b, y, _ = case
+    ring = EXACT_BY_N[N]
+    p = KernelParams.make(b, y)
+    base = kernel_base(ring, p, order)
+    got = kernel_parts(ring, p, order, base)
+    want = fraction_kernel_parts(ring, p, order, base)
+    assert [(a.terms, a.den) for a in got] \
+        == [(a.terms, a.den) for a in want]
 
 
 def test_kernel_argument_validation():

@@ -117,3 +117,40 @@ def test_generic_numeric_outputs_keep_90_bits(monkeypatch):
         assert op.check(op.call()) is None, op.label
     assert len(work.numeric_bits) == 15
     assert min(work.numeric_bits) >= 90
+
+
+def test_compare_dumps_lists_exact_changes_and_float_moves(tmp_path):
+    # an exact line that differs, or one that only one dump holds, fails
+    # the comparison; a float-bearing line that moves is measured, by the
+    # largest relative move of its floats, and fails nothing
+    parent = ["manifest\t1\trow a\t1/3",
+              "generic\t1\tnumeric case 0\tmpc(real='2.0', imag='-1.0')",
+              "verify\t1\toracle x\t[{'N': 25, 'err': 0.5}]"]
+    moved = ["manifest\t1\trow a\t1/3",
+             "generic\t1\tnumeric case 0\tmpc(real='2.0', imag='-1.001')",
+             "verify\t1\toracle x\t[{'N': 25, 'err': 0.5}]"]
+    paths = {}
+    for name, lines in [("parent", parent), ("moved", moved),
+                        ("exact", [parent[0].replace("1/3", "1/4")]
+                         + parent[1:]),
+                        ("short", parent[:2])]:
+        paths[name] = tmp_path / name
+        paths[name].write_text("\n".join(lines) + "\n")
+
+    def compare(change):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "compare_dumps.py"),
+             str(paths["parent"]), str(paths[change])],
+            capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout.splitlines()
+
+    code, out = compare("moved")
+    assert code == 0 and out[-1].startswith("largest move 9.990e-04\t")
+    assert out[-1].endswith("numeric case 0")
+    code, out = compare("exact")
+    assert code == 1 and out[0] == "exact differs\tmanifest\t1\trow a"
+    code, out = compare("short")
+    assert code == 1 and out[0] == "only in parent\tverify\t1\toracle x"
+    assert compare("parent") == (0, [
+        "1 exact lines, 0 differing or missing; 2 float-bearing lines, "
+        "0 moved", "largest move 0"])

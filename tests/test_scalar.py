@@ -12,7 +12,7 @@ from latticesums.genfun import lattice_sum_value
 from latticesums.lattice import arrangement_from_json
 from latticesums.scalar import (ExactRing, ExactScalar, NumericRing,
                                 format_scalar, parse_scalar)
-from reference import pi_pow
+from reference import pi_pow, termpair_product
 
 CTX = MPContext()
 CTX.prec = 140
@@ -227,3 +227,58 @@ def test_exact_ring_refuses_an_order_not_divisible_by_4(N):
     with pytest.raises(ValueError,
                        match="^cyclotomic order must be divisible by 4"):
         ExactRing(N)
+
+
+TIMES_ROOT_RINGS = {N: ExactRing(N) for N in (4, 12, 60, 924)}
+NR128 = NumericRing(128)
+
+
+@st.composite
+def _root_exponents(draw, N):
+    """q = j/N + n: negative, positive and integral (j = 0) ones."""
+    return Fraction(draw(st.integers(0, N - 1)), N) \
+        + draw(st.integers(-2, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_times_root_is_the_product_by_the_root(data):
+    # x e^{2 pi i q} by moving exponents equals x times the reduced root,
+    # through the general double loop, exactly (terms and denominator);
+    # a root is a unit of the integral tensor basis, so the denominator
+    # and the gcd of the numerators stay those of x
+    N = data.draw(st.sampled_from(sorted(TIMES_ROOT_RINGS)))
+    ring = TIMES_ROOT_RINGS[N]
+    x = data.draw(scalars(ring))
+    q = data.draw(_root_exponents(N))
+    got = ring.times_root(x, q)
+    want = termpair_product(x, ring.root_of_unity(q))
+    assert (got.terms, got.den) == (want.terms, want.den)
+    assert got == x * ring.root_of_unity(q)
+    assert got.den == x.den
+    assert math.gcd(*got.terms.values()) == math.gcd(*x.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+       st.sampled_from([4, 12, 60, 924]), st.data())
+def test_numeric_times_root_is_bitwise_the_product(re, im, N, data):
+    x = NR128.ctx.mpc(re, im) / 7
+    q = data.draw(_root_exponents(N))
+    assert NR128.times_root(x, q)._mpc_ \
+        == (x * NR128.root_of_unity(q))._mpc_
+
+
+def test_equal_scalars_embed_equally_whatever_their_term_order(
+        triangle_rational):
+    # each power of pi is summed by ascending basis exponents, so that a
+    # scalar and its terms in reversed order, equal, embed to the same
+    # value at 53 and at 128 bits
+    v = lattice_sum_value(triangle_rational,
+                          (Fraction(1, 7), Fraction(2, 11)), (2, 2, 2)).value
+    rev = ExactScalar(v.field, dict(reversed(list(v.terms.items()))), v.den)
+    assert len(v.terms) == 42 and v == rev
+    for prec in (53, 128):
+        ctx = MPContext()
+        ctx.prec = prec
+        assert v.embed(ctx) == rev.embed(ctx)

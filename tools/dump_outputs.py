@@ -19,6 +19,9 @@ same outputs exactly when their dumps compare equal:
     python3 tools/dump_outputs.py --root ../parent > parent.txt
     python3 tools/dump_outputs.py > change.txt
     cmp parent.txt change.txt
+
+and ``tools/compare_dumps.py parent.txt change.txt`` lists the exact
+lines that differ and how far the printed floats moved.
 """
 
 from __future__ import annotations

@@ -21,11 +21,14 @@ integer product, ``_unit_numerators``, and so does the exponential
 e^{t* . p} of a polytope vertex (``unit_parts``): the constants are
 2 pi i times exact rationals, so the product of all the inverses of a
 summand (or of a vertex, with its exponential) is a root of unity times a
-series over Q (over Q(i) for Gaussian constants) in t / (2 pi i),
-multiplied in integers.  Each coefficient is then built once from its
-int numerators (``ring.unit_lift``): (2 pi i)^(-n) is a power of pi, a
-power of 2 in the one denominator and a power of i that turns the root,
-and numeric mode rounds there for the first time, once per term.  Such
+series over Q (over Q(i) for Gaussian constants) in t / (2 pi i).  The
+inverses are not multiplied pairwise: their product is read, degree by
+degree and in integers, from its logarithmic derivative, one pass for
+any number of factors (``_unit_product``).  Each coefficient is then
+built once from its int numerators (``ring.unit_lift``): (2 pi i)^(-n)
+is a power of pi, a power of 2 in the one denominator and a power of i
+that turns the root, and numeric mode rounds there for the first time,
+once per term.  Such
 products add in integers before any lift (``lift_units``), so a full
 series lifts every summand with no singular factor, and the polytope
 route every vertex with no singular edge, in one ``ring.unit_lift``.
@@ -536,17 +539,18 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
     the form's constant and L its linear part, on `vars` and truncated at
     `trunc`, as ``{e: numerator}`` over the positive int `den`; K is the
     sum of the k.  The numerators are ints, or GaussianRationals with int
-    parts when a constant is Gaussian.  Each factor is expanded on
-    ``LinearForm.monomials``, over one denominator, and the factors are
-    convolved in ints (``series.convolve``): a unit factor (c != 0) as
-    (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n, and a singular one (c = 0)
-    in the field of iterated Laurent series in which each variable of
-    `vars` dominates the later ones, for k > 0 around the first variable
-    t_p of L = q_p t_p + L' as
+    parts when a constant is Gaussian.  The unit factors (c != 0, k > 0)
+    are one product, built in ints from its logarithmic derivative
+    (``_unit_product``).  A singular factor (c = 0) is expanded on
+    ``LinearForm.monomials``, over one denominator, in the field of
+    iterated Laurent series in which each variable of `vars` dominates
+    the later ones, for k > 0 around the first variable t_p of
+    L = q_p t_p + L' as
 
         L^(-k) = sum_n C(k + n - 1, n) (-L')^n / (q_p t_p)^(k + n),
 
-    every term of degree -k, and for k < 0 as the polynomial L^(-k).  The
+    every term of degree -k, and for k < 0 as the polynomial L^(-k), and
+    convolved onto the unit product in ints (``series.convolve``).  The
     singular factors need a box and come last, by first variable.  G is
     exact on `trunc`: each partial product keeps every term from which
     one within `trunc` can follow, its degree capped at the total plus the
@@ -554,62 +558,153 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
     expansions around t_u are to come, their k and the caps of the later
     variables, the most that their L' carry there."""
     vars = tuple(vars)
+    K = sum(k for _, k in factors)
+    units = [(form, k) for form, k in factors if not form.singular]
+    steps = sorted(((min(map(vars.index, form.coeffs)) if k > 0 else None,
+                     form, k) for form, k in factors if form.singular),
+                   key=lambda x: (x[0] is not None, x[0] or 0))
+    if not steps:
+        return (*_unit_product(units, vars, trunc), K)
     total, box = trunc.total, trunc.box
-    steps = sorted(((min(map(vars.index, form.coeffs))
-                     if form.singular and k > 0 else None, form, k)
-                    for form, k in factors),
-                   key=lambda x: (x[1].singular, x[0] is not None, x[0] or 0))
     caps = list(box or ())
     for p in reversed(range(len(caps))):
         ks = sum(k for q, _, k in steps if q == p)
         if ks:
             caps[p] += ks + sum(caps[p + 1:])
     if caps and min(caps) < 0:
-        return {}, 1, sum(k for _, k in factors)
-    terms: Dict[tuple, object] = {(0,) * len(vars): 1}
-    den = 1
-    for i, (p, form, k) in enumerate(steps):
-        later = steps[i + 1:]
+        return {}, 1, K
+
+    def cap(i: int) -> Truncation:
+        # what the product keeps before the singular factors steps[i:]
+        later = steps[i:]
         leads = {q for q, _, _ in later}
-        step = Truncation(
-            total + sum(k2 for _, f, k2 in later if f.singular),
-            box and tuple(c if u in leads else b
-                          for u, (b, c) in enumerate(zip(box, caps))))
-        if form.singular and p is None:
+        return Truncation(total + sum(k for _, _, k in later),
+                          box and tuple(c if u in leads else b
+                                        for u, (b, c) in enumerate(
+                                            zip(box, caps))))
+
+    terms, den = _unit_product(units, vars, cap(0))
+    for i, (p, form, k) in enumerate(steps):
+        step = cap(i + 1)
+        if p is None:
             # L^m = (D L)^m / D^m, its terms of degree m = -k
             fac = [t for t in form.monomials(vars, step, -k) if t[2] == -k]
             den *= form.den ** -k
         else:
-            if p is None:
-                # w = 1/c = x/a, over a^k (a D)^top
-                x, a = _reciprocal(form.c)
-                first, b = -x, a * form.den
-                monos = form.monomials(vars, step, step.total)
-            else:
-                # 1/q_p = x/a, -L' = -(d L')/d, over a^k (a d)^top
-                v = vars[p]
-                rest = LinearForm({u: q for u, q in form.coeffs.items()
-                                   if u != v})
-                q = form.coeffs[v]
-                a, x = abs(q.numerator), q.denominator * (1 if q > 0 else -1)
-                first, x, b = x, -x, a * rest.den
-                monos = [(e[:p] + (-k - n,) + e[p + 1:], m, n)
-                         for e, m, n in rest.monomials(
-                             vars, step, sum(step.box[p + 1:]))]
+            # 1/q_p = x/a, -L' = -(d L')/d, over a^k (a d)^top
+            v = vars[p]
+            rest = LinearForm({u: q for u, q in form.coeffs.items()
+                               if u != v})
+            q = form.coeffs[v]
+            a, x = abs(q.numerator), q.denominator * (1 if q > 0 else -1)
+            monos = rest.monomials(vars, step, sum(step.box[p + 1:]))
             top = max(n for _, _, n in monos)
-            # degree n: first^k x^n C(k + n - 1, n) b^(top - n), over a^k b^top
-            power = 1
-            for _ in range(k):
-                power = power * first
-            coef = []
-            for n in range(top + 1):
-                coef.append(power * (math.comb(k + n - 1, n) * b ** (top - n)))
-                power = power * x
-            den *= a ** k * b ** top
-            fac = [(e, coef[n] * m, n if p is None else -k)
+            coef = _binomial_series(k, x, -x, a * rest.den, top)
+            den *= a ** k * (a * rest.den) ** top
+            fac = [(e[:p] + (-k - n,) + e[p + 1:], coef[n] * m, -k)
                    for e, m, n in monos]
         terms = convolve(terms, fac, step)
-    return terms, den, sum(k for _, k in factors)
+    return terms, den, K
+
+
+def _binomial_series(k: int, first, x, b: int, top: int) -> list:
+    """first^k x^n C(k + n - 1, n) b^(top - n) for n = 0..top: over
+    b^top, the degree-n coefficients of first^k (1 - x u / b)^(-k) in u,
+    the closed form of one factor's expansion."""
+    power = 1
+    for _ in range(k):
+        power = power * first
+    coef = []
+    for n in range(top + 1):
+        coef.append(power * (math.comb(k + n - 1, n) * b ** (top - n)))
+        power = power * x
+    return coef
+
+
+def _unit_product(factors: Sequence[Tuple[LinearForm, int]], vars,
+                  trunc: Truncation) -> Tuple[Dict[tuple, object], int]:
+    """``(G, den)``: G = prod_j (-c_j + L_j)^(-k_j) over the unit (form, k)
+    pairs, c_j != 0 and k_j > 0, on `vars` and truncated at `trunc`, as
+    ``{e: numerator}`` over the positive int `den`, with no series
+    product.
+
+    With 1/c_j = x_j / a_j and L_j = P_j / D_j, P_j an integer form, G is
+    prod_j (-x_j / a_j)^(k_j) times F = prod_j (1 - l_j)^(-k_j), where
+    l_j = L_j / c_j = s_j P_j / M over M = lcm_j a_j D_j.  One factor is
+    its binomial series, sum_n C(k + n - 1, n) l^n.  More factors are
+    read from the logarithmic derivative of F: with E = sum_v t_v d/dt_v,
+    E log F = sum_j k_j l_j / (1 - l_j), so the degree-n parts obey
+
+        n F_n = sum_{m=1..n} H_m F_{n-m},   H_m = sum_j k_j l_j^m
+
+    (J. C. P. Miller's recurrence for the powers of a series, in the
+    form of Knuth, TAOCP vol. 2, 4.7).  The sum is taken per factor by
+    Horner's rule, B_j,n = sum_{m=1..n} l_j^m F_{n-m} = l_j (F_{n-1} +
+    B_j,n-1), so that no power l_j^m is formed and each degree costs one
+    product by each linear form.  In ints, A_n = n! M^n F_n and
+    b_j,n = (n - 1)! M^n B_j,n give
+
+        b_j,n = s_j P_j (A_{n-1} + (n - 1) b_j,n-1),   A_n = sum_j k_j b_j,n,
+
+    one pass over the degrees whatever the number of factors.  The box
+    of `trunc` holds term by term, as no exponent ever falls."""
+    vars = tuple(vars)
+    total, box = trunc.total, trunc.box
+    if total < 0 or (box and min(box) < 0):
+        return {}, 1
+    zero = (0,) * len(vars)
+    if not factors:
+        return {zero: 1}, 1
+    recips = [_reciprocal(form.c) for form, _ in factors]
+    if len(factors) == 1:
+        (form, k), (x, a) = factors[0], recips[0]
+        monos = form.monomials(vars, trunc, total)
+        top = max(n for _, _, n in monos)
+        b = a * form.den
+        coef = _binomial_series(k, -x, x, b, top)
+        return {e: coef[n] * m for e, m, n in monos}, a ** k * b ** top
+    M = math.lcm(*(a * form.den
+                   for (form, _), (_, a) in zip(factors, recips)))
+    lead, den = 1, 1  # prod_j (-x_j)^k_j over prod_j a_j^k_j
+    lines = []  # per factor, k_j and s_j P_j as [(index of t_v, int)]
+    for (form, k), (x, a) in zip(factors, recips):
+        for _ in range(k):
+            lead = lead * -x
+        den *= a ** k
+        s = x * (M // (a * form.den))
+        lines.append((k, [(vars.index(v),
+                           s * (q.numerator * (form.den // q.denominator)))
+                          for v, q in form.coeffs.items()]))
+    # with no box, an entry of a term of degree n - 1 < total is below it
+    caps = box or (total,) * len(vars)
+    A: List[Dict[tuple, object]] = [{zero: 1}]
+    b: List[Dict[tuple, object]] = [{} for _ in factors]  # the b_j,n-1
+    for n in range(1, total + 1):
+        acc: Dict[tuple, object] = {}
+        for j, (k, line) in enumerate(lines):
+            inner = dict(A[-1])
+            for e, v in b[j].items():
+                inner[e] = inner.get(e, 0) + (n - 1) * v
+            out: Dict[tuple, object] = {}
+            get = out.get
+            for u, c in line:
+                cap = caps[u]
+                for e, v in inner.items():
+                    if e[u] < cap:
+                        e = e[:u] + (e[u] + 1,) + e[u + 1:]
+                        out[e] = get(e, 0) + c * v
+            b[j] = out
+            for e, v in out.items():
+                acc[e] = acc.get(e, 0) + k * v
+        A.append({e: v for e, v in acc.items() if v})
+    top = max(n for n, part in enumerate(A) if part)
+    # F_n = A_n / (n! M^n) over top! M^top: A_n times scales[top - n]
+    scales = [lead]
+    for n in range(top, 0, -1):
+        scales.append(scales[-1] * (n * M))
+    return ({e: v * scales[top - n] for n in range(top + 1)
+             for e, v in A[n].items()},
+            den * math.factorial(top) * M ** top)
 
 
 @dataclass
@@ -642,7 +737,8 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
     the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the
     k, where G = prod (-c + L)^(-k) is a series over Q (over Q(i) when a
-    constant is a Gaussian rational), convolved in ints
+    constant is a Gaussian rational), built in ints from its logarithmic
+    derivative, with no product of one factor's series by another's
     (``_unit_numerators``).  The exponential e^(-2 pi i c_E) e^(L_E) of an
     exponent form is a root times sum_n L_E^n / n!, a series over Q too:
     it is convolved last, into the terms of each degree n that came from

@@ -5,7 +5,8 @@ total degree and, with a box, by one cap per variable (``Truncation``).
 The product of two series is a term convolution that the coefficient
 ring performs (``mul_terms``), each ring on its own representation; the
 truncation rule of a convolution of values, numeric scalars or the ints
-of the unit products, is written once (``convolve``).  On top of the
+that the unit products meet (singular factors, vertex exponentials), is
+written once (``convolve``).  On top of the
 plain ring operations this module provides the operations that make the
 closed-form evaluators work:
 
@@ -15,11 +16,13 @@ closed-form evaluators work:
   its merge key (the normalised q_v) are read from that data in both
   rings, and a reader that needs c as a scalar asks its ring
   (``from_fraction``, ``root_of_unity``).  One multinomial enumerator
-  (``monomials``) expands every function of it that the evaluators need,
-  coefficient by coefficient with no series product: in
-  ``genfun.unit_parts`` every unit inverse (c != 0) and the vertex
-  exponential, one exact product over Q of all the inverses of a summand
-  or of the whole numerator of a polytope vertex, each coefficient built
+  (``monomials``) expands the functions of it that the evaluators need,
+  coefficient by coefficient with no series product: a lone unit
+  inverse (c != 0), a singular factor's Laurent series and the vertex
+  exponential (``genfun._unit_numerators``, ``genfun.unit_parts``).
+  Several unit inverses are read from their logarithmic derivative
+  instead.  All the inverses of a summand, or the whole numerator of a
+  polytope vertex, make one exact product over Q, each coefficient built
   once from its int numerators (``ring.unit_lift``, once for all the
   summands of a full series with no singular factor, or all the vertices
   with no singular edge);

@@ -19,6 +19,9 @@ evaluators take from shortcuts:
   scalar product by the general loop over term pairs;
 * the kernel's root-free parts from the Fraction formula, the path that
   the integer numerators of ``kernel.kernel_parts`` replaced;
+* the product of unit and singular factors by convolving their
+  expansions one at a time, the path that the unit factors' product from
+  its logarithmic derivative replaced;
 * the unit product lifted into the ring term by term, a non-singular
   summand's coefficient as one ring product per term of its unit
   product, and the sum of rational forms with one series product per
@@ -50,8 +53,8 @@ from latticesums import intlinalg
 from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
 from latticesums.genfun import (EvaluationContext, _coset_grids, _dead_unit,
-                                _unit_numerators, lift_units, summand_parts,
-                                unit_parts)
+                                _reciprocal, _unit_numerators, lift_units,
+                                summand_parts, unit_parts)
 from latticesums.kernel import (KernelParams, _apostol_numbers,
                                 bernoulli_numbers, kernel_series)
 from latticesums.lattice import (Arrangement, Basis, Functional,
@@ -543,6 +546,81 @@ def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
     return TruncatedSeries(ring, vars, trunc, {
         e: ring.scale(x, Fraction(scale)) for e, x in out.items()
         if not ring.is_zero(x)})
+
+
+def pairwise_unit_numerators(factors, vars, trunc):
+    """``genfun._unit_numerators`` with every factor expanded on its own and
+    the expansions convolved one at a time (``series.convolve``), the
+    unit factors first: the path that the logarithmic-derivative product
+    of the unit factors replaced.  ``(G, den, K)``, G = prod (-c + L)^(-k)
+    as int numerators (GaussianRationals with int parts for a Gaussian
+    constant) over den, K the sum of the k: a unit factor (c != 0) as
+    (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n, a singular one in the field
+    of iterated Laurent series in which each variable of `vars` dominates
+    the later ones, for k > 0 around the first variable t_p of
+    L = q_p t_p + L' as sum_n C(k + n - 1, n) (-L')^n / (q_p t_p)^(k + n),
+    and for k < 0 as the polynomial L^(-k).  Each partial product keeps
+    every term from which one within `trunc` can follow: its degree
+    capped at the total plus the singular k to come, and its exponent of
+    t_u at box_u plus, while expansions around t_u are to come, their k
+    and the caps of the later variables."""
+    vars = tuple(vars)
+    total, box = trunc.total, trunc.box
+    steps = sorted(((min(map(vars.index, form.coeffs))
+                     if form.singular and k > 0 else None, form, k)
+                    for form, k in factors),
+                   key=lambda x: (x[1].singular, x[0] is not None, x[0] or 0))
+    caps = list(box or ())
+    for p in reversed(range(len(caps))):
+        ks = sum(k for q, _, k in steps if q == p)
+        if ks:
+            caps[p] += ks + sum(caps[p + 1:])
+    if caps and min(caps) < 0:
+        return {}, 1, sum(k for _, k in factors)
+    terms = {(0,) * len(vars): 1}
+    den = 1
+    for i, (p, form, k) in enumerate(steps):
+        later = steps[i + 1:]
+        leads = {q for q, _, _ in later}
+        step = Truncation(
+            total + sum(k2 for _, f, k2 in later if f.singular),
+            box and tuple(c if u in leads else b
+                          for u, (b, c) in enumerate(zip(box, caps))))
+        if form.singular and p is None:
+            # L^m = (D L)^m / D^m, its terms of degree m = -k
+            fac = [t for t in form.monomials(vars, step, -k) if t[2] == -k]
+            den *= form.den ** -k
+        else:
+            if p is None:
+                # w = 1/c = x/a, over a^k (a D)^top
+                x, a = _reciprocal(form.c)
+                first, b = -x, a * form.den
+                monos = form.monomials(vars, step, step.total)
+            else:
+                # 1/q_p = x/a, -L' = -(d L')/d, over a^k (a d)^top
+                v = vars[p]
+                rest = LinearForm({u: q for u, q in form.coeffs.items()
+                                   if u != v})
+                q = form.coeffs[v]
+                a, x = abs(q.numerator), q.denominator * (1 if q > 0 else -1)
+                first, x, b = x, -x, a * rest.den
+                monos = [(e[:p] + (-k - n,) + e[p + 1:], m, n)
+                         for e, m, n in rest.monomials(
+                             vars, step, sum(step.box[p + 1:]))]
+            top = max(n for _, _, n in monos)
+            # degree n: first^k x^n C(k + n - 1, n) b^(top - n), over a^k b^top
+            power = 1
+            for _ in range(k):
+                power = power * first
+            coef = []
+            for n in range(top + 1):
+                coef.append(power * (math.comb(k + n - 1, n) * b ** (top - n)))
+                power = power * x
+            den *= a ** k * b ** top
+            fac = [(e, coef[n] * m, n if p is None else -k)
+                   for e, m, n in monos]
+        terms = convolve(terms, fac, step)
+    return terms, den, sum(k for _, k in factors)
 
 
 def termwise_unit_summand(ctx: EvaluationContext, s, k):

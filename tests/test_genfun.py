@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -34,7 +35,8 @@ from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, division_count,
                                 sum_rational_forms)
 from reference import (fraction_dead_unit, fraction_geometry,
-                       full_order_summand, later_phi, lift, permuted,
+                       full_order_summand, later_phi, lift,
+                       pairwise_unit_numerators, permuted,
                        pi_pow, series_variable, summand_rational_form,
                        termwise_unit_product, termwise_unit_summand,
                        unit_inverse, with_truncation)
@@ -712,6 +714,123 @@ def test_unit_product_of_no_factor_is_one():
     ring = UNIT_RINGS[60]
     got = _unit_product(ring, [], Truncation(3, (1, 1, 1)))
     assert got.terms == {(0, 0, 0): ring.one()}
+
+
+def _as_rationals(terms, den):
+    """An integer series over `den` as {e: (re, im)} in Fractions."""
+    return {e: (Fraction(v, den), Fraction(0)) if isinstance(v, int)
+            else (Fraction(v.re, den), Fraction(v.im, den))
+            for e, v in terms.items()}
+
+
+def _drawn_numerator_factors(rng, units, nvars, gaussian, singular):
+    """`units` unit (form, k) pairs on the first `nvars` of UNIT_VARS,
+    rational coefficients on one or more of them, a nonzero constant (a
+    Gaussian rational one time in two when `gaussian`) and k from 1 to
+    4, then, when `singular`, one singular factor, k in -2, -1, 1, 2
+    or 3."""
+    names = UNIT_VARS[:nvars]
+
+    def coeffs():
+        return {v: Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4, 6]),
+                            rng.randint(1, 7))
+                for v in rng.sample(names, rng.randint(1, nvars))}
+
+    out = []
+    for _ in range(units):
+        c = Fraction(rng.choice([-4, -3, -1, 1, 2, 5]), rng.randint(1, 6))
+        if gaussian and rng.random() < 0.5:
+            c = GaussianRational(c, Fraction(rng.choice([-3, -1, 2]),
+                                             rng.randint(1, 5)))
+        out.append((LinearForm(coeffs(), c), rng.randint(1, 4)))
+    if singular:
+        out.append((LinearForm(coeffs()), rng.choice([-2, -1, 1, 2, 3])))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["total", "box", "singular"])
+@pytest.mark.parametrize("units", range(7))
+def test_unit_numerators_match_the_pairwise_product(units, kind):
+    # the unit factors' product from its logarithmic derivative equals,
+    # as exact rationals, the factors' own expansions convolved one at a
+    # time (``reference.pairwise_unit_numerators``), on one to three
+    # variables, with real and Gaussian constants, k from 1 to 4, under a
+    # total-only truncation or a box, and with one singular factor mixed
+    # in (singular factors need a box)
+    rng = random.Random(units * 3 + ("total", "box", "singular").index(kind))
+    seen = 0
+    for draw in range(12):
+        nvars = 1 + draw % 3
+        factors = _drawn_numerator_factors(
+            rng, units, nvars, gaussian=draw >= 6,
+            singular=kind == "singular")
+        box = None if kind == "total" else tuple(
+            rng.randint(0, 3) for _ in range(nvars))
+        # the reference expands each unit factor through the total plus
+        # the singular k, which must not be negative
+        low = max([0] + [-k for f, k in factors if f.singular])
+        trunc = Truncation(rng.randint(low, 5), box)
+        vars = UNIT_VARS[:nvars]
+        got, den, K = genfun._unit_numerators(factors, vars, trunc)
+        want, wden, wK = pairwise_unit_numerators(factors, vars, trunc)
+        assert K == wK
+        assert _as_rationals(got, den) == _as_rationals(want, wden), \
+            (factors, trunc)
+        seen += len(want)
+    assert seen
+
+
+def test_unit_numerators_keep_nothing_outside_the_truncation():
+    # (t0 + t1)^2 leaves no term of degree 1, whatever the unit factors,
+    # and a negative total or box entry keeps no term of any product
+    units = [(LinearForm({"t0": Fraction(1, 2)}, Fraction(1, 3)), 2),
+             (LinearForm({"t1": Fraction(-2)}, Fraction(3)), 1)]
+    square = (LinearForm({"t0": 1, "t1": 1}), -2)
+    cases = [(factors + [square], Truncation(1, (1, 1)))
+             for factors in ([], units[:1], units)]
+    cases += [(factors, trunc) for factors in (units[:1], units)
+              for trunc in (Truncation(-1), Truncation(2, (-1, 2)))]
+    for factors, trunc in cases:
+        got, _, K = genfun._unit_numerators(factors, UNIT_VARS[:2], trunc)
+        assert got == {} and K == sum(k for _, k in factors)
+
+
+def _unit_expansion(exps) -> bool:
+    """Whether the exponents are those of an expansion of unit factors:
+    the constant term present and no negative entry, which no singular
+    factor's expansion has (its terms have degree -k != 0)."""
+    exps = list(exps)
+    return bool(exps) and (0,) * len(exps[0]) in exps \
+        and all(min(e) >= 0 for e in exps)
+
+
+def test_no_convolution_multiplies_two_unit_expansions(monkeypatch):
+    # the unit factors of a summand are one product, read from its
+    # logarithmic derivative with no series product; only the singular
+    # factors are convolved onto it.  On the nine-functional row with
+    # singular den_g, no ``genfun.convolve`` takes two operands that both
+    # look like expansions of unit factors, and the value is the row's
+    fixtures = resources.files("latticesums.fixtures")
+    row = next(r for r in json.loads(fixtures.joinpath(
+        "manifest.json").read_text())["rows"]
+        if r["label"] == "rank-2 S all twos shift 2")
+    arr = lattice.arrangement_from_json(
+        fixtures.joinpath(row["arrangement"]).read_text())
+    calls = []
+    real = genfun.convolve
+
+    def recorded(terms, fac, trunc):
+        calls.append((_unit_expansion(terms),
+                      _unit_expansion(e for e, _, _ in fac)))
+        return real(terms, fac, trunc)
+
+    monkeypatch.setattr(genfun, "convolve", recorded)
+    monkeypatch.setattr(genfun, "_coefficient_table", {})
+    value = lattice_sum_value(arr, [Fraction(v) for v in row["y"]],
+                              row["k"]).value
+    assert format_scalar(value) == row["expect"]
+    assert calls
+    assert not [c for c in calls if all(c)]
 
 
 # (N, exponent constant): each root e^(-2 pi i c) lies in Q(zeta_N), and

@@ -235,9 +235,13 @@ def cmd_verify_hierarchy(args) -> int:
     report = check_hierarchy(arr, keep, y, args.order, mode=args.mode,
                              precision=args.precision)
     record = {k: v for k, v in report.items() if k != "steps"}
-    record["steps"] = [{"removed": st.removed, "constant": str(st.constant),
-                        "direction": list(st.direction)}
-                       for st in report["steps"]]
+    record["steps"] = [
+        {"removed": st.removed,
+         # a Gaussian constant as the arrangement file writes it
+         "constant": str(st.constant) if isinstance(st.constant, Fraction)
+         else {"re": str(st.constant.re), "im": str(st.constant.im)},
+         "direction": list(st.direction)}
+        for st in report["steps"]]
     return _finish_report(args, record, report["max_discrepancy_str"],
                           report["max_discrepancy"])
 

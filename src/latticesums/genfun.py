@@ -17,18 +17,18 @@ exactly when that constant is zero, and forms are merged by their
 normalised rational coefficients.  Every unit inverse, a factor 1/den_g
 of a full series, a factor collapsed to its Taylor coefficient or a
 non-singular edge denominator of the polytope route, comes from one
-integer product, ``_unit_numerators``, and so does the exponential
+integer product, ``_unit_product``, and so does the exponential
 e^{t* . p} of a polytope vertex (``unit_parts``): the constants are
 2 pi i times exact rationals, so the product of all the inverses of a
 summand (or of a vertex, with its exponential) is a root of unity times a
 series over Q (over Q(i) for Gaussian constants) in t / (2 pi i).  The
 inverses are not multiplied pairwise: their product is read, degree by
 degree and in integers, from its logarithmic derivative, one pass for
-any number of factors (``_unit_product``).  Each coefficient is then
-built once from its int numerators (``ring.unit_lift``): (2 pi i)^(-n)
-is a power of pi, a power of 2 in the one denominator and a power of i
-that turns the root, and numeric mode rounds there for the first time,
-once per term.  Such
+any number of factors.  Each coefficient is then built once from its
+parts (m, v, x), an int numerator v over one denominator times a scalar
+x over (2 pi i)^m (``ring.unit_lift``): (2 pi i)^(-m) is a power of pi,
+a power of 2 in the one denominator and a power of i that turns x, and
+numeric mode rounds there for the first time, once per term.  Such
 products add in integers before any lift (``lift_units``), so a full
 series lifts every summand with no singular factor, and the polytope
 route every vertex with no singular edge, in one ``ring.unit_lift``.
@@ -40,9 +40,9 @@ special values S via the weight prefactor prod_f -(2 pi i)^{k_f} / k_f!.
 Every summand reads its kernels one grid per coset
 (``_coset_grids``): the products prod_m a_m(w)[e_m] of the kernels'
 root-free parts, with the coset's one root e^{2 pi i q_w} kept apart as
-its exact exponent q_w, to be applied once (``ring.times_root``, which in
-the exact ring moves exponents and builds no root), or not at all when
-q_w is an integer.
+its exact exponent q_w, to be applied once per coset, and always by
+``ring.times_root``, which in the exact ring moves exponents and builds
+no root, or not at all when q_w is an integer.
 
 The evaluator divides nothing.  In the field of iterated Laurent series
 in which each variable dominates those of later functionals (G. Xin, *A
@@ -408,13 +408,12 @@ def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
 
     Every t_g is a monomial, so everything else is built below `trunc` by
     one degree for each of them: the coset sum of kernel products, read
-    from the root-free grids of ``_coset_grids``, each times its coset's
-    root as a one-term series, and added in one ``ring.mul_terms`` (one
-    coset with no root is its grid as it is), is the `times` of one
-    ``unit_parts`` of the unit factors (den_g, 1), which carries the
-    weight as its scale.  The monomial prod t_g is applied last, as one
-    exponent shift of every key into `trunc`.  There are no parts
-    when the t_g leave nothing below `trunc`."""
+    from the root-free grids of ``_coset_grids``, each grid moved by its
+    coset's root (``ring.times_root``, no root built in the exact ring)
+    and the grids added, is the `times` of one ``unit_parts`` of the unit
+    factors (den_g, 1), which folds in the weight.  The monomial prod t_g
+    is applied last, as one exponent shift of every key into `trunc`.
+    There are no parts when the t_g leave nothing below `trunc`."""
     ring = ctx.ring
     basis_vars = tuple(ctx.vars[m] for m in ctx.arr.bases[s.bidx].members)
     step = [0] * len(ctx.vars)
@@ -424,11 +423,15 @@ def summand_parts(ctx: EvaluationContext, s: Summand, trunc: Truncation
     if top < 0:
         return UnitParts({})
     low = Truncation(top)
-    zero, one = (0,) * len(basis_vars), ring.one()
-    cosets = TruncatedSeries(ring, basis_vars, low, ring.mul_terms(
-        [({zero: one if q is None else ring.root_of_unity(q)}, grid)
-         for grid, q in _coset_grids(ctx, s.bidx, low)],
-        low)).extend(ctx.vars, low)
+    acc: Dict[tuple, object] = {}
+    for grid, q in _coset_grids(ctx, s.bidx, low):
+        for e, c in grid.items():
+            c = c if q is None else ring.times_root(c, q)
+            cur = acc.get(e)
+            acc[e] = c if cur is None else cur + c
+    cosets = TruncatedSeries(ring, basis_vars, low, {
+        e: c for e, c in acc.items() if not ring.is_zero(c)}
+    ).extend(ctx.vars, low)
     parts = unit_parts(ring, [(form, 1) for _, form in s.unit_factors],
                        ctx.vars, low, scale=s.weight, times=cosets.terms)
     parts.series = {tuple(map(add, e, step)): p
@@ -533,38 +536,29 @@ def _reciprocal(c) -> Tuple[object, int]:
 
 
 def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
-                     trunc: Truncation
-                     ) -> Tuple[Dict[tuple, object], int, int]:
-    """``(G, den, K)``: G = prod (-c + L)^(-k) over the (form, k) pairs, c
-    the form's constant and L its linear part, on `vars` and truncated at
-    `trunc`, as ``{e: numerator}`` over the positive int `den`; K is the
-    sum of the k.  The numerators are ints, or GaussianRationals with int
-    parts when a constant is Gaussian.  The unit factors (c != 0, k > 0)
-    are one product, built in ints from its logarithmic derivative
-    (``_unit_product``).  A singular factor (c = 0) is expanded on
-    ``LinearForm.monomials``, over one denominator, in the field of
-    iterated Laurent series in which each variable of `vars` dominates
-    the later ones, for k > 0 around the first variable t_p of
-    L = q_p t_p + L' as
+                     trunc: Truncation) -> Tuple[Dict[tuple, object], int]:
+    """``(G, den)``: G = prod L^(-k) over the singular (form, k) pairs,
+    L the form's linear part (its constant is zero), on `vars` and
+    truncated at `trunc`, as ``{e: numerator}`` over the positive int
+    `den`.  Each factor is expanded on ``LinearForm.monomials``, over one
+    denominator, in the field of iterated Laurent series in which each
+    variable of `vars` dominates the later ones, for k > 0 around the
+    first variable t_p of L = q_p t_p + L' as
 
         L^(-k) = sum_n C(k + n - 1, n) (-L')^n / (q_p t_p)^(k + n),
 
     every term of degree -k, and for k < 0 as the polynomial L^(-k), and
-    convolved onto the unit product in ints (``series.convolve``).  The
-    singular factors need a box and come last, by first variable.  G is
+    the factors are convolved one by one onto 1 in ints
+    (``series.convolve``), by first variable; they need a box.  G is
     exact on `trunc`: each partial product keeps every term from which
     one within `trunc` can follow, its degree capped at the total plus the
-    singular k to come, and its exponent of t_u at box_u plus, while
-    expansions around t_u are to come, their k and the caps of the later
-    variables, the most that their L' carry there."""
+    k to come, and its exponent of t_u at box_u plus, while expansions
+    around t_u are to come, their k and the caps of the later variables,
+    the most that their L' carry there."""
     vars = tuple(vars)
-    K = sum(k for _, k in factors)
-    units = [(form, k) for form, k in factors if not form.singular]
     steps = sorted(((min(map(vars.index, form.coeffs)) if k > 0 else None,
-                     form, k) for form, k in factors if form.singular),
+                     form, k) for form, k in factors),
                    key=lambda x: (x[0] is not None, x[0] or 0))
-    if not steps:
-        return (*_unit_product(units, vars, trunc), K)
     total, box = trunc.total, trunc.box
     caps = list(box or ())
     for p in reversed(range(len(caps))):
@@ -572,7 +566,7 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
         if ks:
             caps[p] += ks + sum(caps[p + 1:])
     if caps and min(caps) < 0:
-        return {}, 1, K
+        return {}, 1
 
     def cap(i: int) -> Truncation:
         # what the product keeps before the singular factors steps[i:]
@@ -583,7 +577,7 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
                                         for u, (b, c) in enumerate(
                                             zip(box, caps))))
 
-    terms, den = _unit_product(units, vars, cap(0))
+    terms, den = {(0,) * len(vars): 1}, 1
     for i, (p, form, k) in enumerate(steps):
         step = cap(i + 1)
         if p is None:
@@ -604,7 +598,7 @@ def _unit_numerators(factors: Sequence[Tuple[LinearForm, int]], vars,
             fac = [(e[:p] + (-k - n,) + e[p + 1:], coef[n] * m, -k)
                    for e, m, n in monos]
         terms = convolve(terms, fac, step)
-    return terms, den, K
+    return terms, den
 
 
 def _binomial_series(k: int, first, x, b: int, top: int) -> list:
@@ -709,15 +703,12 @@ def _unit_product(factors: Sequence[Tuple[LinearForm, int]], vars,
 
 @dataclass
 class UnitParts:
-    """A unit product before its lift: ``series = {e: [(n, v, x)]}`` with
-    the int `den`, the `K` and the rational `scale`, so that the
-    coefficient of t^e is sum x v scale / (den (2 pi i)^(K + n)), as
-    ``ring.unit_lift`` reads them."""
+    """A unit product before its lift: ``series = {e: [(m, v, x)]}`` over
+    the positive int `den`, so that the coefficient of t^e is the sum of
+    x v / (den (2 pi i)^m), as ``ring.unit_lift`` reads them."""
 
     series: Dict[tuple, list]
     den: int = 1
-    K: int = 0
-    scale: Fraction = Fraction(1)
 
 
 def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
@@ -739,19 +730,25 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     k, where G = prod (-c + L)^(-k) is a series over Q (over Q(i) when a
     constant is a Gaussian rational), built in ints from its logarithmic
     derivative, with no product of one factor's series by another's
-    (``_unit_numerators``).  The exponential e^(-2 pi i c_E) e^(L_E) of an
+    (``_unit_product``).  The exponential e^(-2 pi i c_E) e^(L_E) of an
     exponent form is a root times sum_n L_E^n / n!, a series over Q too:
     it is convolved last, into the terms of each degree n that came from
     the unit factors on their own.  Each term of G meets each term x of
-    `times` (the root, or 1, when there is none), as one part (n, v, x) of
-    the key it lands on: its int numerator v, over `den`, and the degree n
-    that sets its power of 2 pi i."""
+    `times` (the root, or 1, when there is none), as one part (m, v, x) of
+    the key it lands on: its int numerator v, the scale's numerator
+    folded in, over `den`, the scale's denominator folded in, and the
+    power m = K + n of 2 pi i that its degree n sets."""
     vars = tuple(vars)
     total, box = trunc.total, trunc.box
     if any(form.singular for form, _ in factors):
         raise NonDivisible("cannot invert a linear form with zero "
                            "constant term")
-    terms, den, K = _unit_numerators(factors, vars, trunc)
+    terms, den = _unit_product(factors, vars, trunc)
+    K = sum(k for _, k in factors)
+    scale = Fraction(scale)
+    den *= scale.denominator
+    if scale.numerator != 1:
+        terms = {e: v * scale.numerator for e, v in terms.items()}
     if exponent is None:
         # each term of G meets each term of `times`, or the constant 1
         if times is None:
@@ -765,7 +762,7 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
                     continue
                 e = tuple(map(add, eb, eu))
                 if box is None or all(map(le, e, box)):
-                    series.setdefault(e, []).append((n, v, x))
+                    series.setdefault(e, []).append((K + n, v, x))
     else:
         root = ring.root_of_unity(-exponent.c)
         monos = exponent.monomials(vars, trunc, total)
@@ -784,30 +781,26 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
         series = {}
         for n, part in by_degree.items():
             for e, v in convolve(part, fac, trunc).items():
-                series.setdefault(e, []).append((n, v, root))
-    return UnitParts(series, den, K, Fraction(scale))
+                series.setdefault(e, []).append((K + n, v, root))
+    return UnitParts(series, den)
 
 
 def lift_units(ring, vars, trunc: Truncation, parts: Sequence[UnitParts]
                ) -> TruncatedSeries:
     """The sum of the unit products `parts` (``unit_parts``), on `vars`
     and truncated at `trunc`, in one ``ring.unit_lift``: the parts are
-    put over one denominator L, the lcm of their den times their scale's
-    denominator sd, each v times L // (den sd) times the scale's
-    numerator, and at the least K, each n raised by the part's K less that
-    one.  So each coefficient of the sum is built once from its int
+    put over one denominator L, the lcm of their den, each v times
+    L // den.  So each coefficient of the sum is built once from its int
     numerators, the x they meet and their powers of 2 pi i, with no scalar
     made for any one part, and numeric mode rounds once per term."""
-    L = math.lcm(*(p.den * p.scale.denominator for p in parts))
-    K = min((p.K for p in parts), default=0)
+    L = math.lcm(*(p.den for p in parts))
     series: Dict[tuple, list] = {}
     for p in parts:
-        m = L // (p.den * p.scale.denominator) * p.scale.numerator
-        dn = p.K - K
+        s = L // p.den
         for e, terms in p.series.items():
             series.setdefault(e, []).extend(
-                (n + dn, v * m, x) for n, v, x in terms)
-    return TruncatedSeries(ring, vars, trunc, ring.unit_lift(series, L, K))
+                (m, v * s, x) for m, v, x in terms)
+    return TruncatedSeries(ring, vars, trunc, ring.unit_lift(series, L))
 
 
 def _span(exps) -> Truncation:
@@ -827,15 +820,16 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
     A_w the root-free grid of coset w (``_coset_grids``), as far as G
     reaches, and F the product of the [t_g^{k_g}] t_g / den_g, each by its
     collapse rule (module docstring).  F is read from its int series G
-    over den (``_unit_numerators``: the unit factors' part, convolved with
-    the singular factors' part), as F[e] = +-(2 pi i)^(-(K + |e|)) G[e] /
-    den, with no scalar built for it: per coset and per degree n the sum
-    over |e| = n of G[e] * A_w[k_B - e] is one integer combination of the
-    grid values, lifted once, in one ``ring.unit_lift`` per exponent for
-    every coset; each coset's one root of unity is applied last, by
-    ``ring.times_root``, which in the exact ring moves exponents.  The
-    grids are built once for all the exponents, the unit factors' part
-    once per set of their k_g.  An entry may be -1 (``_check_holomorphy``).
+    over den (the unit factors' part, ``_unit_product``, convolved with
+    the singular factors' Laurent part, ``_unit_numerators``), as
+    F[e] = +-(2 pi i)^(-m) G[e] / den with m = |k| - |k_B - e|, with no
+    scalar built for it: per coset and per m the sum of G[e] *
+    A_w[k_B - e] is one integer combination of the grid values, lifted
+    once, in one ``ring.unit_lift`` per exponent for every coset; each
+    coset's one root of unity is applied last, by ``ring.times_root``,
+    which in the exact ring moves exponents.  The grids are built once
+    for all the exponents, the unit factors' part once per set of their
+    k_g.  An entry may be -1 (``_check_holomorphy``).
     """
     ring = ctx.ring
     members = ctx.arr.bases[s.bidx].members
@@ -869,38 +863,41 @@ def _unit_summand_value(ctx: EvaluationContext, s: Summand,
             if part[0]:
                 reads.setdefault(units, []).append((i, box, part, sign))
     out = [ring.zero()] * len(targets)
-    products = []  # (target index, [(k_B - e, |e|, G[e])], den, K, sign)
+    products = []  # (target index, [(k_B - e, m, G[e])], den, sign)
     for units, group in reads.items():
         # the unit factors' part, once, on every exponent that a read meets
-        U, uden, uK = _unit_numerators(
+        U, uden = _unit_product(
             [(_dead_unit(ctx, s.bidx, g, form), kg)
              for (g, form), kg in zip(s.unit_factors, units)], vars,
             _span(tuple(map(sub, box, e)) for _, box, part, _ in group
                   for e in (part[0] if part else [(0,) * len(vars)])))
         for i, box, part, sign in group:
-            G, den, K = U, uden, uK
+            G, den = U, uden
             if part:
                 G = convolve(U, [(e, c, sum(e)) for e, c in part[0].items()],
                              Truncation(sum(box), box))
-                den, K = den * part[1], K + part[2]
-            # G[e] with the grid exponent k_B - e that it meets
-            pairs = [(tuple(map(sub, box, e)), sum(e), c)
-                     for e, c in G.items()]
-            pairs = [p for p in pairs if min(p[0]) >= 0]
+                den *= part[1]
+            # G[e] with the grid exponent k_B - e that it meets and its
+            # power m = |k| - |k_B - e| of 2 pi i
+            top, pairs = sum(targets[i]), []
+            for e, c in G.items():
+                g = tuple(map(sub, box, e))
+                if min(g) >= 0:
+                    pairs.append((g, top - sum(g), c))
             if pairs:
-                products.append((i, pairs, den, K, sign))
+                products.append((i, pairs, den, sign))
     if not products:
         return out
     grids = _coset_grids(ctx, s.bidx,
                          _span(e for _, pairs, *_ in products
                                for e, _, _ in pairs))
-    for i, pairs, den, K, sign in products:
+    for i, pairs, den, sign in products:
         series = {}
         for w, (grid, _) in enumerate(grids):
-            parts = [(n, c, grid[e]) for e, n, c in pairs if e in grid]
+            parts = [(m, c, grid[e]) for e, m, c in pairs if e in grid]
             if parts:
                 series[w] = parts
-        lifted = ring.unit_lift(series, den, K)
+        lifted = ring.unit_lift(series, den)
         total = ring.zero()
         for w, (_, q) in enumerate(grids):
             acc = lifted.get(w)

@@ -30,9 +30,9 @@ the kernels' one quotient),
 ``two_pi_i``, ``is_zero``, ``inv``, ``scale`` (a scalar times a
 rational, with no product of scalars), the two series operations
 ``mul_terms`` (a sum of truncated products of two series term maps: one
-series product, or a sum of series each times a multiplier, a scalar as
-a one-term map or a polynomial over Q) and ``unit_lift`` (coefficients
-from integer numerators times scalars over powers of 2 pi i),
+series product, or a sum of series each times a polynomial over Q) and
+``unit_lift`` (coefficients from parts (m, v, x), an int numerator v
+over one int denominator times a scalar x over (2 pi i)^m),
 ``detach``/``attach`` (a scalar as plain data that holds no field or
 context, and back), and the flag ``exact``.  The exact ring builds each output coefficient of
 the two series operations once: it
@@ -154,32 +154,31 @@ class ExactRing:
                            {key: v // gb * a for key, v in x.terms.items()},
                            x.den // ga * (b // gb))
 
-    def unit_lift(self, series: dict, den: int, K: int) -> dict:
-        """``{key: sum over (n, v, x) of x v / (den (2 pi i)^(K+n))}``
-        for ``series = {key: [(n, v, x), ...]}``, v an int and x a scalar;
-        a key whose sum is zero is left out.
+    def unit_lift(self, series: dict, den: int) -> dict:
+        """``{key: sum over (m, v, x) of x v / (den (2 pi i)^m)}`` for
+        ``series = {key: [(m, v, x), ...]}``, m >= 0 an int, v an int and x
+        a scalar; a key whose sum is zero is left out.
 
-        (2 pi i)^(-(K+n)) = pi^(-(K+n)) i^(-(K+n)) / 2^(K+n): each term of
-        x is turned by a power of i, through the basis-product table, and
-        moved to its power of pi, and the numerators of one key are added
-        in integers over one denominator, den times 2^(K + its largest n)
-        times the lcm of its x's denominators, and cancelled once.  The
-        turned terms of an x are built once per (x, n): a shared x, such
-        as a root of unity, is turned once per call."""
+        (2 pi i)^(-m) = pi^(-m) i^(-m) / 2^m: each term of x is turned by
+        a power of i, through the basis-product table, and moved to its
+        power of pi, and the numerators of one key are added in integers
+        over one denominator, den times 2^(its largest m) times the lcm of
+        its x's denominators, and cancelled once.  The turned terms of an
+        x are built once per (x, m): a shared x is turned once per call."""
         table = self.field.basis_products
         product = self.field.basis_product
-        # per id(x): {n: [((pi power, exps), int)]}
+        # per id(x): {m: [((pi power, exps), int)]}
         placed: Dict[int, Dict[int, list]] = {}
 
-        def place(x, n):
+        def place(x, m):
             slots = placed.get(id(x))
             if slots is None:
                 slots = placed[id(x)] = {}
-            terms = slots.get(n)
+            terms = slots.get(m)
             if terms is None:
-                unit, sign = self._turns[(K + n) % 4]
-                terms = slots[n] = [
-                    ((k - K - n, e2), a * s * sign)
+                unit, sign = self._turns[m % 4]
+                terms = slots[m] = [
+                    ((k - m, e2), a * s * sign)
                     for (k, e), a in x.terms.items()
                     for e2, s in table.get((e, unit)) or product(e, unit)]
             return terms
@@ -188,15 +187,15 @@ class ExactRing:
         out = {}
         for key, parts in series.items():
             top, lcm = 0, 1
-            for n, _, x in parts:
-                top = max(top, n)
+            for m, _, x in parts:
+                top = max(top, m)
                 if x.den != 1:
                     lcm = math.lcm(lcm, x.den)
             # (turned terms, numerator) per part, the numerators over the
             # key's denominator; their gcd with it is taken out first
-            picked = [(place(x, n), v * (1 << (top - n)) * (lcm // x.den))
-                      for n, v, x in parts]
-            dk = den * lcm << (K + top)
+            picked = [(place(x, m), v * (1 << (top - m)) * (lcm // x.den))
+                      for m, v, x in parts]
+            dk = den * lcm << top
             g = math.gcd(dk, *(c for _, c in picked))
             acc: Dict[tuple, int] = {}
             get = acc.get
@@ -232,15 +231,8 @@ class ExactRing:
 
         Every factor is brought over one denominator, so the convolutions
         run on integer numerators, added over the lcm of the products'
-        denominators; every output coefficient is cancelled once.  One
-        pair whose `a` is the constant 1 is `b` truncated, its
-        coefficients kept as they are.
+        denominators; every output coefficient is cancelled once.
         """
-        if len(pairs) == 1 and len(pairs[0][0]) == 1:
-            (e, x), = pairs[0][0].items()
-            if not any(e) and x == self._one:
-                return {e: c for e, c in pairs[0][1].items()
-                        if trunc.keeps(e)}
         field = self.field
         table = field.basis_products
         product = field.basis_product
@@ -370,32 +362,30 @@ class NumericRing:
         """x times the int or Fraction q."""
         return x * q.numerator / q.denominator
 
-    def unit_lift(self, series: dict, den: int, K: int) -> dict:
-        """``{key: sum over (n, v, x) of x v / (den (2 pi i)^(K+n))}``
-        for ``series = {key: [(n, v, x), ...]}``, as ``ExactRing.unit_lift``.
-        v / (den (2 pi i)^(K+n)) is rounded once per (n, v) of a call, from
-        (2 pi i)^(-K) times n factors (2 pi i)^(-1), and its product with x
-        once per term."""
+    def unit_lift(self, series: dict, den: int) -> dict:
+        """``{key: sum over (m, v, x) of x v / (den (2 pi i)^m)}`` for
+        ``series = {key: [(m, v, x), ...]}``, as ``ExactRing.unit_lift``.
+        (2 pi i)^(-m) is one power, rounded once per m of a call, its
+        product by v / den once per (m, v), and that by x once per term."""
         step = 1 / self.two_pi_i()
-        lifts = [step ** K]
+        lifts: dict = {}  # m -> (2 pi i)^(-m)
         i = self._i
-        weights: dict = {}  # (n, v) -> v / (den (2 pi i)^(K+n))
+        weights: dict = {}  # (m, v) -> v / (den (2 pi i)^m)
         out = {}
         for key, parts in series.items():
             total = None
-            for n, v, x in parts:
-                f = weights.get((n, v))
+            for m, v, x in parts:
+                f = weights.get((m, v))
                 if f is None:
-                    while len(lifts) <= n:
-                        lifts.append(lifts[-1] * step)
-                    # a Laurent term has n < 0, and K + n >= 0
-                    lift = lifts[n] if n >= 0 else step ** (K + n)
+                    lift = lifts.get(m)
+                    if lift is None:
+                        lift = lifts[m] = step ** m
                     if type(v) is int:
                         f = self.scale(lift, Fraction(v, den))
                     else:
                         f = self.scale(lift, Fraction(v.re, den)) \
                             + self.scale(lift * i, Fraction(v.im, den))
-                    weights[n, v] = f
+                    weights[m, v] = f
                 term = f * x
                 total = term if total is None else total + term
             out[key] = total

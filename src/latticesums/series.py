@@ -19,7 +19,8 @@ closed-form evaluators work:
   (``monomials``) expands the functions of it that the evaluators need,
   coefficient by coefficient with no series product: a lone unit
   inverse (c != 0), a singular factor's Laurent series and the vertex
-  exponential (``genfun._unit_numerators``, ``genfun.unit_parts``).
+  exponential (``genfun._unit_product``, ``genfun._unit_numerators``,
+  ``genfun.unit_parts``).
   Several unit inverses are read from their logarithmic derivative
   instead.  All the inverses of a summand, or the whole numerator of a
   polytope vertex, make one exact product over Q, each coefficient built

@@ -53,7 +53,7 @@ from latticesums import intlinalg
 from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
 from latticesums.genfun import (EvaluationContext, _coset_grids, _dead_unit,
-                                _reciprocal, _unit_numerators, lift_units,
+                                _reciprocal, _unit_product, lift_units,
                                 summand_parts, unit_parts)
 from latticesums.kernel import (KernelParams, _apostol_numbers,
                                 bernoulli_numbers, kernel_series)
@@ -506,7 +506,7 @@ def form_exp(form, ring, vars, trunc) -> TruncatedSeries:
 def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
                           scale=1) -> TruncatedSeries:
     """``genfun.unit_parts`` with its integer series lifted term by term:
-    the int numerators from ``genfun._unit_numerators`` (and the
+    the int numerators from ``genfun._unit_product`` (and the
     exponential's, convolved per degree n of the unit factors as
     ``unit_parts`` does), then each term lifted with one ``ring.scale``
     of root * (2 pi i)^(-(K + n)), built once per n (one more per part for
@@ -514,7 +514,8 @@ def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
     every coefficient scaled by `scale` last.  Independent of
     ``ring.unit_lift``."""
     vars = tuple(vars)
-    terms, den, K = _unit_numerators(factors, vars, trunc)
+    terms, den = _unit_product(factors, vars, trunc)
+    K = sum(k for _, k in factors)
     keyed = [(e, sum(e), v) for e, v in terms.items()]
     step = ring.inv(ring.two_pi_i())
     lifts = [step ** K]  # lifts[n] = root * (2 pi i)^(-(K + n))
@@ -549,12 +550,14 @@ def termwise_unit_product(ring, factors, vars, trunc, exponent=None,
 
 
 def pairwise_unit_numerators(factors, vars, trunc):
-    """``genfun._unit_numerators`` with every factor expanded on its own and
-    the expansions convolved one at a time (``series.convolve``), the
-    unit factors first: the path that the logarithmic-derivative product
-    of the unit factors replaced.  ``(G, den, K)``, G = prod (-c + L)^(-k)
-    as int numerators (GaussianRationals with int parts for a Gaussian
-    constant) over den, K the sum of the k: a unit factor (c != 0) as
+    """``genfun._unit_product`` of the unit factors and
+    ``genfun._unit_numerators`` of the singular ones, with every factor
+    expanded on its own and the expansions convolved one at a time
+    (``series.convolve``), the unit factors first: the path that the
+    logarithmic-derivative product of the unit factors replaced.
+    ``(G, den)``, G = prod (-c + L)^(-k) as int numerators
+    (GaussianRationals with int parts for a Gaussian constant) over den:
+    a unit factor (c != 0) as
     (-c)^(-k) sum_n C(k + n - 1, n) (L/c)^n, a singular one in the field
     of iterated Laurent series in which each variable of `vars` dominates
     the later ones, for k > 0 around the first variable t_p of
@@ -576,7 +579,7 @@ def pairwise_unit_numerators(factors, vars, trunc):
         if ks:
             caps[p] += ks + sum(caps[p + 1:])
     if caps and min(caps) < 0:
-        return {}, 1, sum(k for _, k in factors)
+        return {}, 1
     terms = {(0,) * len(vars): 1}
     den = 1
     for i, (p, form, k) in enumerate(steps):
@@ -620,7 +623,7 @@ def pairwise_unit_numerators(factors, vars, trunc):
             fac = [(e, coef[n] * m, n if p is None else -k)
                    for e, m, n in monos]
         terms = convolve(terms, fac, step)
-    return terms, den, sum(k for _, k in factors)
+    return terms, den
 
 
 def termwise_unit_summand(ctx: EvaluationContext, s, k):

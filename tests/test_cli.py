@@ -522,6 +522,28 @@ def test_verify_hierarchy_stray_removed_variable_exits_4(mode, monkeypatch,
     assert record["stray_variable_terms"] > 0
 
 
+def test_verify_hierarchy_writes_a_gaussian_constant_exactly(tmp_path,
+                                                              capsys):
+    # the removed functional's constant 1/3 + i/2 is written as the
+    # arrangement file writes it, where it was a rounded float pair; a
+    # real constant keeps its string
+    blob = {"rank": 2, "functionals": [
+        {"direction": [1, 0], "constant": "1/2"},
+        {"direction": [0, 1], "constant": "1/3"},
+        {"direction": [1, 1], "constant": {"re": "1/3", "im": "1/2"}},
+        {"direction": [1, 2], "constant": "2/5"}]}
+    path = tmp_path / "gaussian.json"
+    path.write_text(json.dumps(blob))
+    rc = main(["verify", "hierarchy", "--arrangement", str(path),
+               "--y", "1/7,2/11", "--order", "3", "--remove", "f2,f3",
+               "--mode", "numeric"])
+    assert rc == 0
+    record = json.loads(capsys.readouterr().out.rsplit("\nmax discrepancy",
+                                                       1)[0])
+    assert [st["constant"] for st in record["steps"]] == [
+        {"re": "1/3", "im": "1/2"}, "2/5"]
+
+
 def _readme_cli_examples():
     """Each ``latticesums ...`` line of the fenced block under ``## CLI`` in
     README.md, as an argument list."""

@@ -8,6 +8,7 @@ import re
 import time
 from fractions import Fraction
 from importlib import resources
+from operator import sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,7 +33,7 @@ from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import genfun_via_polytopes
 from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
-                                Truncation, division_count,
+                                Truncation, convolve, division_count,
                                 sum_rational_forms)
 from reference import (fraction_dead_unit, fraction_geometry,
                        full_order_summand, later_phi, lift,
@@ -751,12 +752,15 @@ def _drawn_numerator_factors(rng, units, nvars, gaussian, singular):
 @pytest.mark.parametrize("kind", ["total", "box", "singular"])
 @pytest.mark.parametrize("units", range(7))
 def test_unit_numerators_match_the_pairwise_product(units, kind):
-    # the unit factors' product from its logarithmic derivative equals,
-    # as exact rationals, the factors' own expansions convolved one at a
-    # time (``reference.pairwise_unit_numerators``), on one to three
-    # variables, with real and Gaussian constants, k from 1 to 4, under a
-    # total-only truncation or a box, and with one singular factor mixed
-    # in (singular factors need a box)
+    # the unit factors' product from its logarithmic derivative
+    # (``genfun._unit_product``) equals, as exact rationals, the factors'
+    # own expansions convolved one at a time
+    # (``reference.pairwise_unit_numerators``), on one to three variables,
+    # with real and Gaussian constants, k from 1 to 4, under a total-only
+    # truncation or a box; with one singular factor (singular factors need
+    # a box), its Laurent series (``genfun._unit_numerators``) convolved
+    # with the unit product on every exponent that it meets, as a
+    # summand's read takes them (``genfun._unit_summand_value``)
     rng = random.Random(units * 3 + ("total", "box", "singular").index(kind))
     seen = 0
     for draw in range(12):
@@ -771,9 +775,17 @@ def test_unit_numerators_match_the_pairwise_product(units, kind):
         low = max([0] + [-k for f, k in factors if f.singular])
         trunc = Truncation(rng.randint(low, 5), box)
         vars = UNIT_VARS[:nvars]
-        got, den, K = genfun._unit_numerators(factors, vars, trunc)
-        want, wden, wK = pairwise_unit_numerators(factors, vars, trunc)
-        assert K == wK
+        plain = factors[:units]
+        if kind == "singular":
+            part, pden = genfun._unit_numerators(factors[units:], vars, trunc)
+            U, uden = genfun._unit_product(plain, vars, genfun._span(
+                tuple(map(sub, box, e)) for e in part)) if part else ({}, 1)
+            got = convolve(U, [(e, c, sum(e)) for e, c in part.items()],
+                           trunc)
+            den = uden * pden
+        else:
+            got, den = genfun._unit_product(plain, vars, trunc)
+        want, wden = pairwise_unit_numerators(factors, vars, trunc)
         assert _as_rationals(got, den) == _as_rationals(want, wden), \
             (factors, trunc)
         seen += len(want)
@@ -781,18 +793,18 @@ def test_unit_numerators_match_the_pairwise_product(units, kind):
 
 
 def test_unit_numerators_keep_nothing_outside_the_truncation():
-    # (t0 + t1)^2 leaves no term of degree 1, whatever the unit factors,
-    # and a negative total or box entry keeps no term of any product
+    # (t0 + t1)^2 leaves no term of degree 1, and a negative total or box
+    # entry keeps no term of any unit product
     units = [(LinearForm({"t0": Fraction(1, 2)}, Fraction(1, 3)), 2),
              (LinearForm({"t1": Fraction(-2)}, Fraction(3)), 1)]
     square = (LinearForm({"t0": 1, "t1": 1}), -2)
-    cases = [(factors + [square], Truncation(1, (1, 1)))
-             for factors in ([], units[:1], units)]
-    cases += [(factors, trunc) for factors in (units[:1], units)
-              for trunc in (Truncation(-1), Truncation(2, (-1, 2)))]
-    for factors, trunc in cases:
-        got, _, K = genfun._unit_numerators(factors, UNIT_VARS[:2], trunc)
-        assert got == {} and K == sum(k for _, k in factors)
+    got, _ = genfun._unit_numerators([square], UNIT_VARS[:2],
+                                     Truncation(1, (1, 1)))
+    assert got == {}
+    for factors in (units[:1], units):
+        for trunc in (Truncation(-1), Truncation(2, (-1, 2))):
+            got, _ = genfun._unit_product(factors, UNIT_VARS[:2], trunc)
+            assert got == {}
 
 
 def _unit_expansion(exps) -> bool:
@@ -891,15 +903,14 @@ def test_unit_product_times_a_series_is_the_series_product(ring):
 
 
 def test_one_step_lift_turns_each_part_by_its_power_of_i():
-    # one term: (2 pi i)^(-(K + n)) = pi^(-(K + n)) i^(-(K + n)) / 2^(K + n)
+    # one part (m, v, x): (2 pi i)^(-m) = pi^(-m) i^(-m) / 2^m
     ring = ExactRing(12)
     x = ring.root_of_unity(Fraction(1, 3)) + ring.from_fraction(2)
-    for K in range(4):
-        for n in range(3):
-            got = ring.unit_lift({(): [(n, 5, x)]}, 21, K)
-            want = x * ring.from_fraction(Fraction(5, 21)) \
-                * ring.inv(ring.two_pi_i()) ** (K + n)
-            assert got[()] == want
+    for m in range(6):
+        got = ring.unit_lift({(): [(m, 5, x)]}, 21)
+        want = x * ring.from_fraction(Fraction(5, 21)) \
+            * ring.inv(ring.two_pi_i()) ** m
+        assert got[()] == want
 
 
 def test_numeric_lift_turns_a_gaussian_numerator_by_i():
@@ -911,14 +922,13 @@ def test_numeric_lift_turns_a_gaussian_numerator_by_i():
     x = ring.root_of_unity(Fraction(1, 3)) + ring.from_fraction(2)
     x_exact = exact.root_of_unity(Fraction(1, 3)) + exact.from_fraction(2)
     v = GaussianRational(Fraction(3), Fraction(-2))
-    for K in range(4):
-        for n in range(3):
-            got = ring.unit_lift({(): [(n, v, x)]}, 21, K)[()]
-            want = (exact.from_fraction(3) - i * exact.from_fraction(2)) \
-                * x_exact * exact.from_fraction(Fraction(1, 21)) \
-                * exact.inv(exact.two_pi_i()) ** (K + n)
-            want = want.embed(CTX256)
-            assert abs(got - want) <= CTX256.mpf(2) ** -120 * abs(want)
+    for m in range(6):
+        got = ring.unit_lift({(): [(m, v, x)]}, 21)[()]
+        want = (exact.from_fraction(3) - i * exact.from_fraction(2)) \
+            * x_exact * exact.from_fraction(Fraction(1, 21)) \
+            * exact.inv(exact.two_pi_i()) ** m
+        want = want.embed(CTX256)
+        assert abs(got - want) <= CTX256.mpf(2) ** -120 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +944,9 @@ MIXED_Y = (Fraction(1, 7), Fraction(1, 11))
 
 
 def _unit_part_set(ring):
-    """Unit parts with K = 0, 1, 3 and 2, scales over 1, 2, 9 and 4, an
-    exponent form, a `times` map and a Gaussian constant."""
+    """Unit parts with K = 0, 1, 3 and 2 (their least power m of 2 pi i),
+    scales over 1, 2, 9 and 4, an exponent form, a `times` map and a
+    Gaussian constant."""
     trunc = Truncation(4)
     f = [LinearForm(coeffs, c) for coeffs, c in _scaled_factors(ring)]
     exponent = LinearForm({"t0": Fraction(2, 3), "t2": Fraction(-1)},
@@ -951,6 +962,12 @@ def _unit_part_set(ring):
                           scale=Fraction(-5, 9), times=times),
         genfun.unit_parts(ring, [(f[2], 1), (f[1], 1)], UNIT_VARS, trunc,
                           exponent, Fraction(7, 4))]
+
+
+def _least_power(parts):
+    """The least power m of 2 pi i among the parts (m, v, x) of a
+    ``UnitParts``."""
+    return min(m for terms in parts.series.values() for m, _, _ in terms)
 
 
 def _lifted_one_by_one(ring, vars, trunc, parts):
@@ -973,14 +990,16 @@ def _assert_close(got, want, bits=120, sizes=None):
 
 @pytest.mark.parametrize("mode", ["exact", "numeric"])
 def test_one_lift_of_unit_parts_is_their_sum(mode):
-    # parts with different K, scales over different denominators, an
-    # exponent and a `times` map, lifted together, are the sum of their
-    # lifts one by one: equal in exact mode, and at 128 bits, with a
-    # Gaussian constant, within 2^-120 relative of it at 256 bits
+    # parts with different least powers of 2 pi i, scales folded into
+    # different denominators, an exponent and a `times` map, lifted
+    # together, are the sum of their lifts one by one: equal in exact
+    # mode, and at 128 bits, with a Gaussian constant, within 2^-120
+    # relative of it at 256 bits
     ring = UNIT_RINGS[60] if mode == "exact" else NumericRing(128)
     trunc, parts = _unit_part_set(ring)
-    assert [p.K for p in parts] == [0, 1, 3, 2]
-    assert {p.scale.denominator for p in parts} == {1, 2, 9, 4}
+    assert [_least_power(p) for p in parts] == [0, 1, 3, 2]
+    assert [p.den % d for p, d in zip(parts, (1, 2, 9, 4))] == [0] * 4
+    assert len({p.den for p in parts}) == 4
     got = genfun.lift_units(ring, UNIT_VARS, trunc, parts)
     if mode == "exact":
         want = _lifted_one_by_one(ring, UNIT_VARS, trunc, parts)
@@ -1024,8 +1043,9 @@ def _vertex_part_sets(mode, a, b, monkeypatch):
 def test_one_lift_of_vertices_and_summands_is_their_sum(mode, a, b,
                                                         monkeypatch):
     # the parts that the full series lift together: the polytope vertices
-    # (K = 0, 1 and 2 unit edges, weights |det| / index other than 1, and
-    # Gaussian constants in numeric mode) and the summands of MIXED, with
+    # (K = 0, 1 and 2 unit edges, weights |det| / index other than 1
+    # folded into their denominators, and Gaussian constants in numeric
+    # mode) and the summands of MIXED, with
     # and without singular factors.  Together they are the sum of their
     # lifts one by one: equal in exact mode, and at 128 bits within 2^-120
     # of the same parts lifted one by one at 256 bits, relative to the sum
@@ -1034,8 +1054,8 @@ def test_one_lift_of_vertices_and_summands_is_their_sum(mode, a, b,
     # 128-bit lifts one by one are no closer to it)
     sets = _vertex_part_sets(mode, a, b, monkeypatch)
     parts = [p for _, _, _, ps in sets for p in ps]
-    assert {p.K for p in parts} == {0, 1, 2}
-    assert any(p.scale != 1 for p in parts)
+    assert {_least_power(p) for p in parts} == {0, 1, 2}
+    assert len({p.den for p in parts}) > 1
     ctx = EvaluationContext(MIXED, MIXED_Y, mode)
     trunc = Truncation(5)
     summands = build_summands(ctx)
@@ -1098,9 +1118,9 @@ def test_full_series_lifts_its_plain_summands_once(monkeypatch):
     real_lift = ExactRing.unit_lift
     real_lift_units = genfun.lift_units
 
-    def counted_lift(self, series, den, K):
+    def counted_lift(self, series, den):
         lifts.append(len(series))
-        return real_lift(self, series, den, K)
+        return real_lift(self, series, den)
 
     def counted_lift_units(ring, vars, trunc, parts):
         lifted.append(len(parts))
@@ -1409,7 +1429,7 @@ def test_coset_grid_matches_rooted_kernel_products(box):
 
 def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     # each build expands all of a basis's unit factors, live and
-    # collapsed, in one integer product (``_unit_numerators``, under
+    # collapsed, in one integer product (``_unit_product``, under
     # ``unit_parts`` or read directly), not once per coset or per factor;
     # the unit path reads its product on the box with no series product;
     # the kernels are read once per (coset, member) through the one
@@ -1422,7 +1442,7 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
     y = (Fraction(1, 7), Fraction(1, 11))
     products, reads, bases, parts, muls = [], [], [], [], []
     real_parts = EvaluationContext.kernel
-    real_product = genfun._unit_numerators
+    real_product = genfun._unit_product
     real_mul = TruncatedSeries.__mul__
 
     def counted_product(factors, vars, trunc):
@@ -1445,7 +1465,7 @@ def test_basis_summand_factors_built_once_per_basis(monkeypatch):
         muls.append((a, b))
         return real_mul(a, b)
 
-    monkeypatch.setattr(genfun, "_unit_numerators", counted_product)
+    monkeypatch.setattr(genfun, "_unit_product", counted_product)
     monkeypatch.setattr(EvaluationContext, "kernel", counted_read)
     monkeypatch.setattr(genfun, "kernel_base", counted_base)
     monkeypatch.setattr(genfun, "kernel_parts", counted_parts)
@@ -2276,3 +2296,38 @@ def test_coefficient_path_builds_no_root(monkeypatch):
     assert [len(x) > 1000 for x in shown] == [True, True]
     digest = hashlib.sha256("\n".join(shown).encode()).hexdigest()
     assert digest == NO_ROOT_DIGEST
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_full_series_builds_no_root(mode, monkeypatch):
+    # the full series applies every coset's root by moving exponents
+    # (``ring.times_root``): on bases of index 3 whose cosets carry
+    # non-integral roots, with no singular summand, the series built with
+    # both exact root constructors patched to raise is the sum of the
+    # per-coset full-order references (built before the patch): equal in
+    # exact mode, within 2^-100 relative of it at 128 bits
+    arr = Arrangement(2, [make_functional(d, c) for d, c in zip(
+        COSET_HEAVY_DIRECTIONS,
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))])
+    y, order = (Fraction(1, 7), Fraction(1, 11)), 6
+    ctx = EvaluationContext(arr, y, "exact")
+    summands = build_summands(ctx)
+    assert not any(s.denominators for s in summands)
+    assert all(b.index > 1 for b in arr.bases)
+    assert any(q is not None for s in summands
+               for _, q in genfun._coset_grids(ctx, s.bidx, Truncation(0)))
+    want = TruncatedSeries(ctx.ring, ctx.vars, Truncation(order))
+    for s in summands:
+        want = want + _coset_sum_reference(ctx, s.bidx, order).numerator
+    assert len(want.terms) > 10
+
+    def refuse(self, q):
+        raise AssertionError(f"e^(2 pi i {q}) built as a scalar")
+
+    monkeypatch.setattr(ExactRing, "root_of_unity", refuse)
+    monkeypatch.setattr(CyclotomicField, "root_of_unity", refuse)
+    got = generating_function(arr, y, order, mode=mode)
+    if mode == "exact":
+        assert got.terms == want.terms
+    else:
+        _assert_close(got, want, 100)

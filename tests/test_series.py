@@ -106,21 +106,22 @@ MUL_RINGS = {N: ExactRing(N) for N in (4, 60, 2772)}
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_mul_terms_is_the_scaled_sum_of_termwise_products(mode, data):
-    # one to three pairs and a series scaled by a rational, its multiplier
-    # a one-term map as ``sum_rational_forms`` passes it, with and without
-    # a box, against one scalar product per term pair; numeric mode
-    # multiplies the embedded exact series and is compared with the exact
-    # sum
+    # zero to three pairs and a series scaled by a rational, its
+    # multiplier a one-term map as ``sum_rational_forms`` passes it (the
+    # constant 1 alone among them), that series drawn past the truncation,
+    # with and without a box, against one scalar product per term pair;
+    # numeric mode multiplies the embedded exact series and is compared
+    # with the exact sum
     ring = MUL_RINGS[2772 if mode == "numeric" else mode]
     box = data.draw(st.one_of(st.none(), st.tuples(st.integers(0, 3),
                                                    st.integers(0, 3))))
     trunc = Truncation(3, box)
     pairs = [(data.draw(exact_series(ring, trunc)).terms,
               data.draw(exact_series(ring, trunc)).terms)
-             for _ in range(data.draw(st.integers(1, 3)))]
+             for _ in range(data.draw(st.integers(0, 3)))]
     scale = data.draw(st.sampled_from([1, Fraction(-3, 4), Fraction(5, 7)]))
     pairs.append(({(0, 0): ring.from_fraction(scale)},
-                  data.draw(exact_series(ring, trunc)).terms))
+                  data.draw(exact_series(ring, Truncation(4))).terms))
     want = termwise_product(ring, pairs, trunc)
     if mode != "numeric":
         got = ring.mul_terms(pairs, trunc)
@@ -143,8 +144,8 @@ def test_mul_terms_is_the_scaled_sum_of_termwise_products(mode, data):
 @pytest.mark.parametrize("N", [4, 60, 2772])
 def test_mul_terms_by_one_returns_the_term_map_as_it_is(N):
     # one pair whose first factor is the constant 1 is the second factor's
-    # coefficients themselves; a root or a rational in its place, or a
-    # second pair, takes the general product
+    # coefficients, each canonical as every product's; a root or a
+    # rational in its place, or a second pair, is the termwise product
     ring = MUL_RINGS[N]
     trunc = Truncation(3)
     grid = {(0, 0): ring.from_fraction(Fraction(2, 3)),
@@ -153,7 +154,8 @@ def test_mul_terms_by_one_returns_the_term_map_as_it_is(N):
     one = {(0, 0): ring.one()}
     got = ring.mul_terms([(one, grid)], trunc)
     assert got == grid
-    assert all(got[e] is c for e, c in grid.items())
+    for c in got.values():
+        assert_canonical(c)
     # and truncated, as every product is
     got = ring.mul_terms([(one, {**grid, (2, 2): ring.one()})], trunc)
     assert got == grid

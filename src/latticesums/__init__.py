@@ -3,7 +3,7 @@ arrangements, via a closed-form generating function with a brute-force
 oracle and a convex-polytope reconstruction as independent checks."""
 
 from .errors import (ExcludedPoint, LatticeSumError, NonDivisible,
-                     NotInvertible, NotSimple, RankDrop)
+                     NonFinite, NotInvertible, NotSimple, RankDrop)
 from .families import root_system
 from .genfun import (EvaluationContext, EvaluationReport, WeightVector,
                      coefficient, cyclotomic_order, generating_function,
@@ -27,7 +27,7 @@ __all__ = [
     "EvaluationContext", "EvaluationReport", "WeightVector",
     "TruncationWindow", "ExactRing", "ExactScalar", "NumericRing",
     "LatticeSumError", "ExcludedPoint", "NonDivisible", "NotSimple",
-    "RankDrop", "NotInvertible",
+    "RankDrop", "NotInvertible", "NonFinite",
     "arrangement_from_json", "arrangement_to_json", "load_arrangement",
     "make_functional", "enumerate_bases", "choose_phi",
     "frac_part", "on_excluded_hyperplanes",

@@ -45,3 +45,9 @@ class NotInvertible(LatticeSumError):
     """An exact scalar that is not a pi-monomial was inverted; only
     c * pi^k with nonzero c in Q(zeta_N) has an inverse in the exact
     ring."""
+
+
+class NonFinite(LatticeSumError):
+    """A numeric scalar read through its integer mantissas is infinite or
+    not a number: mpmath stores both with mantissa 0, so that an unguarded
+    reader would count them as zero."""

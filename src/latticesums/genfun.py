@@ -28,7 +28,8 @@ any number of factors.  Each coefficient is then built once from its
 parts (m, v, x), an int numerator v over one denominator times a scalar
 x over (2 pi i)^m (``ring.unit_lift``): (2 pi i)^(-m) is a power of pi,
 a power of 2 in the one denominator and a power of i that turns x, and
-numeric mode rounds there for the first time, once per term.  Such
+numeric mode rounds there for the first time, once per coefficient, from
+an exact sum of its parts on integer mantissas.  Such
 products add in integers before any lift (``lift_units``), so a full
 series lifts every summand with no singular factor, and the polytope
 route every vertex with no singular edge, in one ``ring.unit_lift``.
@@ -718,7 +719,7 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     """The rational `scale` times prod (a + L)^(-k) over the (form, k)
     pairs, a = -2 pi i c the form's constant (nonzero) and L its linear
     part, times e^exponent when an exponent form is given, or else times
-    the series term map `times` when one is given, on `vars` and
+    the series term map `times`, which is then required, on `vars` and
     truncated at `trunc`, as the integer parts of its one lift
     (``lift_units``): the unit factors 1/den_g of a summand of a full
     series times its coset sum, with its weight, and the whole numerator
@@ -734,7 +735,7 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     exponent form is a root times sum_n L_E^n / n!, a series over Q too:
     it is convolved last, into the terms of each degree n that came from
     the unit factors on their own.  Each term of G meets each term x of
-    `times` (the root, or 1, when there is none), as one part (m, v, x) of
+    `times` (or the exponential's root), as one part (m, v, x) of
     the key it lands on: its int numerator v, the scale's numerator
     folded in, over `den`, the scale's denominator folded in, and the
     power m = K + n of 2 pi i that its degree n sets."""
@@ -750,9 +751,7 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     if scale.numerator != 1:
         terms = {e: v * scale.numerator for e, v in terms.items()}
     if exponent is None:
-        # each term of G meets each term of `times`, or the constant 1
-        if times is None:
-            times = {(0,) * len(vars): ring.one()}
+        # each term of G meets each term of `times`
         units = [(e, sum(e), v) for e, v in terms.items()]
         series = {}
         for eb, x in times.items():
@@ -792,7 +791,7 @@ def lift_units(ring, vars, trunc: Truncation, parts: Sequence[UnitParts]
     put over one denominator L, the lcm of their den, each v times
     L // den.  So each coefficient of the sum is built once from its int
     numerators, the x they meet and their powers of 2 pi i, with no scalar
-    made for any one part, and numeric mode rounds once per term."""
+    made for any one part, and numeric mode rounds once per coefficient."""
     L = math.lcm(*(p.den for p in parts))
     series: Dict[tuple, list] = {}
     for p in parts:

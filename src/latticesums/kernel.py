@@ -14,9 +14,11 @@ or -b, is applied by the ring: the recurrence multiplies by lam through
 ``times_root(x, -b)``, which in the exact ring moves exponents and builds
 no root, and 2 pi i b is ``two_pi_i() * from_fraction(b)``: the ring
 alone turns an exact constant, a Gaussian-rational one included, into a
-scalar.  The exact root-free parts are built on integer numerators: the
-base B_k(lam) / k! over one denominator, y = r / d as ints, one cancel per
-part (``kernel_parts``).  The basis sum reads only the root-free parts
+scalar.  The root-free parts are built on integers (``kernel_parts``):
+the base B_k(lam) / k! over one denominator, y = r / d as ints, one
+cancel per part in the exact ring; in the numeric ring the base's integer
+mantissas over one power of two, the same integer sums, and one rounding
+per part.  The basis sum reads only the root-free parts
 (``nonzero_parts``, through ``genfun.EvaluationContext.kernel``, which
 keys them by y's ints) and applies the roots of a coset's kernels once,
 as one exponent, through ``times_root``.  The rooted series
@@ -141,49 +143,48 @@ def kernel_parts(ring, params: KernelParams, order: int, base) -> list:
     `base` = ``kernel_base(ring, params, order)``.  In the exact ring the
     base is put over one denominator D, and with y = r / d each a_n is one
     sum of integer numerators, num_k r^(n-k) d^k n! / (n-k)! over
-    D d^n n!, cancelled once."""
-    if ring.exact:
-        return _exact_parts(ring, params.r, params.d, order, base)
-    # y^j / j! is real: an mpf, which the mpc parts multiply faster than
-    # an mpc with a zero imaginary part
-    yv = ring.ctx.mpf(params.r) / params.d
-    ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
-    out = []
-    for n in range(order + 1):
-        acc = ring.zero()
-        for k in range(n + 1):
-            if ypow[n - k]:
-                acc = acc + base[k] * ypow[n - k]
-        out.append(acc)
-    return out
-
-
-def _exact_parts(ring, r: int, d: int, order: int, base) -> list:
-    """``kernel_parts`` in the exact ring, on integer numerators."""
+    D d^n n!, cancelled once; in the numeric ring D is a power of two,
+    the base read through its mantissas, and each a_n is rounded once."""
     base = base[:order + 1]
+    r, d = params.r, params.d
     if not r:
         return base  # y = 0: a_n = B_n(lam) / n!
-    D = math.lcm(*(x.den for x in base))
-    nums = [[(key, v * (D // x.den)) for key, v in x.terms.items()]
-            for x in base]
+    # per n, d^n n! and the weights r^(n-k) d^k n! / (n-k)! for k <= n
     rpow, dpow = [1], [1]
     for _ in range(order):
         rpow.append(rpow[-1] * r)
         dpow.append(dpow[-1] * d)
-    out = []
+    weights = []
     for n in range(order + 1):
+        ws, fall = [], 1  # fall = n! / (n - k)!
+        for k in range(n + 1):
+            ws.append(rpow[n - k] * dpow[k] * fall)
+            fall *= n - k
+        weights.append((dpow[n] * math.factorial(n), ws))
+    if not ring.exact:
+        # the base as (re + im i) 2^E, E the least exponent of its parts
+        reads = [ring.mantissas(x) for x in base]
+        E = min((e for re, im, e in reads if re or im), default=0)
+        nums = [(re << (e - E), im << (e - E)) if re or im else (0, 0)
+                for re, im, e in reads]
+        return [ring.from_mantissas(
+            sum(w * re for w, (re, _) in zip(ws, nums)),
+            sum(w * im for w, (_, im) in zip(ws, nums)), E, den)
+            for den, ws in weights]
+    D = math.lcm(*(x.den for x in base))
+    nums = [[(key, v * (D // x.den)) for key, v in x.terms.items()]
+            for x in base]
+    out = []
+    for den, ws in weights:
         acc: Dict[tuple, int] = {}
         get = acc.get
-        fall = 1  # n! / (n - k)!
-        for k in range(n + 1):
-            c = rpow[n - k] * dpow[k] * fall
-            fall *= n - k
-            for key, v in nums[k]:
-                acc[key] = get(key, 0) + v * c
+        for w, num in zip(ws, nums):
+            for key, v in num:
+                acc[key] = get(key, 0) + v * w
         if 0 in acc.values():
             acc = {key: v for key, v in acc.items() if v}
         # reads only the field of its scalar
-        out.append(ring.zero()._cancel(acc, D * dpow[n] * math.factorial(n)))
+        out.append(ring.zero()._cancel(acc, D * den))
     return out
 
 

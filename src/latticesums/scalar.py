@@ -15,7 +15,12 @@ Two interchangeable rings live here behind one small protocol:
   The evaluators invert no scalar: the one quotient they need,
   1/(e^{2 pi i q} - 1), is built from q in closed form.
 * ``NumericRing`` -- arbitrary-precision complex floats (mpmath), with the
-  tolerance conventions needed by the numeric evaluation paths.
+  tolerance conventions needed by the numeric evaluation paths.  Every
+  ring of one precision reads one shared mpmath context, and no ring
+  sets its precision.  The integer-fed operations sum on the scalars'
+  integer mantissas (``mantissas``) and round once per output
+  (``from_mantissas``): ``unit_lift`` once per coefficient, whatever the
+  order of its parts, and ``kernel.kernel_parts`` once per part.
 
 The ring interface used by the rest of the package: ``zero``, ``one``,
 ``from_fraction`` and ``root_of_unity`` (e^{2 pi i q}), the one road from
@@ -54,11 +59,14 @@ import math
 import re
 from fractions import Fraction
 from operator import add, le
-from typing import Dict
+from typing import Dict, Tuple
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (from_man_exp, fzero, mpf_pi, mpf_pow_int,
+                          mpf_shift, round_nearest)
 
 from .cyclotomic import CyclotomicField, ExactScalar
+from .errors import NonFinite
 from .lattice import GaussianRational
 from .series import convolve
 
@@ -280,10 +288,42 @@ class ExactRing:
 # is 2^-12 there, and at 12 bits it is 1, so that every term reads as zero
 MIN_PRECISION = 24
 
+# one mpmath context per precision, shared by every NumericRing of that
+# precision: its precision is set here, once, when it is made
+_CONTEXTS: Dict[int, MPContext] = {}
+
+
+def _context(precision: int) -> MPContext:
+    ctx = _CONTEXTS.get(precision)
+    if ctx is None:
+        ctx = MPContext()
+        ctx.prec = precision
+        _CONTEXTS[precision] = ctx
+    return ctx
+
+
+def _mantissa(v: tuple, x) -> Tuple[int, int]:
+    """(n, e) with n 2^e the mpf tuple v, part of the scalar x: (0, 0) for
+    zero, and NonFinite for an infinity or a NaN, which mpmath stores with
+    mantissa 0 as well."""
+    sign, man, exp, _ = v
+    if not man:
+        if v != fzero:
+            raise NonFinite(f"non-finite numeric scalar {x}")
+        return 0, 0
+    return (-man if sign else man), exp
+
 
 class NumericRing:
     """Arbitrary-precision complex floats behind the same interface, at
-    ``MIN_PRECISION`` bits or more (ValueError below)."""
+    ``MIN_PRECISION`` bits or more (ValueError below).
+
+    Every ring of one precision reads the same mpmath context
+    (``_context``), made once per precision; no ring ever sets its
+    ``prec``.  The two series operations that read integers, ``unit_lift``
+    and (through ``mantissas`` and ``from_mantissas``) the kernel parts,
+    sum each output exactly on the scalars' integer mantissas and round it
+    once."""
 
     exact = False
 
@@ -292,14 +332,14 @@ class NumericRing:
             raise ValueError(f"precision must be at least {MIN_PRECISION} "
                              f"bits")
         self.precision = precision
-        ctx = MPContext()
-        ctx.prec = precision
-        self.ctx = ctx
+        ctx = self.ctx = _context(precision)
         self.zero_tol = ctx.mpf(2.0 ** (-precision + 12))
         # one shared zero and one: an mpc is never changed in place
         self._zero, self._one = ctx.mpc(0), ctx.mpc(1)
         self._roots: Dict[object, object] = {}  # exact q -> e^{2 pi i q}
         self._i = self.root_of_unity(Fraction(1, 4))
+        # m -> (2 pi)^(-m) as (mantissa, exponent), rounded once per m
+        self._lifts: Dict[int, Tuple[int, int]] = {}
 
     def zero(self):
         return self._zero
@@ -362,33 +402,107 @@ class NumericRing:
         """x times the int or Fraction q."""
         return x * q.numerator / q.denominator
 
+    def mantissas(self, x) -> Tuple[int, int, int]:
+        """``(re, im, e)`` with x = (re + im i) 2^e exactly, re and im ints:
+        mpmath's raw pair on the lesser of its two exponents (0 for zero).
+        An infinite or NaN part raises NonFinite."""
+        re, ei = _mantissa(x._mpc_[0], x)
+        im, e = _mantissa(x._mpc_[1], x)
+        if not im:
+            return re, 0, ei
+        if not re:
+            return 0, im, e
+        if ei <= e:
+            return re, im << (e - ei), ei
+        return re << (ei - e), im, e
+
+    def from_mantissas(self, re: int, im: int, e: int, den: int = 1):
+        """(re + im i) 2^e / den, re, im and e ints and den a positive int,
+        each part rounded once, to nearest, at the ring's precision.
+
+        As mpmath's ``mpf_div``: the quotient is taken to 3 bits more than
+        the precision, and a nonzero remainder sets one more, lowest bit,
+        so that rounding the quotient rounds the exact value."""
+        prec = self.precision
+        dbits = den.bit_length()
+
+        def part(n):
+            if not n:
+                return fzero
+            if den == 1:
+                return from_man_exp(n, e, prec, round_nearest)
+            shift = max(prec + 3 + dbits - n.bit_length(), 0)
+            q, rem = divmod(abs(n) << shift, den)
+            if rem:
+                q, shift = (q << 1) | 1, shift + 1
+            return from_man_exp(q if n > 0 else -q, e - shift, prec,
+                                round_nearest)
+
+        return self.ctx.make_mpc((part(re), part(im)))
+
+    def _lift(self, m: int) -> Tuple[int, int]:
+        """(2 pi)^(-m) as (mantissa, exponent), rounded once per m and
+        ring."""
+        got = self._lifts.get(m)
+        if got is None:
+            prec = self.precision
+            two_pi = mpf_shift(mpf_pi(prec + 20), 1)
+            _, man, exp, _ = mpf_pow_int(two_pi, -m, prec, round_nearest)
+            got = self._lifts[m] = (man, exp)
+        return got
+
     def unit_lift(self, series: dict, den: int) -> dict:
         """``{key: sum over (m, v, x) of x v / (den (2 pi i)^m)}`` for
-        ``series = {key: [(m, v, x), ...]}``, as ``ExactRing.unit_lift``.
-        (2 pi i)^(-m) is one power, rounded once per m of a call, its
-        product by v / den once per (m, v), and that by x once per term."""
-        step = 1 / self.two_pi_i()
-        lifts: dict = {}  # m -> (2 pi i)^(-m)
-        i = self._i
-        weights: dict = {}  # (m, v) -> v / (den (2 pi i)^m)
+        ``series = {key: [(m, v, x), ...]}``, as ``ExactRing.unit_lift``,
+        v an int or a GaussianRational with int parts.
+
+        (2 pi i)^(-m) = (2 pi)^(-m) i^(-m), its real part rounded once per
+        m (``_lift``) and its power of i a swap of parts.  Each x is read
+        through its integer mantissas (``mantissas``), once per call, and
+        each part is the exact product of v, the power and x, so the sum of
+        a key's parts is one exact integer sum, divided by den and rounded
+        once (``from_mantissas``): a key's value does not depend on the
+        order of its parts."""
+        weights: dict = {}  # (m, v) -> v (2 pi i)^(-m) as (re, im, exp)
+        reads: dict = {}  # id(x) -> x as (re, im, exp)
         out = {}
         for key, parts in series.items():
-            total = None
+            re = im = 0
+            top = None
             for m, v, x in parts:
-                f = weights.get((m, v))
-                if f is None:
-                    lift = lifts.get(m)
-                    if lift is None:
-                        lift = lifts[m] = step ** m
+                w = weights.get((m, v))
+                if w is None:
+                    man, exp = self._lift(m)
                     if type(v) is int:
-                        f = self.scale(lift, Fraction(v, den))
+                        a, b = v, 0
+                    elif v.re.denominator == v.im.denominator == 1:
+                        a, b = v.re.numerator, v.im.numerator
                     else:
-                        f = self.scale(lift, Fraction(v.re, den)) \
-                            + self.scale(lift * i, Fraction(v.im, den))
-                    weights[m, v] = f
-                term = f * x
-                total = term if total is None else total + term
-            out[key] = total
+                        raise ValueError(f"numerator {v} is not integral")
+                    # (a + b i) i^(-m): i^-1 = -i, i^-2 = -1, i^-3 = i
+                    a, b = ((a, b), (b, -a), (-a, -b), (-b, a))[m % 4]
+                    w = weights[m, v] = (a * man, b * man, exp)
+                r = reads.get(id(x))
+                if r is None:
+                    r = reads[id(x)] = self.mantissas(x)
+                wr, wi, we = w
+                xr, xi, xe = r
+                tr = wr * xr - wi * xi
+                ti = wr * xi + wi * xr
+                if not (tr or ti):
+                    continue
+                e = we + xe
+                if top is None:
+                    re, im, top = tr, ti, e
+                elif e >= top:
+                    re += tr << (e - top)
+                    im += ti << (e - top)
+                else:
+                    re = (re << (top - e)) + tr
+                    im = (im << (top - e)) + ti
+                    top = e
+            out[key] = self._zero if top is None \
+                else self.from_mantissas(re, im, top, den)
         return out
 
     def mul_terms(self, pairs, trunc) -> dict:

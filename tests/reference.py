@@ -17,8 +17,10 @@ evaluators take from shortcuts:
   product per kernel, per t_g and per unit inverse;
 * the ring's series product, one scalar product per term pair, and the
   scalar product by the general loop over term pairs;
-* the kernel's root-free parts from the Fraction formula, the path that
-  the integer numerators of ``kernel.kernel_parts`` replaced;
+* the kernel's root-free parts from the Fraction formula in the exact
+  ring and from the rounded mpc formula in the numeric ring, the paths
+  that the integer numerators and mantissas of ``kernel.kernel_parts``
+  replaced;
 * the product of unit and singular factors by convolving their
   expansions one at a time, the path that the unit factors' product from
   its logarithmic derivative replaced;
@@ -447,6 +449,30 @@ def fraction_kernel_parts(ring, params: KernelParams, order: int, base
     return out
 
 
+def mpc_kernel_parts(ring, params: KernelParams, order: int, base
+                     ) -> list:
+    """``kernel.kernel_parts`` in the numeric ring by its formula in mpc
+    arithmetic, each product and sum rounded: the powers y^j / j! as
+    mpfs, each term the base times one of them, the terms added in the
+    ring.  The path that the exact mantissa sums replaced."""
+    yv = ring.ctx.mpf(params.r) / params.d
+    ypow = [yv ** j / math.factorial(j) for j in range(order + 1)]
+    out = []
+    for n in range(order + 1):
+        acc = ring.zero()
+        for k in range(n + 1):
+            if ypow[n - k]:
+                acc = acc + base[k] * ypow[n - k]
+        out.append(acc)
+    return out
+
+
+def one_times(ring, vars) -> Dict[tuple, object]:
+    """The constant 1 as a series term map on `vars`, the `times` of a
+    ``genfun.unit_parts`` with no exponent form and nothing else to meet."""
+    return {(0,) * len(vars): ring.one()}
+
+
 def unit_inverse(ring, vars, trunc, form) -> TruncatedSeries:
     """1/form for a form with a nonzero constant: the generic series
     inverse of the form, independent of ``genfun.unit_parts``."""
@@ -640,7 +666,8 @@ def termwise_unit_summand(ctx: EvaluationContext, s, k):
         return ring.zero()
     F = lift_units(ring, vars, trunc, [unit_parts(
         ring, [(_dead_unit(ctx, s.bidx, g, form), k.weights[g])
-               for g, form in s.unit_factors], vars, trunc)])
+               for g, form in s.unit_factors], vars, trunc,
+        times=one_times(ring, vars))])
     total = ring.zero()
     for grid, q in _coset_grids(ctx, s.bidx, trunc):
         acc = ring.zero()

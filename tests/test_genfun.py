@@ -37,7 +37,7 @@ from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 sum_rational_forms)
 from reference import (fraction_dead_unit, fraction_geometry,
                        full_order_summand, later_phi, lift,
-                       pairwise_unit_numerators, permuted,
+                       one_times, pairwise_unit_numerators, permuted,
                        pi_pow, series_variable, summand_rational_form,
                        termwise_unit_product, termwise_unit_summand,
                        unit_inverse, with_truncation)
@@ -630,7 +630,10 @@ def _inverse_power_product(ring, factors, trunc):
 
 def _unit_product(ring, factors, trunc, exponent=None, scale=1, times=None):
     """The unit product of the (form, k) `factors`: its ``unit_parts``,
-    lifted on their own (``lift_units``)."""
+    lifted on their own (``lift_units``), times the constant 1 when no
+    exponent form and no `times` are given."""
+    if times is None:
+        times = one_times(ring, UNIT_VARS)
     return genfun.lift_units(ring, UNIT_VARS, trunc, [genfun.unit_parts(
         ring, factors, UNIT_VARS, trunc, exponent, scale, times)])
 
@@ -955,7 +958,8 @@ def _unit_part_set(ring):
              (1, 0, 1): ring.root_of_unity(Fraction(1, 3))
              + ring.from_fraction(Fraction(2, 3))}
     return trunc, [
-        genfun.unit_parts(ring, [], UNIT_VARS, trunc),
+        genfun.unit_parts(ring, [], UNIT_VARS, trunc,
+                          times=one_times(ring, UNIT_VARS)),
         genfun.unit_parts(ring, [(f[0], 1)], UNIT_VARS, trunc, exponent,
                           Fraction(3, 2)),
         genfun.unit_parts(ring, [(f[0], 2), (f[1], 1)], UNIT_VARS, trunc,

@@ -196,7 +196,8 @@ def test_singular_point_uses_one_sided_branch(a1_alpha1):
 
 
 @pytest.mark.parametrize("mode, discrepancy", [
-    ("exact", "0 (exact)"), ("numeric", "2.7550648847397363e-40")])
+    ("exact", "0 (exact)"), ("numeric", "2.597500083477869e-40")],
+    ids=["exact", "numeric"])
 def test_sub_context_shares_the_parent_kernel_tables(mode, discrepancy,
                                                      monkeypatch):
     # the sub-arrangement's context takes the parent's ring, and with it

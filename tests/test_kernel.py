@@ -12,13 +12,13 @@ from latticesums.genfun import lattice_sum_value
 from latticesums.hierarchy import check_hierarchy
 from latticesums.kernel import (KernelParams, bernoulli_numbers, kernel_base,
                                 kernel_parts, kernel_series, kernel_series_dy)
-from latticesums.lattice import Arrangement, make_functional
+from latticesums.lattice import Arrangement, GaussianRational, make_functional
 from latticesums.oracle import TruncationWindow, truncated_sum
 from latticesums.polytope import polytope_report
 from latticesums.scalar import ExactRing, NumericRing, format_scalar
 from latticesums.series import LinearForm, TruncatedSeries, Truncation
 from reference import (bernoulli_poly, form_exp, fraction_kernel_parts,
-                       kernel_coeff,
+                       kernel_coeff, mpc_kernel_parts,
                        kernel_coeff_poly, kernel_moment, moment_integral_exact,
                        series_constant, series_variable)
 
@@ -284,6 +284,44 @@ def test_integer_kernel_parts_match_the_fraction_formula(case, order):
     want = fraction_kernel_parts(ring, p, order, base)
     assert [(a.terms, a.den) for a in got] \
         == [(a.terms, a.den) for a in want]
+
+
+@st.composite
+def numeric_kernel_cases(draw):
+    """(b, y, order): b integral, non-integral or a Gaussian rational, y
+    in [0, 1], 0 one time in four, order <= 8."""
+    kind = draw(st.sampled_from(["integral", "rational", "gaussian"]))
+    q = 1 if kind == "integral" else draw(st.integers(2, 12))
+    b = Fraction(draw(st.integers(-3 * q, 3 * q)), q)
+    if kind == "rational" and b.denominator == 1:
+        b += Fraction(1, q)
+    if kind == "gaussian":
+        b = GaussianRational(b, Fraction(draw(st.sampled_from(
+            [-3, -1, 1, 2])), draw(st.integers(1, 12))))
+    d = draw(st.integers(1, 40))
+    y = Fraction(0) if draw(st.integers(0, 3)) == 0 \
+        else Fraction(draw(st.integers(0, d)), d)
+    return b, y, draw(st.integers(0, 8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(numeric_kernel_cases())
+def test_numeric_kernel_parts_match_the_mpc_formula(case):
+    # the numeric root-free parts, summed exactly on the base's mantissas
+    # and rounded once each, are within 2^-(precision - 4) relative of the
+    # formula in rounded mpc arithmetic, measured by the largest of its
+    # terms, for integral, non-integral and Gaussian b, at y = 0 and not
+    b, y, order = case
+    p = KernelParams.make(b, y)
+    base = kernel_base(NUMERIC, p, order)
+    got = kernel_parts(NUMERIC, p, order, base)
+    want = mpc_kernel_parts(NUMERIC, p, order, base)
+    yv = NUMERIC.ctx.mpf(p.r) / p.d
+    assert len(got) == len(want) == order + 1
+    for n, (a, w) in enumerate(zip(got, want)):
+        size = max(abs(base[k]) * yv ** (n - k) / math.factorial(n - k)
+                   for k in range(n + 1))
+        assert abs(a - w) <= 2.0 ** -(NUMERIC.precision - 4) * size
 
 
 def test_kernel_argument_validation():

@@ -1,15 +1,19 @@
 import hashlib
 import importlib.resources as resources
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import (from_rational, fzero, mpf_neg, mpf_shift,
+                          round_nearest)
 
-from latticesums.errors import NotInvertible
+from latticesums.errors import NonFinite, NotInvertible
 from latticesums.genfun import lattice_sum_value
-from latticesums.lattice import arrangement_from_json
+from latticesums.kernel import KernelParams, kernel_parts
+from latticesums.lattice import GaussianRational, arrangement_from_json
 from latticesums.scalar import (ExactRing, ExactScalar, NumericRing,
                                 format_scalar, parse_scalar)
 from reference import pi_pow, termpair_product
@@ -282,3 +286,87 @@ def test_equal_scalars_embed_equally_whatever_their_term_order(
         ctx = MPContext()
         ctx.prec = prec
         assert v.embed(ctx) == rev.embed(ctx)
+
+
+def test_rings_of_one_precision_share_one_context():
+    # the context is made once per precision and its precision is never
+    # set again, so rings of other precisions leave it as it was
+    a, b = NumericRing(128), NumericRing(128)
+    assert a.ctx is b.ctx is NR128.ctx and a.ctx.prec == 128
+    c = NumericRing(64)
+    assert c.ctx is not a.ctx and c.ctx.prec == 64 and a.ctx.prec == 128
+
+
+def test_numeric_value_does_not_depend_on_other_precisions(
+        triangle_rational):
+    # a 128-bit value made after 64- and 256-bit evaluations is bitwise
+    # the one made before them
+    def value(precision):
+        return lattice_sum_value(triangle_rational,
+                                 (Fraction(1, 7), Fraction(2, 11)),
+                                 (2, 2, 2), mode="numeric",
+                                 precision=precision).value
+
+    before = value(128)._mpc_
+    value(64)
+    value(256)
+    assert value(128)._mpc_ == before
+
+
+def _lift_parts():
+    """Parts (m, v, x) of one key: x of full mantissas, roots and a
+    multiple of pi among them, m = 0..6, int and Gaussian-rational v."""
+    ctx = NR128.ctx
+    xs = [ctx.mpc(3, -5) / 7, NR128.root_of_unity(Fraction(1, 3)),
+          NR128.root_of_unity(Fraction(2, 9)) * 11, ctx.mpc(0, 1) / 3,
+          ctx.pi * ctx.mpc(-2, 1) / 13, ctx.mpc(1, 0) / 10**30]
+    vs = [1, -7, 12345678901234567890, GaussianRational(Fraction(3),
+                                                         Fraction(-2)),
+          GaussianRational(Fraction(-11), Fraction(5))]
+    rng = random.Random(7)
+    return [(rng.randrange(7), rng.choice(vs), rng.choice(xs))
+            for _ in range(24)]
+
+
+def test_numeric_lift_does_not_depend_on_the_order_of_the_parts():
+    # a key's parts are summed exactly on integer mantissas and rounded
+    # once, so every permutation of them gives bitwise the same value
+    parts = _lift_parts()
+    want = NR128.unit_lift({(): parts}, 21)[()]._mpc_
+    rng = random.Random(11)
+    for _ in range(20):
+        shuffled = parts[:]
+        rng.shuffle(shuffled)
+        assert NR128.unit_lift({(): shuffled}, 21)[()]._mpc_ == want
+    assert NR128.unit_lift({(): parts[::-1]}, 21)[()]._mpc_ == want
+
+
+@pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_mantissa_readers_refuse_a_non_finite_scalar(special, part):
+    # mpmath stores an infinity and a NaN with mantissa 0: each reader
+    # raises NonFinite, where it would count them as zero
+    ctx = NR128.ctx
+    bad = ctx.mpc(ctx.mpf(special), 1) if part == "re" \
+        else ctx.mpc(1, ctx.mpf(special))
+    with pytest.raises(NonFinite):
+        NR128.mantissas(bad)
+    with pytest.raises(NonFinite):
+        NR128.unit_lift({(): [(0, 1, NR128.one()), (1, 3, bad)]}, 5)
+    params = KernelParams.make(Fraction(1, 3), Fraction(1, 5))
+    with pytest.raises(NonFinite):
+        kernel_parts(NR128, params, 2, [NR128.one(), bad, NR128.one()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**300, 2**300), st.integers(1, 2**200),
+       st.integers(-300, 300), st.sampled_from([24, 53, 128]))
+def test_one_rounding_of_a_mantissa_quotient_is_mpmaths(n, den, e, prec):
+    # n 2^e / den rounded once, to nearest: bitwise mpmath's correctly
+    # rounded quotient, for a power of two, an odd and any den
+    ring = NumericRing(prec)
+    for d in (den, 1 << (den.bit_length() - 1), den | 1):
+        got = ring.from_mantissas(n, -n, e, d)._mpc_
+        want = mpf_shift(from_rational(n, d, prec, round_nearest), e) \
+            if n else fzero
+        assert got == (want, mpf_neg(want))

@@ -17,8 +17,8 @@ from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
                                 Truncation, coefficient_discrepancy,
                                 divide_exact, division_count,
                                 sum_rational_forms)
-from reference import (form_constant, form_exp, form_power, pi_pow,
-                       series_constant, series_variable,
+from reference import (form_constant, form_exp, form_power, one_times,
+                       pi_pow, series_constant, series_variable,
                        sum_by_series_products, termwise_product,
                        with_truncation)
 
@@ -445,7 +445,8 @@ def test_int_constant_is_a_fraction(ring, c):
 
     def lifted(factors, exponent=None):
         return lift_units(ring, VARS, tr, [unit_parts(
-            ring, factors, VARS, tr, exponent)]).terms
+            ring, factors, VARS, tr, exponent,
+            times=one_times(ring, VARS))]).terms
 
     assert lifted([], got) == lifted([], want)
     if c == 0:

@@ -10,29 +10,30 @@ acceleration or resummation tricks.
 Every input is read exactly: a constant through
 ``Functional.exact_constant`` (a Fraction or a GaussianRational, a float
 at its binary value) and y as Fractions (a float at its binary value).
-Which points a functional excludes is decided from those exact data, and
-a sum is taken on one of two paths, float64 or exact integers (see
-``truncated_sum``); only the terms are rounded, the integer path's to a
-bound relative to the largest term.
+Which points a functional excludes is decided from those exact data, on
+Python ints, and a sum is taken on one of two paths, float64 or exact
+integers (see ``truncated_sum``), both on the standard library and
+mpmath alone; only the terms are rounded, the integer path's to a bound
+relative to the largest term.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from operator import mul
 from typing import Iterator, List, Sequence, Tuple
-
-import numpy as np
-from mpmath.ctx_mp import MPContext
 
 from . import intlinalg
 from .genfun import WeightVector
 from .lattice import Arrangement, GaussianRational
+from .scalar import _context
 
 @dataclass(frozen=True)
 class TruncationWindow:
@@ -154,16 +155,18 @@ def truncated_sum(arr: Arrangement, k, y: Sequence,
     Raises ValueError unless k has one weight per functional and y one
     entry per dimension.  This is the one-window case of the walk that
     ``convergence_scan`` makes, on one of two paths chosen from the data:
-    rank 2 without zero weights at precision <= 53 in numpy float64
-    (``_sum_vectorized``), otherwise in exact integers (``_sum_integer``),
+    rank 2 without zero weights at precision <= 53 in float64
+    (``_sum_float``), otherwise in exact integers (``_sum_integer``),
     within 2^-(max(precision, 53)+1) t of the exact sum, t the largest
     |term|.
 
     Measured on a 2-CPU x86-64 box with Python 3.11 (process time, the
     best of 8 to 40 runs): ``a1_alpha1``, k = (2,2,2), y = 0, N = 2000
-    takes 0.015 s on the integer path; ``triangle_rational`` at
-    y = (1/7, 2/11), N = 200 takes 0.39 s on the integer path at
-    precision 128 and 0.010 s in float64, 4.6e-13 off.
+    takes 0.012 s on the integer path; ``triangle_rational`` at
+    y = (1/7, 2/11), N = 200 takes 0.34 s on the integer path at
+    precision 128 and 0.009 s in float64, 1.1e-13 off, and at the float
+    shift y = (0.1, 0.3), whose phase never repeats along a row, 0.019 s
+    in float64.
     """
     k = _weight_vector(arr, k, y)
     return _window_sums(arr, k, y, [window.N], precision)[0]
@@ -176,7 +179,7 @@ def _window_sums(arr: Arrangement, k: WeightVector, y: Sequence,
     if not Ns:
         return []
     if not k.zero_set() and precision <= 53 and arr.rank == 2:
-        return _sum_vectorized(arr, k, y, Ns)
+        return _sum_float(arr, k, y, Ns)
     return _sum_integer(arr, k, y, Ns, precision)
 
 
@@ -281,7 +284,6 @@ def _sum_integer(arr, k, y, Ns, precision):
         # t, the largest term, is below 2^-24: walk again at P + e, 2^-e <= t
         P += smallest.bit_length() - DK.bit_length() + 1
     sign = (-1) ** len(k.zero_set())
-    ctx = MPContext()
     sums, acc_re, acc_im = [], defaultdict(int), defaultdict(int)
     for window_buckets in zip(re_buckets, im_buckets):
         for acc, buckets in zip((acc_re, acc_im), window_buckets):
@@ -290,8 +292,8 @@ def _sum_integer(arr, k, y, Ns, precision):
         # every bucket converts exactly, and the roots of unity and the
         # sum stay within 2^-(P+4) of the exact combination
         values = itertools.chain(acc_re.values(), acc_im.values())
-        ctx.prec = max(map(abs, values), default=0).bit_length() \
-            + 2 * q.bit_length() + 8
+        ctx = _context(max(map(abs, values), default=0).bit_length()
+                       + 2 * q.bit_length() + 8)
         total = ctx.fsum(ctx.mpc(acc_re.get(j, 0), acc_im.get(j, 0))
                          * ctx.expjpi(ctx.mpf(2 * j) / q)
                          for j in sorted(acc_re.keys() | acc_im.keys())
@@ -301,50 +303,101 @@ def _sum_integer(arr, k, y, Ns, precision):
     return sums
 
 
-# rows of the box per numpy pass of the float64 path: on a 2-CPU x86-64
-# box, 16 rows scanned ``triangle_rational`` (N = 25 to 200) about 5%
-# faster, but raised the peak memory of the scan from 0.45 to 0.78 MB
-_BLOCK_ROWS = 8
+def _powers(f, kf: int, ts) -> list:
+    """(t + c)^(-k_f) in floating point for each integer t = <d_f, v> of
+    ts, c the constant of f, and 0.0 where f vanishes (c an integer and
+    t = -c, decided on ints).  With c = n + r, n the floor of its real
+    part, t + n is summed in ints, so that however large t is, f(v) is
+    rounded only from t + n and r."""
+    c = f.exact_constant()
+    re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+    n = math.floor(re)
+    r, target = float(re - n), _vanishing_target(f)
+    if im:
+        im = float(im)
+        return [0.0 if t == target else complex(float(t + n) + r, im) ** -kf
+                for t in ts]
+    return [0.0 if t == target else (float(t + n) + r) ** -kf for t in ts]
 
 
-def _sum_vectorized(arr, k, y, Ns) -> List[complex]:
-    """The float64 path of truncated_sum for each window of Ns: which
-    points are excluded is decided exactly, from int64 values of <d, v>
-    against the integer -c of an integral constant c (a float at its
-    binary value); only the terms are rounded.  The terms of a block of
-    ``_BLOCK_ROWS`` rows of the largest window are computed once, each
-    window sums with numpy the part of every row that it covers, and the
-    row sums are added with ``math.fsum``."""
-    yf = [float(v) for v in y]
-    positive = [(arr.functionals[i], k.weights[i],
-                 _vanishing_target(arr.functionals[i]))
-                for i in k.positive_set()]
+def _sum_float(arr, k, y, Ns) -> List[complex]:
+    """The float path of truncated_sum for each window of Ns, on the
+    standard library alone: which points are excluded is decided exactly
+    (``_powers``); only the terms are rounded.
+
+    Rows of the largest window run along the coordinate in which the phase
+    e^{2 pi i <y, v>} repeats sooner, its period p read from y over its
+    common denominator q; a functional's value is its table entry at t =
+    a u + b w, u the row and w the place in it.  With b = 0 it scales the
+    row, with a = 0 it is one list shared by every row, and otherwise the
+    row is a strided slice of its table over every t of the largest
+    window, or, when that table would outgrow the (2 N + 1)^2 points,
+    computed for the row alone.  Each window sums every residue class mod
+    p of its part of a row with one ``sum`` and meets the class's root
+    once, the row its phase and scale once, and adds its rows with
+    ``math.fsum``: a window sums every point the same way in a scan as
+    alone."""
     bound = Ns[-1]
-    v2i = np.arange(-bound, bound + 1, dtype=np.int64)
-    v2 = v2i.astype(np.float64)
+    span = range(-bound, bound + 1)
+    yq = [Fraction(v) for v in y]
+    q = math.lcm(*(v.denominator for v in yq))
+    periods = [q // math.gcd(int(q * v), q) for v in yq]
+    axes = (0, 1) if periods[1] <= periods[0] else (1, 0)
+    A, B = (int(q * yq[axis]) for axis in axes)
+    period = periods[axes[1]]
+
+    def root(j):
+        # e^{2 pi i j / q}, the angle taken in (-pi, pi]
+        j %= q
+        return cmath.rect(1.0, math.tau * ((j if 2 * j <= q else j - q) / q))
+
+    # the elementwise product of lists of one length
+    product = partial(reduce, partial(map, mul))
+    scales = [root(A * u) for u in span]
+    shared, sloped = [], []
+    for i in k.positive_set():
+        f, kf = arr.functionals[i], k.weights[i]
+        a, b = (f.direction[axis] for axis in axes)
+        if not b:
+            scales = list(map(mul, scales,
+                              _powers(f, kf, [a * u for u in span])))
+        elif not a:
+            shared.append(_powers(f, kf, [b * w for w in span]))
+        else:
+            reach = (abs(a) + abs(b)) * bound
+            table = _powers(f, kf, range(-reach, reach + 1)) \
+                if 2 * reach < len(span) ** 2 else None
+            sloped.append((f, kf, a, b, reach, table))
+    shared = [list(product(shared))] if shared else []
+    windows = []
+    for N in Ns:
+        classes = range(-N, min(period, 2 * N + 1) - N)
+        windows.append((bound - N, bound + N + 1,
+                        [root(B * w) for w in classes]))
     re_parts: List[List[float]] = [[] for _ in Ns]
     im_parts: List[List[float]] = [[] for _ in Ns]
-    for first in range(-bound, bound + 1, _BLOCK_ROWS):
-        last = min(first + _BLOCK_ROWS, bound + 1)
-        v1i = np.arange(first, last, dtype=np.int64)[:, None]
-        v1 = v1i.astype(np.float64)
-        mask = np.ones((last - first, v2.size), dtype=bool)
-        den = np.ones(mask.shape, dtype=np.complex128)
-        for f, kf, target in positive:
-            val = f.direction[0] * v1i + f.direction[1] * v2 \
-                + complex(f.exact_constant())
-            if target is not None:
-                mask &= f.direction[0] * v1i + f.direction[1] * v2i != target
-            den *= np.where(mask, val, 1.0)**kf
-        num = np.exp(2j * np.pi * (yf[0] * v1 + yf[1] * v2))
-        terms = np.where(mask, num / den, 0.0)
-        for N, re, im in zip(Ns, re_parts, im_parts):
-            top, end = max(first, -N), min(last, N + 1)
-            if top >= end:
-                continue
-            block = terms[top - first:end - first, bound - N:bound + N + 1]
-            re.extend(block.real.sum(axis=1).tolist())
-            im.extend(block.imag.sum(axis=1).tolist())
+    for u, scale in zip(span, scales):
+        if not scale:
+            continue
+        factors = []
+        for f, kf, a, b, reach, table in sloped:
+            first = a * u - b * bound
+            end = first + b * len(span)
+            if table is None:
+                factors.append(_powers(f, kf, range(first, end, b)))
+            else:
+                end += reach
+                factors.append(
+                    table[first + reach:end if end >= 0 else None:b])
+        # the directions span, so some functional varies along the row
+        row = list(product(factors + shared))
+        for w in range(bisect_left(Ns, abs(u)), len(Ns)):
+            lo, hi, roots = windows[w]
+            sums = row[lo:hi] if len(roots) == hi - lo else \
+                [sum(row[i:hi:period]) for i in range(lo, lo + len(roots))]
+            z = scale * sum(map(mul, roots, sums))
+            re_parts[w].append(z.real)
+            im_parts[w].append(z.imag)
     return [complex(math.fsum(re), math.fsum(im))
             for re, im in zip(re_parts, im_parts)]
 
@@ -358,10 +411,14 @@ def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
     as the walk passes it, on the path that ``truncated_sum`` would take
     for it.  The float64 rows equal the one-window sums; the integer rows
     keep the bound of ``_sum_integer``, P being fixed from the largest
-    window, but are not always equal to them.  Measured as
-    ``truncated_sum`` is, a rank-1 scan with a Gaussian-rational constant
-    (N = 100, 200 and 400, precision 128) takes 0.0043 s, and a rank-2
-    one with float constants (N = 25, 50 and 100) 0.22 s.
+    window, but are not always equal to them.  Rows are read in the
+    shared mpmath context of their precision (``scalar._context``), whose
+    precision no caller sets.  Measured as ``truncated_sum`` is, a rank-1
+    scan with the Gaussian-rational constant 1/2 + i/3 (N = 100, 200 and
+    400, precision 128) takes 0.0030 s; a rank-2 one with float constants
+    (N = 25, 50 and 100) 0.19 s at precision 60 and 0.0050 s in float64;
+    and ``triangle_rational`` at y = (1/7, 2/11) (N = 25, 50, 100 and 200)
+    0.010 s in float64, 0.022 s at the float shift y = (0.1, 0.3).
 
     `target` may be an exact scalar (embedded at working precision), an
     mpmath number (read at its own precision, rounded to the working one
@@ -374,8 +431,7 @@ def convergence_scan(arr: Arrangement, k, y: Sequence, Ns: Sequence[int],
         raise ValueError("window sizes must be increasing")
     if Ns:
         TruncationWindow(Ns[0])  # rejects a size below 1
-    ctx = MPContext()
-    ctx.prec = max(precision, 53) + 24
+    ctx = _context(max(precision, 53) + 24)
     tval = None
     if target is not None:
         tval = target.embed(ctx) if hasattr(target, "embed") \

@@ -288,8 +288,8 @@ class ExactRing:
 # is 2^-12 there, and at 12 bits it is 1, so that every term reads as zero
 MIN_PRECISION = 24
 
-# one mpmath context per precision, shared by every NumericRing of that
-# precision: its precision is set here, once, when it is made
+# one mpmath context per precision, shared by every NumericRing and oracle
+# sum of that precision: its precision is set here, once, when it is made
 _CONTEXTS: Dict[int, MPContext] = {}
 
 

@@ -17,16 +17,29 @@ from reference import pi_pow
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(args):
-    """The CLI in a fresh interpreter that imports this checkout's package,
-    installed or not."""
+def run_python(args):
+    """A fresh interpreter that imports this checkout's package, installed
+    or not."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC if not path
                else SRC + os.pathsep + path)
-    proc = subprocess.run([sys.executable, "-m", "latticesums.cli"] + args,
-                          capture_output=True, text=True, timeout=600,
-                          env=env)
-    return proc
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, timeout=600, env=env)
+
+
+def run_cli(args):
+    """The CLI in a fresh interpreter, as ``run_python`` starts it."""
+    return run_python(["-m", "latticesums.cli"] + args)
+
+
+def test_import_loads_no_numpy():
+    # the package and its command line start on the standard library and
+    # mpmath alone; numpy is a test dependency
+    proc = run_python(["-c", "import sys, latticesums, latticesums.cli; "
+                             "print(sorted(m for m in sys.modules "
+                             "if m.split('.')[0] == 'numpy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_help_exits_0():

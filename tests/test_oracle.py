@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 import latticesums.oracle as oracle
+import latticesums.scalar as scalar
 from latticesums.families import a2_directions, hurwitz_a1, triangle
 from latticesums.genfun import WeightVector, lattice_sum_value
 from latticesums.intlinalg import rank
@@ -134,8 +135,8 @@ def test_constant_arrangement_constrained_single_point():
 
 
 def test_vectorized_and_pointwise_paths_agree(generic_y2):
-    # precision 53 takes numpy float64, the rows of the box in blocks, and
-    # precision 80 exact integers, the points one by one
+    # precision 53 takes float64, the rows of the box from tables of each
+    # functional, and precision 80 exact integers, the points one by one
     arr = a2_directions()
     k, window = WeightVector.make((2, 2, 2)), TruncationWindow(25)
     zf = truncated_sum(arr, k, generic_y2, window, precision=53)
@@ -145,8 +146,8 @@ def test_vectorized_and_pointwise_paths_agree(generic_y2):
 
 def test_vectorized_and_pointwise_paths_agree_on_a_gaussian_constant(
         generic_y2):
-    # both paths read the constant 1/2 + i/3 exactly: float64 through
-    # complex(), the integer path in its real and imaginary parts
+    # both paths read the constant 1/2 + i/3 exactly: float64 rounds f(v)
+    # from its exact parts, the integer path keeps them
     arr = Arrangement(2, [
         make_functional((1, 0), (Fraction(1, 2), Fraction(1, 3))),
         make_functional((0, 1), Fraction(1, 3)),
@@ -301,6 +302,60 @@ def test_integer_path_matches_exact_terms(case, others):
         assert_within_bound(z, TruncationWindow(M), Ns[-1])
 
 
+@st.composite
+def float_path_sums(draw):
+    """A rank-2 arrangement of two to four functionals with direction
+    entries in -2..2, weights 1-3, and each constant integral with its
+    zero set crossing the window, Gaussian rational, 2^-60 or rational; a
+    shift of 0, of a small denominator, of a denominator above 2 N + 1, or
+    of floats; and a window 1 <= N <= 8."""
+    N = draw(st.integers(1, 8))
+    entries = st.integers(-2, 2)
+    directions = draw(st.lists(st.tuples(entries, entries).filter(any),
+                               min_size=2, max_size=4))
+    assume(rank([list(d) for d in directions]) == 2)
+    rationals = st.builds(Fraction, st.integers(-6, 6),
+                          st.sampled_from([2, 3, 5, 6]))
+    inside = st.tuples(st.integers(-N, N), st.integers(-N, N))
+    functionals = []
+    for d in directions:
+        c = draw(st.one_of(
+            inside.map(lambda v, d=d: -(d[0] * v[0] + d[1] * v[1])),
+            st.builds(GaussianRational, rationals,
+                      rationals.filter(lambda im: im != 0)),
+            st.just(Fraction(1, 2**60)), rationals))
+        functionals.append(make_functional(d, c))
+    arr = Arrangement(2, functionals)
+    k = WeightVector.make(draw(st.lists(
+        st.integers(1, 3), min_size=arr.size, max_size=arr.size)))
+    shift = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(1, 11), st.integers(2, 12)),
+        st.builds(Fraction, st.integers(1, 40),
+                  st.integers(2 * N + 2, 2 * N + 40)),
+        st.builds(lambda a, b: a / b, st.integers(1, 11),
+                  st.integers(2, 12)))
+    y = (draw(shift), draw(shift))
+    return arr, k, y, N
+
+
+@settings(max_examples=120, deadline=None)
+@given(float_path_sums())
+def test_float_path_matches_the_integer_path(case):
+    # relative to the sum of the |terms|, the scale of a sum's rounding:
+    # a sum that cancels to 0, such as that of 1/(v_0 v_1), has no
+    # relative error of its own
+    arr, k, y, N = case
+    window = TruncationWindow(N)
+    floats = truncated_sum(arr, k, y, window, precision=53)
+    ints = complex(truncated_sum(arr, k, y, window, precision=80))
+    scale = sum(1 / abs(math.prod(complex(functional_value(f, v)) ** kf
+                                  for f, kf in zip(arr.functionals,
+                                                   k.weights)))
+                for v in constrained_points(arr, k, window))
+    assert abs(floats - ints) <= 1e-12 * scale
+
+
 def _vanishes(val) -> bool:
     if isinstance(val, GaussianRational):
         return val.re == 0 and val.im == 0
@@ -360,6 +415,22 @@ def test_float64_path_keeps_a_tiny_rational_constant():
     floats = truncated_sum(arr, (2, 2, 2), y, window, precision=53)
     ints = complex(truncated_sum(arr, (2, 2, 2), y, window, precision=54))
     assert abs(ints) > 1e38
+    assert abs(floats - ints) <= 1e-12 * abs(ints)
+
+
+def test_float_path_reads_large_direction_entries_exactly():
+    # <d_0, v> passes 2^63 and c_0 is -(2^63 + 1): at v_0 = 2, f_0(v) is
+    # v_1 - 1, and the terms of that row make the sum; int64 arithmetic
+    # wrapped them away (5.6e-36 - 4.9e-37i), and a table spanning every
+    # <d_0, v> of the window would hold over 2^64 entries
+    arr = Arrangement(2, [make_functional((2**62, 1), -(2**63 + 1)),
+                          make_functional((0, 1), Fraction(1, 3)),
+                          make_functional((1, 1), Fraction(1, 5))])
+    y = (Fraction(1, 7), Fraction(2, 11))
+    window = TruncationWindow(3)
+    floats = truncated_sum(arr, (2, 2, 2), y, window, precision=53)
+    ints = complex(truncated_sum(arr, (2, 2, 2), y, window, precision=80))
+    assert abs(ints - (0.7725 + 1.5570j)) < 1e-4
     assert abs(floats - ints) <= 1e-12 * abs(ints)
 
 
@@ -429,6 +500,37 @@ def test_scan_rows_equal_window_by_window_rows(path, Ns):
         got = convergence_scan(arr, k, y, Ns, precision, target=target)
         want = _rows_window_by_window(arr, k, y, Ns, precision, target)
         assert repr(got) == repr(want)
+
+
+def test_scan_rows_do_not_depend_on_scans_at_other_precisions(monkeypatch):
+    # the oracle reads the shared context of each precision and never sets
+    # one's precision: rows made after scans at 64 and 256 bits are
+    # bitwise the rows made before them, and a repeated scan makes no
+    # context
+    cases = [(triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+              (2, 2, 2), Y2, precision) for precision in (53, 80)]
+    cases.append((FLOATY1, (2, 1), (Fraction(1, 5),), 128))
+
+    def scans():
+        return [repr(convergence_scan(arr, k, y, [3, 7, 12], precision,
+                                      target=1.5 - 0.5j))
+                for arr, k, y, precision in cases]
+
+    before = scans()
+    for arr, k, y, _ in cases:
+        for precision in (64, 256):
+            convergence_scan(arr, k, y, [3, 7, 12], precision, target=0.25)
+    assert scans() == before
+    made = []
+    init = MPContext.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MPContext, "__init__", counted)
+    assert scans() == before and not made
+    assert all(ctx.prec == prec for prec, ctx in scalar._CONTEXTS.items())
 
 
 # (arrangement, k, y, precision) on the integer path; float and
@@ -510,7 +612,7 @@ def test_scan_walks_the_largest_window_once(case, monkeypatch):
     monkeypatch.setattr(oracle, "constrained_points", counted)
     rows = convergence_scan(arr, k, y, [2, 4, 8], precision)
     assert [row["N"] for row in rows] == [2, 4, 8]
-    # the float64 path walks the box itself, row block by row block
+    # the float64 path walks the box itself, row by row
     assert walks == ([] if precision <= 53 and arr.rank == 2
                      and all(k) else [8])
 

@@ -6,8 +6,8 @@ representatives, times one factor t_g / den_g for every functional g
 outside the basis; the den_g depend on B alone, so a basis is one summand
 and its factors meet the coset sum of its kernel products once.  Each
 den_g is a rational combination of the functionals, t_g - 2 pi i c_g -
-sum_f (t_f - 2 pi i c_f) <g, f^B>, and so is every edge denominator of
-the polytope reconstruction.  One builder,
+sum_f (t_f - 2 pi i c_f) <g, f^B>, and the polytope reconstruction
+divides each vertex by the den_g of its witness basis.  One builder,
 ``EvaluationContext.combination``, returns such a combination as a
 ``LinearForm``: rational coefficients and the constant sum_f q_f c_f,
 computed exactly from the functional constants, summed in integers over
@@ -16,9 +16,9 @@ arrangement table keeps per basis (``geometry``).  The form is singular
 exactly when that constant is zero, and forms are merged by their
 normalised rational coefficients.  Every unit inverse, a factor 1/den_g
 of a full series, a factor collapsed to its Taylor coefficient or a
-non-singular edge denominator of the polytope route, comes from one
+non-singular den_g of a polytope vertex, comes from one
 integer product, ``_unit_product``, and so does the exponential
-e^{t* . p} of a polytope vertex (``unit_parts``): the constants are
+e^{l(p)} of a polytope vertex's exponent (``unit_parts``): the constants are
 2 pi i times exact rationals, so the product of all the inverses of a
 summand (or of a vertex, with its exponential) is a root of unity times a
 series over Q (over Q(i) for Gaussian constants) in t / (2 pi i).  The
@@ -32,7 +32,7 @@ numeric mode rounds there for the first time, once per coefficient, from
 an exact sum of its parts on integer mantissas.  Such
 products add in integers before any lift (``lift_units``), so a full
 series lifts every summand with no singular factor, and the polytope
-route every vertex with no singular edge, in one ``ring.unit_lift``.
+route every vertex with no singular den_g, in one ``ring.unit_lift``.
 Numeric mode takes the same decisions from the same exact data, and
 keeps y exact too (a float y at its binary value), so that only values
 are rounded.  Taylor coefficients of the holomorphic total give the
@@ -265,7 +265,7 @@ class EvaluationContext:
     def combination(self, lin: Dict[int, Fraction]) -> LinearForm:
         """sum_x lin[x] (t_x - 2 pi i c_x), a rational combination of the
         functionals, as every denominator of the basis sum and of the
-        polytope edges is.  The one place that decides whether a
+        polytope vertices is.  The one place that decides whether a
         denominator is singular: its constant sum_x lin[x] c_x is summed
         from the exact constants, in integers over the lcm of lin's
         denominators times the constants' one denominator, and made one
@@ -723,8 +723,8 @@ def unit_parts(ring, factors: Sequence[Tuple[LinearForm, int]], vars,
     truncated at `trunc`, as the integer parts of its one lift
     (``lift_units``): the unit factors 1/den_g of a summand of a full
     series times its coset sum, with its weight, and the whole numerator
-    of a polytope vertex, its exponential and its non-singular edge
-    denominators with its weight.
+    of a polytope vertex, its exponential and its non-singular den_g
+    with its weight.
 
     Since (-2 pi i c + L(t))^(-k) = (2 pi i)^(-k) (-c + L(t / 2 pi i))^(-k),
     the coefficient of t^e is (2 pi i)^(-(K + |e|)) G[e], K the sum of the

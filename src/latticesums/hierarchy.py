@@ -67,12 +67,14 @@ def apply_Dg_summand(ctx: EvaluationContext, state: Tuple[int, RationalForm],
                      ) -> Optional[Tuple[int, RationalForm]]:
     """Apply the removal operator for g to one (basis index, summand) pair:
     None when g is in the basis, which annihilates the summand, else the
-    numerator times den_g over the denominators and t_g."""
+    numerator times den_g over the denominators and t_g.  den_g is the
+    one relative form of the arrangement table that it needs, with its
+    constant (``EvaluationContext.combination``)."""
     bidx, form = state
     if g in ctx.arr.bases[bidx].members:
         return None
     ring, vars = ctx.ring, ctx.vars
-    den_g = ctx.geometry(bidx)[g]
+    den_g = ctx.combination(ctx.data.relative_forms[bidx][g][0])
     # den_g as a series: its constant -2 pi i c and its q_v t_v
     terms = {} if den_g.singular else {
         (0,) * len(vars): -(ring.two_pi_i() * ring.from_fraction(den_g.c))}

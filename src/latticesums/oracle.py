@@ -290,10 +290,13 @@ def _sum_integer(arr, k, y, Ns, precision):
             for j, b in buckets.items():
                 acc[j] += b
         # every bucket converts exactly, and the roots of unity and the
-        # sum stay within 2^-(P+4) of the exact combination
+        # sum stay within 2^-(P+4) of the exact combination; the
+        # precision is rounded up to a multiple of 64 bits, so that the
+        # sums share a few of the contexts that scalar._context keeps
         values = itertools.chain(acc_re.values(), acc_im.values())
-        ctx = _context(max(map(abs, values), default=0).bit_length()
-                       + 2 * q.bit_length() + 8)
+        bits = (max(map(abs, values), default=0).bit_length()
+                + 2 * q.bit_length() + 8)
+        ctx = _context(-(-bits // 64) * 64)
         total = ctx.fsum(ctx.mpc(acc_re.get(j, 0), acc_im.get(j, 0))
                          * ctx.expjpi(ctx.mpf(2 * j) / q)
                          for j in sorted(acc_re.keys() | acc_im.keys())

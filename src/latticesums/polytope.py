@@ -4,11 +4,11 @@ Fixing a base decomposition of the arrangement into a basis B0 and the
 rest L0, the averaged coset/integral form of the evaluator turns into a
 lattice of polytopes P(m; y) inside the unit cube [0,1]^(#L0): one per
 integer translate m, cut out by the cube facets and one slab per basis
-functional.  Integrating exp(t* . x) over each polytope with the vertex
-formula for simple polytopes (Brion-Lawrence: J. Lawrence, Polytope volume
-computation, Math. Comp. 57, 1991; A. Barvinok, Integer Points in
-Polyhedra, EMS 2008) and summing over m reassembles the full generating
-function, an independent cross-check of the basis sum.
+functional.  Integrating e^l (l the exponent below) over each polytope
+with the vertex formula for simple polytopes (Brion-Lawrence: J.
+Lawrence, Polytope volume computation, Math. Comp. 57, 1991; A. Barvinok,
+Integer Points in Polyhedra, EMS 2008) and summing over m reassembles the
+full generating function, an independent cross-check of the basis sum.
 
 The translates are enumerated, not searched for.  P(m; y) can be nonempty
 only when each <y + m, f^B0> lies in a window fixed by the cube, and every
@@ -27,29 +27,33 @@ basis values are <y + m, f^B> less the pairings <g, f^B> of the
 arrangement table, one per g with a_g = 1.  Off the singular locus no
 basis value is 0 or 1; ``genfun_via_polytopes`` refuses a y on it.
 
-Everything else a vertex contributes is read off its witness.  With
-t*_g = t_g - sum_{f in B0} <g, f^B0> t_f, the exponent of a vertex p,
-sum_{f in B0} <y + m, f^B0> (t_f - 2 pi i c_f) + t* . p, is
+Everything else a vertex contributes is read off its witness.  With the
+labels lambda_h (x_g on L0, the slab values on B0), sum_h lambda_h h =
+y + m, and the exponent of a vertex p, l(p) = sum_h lambda_h (t_h - 2 pi
+i c_h), is
 
     sum_{g not in B} a_g (t_g - 2 pi i c_g)
       + sum_{f in B} q_f (t_f - 2 pi i c_f),
 
-a rational combination of the functionals.  The vertices of a translate
-share its B0 part, so the denominator t* . (p - p') of an edge is the
-difference of the exponents at its two ends.  The evaluator's builder
-(``EvaluationContext.combination``) returns each exponent and edge
-denominator as an exact ``LinearForm``.  From its exact constant an edge
-denominator is singular, to be divided out after summing, or a unit.
-The numerator of a vertex, its weight |det| / |Z^r / L_B0| (the edge
-determinant over the index of B0), its exponential and the inverses of
-its unit edge denominators, is one exact product
-(``genfun.unit_parts``, the one expansion of every unit inverse): a
-series over Q in integers, with no series product.  The vertices with no
-singular edge, of every translate, are added in integers and lifted in
-one ``genfun.lift_units``, each coefficient built once from its
-numerators, the vertices' roots of unity and weights; a vertex with a
-singular edge is lifted on its own and divided with the others of its
-translate.
+an exact ``LinearForm`` (``EvaluationContext.combination``).  The edge at
+p that releases g outside B moves lambda_g by s_g = 1 - 2 a_g and each
+lambda_f, f in B, by -s_g <g, f^B> per unit of length, so l changes along
+it by s_g den_g^B, with den_g^B = t_g - 2 pi i c_g - sum_{f in B} <g, f^B>
+(t_f - 2 pi i c_f) (``EvaluationContext.geometry``), and the L0
+determinant of the edge vectors is index(B0)/index(B) times their
+lengths.  Lawrence's vertex term, that determinant over index(B0) times
+e^{l(p)} over the differences l(p) - l(p') to the neighbours p', is so
+
+    (-1)^#{g not in B: a_g = 0} e^{l(p)}
+      / (index(B) prod_{g not in B} den_g^B).
+
+A den_g^B is singular, to be divided out after summing, when its exact
+constant is 0, and a unit otherwise.  The numerator of a vertex, its
+weight, its exponential and the inverses of its unit den_g^B, is one
+exact product (``genfun.unit_parts``): a series over Q in integers.  The
+vertices with no singular den_g^B, of every translate, are lifted in one
+``genfun.lift_units``; a vertex with a singular one is lifted on its own
+and divided with the others of its translate.
 
 The vertex sums are multiplied by the kernel prefactor prod_f K_f(0) at
 y = 0.  K_f(0) is t_f / (e^{t_f - 2 pi i c_f} - 1): a unit when c_f is an
@@ -69,13 +73,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import intlinalg
 from .errors import NotSimple
 from .genfun import (EvaluationContext, UnitParts, _context, lift_units,
                      unit_parts)
 from .kernel import KernelParams, kernel_series
 from .lattice import Arrangement, Basis, arrangement_data, in_singular_locus
-from .series import (RationalForm, TruncatedSeries, Truncation,
+from .series import (LinearForm, RationalForm, TruncatedSeries, Truncation,
                      coefficient_discrepancy, division_count,
                      sum_rational_forms)
 
@@ -218,17 +221,17 @@ def adjacency(verts: List[VertexWitness]) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_parts(ctx: EvaluationContext, dec: Decomposition, exponent,
-                  edges, dens, order: int) -> UnitParts:
-    """The numerator of a vertex, |det| / index * e^{exponent} over its
-    unit edge denominators t* . (p - p'), as the integer parts of one
-    exact unit product (``genfun.unit_parts``), before the lift; the
-    vertex's singular edge denominators are left to the caller."""
-    n = len(dec.l0)
-    detv = abs(intlinalg.det([[e[t] for e in edges] for t in range(n)]))
+def _vertex_parts(ctx: EvaluationContext, w: VertexWitness, index: int,
+                  dens: Sequence[LinearForm], order: int) -> UnitParts:
+    """The numerator of the vertex of witness w = (B, a), its weight
+    (-1)^#{g not in B: a_g = 0} / index(B) times e^{l(p)} over its unit
+    den_g^B (see the module docstring), as the integer parts of one exact
+    unit product (``genfun.unit_parts``), before the lift; `dens` are the
+    den_g^B of the g outside B, the singular ones left to the caller."""
+    sign = (-1) ** sum(a == 0 for a in w.sides.values())
     units = [(den, 1) for den in dens if not den.singular]
     return unit_parts(ctx.ring, units, ctx.vars, Truncation(order),
-                      exponent, Fraction(detv, dec.b0.index))
+                      ctx.combination(w.exponent), Fraction(sign, index))
 
 
 def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
@@ -240,18 +243,15 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     the decomposition at the first basis.
 
     A y on the singular locus (tested exactly) raises ValueError before
-    anything is built; off it, a non-simple polytope raises NotSimple.
-    Each vertex exponent is the combination of its witness's sides and
-    basis values, and each edge denominator the difference of the
-    exponents at its ends, both built by the evaluator's denominator
-    builder (``EvaluationContext.combination``).  The vertices with no
-    singular edge divide nothing: their parts (``_vertex_parts``) are
-    lifted together, in one ``lift_units``.  Each translate's vertex
-    forms with a singular edge are summed on their own, and each exact
-    division of that sum loses one degree, so the singular ones set the
-    extra truncation order: the working order is order + divisions, with
-    the divisions (``division_count``) of the translate that needs the
-    most.
+    anything is built; off it, a non-simple polytope, or a vertex whose
+    edge count (``adjacency``) is not the dimension, raises NotSimple.
+    Each vertex term is read off its witness (B, a) (``_vertex_parts``),
+    with the den_g^B of B read once per basis.  The vertices with no
+    singular den_g^B divide nothing and are lifted together, in one
+    ``lift_units``.  Each translate's vertex forms with a singular one are
+    summed on their own, and each exact division of that sum loses one
+    degree: the working order is order + divisions, with the divisions
+    (``division_count``) of the translate that needs the most.
     """
     if in_singular_locus(y, arr):
         shown = ", ".join(str(Fraction(v)) for v in y)
@@ -262,24 +262,21 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     ring = ctx.ring
     dec, translates = _walk(ctx)
     n = len(dec.l0)
-    cells = []   # per translate: [(exponent, edge vectors, denominators)]
+    bases = {b.members: (i, b.index) for i, b in enumerate(dec.data.bases)}
+    geometry: Dict[int, Dict[int, LinearForm]] = {}  # den_g^B per basis
+    cells = []   # per translate: [(witness, index(B), its den_g^B)]
     divisions = 0
     for m, verts in translates:
         if not witnesses_simple(verts):
             raise NotSimple(f"polytope at m={m} is not simple")
-        adj = adjacency(verts)
-        if any(len(nb) != n for nb in adj):
+        if any(len(nb) != n for nb in adjacency(verts)):
             raise NotSimple(f"polytope at m={m} has a vertex of wrong degree")
-        # an edge denominator t* . (p - p') is the exponents' difference
-        lins = [w.exponent for w in verts]
         cell = []
-        for w, lin, nbrs in zip(verts, lins, adj):
-            edges = [tuple(pk - pj for pk, pj in zip(w.point, verts[j].point))
-                     for j in nbrs]
-            dens = [ctx.combination({x: c - lins[j][x]
-                                     for x, c in lin.items()})
-                    for j in nbrs]
-            cell.append((ctx.combination(lin), edges, dens))
+        for w in verts:
+            bidx, index = bases[w.basis_members]
+            if bidx not in geometry:
+                geometry[bidx] = ctx.geometry(bidx)
+            cell.append((w, index, [geometry[bidx][g] for g in w.sides]))
         cells.append(cell)
         divisions = max(divisions, division_count(
             [d for d in ds if d.singular] for _, _, ds in cell))
@@ -296,8 +293,8 @@ def genfun_via_polytopes(arr: Arrangement, y: Sequence, order: int,
     total, plain = TruncatedSeries(ring, ctx.vars, trunc), []
     for cell in cells:
         forms = []
-        for exponent, edges, dens in cell:
-            parts = _vertex_parts(ctx, dec, exponent, edges, dens, low)
+        for w, index, dens in cell:
+            parts = _vertex_parts(ctx, w, index, dens, low)
             singular = [den for den in dens if den.singular]
             if singular:
                 forms.append(RationalForm(

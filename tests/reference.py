@@ -6,8 +6,9 @@ evaluators take from shortcuts:
 * the polytopes P(m; y) of the polytope reconstruction as explicit
   H-representations, their vertices by brute-force H-to-V conversion,
   simplicity by counting incident hyperplanes, the translates by scanning
-  a loose box, and the vertex formula for int_P exp(a . x) dx
-  (Brion-Lawrence) in floating point;
+  a loose box, the vertex formula for int_P exp(a . x) dx
+  (Brion-Lawrence) in floating point, and the reconstruction with each
+  vertex term built from its edge vectors and their determinant;
 * the kernel's closed-form coefficients C(k, y; b) (Bernoulli polynomials
   for integral b) and their moment integrals against e^{-2 pi i m x};
 * the inverse of a unit linear form by the generic series inverse, the
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
-from latticesums import intlinalg
+from latticesums import intlinalg, polytope
 from latticesums.cyclotomic import CyclotomicField
 from latticesums.errors import NotSimple
 from latticesums.genfun import (EvaluationContext, _coset_grids, _dead_unit,
@@ -66,7 +67,8 @@ from latticesums.polytope import (Decomposition, Label, VertexWitness,
                                   adjacency, vertices)
 from latticesums.scalar import ExactScalar
 from latticesums.series import (LinearForm, RationalForm, TruncatedSeries,
-                                Truncation, _divisors, convolve, divide_exact)
+                                Truncation, _divisors, convolve, divide_exact,
+                                division_count, sum_rational_forms)
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -257,6 +259,58 @@ def exp_integral_simple(verts: List[VertexWitness], a_vec: Sequence,
         total += abs(ctx.mpf(detv.numerator) / ctx.mpf(detv.denominator)) \
             * ctx.exp(expo) / denom
     return total
+
+
+def edge_route_genfun(ctx: EvaluationContext, order: int) -> TruncatedSeries:
+    """``genfun_via_polytopes`` at ctx through `order`, each vertex term
+    built from its edges: the path that reading each term off its witness
+    replaced.  The edge vectors p - p' run to the neighbours that
+    ``adjacency`` finds, the weight is their L0 determinant over
+    index(B0), and each edge denominator t* . (p - p') is the difference
+    of the exponents at the edge's ends, one ``combination`` per edge."""
+    arr, ring = ctx.arr, ctx.ring
+    dec, translates = polytope._walk(ctx)
+    n = len(dec.l0)
+    cells, divisions = [], 0
+    for _, verts in translates:
+        cell = []
+        for w, nbrs in zip(verts, adjacency(verts)):
+            edges = [tuple(pk - pj for pk, pj in zip(w.point, verts[j].point))
+                     for j in nbrs]
+            detv = abs(intlinalg.det([[e[t] for e in edges]
+                                      for t in range(n)]))
+            dens = [ctx.combination({x: c - verts[j].exponent[x]
+                                     for x, c in w.exponent.items()})
+                    for j in nbrs]
+            cell.append((ctx.combination(w.exponent),
+                         Fraction(detv, dec.b0.index), dens))
+        cells.append(cell)
+        divisions = max(divisions, division_count(
+            [d for d in ds if d.singular] for _, _, ds in cell))
+    params = [KernelParams.make(ctx.constant(f), Fraction(0))
+              for f in range(arr.size)]
+    monomial = [v for v, p in zip(ctx.vars, params) if not p.integral]
+    low = order + divisions - len(monomial)
+    if low < 0:
+        return TruncatedSeries(ring, ctx.vars, Truncation(order))
+    trunc = Truncation(low)
+    total, plain = TruncatedSeries(ring, ctx.vars, trunc), []
+    for cell in cells:
+        forms = []
+        for exponent, weight, dens in cell:
+            parts = unit_parts(ring, [(d, 1) for d in dens if not d.singular],
+                               ctx.vars, trunc, exponent, weight)
+            singular = [d for d in dens if d.singular]
+            if singular:
+                forms.append(RationalForm(
+                    lift_units(ring, ctx.vars, trunc, [parts]), singular))
+            else:
+                plain.append(parts)
+        if forms:
+            total = total + sum_rational_forms(forms)
+    total = total + lift_units(ring, ctx.vars, trunc, plain)
+    total = total * polytope._kernel_prefactor(ctx, params, low)
+    return total.shifted(monomial, Truncation(order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -2335,3 +2336,25 @@ def test_full_series_builds_no_root(mode, monkeypatch):
         assert got.terms == want.terms
     else:
         _assert_close(got, want, 100)
+
+
+# the evaluator's Laurent reader: the singular factors' Laurent chain, the
+# coefficient of a unit summand, the reads of each summand and the reader
+LAURENT_READER = {"_unit_numerators", "_unit_summand_value", "_summand_reads",
+                  "coefficient"}
+
+
+@pytest.mark.parametrize("module", ["polytope", "hierarchy"])
+def test_checks_import_nothing_of_the_laurent_reader(module):
+    # the polytope and hierarchy checks may share the den builder and the
+    # unit lift with the evaluator, but not its Laurent reader, so that a
+    # fault in the reader cannot show on both sides of a check; nor may
+    # they import the genfun module itself, through which it could be read
+    tree = ast.parse((resources.files("latticesums") / f"{module}.py")
+                     .read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    assert "EvaluationContext" in names
+    assert not names & LAURENT_READER
+    assert not any(name.split(".")[-1] == "genfun" for name in names)

@@ -533,6 +533,32 @@ def test_scan_rows_do_not_depend_on_scans_at_other_precisions(monkeypatch):
     assert all(ctx.prec == prec for prec, ctx in scalar._CONTEXTS.items())
 
 
+def test_integer_sums_share_a_few_contexts(monkeypatch):
+    # the integer path combines its buckets at a precision that the data
+    # set, rounded up to a multiple of 64 bits: 80 sums over 40 windows
+    # and two arrangements ask for at most two contexts, where the exact
+    # bit counts asked for 16, each kept for the life of the process
+    asked = []
+    real = oracle._context
+
+    def recorded(precision):
+        asked.append(precision)
+        return real(precision)
+
+    monkeypatch.setattr(oracle, "_context", recorded)
+    before = len(scalar._CONTEXTS)
+    for N in range(1, 41):
+        truncated_sum(triangle(Fraction(1, 2), Fraction(1, 3),
+                               Fraction(1, 5)),
+                      (2, 2, 2), Y2, TruncationWindow(N), 80)
+        truncated_sum(hurwitz_a1(1), (2, 2, 2), (Fraction(1, 3),),
+                      TruncationWindow(10 * N), 128)
+    assert len(asked) == 80
+    assert all(p % 64 == 0 for p in asked)
+    assert len(set(asked)) <= 2
+    assert len(scalar._CONTEXTS) - before <= 2
+
+
 # (arrangement, k, y, precision) on the integer path; float and
 # Gaussian constants, and float shifts, in rank 1, rank 2 and on a
 # zero-weight constraint

@@ -6,19 +6,20 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath.ctx_mp import MPContext
 
 from latticesums import intlinalg, polytope
-from latticesums.families import a2_directions, hurwitz_a1, triangle
+from latticesums.families import (a2_directions, hurwitz_a1, root_system,
+                                  triangle)
 from latticesums.genfun import (EvaluationContext, UnitParts,
                                 generating_function, lift_units)
 from latticesums.lattice import (Arrangement, GaussianRational,
                                  in_singular_locus, make_functional)
-from latticesums.polytope import (Decomposition, VertexWitness,
+from latticesums.polytope import (Decomposition, VertexWitness, adjacency,
                                   enumerate_m, genfun_via_polytopes,
                                   polytope_report, vertices,
                                   witnesses_simple, _translates)
 from latticesums.series import TruncatedSeries
 from reference import (HalfSpace, HPolytope, box_translates,
                        brute_force_vertices, build_polytope,
-                       exp_integral_simple, form_exp,
+                       edge_route_genfun, exp_integral_simple, form_exp,
                        incident_hyperplane_count, is_simple,
                        largest_coefficient_scaled, led_by, permuted,
                        relative_form, unit_inverse, witness_matrix)
@@ -160,9 +161,13 @@ def _check_witnesses(arr, y):
     the directions and the duals: the points against the brute-force
     vertices of the H-polytope, each basis value against
     <y + m - sum a_g g, f^B>, the exponent against
-    sum_{f in B0} <y + m, f^B0> (t_f - 2 pi i c_f) + t* . p, and every edge
-    denominator of the reconstruction (at B0 the first basis of the
-    functionals permuted to lead with it) against t* . (p - p')."""
+    sum_{f in B0} <y + m, f^B0> (t_f - 2 pi i c_f) + t* . p, and the
+    den_g^B of every vertex term of the reconstruction (at B0 the first
+    basis of the functionals permuted to lead with it) against its edges:
+    along the edge to each neighbour p' that ``adjacency`` finds, which
+    releases g, the edge denominator t* . (p - p') is the exponent
+    difference l(p) - l(p'), and den_g^B that difference to p' over the
+    edge's length in lambda_g, with its sign."""
     dirs = [f.direction for f in arr.functionals]
     for b0 in arr.bases:
         perm = list(b0.members) + [g for g in range(arr.size)
@@ -194,9 +199,9 @@ def _check_witnesses(arr, y):
         seen = []
         real = polytope._vertex_parts
 
-        def recorded(ctx_, dec_, exponent, edges, dens, order):
-            seen.append((edges, dens))
-            return real(ctx_, dec_, exponent, edges, dens, order)
+        def recorded(ctx_, w, index, dens, order_):
+            seen.append((w, dens))
+            return real(ctx_, w, index, dens, order_)
 
         # the vertex parts are built when the working order is at least
         # the number of non-integral constants
@@ -206,15 +211,37 @@ def _check_witnesses(arr, y):
             mp.setattr(polytope, "_vertex_parts", recorded)
             genfun_via_polytopes(arr_p, y, order, ctx=ctx)
         assert len(seen) == sum(len(verts) for _, verts in translates)
-        for edges, dens in seen:
-            assert len(edges) == len(dens) == len(dec.l0)
-            for e, den in zip(edges, dens):
+        # the walk that the reconstruction made, holding its witnesses
+        walk = polytope._walk(ctx)[1]
+        assert [(m, [w.point for w in verts]) for m, verts in walk] == \
+            [(m, [w.point for w in verts]) for m, verts in translates]
+        cell = {id(w): verts for _, verts in walk for w in verts}
+        for w, dens in seen:
+            verts = cell[id(w)]
+            nbrs = adjacency(verts)[verts.index(w)]
+            assert len(nbrs) == len(dens) == len(dec.l0)
+            den_of = dict(zip(w.sides, dens))
+            released = set()
+            for j in nbrs:
+                v = verts[j]
+                # the edge to v releases the one label of w that v lacks
+                (g, a), = set(w.incident) - set(v.incident)
+                released.add(g)
                 lin = {}
-                for g, eg in zip(dec.l0, e):
-                    for x, c in tstar[g].items():
-                        lin[x] = lin.get(x, Fraction(0)) + eg * c
-                want = ctx.combination(lin)
-                assert (den.coeffs, den.c) == (want.coeffs, want.c)
+                for h, eh in zip(dec.l0, (pk - pj for pk, pj in
+                                          zip(w.point, v.point))):
+                    for x, c in tstar[h].items():
+                        lin[x] = lin.get(x, Fraction(0)) + eh * c
+                edge = ctx.combination(lin)
+                diff = ctx.combination({x: c - v.exponent[x]
+                                        for x, c in w.exponent.items()})
+                assert (edge.coeffs, edge.c) == (diff.coeffs, diff.c)
+                step = v.exponent[g] - a
+                want = ctx.combination({x: (v.exponent[x] - c) / step
+                                        for x, c in w.exponent.items()})
+                assert (den_of[g].coeffs, den_of[g].c) == \
+                    (want.coeffs, want.c)
+            assert released == set(w.sides)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -317,8 +344,32 @@ def test_unit_square_is_simple():
     assert all(incident_hyperplane_count(poly, p) == 2 for p in pts)
 
 
+def _route_terms(arr, y, order, ctx):
+    """[witness, weight, den_g^B] of every vertex term that
+    ``genfun_via_polytopes`` builds through `order`, its weight as
+    ``unit_parts`` receives it."""
+    seen = []
+    real_vertex, real_product = polytope._vertex_parts, polytope.unit_parts
+
+    def vertex(ctx_, w, index, dens, order_):
+        seen.append([w, None, dens])
+        return real_vertex(ctx_, w, index, dens, order_)
+
+    def product(ring, factors, vars, trunc, exponent=None, scale=1):
+        seen[-1][1] = scale
+        return real_product(ring, factors, vars, trunc, exponent, scale)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_vertex_parts", vertex)
+        mp.setattr(polytope, "unit_parts", product)
+        genfun_via_polytopes(arr, y, order, ctx=ctx)
+    return seen
+
+
 def test_index_ratio_identity():
-    # |det U| = index(B) / index(B0) for every witness
+    # |det U| = index(B) / index(B0) for every witness, and the weight of
+    # the route's vertex term is +-1/index(B): the edge determinant
+    # |det U|^-1 over index(B0)
     arr = Arrangement(2, [make_functional((1, 1), Fraction(1, 3)),
                           make_functional((1, -1), Fraction(1, 5)),
                           make_functional((1, 0), Fraction(1, 7)),
@@ -334,11 +385,20 @@ def test_index_ratio_identity():
             assert detU == Fraction(b.index, dec.b0.index)
             checked += 1
     assert checked > 4
+    ctx = EvaluationContext(arr, GENERIC_Y, "exact")
+    terms = _route_terms(arr, GENERIC_Y, 4, ctx)
+    assert len(terms) == checked
+    assert {abs(weight) for _, weight, _ in terms} != {1}
+    for w, weight, _ in terms:
+        _, U = witness_matrix(dec, w)
+        assert abs(weight) == 1 / (dec.b0.index * abs(intlinalg.det(U)))
+        assert abs(weight) == Fraction(1, by_members[w.basis_members].index)
 
 
 def test_cramer_linear_form_identity():
     # det U(h, t*) / det U = (-1)^{a_h} (t_h - 2 pi i c_h
-    #                         - sum_{g in B} (t_g - 2 pi i c_g) <h, g^B>)
+    #                         - sum_{g in B} (t_g - 2 pi i c_g) <h, g^B>),
+    # that is (-1)^{a_h} times the den_h^B of the route's vertex term
     arr = slab_instance()
     y = GENERIC_Y
     ctx = EvaluationContext(arr, y, "exact")
@@ -346,44 +406,51 @@ def test_cramer_linear_form_identity():
     tstar = _tstar(dec)
     by_members = {b.members: b for b in arr.bases}
     checked = 0
-    for m in enumerate_m(dec, y):
-        for w in vertices(dec, m, y):
-            outside, U = witness_matrix(dec, w)
-            detU = intlinalg.det(U)
-            n = len(outside)
-            for col, h in enumerate(outside):
-                # expand det U(col <- t*) into sum of t*_g times cofactors
-                lin_total = {}
-                aq_total = Fraction(0)
-                for rowi, g in enumerate(dec.l0):
-                    minor = [[U[r][c] for c in range(n) if c != col]
-                             for r in range(n) if r != rowi]
-                    cof = (-1) ** (rowi + col) * \
-                        (intlinalg.det(minor) if minor else Fraction(1))
-                    if cof == 0:
-                        continue
-                    lin = tstar[g]
-                    aq = ctx.combination(lin).c
-                    for x, cc in lin.items():
-                        lin_total[x] = lin_total.get(x, Fraction(0)) + cof * cc
-                    aq_total += cof * aq
-                lin_total = {x: c / detU for x, c in lin_total.items() if c}
-                aq_total = aq_total / detU
-                # right-hand side
-                b = by_members[w.basis_members]
-                sgn = (-1) ** w.sides[h]
-                rhs_lin = {h: Fraction(sgn)}
-                rhs_aq = sgn * ctx.constant(h)
-                hdir = arr.functionals[h].direction
-                for g in b.members:
-                    coef = sum(Fraction(d) * e
-                               for d, e in zip(hdir, b.dual(g)))
-                    if coef:
-                        rhs_lin[g] = rhs_lin.get(g, Fraction(0)) - sgn * coef
-                    rhs_aq -= sgn * ctx.constant(g) * coef
-                assert lin_total == rhs_lin
-                assert aq_total == rhs_aq
-                checked += 1
+    terms = _route_terms(arr, y, 4, ctx)
+    assert len(terms) == sum(len(vertices(dec, m, y))
+                             for m in enumerate_m(dec, y))
+    for w, _, dens in terms:
+        den_of = dict(zip(w.sides, dens))
+        outside, U = witness_matrix(dec, w)
+        detU = intlinalg.det(U)
+        n = len(outside)
+        for col, h in enumerate(outside):
+            # expand det U(col <- t*) into sum of t*_g times cofactors
+            lin_total = {}
+            aq_total = Fraction(0)
+            for rowi, g in enumerate(dec.l0):
+                minor = [[U[r][c] for c in range(n) if c != col]
+                         for r in range(n) if r != rowi]
+                cof = (-1) ** (rowi + col) * \
+                    (intlinalg.det(minor) if minor else Fraction(1))
+                if cof == 0:
+                    continue
+                lin = tstar[g]
+                aq = ctx.combination(lin).c
+                for x, cc in lin.items():
+                    lin_total[x] = lin_total.get(x, Fraction(0)) + cof * cc
+                aq_total += cof * aq
+            lin_total = {x: c / detU for x, c in lin_total.items() if c}
+            aq_total = aq_total / detU
+            # right-hand side
+            b = by_members[w.basis_members]
+            sgn = (-1) ** w.sides[h]
+            rhs_lin = {h: Fraction(sgn)}
+            rhs_aq = sgn * ctx.constant(h)
+            hdir = arr.functionals[h].direction
+            for g in b.members:
+                coef = sum(Fraction(d) * e
+                           for d, e in zip(hdir, b.dual(g)))
+                if coef:
+                    rhs_lin[g] = rhs_lin.get(g, Fraction(0)) - sgn * coef
+                rhs_aq -= sgn * ctx.constant(g) * coef
+            assert lin_total == rhs_lin
+            assert aq_total == rhs_aq
+            den = den_of[h]
+            assert {ctx.vars[x]: c for x, c in lin_total.items()} == \
+                {v: sgn * q for v, q in den.coeffs.items()}
+            assert aq_total == sgn * den.c
+            checked += 1
     assert checked > 8
 
 
@@ -514,11 +581,11 @@ def test_vertex_unit_edges_are_one_unit_product(generic_y2, monkeypatch):
         products.append(([k for _, k in factors], exponent is not None))
         return real_product(ring, factors, vars, trunc, exponent, scale)
 
-    def counted_vertex(ctx, dec, exponent, edges, dens, order):
+    def counted_vertex(ctx, w, index, dens, order):
         products.clear()
         muls.clear()
         monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
-        parts = real_vertex(ctx, dec, exponent, edges, dens, order)
+        parts = real_vertex(ctx, w, index, dens, order)
         monkeypatch.setattr(TruncatedSeries, "__mul__", real_mul)
         units = sum(not d.singular for d in dens)
         assert products == [([1] * units, True)]
@@ -593,7 +660,7 @@ def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
     # some vertex roots are not 1
     assert any(not isinstance(call[4].c, Fraction) or call[4].c.denominator
                > 1 for call in calls)
-    # the weight |det| / index of some vertices is not 1
+    # the weight +-1/index(B) of some vertices is not 1
     assert any(call[5] != 1 for call in calls)
     for ring, factors, vars, trunc, exponent, scale, parts in calls:
         out = lift_units(ring, vars, trunc, [parts])
@@ -610,7 +677,7 @@ def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
             assert abs(out.terms[e] - w) <= 2.0 ** -120 * abs(w)
 
 
-@pytest.mark.parametrize("arr,order", [
+EVERY_DECOMPOSITION = pytest.mark.parametrize("arr,order", [
     (a2_directions(), 3),
     (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 3),
     (triangle(Fraction(1, 3), Fraction(1, 5), Fraction(7, 15)), 3),
@@ -621,6 +688,9 @@ def test_vertex_numerator_matches_reference(mode, a, b, generic_y2,
     (triangle(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)), 2),
 ], ids=["a2_directions", "triangle_1_2", "triangle_1_3",
         "triangle_nonintegral", "order_below_prefactor"])
+
+
+@EVERY_DECOMPOSITION
 def test_reconstruction_every_decomposition(arr, order, generic_y2):
     # the reconstruction decomposes at the first basis; permuting the
     # functionals moves that basis over every basis of the arrangement
@@ -635,6 +705,62 @@ def test_reconstruction_every_decomposition(arr, order, generic_y2):
         exps = set(F1.terms) | set(F2.terms)
         assert all(F1.coefficient(e) == F2.coefficient(e) for e in exps)
     assert firsts == {b.members for b in arr.bases}
+
+
+def _assert_same_series(got, want, rel=None):
+    """Equal coefficient by coefficient, or within `rel` relative when it
+    is given (numeric mode)."""
+    assert got.trunc == want.trunc
+    for e in set(got.terms) | set(want.terms):
+        a, b = got.coefficient(e), want.coefficient(e)
+        if rel is None:
+            assert a == b, e
+        else:
+            assert abs(a - b) <= rel * abs(b), e
+
+
+@EVERY_DECOMPOSITION
+def test_vertex_terms_match_the_edge_route_every_decomposition(
+        arr, order, generic_y2):
+    # each vertex term read off its witness, (-1)^#{a_g = 0} e^{l(p)} /
+    # (index(B) prod den_g^B), sums to the same series as the edge route,
+    # |det| / index(B0) e^{l(p)} / prod t* . (p - p'), at every first basis;
+    # a2_directions and triangle_nonintegral meet singular den_g^B
+    for perm in itertools.permutations(range(arr.size)):
+        arr_p = permuted(arr, perm)
+        ctx = EvaluationContext(arr_p, generic_y2, "exact")
+        _assert_same_series(genfun_via_polytopes(arr_p, generic_y2, order,
+                                                 ctx=ctx),
+                            edge_route_genfun(ctx, order))
+
+
+RANK3_Y = (Fraction(1, 7), Fraction(2, 11), Fraction(3, 13))
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+@pytest.mark.parametrize("arr, y, order, rel", [
+    (Arrangement(3, [make_functional(d, c) for d, c in zip(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(1, 5)])]),
+     RANK3_Y, 5, 2.0 ** -120),
+    (Arrangement(3, [make_functional(d, c) for d, c in zip(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, -1)],
+        [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1, 3),
+         Fraction(-1, 6)])]),
+     RANK3_Y, 5, 2.0 ** -120),
+    # B2's singular divisions cancel about 17 of the 128 bits in either
+    # route: each is about 2^-111 relative off the exact series
+    (root_system("B2"), (Fraction(1, 3), Fraction(1, 4)), 4, 2.0 ** -108),
+], ids=["four_functionals", "five_with_singular_triples", "B2"])
+def test_vertex_terms_match_the_edge_route(arr, y, order, rel, mode):
+    # the full series of both routes, exactly equal in exact mode and
+    # within `rel` relative at 128 bits in numeric mode;
+    # five_with_singular_triples and B2 meet singular den_g^B
+    ctx = EvaluationContext(arr, y, mode, 128)
+    got = genfun_via_polytopes(arr, y, order, ctx=ctx)
+    assert got.terms
+    _assert_same_series(got, edge_route_genfun(ctx, order),
+                        None if mode == "exact" else rel)
 
 
 def test_reconstruction_rejects_singular_y():
